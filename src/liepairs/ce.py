@@ -3,7 +3,8 @@
 A Cochain of bidegree (k, l) stores a dense coefficient tensor over
 (sorted exterior multi-index of g, length-l tuple of B indices, E index).
 The differential follows the usual alternating-sum formula, with the module
-action on the value and on every B-slot folded in.
+action on the value and on every B-slot folded in.  It is applied entry by
+entry to the input's nonzeros, so its cost follows the input's sparsity.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from .linalg import Matrix, nullspace_basis, rref, solve, vec_is_zero
 from .multilinear import (
     exterior_basis,
     exterior_index,
-    insert_with_sign,
     tensor_index,
     tensor_tuples,
 )
-from .scalars import GaussScalar, ZERO
+from .scalars import ZERO
 
 
 class Cochain:
@@ -136,6 +136,55 @@ class Cochain:
         return out
 
 
+def _ce_terms(pair: LiePair, module: GModule, gt, bt, e):
+    """Yield the nonzero terms (J, b-tuple, e_out, coeff) of d applied to the
+    basis cochain that is 1 at (gt, bt, e) and 0 elsewhere.
+
+    The transpose of the three term families of the differential: the action
+    on the value, minus the action routed through each B-slot, and the
+    bracket terms.  A key may be yielded more than once; callers add.
+    """
+    n, nb, dim_e = pair.dim_g, pair.dim_b, module.dim
+    rho_b = pair.quotient_module().action
+    k = len(gt)
+    m = 0  # entries of gt below a, i.e. the position of a in J
+    for a in range(n):
+        if m < k and gt[m] == a:
+            m += 1
+            continue
+        J = gt[:m] + (a,) + gt[m:]
+        odd = m % 2
+        rho_e = module.action[a].data
+        for e_out in range(dim_e):
+            x = rho_e[e_out * dim_e + e]
+            if not x.is_zero():
+                yield J, bt, e_out, -x if odd else x
+        rho = rho_b[a].data
+        for slot, new in enumerate(bt):
+            head, tail = bt[:slot], bt[slot + 1 :]
+            row = new * nb
+            for old in range(nb):
+                x = rho[row + old]
+                if not x.is_zero():
+                    yield J, head + (old,) + tail, e, x if odd else -x
+    # gt = insert(s, rest) with sign (-1)^q; J = rest + {x, y}, x < y.
+    c = pair.d.c
+    for q, s in enumerate(gt):
+        rest = gt[:q] + gt[q + 1 :]
+        free = [x for x in range(n) if x not in rest]
+        for i, x in enumerate(free):
+            mx = x - i  # entries of rest below x
+            cx = c[x]
+            for j in range(i + 1, len(free)):
+                y = free[j]
+                coeff = cx[y][s]
+                if coeff.is_zero():
+                    continue
+                my = y - j + 1  # entries of rest below y, plus x
+                J = rest[:mx] + (x,) + rest[mx : my - 1] + (y,) + rest[my - 1 :]
+                yield J, bt, e, -coeff if (mx + my + q) % 2 else coeff
+
+
 def ce_diff(w: Cochain) -> Cochain:
     """Exact degree-(k+1) image of the Chevalley-Eilenberg differential."""
     pair = w.pair
@@ -143,74 +192,14 @@ def ce_diff(w: Cochain) -> Cochain:
     out = Cochain(pair, w.module, w.k + 1, w.l)
     if w.k + 1 > n:
         return out
-    rho_b = pair.quotient_module().action
-    in_index = exterior_index(n, w.k)
-    bts = tensor_tuples(nb, w.l)
+    out_index = exterior_index(n, w.k + 1)
+    b_index = {bt: bi for bi, bt in enumerate(tensor_tuples(nb, w.l))}
     b_radix = nb ** w.l
-
-    for J in exterior_basis(n, w.k + 1):
-        out_gi = exterior_index(n, w.k + 1)[J]
-        for m, a in enumerate(J):
-            rest = J[:m] + J[m + 1 :]
-            gi = in_index[rest]
-            sign = -1 if m % 2 else 1
-            rho_e = w.module.action[a]
-            for bi, bt in enumerate(bts):
-                base_in = (gi * b_radix + bi) * dim_e
-                base_out = (out_gi * b_radix + bi) * dim_e
-                # action on the value
-                for e_out in range(dim_e):
-                    acc = ZERO
-                    row = e_out * dim_e
-                    for e_in in range(dim_e):
-                        x = rho_e.data[row + e_in]
-                        if not x.is_zero():
-                            v = w.data[base_in + e_in]
-                            if not v.is_zero():
-                                acc = acc + x * v
-                    if not acc.is_zero():
-                        out.data[base_out + e_out] = out.data[base_out + e_out] + \
-                            (acc if sign > 0 else -acc)
-                # minus the action routed through each B-slot
-                for slot in range(w.l):
-                    old = bt[slot]
-                    for new in range(nb):
-                        x = rho_b[a][new, old]
-                        if x.is_zero():
-                            continue
-                        bt2 = bt[:slot] + (new,) + bt[slot + 1 :]
-                        src = (gi * b_radix + tensor_index(bt2, nb)) * dim_e
-                        for e in range(dim_e):
-                            v = w.data[src + e]
-                            if not v.is_zero():
-                                term = x * v
-                                out.data[base_out + e] = out.data[base_out + e] - \
-                                    (term if sign > 0 else -term)
-        # bracket terms
-        for m in range(len(J)):
-            for p in range(m + 1, len(J)):
-                sign_mp = -1 if (m + p) % 2 else 1
-                rest = tuple(x for idx, x in enumerate(J) if idx not in (m, p))
-                br = pair.d.c[J[m]][J[p]]
-                for s in range(n):  # only subalgebra components can be nonzero
-                    coeff = br[s]
-                    if coeff.is_zero():
-                        continue
-                    ins = insert_with_sign(rest, s)
-                    if ins is None:
-                        continue
-                    sgn, key = ins
-                    gi = in_index[key]
-                    total = sign_mp * sgn
-                    for bi in range(b_radix):
-                        src = (gi * b_radix + bi) * dim_e
-                        dst = (out_gi * b_radix + bi) * dim_e
-                        for e in range(dim_e):
-                            v = w.data[src + e]
-                            if not v.is_zero():
-                                term = coeff * v
-                                out.data[dst + e] = out.data[dst + e] + \
-                                    (term if total > 0 else -term)
+    data = out.data
+    for gt, bt, e, v in w.iter_nonzero():
+        for J, bt_out, e_out, coeff in _ce_terms(pair, w.module, gt, bt, e):
+            pos = (out_index[J] * b_radix + b_index[bt_out]) * dim_e + e_out
+            data[pos] = data[pos] + coeff * v
     return out
 
 
@@ -220,18 +209,24 @@ def is_cocycle(w: Cochain) -> bool:
 
 def diff_matrix(pair: LiePair, module: GModule, k: int, l: int = 0) -> Matrix:
     """Matrix of the degree-k differential w.r.t. the canonical cochain bases."""
-    src = Cochain(pair, module, k, l)
-    src_dim = len(src.data)
-    probe = ce_diff(src)
-    rows = len(probe.data)
-    mat = Matrix.zeros(rows, src_dim)
-    for col in range(src_dim):
-        basis = Cochain(pair, module, k, l)
-        basis.data[col] = GaussScalar(1)
-        image = ce_diff(basis)
-        for r, x in enumerate(image.data):
-            if not x.is_zero():
-                mat.data[r * src_dim + col] = x
+    n, nb, dim_e = pair.dim_g, pair.dim_b, module.dim
+    g_basis = exterior_basis(n, k)
+    bts = tensor_tuples(nb, l)
+    b_index = {bt: bi for bi, bt in enumerate(bts)}
+    b_radix = len(bts)
+    out_index = exterior_index(n, k + 1)
+    cols = len(g_basis) * b_radix * dim_e
+    mat = Matrix.zeros(len(out_index) * b_radix * dim_e, cols)
+    data = mat.data
+    col = 0
+    for gt in g_basis:
+        for bt in bts:
+            for e in range(dim_e):
+                for J, bt_out, e_out, coeff in _ce_terms(pair, module, gt, bt, e):
+                    row = (out_index[J] * b_radix + b_index[bt_out]) * dim_e + e_out
+                    pos = row * cols + col
+                    data[pos] = data[pos] + coeff
+                col += 1
     return mat
 
 

@@ -508,6 +508,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "zoo" and args.action == "export" and not args.name:
         parser.error("zoo export needs a fixture name")
+    if getattr(args, "depth", 2) < 2:
+        parser.error("--depth must be at least 2")
+    if args.command == "verify":
+        if not 1 <= args.max_n <= args.depth:
+            parser.error("--max-n must be between 1 and --depth (%d)"
+                         % args.depth)
+        if args.degree_cap < 0:
+            parser.error("--degree-cap must be at least 0")
+    if args.command == "chern" and args.k < 1:
+        parser.error("--k must be at least 1")
     try:
         report, exit_code = args.func(args)
     except ParseError as exc:

@@ -12,7 +12,6 @@ conventions fixed once:
 
 from __future__ import annotations
 
-import os
 from itertools import product
 
 from .atiyah import Connection, atiyah_cocycle, curvature, end_connection
@@ -764,28 +763,6 @@ def basis_elements_w(tower: BracketTower, degree_cap: int,
     return out
 
 
-def _thread_count():
-    raw = os.environ.get("LIEPAIR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _sweep(items, evaluate):
-    """Run evaluate over items, optionally fanning out over a thread pool.
-
-    Results are collected in submission order, so reports are deterministic
-    regardless of scheduling.
-    """
-    threads = _thread_count()
-    if threads == 1:
-        return [evaluate(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(evaluate, items))
-
-
 def verify_leibniz(tower: BracketTower, max_n: int, degree_cap: int,
                    algebra: GAlgebra = None) -> VerifyReport:
     """Exhaustive residual sweep over basis-decomposable tuples.
@@ -801,16 +778,12 @@ def verify_leibniz(tower: BracketTower, max_n: int, degree_cap: int,
     elements = basis_elements_v(tower, degree_cap, algebra)
     dim_g = tower.pair.dim_g
     for n in range(1, max_n + 1):
-        tuples = list(product(elements, repeat=n))
-
-        def evaluate(vs):
-            if sum(v.degree() for v in vs) + 2 > dim_g:
-                return None
-            return leibniz_residual(tower, list(vs), algebra)
-
-        for vs, residual in zip(tuples, _sweep(tuples, evaluate)):
+        for vs in product(elements, repeat=n):
             report.checked += 1
-            if residual is not None and not residual.is_zero():
+            if sum(v.degree() for v in vs) + 2 > dim_g:
+                continue
+            residual = leibniz_residual(tower, list(vs), algebra)
+            if not residual.is_zero():
                 report.add_violation(
                     n, [v.first_term()[0] for v in vs], residual.first_term())
     return report
@@ -831,21 +804,16 @@ def verify_module(tower: BracketTower, max_n: int, degree_cap: int,
     ws_pool = basis_elements_w(tower, degree_cap, algebra)
     dim_g = tower.pair.dim_g
     for n in range(1, max_n + 1):
-        tuples = [(vs, w) for vs in product(vs_pool, repeat=n - 1)
-                  for w in ws_pool]
-
-        def evaluate(item):
-            vs, w = item
-            if sum(v.degree() for v in vs) + w.degree() + 2 > dim_g:
-                return None
-            return module_residual(tower, list(vs), w, algebra)
-
-        for (vs, w), residual in zip(tuples, _sweep(tuples, evaluate)):
-            report.checked += 1
-            if residual is not None and not residual.is_zero():
-                report.add_violation(
-                    n, [v.first_term()[0] for v in vs] + [w.first_term()[0]],
-                    residual.first_term())
+        for vs in product(vs_pool, repeat=n - 1):
+            for w in ws_pool:
+                report.checked += 1
+                if sum(v.degree() for v in vs) + w.degree() + 2 > dim_g:
+                    continue
+                residual = module_residual(tower, list(vs), w, algebra)
+                if not residual.is_zero():
+                    report.add_violation(
+                        n, [v.first_term()[0] for v in vs]
+                        + [w.first_term()[0]], residual.first_term())
     return report
 
 

@@ -38,10 +38,6 @@ class NotABialgebra(Exception):
     """A cobracket fails the Lie bialgebra conditions."""
 
 
-class NotCommutativeAlgebra(Exception):
-    """A coefficient algebra fails commutativity/associativity/derivation checks."""
-
-
 class Report:
     """Exact validation outcome: a list of violations, empty means valid."""
 

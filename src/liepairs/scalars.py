@@ -1,12 +1,27 @@
 """Exact scalars: the Gaussian rationals Q(i).
 
 Every quantity in this library is a GaussScalar, so no rounding can occur
-anywhere.  Scalars serialize as strings like "2", "-1/3" or "1/2+3/4*i".
+anywhere.  Each part is stored as a plain ``int`` whenever it is integral and
+as a ``Fraction`` (lowest terms, denominator > 1) only otherwise.  Almost all
+scalars the library builds are real integers, and ``int`` arithmetic costs a
+small fraction of ``Fraction`` arithmetic.  Equality and hashing cannot tell
+the two storages apart, because ``3 == Fraction(3)`` and
+``hash(3) == hash(Fraction(3))``.  Division stays exact through ``Fraction``.
+Scalars serialize as strings like "2", "-1/3" or "1/2+3/4*i".
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def _part(x):
+    """Canonical storage of one rational part: an int when integral."""
+    if x.__class__ is int:
+        return x
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class GaussScalar:
@@ -15,9 +30,8 @@ class GaussScalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        # Fraction keeps lowest terms and a positive denominator for us.
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        _set_re(self, _part(re))
+        _set_im(self, _part(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussScalar is immutable")
@@ -25,36 +39,39 @@ class GaussScalar:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = as_scalar(other)
-        return GaussScalar(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussScalar:
+            other = as_scalar(other)
+        return _scalar(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_scalar(other)
-        return GaussScalar(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GaussScalar:
+            other = as_scalar(other)
+        return _scalar(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return as_scalar(other) - self
 
     def __mul__(self, other):
-        other = as_scalar(other)
-        return GaussScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussScalar:
+            other = as_scalar(other)
+        ar, ai, br, bi = self.re, self.im, other.re, other.im
+        if not ai and not bi:
+            return _scalar(ar * br, 0)
+        return _scalar(ar * br - ai * bi, ar * bi + ai * br)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GaussScalar(-self.re, -self.im)
+        return _scalar(-self.re, -self.im)
 
     def __truediv__(self, other):
         other = as_scalar(other)
-        n = other.re * other.re + other.im * other.im
+        n = Fraction(other.re * other.re + other.im * other.im)
         if n == 0:
             raise ZeroDivisionError("division by zero GaussScalar")
-        return GaussScalar(
+        return _scalar(
             (self.re * other.re + self.im * other.im) / n,
             (self.im * other.re - self.re * other.im) / n,
         )
@@ -66,7 +83,7 @@ class GaussScalar:
         return ONE / self
 
     def conjugate(self):
-        return GaussScalar(self.re, -self.im)
+        return _scalar(self.re, -self.im)
 
     # -- predicates and hashing ---------------------------------------------
 
@@ -77,10 +94,10 @@ class GaussScalar:
         return not self.re and not self.im
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussScalar(other)
-        if not isinstance(other, GaussScalar):
-            return NotImplemented
+        if other.__class__ is not GaussScalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return not self.im and self.re == other
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -91,6 +108,25 @@ class GaussScalar:
 
     def __str__(self):
         return format_scalar(self)
+
+
+_new = object.__new__
+_set_re = GaussScalar.re.__set__
+_set_im = GaussScalar.im.__set__
+
+
+def _scalar(re, im) -> GaussScalar:
+    """Build a result from int or Fraction parts, storing integral parts as int.
+
+    Sets the slots directly: no Fraction round trip, no coercion."""
+    if re.__class__ is not int and re.denominator == 1:
+        re = re.numerator
+    if im.__class__ is not int and im.denominator == 1:
+        im = im.numerator
+    s = _new(GaussScalar)
+    _set_re(s, re)
+    _set_im(s, im)
+    return s
 
 
 def as_scalar(value) -> GaussScalar:
@@ -107,7 +143,7 @@ ONE = GaussScalar(1)
 I = GaussScalar(0, 1)
 
 
-def _format_fraction(q: Fraction) -> str:
+def _format_fraction(q: int | Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)

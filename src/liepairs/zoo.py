@@ -86,10 +86,6 @@ def affine_pair():
     return make_pair(d, 1)
 
 
-def abelian_pair(dim, dim_g):
-    return make_pair(LieAlgebra.zero(dim), dim_g)
-
-
 # -- unitary / triangular matched pair ----------------------------------------
 
 

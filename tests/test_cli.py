@@ -225,3 +225,17 @@ def test_fixture_loader_rejects_bad_scalars():
                       "bracket": [[0, 1, ["badnum", "0"]]]})
     with pytest.raises(ParseError):
         load_fixture({"dim": 2, "dim_g": 1, "bracket": [[0, 0, ["1", "0"]]]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["tower", "--depth", "1"],
+    ["verify", "--depth", "2", "--max-n", "3"],
+    ["chern", "--k", "0"],
+    ["verify", "--degree-cap", "-1"],
+])
+def test_out_of_range_flags_exit_2(capsys, tmp_path, argv):
+    path = export(capsys, tmp_path, "sl2")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", str(path)])
+    assert exc.value.code == EXIT_PARSE_ERROR
+    assert "usage:" in capsys.readouterr().err

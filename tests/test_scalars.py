@@ -95,3 +95,89 @@ def test_parse_rejects_garbage():
     for bad in ["", "one", "1+*i", "i*i", "1/2/3"]:
         with pytest.raises((ValueError, ZeroDivisionError)):
             parse_scalar(bad)
+
+
+# -- differential test: int-first storage against plain Fraction pairs ---------
+
+
+def _operand(rng):
+    """An int, a Fraction, or a GaussScalar with integral or fractional parts."""
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4)))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-9, 9)
+    if kind == 1:
+        return q()
+    if kind == 2:
+        return GaussScalar(q())
+    return GaussScalar(q(), q())
+
+
+def _pair(x):
+    """The (Fraction, Fraction) reference of an operand."""
+    if isinstance(x, GaussScalar):
+        return Fraction(x.re), Fraction(x.im)
+    return Fraction(x), Fraction(0)
+
+
+def _ref(op, x, y):
+    (a, b), (c, d) = _pair(x), _pair(y)
+    if op == "add":
+        return a + c, b + d
+    if op == "sub":
+        return a - c, b - d
+    if op == "mul":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+_OPS = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+        "mul": lambda x, y: x * y, "div": lambda x, y: x / y}
+
+
+def _check_storage(s, ref):
+    for part, want in ((s.re, ref[0]), (s.im, ref[1])):
+        assert part == want
+        if want.denominator == 1:
+            assert type(part) is int
+        else:
+            assert type(part) is Fraction
+    assert hash(s) == hash(ref)
+    assert s == GaussScalar(*ref)
+    if not ref[1]:
+        assert s == ref[0] and s == GaussScalar(ref[0])
+
+
+def test_int_first_arithmetic_matches_fraction_pairs():
+    rng = random.Random(23)
+    for _ in range(2000):
+        x, y = _operand(rng), _operand(rng)
+        if not any(isinstance(v, GaussScalar) for v in (x, y)):
+            x = GaussScalar(x)
+        for op, fn in _OPS.items():
+            if op == "div" and _pair(y) == (0, 0):
+                with pytest.raises(ZeroDivisionError):
+                    fn(x, y)
+                continue
+            _check_storage(fn(x, y), _ref(op, x, y))
+        if isinstance(x, GaussScalar):
+            a, b = _pair(x)
+            _check_storage(-x, (-a, -b))
+            _check_storage(x.conjugate(), (a, -b))
+
+
+def test_integral_parts_are_stored_as_int():
+    assert GaussScalar(3) == GaussScalar(Fraction(3))
+    assert hash(GaussScalar(3)) == hash(GaussScalar(Fraction(3)))
+    assert hash(GaussScalar(3)) == hash((Fraction(3), Fraction(0)))
+    s = GaussScalar(Fraction(6, 2), Fraction(-4, 4))
+    assert type(s.re) is int and type(s.im) is int
+    half = GaussScalar(Fraction(1, 2))
+    assert type((half + half).re) is int
+    assert type((half * GaussScalar(2)).re) is int
+    assert type((GaussScalar(6) / GaussScalar(3)).re) is int
+    assert type((GaussScalar(1) / GaussScalar(3)).re) is Fraction
+    assert GaussScalar(2, 1) != 2
+    assert format_scalar(GaussScalar(Fraction(-6, 3), Fraction(4, 2))) == "-2+2*i"
