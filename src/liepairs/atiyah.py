@@ -8,6 +8,7 @@ coefficients: it is reported as a symbolic string next to an exact tensor.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .ce import Cochain, coboundary_primitive, is_cocycle
 from .lie_core import (
@@ -281,31 +282,29 @@ def _bf_mat_mul(a, b):
 
 
 def _bf_dot(a, b, i, j, n):
+    return _bf_sum(a[i][k] * b[k][j] for k in range(n)
+                   if not a[i][k].is_zero() and not b[k][j].is_zero())
+
+
+def _bf_sum(forms):
     acc = BiForm()
-    for k in range(n):
-        if not a[i][k].is_zero() and not b[k][j].is_zero():
-            acc = acc + a[i][k] * b[k][j]
+    for form in forms:
+        acc = acc + form
     return acc
 
 
-def _bf_mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _bf_mat_scale(a, s):
-    return [[x.scale(s) for x in row] for row in a]
-
-
-def _bf_identity(n):
-    return [[BiForm.constant(1) if i == j else BiForm()
-             for j in range(n)] for i in range(n)]
-
-
-def _bf_trace(a):
-    acc = BiForm()
-    for i in range(len(a)):
-        acc = acc + a[i][i]
-    return acc
+def _power_traces(alpha, n):
+    """[tr alpha, ..., tr alpha^n], the last as sum_ik (alpha^(n-1))_ik alpha_ki
+    so that alpha^n itself is never formed."""
+    dim = len(alpha)
+    powers = [alpha]
+    while len(powers) < n - 1:
+        powers.append(_bf_mat_mul(powers[-1], alpha))
+    traces = [_bf_sum(p[i][i] for i in range(dim)) for p in powers[:n]]
+    if n > 1:
+        traces.append(_bf_sum(_bf_dot(powers[-1], alpha, i, i, dim)
+                              for i in range(dim)))
+    return traces
 
 
 def obstruction_biform_matrix(conn: Connection):
@@ -319,18 +318,21 @@ def obstruction_biform_matrix(conn: Connection):
     return mat
 
 
-# Coefficients of x / (1 - exp(-x)) as exact rationals, through order 8.
-TODD_SERIES = [
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(1, 12),
-    Fraction(0),
-    Fraction(-1, 720),
-    Fraction(0),
-    Fraction(1, 30240),
-    Fraction(0),
-    Fraction(-1, 1209600),
-]
+def _todd_log_coefficients(n):
+    """[c_1, ..., c_n] with log(x / (1 - exp(-x))) = sum_m c_m x^m, exact.
+
+    Its derivative 1/x - 1/(e^x - 1) is -sum_m B_m x^(m-1) / m!, so
+    c_m = -B_m / (m * m!), with B_m from sum_{j<=m} C(m+1, j) B_j = 0.
+    """
+    bernoulli = [Fraction(1)]
+    coeffs = []
+    factorial = 1
+    for m in range(1, n + 1):
+        bernoulli.append(-sum(comb(m + 1, j) * b
+                              for j, b in enumerate(bernoulli)) / (m + 1))
+        factorial *= m
+        coeffs.append(-bernoulli[m] / (m * factorial))
+    return coeffs
 
 
 def _diagonal_cochain(pair: LiePair, bi_form: BiForm, k: int) -> Cochain:
@@ -366,10 +368,7 @@ def scalar_class(pair: LiePair, module: GModule, k: int,
     if conn is None:
         conn = extend_by_zero(pair, module)
     alpha = obstruction_biform_matrix(conn)
-    power = _bf_identity(module.dim)
-    for _ in range(k):
-        power = _bf_mat_mul(power, alpha)
-    trace = _bf_trace(power)
+    trace = _power_traces(alpha, k)[-1]
     cochain = _diagonal_cochain(pair, trace, k)
     if not is_cocycle(cochain):
         raise NotACocycle("scalar class cochain is not closed")
@@ -387,27 +386,19 @@ class ToddClass:
 
 
 def todd_biform(conn: Connection) -> BiForm:
-    """det(alpha / (1 - exp(-alpha))) via exp(trace(log(...))), exact."""
+    """det(alpha / (1 - exp(-alpha))) as exp(sum_m c_m tr(alpha^m)), exact.
+
+    The entries of alpha have equal bidegrees, so they are even and commute,
+    and tr log f(alpha) = sum_m c_m tr(alpha^m) for log f(x) = sum_m c_m x^m.
+    Every term past bidegree (depth, depth) vanishes, so both series stop there.
+    """
     pair = conn.pair
     depth = min(pair.dim_g, pair.dim_b)
-    if depth >= len(TODD_SERIES):
-        raise ValueError("Todd series coefficients pinned only through order 8")
-    dim = conn.module.dim
     alpha = obstruction_biform_matrix(conn)
-    series = _bf_identity(dim)
-    power = _bf_identity(dim)
-    for m in range(1, depth + 1):
-        power = _bf_mat_mul(power, alpha)
-        if TODD_SERIES[m] != 0:
-            series = _bf_mat_add(series, _bf_mat_scale(power, GaussScalar(TODD_SERIES[m])))
-    # log(I + N) with N nilpotent of order <= depth
-    nilpotent = _bf_mat_add(series, _bf_mat_scale(_bf_identity(dim), GaussScalar(-1)))
     log_trace = BiForm()
-    npower = _bf_identity(dim)
-    for m in range(1, depth + 1):
-        npower = _bf_mat_mul(npower, nilpotent)
-        coeff = Fraction((-1) ** (m + 1), m)
-        log_trace = log_trace + _bf_trace(npower).scale(GaussScalar(coeff))
+    for coeff, trace in zip(_todd_log_coefficients(depth),
+                            _power_traces(alpha, depth)):
+        log_trace = log_trace + trace.scale(GaussScalar(coeff))
     result = BiForm.constant(1)
     tpower = BiForm.constant(1)
     factorial = 1

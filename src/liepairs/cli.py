@@ -1,9 +1,10 @@
 """Command-line surface: batch validation and verification over JSON fixtures.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 unreadable or
-malformed input, 3 structurally valid input that fails validation.  Output is
-deterministic; --json disables the timing line so identical inputs give
-byte-identical reports.
+malformed input, an out-of-range flag, or a `todd` request whose depth
+min(dim g, dim B) is above 8 (TODD_MAX_DEPTH), 3 structurally valid input that
+fails validation.  Output is deterministic; --json disables the timing line so
+identical inputs give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -57,6 +58,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_PARSE_ERROR = 2
 EXIT_VALIDATION_ERROR = 3
+
+# The exact Todd class grows steeply with its depth min(dim g, dim B): at depth
+# 9 (gl(3) with a 1-dim module) the powers of alpha alone take seconds and the
+# whole class did not finish within 90 s, so deeper requests are refused.
+TODD_MAX_DEPTH = 8
 
 
 class ValidationFailure(Exception):
@@ -281,6 +287,10 @@ def cmd_todd(args):
     pair = _validated_pair(fixture, report)
     module = fixture.module(args.module)
     conn = _connection(fixture, pair, module, args.connection)
+    if min(pair.dim_g, pair.dim_b) > TODD_MAX_DEPTH:
+        print("todd: depth min(dim g, dim B) = min(%d, %d) is above %d"
+              % (pair.dim_g, pair.dim_b, TODD_MAX_DEPTH), file=sys.stderr)
+        return None, EXIT_PARSE_ERROR
     outcome = todd_class(pair, module, conn)
     degree_zero = outcome.components[0]
     report.check("degree_zero_is_one",

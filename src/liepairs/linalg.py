@@ -151,7 +151,10 @@ def _shape_check(a, b):
 
 
 def rref(m: Matrix):
-    """Reduced row echelon form; returns (rref, pivot column tuple, rank)."""
+    """Reduced row echelon form; returns (rref, pivot column tuple, rank).
+
+    Only the pivot row's nonzero columns are scaled and eliminated; every other
+    cell stays as it is, which is exact because x - f * 0 = x."""
     work = [list(m.row(r)) for r in range(m.rows)]
     pivots = []
     lead = 0
@@ -164,12 +167,17 @@ def rref(m: Matrix):
         if pivot_row is None:
             continue
         work[lead], work[pivot_row] = work[pivot_row], work[lead]
-        inv = ONE / work[lead][col]
-        work[lead] = [inv * x for x in work[lead]]
-        for r in range(m.rows):
-            if r != lead and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[lead])]
+        row = work[lead]
+        # Left of col the pivot row is already zero.
+        support = [c for c in range(col, m.cols) if not row[c].is_zero()]
+        inv = ONE / row[col]
+        for c in support:
+            row[c] = inv * row[c]
+        for r, other in enumerate(work):
+            f = other[col]
+            if r != lead and not f.is_zero():
+                for c in support:
+                    other[c] = other[c] - f * row[c]
         pivots.append(col)
         lead += 1
         if lead == m.rows:

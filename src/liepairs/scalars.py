@@ -36,6 +36,10 @@ class GaussScalar:
     def __setattr__(self, name, value):
         raise AttributeError("GaussScalar is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which the guard allows.
+        return (GaussScalar, (self.re, self.im))
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):

@@ -1,7 +1,14 @@
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
 from liepairs.atiyah import (
+    BiForm,
     Connection,
+    _diagonal_cochain,
+    _power_traces,
+    _todd_log_coefficients,
     atiyah_class,
     atiyah_cocycle,
     compatibility_report,
@@ -9,12 +16,13 @@ from liepairs.atiyah import (
     direct_sum_connection,
     end_connection,
     extend_by_zero,
+    obstruction_biform_matrix,
     scalar_class,
     todd_biform,
     todd_class,
 )
 from liepairs.ce import Cochain, ce_diff, is_cocycle
-from liepairs.lie_core import direct_sum_module, trivial_module
+from liepairs.lie_core import direct_sum_module, make_pair, trivial_module
 from liepairs.linalg import Matrix
 from liepairs.scalars import GaussScalar, ONE, ZERO
 from liepairs.zoo import (
@@ -215,3 +223,136 @@ def test_scalar_and_todd_outputs_are_cocycles():
     for k in (1, 2, 3):
         scalar_class(pair, module, k)  # raises NotACocycle on failure
     todd_class(pair, module)
+
+
+# Oracle: the series Todd class and the plain matrix powers that the
+# power-trace versions replaced, with the hand-typed coefficient table of
+# x / (1 - exp(-x)) they used.
+TODD_SERIES = [
+    Fraction(1),
+    Fraction(1, 2),
+    Fraction(1, 12),
+    Fraction(0),
+    Fraction(-1, 720),
+    Fraction(0),
+    Fraction(1, 30240),
+    Fraction(0),
+    Fraction(-1, 1209600),
+]
+
+
+def bf_mul(a, b):
+    n = len(a)
+    out = [[BiForm() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] = out[i][j] + a[i][k] * b[k][j]
+    return out
+
+
+def bf_identity(n):
+    return [[BiForm.constant(1) if i == j else BiForm() for j in range(n)]
+            for i in range(n)]
+
+
+def bf_trace(a):
+    acc = BiForm()
+    for i in range(len(a)):
+        acc = acc + a[i][i]
+    return acc
+
+
+def series_power_traces(alpha, n):
+    power = bf_identity(len(alpha))
+    traces = []
+    for _ in range(n):
+        power = bf_mul(power, alpha)
+        traces.append(bf_trace(power))
+    return traces
+
+
+def series_todd_biform(conn):
+    depth = min(conn.pair.dim_g, conn.pair.dim_b)
+    assert depth < len(TODD_SERIES)
+    dim = conn.module.dim
+    alpha = obstruction_biform_matrix(conn)
+    one = bf_identity(dim)
+    nilpotent = [[BiForm() for _ in range(dim)] for _ in range(dim)]
+    power = one
+    for m in range(1, depth + 1):
+        power = bf_mul(power, alpha)
+        coeff = GaussScalar(TODD_SERIES[m])
+        nilpotent = [[x + y.scale(coeff) for x, y in zip(rn, rp)]
+                     for rn, rp in zip(nilpotent, power)]
+    log_trace = BiForm()
+    npower = one
+    for m in range(1, depth + 1):
+        npower = bf_mul(npower, nilpotent)
+        log_trace = log_trace + bf_trace(npower).scale(
+            GaussScalar(Fraction((-1) ** (m + 1), m)))
+    result = BiForm.constant(1)
+    tpower = BiForm.constant(1)
+    for m in range(1, depth + 1):
+        tpower = tpower * log_trace
+        result = result + tpower.scale(GaussScalar(Fraction(1, factorial(m))))
+    return result
+
+
+def _class_cases():
+    fixture = gl_un_tn(2)
+    pair = fixture.pair
+    b = pair.quotient_module()
+    yield random_extension(pair, b, 3)
+    yield fixture.conn_mult
+    e2 = random_module(pair, 2, 1)
+    yield random_extension(pair, e2, 11)
+    for seed in (1, 2, 6, 7):
+        rpair = random_pair(seed)
+        yield random_extension(rpair, rpair.quotient_module(), seed + 20)
+        yield random_extension(rpair, random_module(rpair, 2, seed), seed + 30)
+    sl2, modules = sl2_pair()
+    yield extend_by_zero(sl2, modules["B"])
+    # dim B = 0: depth 0, no power and no coefficient is taken.
+    flat = make_pair(sl2.d, sl2.dim_d)
+    yield extend_by_zero(flat, trivial_module(flat.dim_g, 2))
+
+
+def test_todd_and_scalar_classes_match_series_oracle():
+    depths = set()
+    for conn in _class_cases():
+        pair, module = conn.pair, conn.module
+        depth = min(pair.dim_g, pair.dim_b)
+        depths.add(depth)
+        assert todd_biform(conn) == series_todd_biform(conn)
+        alpha = obstruction_biform_matrix(conn)
+        expected = series_power_traces(alpha, depth + 1)
+        assert _power_traces(alpha, depth + 1) == expected
+        assert _power_traces(alpha, 0) == []
+        # scalar_class(k) takes the last of k traces, the one formed as a dot
+        for k in range(1, depth + 2):
+            got = scalar_class(pair, module, k, conn).cochain
+            assert got == _diagonal_cochain(pair, expected[k - 1], k)
+    assert {0, 1, 4} <= depths
+
+
+def test_todd_log_coefficients_give_bernoulli_numbers():
+    coeffs = _todd_log_coefficients(12)
+    assert _todd_log_coefficients(0) == []
+    assert coeffs[0] == Fraction(1, 2)
+    known = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42),
+             8: Fraction(-1, 30), 10: Fraction(5, 66),
+             12: Fraction(-691, 2730)}
+    for m in range(2, 13):
+        bernoulli = -coeffs[m - 1] * m * factorial(m)
+        assert bernoulli == known.get(m, 0)
+
+
+def test_todd_log_coefficients_exponentiate_to_series_table():
+    # f = exp(g) with g(0) = 0 obeys n f_n = sum_k k g_k f_(n-k).
+    order = len(TODD_SERIES) - 1
+    g = [Fraction(0)] + _todd_log_coefficients(order)
+    f = [Fraction(1)]
+    for n in range(1, order + 1):
+        f.append(sum(k * g[k] * f[n - k] for k in range(1, n + 1)) / n)
+    assert f == TODD_SERIES

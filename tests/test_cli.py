@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -11,7 +12,8 @@ from liepairs.cli import (
 )
 from liepairs.fixture_io import ParseError, dump_fixture, load_fixture
 from liepairs.homotopy import VerifyReport
-from liepairs.zoo import sl2_pair
+from liepairs.lie_core import LieAlgebra, make_pair, trivial_module
+from liepairs.zoo import gl_un_tn, random_extension, random_module, sl2_pair
 
 
 def run(capsys, argv):
@@ -239,3 +241,57 @@ def test_out_of_range_flags_exit_2(capsys, tmp_path, argv):
         main(argv + ["--input", str(path)])
     assert exc.value.code == EXIT_PARSE_ERROR
     assert "usage:" in capsys.readouterr().err
+
+
+def _abelian_fixture(tmp_path, bracket=()):
+    """An abelian 9 + 9 pair (or one with the given brackets) and a 1-dim module."""
+    pair = make_pair(LieAlgebra.zero(18), 9)
+    doc = dump_fixture(pair, {"T1": trivial_module(9, 1)})
+    doc["bracket"] = list(bracket)
+    path = tmp_path / "abelian9.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_todd_refuses_depth_above_cap_exit_2(capsys, tmp_path):
+    path = _abelian_fixture(tmp_path)
+    code, out, err = run(capsys, ["todd", "--input", str(path),
+                                  "--module", "T1", "--json"])
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.count("\n") == 1 and "min(9, 9)" in err
+    # validation comes first: an unclosed subalgebra still exits 3
+    bad = _abelian_fixture(tmp_path, [[0, 1, ["0"] * 9 + ["1"] + ["0"] * 8]])
+    code, _, err = run(capsys, ["todd", "--input", str(bad), "--module", "T1"])
+    assert code == EXIT_VALIDATION_ERROR
+
+
+# sha256 of each command's --json stdout as the series Todd class and the
+# dense-row rref printed it; both stay as oracles in test_atiyah/test_linalg.
+CLASS_GOLDENS = {
+    "atiyah": "e4bde0aceafbf9e17ca05a52dbe6888c36524ec866b66c5a0f4b8aef16dfa90b",
+    "chern": "1b6f38e289c2eb81c58918c7758f0c4ffae6b42fc21b70d7a2e60edca0aceae1",
+    "todd": "c1e1f5e490f3b16ef3ff20cfdcb5ffa6e4e507e4e9f1b30c038fd7889ffc0ec9",
+}
+
+
+def test_class_commands_byte_identical_to_goldens(capsys, tmp_path,
+                                                  monkeypatch):
+    fixture = gl_un_tn(2)
+    pair = fixture.pair
+    b = pair.quotient_module()
+    e2 = random_module(pair, 2, 1)
+    doc = dump_fixture(pair, {"B": b, "E2": e2}, connections={
+        "gauss_B": random_extension(pair, b, 3).nabla,
+        "gauss_E2": random_extension(pair, e2, 5).nabla})
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "u2t2.json").write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    for command, extra in (("atiyah", []), ("chern", ["--k", "3"]),
+                           ("todd", [])):
+        code, out, _ = run(capsys, [command, "--module", "B",
+                                    "--connection", "gauss_B", *extra,
+                                    "--input", "u2t2.json", "--json"])
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == CLASS_GOLDENS[command], command

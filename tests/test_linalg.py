@@ -11,7 +11,17 @@ from liepairs.linalg import (
     solve,
     vec_is_zero,
 )
+from liepairs.ce import diff_matrix
+from liepairs.lie_core import end_module, matched_sum
 from liepairs.scalars import GaussScalar, I, ONE, ZERO
+from liepairs.zoo import (
+    affine_bialgebra,
+    gl_un_tn,
+    heisenberg_pair,
+    random_module,
+    random_pair,
+    sl2_pair,
+)
 
 
 def mat(rows):
@@ -105,3 +115,93 @@ def test_matrix_products_and_trace():
     assert a.commutator(b) == mat([[-1, -3], [3, 1]])
     assert a.trace() == GaussScalar(5)
     assert a.transpose() == mat([[1, 3], [2, 4]])
+
+
+def dense_rref(m):
+    """Oracle: the dense-row elimination that rref's zero-skipping loop replaced."""
+    work = [list(m.row(r)) for r in range(m.rows)]
+    pivots = []
+    lead = 0
+    for col in range(m.cols):
+        pivot_row = None
+        for r in range(lead, m.rows):
+            if not work[r][col].is_zero():
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        work[lead], work[pivot_row] = work[pivot_row], work[lead]
+        inv = ONE / work[lead][col]
+        work[lead] = [inv * x for x in work[lead]]
+        for r in range(m.rows):
+            if r != lead and not work[r][col].is_zero():
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == m.rows:
+            break
+    flat = [x for row in work for x in row]
+    out = Matrix(m.rows, m.cols, flat) if m.rows else Matrix(0, m.cols, [])
+    return out, tuple(pivots), len(pivots)
+
+
+def _diff_matrices():
+    pair, modules = sl2_pair()
+    cases = [(pair, modules[name]) for name in ("B", "B_dual", "hom_bb_b")]
+    u2t2 = gl_un_tn(2).pair
+    cases += [(u2t2, u2t2.quotient_module())]
+    cases += [(u2t2, end_module(random_module(u2t2, dim, 1))) for dim in (2, 3)]
+    heis = heisenberg_pair()
+    cases.append((heis, heis.quotient_module()))
+    bialg = matched_sum(affine_bialgebra())
+    cases.append((bialg, bialg.quotient_module()))
+    for seed in (1, 2, 6, 7):
+        rpair = random_pair(seed)
+        cases += [(rpair, rpair.quotient_module()),
+                  (rpair, end_module(random_module(rpair, 2, seed)))]
+    for pair, module in cases:
+        for k in range(pair.dim_g + 1):
+            for l in (0, 1):
+                yield diff_matrix(pair, module, k, l)
+
+
+def _sparse_entry(rng):
+    if rng.random() < 0.6:
+        return ZERO
+    return GaussScalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                       Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+
+
+def _deficient_matrix(rng):
+    """A sparse Gaussian-rational product of rank <= inner, with zero rows."""
+    rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+    inner = rng.randint(0, min(rows, cols))
+    left = Matrix(rows, inner, [_sparse_entry(rng) for _ in range(rows * inner)])
+    right = Matrix(inner, cols, [_sparse_entry(rng) for _ in range(inner * cols)])
+    m = left @ right
+    for r in rng.sample(range(rows), rng.randint(0, rows // 2)):
+        m.data[r * cols:(r + 1) * cols] = [ZERO] * cols
+    return m
+
+
+def test_rref_matches_dense_oracle_on_diff_matrices():
+    cells = 0
+    for m in _diff_matrices():
+        assert rref(m) == dense_rref(m)
+        cells = max(cells, m.rows * m.cols)
+    assert cells >= 216 * 144
+
+
+def test_rref_matches_dense_oracle_on_random_matrices():
+    rng = random.Random(29)
+    ranks = set()
+    for _ in range(300):
+        m = _deficient_matrix(rng)
+        got = rref(m)
+        assert got == dense_rref(m)
+        ranks.add(got[2] < min(m.rows, m.cols))
+    for _ in range(60):
+        m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        assert rref(m) == dense_rref(m)
+    assert ranks == {True, False}

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 from fractions import Fraction
@@ -181,3 +183,18 @@ def test_integral_parts_are_stored_as_int():
     assert type((GaussScalar(1) / GaussScalar(3)).re) is Fraction
     assert GaussScalar(2, 1) != 2
     assert format_scalar(GaussScalar(Fraction(-6, 3), Fraction(4, 2))) == "-2+2*i"
+
+
+def test_copy_and_pickle_round_trip():
+    values = [ZERO, ONE, I, GaussScalar(-7), GaussScalar(Fraction(3, 4), 2),
+              GaussScalar(5, Fraction(-1, 3))]
+    for x in values:
+        for y in (copy.copy(x), copy.deepcopy(x),
+                  pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x)
+            assert type(y.re) is type(x.re) and type(y.im) is type(x.im)
+    assert type(pickle.loads(pickle.dumps(GaussScalar(Fraction(6, 3)))).re) is int
+    rebuilt = copy.deepcopy([ONE, {I: GaussScalar(2)}])
+    assert rebuilt == [ONE, {I: GaussScalar(2)}]
+    with pytest.raises(AttributeError):
+        copy.copy(ONE).re = 2
