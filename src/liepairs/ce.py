@@ -121,19 +121,30 @@ class Cochain:
 
     def permute_b_args(self, perm):
         """New cochain w'(...; b_1..b_l) = w(...; b_perm(1)..b_perm(l))."""
-        if len(perm) != self.l:
-            raise ValueError("permutation arity mismatch")
         out = Cochain(self.pair, self.module, self.k, self.l)
-        nb = self.pair.dim_b
-        bts = tensor_tuples(nb, self.l)
-        dim_e = self.module.dim
-        for gi in range(self.g_count()):
-            for bi, bt in enumerate(bts):
-                src = tensor_index(tuple(bt[p] for p in perm), nb)
-                for e in range(dim_e):
-                    out.data[out.flat_index(gi, bi, e)] = \
-                        self.data[self.flat_index(gi, src, e)]
+        for pos, v in _permuted_nonzeros(self, perm):
+            out.data[pos] = v
         return out
+
+
+def _permuted_nonzeros(w: Cochain, perm):
+    """Yield (position in w.permute_b_args(perm), value) over w's nonzeros.
+
+    The entry of w at b-tuple s lands at the t with t[perm[i]] = s[i].
+    """
+    if sorted(perm) != list(range(w.l)):
+        raise ValueError("perm must be a permutation of the %d B-slots" % w.l)
+    nb, dim_e = w.pair.dim_b, w.module.dim
+    b_radix = nb ** w.l
+    weights = [nb ** (w.l - 1 - p) for p in perm]
+    bts = tensor_tuples(nb, w.l)
+    for pos, v in enumerate(w.data):
+        if v.is_zero():
+            continue
+        rest, e = divmod(pos, dim_e)
+        gi, bi = divmod(rest, b_radix)
+        ti = sum(x * wt for x, wt in zip(bts[bi], weights))
+        yield (gi * b_radix + ti) * dim_e + e, v
 
 
 def _ce_terms(pair: LiePair, module: GModule, gt, bt, e):
@@ -280,11 +291,3 @@ def cohomology_representatives(pair: LiePair, module: GModule, k: int, l: int = 
             rows = candidate
             current_rank = new_rank
     return len(reps), reps
-
-
-def euler_characteristic(pair: LiePair, module: GModule, l: int = 0) -> int:
-    total = 0
-    for k in range(pair.dim_g + 1):
-        h = cohomology_dim(pair, module, k, l)
-        total += h if k % 2 == 0 else -h
-    return total

@@ -1,9 +1,11 @@
 """Command-line surface: batch validation and verification over JSON fixtures.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 unreadable or
-malformed input, an out-of-range flag, or a `todd` request whose depth
-min(dim g, dim B) is above 8 (TODD_MAX_DEPTH), 3 structurally valid input that
-fails validation.  Output is deterministic; --json disables the timing line so
+malformed input, an out-of-range flag, a `todd` request whose depth
+min(dim g, dim B) is above 8 (TODD_MAX_DEPTH), or a `tower`, `verify` or
+`symmetry` request whose largest dense tensor would have more than 2^22
+entries (TOWER_MAX_ENTRIES), 3 structurally valid input that fails
+validation.  Output is deterministic; --json disables the timing line so
 identical inputs give byte-identical reports.
 """
 
@@ -14,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+from math import comb
 
 from .atiyah import (
     Connection,
@@ -64,9 +67,18 @@ EXIT_VALIDATION_ERROR = 3
 # whole class did not finish within 90 s, so deeper requests are refused.
 TODD_MAX_DEPTH = 8
 
+# Tower tensors are dense with dim_b^depth-fold growth; a request whose largest
+# tensor would exceed this many entries is refused before anything is built.
+# gl(3) verify --depth 4 needs 2.1 M.
+TOWER_MAX_ENTRIES = 2 ** 22
+
 
 class ValidationFailure(Exception):
     """Input parsed but is not a valid pair/module/algebra."""
+
+
+class RequestTooLarge(Exception):
+    """A valid request above a fixed size cap; refused with exit 2."""
 
 
 class RunReport:
@@ -288,9 +300,8 @@ def cmd_todd(args):
     module = fixture.module(args.module)
     conn = _connection(fixture, pair, module, args.connection)
     if min(pair.dim_g, pair.dim_b) > TODD_MAX_DEPTH:
-        print("todd: depth min(dim g, dim B) = min(%d, %d) is above %d"
-              % (pair.dim_g, pair.dim_b, TODD_MAX_DEPTH), file=sys.stderr)
-        return None, EXIT_PARSE_ERROR
+        raise RequestTooLarge("todd: depth min(dim g, dim B) = min(%d, %d) is "
+                              "above %d" % (pair.dim_g, pair.dim_b, TODD_MAX_DEPTH))
     outcome = todd_class(pair, module, conn)
     degree_zero = outcome.components[0]
     report.check("degree_zero_is_one",
@@ -313,6 +324,18 @@ def _tower(fixture, pair, args):
     if getattr(args, "module", None):
         module = fixture.module(args.module)
         conn_e = extend_by_zero(pair, module)
+    # R_depth has one form and depth + 1 B-indices; verify also takes its
+    # differential (two forms), and S_depth has depth - 1 slots in End(E)
+    forms = max(pair.dim_g, comb(pair.dim_g, 2)) if args.command == "verify" \
+        else pair.dim_g
+    entries = forms * pair.dim_b ** (args.depth + 1)
+    if module is not None:
+        entries = max(entries, pair.dim_g * pair.dim_b ** (args.depth - 1)
+                      * module.dim ** 2)
+    if entries > TOWER_MAX_ENTRIES:
+        raise RequestTooLarge("%s: --depth %d needs a dense tensor of %d "
+                              "entries, above %d" % (args.command, args.depth,
+                                                     entries, TOWER_MAX_ENTRIES))
     return build_tower(pair, conn_b, depth=args.depth, module=module,
                        conn_e=conn_e)
 
@@ -536,6 +559,9 @@ def main(argv=None):
     except ValidationFailure as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION_ERROR
+    except RequestTooLarge as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_PARSE_ERROR
     if report is not None:
         if args.json:
             print(json.dumps(report.to_json(), indent=2, sort_keys=True))

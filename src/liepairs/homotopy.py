@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import product
 
 from .atiyah import Connection, atiyah_cocycle, curvature, end_connection
-from .ce import Cochain, ce_diff
+from .ce import Cochain, _permuted_nonzeros, ce_diff
 from .lie_core import (
     GAlgebra,
     GModule,
@@ -102,74 +102,58 @@ def partial_nabla(w: Cochain, conn_coeff: Connection, conn_b: Connection,
         nabla_{j(b_0)} w(a's; b's)
         - sum_i w(..., delta_{b_0} a_i, ...; b's)
         - sum_s w(a's; ..., nabla_{j(b_0)} b_s, ...).
+
+    Each nonzero of w is scattered through the transpose of the three term
+    families, so the cost follows w's nonzeros.
     """
     pair = w.pair
     m, nb, dim_e = pair.dim_g, pair.dim_b, w.module.dim
     out = Cochain(pair, w.module, w.k, w.l + 1)
-    sign_k = -1 if w.k % 2 else 1
-    g_basis = exterior_basis(m, w.k)
+    data = out.data
     g_index = exterior_index(m, w.k)
-    bts = tensor_tuples(nb, w.l)
     b_radix = nb ** w.l
-    out_radix = nb ** (w.l + 1)
-    for gi, gt in enumerate(g_basis):
-        for b0 in range(nb):
-            n_coeff = conn_coeff.nabla[m + b0]
-            n_b = conn_b.nabla[m + b0]
-            dl = st.delta[b0]
-            for bi, bt in enumerate(bts):
-                src = (gi * b_radix + bi) * dim_e
-                acc = [ZERO] * dim_e
-                # covariant derivative of the value
-                for e_out in range(dim_e):
-                    row = e_out * dim_e
-                    tot = ZERO
-                    for e_in in range(dim_e):
-                        x = n_coeff.data[row + e_in]
-                        if not x.is_zero():
-                            v = w.data[src + e_in]
-                            if not v.is_zero():
-                                tot = tot + x * v
-                    acc[e_out] = tot
-                # exterior slots fed through delta
-                for pos, a_old in enumerate(gt):
-                    rest = gt[:pos] + gt[pos + 1 :]
-                    for a_new in range(m):
-                        x = dl[a_new, a_old]
-                        if x.is_zero():
-                            continue
-                        ins = insert_with_sign(rest, a_new)
-                        if ins is None:
-                            continue
-                        sgn, key = ins
-                        # the replacement sits at position pos in the original
-                        # order; sorting the remainder needs no extra sign, so
-                        # only the reinsertion parity matters
-                        sgn_pos = -1 if pos % 2 else 1
-                        total = sgn * sgn_pos
-                        src2 = (g_index[key] * b_radix + bi) * dim_e
-                        for e in range(dim_e):
-                            v = w.data[src2 + e]
-                            if not v.is_zero():
-                                term = x * v
-                                acc[e] = acc[e] - (term if total > 0 else -term)
-                # tensor slots fed through the connection on B
-                for slot in range(w.l):
-                    old = bt[slot]
-                    for new in range(nb):
-                        x = n_b[new, old]
-                        if x.is_zero():
-                            continue
-                        bt2 = bt[:slot] + (new,) + bt[slot + 1 :]
-                        src2 = (gi * b_radix + tensor_index(bt2, nb)) * dim_e
-                        for e in range(dim_e):
-                            v = w.data[src2 + e]
-                            if not v.is_zero():
-                                acc[e] = acc[e] - x * v
-                dst = (gi * out_radix + tensor_index((b0,) + bt, nb)) * dim_e
-                for e in range(dim_e):
-                    if not acc[e].is_zero():
-                        out.data[dst + e] = acc[e] if sign_k > 0 else -acc[e]
+    out_radix = nb * b_radix
+    steps = [nb ** (w.l - 1 - slot) for slot in range(w.l)]
+    entries = [(g_index[gt], gt, tensor_index(bt, nb), bt, e,
+                -v if w.k % 2 else v) for gt, bt, e, v in w.iter_nonzero()]
+    for b0 in range(nb):
+        n_coeff = conn_coeff.nabla[m + b0].data
+        n_b = conn_b.nabla[m + b0].data
+        dl = st.delta[b0]
+        for gi, gt, bi, bt, e, v in entries:
+            col = b0 * b_radix + bi
+            # covariant derivative of the value
+            dst = (gi * out_radix + col) * dim_e
+            for e_out in range(dim_e):
+                x = n_coeff[e_out * dim_e + e]
+                if not x.is_zero():
+                    data[dst + e_out] = data[dst + e_out] + x * v
+            # exterior slots fed through delta: a_new at position q of gt
+            # replaced a_old, which sits at the position its insertion sign
+            # counts in the output's tuple
+            for q, a_new in enumerate(gt):
+                rest = gt[:q] + gt[q + 1 :]
+                for a_old in range(m):
+                    x = dl[a_new, a_old]
+                    if x.is_zero():
+                        continue
+                    ins = insert_with_sign(rest, a_old)
+                    if ins is None:
+                        continue
+                    sgn, key = ins
+                    pos = (g_index[key] * out_radix + col) * dim_e + e
+                    term = x * v
+                    data[pos] = data[pos] + (term if (sgn < 0) != (q % 2 == 1)
+                                             else -term)
+            # tensor slots fed through the connection on B
+            for slot, new in enumerate(bt):
+                row = new * nb
+                for old in range(nb):
+                    x = n_b[row + old]
+                    if not x.is_zero():
+                        pos = (gi * out_radix + col
+                               + (old - new) * steps[slot]) * dim_e + e
+                        data[pos] = data[pos] - x * v
     return out
 
 
@@ -357,6 +341,22 @@ def graded_diff(pair: LiePair, base_module: GModule, el: GradedElement,
     return out
 
 
+def _memo_diff(memo, side, pair, module, el, algebra=None):
+    """graded_diff through a sweep's memo dict, keyed on the side ("v" for
+    B-valued, "w" for module-valued elements) and the element's terms.
+
+    A sweep creates the dict on entry and drops it on return, so a tower
+    changed between sweeps never meets an entry computed from the old one.
+    """
+    if memo is None:
+        return graded_diff(pair, module, el, algebra)
+    key = (side, frozenset(el.terms.items()))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = graded_diff(pair, module, el, algebra)
+    return hit
+
+
 def _algebra_product(algebra, cvec1, cvec2):
     out = zero_vec(algebra.dim)
     for i, a in enumerate(cvec1):
@@ -372,23 +372,24 @@ def _algebra_product(algebra, cvec1, cvec2):
     return out
 
 
-def lambda_k(tower: BracketTower, args, algebra: GAlgebra = None) -> GradedElement:
+def lambda_k(tower: BracketTower, args, algebra: GAlgebra = None,
+             memo=None) -> GradedElement:
     """Arity-k bracket on Lambda g* (x) B (x C): wedge the forms, apply the
-    k-th tower tensor, with the printed (-1)^(sum of form degrees) prefix."""
+    k-th tower tensor, with the printed (-1)^(sum of form degrees) prefix.
+    memo is a sweep's graded_diff memo (see _memo_diff)."""
     k = len(args)
     if k == 0:
         raise ValueError("need at least one argument")
     cdim = algebra.dim if algebra is not None else None
     if k == 1:
-        return graded_diff(tower.pair, tower.pair.quotient_module(), args[0],
-                           algebra)
+        return _memo_diff(memo, "v", tower.pair, tower.pair.quotient_module(),
+                          args[0], algebra)
     if k > tower.depth:
         raise ArityBeyondTower("arity %d exceeds tower depth %d"
                                % (k, tower.depth))
     pair = tower.pair
     out = GradedElement(pair, pair.dim_b, cdim)
     slices = tower.r_slice(k)
-    dim_g = pair.dim_g
     for combo in product(*[arg.terms.items() for arg in args]):
         keys = [key for key, _ in combo]
         coeff = combo[0][1]
@@ -434,7 +435,7 @@ def lambda_k(tower: BracketTower, args, algebra: GAlgebra = None) -> GradedEleme
 
 
 def mu_k(tower: BracketTower, vargs, w: GradedElement,
-         algebra: GAlgebra = None) -> GradedElement:
+         algebra: GAlgebra = None, memo=None) -> GradedElement:
     """Module bracket of arity len(vargs) + 1; the module element comes last
     and its form degree is included in the sign prefix as printed."""
     if tower.module is None:
@@ -442,7 +443,7 @@ def mu_k(tower: BracketTower, vargs, w: GradedElement,
     k = len(vargs) + 1
     cdim = algebra.dim if algebra is not None else None
     if k == 1:
-        return graded_diff(tower.pair, tower.module, w, algebra)
+        return _memo_diff(memo, "w", tower.pair, tower.module, w, algebra)
     if k > tower.depth:
         raise ArityBeyondTower("arity %d exceeds tower depth %d"
                                % (k, tower.depth))
@@ -627,8 +628,8 @@ def _check_homogeneous(elements):
             raise ValueError("identity sweeps need homogeneous elements")
 
 
-def leibniz_residual(tower: BracketTower, vs,
-                     algebra: GAlgebra = None) -> GradedElement:
+def leibniz_residual(tower: BracketTower, vs, algebra: GAlgebra = None,
+                     memo=None) -> GradedElement:
     """Full shuffle/Koszul sum of the generalized Jacobi identity at arity n."""
     n = len(vs)
     _check_homogeneous(vs)
@@ -643,20 +644,20 @@ def leibniz_residual(tower: BracketTower, vs,
                 sign = eps * (-1 if front % 2 else 1)
                 inner_args = [vs[sigma[m]] for m in range(k - j, k - 1)] \
                     + [vs[k - 1]]
-                inner = lambda_k(tower, inner_args, algebra)
+                inner = lambda_k(tower, inner_args, algebra, memo)
                 if inner.is_zero():
                     continue
                 outer_args = [vs[sigma[m]] for m in range(k - j)] + [inner] \
                     + vs[k:]
-                term = lambda_k(tower, outer_args, algebra)
+                term = lambda_k(tower, outer_args, algebra, memo)
                 if sign < 0:
                     term = -term
                 total = total + term
     return total
 
 
-def module_residual(tower: BracketTower, vs, w,
-                    algebra: GAlgebra = None) -> GradedElement:
+def module_residual(tower: BracketTower, vs, w, algebra: GAlgebra = None,
+                    memo=None) -> GradedElement:
     """Module analogue of the generalized Jacobi identity at arity n."""
     n = len(vs) + 1
     _check_homogeneous(list(vs) + [w])
@@ -671,12 +672,13 @@ def module_residual(tower: BracketTower, vs, w,
                 sign = eps * (-1 if front % 2 else 1)
                 inner_args = [vs[sigma[m]] for m in range(k - j, k - 1)] \
                     + [vs[k - 1]]
-                inner = lambda_k(tower, inner_args, algebra)
+                inner = lambda_k(tower, inner_args, algebra, memo)
                 if inner.is_zero():
                     continue
                 front_args = [vs[sigma[m]] for m in range(k - j)]
                 tail = list(vs[k:])
-                term = mu_k(tower, front_args + [inner] + tail, w, algebra)
+                term = mu_k(tower, front_args + [inner] + tail, w, algebra,
+                            memo)
                 if sign < 0:
                     term = -term
                 total = total + term
@@ -686,11 +688,11 @@ def module_residual(tower: BracketTower, vs, w,
             front = sum(degs[sigma[m]] for m in range(n - j))
             sign = eps * (-1 if front % 2 else 1)
             inner_vargs = [vs[sigma[m]] for m in range(n - j, n - 1)]
-            inner = mu_k(tower, inner_vargs, w, algebra)
+            inner = mu_k(tower, inner_vargs, w, algebra, memo)
             if inner.is_zero():
                 continue
             outer_vargs = [vs[sigma[m]] for m in range(n - j)]
-            term = mu_k(tower, outer_vargs, inner, algebra)
+            term = mu_k(tower, outer_vargs, inner, algebra, memo)
             if sign < 0:
                 term = -term
             total = total + term
@@ -777,12 +779,13 @@ def verify_leibniz(tower: BracketTower, max_n: int, degree_cap: int,
     report = VerifyReport("leibniz")
     elements = basis_elements_v(tower, degree_cap, algebra)
     dim_g = tower.pair.dim_g
+    memo = {}
     for n in range(1, max_n + 1):
         for vs in product(elements, repeat=n):
             report.checked += 1
             if sum(v.degree() for v in vs) + 2 > dim_g:
                 continue
-            residual = leibniz_residual(tower, list(vs), algebra)
+            residual = leibniz_residual(tower, list(vs), algebra, memo)
             if not residual.is_zero():
                 report.add_violation(
                     n, [v.first_term()[0] for v in vs], residual.first_term())
@@ -803,13 +806,14 @@ def verify_module(tower: BracketTower, max_n: int, degree_cap: int,
     vs_pool = basis_elements_v(tower, degree_cap, algebra)
     ws_pool = basis_elements_w(tower, degree_cap, algebra)
     dim_g = tower.pair.dim_g
+    memo = {}
     for n in range(1, max_n + 1):
         for vs in product(vs_pool, repeat=n - 1):
             for w in ws_pool:
                 report.checked += 1
                 if sum(v.degree() for v in vs) + w.degree() + 2 > dim_g:
                     continue
-                residual = module_residual(tower, list(vs), w, algebra)
+                residual = module_residual(tower, list(vs), w, algebra, memo)
                 if not residual.is_zero():
                     report.add_violation(
                         n, [v.first_term()[0] for v in vs]
@@ -827,42 +831,32 @@ def compose_cochains(outer: Cochain, inner: Cochain, slot: int) -> Cochain:
     k = outer.k + inner.k
     l = outer.l + inner.l - 1
     out = Cochain(pair, outer.module, k, l)
-    nb = pair.dim_b
+    nb, dim_e = pair.dim_b, outer.module.dim
+    b_radix = nb ** l
     out_index = exterior_index(pair.dim_g, k)
+    by_value = {}
+    for g2, t2, m, c2 in inner.iter_nonzero():
+        by_value.setdefault(m, []).append((g2, t2, c2))
     for g1, t1, e, c1 in outer.iter_nonzero():
         pre, mid, post = t1[: slot - 1], t1[slot - 1], t1[slot:]
-        for g2, t2, m, c2 in inner.iter_nonzero():
-            if m != mid:
-                continue
+        for g2, t2, c2 in by_value.get(mid, ()):
             step = merge_sign(g1, g2)
             if step is None:
                 continue
             sign, merged = step
-            bt = pre + t2 + post
-            idx = (out_index[merged] * (nb ** l) + tensor_index(bt, nb)) \
-                * outer.module.dim + e
+            idx = (out_index[merged] * b_radix
+                   + tensor_index(pre + t2 + post, nb)) * dim_e + e
             term = c1 * c2
             out.data[idx] = out.data[idx] + (term if sign > 0 else -term)
     return out
 
 
-def _add_permuted(total: Cochain, part: Cochain, perm, sign=1):
-    """total += sign * part with quotient arguments permuted: the value of part
-    at (t[perm[0]], ..., t[perm[l-1]]) contributes at t."""
-    nb = total.pair.dim_b
-    bts = tensor_tuples(nb, total.l)
-    b_radix = nb ** total.l
-    dim_e = total.module.dim
-    for gi in range(total.g_count()):
-        for bi, bt in enumerate(bts):
-            src_bt = tuple(bt[p] for p in perm)
-            src = (gi * b_radix + tensor_index(src_bt, nb)) * dim_e
-            dst = (gi * b_radix + bi) * dim_e
-            for e in range(dim_e):
-                v = part.data[src + e]
-                if not v.is_zero():
-                    total.data[dst + e] = total.data[dst + e] + \
-                        (v if sign > 0 else -v)
+def _add_permuted(total: Cochain, part: Cochain, perm):
+    """total += part with quotient arguments permuted: the value of part at
+    (t[perm[0]], ..., t[perm[l-1]]) contributes at t."""
+    data = total.data
+    for pos, v in _permuted_nonzeros(part, perm):
+        data[pos] = data[pos] + v
 
 
 def shuffle_coherence_residual(tower: BracketTower, n: int) -> Cochain:
@@ -920,15 +914,9 @@ def check_proof_identities(tower: BracketTower,
     nb = pair.dim_b
     results = []
 
-    def record(name, cochain_or_element):
-        obj = cochain_or_element
-        if isinstance(obj, Cochain):
-            ok = obj.is_zero()
-            witness = None if ok else obj.first_nonzero()
-        else:
-            ok = obj.is_zero()
-            witness = None if ok else obj.first_term()
-        results.append((name, ok, witness))
+    def record(name, residual):
+        ok = residual.is_zero()
+        results.append((name, ok, None if ok else residual.first_nonzero()))
 
     # torsion antisymmetrization: swapping the two slots of the binary tensor
     # costs the differential of the torsion
@@ -955,22 +943,7 @@ def check_proof_identities(tower: BracketTower,
         d_omega = ce_diff(omega_cochain)
         res = tower.r[3] - tower.r[3].permute_b_args((1, 0, 2))
         # minus R_2(beta(b0, b1), b2)
-        correction = Cochain(pair, pair.quotient_module(), 1, 3)
-        r2 = tower.r[2]
-        for a in range(pair.dim_g):
-            for b0 in range(nb):
-                for b1 in range(nb):
-                    vec = tower.st.beta[b0][b1]
-                    for b2 in range(nb):
-                        for out in range(nb):
-                            acc = ZERO
-                            for mid in range(nb):
-                                x = vec[mid]
-                                if not x.is_zero():
-                                    acc = acc + x * r2.get((a,), (mid, b2), out)
-                            if not acc.is_zero():
-                                correction.set((a,), (b0, b1, b2), out, acc)
-        res = res - correction
+        res = res - compose_cochains(tower.r[2], beta_cochain, 1)
         # plus (d omega)(b0, b1) applied to b2
         omega_term = Cochain(pair, pair.quotient_module(), 1, 3)
         for (a,), (b0, b1), f, c in d_omega.iter_nonzero():
@@ -996,65 +969,65 @@ def check_proof_identities(tower: BracketTower,
         record("shuffle_coherence_n%d" % n,
                shuffle_coherence_residual(tower, n))
 
-    # homotopy witnesses on decomposables up to the degree cap
+    # homotopy witnesses on decomposables up to the degree cap; a residual
+    # of degree above dim g vanishes, so those tuples are skipped
     cap = min(witness_degree_cap, pair.dim_g)
     elements = basis_elements_v(tower, cap)
     b_module = pair.quotient_module()
-    diffs = [graded_diff(pair, b_module, el) for el in elements]
-    skew_ok = True
-    skew_witness = None
-    for i1, v1 in enumerate(elements):
-        for i2, v2 in enumerate(elements):
-            k1, k2 = v1.degree(), v2.degree()
-            lhs = two_bracket(tower, v1, v2)
-            tau_sign = -1 if ((k1 + 1) * (k2 + 1)) % 2 else 1
-            swapped = two_bracket(tower, v2, v1)
-            lhs = lhs + (swapped if tau_sign > 0 else -swapped)
-            rhs = graded_diff(pair, b_module, theta_witness(tower, v1, v2))
-            rhs = rhs + theta_witness(tower, diffs[i1], v2)
-            second = theta_witness(tower, v1, diffs[i2])
-            rhs = rhs + (second if (k1 + 1) % 2 == 0 else -second)
-            res = lhs - rhs
-            if not res.is_zero():
-                skew_ok = False
-                skew_witness = res.first_term()
-                break
-        if not skew_ok:
-            break
-    results.append(("skew_symmetry_homotopy", skew_ok, skew_witness))
+    memo = {}
 
-    if tower.depth >= 3:
-        jac_ok = True
-        jac_witness = None
+    def diff(el):
+        return _memo_diff(memo, "v", pair, b_module, el)
+
+    diffs = [diff(el) for el in elements]
+
+    def first_witness(residuals):
+        return next((r.first_term() for r in residuals if not r.is_zero()),
+                    None)
+
+    def skew_residuals():
+        for i1, v1 in enumerate(elements):
+            for i2, v2 in enumerate(elements):
+                k1, k2 = v1.degree(), v2.degree()
+                if k1 + k2 + 1 > pair.dim_g:
+                    continue
+                lhs = two_bracket(tower, v1, v2)
+                tau_sign = -1 if ((k1 + 1) * (k2 + 1)) % 2 else 1
+                swapped = two_bracket(tower, v2, v1)
+                lhs = lhs + (swapped if tau_sign > 0 else -swapped)
+                rhs = diff(theta_witness(tower, v1, v2))
+                rhs = rhs + theta_witness(tower, diffs[i1], v2)
+                second = theta_witness(tower, v1, diffs[i2])
+                rhs = rhs + (second if (k1 + 1) % 2 == 0 else -second)
+                yield lhs - rhs
+
+    def jacobi_residuals():
         for i0, v0 in enumerate(elements):
-            if not jac_ok:
-                break
             k0 = v0.degree()
             for i1, v1 in enumerate(elements):
-                if not jac_ok:
-                    break
                 k1 = v1.degree()
                 tau_sign = -1 if ((k0 + 1) * (k1 + 1)) % 2 else 1
                 bracket_01 = two_bracket(tower, v0, v1)
                 for i2, v2 in enumerate(elements):
+                    if k0 + k1 + v2.degree() + 2 > pair.dim_g:
+                        continue
                     lhs = -two_bracket(tower, v0, two_bracket(tower, v1, v2))
                     lhs = lhs + two_bracket(tower, bracket_01, v2)
                     third = two_bracket(tower, v1, two_bracket(tower, v0, v2))
                     lhs = lhs + (third if tau_sign > 0 else -third)
-                    rhs = graded_diff(pair, b_module,
-                                      xi_witness(tower, v0, v1, v2))
+                    rhs = diff(xi_witness(tower, v0, v1, v2))
                     rhs = rhs + xi_witness(tower, diffs[i0], v1, v2)
                     t2 = xi_witness(tower, v0, diffs[i1], v2)
                     rhs = rhs + (t2 if (k0 + 1) % 2 == 0 else -t2)
                     t3 = xi_witness(tower, v0, v1, diffs[i2])
                     rhs = rhs + (t3 if (k0 + k1) % 2 == 0 else -t3)
-                    res = lhs - rhs
-                    if not res.is_zero():
-                        jac_ok = False
-                        jac_witness = res.first_term()
-                        break
-        results.append(("jacobi_homotopy", jac_ok, jac_witness))
+                    yield lhs - rhs
 
+    witness = first_witness(skew_residuals())
+    results.append(("skew_symmetry_homotopy", witness is None, witness))
+    if tower.depth >= 3:
+        witness = first_witness(jacobi_residuals())
+        results.append(("jacobi_homotopy", witness is None, witness))
     return results
 
 
@@ -1074,11 +1047,11 @@ def symmetry_report(tower: BracketTower):
         for pos in range(n - 1):
             perm = list(range(n))
             perm[pos], perm[pos + 1] = perm[pos + 1], perm[pos]
-            diff = tensor - tensor.permute_b_args(tuple(perm))
-            if not diff.is_zero():
+            swapped = tensor.permute_b_args(perm)
+            if swapped.data != tensor.data:
                 verdict["fully_symmetric"] = False
                 verdict["witness"] = {"n": n, "swap_position": pos,
-                                      "entry": diff.first_nonzero()}
+                                      "entry": (tensor - swapped).first_nonzero()}
                 break
         out[n] = verdict
     out["is_symmetric_tower"] = all(

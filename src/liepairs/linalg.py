@@ -245,8 +245,3 @@ def basis_vec(n, i):
     v = [ZERO] * n
     v[i] = ONE
     return v
-
-
-def column_space_contains(m: Matrix, vec) -> bool:
-    """Exact membership certificate: rank([m | vec]) == rank(m)."""
-    return rank(m.augment(list(vec))) == rank(m)

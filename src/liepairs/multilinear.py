@@ -44,16 +44,6 @@ def enumerate_shuffles(p: int, q: int):
     return out
 
 
-def perm_sign(perm) -> int:
-    """Sign of a permutation given as a tuple of distinct integers."""
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def koszul_sign(perm, degrees) -> int:
     """Sign from permuting graded symbols: v_{s(0)} ... v_{s(n-1)} =
     sign * v_0 ... v_{n-1} in the free graded-commutative algebra."""

@@ -295,3 +295,96 @@ def test_class_commands_byte_identical_to_goldens(capsys, tmp_path,
         assert code == EXIT_OK
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == CLASS_GOLDENS[command], command
+
+
+@pytest.mark.parametrize("command", ["tower", "verify", "symmetry"])
+def test_oversized_tower_request_exit_2(capsys, tmp_path, command):
+    path = export(capsys, tmp_path, "u2t2")
+    code, out, err = run(capsys, [command, "--input", str(path),
+                                  "--depth", "40", "--json"])
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.count("\n") == 1 and "--depth 40" in err
+    # validation comes first: an unclosed subalgebra still exits 3
+    bad = _abelian_fixture(tmp_path, [[0, 1, ["0"] * 9 + ["1"] + ["0"] * 8]])
+    code, _, _ = run(capsys, [command, "--input", str(bad), "--depth", "40"])
+    assert code == EXIT_VALIDATION_ERROR
+
+
+def test_tower_size_cap_boundary(capsys, tmp_path, monkeypatch):
+    # a 9 + 9 pair has gl(3)'s dimensions: verify --depth 4 differentiates a
+    # 9 * 9^5-entry R_4 into 36 * 9^5 = 2.1 M entries and is allowed, while
+    # depth 5 (19 M) is refused before the tower is built
+    import liepairs.cli as cli_mod
+
+    class Reached(Exception):
+        pass
+
+    def fake_build_tower(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli_mod, "build_tower", fake_build_tower)
+    path = _abelian_fixture(tmp_path)
+    for command, depth, allowed in (("verify", 4, True), ("verify", 5, False),
+                                    ("tower", 4, True), ("tower", 5, False),
+                                    ("symmetry", 5, False)):
+        argv = [command, "--input", str(path), "--depth", str(depth)]
+        if allowed:
+            with pytest.raises(Reached):
+                main(argv)
+        else:
+            code, _, err = run(capsys, argv)
+            assert code == EXIT_PARSE_ERROR, (command, depth)
+            assert "above 4194304" in err
+    # the module side counts End(E): on u2t2 with an 8-dim module, S_8 has
+    # 4 * 4^7 * 8^2 = 2^22 entries (allowed), S_9 four times that (refused),
+    # while R_9 with 4 * 4^10 = 2^22 entries would be allowed alone
+    fixture = gl_un_tn(2)
+    doc = dump_fixture(fixture.pair, {"E8": random_module(fixture.pair, 8, 1)})
+    path = tmp_path / "u2t2_e8.json"
+    path.write_text(json.dumps(doc))
+    argv = ["tower", "--input", str(path), "--module", "E8"]
+    with pytest.raises(Reached):
+        main(argv + ["--depth", "8"])
+    with pytest.raises(Reached):
+        main(["tower", "--input", str(path), "--depth", "9"])
+    code, _, err = run(capsys, argv + ["--depth", "9"])
+    assert code == EXIT_PARSE_ERROR and "16777216 entries" in err
+
+
+# sha256 of each tower command's --json stdout on the zoo u2t2 fixture, as the
+# dense tower kernels and the unmemoized sweeps printed it; the dense kernels
+# stay as oracles in test_tower_kernels.
+TOWER_GOLDENS = {
+    "tower_depth5": ("b8f74f771c11023766dcc1153f7e416d"
+                     "cec36c64b0e7c1b8cd4d208b9aa85faa"),
+    "tower_depth4_module_b": ("a8f518637fbbb62f28b72cd5a9ee84bb"
+                              "b788b6fe7846a3deb028b41f82b306f5"),
+    "verify_n3_cap1": ("a926f30066761c95746617c35a2355ce"
+                       "aaa3d7ead5185537e459c67bf7e66f1e"),
+    "symmetry_mult": ("a84d28c7be829495955093764178f75f"
+                      "2eae680e4f67469ccd9166ddf0d2d699"),
+    "symmetry_zero": ("2ef8ee0a554fbe266a09c920588e1f52"
+                      "facb7cb8e11c62851fd2cf574a7e00a7"),
+}
+
+
+def test_tower_commands_byte_identical_to_goldens(capsys, tmp_path,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    export(capsys, tmp_path, "u2t2")
+    mult = ["--connection", "matrix_mult"]
+    jobs = {
+        "tower_depth5": ["tower", *mult, "--depth", "5"],
+        "tower_depth4_module_b": ["tower", *mult, "--depth", "4",
+                                  "--module", "B"],
+        "verify_n3_cap1": ["verify", *mult, "--max-n", "3",
+                           "--degree-cap", "1"],
+        "symmetry_mult": ["symmetry", *mult, "--depth", "5"],
+        "symmetry_zero": ["symmetry", "--depth", "5"],
+    }
+    for name, argv in jobs.items():
+        code, out, _ = run(capsys, argv + ["--input", "u2t2.json", "--json"])
+        assert code == EXIT_OK, name
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            TOWER_GOLDENS[name], name

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 from liepairs.linalg import (
     Matrix,
-    column_space_contains,
     nullspace_basis,
     rank,
     rref,
@@ -27,6 +26,11 @@ from liepairs.zoo import (
 def mat(rows):
     return Matrix.from_rows([[GaussScalar(x) if not isinstance(x, GaussScalar) else x
                               for x in row] for row in rows])
+
+
+def column_space_contains(m, vec):
+    """Exact membership certificate: rank([m | vec]) == rank(m) (test oracle)."""
+    return rank(m.augment(list(vec))) == rank(m)
 
 
 def rand_matrix(rng, r, c):

@@ -10,7 +10,6 @@ from liepairs.multilinear import (
     insert_with_sign,
     koszul_sign,
     merge_sign,
-    perm_sign,
     sort_with_sign,
     tensor_index,
     tensor_tuples,
@@ -143,7 +142,6 @@ def test_merge_insert_sort_helpers():
     assert sort_with_sign([1, 1]) is None
     assert insert_with_sign((0, 2), 1) == (-1, (0, 1, 2))
     assert insert_with_sign((0, 2), 2) is None
-    assert perm_sign((1, 0, 2)) == -1
 
 
 def test_tensor_tuples_order():

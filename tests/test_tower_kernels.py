@@ -1,0 +1,434 @@
+"""Differential tests for the nonzero-driven tower kernels, the degree skip in
+the homotopy-witness loops and the scope of the sweep memo.
+
+The dense loops the kernels replaced are kept here as oracles: each one
+visits every entry of its output or its input, as the library once did.
+"""
+
+import random
+from itertools import permutations
+
+import pytest
+
+from liepairs.atiyah import end_connection, extend_by_zero
+from liepairs.ce import Cochain
+from liepairs.homotopy import (
+    _add_permuted,
+    basis_elements_v,
+    build_tower,
+    check_proof_identities,
+    compose_cochains,
+    GradedElement,
+    graded_diff,
+    lambda_k,
+    mu_k,
+    partial_nabla,
+    theta_witness,
+    two_bracket,
+    xi_witness,
+)
+from liepairs.lie_core import end_module, matched_sum
+from liepairs.multilinear import (
+    exterior_basis,
+    exterior_index,
+    insert_with_sign,
+    merge_sign,
+    tensor_index,
+    tensor_tuples,
+)
+from liepairs.scalars import GaussScalar, ONE, ZERO
+from liepairs.zoo import (
+    affine_bialgebra,
+    gl_un_tn,
+    heisenberg_pair,
+    random_extension,
+    random_module,
+    random_pair,
+    sl2_pair,
+)
+
+
+# -- dense oracles -----------------------------------------------------------------
+
+
+def dense_partial_nabla(w, conn_coeff, conn_b, st):
+    """The dense loop partial_nabla replaced: one pass per output entry."""
+    pair = w.pair
+    m, nb, dim_e = pair.dim_g, pair.dim_b, w.module.dim
+    out = Cochain(pair, w.module, w.k, w.l + 1)
+    sign_k = -1 if w.k % 2 else 1
+    g_index = exterior_index(m, w.k)
+    b_radix = nb ** w.l
+    out_radix = nb ** (w.l + 1)
+    for gi, gt in enumerate(exterior_basis(m, w.k)):
+        for b0 in range(nb):
+            n_coeff = conn_coeff.nabla[m + b0]
+            n_b = conn_b.nabla[m + b0]
+            dl = st.delta[b0]
+            for bi, bt in enumerate(tensor_tuples(nb, w.l)):
+                src = (gi * b_radix + bi) * dim_e
+                acc = [ZERO] * dim_e
+                for e_out in range(dim_e):
+                    for e_in in range(dim_e):
+                        acc[e_out] = acc[e_out] + n_coeff.data[
+                            e_out * dim_e + e_in] * w.data[src + e_in]
+                for pos, a_old in enumerate(gt):
+                    rest = gt[:pos] + gt[pos + 1 :]
+                    for a_new in range(m):
+                        ins = insert_with_sign(rest, a_new)
+                        if ins is None:
+                            continue
+                        sgn, key = ins
+                        total = sgn * (-1 if pos % 2 else 1)
+                        src2 = (g_index[key] * b_radix + bi) * dim_e
+                        for e in range(dim_e):
+                            term = dl[a_new, a_old] * w.data[src2 + e]
+                            acc[e] = acc[e] - (term if total > 0 else -term)
+                for slot in range(w.l):
+                    for new in range(nb):
+                        bt2 = bt[:slot] + (new,) + bt[slot + 1 :]
+                        src2 = (gi * b_radix + tensor_index(bt2, nb)) * dim_e
+                        for e in range(dim_e):
+                            acc[e] = acc[e] - n_b[new, bt[slot]] * w.data[src2 + e]
+                dst = (gi * out_radix + tensor_index((b0,) + bt, nb)) * dim_e
+                for e in range(dim_e):
+                    out.data[dst + e] = acc[e] if sign_k > 0 else -acc[e]
+    return out
+
+
+def dense_permute_b_args(w, perm):
+    out = Cochain(w.pair, w.module, w.k, w.l)
+    nb = w.pair.dim_b
+    for gi in range(w.g_count()):
+        for bi, bt in enumerate(tensor_tuples(nb, w.l)):
+            src = tensor_index(tuple(bt[p] for p in perm), nb)
+            for e in range(w.module.dim):
+                out.data[out.flat_index(gi, bi, e)] = \
+                    w.data[w.flat_index(gi, src, e)]
+    return out
+
+
+def dense_add_permuted(total, part, perm):
+    nb = total.pair.dim_b
+    b_radix = nb ** total.l
+    dim_e = total.module.dim
+    for gi in range(total.g_count()):
+        for bi, bt in enumerate(tensor_tuples(nb, total.l)):
+            src_bt = tuple(bt[p] for p in perm)
+            src = (gi * b_radix + tensor_index(src_bt, nb)) * dim_e
+            dst = (gi * b_radix + bi) * dim_e
+            for e in range(dim_e):
+                total.data[dst + e] = total.data[dst + e] + part.data[src + e]
+
+
+def dense_compose_cochains(outer, inner, slot):
+    """Rescans all of inner for every nonzero of outer."""
+    pair = outer.pair
+    k, l = outer.k + inner.k, outer.l + inner.l - 1
+    out = Cochain(pair, outer.module, k, l)
+    nb = pair.dim_b
+    out_index = exterior_index(pair.dim_g, k)
+    for g1, t1, e, c1 in outer.iter_nonzero():
+        pre, mid, post = t1[: slot - 1], t1[slot - 1], t1[slot:]
+        for g2, t2, m, c2 in inner.iter_nonzero():
+            if m != mid:
+                continue
+            step = merge_sign(g1, g2)
+            if step is None:
+                continue
+            sign, merged = step
+            idx = (out_index[merged] * (nb ** l)
+                   + tensor_index(pre + t2 + post, nb)) * outer.module.dim + e
+            term = c1 * c2
+            out.data[idx] = out.data[idx] + (term if sign > 0 else -term)
+    return out
+
+
+# -- fixtures ------------------------------------------------------------------------
+
+
+def rand_cochain(rng, pair, module, k, l):
+    w = Cochain(pair, module, k, l)
+    w.data = [GaussScalar(rng.randint(-3, 3), rng.randint(-1, 1))
+              for _ in w.data]
+    return w
+
+
+def fixture_set():
+    """(name, pair, connection on B, module, connection on the module)."""
+    out = []
+    pair, modules = sl2_pair()
+    conn_b = extend_by_zero(pair, modules["B"])
+    out.append(("sl2", pair, conn_b, modules["B_dual"],
+                random_extension(pair, modules["B_dual"], 5)))
+    fx = gl_un_tn(2)
+    out.append(("u2t2_mult", fx.pair, fx.conn_mult, fx.module_b, fx.conn_mult))
+    out.append(("u2t2_zero", fx.pair, fx.conn_zero, fx.module_b, fx.conn_zero))
+    hpair = heisenberg_pair()
+    hb = hpair.quotient_module()
+    out.append(("heisenberg", hpair, extend_by_zero(hpair, hb), hb,
+                random_extension(hpair, hb, 3)))
+    bpair = matched_sum(affine_bialgebra())
+    bb = bpair.quotient_module()
+    out.append(("bialgebra", bpair, extend_by_zero(bpair, bb), bb,
+                extend_by_zero(bpair, bb)))
+    for seed in (1, 2, 6, 7):
+        rpair = random_pair(seed)
+        module = random_module(rpair, 2, seed + 1)
+        out.append(("random%d" % seed, rpair,
+                    random_extension(rpair, rpair.quotient_module(), seed),
+                    module, random_extension(rpair, module, seed + 2)))
+    return out
+
+
+FIXTURES = fixture_set()
+IDS = [f[0] for f in FIXTURES]
+
+
+# -- kernels against their oracles -----------------------------------------------------
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=IDS)
+def test_partial_nabla_matches_dense_oracle(fixture):
+    name, pair, conn_b, module, conn_e = fixture
+    rng = random.Random(name + "/nabla")
+    tower = build_tower(pair, conn_b, depth=3, module=module, conn_e=conn_e)
+    st = tower.st
+    b = pair.quotient_module()
+    end_e = end_module(module)
+    conn_end = end_connection(conn_e)
+    cases = [(w, conn_b) for w in tower.r.values()]
+    cases += [(w, conn_end) for w in tower.s.values()]
+    for k in range(min(pair.dim_g, 2) + 1):
+        for l in range(3):
+            cases.append((rand_cochain(rng, pair, b, k, l), conn_b))
+        for l in range(2):
+            cases.append((rand_cochain(rng, pair, end_e, k, l), conn_end))
+    for w, conn_coeff in cases:
+        assert partial_nabla(w, conn_coeff, conn_b, st) == \
+            dense_partial_nabla(w, conn_coeff, conn_b, st), (w.k, w.l)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=IDS)
+def test_permutation_kernels_match_dense_oracle(fixture):
+    name, pair, conn_b, module, conn_e = fixture
+    rng = random.Random(name + "/permute")
+    tower = build_tower(pair, conn_b, depth=4, module=module, conn_e=conn_e)
+    b = pair.quotient_module()
+    for l in range(5):
+        # dense random inputs at k = 0 and 1; at arity 4 only k = 0, to keep
+        # the dense oracle's 24 passes short
+        inputs = [rand_cochain(rng, pair, b, k, l) for k in (0, 1)
+                  if k == 0 or l < 4]
+        inputs += [w for w in list(tower.r.values()) + list(tower.s.values())
+                   if w.l == l]
+        for w in inputs:
+            for perm in permutations(range(l)):
+                assert w.permute_b_args(perm) == dense_permute_b_args(w, perm)
+                total = rand_cochain(rng, pair, w.module, w.k, l)
+                expected = total.copy()
+                _add_permuted(total, w, list(perm))
+                dense_add_permuted(expected, w, perm)
+                assert total == expected, (w.k, l, perm)
+
+
+def test_permute_b_args_rejects_non_permutations():
+    fx = gl_un_tn(2)
+    w = Cochain(fx.pair, fx.module_b, 1, 2)
+    for perm in ((0,), (0, 0), (1, 2), (0, 1, 2)):
+        with pytest.raises(ValueError):
+            w.permute_b_args(perm)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=IDS)
+def test_compose_cochains_matches_dense_oracle(fixture):
+    name, pair, conn_b, module, conn_e = fixture
+    rng = random.Random(name + "/compose")
+    tower = build_tower(pair, conn_b, depth=4)
+    b = pair.quotient_module()
+    end_e = end_module(module)
+    levels = list(tower.r.values())
+    inners = levels + [rand_cochain(rng, pair, b, k, l)
+                       for k in (0, 1) for l in (1, 2)]
+    outers = levels + [rand_cochain(rng, pair, m, k, l)
+                       for m in (b, end_e) for k in (0, 1) for l in (1, 2)]
+    for oi, outer in enumerate(outers):
+        for ii, inner in enumerate(inners):
+            # tower levels meet up to arity 4, as in the proof identities;
+            # dense random inputs, whose oracle cost is quadratic, up to 3
+            both_levels = oi < len(levels) and ii < len(levels)
+            if outer.l + inner.l > (5 if both_levels else 3):
+                continue
+            for slot in range(1, outer.l + 1):
+                assert compose_cochains(outer, inner, slot) == \
+                    dense_compose_cochains(outer, inner, slot), \
+                    (outer.k, outer.l, inner.k, inner.l, slot)
+
+
+# -- the degree skip in the homotopy-witness loops ---------------------------------------
+
+
+def skew_residual(tower, elements, diffs, i1, i2):
+    """One pass of the skew-symmetry homotopy loop, as it ran unskipped."""
+    pair = tower.pair
+    v1, v2 = elements[i1], elements[i2]
+    k1, k2 = v1.degree(), v2.degree()
+    lhs = two_bracket(tower, v1, v2)
+    tau_sign = -1 if ((k1 + 1) * (k2 + 1)) % 2 else 1
+    swapped = two_bracket(tower, v2, v1)
+    lhs = lhs + (swapped if tau_sign > 0 else -swapped)
+    rhs = graded_diff(pair, pair.quotient_module(), theta_witness(tower, v1, v2))
+    rhs = rhs + theta_witness(tower, diffs[i1], v2)
+    second = theta_witness(tower, v1, diffs[i2])
+    rhs = rhs + (second if (k1 + 1) % 2 == 0 else -second)
+    return lhs - rhs
+
+
+def jacobi_residual(tower, elements, diffs, i0, i1, i2):
+    """One pass of the Jacobi homotopy loop, as it ran unskipped."""
+    pair = tower.pair
+    v0, v1, v2 = elements[i0], elements[i1], elements[i2]
+    k0, k1 = v0.degree(), v1.degree()
+    tau_sign = -1 if ((k0 + 1) * (k1 + 1)) % 2 else 1
+    lhs = -two_bracket(tower, v0, two_bracket(tower, v1, v2))
+    lhs = lhs + two_bracket(tower, two_bracket(tower, v0, v1), v2)
+    third = two_bracket(tower, v1, two_bracket(tower, v0, v2))
+    lhs = lhs + (third if tau_sign > 0 else -third)
+    rhs = graded_diff(pair, pair.quotient_module(),
+                      xi_witness(tower, v0, v1, v2))
+    rhs = rhs + xi_witness(tower, diffs[i0], v1, v2)
+    t2 = xi_witness(tower, v0, diffs[i1], v2)
+    rhs = rhs + (t2 if (k0 + 1) % 2 == 0 else -t2)
+    t3 = xi_witness(tower, v0, v1, diffs[i2])
+    rhs = rhs + (t3 if (k0 + k1) % 2 == 0 else -t3)
+    return lhs - rhs
+
+
+def unskipped_witness_loops(tower, cap, jacobi_limit=None):
+    """Run both witness loops over every tuple; assert that each tuple the
+    degree rule skips has a zero residual.  Returns the first witnesses.
+
+    jacobi_limit caps how many skipped Jacobi triples are evaluated (a
+    seeded sample) where all of them would take too long."""
+    pair = tower.pair
+    elements = basis_elements_v(tower, min(cap, pair.dim_g))
+    diffs = [graded_diff(pair, pair.quotient_module(), el) for el in elements]
+    idx = range(len(elements))
+    skew_first = None
+    for i1 in idx:
+        for i2 in idx:
+            res = skew_residual(tower, elements, diffs, i1, i2)
+            degree = elements[i1].degree() + elements[i2].degree() + 1
+            if degree > pair.dim_g:
+                assert res.is_zero(), ("skew", i1, i2)
+            elif skew_first is None and not res.is_zero():
+                skew_first = res.first_term()
+    skipped = [(i0, i1, i2) for i0 in idx for i1 in idx for i2 in idx
+               if sum(elements[i].degree() for i in (i0, i1, i2)) + 2
+               > pair.dim_g]
+    if jacobi_limit is not None and len(skipped) > jacobi_limit:
+        skipped = random.Random(5).sample(skipped, jacobi_limit)
+    for triple in skipped:
+        assert jacobi_residual(tower, elements, diffs, *triple).is_zero(), \
+            ("jacobi", triple)
+    return skew_first, len(skipped)
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_skipped_witness_tuples_have_zero_residual(cap):
+    fx = gl_un_tn(2)
+    towers = [build_tower(fx.pair, fx.conn_zero, depth=3)]
+    for seed in (1, 2, 6):
+        rpair = random_pair(seed)
+        towers.append(build_tower(
+            rpair, random_extension(rpair, rpair.quotient_module(), seed + 1),
+            depth=3))
+    skipped_counts = []
+    for tower in towers:
+        limit = 400 if tower.pair.dim_g > 2 and cap > 1 else None
+        skew_first, skipped = unskipped_witness_loops(tower, cap, limit)
+        skipped_counts.append(skipped)
+        verdicts = {name: (ok, witness) for name, ok, witness
+                    in check_proof_identities(tower, cap)}
+        assert verdicts["skew_symmetry_homotopy"] == \
+            (skew_first is None, skew_first)
+    # the rule is not vacuous: at cap 1 on u2t2 it skips 4,096 of 8,000
+    # triples, every one with three degree-1 forms
+    assert skipped_counts[0] == (4096 if cap == 1 else 400)
+    assert all(skipped_counts)
+
+
+def test_witness_loops_evaluate_exactly_the_unskipped_tuples(monkeypatch):
+    # each evaluated pair calls theta_witness three times and each evaluated
+    # triple calls xi_witness four times; on a passing tower no loop breaks
+    import liepairs.homotopy as homotopy
+
+    calls = {"theta": 0, "xi": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(homotopy, "theta_witness",
+                        counting("theta", theta_witness))
+    monkeypatch.setattr(homotopy, "xi_witness", counting("xi", xi_witness))
+    fx = gl_un_tn(2)
+    tower = build_tower(fx.pair, fx.conn_zero, depth=3)
+    for cap in (1, 2):
+        calls.update(theta=0, xi=0)
+        assert all(ok for _, ok, _ in check_proof_identities(tower, cap))
+        degrees = [v.degree() for v in basis_elements_v(tower, cap)]
+        pairs = sum(1 for a in degrees for b in degrees if a + b + 1 <= 4)
+        triples = sum(1 for a in degrees for b in degrees for c in degrees
+                      if a + b + c + 2 <= 4)
+        assert calls == {"theta": 3 * pairs, "xi": 4 * triples}, cap
+
+
+def test_witness_loops_still_catch_a_corrupted_tower():
+    # the skip rule only drops tuples whose residual lies above the top
+    # exterior degree; a corrupted ternary tensor still fails the loop
+    fx = gl_un_tn(2)
+    tower = build_tower(fx.pair, fx.conn_zero, depth=3)
+    pos = next(i for i, x in enumerate(tower.r[3].data) if not x.is_zero())
+    tower.r[3].data[pos] = tower.r[3].data[pos] + ONE
+    tower._r_slices.clear()
+    verdicts = {name: ok for name, ok, _ in check_proof_identities(tower, 1)}
+    assert not verdicts["jacobi_homotopy"]
+
+
+# -- memo scope ------------------------------------------------------------------------
+
+
+def test_corrupted_tower_fails_proof_identities():
+    data = affine_bialgebra()
+    bpair = matched_sum(data)
+    tower = build_tower(bpair, extend_by_zero(bpair, bpair.quotient_module()),
+                        depth=4)
+    assert all(ok for _, ok, _ in check_proof_identities(tower, 2))
+    tower.r[3].data[0] = tower.r[3].data[0] + ONE
+    tower._r_slices.clear()
+    failed = [name for name, ok, _ in check_proof_identities(tower, 2)
+              if not ok]
+    assert failed
+    assert "jacobi_homotopy" in failed
+
+
+def test_sweep_memo_keeps_the_two_sides_apart():
+    # B and its dual are both 1-dim over sl2, so a B-valued and a module-valued
+    # element can have equal terms; their differentials still differ
+    pair, modules = sl2_pair()
+    conn_b = extend_by_zero(pair, modules["B"])
+    dual = modules["B_dual"]
+    tower = build_tower(pair, conn_b, depth=2, module=dual,
+                        conn_e=extend_by_zero(pair, dual))
+    el = GradedElement.basis(pair, 1, (), 0)
+    memo = {}
+    for _ in range(2):
+        on_b = lambda_k(tower, [el], memo=memo)
+        on_dual = mu_k(tower, [], el, memo=memo)
+        assert on_b == graded_diff(pair, modules["B"], el)
+        assert on_dual == graded_diff(pair, dual, el)
+        assert on_b != on_dual
+    assert len(memo) == 2
