@@ -5,8 +5,10 @@ malformed input, an out-of-range flag, a `todd` request whose depth
 min(dim g, dim B) is above 8 (TODD_MAX_DEPTH), or a `tower`, `verify` or
 `symmetry` request whose largest dense tensor would have more than 2^22
 entries (TOWER_MAX_ENTRIES), 3 structurally valid input that fails
-validation.  Output is deterministic; --json disables the timing line so
-identical inputs give byte-identical reports.
+validation, 4 an internal invariant failure (an output the library guarantees
+closed failed its cocycle check: a bug in liepairs, not bad input).  Output
+is deterministic; --json disables the timing line so identical inputs give
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from math import comb
 
 from .atiyah import (
     Connection,
+    NotACocycle,
     atiyah_class,
     compatibility_report,
     extend_by_zero,
@@ -61,6 +64,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_PARSE_ERROR = 2
 EXIT_VALIDATION_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 # The exact Todd class grows steeply with its depth min(dim g, dim B): at depth
 # 9 (gl(3) with a 1-dim module) the powers of alpha alone take seconds and the
@@ -562,6 +566,9 @@ def main(argv=None):
     except RequestTooLarge as exc:
         print(exc, file=sys.stderr)
         return EXIT_PARSE_ERROR
+    except NotACocycle as exc:
+        print("internal invariant failure: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     if report is not None:
         if args.json:
             print(json.dumps(report.to_json(), indent=2, sort_keys=True))

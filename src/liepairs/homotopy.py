@@ -24,7 +24,7 @@ from .lie_core import (
     end_module,
     tensor_module,
 )
-from .linalg import Matrix, zero_vec
+from .linalg import Matrix, basis_vec, zero_vec
 from .multilinear import (
     exterior_basis,
     exterior_index,
@@ -164,7 +164,7 @@ class BracketTower:
     """The family of multilinear curvature derivatives, plus module analogues."""
 
     __slots__ = ("pair", "conn_b", "depth", "st", "r", "module", "conn_e", "s",
-                 "_r_slices", "_s_slices")
+                 "_r_slices", "_s_slices", "_beta_slices")
 
     def __init__(self, pair, conn_b, depth, st, r, module=None, conn_e=None,
                  s=None):
@@ -178,33 +178,61 @@ class BracketTower:
         self.s = s
         self._r_slices = {}
         self._s_slices = {}
+        self._beta_slices = None
 
     def r_slice(self, n):
-        """dict: b-tuple -> list of (a, out, coeff) nonzeros of the n-th tensor."""
+        """dict: b-tuple -> list of (form, out, coeff) nonzeros of R_n."""
         if n not in self._r_slices:
-            self._r_slices[n] = _cochain_slices(self.r[n])
+            self._r_slices[n] = _slices(self.r[n])
         return self._r_slices[n]
 
     def s_slice(self, n):
+        """The same for S_n, each key ending with the module input index."""
         if n not in self._s_slices:
-            self._s_slices[n] = _cochain_slices(self.s[n])
+            self._s_slices[n] = _slices(self.s[n], self.module.dim)
         return self._s_slices[n]
 
+    def beta_slice(self):
+        """The same for the torsion, whose forms are empty."""
+        if self._beta_slices is None:
+            self._beta_slices = _slices(_torsion_cochain(self))
+        return self._beta_slices
 
-def _cochain_slices(w: Cochain):
+
+def _slices(w: Cochain, dim_in=None):
+    """Group w's nonzeros by b-tuple as (form, out, coeff) hits.  An
+    End-valued w acts on a dim_in-dimensional space: the input index of its
+    value ends the key and the output index is the hit's out."""
     slices = {}
-    for (a,), bt, e, c in w.iter_nonzero():
-        slices.setdefault(bt, []).append((a, e, c))
+    for gt, bt, f, c in w.iter_nonzero():
+        if dim_in is not None:
+            f, e_in = divmod(f, dim_in)
+            bt = bt + (e_in,)
+        slices.setdefault(bt, []).append((gt, f, c))
     return slices
 
 
-def _cocycle_to_r2(cocycle: Cochain, pair: LiePair) -> Cochain:
-    """Repackage the End(B)-valued obstruction cochain as an arity-2 tensor."""
+def _torsion_cochain(tower: BracketTower) -> Cochain:
+    """The torsion beta as a B-valued (0, 2) cochain."""
+    pair = tower.pair
     nb = pair.dim_b
-    out = Cochain(pair, pair.quotient_module(), 1, 2)
-    for (a,), (b1,), e, c in cocycle.iter_nonzero():
-        b_out, b2 = divmod(e, nb)
-        out.set((a,), (b1, b2), b_out, c)
+    out = Cochain(pair, pair.quotient_module(), 0, 2)
+    for b1 in range(nb):
+        for b2 in range(nb):
+            for b_out in range(nb):
+                out.set((), (b1, b2), b_out, tower.st.beta[b1][b2][b_out])
+    return out
+
+
+def _unfold_end(w: Cochain) -> Cochain:
+    """Turn an End(B)-valued (k, l) cochain into a B-valued (k, l+1) one: the
+    value at row*dim_b + col moves to value row, with col as the new last
+    quotient argument."""
+    pair = w.pair
+    out = Cochain(pair, pair.quotient_module(), w.k, w.l + 1)
+    for gt, bt, f, c in w.iter_nonzero():
+        row, col = divmod(f, pair.dim_b)
+        out.set(gt, bt + (col,), row, c)
     return out
 
 
@@ -216,7 +244,7 @@ def build_tower(pair: LiePair, conn_b: Connection, depth: int = 4,
     if conn_b.module.dim != pair.dim_b:
         raise ValueError("conn_b must live on the quotient module")
     st = splitting_tensors(pair, conn_b)
-    r = {2: _cocycle_to_r2(atiyah_cocycle(conn_b), pair)}
+    r = {2: _unfold_end(atiyah_cocycle(conn_b))}
     for n in range(2, depth):
         r[n + 1] = partial_nabla(r[n], conn_b, conn_b, st)
     s = None
@@ -357,18 +385,55 @@ def _memo_diff(memo, side, pair, module, el, algebra=None):
     return hit
 
 
-def _algebra_product(algebra, cvec1, cvec2):
-    out = zero_vec(algebra.dim)
-    for i, a in enumerate(cvec1):
-        if a.is_zero():
+def _contract(slices, args, signed, mdim, algebra=None) -> GradedElement:
+    """The contraction behind every multibracket and homotopy witness.
+
+    For each choice of one term per argument, the tuple of the terms' value
+    indices is looked up in slices (see BracketTower.r_slice); on a hit the
+    terms' forms are wedged left to right, then each hit's form is wedged on.
+    The sign is the product of the merge signs and (-1)^(form degree) of the
+    term chosen from each argument whose position is in signed.  With an
+    algebra, the terms' algebra indices are multiplied in argument order.
+    """
+    cdim = algebra.dim if algebra is not None else None
+    out = GradedElement(args[0].pair, mdim, cdim)
+    terms = [arg.terms for arg in args]
+    for keys in product(*terms):
+        hits = slices.get(tuple([key[1] for key in keys]))
+        if not hits:
             continue
-        for j, b in enumerate(cvec2):
-            if b.is_zero():
-                continue
-            coeff = a * b
-            for t, x in enumerate(algebra.mult[i][j]):
-                if not x.is_zero():
-                    out[t] = out[t] + coeff * x
+        merged = keys[0][0]
+        coeff = terms[0][keys[0]]
+        sign = 1
+        for i in range(1, len(keys)):
+            step = merge_sign(merged, keys[i][0])
+            if step is None:
+                break
+            sign *= step[0]
+            merged = step[1]
+            coeff = coeff * terms[i][keys[i]]
+        else:
+            for i in signed:
+                if len(keys[i][0]) % 2:
+                    sign = -sign
+            if cdim is not None:
+                cvec = basis_vec(cdim, keys[0][2])
+                for key in keys[1:]:
+                    cvec = algebra.product(cvec, basis_vec(cdim, key[2]))
+                cvec = [(t, cv) for t, cv in enumerate(cvec)
+                        if not cv.is_zero()]
+            for form, v_out, c in hits:
+                ins = merge_sign(merged, form)
+                if ins is None:
+                    continue
+                term = coeff * c
+                if sign * ins[0] < 0:
+                    term = -term
+                if cdim is None:
+                    out.add_term((ins[1], v_out), term)
+                else:
+                    for t, cv in cvec:
+                        out.add_term((ins[1], v_out, t), term * cv)
     return out
 
 
@@ -380,58 +445,14 @@ def lambda_k(tower: BracketTower, args, algebra: GAlgebra = None,
     k = len(args)
     if k == 0:
         raise ValueError("need at least one argument")
-    cdim = algebra.dim if algebra is not None else None
     if k == 1:
         return _memo_diff(memo, "v", tower.pair, tower.pair.quotient_module(),
                           args[0], algebra)
     if k > tower.depth:
         raise ArityBeyondTower("arity %d exceeds tower depth %d"
                                % (k, tower.depth))
-    pair = tower.pair
-    out = GradedElement(pair, pair.dim_b, cdim)
-    slices = tower.r_slice(k)
-    for combo in product(*[arg.terms.items() for arg in args]):
-        keys = [key for key, _ in combo]
-        coeff = combo[0][1]
-        for _, val in combo[1:]:
-            coeff = coeff * val
-        total_deg = sum(len(key[0]) for key in keys)
-        sign = -1 if total_deg % 2 else 1
-        merged = ()
-        dead = False
-        for key in keys:
-            step = merge_sign(merged, key[0])
-            if step is None:
-                dead = True
-                break
-            s, merged = step
-            sign *= s
-        if dead:
-            continue
-        bt = tuple(key[1] for key in keys)
-        hits = slices.get(bt)
-        if not hits:
-            continue
-        if cdim is not None:
-            cvec = [ONE if t == keys[0][2] else ZERO for t in range(cdim)]
-            for key in keys[1:]:
-                unit = [ONE if t == key[2] else ZERO for t in range(cdim)]
-                cvec = _algebra_product(algebra, cvec, unit)
-        for a, b_out, rc in hits:
-            ins = merge_sign(merged, (a,))
-            if ins is None:
-                continue
-            s2, final = ins
-            term = coeff * rc
-            if sign * s2 < 0:
-                term = -term
-            if cdim is None:
-                out.add_term((final, b_out), term)
-            else:
-                for t, cv in enumerate(cvec):
-                    if not cv.is_zero():
-                        out.add_term((final, b_out, t), term * cv)
-    return out
+    return _contract(tower.r_slice(k), args, range(k), tower.pair.dim_b,
+                     algebra)
 
 
 def mu_k(tower: BracketTower, vargs, w: GradedElement,
@@ -441,63 +462,13 @@ def mu_k(tower: BracketTower, vargs, w: GradedElement,
     if tower.module is None:
         raise ValueError("tower was built without a module side")
     k = len(vargs) + 1
-    cdim = algebra.dim if algebra is not None else None
     if k == 1:
         return _memo_diff(memo, "w", tower.pair, tower.module, w, algebra)
     if k > tower.depth:
         raise ArityBeyondTower("arity %d exceeds tower depth %d"
                                % (k, tower.depth))
-    pair = tower.pair
-    dim_e = tower.module.dim
-    out = GradedElement(pair, dim_e, cdim)
-    slices = tower.s_slice(k)
-    for combo in product(*([arg.terms.items() for arg in vargs]
-                           + [w.terms.items()])):
-        keys = [key for key, _ in combo]
-        coeff = combo[0][1]
-        for _, val in combo[1:]:
-            coeff = coeff * val
-        total_deg = sum(len(key[0]) for key in keys)
-        sign = -1 if total_deg % 2 else 1
-        merged = ()
-        dead = False
-        for key in keys:
-            step = merge_sign(merged, key[0])
-            if step is None:
-                dead = True
-                break
-            s, merged = step
-            sign *= s
-        if dead:
-            continue
-        bt = tuple(key[1] for key in keys[:-1])
-        e_in = keys[-1][1]
-        hits = slices.get(bt)
-        if not hits:
-            continue
-        if cdim is not None:
-            cvec = [ONE if t == keys[0][2] else ZERO for t in range(cdim)]
-            for key in keys[1:]:
-                unit = [ONE if t == key[2] else ZERO for t in range(cdim)]
-                cvec = _algebra_product(algebra, cvec, unit)
-        for a, f, sc in hits:
-            e_out, e_col = divmod(f, dim_e)
-            if e_col != e_in:
-                continue
-            ins = merge_sign(merged, (a,))
-            if ins is None:
-                continue
-            s2, final = ins
-            term = coeff * sc
-            if sign * s2 < 0:
-                term = -term
-            if cdim is None:
-                out.add_term((final, e_out), term)
-            else:
-                for t, cv in enumerate(cvec):
-                    if not cv.is_zero():
-                        out.add_term((final, e_out, t), term * cv)
-    return out
+    return _contract(tower.s_slice(k), list(vargs) + [w], range(k),
+                     tower.module.dim, algebra)
 
 
 class AlgebraExtension:
@@ -529,56 +500,14 @@ class AlgebraExtension:
 def two_bracket(tower: BracketTower, v1: GradedElement,
                 v2: GradedElement) -> GradedElement:
     """Binary bracket normalized with (-1)^(second form degree)."""
-    pair = tower.pair
-    out = GradedElement(pair, pair.dim_b)
-    slices = tower.r_slice(2)
-    for (g1, b1), c1 in v1.terms.items():
-        for (g2, b2), c2 in v2.terms.items():
-            step = merge_sign(g1, g2)
-            if step is None:
-                continue
-            sign, merged = step
-            if len(g2) % 2:
-                sign = -sign
-            hits = slices.get((b1, b2))
-            if not hits:
-                continue
-            coeff = c1 * c2
-            for a, b_out, rc in hits:
-                ins = merge_sign(merged, (a,))
-                if ins is None:
-                    continue
-                s2, final = ins
-                term = coeff * rc
-                if sign * s2 < 0:
-                    term = -term
-                out.add_term((final, b_out), term)
-    return out
+    return _contract(tower.r_slice(2), (v1, v2), (1,), tower.pair.dim_b)
 
 
 def theta_witness(tower: BracketTower, v1: GradedElement,
                   v2: GradedElement) -> GradedElement:
     """Skew-symmetrization witness: (-1)^(first degree) forms wedged onto the
     torsion tensor."""
-    pair = tower.pair
-    nb = pair.dim_b
-    out = GradedElement(pair, nb)
-    for (g1, b1), c1 in v1.terms.items():
-        for (g2, b2), c2 in v2.terms.items():
-            step = merge_sign(g1, g2)
-            if step is None:
-                continue
-            sign, merged = step
-            if len(g1) % 2:
-                sign = -sign
-            coeff = c1 * c2
-            vec = tower.st.beta[b1][b2]
-            for b_out in range(nb):
-                x = vec[b_out]
-                if not x.is_zero():
-                    term = coeff * x
-                    out.add_term((merged, b_out), term if sign > 0 else -term)
-    return out
+    return _contract(tower.beta_slice(), (v1, v2), (0,), tower.pair.dim_b)
 
 
 def xi_witness(tower: BracketTower, v0, v1, v2) -> GradedElement:
@@ -586,37 +515,8 @@ def xi_witness(tower: BracketTower, v0, v1, v2) -> GradedElement:
     tower tensor."""
     if 3 not in tower.r:
         raise ArityBeyondTower("ternary witness needs depth >= 3")
-    pair = tower.pair
-    out = GradedElement(pair, pair.dim_b)
-    slices = tower.r_slice(3)
-    for (g0, b0), c0 in v0.terms.items():
-        for (g1, b1), c1 in v1.terms.items():
-            step1 = merge_sign(g0, g1)
-            if step1 is None:
-                continue
-            s1, merged1 = step1
-            for (g2, b2), c2 in v2.terms.items():
-                step2 = merge_sign(merged1, g2)
-                if step2 is None:
-                    continue
-                s2, merged = step2
-                sign = s1 * s2
-                if (len(g0) + len(g2)) % 2:
-                    sign = -sign
-                hits = slices.get((b0, b1, b2))
-                if not hits:
-                    continue
-                coeff = c0 * c1 * c2
-                for a, b_out, rc in hits:
-                    ins = merge_sign(merged, (a,))
-                    if ins is None:
-                        continue
-                    s3, final = ins
-                    term = coeff * rc
-                    if sign * s3 < 0:
-                        term = -term
-                    out.add_term((final, b_out), term)
-    return out
+    return _contract(tower.r_slice(3), (v0, v1, v2), (0, 2),
+                     tower.pair.dim_b)
 
 
 # -- identity residuals ------------------------------------------------------------
@@ -920,11 +820,7 @@ def check_proof_identities(tower: BracketTower,
 
     # torsion antisymmetrization: swapping the two slots of the binary tensor
     # costs the differential of the torsion
-    beta_cochain = Cochain(pair, pair.quotient_module(), 0, 2)
-    for b1 in range(nb):
-        for b2 in range(nb):
-            for out in range(nb):
-                beta_cochain.set((), (b1, b2), out, tower.st.beta[b1][b2][out])
+    beta_cochain = _torsion_cochain(tower)
     res = tower.r[2] - tower.r[2].permute_b_args((1, 0)) - ce_diff(beta_cochain)
     record("torsion_antisymmetrization", res)
 
@@ -945,12 +841,7 @@ def check_proof_identities(tower: BracketTower,
         # minus R_2(beta(b0, b1), b2)
         res = res - compose_cochains(tower.r[2], beta_cochain, 1)
         # plus (d omega)(b0, b1) applied to b2
-        omega_term = Cochain(pair, pair.quotient_module(), 1, 3)
-        for (a,), (b0, b1), f, c in d_omega.iter_nonzero():
-            r_, b2 = divmod(f, nb)
-            omega_term.set((a,), (b0, b1, b2), r_,
-                           omega_term.get((a,), (b0, b1, b2), r_) + c)
-        res = res + omega_term
+        res = res + _unfold_end(d_omega)
         record("ternary_symmetry_defect", res)
 
         # nested binary coherence at arity three

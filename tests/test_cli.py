@@ -5,6 +5,7 @@ import pytest
 
 from liepairs.cli import (
     EXIT_CHECK_FAILURE,
+    EXIT_INTERNAL_ERROR,
     EXIT_OK,
     EXIT_PARSE_ERROR,
     EXIT_VALIDATION_ERROR,
@@ -295,6 +296,23 @@ def test_class_commands_byte_identical_to_goldens(capsys, tmp_path,
         assert code == EXIT_OK
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == CLASS_GOLDENS[command], command
+
+
+@pytest.mark.parametrize("command", ["atiyah", "tower", "verify"])
+def test_internal_invariant_failure_exit_4(capsys, tmp_path, monkeypatch,
+                                           command):
+    # a closedness check the library guarantees can only fail through a bug;
+    # stub it to fail and the CLI must say so in one line, not a traceback
+    import liepairs.atiyah as atiyah_mod
+
+    monkeypatch.setattr(atiyah_mod, "is_cocycle", lambda w: False)
+    path = export(capsys, tmp_path, "u2t2")
+    code, out, err = run(capsys, [command, "--input", str(path), "--json"])
+    assert code == EXIT_INTERNAL_ERROR
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("internal invariant failure:")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["tower", "verify", "symmetry"])

@@ -1,0 +1,39 @@
+"""Every module of the package uses each name it imports.
+
+No linter ships with the project, so this walks the syntax tree with the
+standard library alone.  ``__init__.py`` is exempt: its imports are the
+package's public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liepairs"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """Names bound by import statements that the module never reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0]
+                         for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(imported) - used)
+
+
+def test_the_check_sees_an_unused_name():
+    source = ("from itertools import product, chain\nimport os.path\n"
+              "from __future__ import annotations\nchain()\n")
+    assert unused_imports(source) == ["os", "product"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -1,12 +1,14 @@
-"""Differential tests for the nonzero-driven tower kernels, the degree skip in
-the homotopy-witness loops and the scope of the sweep memo.
+"""Differential tests for the nonzero-driven tower kernels, the shared
+contraction kernel behind the brackets, the degree skip in the
+homotopy-witness loops and the scope of the sweep memo.
 
-The dense loops the kernels replaced are kept here as oracles: each one
-visits every entry of its output or its input, as the library once did.
+The loops the kernels replaced are kept here as oracles: the dense ones visit
+every entry of their output or their input, as the library once did, and the
+five bracket loops each keep their own sign and algebra bookkeeping.
 """
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -15,6 +17,7 @@ from liepairs.ce import Cochain
 from liepairs.homotopy import (
     _add_permuted,
     basis_elements_v,
+    basis_elements_w,
     build_tower,
     check_proof_identities,
     compose_cochains,
@@ -27,7 +30,7 @@ from liepairs.homotopy import (
     two_bracket,
     xi_witness,
 )
-from liepairs.lie_core import end_module, matched_sum
+from liepairs.lie_core import GAlgebra, end_module, matched_sum, trivial_module
 from liepairs.multilinear import (
     exterior_basis,
     exterior_index,
@@ -39,12 +42,14 @@ from liepairs.multilinear import (
 from liepairs.scalars import GaussScalar, ONE, ZERO
 from liepairs.zoo import (
     affine_bialgebra,
+    dual_numbers_algebra,
     gl_un_tn,
     heisenberg_pair,
     random_extension,
     random_module,
     random_pair,
     sl2_pair,
+    unit_algebra,
 )
 
 
@@ -142,6 +147,228 @@ def dense_compose_cochains(outer, inner, slot):
             term = c1 * c2
             out.data[idx] = out.data[idx] + (term if sign > 0 else -term)
     return out
+
+
+# -- bracket oracles -----------------------------------------------------------------
+
+
+def oracle_slices(w):
+    """b-tuple -> list of (a, out, coeff) nonzeros of a (1, l) cochain."""
+    slices = {}
+    for (a,), bt, e, c in w.iter_nonzero():
+        slices.setdefault(bt, []).append((a, e, c))
+    return slices
+
+
+def oracle_algebra_product(algebra, cvec1, cvec2):
+    out = [ZERO] * algebra.dim
+    for i, a in enumerate(cvec1):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(cvec2):
+            if b.is_zero():
+                continue
+            coeff = a * b
+            for t, x in enumerate(algebra.mult[i][j]):
+                if not x.is_zero():
+                    out[t] = out[t] + coeff * x
+    return out
+
+
+class OracleBrackets:
+    """The five bracket loops the contraction kernel replaced, over slices
+    built once per tower in their old (a, out, coeff) form."""
+
+    def __init__(self, tower):
+        self.tower = tower
+        self.r = {n: oracle_slices(w) for n, w in tower.r.items()}
+        self.s = {n: oracle_slices(w) for n, w in (tower.s or {}).items()}
+
+    def lambda_k(self, args, algebra=None):
+        k = len(args)
+        cdim = algebra.dim if algebra is not None else None
+        pair = self.tower.pair
+        out = GradedElement(pair, pair.dim_b, cdim)
+        slices = self.r[k]
+        for combo in product(*[arg.terms.items() for arg in args]):
+            keys = [key for key, _ in combo]
+            coeff = combo[0][1]
+            for _, val in combo[1:]:
+                coeff = coeff * val
+            total_deg = sum(len(key[0]) for key in keys)
+            sign = -1 if total_deg % 2 else 1
+            merged = ()
+            dead = False
+            for key in keys:
+                step = merge_sign(merged, key[0])
+                if step is None:
+                    dead = True
+                    break
+                s, merged = step
+                sign *= s
+            if dead:
+                continue
+            bt = tuple(key[1] for key in keys)
+            hits = slices.get(bt)
+            if not hits:
+                continue
+            if cdim is not None:
+                cvec = [ONE if t == keys[0][2] else ZERO for t in range(cdim)]
+                for key in keys[1:]:
+                    unit = [ONE if t == key[2] else ZERO for t in range(cdim)]
+                    cvec = oracle_algebra_product(algebra, cvec, unit)
+            for a, b_out, rc in hits:
+                ins = merge_sign(merged, (a,))
+                if ins is None:
+                    continue
+                s2, final = ins
+                term = coeff * rc
+                if sign * s2 < 0:
+                    term = -term
+                if cdim is None:
+                    out.add_term((final, b_out), term)
+                else:
+                    for t, cv in enumerate(cvec):
+                        if not cv.is_zero():
+                            out.add_term((final, b_out, t), term * cv)
+        return out
+
+    def mu_k(self, vargs, w, algebra=None):
+        k = len(vargs) + 1
+        cdim = algebra.dim if algebra is not None else None
+        pair = self.tower.pair
+        dim_e = self.tower.module.dim
+        out = GradedElement(pair, dim_e, cdim)
+        slices = self.s[k]
+        for combo in product(*([arg.terms.items() for arg in vargs]
+                               + [w.terms.items()])):
+            keys = [key for key, _ in combo]
+            coeff = combo[0][1]
+            for _, val in combo[1:]:
+                coeff = coeff * val
+            total_deg = sum(len(key[0]) for key in keys)
+            sign = -1 if total_deg % 2 else 1
+            merged = ()
+            dead = False
+            for key in keys:
+                step = merge_sign(merged, key[0])
+                if step is None:
+                    dead = True
+                    break
+                s, merged = step
+                sign *= s
+            if dead:
+                continue
+            bt = tuple(key[1] for key in keys[:-1])
+            e_in = keys[-1][1]
+            hits = slices.get(bt)
+            if not hits:
+                continue
+            if cdim is not None:
+                cvec = [ONE if t == keys[0][2] else ZERO for t in range(cdim)]
+                for key in keys[1:]:
+                    unit = [ONE if t == key[2] else ZERO for t in range(cdim)]
+                    cvec = oracle_algebra_product(algebra, cvec, unit)
+            for a, f, sc in hits:
+                e_out, e_col = divmod(f, dim_e)
+                if e_col != e_in:
+                    continue
+                ins = merge_sign(merged, (a,))
+                if ins is None:
+                    continue
+                s2, final = ins
+                term = coeff * sc
+                if sign * s2 < 0:
+                    term = -term
+                if cdim is None:
+                    out.add_term((final, e_out), term)
+                else:
+                    for t, cv in enumerate(cvec):
+                        if not cv.is_zero():
+                            out.add_term((final, e_out, t), term * cv)
+        return out
+
+    def two_bracket(self, v1, v2):
+        pair = self.tower.pair
+        out = GradedElement(pair, pair.dim_b)
+        slices = self.r[2]
+        for (g1, b1), c1 in v1.terms.items():
+            for (g2, b2), c2 in v2.terms.items():
+                step = merge_sign(g1, g2)
+                if step is None:
+                    continue
+                sign, merged = step
+                if len(g2) % 2:
+                    sign = -sign
+                hits = slices.get((b1, b2))
+                if not hits:
+                    continue
+                coeff = c1 * c2
+                for a, b_out, rc in hits:
+                    ins = merge_sign(merged, (a,))
+                    if ins is None:
+                        continue
+                    s2, final = ins
+                    term = coeff * rc
+                    if sign * s2 < 0:
+                        term = -term
+                    out.add_term((final, b_out), term)
+        return out
+
+    def theta_witness(self, v1, v2):
+        pair = self.tower.pair
+        nb = pair.dim_b
+        out = GradedElement(pair, nb)
+        for (g1, b1), c1 in v1.terms.items():
+            for (g2, b2), c2 in v2.terms.items():
+                step = merge_sign(g1, g2)
+                if step is None:
+                    continue
+                sign, merged = step
+                if len(g1) % 2:
+                    sign = -sign
+                coeff = c1 * c2
+                vec = self.tower.st.beta[b1][b2]
+                for b_out in range(nb):
+                    x = vec[b_out]
+                    if not x.is_zero():
+                        term = coeff * x
+                        out.add_term((merged, b_out),
+                                     term if sign > 0 else -term)
+        return out
+
+    def xi_witness(self, v0, v1, v2):
+        pair = self.tower.pair
+        out = GradedElement(pair, pair.dim_b)
+        slices = self.r[3]
+        for (g0, b0), c0 in v0.terms.items():
+            for (g1, b1), c1 in v1.terms.items():
+                step1 = merge_sign(g0, g1)
+                if step1 is None:
+                    continue
+                s1, merged1 = step1
+                for (g2, b2), c2 in v2.terms.items():
+                    step2 = merge_sign(merged1, g2)
+                    if step2 is None:
+                        continue
+                    s2, merged = step2
+                    sign = s1 * s2
+                    if (len(g0) + len(g2)) % 2:
+                        sign = -sign
+                    hits = slices.get((b0, b1, b2))
+                    if not hits:
+                        continue
+                    coeff = c0 * c1 * c2
+                    for a, b_out, rc in hits:
+                        ins = merge_sign(merged, (a,))
+                        if ins is None:
+                            continue
+                        s3, final = ins
+                        term = coeff * rc
+                        if sign * s3 < 0:
+                            term = -term
+                        out.add_term((final, b_out), term)
+        return out
 
 
 # -- fixtures ------------------------------------------------------------------------
@@ -263,6 +490,144 @@ def test_compose_cochains_matches_dense_oracle(fixture):
                 assert compose_cochains(outer, inner, slot) == \
                     dense_compose_cochains(outer, inner, slot), \
                     (outer.k, outer.l, inner.k, inner.l, slot)
+
+
+def golden_algebra(dim_g):
+    """Basis (1, x) with x^2 = 1 + x and zero action: every product of two or
+    more x's has both coordinates nonzero, so the kernel's algebra products
+    accumulate."""
+    mult = [[[ONE, ZERO], [ZERO, ONE]], [[ZERO, ONE], [ONE, ONE]]]
+    return GAlgebra(trivial_module(dim_g, 2), mult)
+
+
+def combinations_of(rng, basis, count):
+    """Random sums of two to four same-degree basis elements with small
+    Gaussian coefficients."""
+    by_degree = {}
+    for el in basis:
+        by_degree.setdefault(el.degree(), []).append(el)
+    groups = [g for g in by_degree.values() if len(g) > 1]
+    out = []
+    for _ in range(count if groups else 0):
+        group = rng.choice(groups)
+        total = group[0].scale(ZERO)
+        for el in rng.sample(group, min(len(group), rng.randint(2, 4))):
+            total = total + el.scale(GaussScalar(rng.choice([-2, -1, 1, 3]),
+                                                 rng.choice([0, 0, 1])))
+        out.append(total)
+    return out
+
+
+def argument_pools(rng, basis, diff, bracket):
+    """Basis elements, multi-term elements (random combinations and the
+    differentials of basis elements and combinations) and nested brackets."""
+    combos = combinations_of(rng, basis, 8)
+    multi = [el for el in combos + [diff(el) for el in basis + combos]
+             if len(el.terms) > 1]
+    nested = []
+    for _ in range(12):
+        el = bracket(rng.choice(basis + multi))
+        if not el.is_zero():
+            nested.append(el)
+    return basis, multi, nested
+
+
+def v_pool(tower, rng, algebra=None):
+    pair = tower.pair
+    basis = basis_elements_v(tower, 1, algebra)
+
+    def bracket(el):
+        other = rng.choice(basis)
+        return two_bracket(tower, el, other) if algebra is None \
+            else lambda_k(tower, [el, other], algebra)
+
+    return argument_pools(
+        rng, basis,
+        lambda el: graded_diff(pair, pair.quotient_module(), el, algebra),
+        bracket)
+
+
+def w_pool(tower, rng, algebra=None):
+    pair = tower.pair
+    vs = basis_elements_v(tower, 1, algebra)
+    return argument_pools(
+        rng, basis_elements_w(tower, 1, algebra),
+        lambda el: graded_diff(pair, tower.module, el, algebra),
+        lambda el: mu_k(tower, [rng.choice(vs)], el, algebra))
+
+
+def draw(rng, pools, n, count):
+    """count argument tuples of length n; each argument comes from a randomly
+    chosen non-empty pool, so basis, multi-term and nested arguments mix."""
+    pools = [p for p in pools if p]
+    return [[rng.choice(rng.choice(pools)) for _ in range(n)]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=IDS)
+def test_brackets_and_witnesses_match_their_oracles(fixture):
+    name, pair, conn_b, module, conn_e = fixture
+    rng = random.Random(name + "/contract")
+    tower = build_tower(pair, conn_b, depth=4, module=module, conn_e=conn_e)
+    oracle = OracleBrackets(tower)
+    pools = v_pool(tower, rng)
+    wpools = w_pool(tower, rng)
+    assert pools[1] and wpools[1]
+    nonzero = 0
+    for v1, v2 in draw(rng, pools, 2, 400):
+        for ours, theirs in ((two_bracket(tower, v1, v2),
+                              oracle.two_bracket(v1, v2)),
+                             (theta_witness(tower, v1, v2),
+                              oracle.theta_witness(v1, v2))):
+            assert ours.terms == theirs.terms
+            nonzero += not ours.is_zero()
+    for args in draw(rng, pools, 3, 300):
+        ours = xi_witness(tower, *args)
+        assert ours.terms == oracle.xi_witness(*args).terms
+        nonzero += not ours.is_zero()
+    for k in range(2, 5):
+        for args in draw(rng, pools, k, 200):
+            ours = lambda_k(tower, args)
+            assert ours.terms == oracle.lambda_k(args).terms, k
+            nonzero += not ours.is_zero()
+        for args, (w,) in zip(draw(rng, pools, k - 1, 200),
+                              draw(rng, wpools, 1, 200)):
+            ours = mu_k(tower, args, w)
+            assert ours.terms == oracle.mu_k(args, w).terms, k
+            nonzero += not ours.is_zero()
+    # the heisenberg pair has dim g = 1, so its tower and torsion vanish
+    assert nonzero >= 50 or name == "heisenberg"
+
+
+@pytest.mark.parametrize("algebra_of", [unit_algebra, dual_numbers_algebra,
+                                        golden_algebra],
+                         ids=["unit", "dual_numbers", "golden"])
+@pytest.mark.parametrize("fixture", [f for f in FIXTURES
+                                     if f[0] in ("u2t2_mult", "random2")],
+                         ids=["u2t2_mult", "random2"])
+def test_algebra_brackets_match_their_oracles(fixture, algebra_of):
+    # the u2t2 module B has dim 4 and the random module dim 2, so the module
+    # input index in the S_n slice keys is exercised as well
+    name, pair, conn_b, module, conn_e = fixture
+    assert module.dim > 1
+    algebra = algebra_of(pair.dim_g)
+    rng = random.Random(name + "/algebra")
+    tower = build_tower(pair, conn_b, depth=3, module=module, conn_e=conn_e)
+    oracle = OracleBrackets(tower)
+    pools = v_pool(tower, rng, algebra)
+    wpools = w_pool(tower, rng, algebra)
+    nonzero = 0
+    for k in (2, 3):
+        for args in draw(rng, pools, k, 200):
+            ours = lambda_k(tower, args, algebra)
+            assert ours.terms == oracle.lambda_k(args, algebra).terms, k
+            nonzero += not ours.is_zero()
+        for args, (w,) in zip(draw(rng, pools, k - 1, 200),
+                              draw(rng, wpools, 1, 200)):
+            ours = mu_k(tower, args, w, algebra)
+            assert ours.terms == oracle.mu_k(args, w, algebra).terms, k
+            nonzero += not ours.is_zero()
+    assert nonzero >= 50
 
 
 # -- the degree skip in the homotopy-witness loops ---------------------------------------
