@@ -148,48 +148,19 @@ def atiyah_class(pair: LiePair, module: GModule,
 
 def end_connection(conn: Connection) -> Connection:
     """Induced connection on End(E): the commutator with each nabla matrix."""
-    module = conn.module
-    endo = end_module(module)
-    dim = module.dim
-    mats = []
-    for x in range(conn.pair.dim_d):
-        rho = conn.nabla[x]
-        mat = Matrix.zeros(dim * dim, dim * dim)
-        for r in range(dim):
-            for s in range(dim):
-                col = r * dim + s
-                for k in range(dim):
-                    v = rho[k, r]
-                    if not v.is_zero():
-                        mat.data[(k * dim + s) * (dim * dim) + col] = \
-                            mat.data[(k * dim + s) * (dim * dim) + col] + v
-                for k in range(dim):
-                    v = rho[s, k]
-                    if not v.is_zero():
-                        mat.data[(r * dim + k) * (dim * dim) + col] = \
-                            mat.data[(r * dim + k) * (dim * dim) + col] - v
-        mats.append(mat)
-    return Connection(conn.pair, endo, mats)
+    nabla = GModule(conn.module.dim, conn.nabla)
+    return Connection(conn.pair, end_module(conn.module),
+                      end_module(nabla).action)
 
 
 def direct_sum_connection(c1: Connection, c2: Connection) -> Connection:
     """Block-diagonal connection on the direct sum module."""
     if c1.pair is not c2.pair:
         raise ValueError("connections live over different pairs")
-    module = direct_sum_module(c1.module, c2.module)
-    dim = module.dim
-    mats = []
-    for x in range(c1.pair.dim_d):
-        mat = Matrix.zeros(dim, dim)
-        for i in range(c1.module.dim):
-            for j in range(c1.module.dim):
-                mat.data[i * dim + j] = c1.nabla[x][i, j]
-        for i in range(c2.module.dim):
-            for j in range(c2.module.dim):
-                mat.data[(c1.module.dim + i) * dim + (c1.module.dim + j)] = \
-                    c2.nabla[x][i, j]
-        mats.append(mat)
-    return Connection(c1.pair, module, mats)
+    blocks = direct_sum_module(GModule(c1.module.dim, c1.nabla),
+                               GModule(c2.module.dim, c2.nabla))
+    return Connection(c1.pair, direct_sum_module(c1.module, c2.module),
+                      blocks.action)
 
 
 # -- bigraded scalar coefficients ---------------------------------------------
@@ -271,9 +242,6 @@ class BiForm:
     def component(self, gdeg, bdeg):
         return BiForm({k: v for k, v in self.terms.items()
                        if len(k[0]) == gdeg and len(k[1]) == bdeg})
-
-    def max_degree(self):
-        return max((len(k[0]) for k in self.terms), default=0)
 
 
 def _bf_mat_mul(a, b):

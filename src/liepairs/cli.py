@@ -105,10 +105,6 @@ class RunReport:
             entry["detail"] = detail
         self.checks.append(entry)
 
-    def skip(self, name, detail):
-        self.checks.append({"name": name, "status": "skipped",
-                            "detail": detail})
-
     @property
     def ok(self):
         return all(c["status"] != "fail" for c in self.checks)
@@ -140,11 +136,6 @@ class RunReport:
                      ("ok" if self.ok else "FAILED", len(self.checks)))
         lines.append("elapsed: %.3fs" % (time.monotonic() - self.started))
         return "\n".join(lines)
-
-
-def _digest(path):
-    with open(path, "rb") as handle:
-        return "sha256:" + hashlib.sha256(handle.read()).hexdigest()
 
 
 def _load(path, report):
@@ -526,7 +517,6 @@ def build_parser():
 
     p = sub.add_parser("symmetry", help="adjacent-transposition symmetry scan")
     common(p)
-    p.add_argument("--module", default=None)
     p.add_argument("--depth", type=int, default=4)
     p.set_defaults(func=cmd_symmetry)
 

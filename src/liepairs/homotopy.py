@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import product
 
 from .atiyah import Connection, atiyah_cocycle, curvature, end_connection
-from .ce import Cochain, _permuted_nonzeros, ce_diff
+from .ce import Cochain, _ce_terms, _permuted_nonzeros, ce_diff
 from .lie_core import (
     GAlgebra,
     GModule,
@@ -348,24 +348,15 @@ def _effective_module(base: GModule, algebra) -> GModule:
 
 def graded_diff(pair: LiePair, base_module: GModule, el: GradedElement,
                 algebra: GAlgebra = None) -> GradedElement:
-    """Unary bracket: the cochain differential applied degree by degree."""
+    """Unary bracket: the cochain differential applied term by term."""
     module = _effective_module(base_module, algebra)
     cdim = algebra.dim if algebra is not None else None
     out = GradedElement(pair, el.mdim, cdim)
-    by_degree = {}
     for key, val in el.terms.items():
-        by_degree.setdefault(len(key[0]), {})[key] = val
-    for k, terms in sorted(by_degree.items()):
-        w = Cochain(pair, module, k, 0)
-        for key, val in terms.items():
-            midx = key[1] if cdim is None else key[1] * cdim + key[2]
-            w.set(key[0], (), midx, val)
-        dw = ce_diff(w)
-        for gt, _, midx, c in dw.iter_nonzero():
-            if cdim is None:
-                out.add_term((gt, midx), c)
-            else:
-                out.add_term((gt, midx // cdim, midx % cdim), c)
+        midx = key[1] if cdim is None else key[1] * cdim + key[2]
+        for gt, _, e, c in _ce_terms(pair, module, key[0], (), midx):
+            out.add_term((gt, e) if cdim is None else (gt,) + divmod(e, cdim),
+                         c * val)
     return out
 
 
@@ -528,75 +519,57 @@ def _check_homogeneous(elements):
             raise ValueError("identity sweeps need homogeneous elements")
 
 
-def leibniz_residual(tower: BracketTower, vs, algebra: GAlgebra = None,
-                     memo=None) -> GradedElement:
-    """Full shuffle/Koszul sum of the generalized Jacobi identity at arity n."""
-    n = len(vs)
-    _check_homogeneous(vs)
-    degs = [v.degree() for v in vs]
+def _jacobiator(tower: BracketTower, args, bracket, mdim,
+                algebra: GAlgebra = None) -> GradedElement:
+    """Shuffle/Koszul sum of the generalized Jacobi identity on args.
+
+    bracket(inner_args, holds_last) evaluates one bracket; holds_last is true
+    when the arguments end with args[-1] or with a bracket that contains it.
+    """
+    n = len(args)
+    _check_homogeneous(args)
+    degs = [a.degree() for a in args]
     cdim = algebra.dim if algebra is not None else None
-    total = GradedElement(tower.pair, tower.pair.dim_b, cdim)
+    total = GradedElement(tower.pair, mdim, cdim)
     for j in range(1, n + 1):
         for k in range(j, n + 1):
             for sigma in enumerate_shuffles(k - j, j - 1):
                 eps = koszul_sign(sigma, degs[: k - 1])
                 front = sum(degs[sigma[m]] for m in range(k - j))
                 sign = eps * (-1 if front % 2 else 1)
-                inner_args = [vs[sigma[m]] for m in range(k - j, k - 1)] \
-                    + [vs[k - 1]]
-                inner = lambda_k(tower, inner_args, algebra, memo)
+                inner = bracket([args[sigma[m]] for m in range(k - j, k - 1)]
+                                + [args[k - 1]], k == n)
                 if inner.is_zero():
                     continue
-                outer_args = [vs[sigma[m]] for m in range(k - j)] + [inner] \
-                    + vs[k:]
-                term = lambda_k(tower, outer_args, algebra, memo)
+                term = bracket([args[sigma[m]] for m in range(k - j)]
+                               + [inner] + args[k:], True)
                 if sign < 0:
                     term = -term
                 total = total + term
     return total
+
+
+def leibniz_residual(tower: BracketTower, vs, algebra: GAlgebra = None,
+                     memo=None) -> GradedElement:
+    """Full shuffle/Koszul sum of the generalized Jacobi identity at arity n."""
+    return _jacobiator(
+        tower, list(vs),
+        lambda args, holds_last: lambda_k(tower, args, algebra, memo),
+        tower.pair.dim_b, algebra)
 
 
 def module_residual(tower: BracketTower, vs, w, algebra: GAlgebra = None,
                     memo=None) -> GradedElement:
-    """Module analogue of the generalized Jacobi identity at arity n."""
-    n = len(vs) + 1
-    _check_homogeneous(list(vs) + [w])
-    degs = [v.degree() for v in vs]
-    cdim = algebra.dim if algebra is not None else None
-    total = GradedElement(tower.pair, tower.module.dim, cdim)
-    for j in range(1, n):
-        for k in range(j, n):
-            for sigma in enumerate_shuffles(k - j, j - 1):
-                eps = koszul_sign(sigma, degs[: k - 1])
-                front = sum(degs[sigma[m]] for m in range(k - j))
-                sign = eps * (-1 if front % 2 else 1)
-                inner_args = [vs[sigma[m]] for m in range(k - j, k - 1)] \
-                    + [vs[k - 1]]
-                inner = lambda_k(tower, inner_args, algebra, memo)
-                if inner.is_zero():
-                    continue
-                front_args = [vs[sigma[m]] for m in range(k - j)]
-                tail = list(vs[k:])
-                term = mu_k(tower, front_args + [inner] + tail, w, algebra,
-                            memo)
-                if sign < 0:
-                    term = -term
-                total = total + term
-    for j in range(1, n + 1):
-        for sigma in enumerate_shuffles(n - j, j - 1):
-            eps = koszul_sign(sigma, degs)
-            front = sum(degs[sigma[m]] for m in range(n - j))
-            sign = eps * (-1 if front % 2 else 1)
-            inner_vargs = [vs[sigma[m]] for m in range(n - j, n - 1)]
-            inner = mu_k(tower, inner_vargs, w, algebra, memo)
-            if inner.is_zero():
-                continue
-            outer_vargs = [vs[sigma[m]] for m in range(n - j)]
-            term = mu_k(tower, outer_vargs, inner, algebra, memo)
-            if sign < 0:
-                term = -term
-            total = total + term
-    return total
+    """Module analogue of the generalized Jacobi identity at arity n: the same
+    sum over vs + [w], with mu_k for every bracket that holds w."""
+
+    def bracket(args, holds_last):
+        if holds_last:
+            return mu_k(tower, args[:-1], args[-1], algebra, memo)
+        return lambda_k(tower, args, algebra, memo)
+
+    return _jacobiator(tower, list(vs) + [w], bracket, tower.module.dim,
+                       algebra)
 
 
 # -- sweeps -------------------------------------------------------------------------
@@ -629,40 +602,63 @@ class VerifyReport:
             self.identity, self.checked, len(self.violations))
 
 
-def basis_elements_v(tower: BracketTower, degree_cap: int,
-                     algebra: GAlgebra = None):
-    """Basis-decomposable elements of Lambda g* (x) B (x C) up to degree cap."""
-    pair = tower.pair
+def _basis_elements(pair: LiePair, mdim: int, degree_cap: int,
+                    algebra: GAlgebra = None):
+    """Basis-decomposable elements of Lambda g* (x) M (x C) up to degree cap,
+    for an mdim-dimensional M."""
     cdim = algebra.dim if algebra is not None else None
     out = []
     for k in range(min(degree_cap, pair.dim_g) + 1):
         for gt in exterior_basis(pair.dim_g, k):
-            for b in range(pair.dim_b):
+            for e in range(mdim):
                 if cdim is None:
-                    out.append(GradedElement.basis(pair, pair.dim_b, gt, b))
+                    out.append(GradedElement.basis(pair, mdim, gt, e))
                 else:
                     for c in range(cdim):
-                        out.append(GradedElement.basis(
-                            pair, pair.dim_b, gt, b, cdim, c))
+                        out.append(GradedElement.basis(pair, mdim, gt, e,
+                                                       cdim, c))
     return out
+
+
+def basis_elements_v(tower: BracketTower, degree_cap: int,
+                     algebra: GAlgebra = None):
+    """Basis-decomposable elements of Lambda g* (x) B (x C) up to degree cap."""
+    return _basis_elements(tower.pair, tower.pair.dim_b, degree_cap, algebra)
 
 
 def basis_elements_w(tower: BracketTower, degree_cap: int,
                      algebra: GAlgebra = None):
-    pair = tower.pair
-    dim_e = tower.module.dim
-    cdim = algebra.dim if algebra is not None else None
-    out = []
-    for k in range(min(degree_cap, pair.dim_g) + 1):
-        for gt in exterior_basis(pair.dim_g, k):
-            for e in range(dim_e):
-                if cdim is None:
-                    out.append(GradedElement.basis(pair, dim_e, gt, e))
-                else:
-                    for c in range(cdim):
-                        out.append(GradedElement.basis(pair, dim_e, gt, e,
-                                                       cdim, c))
-    return out
+    """The same for the module side of the tower."""
+    return _basis_elements(tower.pair, tower.module.dim, degree_cap, algebra)
+
+
+def _sweep(tower: BracketTower, identity, max_n, vs, last, residual,
+           algebra: GAlgebra = None) -> VerifyReport:
+    """Residual sweep over every basis tuple of arity n <= max_n whose first
+    n - 1 entries come from vs and whose last entry comes from last.
+
+    residual(args, memo) evaluates one tuple; memo lives for this sweep only
+    (see _memo_diff).  A residual has form degree two above its arguments'
+    sum, so a tuple that would land above dim g is counted but skipped.
+    """
+    if max_n > tower.depth:
+        raise ArityBeyondTower("max_n %d exceeds tower depth %d"
+                               % (max_n, tower.depth))
+    if algebra is not None:
+        AlgebraExtension(tower, algebra)  # validates
+    report = VerifyReport(identity)
+    dim_g = tower.pair.dim_g
+    memo = {}
+    for n in range(1, max_n + 1):
+        for args in product(*[vs] * (n - 1), last):
+            report.checked += 1
+            if sum(a.degree() for a in args) + 2 > dim_g:
+                continue
+            res = residual(list(args), memo)
+            if not res.is_zero():
+                report.add_violation(n, [a.first_term()[0] for a in args],
+                                     res.first_term())
+    return report
 
 
 def verify_leibniz(tower: BracketTower, max_n: int, degree_cap: int,
@@ -671,25 +667,11 @@ def verify_leibniz(tower: BracketTower, max_n: int, degree_cap: int,
 
     Multilinearity makes basis tuples a complete check at each degree profile.
     """
-    if max_n > tower.depth:
-        raise ArityBeyondTower("max_n %d exceeds tower depth %d"
-                               % (max_n, tower.depth))
-    if algebra is not None:
-        AlgebraExtension(tower, algebra)  # validates
-    report = VerifyReport("leibniz")
-    elements = basis_elements_v(tower, degree_cap, algebra)
-    dim_g = tower.pair.dim_g
-    memo = {}
-    for n in range(1, max_n + 1):
-        for vs in product(elements, repeat=n):
-            report.checked += 1
-            if sum(v.degree() for v in vs) + 2 > dim_g:
-                continue
-            residual = leibniz_residual(tower, list(vs), algebra, memo)
-            if not residual.is_zero():
-                report.add_violation(
-                    n, [v.first_term()[0] for v in vs], residual.first_term())
-    return report
+    vs = basis_elements_v(tower, degree_cap, algebra)
+    return _sweep(tower, "leibniz", max_n, vs, vs,
+                  lambda args, memo: leibniz_residual(tower, args, algebra,
+                                                      memo),
+                  algebra)
 
 
 def verify_module(tower: BracketTower, max_n: int, degree_cap: int,
@@ -697,28 +679,12 @@ def verify_module(tower: BracketTower, max_n: int, degree_cap: int,
     """Sweep of the module identity over (V, ..., V, W) basis tuples."""
     if tower.module is None:
         raise ValueError("tower was built without a module side")
-    if max_n > tower.depth:
-        raise ArityBeyondTower("max_n %d exceeds tower depth %d"
-                               % (max_n, tower.depth))
-    if algebra is not None:
-        AlgebraExtension(tower, algebra)
-    report = VerifyReport("leibniz_module")
-    vs_pool = basis_elements_v(tower, degree_cap, algebra)
-    ws_pool = basis_elements_w(tower, degree_cap, algebra)
-    dim_g = tower.pair.dim_g
-    memo = {}
-    for n in range(1, max_n + 1):
-        for vs in product(vs_pool, repeat=n - 1):
-            for w in ws_pool:
-                report.checked += 1
-                if sum(v.degree() for v in vs) + w.degree() + 2 > dim_g:
-                    continue
-                residual = module_residual(tower, list(vs), w, algebra, memo)
-                if not residual.is_zero():
-                    report.add_violation(
-                        n, [v.first_term()[0] for v in vs]
-                        + [w.first_term()[0]], residual.first_term())
-    return report
+    return _sweep(tower, "leibniz_module", max_n,
+                  basis_elements_v(tower, degree_cap, algebra),
+                  basis_elements_w(tower, degree_cap, algebra),
+                  lambda args, memo: module_residual(tower, args[:-1], args[-1],
+                                                     algebra, memo),
+                  algebra)
 
 
 # -- tensor-level proof identities ----------------------------------------------------
@@ -764,7 +730,6 @@ def shuffle_coherence_residual(tower: BracketTower, n: int) -> Cochain:
     the n-th tensor to shuffle sums of nested lower tensors."""
     if n < 3 or n > tower.depth:
         raise ArityBeyondTower("need 3 <= n <= depth")
-    pair = tower.pair
     total = ce_diff(tower.r[n])
     composed = {}
     for i in range(2, n):
@@ -824,6 +789,8 @@ def check_proof_identities(tower: BracketTower,
     res = tower.r[2] - tower.r[2].permute_b_args((1, 0)) - ce_diff(beta_cochain)
     record("torsion_antisymmetrization", res)
 
+    coherence = {n: shuffle_coherence_residual(tower, n)
+                 for n in range(3, tower.depth + 1)}
     if tower.depth >= 3:
         # ternary symmetry defect: swap of the first two slots against the
         # torsion-fed binary tensor and the differential of the curvature
@@ -843,22 +810,14 @@ def check_proof_identities(tower: BracketTower,
         # plus (d omega)(b0, b1) applied to b2
         res = res + _unfold_end(d_omega)
         record("ternary_symmetry_defect", res)
-
-        # nested binary coherence at arity three
-        total = ce_diff(tower.r[3])
-        part_a = compose_cochains(tower.r[2], tower.r[2], 2)
-        _add_permuted(total, part_a, [0, 1, 2])
-        part_b = compose_cochains(tower.r[2], tower.r[2], 1)
-        _add_permuted(total, part_b, [0, 1, 2])
-        _add_permuted(total, part_a, [1, 0, 2])
-        record("nested_binary_coherence", total)
+        # the nested binary coherence is the shuffle coherence at arity three
+        record("nested_binary_coherence", coherence[3])
 
     for n in range(2, tower.depth):
         record("mixed_differential_n%d" % n,
                mixed_differential_residual(tower, n))
-    for n in range(3, tower.depth + 1):
-        record("shuffle_coherence_n%d" % n,
-               shuffle_coherence_residual(tower, n))
+    for n, residual in coherence.items():
+        record("shuffle_coherence_n%d" % n, residual)
 
     # homotopy witnesses on decomposables up to the degree cap; a residual
     # of degree above dim g vanishes, so those tuples are skipped

@@ -113,9 +113,6 @@ class LieAlgebra:
         """
         return ()
 
-    def bracket_basis(self, i, j):
-        return self.c[i][j]
-
     def bracket(self, u, v):
         """Bracket of coordinate vectors, extended bilinearly."""
         out = zero_vec(self.dim)
@@ -190,12 +187,6 @@ class LiePair:
     @property
     def dim_b(self):
         return self.d.dim - self.dim_g
-
-    def g_part(self, vec):
-        return vec[: self.dim_g]
-
-    def h_part(self, vec):
-        return vec[self.dim_g :]
 
     def g_algebra(self) -> LieAlgebra:
         """The subalgebra g with its own structure constants."""
@@ -292,9 +283,6 @@ class GModule:
     @property
     def dim_g(self):
         return len(self.action)
-
-    def act(self, a, vec):
-        return self.action[a].apply(vec)
 
 
 def check_module(g: LieAlgebra, module: GModule) -> Report:

@@ -83,9 +83,6 @@ class GaussScalar:
     def __rtruediv__(self, other):
         return as_scalar(other) / self
 
-    def inverse(self):
-        return ONE / self
-
     def conjugate(self):
         return _scalar(self.re, -self.im)
 

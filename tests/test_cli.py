@@ -185,6 +185,19 @@ def test_symmetry_command_reports_verdicts(capsys, tmp_path):
     assert doc["results"]["is_symmetric_tower"] is False
 
 
+def test_symmetry_takes_no_module_exit_2(capsys, tmp_path):
+    # the scan reads the quotient tower only, so a module side is refused
+    path = export(capsys, tmp_path, "u2t2")
+    with pytest.raises(SystemExit) as exc:
+        main(["symmetry", "--input", str(path), "--module", "B"])
+    assert exc.value.code == EXIT_PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("usage:") == 1
+    assert captured.err.endswith("error: unrecognized arguments: --module B\n")
+    assert "Traceback" not in captured.err
+
+
 def test_todd_and_tower_commands(capsys, tmp_path):
     path = export(capsys, tmp_path, "sl2")
     code, out, _ = run(capsys, ["todd", "--input", str(path), "--json"])

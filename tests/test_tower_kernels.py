@@ -1,10 +1,12 @@
 """Differential tests for the nonzero-driven tower kernels, the shared
 contraction kernel behind the brackets, the degree skip in the
-homotopy-witness loops and the scope of the sweep memo.
+homotopy-witness loops, the scope of the sweep memo and the identity layer
+(one generalized-Jacobi sum, one sweep loop, one differential path).
 
 The loops the kernels replaced are kept here as oracles: the dense ones visit
-every entry of their output or their input, as the library once did, and the
-five bracket loops each keep their own sign and algebra bookkeeping.
+every entry of their output or their input, as the library once did, the
+five bracket loops each keep their own sign and algebra bookkeeping, and the
+Leibniz and module residuals and sweeps keep their separate loops.
 """
 
 import random
@@ -13,7 +15,7 @@ from itertools import permutations, product
 import pytest
 
 from liepairs.atiyah import end_connection, extend_by_zero
-from liepairs.ce import Cochain
+from liepairs.ce import Cochain, ce_diff
 from liepairs.homotopy import (
     _add_permuted,
     basis_elements_v,
@@ -24,17 +26,31 @@ from liepairs.homotopy import (
     GradedElement,
     graded_diff,
     lambda_k,
+    leibniz_residual,
+    module_residual,
     mu_k,
     partial_nabla,
+    shuffle_coherence_residual,
     theta_witness,
     two_bracket,
+    verify_leibniz,
+    verify_module,
+    VerifyReport,
     xi_witness,
 )
-from liepairs.lie_core import GAlgebra, end_module, matched_sum, trivial_module
+from liepairs.lie_core import (
+    GAlgebra,
+    end_module,
+    matched_sum,
+    tensor_module,
+    trivial_module,
+)
 from liepairs.multilinear import (
+    enumerate_shuffles,
     exterior_basis,
     exterior_index,
     insert_with_sign,
+    koszul_sign,
     merge_sign,
     tensor_index,
     tensor_tuples,
@@ -797,3 +813,282 @@ def test_sweep_memo_keeps_the_two_sides_apart():
         assert on_dual == graded_diff(pair, dual, el)
         assert on_b != on_dual
     assert len(memo) == 2
+
+
+# -- the identity layer against its two-loop oracles -------------------------------------
+
+
+def dense_graded_diff(pair, base_module, el, algebra=None):
+    """The round trip graded_diff replaced: per exterior degree, a dense
+    cochain through ce_diff and back."""
+    module = base_module if algebra is None \
+        else tensor_module(base_module, algebra.module)
+    cdim = algebra.dim if algebra is not None else None
+    out = GradedElement(pair, el.mdim, cdim)
+    by_degree = {}
+    for key, val in el.terms.items():
+        by_degree.setdefault(len(key[0]), {})[key] = val
+    for k, terms in sorted(by_degree.items()):
+        w = Cochain(pair, module, k, 0)
+        for key, val in terms.items():
+            midx = key[1] if cdim is None else key[1] * cdim + key[2]
+            w.set(key[0], (), midx, val)
+        for gt, _, midx, c in ce_diff(w).iter_nonzero():
+            if cdim is None:
+                out.add_term((gt, midx), c)
+            else:
+                out.add_term((gt, midx // cdim, midx % cdim), c)
+    return out
+
+
+def oracle_lambda(tower, args, algebra=None):
+    if len(args) == 1:
+        return dense_graded_diff(tower.pair, tower.pair.quotient_module(),
+                                 args[0], algebra)
+    return lambda_k(tower, args, algebra)
+
+
+def oracle_mu(tower, vargs, w, algebra=None):
+    if not vargs:
+        return dense_graded_diff(tower.pair, tower.module, w, algebra)
+    return mu_k(tower, vargs, w, algebra)
+
+
+def oracle_leibniz_residual(tower, vs, algebra=None):
+    """The generalized Jacobi sum as leibniz_residual once wrote it out."""
+    n = len(vs)
+    degs = [v.degree() for v in vs]
+    cdim = algebra.dim if algebra is not None else None
+    total = GradedElement(tower.pair, tower.pair.dim_b, cdim)
+    for j in range(1, n + 1):
+        for k in range(j, n + 1):
+            for sigma in enumerate_shuffles(k - j, j - 1):
+                eps = koszul_sign(sigma, degs[: k - 1])
+                front = sum(degs[sigma[m]] for m in range(k - j))
+                sign = eps * (-1 if front % 2 else 1)
+                inner_args = [vs[sigma[m]] for m in range(k - j, k - 1)] \
+                    + [vs[k - 1]]
+                inner = oracle_lambda(tower, inner_args, algebra)
+                if inner.is_zero():
+                    continue
+                outer_args = [vs[sigma[m]] for m in range(k - j)] + [inner] \
+                    + vs[k:]
+                term = oracle_lambda(tower, outer_args, algebra)
+                total = total + (term if sign > 0 else -term)
+    return total
+
+
+def oracle_module_residual(tower, vs, w, algebra=None):
+    """The module identity as module_residual once wrote it: one loop for the
+    brackets that take a lambda_k inside, one for those that nest two mu_k."""
+    n = len(vs) + 1
+    degs = [v.degree() for v in vs]
+    cdim = algebra.dim if algebra is not None else None
+    total = GradedElement(tower.pair, tower.module.dim, cdim)
+    for j in range(1, n):
+        for k in range(j, n):
+            for sigma in enumerate_shuffles(k - j, j - 1):
+                eps = koszul_sign(sigma, degs[: k - 1])
+                front = sum(degs[sigma[m]] for m in range(k - j))
+                sign = eps * (-1 if front % 2 else 1)
+                inner_args = [vs[sigma[m]] for m in range(k - j, k - 1)] \
+                    + [vs[k - 1]]
+                inner = oracle_lambda(tower, inner_args, algebra)
+                if inner.is_zero():
+                    continue
+                front_args = [vs[sigma[m]] for m in range(k - j)]
+                term = oracle_mu(tower, front_args + [inner] + list(vs[k:]),
+                                 w, algebra)
+                total = total + (term if sign > 0 else -term)
+    for j in range(1, n + 1):
+        for sigma in enumerate_shuffles(n - j, j - 1):
+            eps = koszul_sign(sigma, degs)
+            front = sum(degs[sigma[m]] for m in range(n - j))
+            sign = eps * (-1 if front % 2 else 1)
+            inner = oracle_mu(tower, [vs[sigma[m]] for m in range(n - j, n - 1)],
+                              w, algebra)
+            if inner.is_zero():
+                continue
+            term = oracle_mu(tower, [vs[sigma[m]] for m in range(n - j)], inner,
+                             algebra)
+            total = total + (term if sign > 0 else -term)
+    return total
+
+
+def oracle_basis(pair, mdim, degree_cap, algebra=None):
+    cdim = algebra.dim if algebra is not None else None
+    out = []
+    for k in range(min(degree_cap, pair.dim_g) + 1):
+        for gt in exterior_basis(pair.dim_g, k):
+            for e in range(mdim):
+                if cdim is None:
+                    out.append(GradedElement.basis(pair, mdim, gt, e))
+                else:
+                    out += [GradedElement.basis(pair, mdim, gt, e, cdim, c)
+                            for c in range(cdim)]
+    return out
+
+
+def oracle_verify_leibniz(tower, max_n, degree_cap, algebra=None):
+    """The loop verify_leibniz ran on its own, as (checked, violations)."""
+    report = VerifyReport("leibniz")
+    elements = oracle_basis(tower.pair, tower.pair.dim_b, degree_cap, algebra)
+    for n in range(1, max_n + 1):
+        for vs in product(elements, repeat=n):
+            report.checked += 1
+            if sum(v.degree() for v in vs) + 2 > tower.pair.dim_g:
+                continue
+            residual = oracle_leibniz_residual(tower, list(vs), algebra)
+            if not residual.is_zero():
+                report.add_violation(
+                    n, [v.first_term()[0] for v in vs], residual.first_term())
+    return report.checked, report.violations
+
+
+def oracle_verify_module(tower, max_n, degree_cap, algebra=None):
+    """The loop verify_module ran on its own, as (checked, violations)."""
+    report = VerifyReport("leibniz_module")
+    vs_pool = oracle_basis(tower.pair, tower.pair.dim_b, degree_cap, algebra)
+    ws_pool = oracle_basis(tower.pair, tower.module.dim, degree_cap, algebra)
+    for n in range(1, max_n + 1):
+        for vs in product(vs_pool, repeat=n - 1):
+            for w in ws_pool:
+                report.checked += 1
+                if sum(v.degree() for v in vs) + w.degree() + 2 \
+                        > tower.pair.dim_g:
+                    continue
+                residual = oracle_module_residual(tower, list(vs), w, algebra)
+                if not residual.is_zero():
+                    report.add_violation(
+                        n, [v.first_term()[0] for v in vs]
+                        + [w.first_term()[0]], residual.first_term())
+    return report.checked, report.violations
+
+
+def oracle_nested_binary_coherence(tower):
+    """The arity-3 coherence sum check_proof_identities once wrote by hand."""
+    total = ce_diff(tower.r[3])
+    part_a = compose_cochains(tower.r[2], tower.r[2], 2)
+    _add_permuted(total, part_a, [0, 1, 2])
+    part_b = compose_cochains(tower.r[2], tower.r[2], 1)
+    _add_permuted(total, part_b, [0, 1, 2])
+    _add_permuted(total, part_a, [1, 0, 2])
+    return total
+
+
+def corrupted_towers():
+    """(name, tower): four fixtures, each with one entry of R_2, R_3, S_2 or
+    S_3 changed in place, so that the sweeps see violations."""
+    out = []
+    for name, pair, conn_b, module, conn_e in FIXTURES:
+        if name not in ("u2t2_mult", "bialgebra", "random2", "random6"):
+            continue
+        rng = random.Random(name + "/corrupt")
+        for side, n in (("r", 2), ("r", 3), ("s", 2), ("s", 3)):
+            tower = build_tower(pair, conn_b, depth=3, module=module,
+                                conn_e=conn_e)
+            data = getattr(tower, side)[n].data
+            pos = rng.randrange(len(data))
+            data[pos] = data[pos] + GaussScalar(1, rng.choice([0, 1]))
+            out.append(("%s_%s%d" % (name, side.upper(), n), tower))
+    return out
+
+
+def sweep_towers():
+    towers = [(name, build_tower(pair, conn_b, depth=3, module=module,
+                                 conn_e=conn_e))
+              for name, pair, conn_b, module, conn_e in FIXTURES]
+    return towers + corrupted_towers()
+
+
+SWEEP_TOWERS = sweep_towers()
+SWEEP_IDS = [name for name, _ in SWEEP_TOWERS]
+
+
+def sweep_sizes(tower):
+    """(max_n, degree_cap) pairs that keep the u2t2 oracle sweeps short."""
+    return [(3, 1)] if tower.pair.dim_g <= 2 else [(3, 0), (2, 1)]
+
+
+@pytest.mark.parametrize("algebra_of", [None, unit_algebra,
+                                        dual_numbers_algebra, golden_algebra],
+                         ids=["plain", "unit", "dual_numbers", "golden"])
+@pytest.mark.parametrize("fixture", FIXTURES, ids=IDS)
+def test_graded_diff_matches_dense_round_trip(fixture, algebra_of):
+    name, pair, conn_b, module, conn_e = fixture
+    algebra = algebra_of(pair.dim_g) if algebra_of else None
+    rng = random.Random(name + "/graded_diff")
+    for base in (pair.quotient_module(), module):
+        basis = oracle_basis(pair, base.dim, pair.dim_g, algebra)
+        combos = combinations_of(rng, basis, 8)
+        # mixed-degree sums cover the dense path's per-degree grouping
+        mixed = [rng.choice(basis) + rng.choice(basis) for _ in range(8)]
+        for el in basis + combos + mixed:
+            assert graded_diff(pair, base, el, algebra).terms == \
+                dense_graded_diff(pair, base, el, algebra).terms
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=IDS)
+def test_residuals_match_their_two_loop_oracles(fixture):
+    name, pair, conn_b, module, conn_e = fixture
+    rng = random.Random(name + "/residuals")
+    tower = build_tower(pair, conn_b, depth=4, module=module, conn_e=conn_e)
+    pools = v_pool(tower, rng)
+    wpools = w_pool(tower, rng)
+    for n in range(1, 4):
+        for vs in draw(rng, pools, n, 40):
+            assert leibniz_residual(tower, vs).terms == \
+                oracle_leibniz_residual(tower, vs).terms, n
+        for vs, (w,) in zip(draw(rng, pools, n - 1, 40),
+                            draw(rng, wpools, 1, 40)):
+            assert module_residual(tower, vs, w).terms == \
+                oracle_module_residual(tower, vs, w).terms, n
+
+
+@pytest.mark.parametrize("tower", [t for _, t in SWEEP_TOWERS], ids=SWEEP_IDS)
+def test_sweeps_match_their_oracle_loops(tower):
+    for max_n, cap in sweep_sizes(tower):
+        ours = verify_leibniz(tower, max_n, cap)
+        assert (ours.checked, ours.violations) == \
+            oracle_verify_leibniz(tower, max_n, cap), (max_n, cap)
+        ours = verify_module(tower, max_n, cap)
+        assert (ours.checked, ours.violations) == \
+            oracle_verify_module(tower, max_n, cap), (max_n, cap)
+
+
+def test_corrupted_towers_show_violations():
+    # the violation lists compared above are mostly not empty: 14 of the 16
+    # corruptions break a sweep and 7 break the arity-3 coherence
+    sweeps = coherence = 0
+    for name, tower in corrupted_towers():
+        max_n, cap = sweep_sizes(tower)[0]
+        sweeps += not (verify_leibniz(tower, max_n, cap).ok
+                       and verify_module(tower, max_n, cap).ok)
+        coherence += not shuffle_coherence_residual(tower, 3).is_zero()
+    assert (sweeps, coherence) == (14, 7)
+
+
+@pytest.mark.parametrize("algebra_of", [unit_algebra, dual_numbers_algebra],
+                         ids=["unit", "dual_numbers"])
+@pytest.mark.parametrize("name", ["u2t2_mult", "random2", "random2_R2",
+                                  "random2_S3"])
+def test_algebra_sweeps_match_their_oracle_loops(name, algebra_of):
+    tower = dict(SWEEP_TOWERS)[name]
+    algebra = algebra_of(tower.pair.dim_g)
+    ours = verify_leibniz(tower, 2, 1, algebra)
+    assert (ours.checked, ours.violations) == \
+        oracle_verify_leibniz(tower, 2, 1, algebra)
+    ours = verify_module(tower, 2, 1, algebra)
+    assert (ours.checked, ours.violations) == \
+        oracle_verify_module(tower, 2, 1, algebra)
+
+
+def test_nested_binary_coherence_is_shuffle_coherence_at_arity_three():
+    for name, tower in SWEEP_TOWERS:
+        expected = oracle_nested_binary_coherence(tower)
+        assert shuffle_coherence_residual(tower, 3).data == expected.data, name
+        verdicts = {entry: (ok, witness) for entry, ok, witness
+                    in check_proof_identities(tower, 0)}
+        ok = expected.is_zero()
+        assert verdicts["nested_binary_coherence"] == \
+            (ok, None if ok else expected.first_nonzero()), name
