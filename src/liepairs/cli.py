@@ -425,8 +425,8 @@ def _zoo_registry():
         return dump_fixture(pair, {"B": pair.quotient_module(),
                                    "trivial": trivial_module(pair.dim_g, 1)})
 
-    def u2t2_fixture():
-        fx = gl_un_tn(2)
+    def gl_fixture(n):
+        fx = gl_un_tn(n)
         return dump_fixture(
             fx.pair, {"B": fx.module_b},
             connections={"matrix_mult": fx.conn_mult.nabla})
@@ -440,7 +440,8 @@ def _zoo_registry():
         "sl2_swapped": sl2_swapped_fixture,
         "sl2_borel": sl2_borel_fixture,
         "heisenberg": heisenberg_fixture,
-        "u2t2": u2t2_fixture,
+        "u2t2": lambda: gl_fixture(2),
+        "gl3": lambda: gl_fixture(3),
         "affine_bialgebra": affine_bialgebra_fixture,
     }
 

@@ -13,6 +13,7 @@ conventions fixed once:
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 from .atiyah import Connection, atiyah_cocycle, curvature, end_connection
 from .ce import Cochain, _ce_terms, _permuted_nonzeros, ce_diff
@@ -23,6 +24,7 @@ from .lie_core import (
     check_g_algebra,
     end_module,
     tensor_module,
+    trivial_module,
 )
 from .linalg import Matrix, basis_vec, zero_vec
 from .multilinear import (
@@ -349,7 +351,11 @@ def _effective_module(base: GModule, algebra) -> GModule:
 def graded_diff(pair: LiePair, base_module: GModule, el: GradedElement,
                 algebra: GAlgebra = None) -> GradedElement:
     """Unary bracket: the cochain differential applied term by term."""
-    module = _effective_module(base_module, algebra)
+    return _diff(pair, _effective_module(base_module, algebra), el, algebra)
+
+
+def _diff(pair, module, el, algebra=None) -> GradedElement:
+    """graded_diff on the effective module (base module (x) algebra)."""
     cdim = algebra.dim if algebra is not None else None
     out = GradedElement(pair, el.mdim, cdim)
     for key, val in el.terms.items():
@@ -361,18 +367,22 @@ def graded_diff(pair: LiePair, base_module: GModule, el: GradedElement,
 
 
 def _memo_diff(memo, side, pair, module, el, algebra=None):
-    """graded_diff through a sweep's memo dict, keyed on the side ("v" for
-    B-valued, "w" for module-valued elements) and the element's terms.
+    """graded_diff through a sweep's memo dict.  Each side ("v" for B-valued,
+    "w" for module-valued elements) holds its effective module, resolved once,
+    and the differentials keyed on the element's terms.
 
     A sweep creates the dict on entry and drops it on return, so a tower
     changed between sweeps never meets an entry computed from the old one.
     """
     if memo is None:
         return graded_diff(pair, module, el, algebra)
-    key = (side, frozenset(el.terms.items()))
-    hit = memo.get(key)
+    if side not in memo:
+        memo[side] = (_effective_module(module, algebra), {})
+    effective, cache = memo[side]
+    key = frozenset(el.terms.items())
+    hit = cache.get(key)
     if hit is None:
-        hit = memo[key] = graded_diff(pair, module, el, algebra)
+        hit = cache[key] = _diff(pair, effective, el, algebra)
     return hit
 
 
@@ -587,10 +597,10 @@ class VerifyReport:
     def ok(self):
         return not self.violations
 
-    def add_violation(self, n, tuple_keys, witness):
+    def add_violation(self, n, tuple_keys, witness, identity=None):
         key, val = witness
         self.violations.append({
-            "identity": self.identity,
+            "identity": identity or self.identity,
             "n": n,
             "tuple": tuple_keys,
             "witness": repr(key),
@@ -602,21 +612,25 @@ class VerifyReport:
             self.identity, self.checked, len(self.violations))
 
 
+def _forms(dim_g: int, degree_cap: int):
+    """Basis forms of Lambda g* up to the degree cap, in sweep order."""
+    return [gt for k in range(min(degree_cap, dim_g) + 1)
+            for gt in exterior_basis(dim_g, k)]
+
+
 def _basis_elements(pair: LiePair, mdim: int, degree_cap: int,
                     algebra: GAlgebra = None):
     """Basis-decomposable elements of Lambda g* (x) M (x C) up to degree cap,
     for an mdim-dimensional M."""
     cdim = algebra.dim if algebra is not None else None
     out = []
-    for k in range(min(degree_cap, pair.dim_g) + 1):
-        for gt in exterior_basis(pair.dim_g, k):
-            for e in range(mdim):
-                if cdim is None:
-                    out.append(GradedElement.basis(pair, mdim, gt, e))
-                else:
-                    for c in range(cdim):
-                        out.append(GradedElement.basis(pair, mdim, gt, e,
-                                                       cdim, c))
+    for gt in _forms(pair.dim_g, degree_cap):
+        for e in range(mdim):
+            if cdim is None:
+                out.append(GradedElement.basis(pair, mdim, gt, e))
+            else:
+                for c in range(cdim):
+                    out.append(GradedElement.basis(pair, mdim, gt, e, cdim, c))
     return out
 
 
@@ -632,14 +646,174 @@ def basis_elements_w(tower: BracketTower, degree_cap: int,
     return _basis_elements(tower.pair, tower.module.dim, degree_cap, algebra)
 
 
-def _sweep(tower: BracketTower, identity, max_n, vs, last, residual,
-           algebra: GAlgebra = None) -> VerifyReport:
-    """Residual sweep over every basis tuple of arity n <= max_n whose first
-    n - 1 entries come from vs and whose last entry comes from last.
+# -- factoring through Omega_A-multilinearity ------------------------------------
+
+
+def _wedge(omega, el: GradedElement, sign=1) -> GradedElement:
+    """sign * omega ^ el: the sorted form tuple omega wedged onto the left of
+    every term of el."""
+    out = GradedElement(el.pair, el.mdim, el.cdim)
+    for key, val in el.terms.items():
+        step = merge_sign(omega, key[0])
+        if step is not None:
+            out.terms[(step[1],) + key[1:]] = \
+                val if sign * step[0] > 0 else -val
+    return out
+
+
+def _decorated(forms, pools, nonzero, dim_g):
+    """Decide the tuples that carry forms from their degree-0 residuals.
+
+    Write omega.x for x with the form omega wedged onto the left of its terms,
+    and Omega = omega_1 ^ ... ^ omega_n, merged left to right.  Two facts hold
+    whatever the tower tensors are (_lemma_failures checks both exactly):
+
+      (D) d(omega.x) = d(omega).x + (-1)^|omega| omega.d(x);
+      (C) _contract(.., omega.x_i, ..) = (-1)^(|omega| (s_i + |x_1| + .. +
+          |x_(i-1)|)) omega._contract(x), with s_i = 1 when position i is
+          signed: the forms are merged left to right, so omega passes the
+          forms of the earlier arguments and nothing else.
+
+    So on degree-0 entries b_i every residual R factors through the wedge:
+    R(omega_1.b_1, .., omega_n.b_n) = s * Omega ^ R(b_1, .., b_n), and the
+    d(omega) terms cancel by the Leibniz rule of d on Lambda g*.  The sign s
+    depends only on the form degrees k_i:
+
+      * generalized Jacobi (leibniz_residual, module_residual), s = +1.
+        lambda_k and mu_k sign every position and their tensors carry one
+        form, so pulling Omega_in out of an inner bracket costs
+        (-1)^|Omega_in|, pulling Omega out of the outer one (-1)^|Omega|, and
+        passing the later omegas over the inner bracket's form
+        (-1)^(k_(k+1) + .. + k_n).  Reordering the shuffled omegas costs the
+        Koszul sign of the shuffle, which cancels the one in the sum.  With
+        the front sign (-1)^(front degrees) the exponents add to 2|Omega|.
+      * skew-symmetry homotopy, s = (-1)^k_2.  The binary bracket signs
+        position 1, so <omega_1.b_1, omega_2.b_2> = (-1)^k_2 Omega ^
+        <b_1, b_2>, and the swapped term times tau(k_1, k_2) =
+        (-1)^((k_1 + 1)(k_2 + 1)) is (-1)^k_2 tau(0, 0) Omega ^ <b_2, b_1>.
+        theta signs position 0: theta(omega_1.b_1, omega_2.b_2) =
+        (-1)^k_1 Omega ^ theta(b_1, b_2), d adds (-1)^|Omega| by (D), and in
+        theta(d(omega_1.b_1), .) and theta(., d(omega_2.b_2)) the signs of d
+        and of passing omega_2 over the form of d(b_1) bring each term to
+        (-1)^k_2 times its degree-0 value.
+      * Jacobi homotopy, s = (-1)^k_1.  The three nested binary terms and
+        the four xi terms (xi signs positions 0 and 2) each come to (-1)^k_1
+        times their degree-0 value in the same way, tau sign included.
+
+    The witness loops report only the first failing tuple in product order.
+    An element's index there is (form index) * (pool size) + (pool index), so
+    a tuple with forms comes after its degree-0 part, which fails whenever
+    it does: they walk degree-0 tuples alone.
+
+    The entries come from forms x pools[i], in that order; nonzero maps a
+    tuple of pool indices to its nonzero degree-0 generalized-Jacobi residual
+    (forms of degree 2).  Yields (form indices, pool indices, residual) for
+    every tuple with a nonzero residual (s = +1), in product order.  Tuples
+    whose degree-0 residual is zero are never visited.
+    """
+    n = len(pools)
+    nexts = {}
+    for bs in nonzero:
+        for p in range(n):
+            nexts.setdefault(bs[:p], set()).add(bs[p])
+    nexts = {prefix: sorted(bs) for prefix, bs in nexts.items()}
+
+    def walk(fs, bs, merged, sign):
+        if len(bs) == n:
+            res = _wedge(merged, nonzero[bs], sign)
+            if not res.is_zero():
+                yield fs, bs, res
+            return
+        following = nexts.get(bs)
+        if not following:
+            return
+        for f, form in enumerate(forms):
+            step = merge_sign(merged, form)
+            if step is None or len(step[1]) + 2 > dim_g:
+                continue
+            for b in following:
+                yield from walk(fs + (f,), bs + (b,), step[1], sign * step[0])
+
+    return walk((), (), (), 1)
+
+
+def _lemma_failures(pair, forms, sides, brackets, memo, algebra=None):
+    """Check the two facts behind _decorated exactly; return the first
+    failure of each as (lemma, arity, where, residual).
+
+    graded_diff_derivation is (D) for every basis form omega of positive
+    degree in forms and every basis element x up to the cap of each side in
+    sides, a list of (side, module).  contract_form_linearity is (C) for
+    every bracket in brackets, a list of (name, signed positions,
+    bracket(args, memo), side of each argument), in every position and for
+    every such omega, on two argument tuples: the degree-0 basis elements of
+    each position's side summed with distinct coefficients, and the same
+    tuple with its first entry wedged onto the first basis 1-form.  Nothing
+    is checked when forms has degree 0 only.
+    """
+    omegas = [w for w in forms if w]
+    if not omegas:
+        return []
+    cap = len(forms[-1])
+    trivial = trivial_module(pair.dim_g, 1)
+
+    def derivation():
+        for side, module in sides:
+            for x in _basis_elements(pair, module.dim, cap, algebra):
+                dx = _memo_diff(memo, side, pair, module, x, algebra)
+                for w in omegas:
+                    res = _memo_diff(memo, side, pair, module, _wedge(w, x),
+                                     algebra)
+                    res = res - _wedge(w, dx, -1 if len(w) % 2 else 1)
+                    for dw, _, _, c in _ce_terms(pair, trivial, w, (), 0):
+                        res = res - _wedge(dw, x).scale(c)
+                    if not res.is_zero():
+                        yield 1, [w, x.first_term()[0]], res
+
+    def sums(module):
+        cdim = algebra.dim if algebra is not None else None
+        terms = {next(iter(el.terms)): GaussScalar(i + 1) for i, el in
+                 enumerate(_basis_elements(pair, module.dim, 0, algebra))}
+        return GradedElement(pair, module.dim, cdim, terms)
+
+    def linearity():
+        full = {side: sums(module) for side, module in sides}
+        for name, signed, bracket, arg_sides in brackets:
+            plain = [full[side] for side in arg_sides]
+            for args in (plain, [_wedge(omegas[0], plain[0])] + plain[1:]):
+                base = bracket(args, memo)
+                before = 0
+                for i, arg in enumerate(args):
+                    for w in omegas:
+                        odd = len(w) * ((i in signed) + before) % 2
+                        res = bracket(args[:i] + [_wedge(w, arg)] + args[i + 1:],
+                                      memo) - _wedge(w, base, -1 if odd else 1)
+                        if not res.is_zero():
+                            yield len(args), [name, i, w], res
+                    before += arg.degree()
+
+    out = []
+    for lemma, found in (("graded_diff_derivation", derivation()),
+                         ("contract_form_linearity", linearity())):
+        hit = next(found, None)
+        if hit is not None:
+            out.append((lemma,) + hit)
+    return out
+
+
+def _sweep(tower: BracketTower, identity, max_n, degree_cap, last, residual,
+           brackets, algebra: GAlgebra = None) -> VerifyReport:
+    """Residual sweep over every basis tuple of arity n <= max_n up to the
+    degree cap whose first n - 1 entries are B-valued and whose last entry
+    lies on last = (side, module).
 
     residual(args, memo) evaluates one tuple; memo lives for this sweep only
-    (see _memo_diff).  A residual has form degree two above its arguments'
-    sum, so a tuple that would land above dim g is counted but skipped.
+    (see _memo_diff).  Each residual is evaluated once per degree-0 tuple and
+    every tuple with forms is decided through the wedge (see _decorated), so
+    checked counts the tuples by arithmetic.  The two lemmas the factoring
+    rests on are checked first, over the brackets named in brackets (see
+    _lemma_failures); a failing lemma is reported as a violation under its
+    own name.
     """
     if max_n > tower.depth:
         raise ArityBeyondTower("max_n %d exceeds tower depth %d"
@@ -647,17 +821,32 @@ def _sweep(tower: BracketTower, identity, max_n, vs, last, residual,
     if algebra is not None:
         AlgebraExtension(tower, algebra)  # validates
     report = VerifyReport(identity)
-    dim_g = tower.pair.dim_g
+    pair = tower.pair
     memo = {}
+    forms = _forms(pair.dim_g, degree_cap)
+    sides = [("v", pair.quotient_module())]
+    if last[0] != "v":
+        sides.append(last)
+    for lemma, n, where, res in _lemma_failures(pair, forms, sides, brackets,
+                                                memo, algebra):
+        report.add_violation(n, where, res.first_term(), lemma)
+    pools = {side: _basis_elements(pair, module.dim, 0, algebra)
+             for side, module in sides}
     for n in range(1, max_n + 1):
-        for args in product(*[vs] * (n - 1), last):
-            report.checked += 1
-            if sum(a.degree() for a in args) + 2 > dim_g:
-                continue
-            res = residual(list(args), memo)
-            if not res.is_zero():
-                report.add_violation(n, [a.first_term()[0] for a in args],
-                                     res.first_term())
+        args_pools = [pools["v"]] * (n - 1) + [pools[last[0]]]
+        report.checked += len(forms) ** n * prod(map(len, args_pools))
+        nonzero = {}
+        # a residual has form degree two above its arguments' sum
+        if pair.dim_g >= 2:
+            for idx in product(*[range(len(p)) for p in args_pools]):
+                res = residual([p[i] for p, i in zip(args_pools, idx)], memo)
+                if not res.is_zero():
+                    nonzero[idx] = res
+        for fs, bs, res in _decorated(forms, args_pools, nonzero, pair.dim_g):
+            report.add_violation(
+                n, [(forms[f],) + next(iter(p[b].terms))[1:]
+                    for f, b, p in zip(fs, bs, args_pools)],
+                res.first_term())
     return report
 
 
@@ -667,11 +856,11 @@ def verify_leibniz(tower: BracketTower, max_n: int, degree_cap: int,
 
     Multilinearity makes basis tuples a complete check at each degree profile.
     """
-    vs = basis_elements_v(tower, degree_cap, algebra)
-    return _sweep(tower, "leibniz", max_n, vs, vs,
+    return _sweep(tower, "leibniz", max_n, degree_cap,
+                  ("v", tower.pair.quotient_module()),
                   lambda args, memo: leibniz_residual(tower, args, algebra,
                                                       memo),
-                  algebra)
+                  _lambda_brackets(tower, max_n, algebra), algebra)
 
 
 def verify_module(tower: BracketTower, max_n: int, degree_cap: int,
@@ -679,12 +868,24 @@ def verify_module(tower: BracketTower, max_n: int, degree_cap: int,
     """Sweep of the module identity over (V, ..., V, W) basis tuples."""
     if tower.module is None:
         raise ValueError("tower was built without a module side")
-    return _sweep(tower, "leibniz_module", max_n,
-                  basis_elements_v(tower, degree_cap, algebra),
-                  basis_elements_w(tower, degree_cap, algebra),
+    brackets = _lambda_brackets(tower, max_n, algebra) + [
+        ("mu_%d" % k, range(k),
+         lambda args, memo: mu_k(tower, args[:-1], args[-1], algebra, memo),
+         ["v"] * (k - 1) + ["w"])
+        for k in range(2, max_n + 1)]
+    return _sweep(tower, "leibniz_module", max_n, degree_cap,
+                  ("w", tower.module),
                   lambda args, memo: module_residual(tower, args[:-1], args[-1],
                                                      algebra, memo),
-                  algebra)
+                  brackets, algebra)
+
+
+def _lambda_brackets(tower, max_n, algebra):
+    """lambda_2 .. lambda_max_n as _lemma_failures brackets: every position is
+    signed."""
+    return [("lambda_%d" % k, range(k),
+             lambda args, memo: lambda_k(tower, args, algebra, memo), ["v"] * k)
+            for k in range(2, max_n + 1)]
 
 
 # -- tensor-level proof identities ----------------------------------------------------
@@ -819,64 +1020,63 @@ def check_proof_identities(tower: BracketTower,
     for n, residual in coherence.items():
         record("shuffle_coherence_n%d" % n, residual)
 
-    # homotopy witnesses on decomposables up to the degree cap; a residual
-    # of degree above dim g vanishes, so those tuples are skipped
+    # homotopy witnesses on decomposables up to the degree cap: given the two
+    # lemmas checked here, the first failing tuple is a degree-0 one (see
+    # _decorated), where every tau sign is -1
     cap = min(witness_degree_cap, pair.dim_g)
-    elements = basis_elements_v(tower, cap)
     b_module = pair.quotient_module()
+    basis = _basis_elements(pair, nb, 0)
     memo = {}
 
     def diff(el):
         return _memo_diff(memo, "v", pair, b_module, el)
 
-    diffs = [diff(el) for el in elements]
+    diffs = [diff(el) for el in basis]
+    brackets = [
+        ("two_bracket", (1,),
+         lambda args, memo: two_bracket(tower, *args), ["v"] * 2),
+        ("theta_witness", (0,),
+         lambda args, memo: theta_witness(tower, *args), ["v"] * 2)]
+    if tower.depth >= 3:
+        brackets.append(("xi_witness", (0, 2),
+                         lambda args, memo: xi_witness(tower, *args),
+                         ["v"] * 3))
+    for lemma, _, where, res in _lemma_failures(
+            pair, _forms(pair.dim_g, cap), [("v", b_module)], brackets, memo):
+        results.append((lemma, False, (where, res.first_term())))
 
-    def first_witness(residuals):
+    def skew_residual(i1, i2):
+        v1, v2 = basis[i1], basis[i2]
+        lhs = two_bracket(tower, v1, v2) - two_bracket(tower, v2, v1)
+        rhs = diff(theta_witness(tower, v1, v2)) \
+            + theta_witness(tower, diffs[i1], v2) \
+            - theta_witness(tower, v1, diffs[i2])
+        return lhs - rhs
+
+    def jacobi_residual(i0, i1, i2):
+        v0, v1, v2 = basis[i0], basis[i1], basis[i2]
+        lhs = two_bracket(tower, two_bracket(tower, v0, v1), v2) \
+            - two_bracket(tower, v0, two_bracket(tower, v1, v2)) \
+            - two_bracket(tower, v1, two_bracket(tower, v0, v2))
+        rhs = diff(xi_witness(tower, v0, v1, v2)) \
+            + xi_witness(tower, diffs[i0], v1, v2) \
+            - xi_witness(tower, v0, diffs[i1], v2) \
+            + xi_witness(tower, v0, v1, diffs[i2])
+        return lhs - rhs
+
+    def first_witness(residual, n, extra):
+        """First nonzero residual, of form degree extra above the arguments'
+        sum, over the degree-0 n-tuples in product order."""
+        if extra > pair.dim_g:
+            return None
+        residuals = (residual(*idx) for idx in product(range(nb), repeat=n))
         return next((r.first_term() for r in residuals if not r.is_zero()),
                     None)
 
-    def skew_residuals():
-        for i1, v1 in enumerate(elements):
-            for i2, v2 in enumerate(elements):
-                k1, k2 = v1.degree(), v2.degree()
-                if k1 + k2 + 1 > pair.dim_g:
-                    continue
-                lhs = two_bracket(tower, v1, v2)
-                tau_sign = -1 if ((k1 + 1) * (k2 + 1)) % 2 else 1
-                swapped = two_bracket(tower, v2, v1)
-                lhs = lhs + (swapped if tau_sign > 0 else -swapped)
-                rhs = diff(theta_witness(tower, v1, v2))
-                rhs = rhs + theta_witness(tower, diffs[i1], v2)
-                second = theta_witness(tower, v1, diffs[i2])
-                rhs = rhs + (second if (k1 + 1) % 2 == 0 else -second)
-                yield lhs - rhs
-
-    def jacobi_residuals():
-        for i0, v0 in enumerate(elements):
-            k0 = v0.degree()
-            for i1, v1 in enumerate(elements):
-                k1 = v1.degree()
-                tau_sign = -1 if ((k0 + 1) * (k1 + 1)) % 2 else 1
-                bracket_01 = two_bracket(tower, v0, v1)
-                for i2, v2 in enumerate(elements):
-                    if k0 + k1 + v2.degree() + 2 > pair.dim_g:
-                        continue
-                    lhs = -two_bracket(tower, v0, two_bracket(tower, v1, v2))
-                    lhs = lhs + two_bracket(tower, bracket_01, v2)
-                    third = two_bracket(tower, v1, two_bracket(tower, v0, v2))
-                    lhs = lhs + (third if tau_sign > 0 else -third)
-                    rhs = diff(xi_witness(tower, v0, v1, v2))
-                    rhs = rhs + xi_witness(tower, diffs[i0], v1, v2)
-                    t2 = xi_witness(tower, v0, diffs[i1], v2)
-                    rhs = rhs + (t2 if (k0 + 1) % 2 == 0 else -t2)
-                    t3 = xi_witness(tower, v0, v1, diffs[i2])
-                    rhs = rhs + (t3 if (k0 + k1) % 2 == 0 else -t3)
-                    yield lhs - rhs
-
-    witness = first_witness(skew_residuals())
+    witness = first_witness(skew_residual, 2, 1)
     results.append(("skew_symmetry_homotopy", witness is None, witness))
     if tower.depth >= 3:
-        witness = first_witness(jacobi_residuals())
+        witness = first_witness(jacobi_residual, 3, 2)
         results.append(("jacobi_homotopy", witness is None, witness))
     return results
 

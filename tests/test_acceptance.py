@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line (visible with pytest -s or on failure)
 and enforces its wall-clock budget on top of exactness.
 """
 
+import json
 import random
 import time
 
@@ -27,6 +28,7 @@ from liepairs.ce import (
     diff_matrix,
     is_cocycle,
 )
+from liepairs.cli import EXIT_OK, main
 from liepairs.homotopy import (
     GradedElement,
     build_tower,
@@ -531,3 +533,20 @@ def test_criterion_9_mutation_sensitivity(u2t2, bialgebra_sum):
 
     assert total >= 50 and detected == total
     budget.done("%d/%d mutations detected" % (detected, total))
+
+
+def test_criterion_10_gl3_verify_end_to_end(capsys, tmp_path):
+    # gl(3) = u(3) + t(3) with the matrix_mult connection: 737,190 Leibniz
+    # tuples at cap 1, decided from 819 degree-0 residuals
+    assert main(["zoo", "export", "gl3"]) == EXIT_OK
+    path = tmp_path / "gl3.json"
+    path.write_text(capsys.readouterr().out)
+    budget = Budget("10 gl(3) verify end to end", 30.0)
+    code = main(["verify", "--input", str(path), "--connection", "matrix_mult",
+                 "--depth", "4", "--max-n", "3", "--degree-cap", "1", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK and report["ok"]
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["leibniz_sweep"]["detail"] == "737190 tuples"
+    assert checks["jacobi_homotopy"]["status"] == "pass"
+    budget.done("%d checks pass" % len(checks))

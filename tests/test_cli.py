@@ -41,6 +41,20 @@ def test_zoo_list(capsys):
     assert "sl2" in names and "u2t2" in names and "random" in names
 
 
+def test_zoo_gl3_exports_and_validates(capsys, tmp_path):
+    code, out, _ = run(capsys, ["zoo", "list"])
+    assert "gl3" in out.split()
+    path = export(capsys, tmp_path, "gl3")
+    doc = json.loads(path.read_text())
+    assert (doc["dim"], doc["dim_g"]) == (18, 9)
+    assert list(doc["modules"]) == ["B"]
+    assert list(doc["connection"]) == ["matrix_mult"]
+    code, out, _ = run(capsys, ["validate", "--input", str(path), "--json"])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["ok"] and len(report["checks"]) == 6
+
+
 def test_validate_ok_and_exit_codes(capsys, tmp_path):
     path = export(capsys, tmp_path, "sl2")
     code, out, _ = run(capsys, ["validate", "--input", str(path)])

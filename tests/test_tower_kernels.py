@@ -1,7 +1,9 @@
 """Differential tests for the nonzero-driven tower kernels, the shared
 contraction kernel behind the brackets, the degree skip in the
-homotopy-witness loops, the scope of the sweep memo and the identity layer
-(one generalized-Jacobi sum, one sweep loop, one differential path).
+homotopy-witness loops, the scope of the sweep memo, the identity layer
+(one generalized-Jacobi sum, one sweep loop, one differential path) and the
+factoring of the sweeps and witness loops through the wedge, with the two
+lemma checks it rests on.
 
 The loops the kernels replaced are kept here as oracles: the dense ones visit
 every entry of their output or their input, as the library once did, the
@@ -18,6 +20,7 @@ from liepairs.atiyah import end_connection, extend_by_zero
 from liepairs.ce import Cochain, ce_diff
 from liepairs.homotopy import (
     _add_permuted,
+    _wedge,
     basis_elements_v,
     basis_elements_w,
     build_tower,
@@ -740,8 +743,13 @@ def test_skipped_witness_tuples_have_zero_residual(cap):
 
 
 def test_witness_loops_evaluate_exactly_the_unskipped_tuples(monkeypatch):
-    # each evaluated pair calls theta_witness three times and each evaluated
-    # triple calls xi_witness four times; on a passing tower no loop breaks
+    # the loops evaluate degree-0 tuples only (a tuple with forms can fail
+    # only after its degree-0 part, see homotopy._decorated): each degree-0
+    # pair calls theta_witness three times
+    # and each degree-0 triple calls xi_witness four times.  The Omega-
+    # linearity lemma adds, for a bracket of arity k, two argument tuples of
+    # one unwedged call plus one call per position and basis form of
+    # positive degree.  On a passing tower no loop breaks.
     import liepairs.homotopy as homotopy
 
     calls = {"theta": 0, "xi": 0}
@@ -757,14 +765,14 @@ def test_witness_loops_evaluate_exactly_the_unskipped_tuples(monkeypatch):
     monkeypatch.setattr(homotopy, "xi_witness", counting("xi", xi_witness))
     fx = gl_un_tn(2)
     tower = build_tower(fx.pair, fx.conn_zero, depth=3)
-    for cap in (1, 2):
+    # u2t2 has dim B = 4 and dim g = 4: 4 forms of degree 1, 6 of degree 2
+    for cap, forms in ((1, 4), (2, 10)):
         calls.update(theta=0, xi=0)
         assert all(ok for _, ok, _ in check_proof_identities(tower, cap))
-        degrees = [v.degree() for v in basis_elements_v(tower, cap)]
-        pairs = sum(1 for a in degrees for b in degrees if a + b + 1 <= 4)
-        triples = sum(1 for a in degrees for b in degrees for c in degrees
-                      if a + b + c + 2 <= 4)
-        assert calls == {"theta": 3 * pairs, "xi": 4 * triples}, cap
+        lemma = {k: 2 * (1 + k * forms) for k in (2, 3)}
+        assert calls == {"theta": 3 * 4 ** 2 + lemma[2],
+                         "xi": 4 * 4 ** 3 + lemma[3]}, cap
+    assert calls == {"theta": 90, "xi": 318}
 
 
 def test_witness_loops_still_catch_a_corrupted_tower():
@@ -1092,3 +1100,161 @@ def test_nested_binary_coherence_is_shuffle_coherence_at_arity_three():
         ok = expected.is_zero()
         assert verdicts["nested_binary_coherence"] == \
             (ok, None if ok else expected.first_nonzero()), name
+
+
+# -- the factored witness loops and the lemmas behind them ----------------------------
+
+
+def oracle_witness_entries(tower, cap, limit=None):
+    """The skew and Jacobi entries as the witness loops once recorded them:
+    every tuple up to the cap that the degree rule keeps, evaluated in product
+    order until the first nonzero residual.
+
+    Where the full walk would take too long, limit keeps the first limit
+    tuples in product order and a seeded sample of limit of the rest, so an
+    early first witness is still the first one."""
+    pair = tower.pair
+    elements = basis_elements_v(tower, min(cap, pair.dim_g))
+    diffs = [graded_diff(pair, pair.quotient_module(), el) for el in elements]
+    degrees = [el.degree() for el in elements]
+
+    def first(residual, n, extra):
+        tuples = [t for t in product(range(len(elements)), repeat=n)
+                  if sum(degrees[i] for i in t) + extra <= pair.dim_g]
+        if limit is not None and len(tuples) > 2 * limit:
+            rest = random.Random(7).sample(tuples[limit:], limit)
+            tuples = tuples[:limit] + sorted(rest)
+        for t in tuples:
+            res = residual(tower, elements, diffs, *t)
+            if not res.is_zero():
+                return res.first_term()
+        return None
+
+    entries = [("skew_symmetry_homotopy", first(skew_residual, 2, 1))]
+    if tower.depth >= 3:
+        entries.append(("jacobi_homotopy", first(jacobi_residual, 3, 2)))
+    return [(name, witness is None, witness) for name, witness in entries]
+
+
+@pytest.mark.parametrize("tower", [t for _, t in SWEEP_TOWERS], ids=SWEEP_IDS)
+def test_witness_loops_match_their_oracle_loops(tower):
+    # the other entries do not depend on the cap; at cap 0 no lemma runs.
+    # All eight R_2 and R_3 corruptions fail a witness loop (see below), and
+    # the first failing tuple is always a degree-0 one.
+    others = [entry for entry in check_proof_identities(tower, 0)
+              if entry[0] not in ("skew_symmetry_homotopy", "jacobi_homotopy")]
+    for cap in (1, 2):
+        # the u2t2 loops at cap 2 run 5,056 triples when nothing fails
+        limit = 600 if tower.pair.dim_g > 2 and cap > 1 else None
+        assert check_proof_identities(tower, cap) == \
+            others + oracle_witness_entries(tower, cap, limit), cap
+
+
+@pytest.mark.parametrize("name", [name for name, _ in SWEEP_TOWERS
+                                  if name.endswith(("_R2", "_R3"))])
+def test_witness_residuals_factor_through_the_wedge(name):
+    # the witness loops evaluate degree-0 tuples only; every cap-1 residual
+    # is (-1)^k_1 (omega_0 ^ omega_1 [^ omega_2]) ^ (its degree-0 residual),
+    # k_1 the degree of the second entry's form (see homotopy._decorated)
+    tower = dict(SWEEP_TOWERS)[name]
+    pair = tower.pair
+    elements = basis_elements_v(tower, 1)
+    diffs = [graded_diff(pair, pair.quotient_module(), el) for el in elements]
+    nb = pair.dim_b
+    failing = with_forms = 0
+    for residual, n in ((skew_residual, 2), (jacobi_residual, 3)):
+        degree_0 = {t: residual(tower, elements, diffs, *t)
+                    for t in product(range(nb), repeat=n)}
+        failing += any(not r.is_zero() for r in degree_0.values())
+        for t in product(range(len(elements)), repeat=n):
+            forms = [elements[i].first_term()[0][0] for i in t]
+            merged, sign = (), -1 if len(forms[1]) % 2 else 1
+            for form in forms:
+                step = merge_sign(merged, form)
+                if step is None:
+                    break
+                sign *= step[0]
+                merged = step[1]
+            res = residual(tower, elements, diffs, *t)
+            if step is None:
+                assert res.is_zero(), t
+                continue
+            expected = _wedge(merged, degree_0[tuple(i % nb for i in t)], sign)
+            assert res.terms == expected.terms, t
+            with_forms += bool(merged) and not res.is_zero()
+    assert failing
+    # on u2t2 (dim g = 4) 225 and 126 residuals with forms are nonzero; on
+    # the dim g = 2 pairs most of them lie above the top degree
+    assert with_forms or pair.dim_g == 2
+
+
+def flip_odd_action_sign(ce_terms):
+    """_ce_terms with the sign (-1)^|omega| of the action term flipped on
+    odd-degree forms: all terms negated, then the bracket terms, which the
+    trivial module yields alone, added back twice."""
+    def mutated(pair, module, gt, bt, e):
+        if len(gt) % 2 == 0:
+            yield from ce_terms(pair, module, gt, bt, e)
+            return
+        for J, bt_out, e_out, c in ce_terms(pair, module, gt, bt, e):
+            yield J, bt_out, e_out, -c
+        for J, bt_out, _, c in ce_terms(pair, trivial_module(pair.dim_g, 1),
+                                        gt, bt, 0):
+            yield J, bt_out, e, c + c
+    return mutated
+
+
+def drop_first_signed(contract):
+    """_contract that forgets the first of its signed positions."""
+    def mutated(slices, args, signed, mdim, algebra=None):
+        return contract(slices, args, tuple(signed)[1:], mdim, algebra)
+    return mutated
+
+
+@pytest.mark.parametrize("target, mutation, lemma", [
+    ("_ce_terms", flip_odd_action_sign, "graded_diff_derivation"),
+    ("_contract", drop_first_signed, "contract_form_linearity"),
+], ids=["derivation", "linearity"])
+def test_lemma_checks_catch_sign_mutations(monkeypatch, target, mutation,
+                                           lemma):
+    import liepairs.homotopy as homotopy
+
+    fx = gl_un_tn(2)
+    tower = build_tower(fx.pair, fx.conn_mult, depth=3, module=fx.module_b,
+                        conn_e=fx.conn_mult)
+    for report in (verify_leibniz(tower, 2, 1), verify_module(tower, 2, 1)):
+        assert report.ok
+    assert all(ok for _, ok, _ in check_proof_identities(tower, 1))
+    monkeypatch.setattr(homotopy, target, mutation(getattr(homotopy, target)))
+    for report in (verify_leibniz(tower, 2, 1), verify_module(tower, 2, 1)):
+        assert report.violations[0]["identity"] == lemma
+    failed = [name for name, ok, _ in check_proof_identities(tower, 1)
+              if not ok]
+    assert lemma in failed
+    # at cap 0 there is nothing to factor and no lemma runs
+    assert all(v["identity"] != lemma
+               for v in verify_leibniz(tower, 2, 0).violations)
+
+
+def test_effective_module_is_resolved_once_per_sweep_side(monkeypatch):
+    import liepairs.homotopy as homotopy
+
+    calls = []
+
+    def counting(*mods):
+        calls.append(len(mods))
+        return tensor_module(*mods)
+
+    monkeypatch.setattr(homotopy, "tensor_module", counting)
+    fx = gl_un_tn(2)
+    tower = build_tower(fx.pair, fx.conn_mult, depth=3, module=fx.module_b,
+                        conn_e=fx.conn_mult)
+    algebra = dual_numbers_algebra(fx.pair.dim_g)
+    for sweep, sides in ((verify_leibniz, 1), (verify_module, 2)):
+        for cap in (0, 1):
+            del calls[:]
+            assert sweep(tower, 3, cap, algebra).ok
+            assert len(calls) == sides, (sweep.__name__, cap)
+    del calls[:]
+    check_proof_identities(tower, 1)
+    assert not calls
