@@ -4,10 +4,15 @@ A Cochain of bidegree (k, l) stores a dense coefficient tensor over
 (sorted exterior multi-index of g, length-l tuple of B indices, E index).
 The differential follows the usual alternating-sum formula, with the module
 action on the value and on every B-slot folded in.  It is applied entry by
-entry to the input's nonzeros, so its cost follows the input's sparsity.
+entry to the input's nonzeros, so its cost follows the input's sparsity.  A
+sum of mostly-zero cochains can be accumulated in a SparseCochain instead,
+through the same kernels.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
+from operator import mul
 
 from .lie_core import GModule, LiePair
 from .linalg import Matrix, nullspace_basis, rref, solve, vec_is_zero
@@ -63,17 +68,8 @@ class Cochain:
 
     def iter_nonzero(self):
         """Yields (g_tuple, b_tuple, e, coeff) over nonzero entries."""
-        gb = self.g_basis()
-        bts = tensor_tuples(self.pair.dim_b, self.l)
-        dim_e = self.module.dim
-        pos = 0
-        for gt in gb:
-            for bt in bts:
-                for e in range(dim_e):
-                    c = self.data[pos]
-                    if not c.is_zero():
-                        yield gt, bt, e, c
-                    pos += 1
+        return _decoded(self, ((pos, c) for pos, c in enumerate(self.data)
+                               if not c.is_zero()))
 
     # -- structure ------------------------------------------------------------
 
@@ -115,36 +111,83 @@ class Cochain:
             raise ValueError("cochain shape mismatch")
 
     def first_nonzero(self):
-        for gt, bt, e, c in self.iter_nonzero():
-            return {"g": gt, "b": bt, "e": e, "value": str(c)}
-        return None
+        return _first_entry(self.iter_nonzero())
 
     def permute_b_args(self, perm):
         """New cochain w'(...; b_1..b_l) = w(...; b_perm(1)..b_perm(l))."""
         out = Cochain(self.pair, self.module, self.k, self.l)
-        for pos, v in _permuted_nonzeros(self, perm):
-            out.data[pos] = v
+        _add_permuted(out, self, perm)
         return out
 
 
-def _permuted_nonzeros(w: Cochain, perm):
-    """Yield (position in w.permute_b_args(perm), value) over w's nonzeros.
+class SparseCochain:
+    """A cochain kept as a map from flat position to value, for sums whose
+    terms are mostly zero.  It has Cochain's shape attributes and
+    iter_nonzero, so the kernels below read and write either kind."""
 
-    The entry of w at b-tuple s lands at the t with t[perm[i]] = s[i].
-    """
+    __slots__ = ("pair", "module", "k", "l", "data")
+
+    def __init__(self, pair: LiePair, module: GModule, k: int, l: int):
+        self.pair = pair
+        self.module = module
+        self.k = k
+        self.l = l
+        self.data = defaultdict(lambda: ZERO)
+
+    @classmethod
+    def of(cls, w: Cochain):
+        """The nonzeros of a dense cochain."""
+        out = cls(w.pair, w.module, w.k, w.l)
+        for pos, v in enumerate(w.data):
+            if not v.is_zero():
+                out.data[pos] = v
+        return out
+
+    def iter_nonzero(self):
+        """The same as Cochain.iter_nonzero on the same data: flat order."""
+        return _decoded(self, sorted((pos, c) for pos, c in self.data.items()
+                                     if not c.is_zero()))
+
+    def first_nonzero(self):
+        return _first_entry(self.iter_nonzero())
+
+
+def _decoded(w, items):
+    """(g_tuple, b_tuple, e, value) for each (flat position, value) of w."""
+    g_basis = exterior_basis(w.pair.dim_g, w.k)
+    bts = tensor_tuples(w.pair.dim_b, w.l)
+    b_radix, dim_e = len(bts), w.module.dim
+    for pos, c in items:
+        rest, e = divmod(pos, dim_e)
+        gi, bi = divmod(rest, b_radix)
+        yield g_basis[gi], bts[bi], e, c
+
+
+def _first_entry(entries):
+    """A nonzero cochain's witness: its first entry as a dict, or None."""
+    for gt, bt, e, c in entries:
+        return {"g": gt, "b": bt, "e": e, "value": str(c)}
+    return None
+
+
+# Each kernel below adds its image of w into total, a Cochain or a
+# SparseCochain of the image's shape, as total.data[pos] = total.data[pos] +
+# term over the nonzeros of w, so its cost follows those nonzeros.
+
+
+def _add_permuted(total, w, perm):
+    """total += w.permute_b_args(perm): the entry of w at b-tuple s lands at
+    the t with t[perm[i]] = s[i]."""
     if sorted(perm) != list(range(w.l)):
         raise ValueError("perm must be a permutation of the %d B-slots" % w.l)
     nb, dim_e = w.pair.dim_b, w.module.dim
     b_radix = nb ** w.l
+    g_index = exterior_index(w.pair.dim_g, w.k)
     weights = [nb ** (w.l - 1 - p) for p in perm]
-    bts = tensor_tuples(nb, w.l)
-    for pos, v in enumerate(w.data):
-        if v.is_zero():
-            continue
-        rest, e = divmod(pos, dim_e)
-        gi, bi = divmod(rest, b_radix)
-        ti = sum(x * wt for x, wt in zip(bts[bi], weights))
-        yield (gi * b_radix + ti) * dim_e + e, v
+    data = total.data
+    for gt, bt, e, v in w.iter_nonzero():
+        pos = (g_index[gt] * b_radix + sum(map(mul, bt, weights))) * dim_e + e
+        data[pos] = data[pos] + v
 
 
 def _ce_terms(pair: LiePair, module: GModule, gt, bt, e):
@@ -196,21 +239,26 @@ def _ce_terms(pair: LiePair, module: GModule, gt, bt, e):
                 yield J, bt, e, -coeff if (mx + my + q) % 2 else coeff
 
 
-def ce_diff(w: Cochain) -> Cochain:
-    """Exact degree-(k+1) image of the Chevalley-Eilenberg differential."""
+def _ce_into(total, w):
+    """total += d(w)."""
     pair = w.pair
     n, nb, dim_e = pair.dim_g, pair.dim_b, w.module.dim
-    out = Cochain(pair, w.module, w.k + 1, w.l)
     if w.k + 1 > n:
-        return out
+        return
     out_index = exterior_index(n, w.k + 1)
     b_index = {bt: bi for bi, bt in enumerate(tensor_tuples(nb, w.l))}
     b_radix = nb ** w.l
-    data = out.data
+    data = total.data
     for gt, bt, e, v in w.iter_nonzero():
         for J, bt_out, e_out, coeff in _ce_terms(pair, w.module, gt, bt, e):
             pos = (out_index[J] * b_radix + b_index[bt_out]) * dim_e + e_out
             data[pos] = data[pos] + coeff * v
+
+
+def ce_diff(w: Cochain) -> Cochain:
+    """Exact degree-(k+1) image of the Chevalley-Eilenberg differential."""
+    out = Cochain(w.pair, w.module, w.k + 1, w.l)
+    _ce_into(out, w)
     return out
 
 
@@ -253,9 +301,12 @@ def coboundary_primitive(w: Cochain):
 
 
 def cohomology_dim(pair: LiePair, module: GModule, k: int, l: int = 0) -> int:
-    """dim ker(d_k) - rank(d_(k-1))."""
-    if not 0 <= k <= pair.dim_g:
+    """dim ker(d_k) - rank(d_(k-1)); 0 above the top degree dim g, where
+    there are no cochains."""
+    if k < 0:
         raise ValueError("degree out of range")
+    if k > pair.dim_g:
+        return 0
     d_k = diff_matrix(pair, module, k, l)
     kernel = d_k.cols - rref(d_k)[2]
     if k == 0:

@@ -1,10 +1,11 @@
 """Command-line surface: batch validation and verification over JSON fixtures.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 unreadable or
-malformed input, an out-of-range flag, a `todd` request whose depth
-min(dim g, dim B) is above 8 (TODD_MAX_DEPTH), or a `tower`, `verify` or
-`symmetry` request whose largest dense tensor would have more than 2^22
-entries (TOWER_MAX_ENTRIES), 3 structurally valid input that fails
+malformed input (including a dimension that is not an integer >= 0, or a
+bracket table above 2^22 entries), an out-of-range flag, a `todd` request
+whose depth min(dim g, dim B) is above 8 (TODD_MAX_DEPTH), or a `tower`,
+`verify` or `symmetry` request whose largest dense tensor would have more
+than 2^22 entries (TOWER_MAX_ENTRIES), 3 structurally valid input that fails
 validation, 4 an internal invariant failure (an output the library guarantees
 closed failed its cocycle check: a bug in liepairs, not bad input).  Output
 is deterministic; --json disables the timing line so identical inputs give
@@ -30,7 +31,13 @@ from .atiyah import (
     todd_class,
 )
 from .ce import ce_diff, cohomology_dim
-from .fixture_io import Fixture, ParseError, dump_fixture, load_fixture
+from .fixture_io import (
+    MAX_DENSE_ENTRIES,
+    Fixture,
+    ParseError,
+    dump_fixture,
+    load_fixture,
+)
 from .homotopy import (
     build_tower,
     check_proof_identities,
@@ -73,8 +80,9 @@ TODD_MAX_DEPTH = 8
 
 # Tower tensors are dense with dim_b^depth-fold growth; a request whose largest
 # tensor would exceed this many entries is refused before anything is built.
-# gl(3) verify --depth 4 needs 2.1 M.
-TOWER_MAX_ENTRIES = 2 ** 22
+# gl(3) verify --depth 4 needs 2.1 M.  The fixture loader refuses a bracket
+# table above the same cap.
+TOWER_MAX_ENTRIES = MAX_DENSE_ENTRIES
 
 
 class ValidationFailure(Exception):

@@ -8,8 +8,10 @@ Schema:
     "algebra": {name: {"dim": d, "action": [...], "mult": [[i, j, [coeffs]], ...]}} }
 
 Scalars are strings "a/b" or "a/b+c/d*i"; plain integers are accepted.
-Structural problems raise ParseError; mathematical invalidity is the
-validators' business, not the loader's.
+Every "dim" is a JSON integer >= 0, and a fixture whose dense bracket table
+(dim^3 structure constants) would exceed MAX_DENSE_ENTRIES is refused before
+it is allocated.  Structural problems raise ParseError; mathematical
+invalidity is the validators' business, not the loader's.
 """
 
 from __future__ import annotations
@@ -19,8 +21,22 @@ from .linalg import Matrix
 from .scalars import GaussScalar, format_scalar, parse_scalar
 
 
+# The largest dense table one request may allocate; the CLI applies the same
+# cap to tower tensors (cli.TOWER_MAX_ENTRIES).
+MAX_DENSE_ENTRIES = 2 ** 22
+
+
 class ParseError(Exception):
     """Malformed fixture JSON (structure or scalar syntax)."""
+
+
+def _dimension(spec, key, owner):
+    """spec[key] as a dimension: an int, not a bool, and >= 0."""
+    value = spec.get(key)
+    if type(value) is not int or value < 0:
+        raise ParseError("%s needs a non-negative integer %r, got %r"
+                         % (owner, key, value))
+    return value
 
 
 def _scalar(value):
@@ -75,13 +91,13 @@ class Fixture:
 def load_fixture(doc) -> Fixture:
     if not isinstance(doc, dict):
         raise ParseError("fixture must be a JSON object")
-    try:
-        dim = int(doc["dim"])
-        dim_g = int(doc["dim_g"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("fixture needs integer fields 'dim' and 'dim_g'")
-    if not 0 <= dim_g <= dim:
+    dim = _dimension(doc, "dim", "fixture")
+    dim_g = _dimension(doc, "dim_g", "fixture")
+    if dim_g > dim:
         raise ParseError("dim_g out of range")
+    if dim ** 3 > MAX_DENSE_ENTRIES:
+        raise ParseError("'dim' %d needs a bracket table of %d entries, above "
+                         "%d" % (dim, dim ** 3, MAX_DENSE_ENTRIES))
     algebra = LieAlgebra.zero(dim)
     seen = set()
     for entry in doc.get("bracket", []):
@@ -108,10 +124,7 @@ def load_fixture(doc) -> Fixture:
     for name, spec in mods.items():
         if not isinstance(spec, dict):
             raise ParseError("module %r must be an object" % name)
-        try:
-            mdim = int(spec["dim"])
-        except (KeyError, TypeError, ValueError):
-            raise ParseError("module %r needs an integer 'dim'" % name)
+        mdim = _dimension(spec, "dim", "module %r" % name)
         action = spec.get("action", [])
         if not isinstance(action, list) or len(action) != dim_g:
             raise ParseError("module %r needs %d action matrices"
@@ -140,10 +153,7 @@ def load_fixture(doc) -> Fixture:
     for name, spec in alg_doc.items():
         if not isinstance(spec, dict):
             raise ParseError("algebra %r must be an object" % name)
-        try:
-            adim = int(spec["dim"])
-        except (KeyError, TypeError, ValueError):
-            raise ParseError("algebra %r needs an integer 'dim'" % name)
+        adim = _dimension(spec, "dim", "algebra %r" % name)
         action = spec.get("action", [])
         if not isinstance(action, list) or len(action) != dim_g:
             raise ParseError("algebra %r needs %d action matrices"

@@ -16,7 +16,14 @@ from itertools import product
 from math import prod
 
 from .atiyah import Connection, atiyah_cocycle, curvature, end_connection
-from .ce import Cochain, _ce_terms, _permuted_nonzeros, ce_diff
+from .ce import (
+    Cochain,
+    SparseCochain,
+    _add_permuted,
+    _ce_into,
+    _ce_terms,
+    ce_diff,
+)
 from .lie_core import (
     GAlgebra,
     GModule,
@@ -33,7 +40,7 @@ from .multilinear import (
     insert_with_sign,
     koszul_sign,
     merge_sign,
-    enumerate_shuffles,
+    _shuffles,
     tensor_index,
     tensor_tuples,
 )
@@ -104,41 +111,53 @@ def partial_nabla(w: Cochain, conn_coeff: Connection, conn_b: Connection,
         nabla_{j(b_0)} w(a's; b's)
         - sum_i w(..., delta_{b_0} a_i, ...; b's)
         - sum_s w(a's; ..., nabla_{j(b_0)} b_s, ...).
-
-    Each nonzero of w is scattered through the transpose of the three term
-    families, so the cost follows w's nonzeros.
     """
-    pair = w.pair
+    out = Cochain(w.pair, w.module, w.k, w.l + 1)
+    _nabla_into(out, w, conn_coeff, conn_b, st)
+    return out
+
+
+def _nabla_into(total, w, conn_coeff: Connection, conn_b: Connection,
+                st: SplittingTensors):
+    """total += partial_nabla(w) (see ce._add_permuted for the kernels'
+    protocol).  Each nonzero of w is scattered through the transpose of the
+    three term families."""
+    pair, k, l = w.pair, w.k, w.l
     m, nb, dim_e = pair.dim_g, pair.dim_b, w.module.dim
-    out = Cochain(pair, w.module, w.k, w.l + 1)
-    data = out.data
-    g_index = exterior_index(m, w.k)
-    b_radix = nb ** w.l
+    data = total.data
+    g_index = exterior_index(m, k)
+    b_radix = nb ** l
     out_radix = nb * b_radix
-    steps = [nb ** (w.l - 1 - slot) for slot in range(w.l)]
+    steps = [nb ** (l - 1 - slot) for slot in range(l)]
     entries = [(g_index[gt], gt, tensor_index(bt, nb), bt, e,
-                -v if w.k % 2 else v) for gt, bt, e, v in w.iter_nonzero()]
+                -v if k % 2 else v) for gt, bt, e, v in w.iter_nonzero()]
     for b0 in range(nb):
         n_coeff = conn_coeff.nabla[m + b0].data
         n_b = conn_b.nabla[m + b0].data
-        dl = st.delta[b0]
+        dl = st.delta[b0].data
+        # the nonzeros of the three operators b0 applies, by input index
+        value_terms = [[(e_out, n_coeff[e_out * dim_e + e])
+                        for e_out in range(dim_e)
+                        if not n_coeff[e_out * dim_e + e].is_zero()]
+                       for e in range(dim_e)]
+        form_terms = [[(a_old, dl[a_new * m + a_old]) for a_old in range(m)
+                       if not dl[a_new * m + a_old].is_zero()]
+                      for a_new in range(m)]
+        slot_terms = [[(old, n_b[new * nb + old]) for old in range(nb)
+                       if not n_b[new * nb + old].is_zero()]
+                      for new in range(nb)]
         for gi, gt, bi, bt, e, v in entries:
             col = b0 * b_radix + bi
             # covariant derivative of the value
             dst = (gi * out_radix + col) * dim_e
-            for e_out in range(dim_e):
-                x = n_coeff[e_out * dim_e + e]
-                if not x.is_zero():
-                    data[dst + e_out] = data[dst + e_out] + x * v
+            for e_out, x in value_terms[e]:
+                data[dst + e_out] = data[dst + e_out] + x * v
             # exterior slots fed through delta: a_new at position q of gt
             # replaced a_old, which sits at the position its insertion sign
             # counts in the output's tuple
             for q, a_new in enumerate(gt):
                 rest = gt[:q] + gt[q + 1 :]
-                for a_old in range(m):
-                    x = dl[a_new, a_old]
-                    if x.is_zero():
-                        continue
+                for a_old, x in form_terms[a_new]:
                     ins = insert_with_sign(rest, a_old)
                     if ins is None:
                         continue
@@ -149,14 +168,10 @@ def partial_nabla(w: Cochain, conn_coeff: Connection, conn_b: Connection,
                                              else -term)
             # tensor slots fed through the connection on B
             for slot, new in enumerate(bt):
-                row = new * nb
-                for old in range(nb):
-                    x = n_b[row + old]
-                    if not x.is_zero():
-                        pos = (gi * out_radix + col
-                               + (old - new) * steps[slot]) * dim_e + e
-                        data[pos] = data[pos] - x * v
-    return out
+                for old, x in slot_terms[new]:
+                    pos = (gi * out_radix + col
+                           + (old - new) * steps[slot]) * dim_e + e
+                    data[pos] = data[pos] - x * v
 
 
 # -- the tower -------------------------------------------------------------------
@@ -543,7 +558,7 @@ def _jacobiator(tower: BracketTower, args, bracket, mdim,
     total = GradedElement(tower.pair, mdim, cdim)
     for j in range(1, n + 1):
         for k in range(j, n + 1):
-            for sigma in enumerate_shuffles(k - j, j - 1):
+            for sigma in _shuffles(k - j, j - 1):
                 eps = koszul_sign(sigma, degs[: k - 1])
                 front = sum(degs[sigma[m]] for m in range(k - j))
                 sign = eps * (-1 if front % 2 else 1)
@@ -894,13 +909,20 @@ def _lambda_brackets(tower, max_n, algebra):
 def compose_cochains(outer: Cochain, inner: Cochain, slot: int) -> Cochain:
     """Feed inner's value into one quotient slot of outer, shuffle-wedging the
     exterior arguments (outer block first).  slot is 1-based."""
+    out = Cochain(outer.pair, outer.module, outer.k + inner.k,
+                  outer.l + inner.l - 1)
+    _compose_into(out, outer, inner, slot)
+    return out
+
+
+def _compose_into(total, outer, inner, slot: int):
+    """total += compose_cochains(outer, inner, slot) (see ce._add_permuted
+    for the kernels' protocol)."""
     pair = outer.pair
-    k = outer.k + inner.k
-    l = outer.l + inner.l - 1
-    out = Cochain(pair, outer.module, k, l)
     nb, dim_e = pair.dim_b, outer.module.dim
-    b_radix = nb ** l
-    out_index = exterior_index(pair.dim_g, k)
+    b_radix = nb ** (outer.l + inner.l - 1)
+    out_index = exterior_index(pair.dim_g, outer.k + inner.k)
+    data = total.data
     by_value = {}
     for g2, t2, m, c2 in inner.iter_nonzero():
         by_value.setdefault(m, []).append((g2, t2, c2))
@@ -914,16 +936,123 @@ def compose_cochains(outer: Cochain, inner: Cochain, slot: int) -> Cochain:
             idx = (out_index[merged] * b_radix
                    + tensor_index(pre + t2 + post, nb)) * dim_e + e
             term = c1 * c2
-            out.data[idx] = out.data[idx] + (term if sign > 0 else -term)
+            data[idx] = data[idx] + (term if sign > 0 else -term)
+
+
+class _ProofTerms:
+    """The B-valued tensors the proof identities share, each formed once, as
+    a SparseCochain, by the first identity that needs it: the nonzeros of
+    R_n and of the torsion, d R_n, and the composites R_i o_slot R_j.
+
+    One lives for one check only; nothing is kept on the tower, so a tower
+    tensor changed in place between two checks is read afresh.
+    """
+
+    __slots__ = ("tower", "module", "_memo")
+
+    def __init__(self, tower: BracketTower):
+        self.tower = tower
+        self.module = tower.pair.quotient_module()
+        self._memo = {}
+
+    def _once(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def sparse(self, k, l):
+        """A fresh B-valued sparse accumulator of bidegree (k, l)."""
+        return SparseCochain(self.tower.pair, self.module, k, l)
+
+    def r(self, n):
+        return self._once(("r", n), lambda: SparseCochain.of(self.tower.r[n]))
+
+    def beta(self):
+        return self._once("beta", lambda: SparseCochain.of(
+            _torsion_cochain(self.tower)))
+
+    def d(self, n):
+        """d R_n, of bidegree (2, n)."""
+        def build():
+            out = self.sparse(2, n)
+            _ce_into(out, self.r(n))
+            return out
+        return self._once(("d", n), build)
+
+    def composite(self, i, j, slot):
+        """R_i o_slot R_j, of bidegree (2, i + j - 1)."""
+        def build():
+            out = self.sparse(2, i + j - 1)
+            _compose_into(out, self.r(i), self.r(j), slot)
+            return out
+        return self._once(("o", i, j, slot), build)
+
+
+def _negated(w):
+    """-w, sparse."""
+    out = SparseCochain(w.pair, w.module, w.k, w.l)
+    for pos, v in w.data.items():
+        out.data[pos] = -v
     return out
 
 
-def _add_permuted(total: Cochain, part: Cochain, perm):
-    """total += part with quotient arguments permuted: the value of part at
-    (t[perm[0]], ..., t[perm[l-1]]) contributes at t."""
-    data = total.data
-    for pos, v in _permuted_nonzeros(part, perm):
-        data[pos] = data[pos] + v
+def _torsion_into(total, terms: _ProofTerms):
+    """Torsion antisymmetrization, bidegree (1, 2): swapping the two slots of
+    the binary tensor costs the differential of the torsion."""
+    r2 = terms.r(2)
+    _add_permuted(total, r2, (0, 1))
+    _add_permuted(total, _negated(r2), (1, 0))
+    _ce_into(total, _negated(terms.beta()))
+
+
+def _ternary_into(total, terms: _ProofTerms):
+    """Ternary symmetry defect, bidegree (1, 3): the swap of the first two
+    slots against the torsion-fed binary tensor and the differential of the
+    curvature."""
+    tower = terms.tower
+    pair = tower.pair
+    nb = pair.dim_b
+    r3 = terms.r(3)
+    _add_permuted(total, r3, (0, 1, 2))
+    _add_permuted(total, _negated(r3), (1, 0, 2))
+    # minus R_2(beta(b0, b1), b2)
+    _compose_into(total, terms.r(2), _negated(terms.beta()), 1)
+    # plus (d omega)(b0, b1) applied to b2
+    omega_cochain = Cochain(pair, end_module(terms.module), 0, 2)
+    for b1 in range(nb):
+        for b2 in range(nb):
+            om = tower.st.omega[b1][b2]
+            for r_ in range(nb):
+                for c_ in range(nb):
+                    omega_cochain.set((), (b1, b2), r_ * nb + c_, om[r_, c_])
+    _add_permuted(total, _unfold_end(ce_diff(omega_cochain)), (0, 1, 2))
+
+
+def _coherence_into(total, terms: _ProofTerms, n: int):
+    """Degree-n shuffle coherence, bidegree (2, n): the differential of R_n
+    against shuffle sums of nested lower tensors."""
+    _add_permuted(total, terms.d(n), range(n))
+    for i in range(2, n):
+        j = n + 1 - i
+        for k in range(j, n + 1):
+            part = terms.composite(i, j, k - j + 1)
+            for sigma in _shuffles(k - j, j - 1):
+                # composite argument order: sigma-first block, sigma-second
+                # block, position k, then the untouched tail
+                _add_permuted(total, part, sigma + tuple(range(k - 1, n)))
+
+
+def _mixed_into(total, terms: _ProofTerms, n: int):
+    """Degree-n mixed differential, bidegree (2, n + 1): the anticommutator
+    of the two derivatives on R_n."""
+    tower = terms.tower
+    _add_permuted(total, terms.d(n + 1), range(n + 1))
+    _nabla_into(total, terms.d(n), tower.conn_b, tower.conn_b, tower.st)
+    _add_permuted(total, terms.composite(2, n, 2), range(n + 1))
+    for j in range(1, n + 1):
+        # composite canonical order: b_1..b_(j-1), b_0, b_j, b_(j+1)..b_n
+        perm = list(range(1, j)) + [0, j] + list(range(j + 1, n + 1))
+        _add_permuted(total, terms.composite(n, 2, j), perm)
 
 
 def shuffle_coherence_residual(tower: BracketTower, n: int) -> Cochain:
@@ -931,24 +1060,9 @@ def shuffle_coherence_residual(tower: BracketTower, n: int) -> Cochain:
     the n-th tensor to shuffle sums of nested lower tensors."""
     if n < 3 or n > tower.depth:
         raise ArityBeyondTower("need 3 <= n <= depth")
-    total = ce_diff(tower.r[n])
-    composed = {}
-    for i in range(2, n):
-        j = n + 1 - i
-        if j < 2:
-            continue
-        for k in range(j, n + 1):
-            slot = k - j + 1
-            key = (i, j, slot)
-            if key not in composed:
-                composed[key] = compose_cochains(tower.r[i], tower.r[j], slot)
-            part = composed[key]
-            for sigma in enumerate_shuffles(k - j, j - 1):
-                # composite argument order: sigma-first block, sigma-second
-                # block, position k, then the untouched tail
-                perm = [sigma[m] for m in range(k - 1)] + list(range(k - 1, n))
-                _add_permuted(total, part, perm)
-    return total
+    out = Cochain(tower.pair, tower.pair.quotient_module(), 2, n)
+    _coherence_into(out, _ProofTerms(tower), n)
+    return out
 
 
 def mixed_differential_residual(tower: BracketTower, n: int) -> Cochain:
@@ -956,17 +1070,39 @@ def mixed_differential_residual(tower: BracketTower, n: int) -> Cochain:
     n-th tensor."""
     if n < 2 or n + 1 > tower.depth:
         raise ArityBeyondTower("need 2 <= n <= depth - 1")
-    total = ce_diff(tower.r[n + 1]) \
-        + partial_nabla(ce_diff(tower.r[n]), tower.conn_b, tower.conn_b,
-                        tower.st)
-    head = compose_cochains(tower.r[2], tower.r[n], 2)
-    _add_permuted(total, head, list(range(n + 1)))
-    for j in range(1, n + 1):
-        part = compose_cochains(tower.r[n], tower.r[2], j)
-        # composite canonical order: b_1..b_(j-1), b_0, b_j, b_(j+1)..b_n
-        perm = list(range(1, j)) + [0, j] + list(range(j + 1, n + 1))
-        _add_permuted(total, part, perm)
-    return total
+    out = Cochain(tower.pair, tower.pair.quotient_module(), 2, n + 1)
+    _mixed_into(out, _ProofTerms(tower), n)
+    return out
+
+
+def tensor_residuals(tower: BracketTower):
+    """The tensor-level identities behind the bracket construction, as
+    (name, residual) pairs in report order; every residual vanishes on a tower
+    built from a valid pair and extending connection.
+
+    Each residual is a SparseCochain: accumulated in a map from flat position
+    to value by the same kernel bodies that fill the dense public functions.
+    The tensors the identities share (each R_n's nonzeros, each d R_n, each
+    composite R_i o_slot R_j) are formed once per call (see _ProofTerms).
+    """
+    terms = _ProofTerms(tower)
+
+    def residual(k, l, into, *args):
+        out = terms.sparse(k, l)
+        into(out, terms, *args)
+        return out
+
+    out = [("torsion_antisymmetrization", residual(1, 2, _torsion_into))]
+    coherence = {n: residual(2, n, _coherence_into, n)
+                 for n in range(3, tower.depth + 1)}
+    if tower.depth >= 3:
+        out.append(("ternary_symmetry_defect", residual(1, 3, _ternary_into)))
+        # the nested binary coherence is the shuffle coherence at arity three
+        out.append(("nested_binary_coherence", coherence[3]))
+    out += [("mixed_differential_n%d" % n, residual(2, n + 1, _mixed_into, n))
+            for n in range(2, tower.depth)]
+    out += [("shuffle_coherence_n%d" % n, w) for n, w in coherence.items()]
+    return out
 
 
 def check_proof_identities(tower: BracketTower,
@@ -974,51 +1110,20 @@ def check_proof_identities(tower: BracketTower,
     """Evaluate the named exact identities behind the bracket construction.
 
     Returns a list of (name, ok, witness) triples; all must hold for every
-    tower built from a valid pair and extending connection.
+    tower built from a valid pair and extending connection.  The
+    tensor-level residuals (see tensor_residuals) are compared with zero
+    once each; a failing one's witness is its first nonzero entry in flat
+    order, as Cochain.first_nonzero gives it.
     """
     pair = tower.pair
     nb = pair.dim_b
     results = []
 
-    def record(name, residual):
-        ok = residual.is_zero()
-        results.append((name, ok, None if ok else residual.first_nonzero()))
+    def record(name, found):
+        results.append((name, found is None, found))
 
-    # torsion antisymmetrization: swapping the two slots of the binary tensor
-    # costs the differential of the torsion
-    beta_cochain = _torsion_cochain(tower)
-    res = tower.r[2] - tower.r[2].permute_b_args((1, 0)) - ce_diff(beta_cochain)
-    record("torsion_antisymmetrization", res)
-
-    coherence = {n: shuffle_coherence_residual(tower, n)
-                 for n in range(3, tower.depth + 1)}
-    if tower.depth >= 3:
-        # ternary symmetry defect: swap of the first two slots against the
-        # torsion-fed binary tensor and the differential of the curvature
-        endo_b = end_module(pair.quotient_module())
-        omega_cochain = Cochain(pair, endo_b, 0, 2)
-        for b1 in range(nb):
-            for b2 in range(nb):
-                om = tower.st.omega[b1][b2]
-                for r_ in range(nb):
-                    for c_ in range(nb):
-                        omega_cochain.set((), (b1, b2), r_ * nb + c_,
-                                          om[r_, c_])
-        d_omega = ce_diff(omega_cochain)
-        res = tower.r[3] - tower.r[3].permute_b_args((1, 0, 2))
-        # minus R_2(beta(b0, b1), b2)
-        res = res - compose_cochains(tower.r[2], beta_cochain, 1)
-        # plus (d omega)(b0, b1) applied to b2
-        res = res + _unfold_end(d_omega)
-        record("ternary_symmetry_defect", res)
-        # the nested binary coherence is the shuffle coherence at arity three
-        record("nested_binary_coherence", coherence[3])
-
-    for n in range(2, tower.depth):
-        record("mixed_differential_n%d" % n,
-               mixed_differential_residual(tower, n))
-    for n, residual in coherence.items():
-        record("shuffle_coherence_n%d" % n, residual)
+    for name, residual in tensor_residuals(tower):
+        record(name, residual.first_nonzero())
 
     # homotopy witnesses on decomposables up to the degree cap: given the two
     # lemmas checked here, the first failing tuple is a degree-0 one (see
@@ -1073,11 +1178,9 @@ def check_proof_identities(tower: BracketTower,
         return next((r.first_term() for r in residuals if not r.is_zero()),
                     None)
 
-    witness = first_witness(skew_residual, 2, 1)
-    results.append(("skew_symmetry_homotopy", witness is None, witness))
+    record("skew_symmetry_homotopy", first_witness(skew_residual, 2, 1))
     if tower.depth >= 3:
-        witness = first_witness(jacobi_residual, 3, 2)
-        results.append(("jacobi_homotopy", witness is None, witness))
+        record("jacobi_homotopy", first_witness(jacobi_residual, 3, 2))
     return results
 
 

@@ -44,6 +44,13 @@ def enumerate_shuffles(p: int, q: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def _shuffles(p: int, q: int):
+    """enumerate_shuffles(p, q) as a tuple, built once per (p, q) for the
+    shuffle sums that run it per tuple."""
+    return tuple(enumerate_shuffles(p, q))
+
+
 def koszul_sign(perm, degrees) -> int:
     """Sign from permuting graded symbols: v_{s(0)} ... v_{s(n-1)} =
     sign * v_0 ... v_{n-1} in the free graded-commutative algebra."""

@@ -2,6 +2,8 @@ import random
 
 from math import comb
 
+import pytest
+
 from liepairs.ce import (
     Cochain,
     ce_diff,
@@ -111,6 +113,19 @@ def test_cohomology_dims_trivial_module_abelian():
         pair = make_pair(LieAlgebra.zero(n), n)
         for k in range(n + 1):
             assert cohomology_dim(pair, trivial_module(n, 1), k) == comb(n, k)
+
+
+def test_cohomology_vanishes_above_the_top_degree():
+    # no cochains above degree dim g, so no cohomology; a negative degree is
+    # still an error
+    for n in (0, 1, 2):
+        pair = make_pair(LieAlgebra.zero(n + 1), n)
+        module = trivial_module(n, 1)
+        for l in (0, 1):
+            assert cohomology_dim(pair, module, n + 1, l) == 0
+            assert cohomology_dim(pair, module, n + 2, l) == 0
+        with pytest.raises(ValueError):
+            cohomology_dim(pair, module, -1)
 
 
 def test_sl2_obstruction_cohomology_golden():

@@ -246,6 +246,67 @@ def test_fixture_round_trip():
     assert redoc == doc
 
 
+def test_atiyah_over_a_zero_dimensional_subalgebra(capsys, tmp_path):
+    # H^1 vanishes above the top degree dim g = 0: no traceback, no exit 1
+    path = tmp_path / "g0.json"
+    path.write_text(json.dumps({"dim": 1, "dim_g": 0, "modules": {
+        "M": {"dim": 1, "action": []}}}))
+    code, out, err = run(capsys, ["atiyah", "--input", str(path),
+                                  "--module", "M", "--json"])
+    assert (code, err) == (EXIT_OK, "")
+    results = json.loads(out)["results"]
+    assert results["obstruction_space_dim"] == 0 and results["vanishes"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": True, "dim_g": 0},
+    {"dim": 2.9, "dim_g": 1},
+    {"dim": "2", "dim_g": 1},
+    {"dim": -1, "dim_g": 0},
+    {"dim": 2, "dim_g": False},
+    {"dim": 2, "dim_g": 1.0},
+    {"dim": 2, "dim_g": -1},
+    {"dim": 1, "dim_g": 0, "modules": {"M": {"dim": -2, "action": []}}},
+    {"dim": 1, "dim_g": 0, "modules": {"M": {"dim": True, "action": []}}},
+    {"dim": 1, "dim_g": 0, "modules": {"M": {"dim": "1", "action": []}}},
+    {"dim": 1, "dim_g": 0, "algebra": {"A": {"dim": 1.5, "action": []}}},
+    {"dim": 1, "dim_g": 0, "algebra": {"A": {"dim": -1, "action": []}}},
+], ids=["dim_bool", "dim_float", "dim_str", "dim_negative", "dim_g_bool",
+        "dim_g_float", "dim_g_negative", "module_negative", "module_bool",
+        "module_str", "algebra_float", "algebra_negative"])
+def test_fixture_loader_rejects_bad_dimensions(capsys, tmp_path, doc):
+    path = tmp_path / "bad_dim.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["validate", "--input", str(path), "--json"])
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.count("\n") == 1 and "non-negative integer" in err
+
+
+def test_fixture_loader_refuses_an_oversized_bracket_table(capsys, tmp_path,
+                                                           monkeypatch):
+    # 161^3 = 4,173,281 entries fit under the cap and 162^3 = 4,251,528 do
+    # not; the refusal is arithmetic, made before the table is allocated
+    import liepairs.cli as cli_mod
+    import liepairs.fixture_io as fixture_io
+
+    class Reached(Exception):
+        pass
+
+    def fake_zero(dim):
+        raise Reached
+
+    assert 161 ** 3 <= cli_mod.TOWER_MAX_ENTRIES < 162 ** 3
+    monkeypatch.setattr(fixture_io.LieAlgebra, "zero", staticmethod(fake_zero))
+    with pytest.raises(Reached):
+        load_fixture({"dim": 161, "dim_g": 0})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 162, "dim_g": 0}))
+    code, out, err = run(capsys, ["validate", "--input", str(path)])
+    assert code == EXIT_PARSE_ERROR and out == ""
+    assert err.count("\n") == 1 and "4251528 entries, above 4194304" in err
+
+
 def test_fixture_loader_rejects_bad_scalars():
     with pytest.raises(ParseError):
         load_fixture({"dim": 2, "dim_g": 1, "bracket": [],

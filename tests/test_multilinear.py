@@ -3,7 +3,10 @@ import random
 from itertools import permutations
 from math import comb
 
+import liepairs.multilinear as multilinear
+from liepairs.homotopy import build_tower, check_proof_identities, verify_module
 from liepairs.multilinear import (
+    _shuffles,
     enumerate_shuffles,
     exterior_basis,
     exterior_index,
@@ -16,6 +19,7 @@ from liepairs.multilinear import (
     wedge,
 )
 from liepairs.scalars import GaussScalar, ONE, ZERO
+from liepairs.zoo import gl_un_tn
 
 
 def brute_force_shuffles(p, q):
@@ -43,6 +47,29 @@ def test_shuffles_against_brute_force():
             assert sorted(got) == sorted(brute_force_shuffles(p, q))
             # lexicographic by first block
             assert [s[:p] for s in got] == sorted(s[:p] for s in got)
+
+
+def test_shuffle_sums_enumerate_each_block_pair_once(monkeypatch):
+    # the generalized-Jacobi and coherence sums read one cached tuple per
+    # (p, q); a verify --max-n 4 --degree-cap 0 --module B job on u2t2 used
+    # to enumerate shuffles 5,999 times
+    calls = []
+
+    def counting(p, q):
+        calls.append((p, q))
+        return enumerate_shuffles(p, q)
+
+    monkeypatch.setattr(multilinear, "enumerate_shuffles", counting)
+    _shuffles.cache_clear()
+    fx = gl_un_tn(2)
+    tower = build_tower(fx.pair, fx.conn_mult, depth=4, module=fx.module_b,
+                        conn_e=fx.conn_mult)
+    assert verify_module(tower, 4, 0).ok
+    assert all(ok for _, ok, _ in check_proof_identities(tower, 0))
+    assert calls and len(calls) == len(set(calls))
+    for p, q in calls:
+        assert _shuffles(p, q) == tuple(enumerate_shuffles(p, q))
+        assert isinstance(enumerate_shuffles(p, q), list)
 
 
 def test_koszul_sign_basics():

@@ -1,20 +1,22 @@
 """Differential tests for the nonzero-driven tower kernels, the shared
 contraction kernel behind the brackets, the degree skip in the
 homotopy-witness loops, the scope of the sweep memo, the identity layer
-(one generalized-Jacobi sum, one sweep loop, one differential path) and the
+(one generalized-Jacobi sum, one sweep loop, one differential path), the
 factoring of the sweeps and witness loops through the wedge, with the two
-lemma checks it rests on.
+lemma checks it rests on, and the sparse tensor-level proof identities.
 
 The loops the kernels replaced are kept here as oracles: the dense ones visit
 every entry of their output or their input, as the library once did, the
-five bracket loops each keep their own sign and algebra bookkeeping, and the
-Leibniz and module residuals and sweeps keep their separate loops.
+five bracket loops each keep their own sign and algebra bookkeeping, the
+Leibniz and module residuals and sweeps keep their separate loops, and the
+tensor-level residuals are summed as dense cochains.
 """
 
 import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepairs.atiyah import end_connection, extend_by_zero
 from liepairs.ce import Cochain, ce_diff
@@ -30,10 +32,12 @@ from liepairs.homotopy import (
     graded_diff,
     lambda_k,
     leibniz_residual,
+    mixed_differential_residual,
     module_residual,
     mu_k,
     partial_nabla,
     shuffle_coherence_residual,
+    tensor_residuals,
     theta_witness,
     two_bracket,
     verify_leibniz,
@@ -1258,3 +1262,180 @@ def test_effective_module_is_resolved_once_per_sweep_side(monkeypatch):
     del calls[:]
     check_proof_identities(tower, 1)
     assert not calls
+
+
+# -- sparse tensor-level proof identities against their dense sums ------------------
+
+
+def dense_unfold_end(w):
+    """An End(B)-valued (k, l) cochain as a B-valued (k, l + 1) one."""
+    pair = w.pair
+    out = Cochain(pair, pair.quotient_module(), w.k, w.l + 1)
+    for gt, bt, f, c in w.iter_nonzero():
+        row, col = divmod(f, pair.dim_b)
+        out.set(gt, bt + (col,), row, c)
+    return out
+
+
+def dense_coherence(tower, n):
+    """shuffle_coherence_residual as a dense sum, composites formed anew."""
+    total = ce_diff(tower.r[n])
+    for i in range(2, n):
+        j = n + 1 - i
+        for k in range(j, n + 1):
+            part = compose_cochains(tower.r[i], tower.r[j], k - j + 1)
+            for sigma in enumerate_shuffles(k - j, j - 1):
+                perm = [sigma[m] for m in range(k - 1)] + list(range(k - 1, n))
+                _add_permuted(total, part, perm)
+    return total
+
+
+def dense_mixed(tower, n):
+    """mixed_differential_residual as a dense sum."""
+    total = ce_diff(tower.r[n + 1]) \
+        + partial_nabla(ce_diff(tower.r[n]), tower.conn_b, tower.conn_b,
+                        tower.st)
+    _add_permuted(total, compose_cochains(tower.r[2], tower.r[n], 2),
+                  list(range(n + 1)))
+    for j in range(1, n + 1):
+        part = compose_cochains(tower.r[n], tower.r[2], j)
+        perm = list(range(1, j)) + [0, j] + list(range(j + 1, n + 1))
+        _add_permuted(total, part, perm)
+    return total
+
+
+def dense_tensor_residuals(tower):
+    """(name, residual) of each tensor-level identity in report order, each
+    summed with dense cochain arithmetic, as check_proof_identities once did."""
+    pair = tower.pair
+    nb = pair.dim_b
+    b = pair.quotient_module()
+    beta = Cochain(pair, b, 0, 2)
+    for b1, b2, b_out in product(range(nb), repeat=3):
+        beta.set((), (b1, b2), b_out, tower.st.beta[b1][b2][b_out])
+    r2 = tower.r[2]
+    out = [("torsion_antisymmetrization",
+            r2 - r2.permute_b_args((1, 0)) - ce_diff(beta))]
+    coherence = {n: dense_coherence(tower, n)
+                 for n in range(3, tower.depth + 1)}
+    if tower.depth >= 3:
+        omega = Cochain(pair, end_module(b), 0, 2)
+        for b1, b2, row, col in product(range(nb), repeat=4):
+            omega.set((), (b1, b2), row * nb + col,
+                      tower.st.omega[b1][b2][row, col])
+        r3 = tower.r[3]
+        out.append(("ternary_symmetry_defect",
+                    r3 - r3.permute_b_args((1, 0, 2))
+                    - compose_cochains(r2, beta, 1)
+                    + dense_unfold_end(ce_diff(omega))))
+        out.append(("nested_binary_coherence", coherence[3]))
+    out += [("mixed_differential_n%d" % n, dense_mixed(tower, n))
+            for n in range(2, tower.depth)]
+    out += [("shuffle_coherence_n%d" % n, w) for n, w in coherence.items()]
+    return out
+
+
+def dense_tensor_entries(tower):
+    return [(name, w.is_zero(), w.first_nonzero())
+            for name, w in dense_tensor_residuals(tower)]
+
+
+def nonzero_map(items):
+    return {pos: v for pos, v in items if not v.is_zero()}
+
+
+def gl3_tower():
+    fx = gl_un_tn(3)
+    return build_tower(fx.pair, fx.conn_mult, depth=3)
+
+
+def proof_towers():
+    """The 25 depth-3 sweep towers (9 zoo and random, 16 corrupted in
+    place), the 9 zoo and random towers at depth 4 and gl(3) at depth 3."""
+    deep = [(name + "_depth4", build_tower(pair, conn_b, depth=4))
+            for name, pair, conn_b, _, _ in FIXTURES]
+    return SWEEP_TOWERS + deep + [("gl3", gl3_tower())]
+
+
+PROOF_TOWERS = proof_towers()
+
+
+@pytest.mark.parametrize("tower", [t for _, t in PROOF_TOWERS],
+                         ids=[name for name, _ in PROOF_TOWERS])
+def test_sparse_residuals_match_their_dense_sums(tower):
+    dense = dict(dense_tensor_residuals(tower))
+    sparse = tensor_residuals(tower)
+    assert [name for name, _ in sparse] == list(dense)
+    for name, residual in sparse:
+        w = dense[name]
+        assert (residual.k, residual.l) == (w.k, w.l), name
+        assert nonzero_map(residual.data.items()) == \
+            nonzero_map(enumerate(w.data)), name
+    # the dense public residuals run the same bodies into a Cochain
+    for n in range(2, tower.depth):
+        assert mixed_differential_residual(tower, n) == \
+            dense["mixed_differential_n%d" % n]
+    for n in range(3, tower.depth + 1):
+        assert shuffle_coherence_residual(tower, n) == \
+            dense["shuffle_coherence_n%d" % n]
+    # verdicts and witnesses: the full list at cap 0 (caps 1 and 2 below)
+    expected = [(name, w.is_zero(), w.first_nonzero())
+                for name, w in dense.items()]
+    assert check_proof_identities(tower, 0) == \
+        expected + oracle_witness_entries(tower, 0)
+
+
+@pytest.mark.parametrize("tower", [t for _, t in SWEEP_TOWERS], ids=SWEEP_IDS)
+def test_proof_identity_lists_match_their_dense_oracles(tower):
+    expected = dense_tensor_entries(tower)
+    for cap in (1, 2):
+        limit = 600 if tower.pair.dim_g > 2 and cap > 1 else None
+        assert check_proof_identities(tower, cap) == \
+            expected + oracle_witness_entries(tower, cap, limit), cap
+
+
+def test_corrupted_towers_fail_tensor_identities():
+    # the dense oracles are compared with failing residuals too: each of the
+    # 8 R_2 and R_3 corruptions breaks a tensor-level identity
+    failing = sum(not all(ok for _, ok, _ in dense_tensor_entries(tower))
+                  for name, tower in SWEEP_TOWERS
+                  if name.endswith(("_R2", "_R3")))
+    assert failing == 8
+
+
+def test_proof_terms_are_formed_once_per_check(monkeypatch):
+    import liepairs.homotopy as homotopy
+
+    calls = {"_ce_into": 0, "_compose_into": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(homotopy, name, counting(name, getattr(homotopy,
+                                                                   name)))
+    fx = gl_un_tn(2)
+    tower = build_tower(fx.pair, fx.conn_mult, depth=4)
+    check_proof_identities(tower, 0)
+    # d R_2, d R_3, d R_4 and d(beta); R_2 o R_2 at slots 1 and 2, R_2 o R_3
+    # at slots 1 and 2, R_3 o R_2 at slots 1 to 3 and R_2 o beta
+    assert calls == {"_ce_into": 4, "_compose_into": 8}
+
+
+@settings(derandomize=True, database=None, max_examples=24, deadline=None)
+@given(seed=st.integers(0, 60), level=st.sampled_from([2, 3]),
+       where=st.integers(0, 10 ** 6),
+       bump=st.sampled_from([ONE, GaussScalar(-2), GaussScalar(1, 1)]))
+def test_sparse_and_dense_verdicts_agree_on_corrupted_towers(seed, level,
+                                                              where, bump):
+    pair = random_pair(seed)
+    tower = build_tower(pair, random_extension(pair, pair.quotient_module(),
+                                               seed), depth=3)
+    data = tower.r[level].data
+    if data:
+        data[where % len(data)] = data[where % len(data)] + bump
+    expected = dense_tensor_entries(tower)
+    assert check_proof_identities(tower, 0)[:len(expected)] == expected
