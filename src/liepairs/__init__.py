@@ -43,19 +43,36 @@ from .atiyah import (
     scalar_class,
     todd_class,
 )
-from .homotopy import (
-    AlgebraExtension,
-    BracketTower,
-    GradedElement,
-    build_tower,
-    check_proof_identities,
-    lambda_k,
-    mu_k,
-    partial_nabla,
-    splitting_tensors,
-    symmetry_report,
-    verify_leibniz,
-    verify_module,
+
+# The tower and sweep layer is the largest module and the obstruction commands
+# never run it, so its names load on first access (PEP 562) instead of with
+# the package.
+_HOMOTOPY_NAMES = (
+    "AlgebraExtension",
+    "BracketTower",
+    "GradedElement",
+    "build_tower",
+    "check_proof_identities",
+    "lambda_k",
+    "mu_k",
+    "partial_nabla",
+    "splitting_tensors",
+    "symmetry_report",
+    "verify_leibniz",
+    "verify_module",
 )
+
+
+def __getattr__(name):
+    if name in _HOMOTOPY_NAMES:
+        from . import homotopy
+
+        return getattr(homotopy, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOMOTOPY_NAMES))
+
 
 __version__ = "0.1.0"

@@ -166,6 +166,9 @@ def direct_sum_connection(c1: Connection, c2: Connection) -> Connection:
 # -- bigraded scalar coefficients ---------------------------------------------
 
 
+_UNSEEN = object()
+
+
 class BiForm:
     """Element of the bigraded commutative coefficient algebra
     Lambda g* (x) Lambda B*, with the Koszul sign of the graded tensor product.
@@ -216,12 +219,19 @@ class BiForm:
 
     def __mul__(self, other):
         out = {}
+        # Terms share few distinct index tuples, so each wedge sign is
+        # computed once per product; merge_sign itself stays uncached.
+        merged = {}
         for (g1, b1), v1 in self.terms.items():
             for (g2, b2), v2 in other.terms.items():
-                gm = merge_sign(g1, g2)
+                gm = merged.get((g1, g2), _UNSEEN)
+                if gm is _UNSEEN:
+                    gm = merged[g1, g2] = merge_sign(g1, g2)
                 if gm is None:
                     continue
-                bm = merge_sign(b1, b2)
+                bm = merged.get((b1, b2), _UNSEEN)
+                if bm is _UNSEEN:
+                    bm = merged[b1, b2] = merge_sign(b1, b2)
                 if bm is None:
                     continue
                 sign = gm[0] * bm[0]

@@ -2,10 +2,11 @@
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 unreadable or
 malformed input (including a dimension that is not an integer >= 0, or a
-bracket table above 2^22 entries), an out-of-range flag, a `todd` request
-whose depth min(dim g, dim B) is above 8 (TODD_MAX_DEPTH), or a `tower`,
-`verify` or `symmetry` request whose largest dense tensor would have more
-than 2^22 entries (TOWER_MAX_ENTRIES), 3 structurally valid input that fails
+bracket table, module End(E) matrix or algebra multiplication table above
+2^22 entries), an out-of-range flag, a `todd` request whose depth
+min(dim g, dim B) is above 8 (TODD_MAX_DEPTH), or a `tower`, `verify` or
+`symmetry` request whose largest dense tensor would have more than 2^22
+entries (TOWER_MAX_ENTRIES), 3 structurally valid input that fails
 validation, 4 an internal invariant failure (an output the library guarantees
 closed failed its cocycle check: a bug in liepairs, not bad input).  Output
 is deterministic; --json disables the timing line so identical inputs give
@@ -38,34 +39,20 @@ from .fixture_io import (
     dump_fixture,
     load_fixture,
 )
-from .homotopy import (
-    build_tower,
-    check_proof_identities,
-    symmetry_report,
-    verify_leibniz,
-    verify_module,
-)
 from .lie_core import (
     SubalgebraNotClosed,
     check_g_algebra,
     check_module,
     make_pair,
+    matched_sum,
+    trivial_module,
     validate_lie_algebra,
 )
 from .scalars import format_scalar
-from .zoo import (
-    affine_bialgebra,
-    dual_numbers_algebra,
-    gl_un_tn,
-    heisenberg_pair,
-    matched_sum,
-    random_module,
-    random_pair,
-    sl2_borel_pair,
-    sl2_pair,
-    sl2_pair_swapped,
-    trivial_module,
-)
+
+# The tower, sweep and fixture-zoo layers (``homotopy``, ``zoo``) are imported
+# inside the commands that run them, so that a validate, atiyah, chern or todd
+# job neither loads nor compiles them.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -320,6 +307,8 @@ def cmd_todd(args):
 
 
 def _tower(fixture, pair, args):
+    from .homotopy import build_tower
+
     module_b = pair.quotient_module()
     conn_b = _connection(fixture, pair, module_b, args.connection)
     module = None
@@ -362,6 +351,8 @@ def cmd_tower(args):
 
 
 def cmd_verify(args):
+    from .homotopy import check_proof_identities, verify_leibniz, verify_module
+
     report = RunReport(["verify", args.input, "--max-n", str(args.max_n),
                         "--degree-cap", str(args.degree_cap)])
     fixture = _load(args.input, report)
@@ -398,6 +389,8 @@ def cmd_verify(args):
 
 
 def cmd_symmetry(args):
+    from .homotopy import symmetry_report
+
     report = RunReport(["symmetry", args.input, "--depth", str(args.depth)])
     fixture = _load(args.input, report)
     pair = _validated_pair(fixture, report)
@@ -414,6 +407,16 @@ def cmd_symmetry(args):
 
 
 def _zoo_registry():
+    from .zoo import (
+        affine_bialgebra,
+        dual_numbers_algebra,
+        gl_un_tn,
+        heisenberg_pair,
+        sl2_borel_pair,
+        sl2_pair,
+        sl2_pair_swapped,
+    )
+
     def sl2_fixture():
         pair, modules = sl2_pair()
         return dump_fixture(pair, modules,
@@ -455,6 +458,8 @@ def _zoo_registry():
 
 
 def cmd_zoo(args):
+    from .zoo import random_module, random_pair
+
     registry = _zoo_registry()
     if args.action == "list":
         names = sorted(registry) + ["random"]

@@ -8,9 +8,11 @@ Schema:
     "algebra": {name: {"dim": d, "action": [...], "mult": [[i, j, [coeffs]], ...]}} }
 
 Scalars are strings "a/b" or "a/b+c/d*i"; plain integers are accepted.
-Every "dim" is a JSON integer >= 0, and a fixture whose dense bracket table
-(dim^3 structure constants) would exceed MAX_DENSE_ENTRIES is refused before
-it is allocated.  Structural problems raise ParseError; mathematical
+Every "dim" is a JSON integer >= 0, and a fixture is refused before anything
+is allocated when a dense table it implies would exceed MAX_DENSE_ENTRIES:
+the bracket table (dim^3 structure constants), a module's End(E) matrices
+(dim^2 entries; a connection by zero has one per basis vector) or an
+algebra's multiplication table (dim^3).  Structural problems raise ParseError; mathematical
 invalidity is the validators' business, not the loader's.
 """
 
@@ -36,6 +38,15 @@ def _dimension(spec, key, owner):
     if type(value) is not int or value < 0:
         raise ParseError("%s needs a non-negative integer %r, got %r"
                          % (owner, key, value))
+    return value
+
+
+def _capped(value, power, what):
+    """Refuse a dimension whose dense table of value**power entries is above
+    MAX_DENSE_ENTRIES."""
+    if value ** power > MAX_DENSE_ENTRIES:
+        raise ParseError("%s %d needs a dense table of %d entries, above %d"
+                         % (what, value, value ** power, MAX_DENSE_ENTRIES))
     return value
 
 
@@ -95,9 +106,7 @@ def load_fixture(doc) -> Fixture:
     dim_g = _dimension(doc, "dim_g", "fixture")
     if dim_g > dim:
         raise ParseError("dim_g out of range")
-    if dim ** 3 > MAX_DENSE_ENTRIES:
-        raise ParseError("'dim' %d needs a bracket table of %d entries, above "
-                         "%d" % (dim, dim ** 3, MAX_DENSE_ENTRIES))
+    _capped(dim, 3, "'dim'")
     algebra = LieAlgebra.zero(dim)
     seen = set()
     for entry in doc.get("bracket", []):
@@ -124,7 +133,8 @@ def load_fixture(doc) -> Fixture:
     for name, spec in mods.items():
         if not isinstance(spec, dict):
             raise ParseError("module %r must be an object" % name)
-        mdim = _dimension(spec, "dim", "module %r" % name)
+        mdim = _capped(_dimension(spec, "dim", "module %r" % name), 2,
+                       "module %r dim" % name)
         action = spec.get("action", [])
         if not isinstance(action, list) or len(action) != dim_g:
             raise ParseError("module %r needs %d action matrices"
@@ -153,7 +163,8 @@ def load_fixture(doc) -> Fixture:
     for name, spec in alg_doc.items():
         if not isinstance(spec, dict):
             raise ParseError("algebra %r must be an object" % name)
-        adim = _dimension(spec, "dim", "algebra %r" % name)
+        adim = _capped(_dimension(spec, "dim", "algebra %r" % name), 3,
+                       "algebra %r dim" % name)
         action = spec.get("action", [])
         if not isinstance(action, list) or len(action) != dim_g:
             raise ParseError("algebra %r needs %d action matrices"

@@ -554,14 +554,19 @@ def _jacobiator(tower: BracketTower, args, bracket, mdim,
     n = len(args)
     _check_homogeneous(args)
     degs = [a.degree() for a in args]
+    # With every degree even each Koszul and front sign is +1; the sweeps
+    # evaluate such tuples only.
+    graded = any(d % 2 for d in degs)
     cdim = algebra.dim if algebra is not None else None
     total = GradedElement(tower.pair, mdim, cdim)
     for j in range(1, n + 1):
         for k in range(j, n + 1):
             for sigma in _shuffles(k - j, j - 1):
-                eps = koszul_sign(sigma, degs[: k - 1])
-                front = sum(degs[sigma[m]] for m in range(k - j))
-                sign = eps * (-1 if front % 2 else 1)
+                sign = 1
+                if graded:
+                    eps = koszul_sign(sigma, degs[: k - 1])
+                    front = sum(degs[sigma[m]] for m in range(k - j))
+                    sign = eps * (-1 if front % 2 else 1)
                 inner = bracket([args[sigma[m]] for m in range(k - j, k - 1)]
                                 + [args[k - 1]], k == n)
                 if inner.is_zero():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -24,6 +25,7 @@ from liepairs.atiyah import (
 from liepairs.ce import Cochain, ce_diff, is_cocycle
 from liepairs.lie_core import direct_sum_module, make_pair, trivial_module
 from liepairs.linalg import Matrix
+from liepairs.multilinear import merge_sign
 from liepairs.scalars import GaussScalar, ONE, ZERO
 from liepairs.zoo import (
     gl_un_tn,
@@ -356,3 +358,38 @@ def test_todd_log_coefficients_exponentiate_to_series_table():
     for n in range(1, order + 1):
         f.append(sum(k * g[k] * f[n - k] for k in range(1, n + 1)) / n)
     assert f == TODD_SERIES
+
+
+def termwise_product(x, y):
+    """x * y with one merge_sign call per pair of terms, summed one term at a
+    time: the product BiForm.__mul__ computes with shared wedge signs."""
+    out = BiForm()
+    for (g1, b1), v1 in x.terms.items():
+        for (g2, b2), v2 in y.terms.items():
+            gm, bm = merge_sign(g1, g2), merge_sign(b1, b2)
+            if gm is None or bm is None:
+                continue
+            sign = gm[0] * bm[0] * (-1) ** (len(b1) * len(g2))
+            out = out + BiForm({(gm[1], bm[1]): v1 * v2 * GaussScalar(sign)})
+    return out
+
+
+def random_biform(rng, dim_g, dim_b):
+    def indices(n):
+        return tuple(sorted(rng.sample(range(n), rng.randint(0, 2))))
+
+    return BiForm({(indices(dim_g), indices(dim_b)):
+                   GaussScalar(rng.choice([-3, -1, 1, 2]), rng.choice([0, 0, 1]))
+                   for _ in range(rng.randint(0, 12))})
+
+
+def test_biform_product_matches_termwise_signs():
+    # mixed bidegrees, so the Koszul factor (-1)^(|b1| |g2|) is exercised
+    rng = random.Random(77)
+    nonzero = 0
+    for _ in range(200):
+        x, y = random_biform(rng, 4, 3), random_biform(rng, 4, 3)
+        product = x * y
+        assert product == termwise_product(x, y)
+        nonzero += not product.is_zero()
+    assert nonzero > 100

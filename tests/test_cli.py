@@ -145,8 +145,8 @@ def test_verify_exit_zero_on_theorem_backed_fixture(capsys, tmp_path):
 
 def test_verify_exit_one_when_a_check_fails(capsys, tmp_path, monkeypatch):
     # valid inputs cannot produce residuals, so exercise the exit wiring by
-    # substituting a failing sweep
-    import liepairs.cli as cli_mod
+    # substituting a failing sweep where cmd_verify imports it from
+    import liepairs.homotopy as homotopy
 
     def fake_verify(tower, max_n, degree_cap, algebra=None):
         report = VerifyReport("leibniz")
@@ -155,7 +155,7 @@ def test_verify_exit_one_when_a_check_fails(capsys, tmp_path, monkeypatch):
             "liepairs.scalars", fromlist=["ONE"]).ONE))
         return report
 
-    monkeypatch.setattr(cli_mod, "verify_leibniz", fake_verify)
+    monkeypatch.setattr(homotopy, "verify_leibniz", fake_verify)
     path = export(capsys, tmp_path, "sl2")
     code, out, _ = run(capsys, ["verify", "--input", str(path),
                                 "--max-n", "2", "--degree-cap", "1"])
@@ -307,6 +307,41 @@ def test_fixture_loader_refuses_an_oversized_bracket_table(capsys, tmp_path,
     assert err.count("\n") == 1 and "4251528 entries, above 4194304" in err
 
 
+def test_fixture_loader_refuses_oversized_modules_and_algebras(
+        capsys, tmp_path, monkeypatch):
+    # a module's End(E) matrices have dim^2 entries: 2048^2 = 2^22 fit and
+    # 2049^2 do not; an algebra's multiplication table has dim^3 entries, so
+    # 161 fits and 162 does not.  Each refusal is arithmetic, made before
+    # anything of that size is allocated.
+    import liepairs.fixture_io as fixture_io
+
+    class Reached(Exception):
+        pass
+
+    def fake_module(dim, action):
+        raise Reached
+
+    cap = fixture_io.MAX_DENSE_ENTRIES
+    assert 2048 ** 2 <= cap < 2049 ** 2 and 161 ** 3 <= cap < 162 ** 3
+    monkeypatch.setattr(fixture_io, "GModule", fake_module)
+    for kind, dim in (("modules", 2048), ("algebra", 161)):
+        with pytest.raises(Reached):
+            load_fixture({"dim": 1, "dim_g": 0,
+                          kind: {"X": {"dim": dim, "action": []}}})
+    for kind, dim, command, entries in (
+            ("modules", 2049, "atiyah", 2049 ** 2),
+            ("algebra", 162, "validate", 162 ** 3)):
+        path = tmp_path / ("huge_%s.json" % kind)
+        path.write_text(json.dumps({"dim": 1, "dim_g": 0,
+                                    kind: {"X": {"dim": dim, "action": []}}}))
+        argv = [command, "--input", str(path)]
+        code, out, err = run(capsys, argv + (
+            ["--module", "X"] if command == "atiyah" else []))
+        assert code == EXIT_PARSE_ERROR and out == ""
+        assert err.count("\n") == 1
+        assert "%d entries, above %d" % (entries, cap) in err
+
+
 def test_fixture_loader_rejects_bad_scalars():
     with pytest.raises(ParseError):
         load_fixture({"dim": 2, "dim_g": 1, "bracket": [],
@@ -421,7 +456,7 @@ def test_tower_size_cap_boundary(capsys, tmp_path, monkeypatch):
     # a 9 + 9 pair has gl(3)'s dimensions: verify --depth 4 differentiates a
     # 9 * 9^5-entry R_4 into 36 * 9^5 = 2.1 M entries and is allowed, while
     # depth 5 (19 M) is refused before the tower is built
-    import liepairs.cli as cli_mod
+    import liepairs.homotopy as homotopy
 
     class Reached(Exception):
         pass
@@ -429,7 +464,7 @@ def test_tower_size_cap_boundary(capsys, tmp_path, monkeypatch):
     def fake_build_tower(*args, **kwargs):
         raise Reached
 
-    monkeypatch.setattr(cli_mod, "build_tower", fake_build_tower)
+    monkeypatch.setattr(homotopy, "build_tower", fake_build_tower)
     path = _abelian_fixture(tmp_path)
     for command, depth, allowed in (("verify", 4, True), ("verify", 5, False),
                                     ("tower", 4, True), ("tower", 5, False),

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Import hygiene: every module of the package uses each name it imports, and
+the obstruction commands load only the layers they run.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library alone.  ``__init__.py`` is exempt: its imports are the
@@ -6,9 +7,18 @@ package's public re-exports.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import liepairs
+import liepairs.homotopy as homotopy
+from liepairs.fixture_io import dump_fixture
+from liepairs.zoo import sl2_pair
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liepairs"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -77,3 +87,43 @@ def test_the_check_sees_an_orphaned_helper():
 def test_no_orphaned_private_helpers():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert orphaned_private_names(sources) == []
+
+
+DIET_SCRIPT = """
+import contextlib, io, json, sys
+from liepairs.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "loaded": sorted(
+    name for name in sys.modules if name.startswith("liepairs"))}))
+"""
+
+
+def test_obstruction_commands_load_no_tower_or_zoo_layer(tmp_path):
+    pair, modules = sl2_pair()
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(dump_fixture(pair, modules)))
+    jobs = [["validate", "--input", str(path), "--json"]] + [
+        [command, "--input", str(path), "--module", "B", "--json"]
+        for command in ("atiyah", "todd", "chern")]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", DIET_SCRIPT,
+                           json.dumps(jobs)], env=env, capture_output=True,
+                          text=True, check=True)
+    report = json.loads(done.stdout)
+    assert report["codes"] == [0, 0, 0, 0]
+    assert "liepairs.cli" in report["loaded"]
+    assert "liepairs.atiyah" in report["loaded"]
+    assert "liepairs.homotopy" not in report["loaded"]
+    assert "liepairs.zoo" not in report["loaded"]
+
+
+def test_lazy_package_names_resolve_and_are_listed():
+    for name in liepairs._HOMOTOPY_NAMES:
+        assert getattr(liepairs, name) is getattr(homotopy, name)
+        assert name in dir(liepairs)
+    assert "atiyah_class" in dir(liepairs)
+    with pytest.raises(AttributeError):
+        liepairs.no_such_name

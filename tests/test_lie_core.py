@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from liepairs.lie_core import (
@@ -7,6 +9,7 @@ from liepairs.lie_core import (
     MatchedPairData,
     NotABialgebra,
     NotASubalgebra,
+    Report,
     SubalgebraNotClosed,
     adapt_basis,
     bialgebra_pair,
@@ -23,9 +26,10 @@ from liepairs.lie_core import (
     trivial_module,
     validate_lie_algebra,
 )
-from liepairs.linalg import Matrix
+from liepairs.linalg import Matrix, basis_vec, vec_add, vec_is_zero
 from liepairs.scalars import GaussScalar, ONE, ZERO
 from liepairs.zoo import (
+    _catalog,
     _split_anti_hermitian,
     _t_basis,
     _t_coords,
@@ -35,6 +39,7 @@ from liepairs.zoo import (
     dual_numbers_algebra,
     gl_un_tn,
     heisenberg_pair,
+    random_pair,
     sl2_pair,
     sl2_pair_swapped,
     unit_algebra,
@@ -77,6 +82,73 @@ def test_validate_jacobi_failure():
     report = validate_lie_algebra(d)
     assert not report.ok
     assert any(e["check"] == "jacobi" for e in report.entries)
+
+
+def dense_validate(d):
+    """The dense check validate_lie_algebra replaced: full bracket vectors
+    for every antisymmetry pair and every one of the C(n, 3) Jacobi triples."""
+    report = Report("lie_algebra")
+    n = d.dim
+
+    def first_nonzero(vec):
+        return next((p, x) for p, x in enumerate(vec) if not x.is_zero())
+
+    for i in range(n):
+        for j in range(i, n):
+            res = vec_add(d.c[i][j], d.c[j][i])
+            if not vec_is_zero(res):
+                where = first_nonzero(res)
+                report.add("antisymmetry", (i, j, where[0]), where[1])
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                res = vec_add(
+                    d.bracket(d.c[i][j], basis_vec(n, k)),
+                    vec_add(d.bracket(d.c[j][k], basis_vec(n, i)),
+                            d.bracket(d.c[k][i], basis_vec(n, j))))
+                if not vec_is_zero(res):
+                    where = first_nonzero(res)
+                    report.add("jacobi", (i, j, k, where[0]), where[1])
+    return report
+
+
+def zoo_algebras():
+    algebras = [(name, build().d) for name, build in _catalog()]
+    algebras += [("u2t2", gl_un_tn(2).pair.d), ("gl3", gl_un_tn(3).pair.d)]
+    algebras += [("random_%d" % seed, random_pair(seed).d)
+                 for seed in range(4)]
+    return algebras
+
+
+def corrupted(d, rng, keep_antisymmetry):
+    """A copy of d with one structure constant c_ij^t changed (and c_ji^t
+    with it when keep_antisymmetry holds)."""
+    n = d.dim
+    copy = LieAlgebra(n, d.c)
+    i, t = rng.randrange(n), rng.randrange(n)
+    j = rng.choice([x for x in range(n) if x != i]) if keep_antisymmetry \
+        else rng.randrange(n)
+    value = copy.c[i][j][t] + GaussScalar(rng.choice([-2, -1, 1, 3]),
+                                          rng.choice([0, 0, 1]))
+    copy.c[i][j][t] = value
+    if keep_antisymmetry:
+        copy.c[j][i][t] = -value
+    return copy
+
+
+def test_sparse_validation_matches_the_dense_oracle():
+    rng = random.Random(2024)
+    seen = set()
+    for name, d in zoo_algebras():
+        assert validate_lie_algebra(d).entries == dense_validate(d).entries \
+            == [], name
+        for trial in range(6):
+            bad = corrupted(d, rng, keep_antisymmetry=trial % 2 == 0)
+            entries = validate_lie_algebra(bad).entries
+            assert entries == dense_validate(bad).entries, (name, trial)
+            seen.update((trial % 2, e["check"]) for e in entries)
+    # antisymmetric corruptions break Jacobi alone, the others both checks
+    assert seen == {(0, "jacobi"), (1, "antisymmetry"), (1, "jacobi")}
 
 
 def test_make_pair_closure():
