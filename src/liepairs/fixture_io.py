@@ -11,9 +11,9 @@ Scalars are strings "a/b" or "a/b+c/d*i"; plain integers are accepted.
 Every "dim" is a JSON integer >= 0, and a fixture is refused before anything
 is allocated when a dense table it implies would exceed MAX_DENSE_ENTRIES:
 the bracket table (dim^3 structure constants), a module's End(E) matrices
-(dim^2 entries; a connection by zero has one per basis vector) or an
-algebra's multiplication table (dim^3).  Structural problems raise ParseError; mathematical
-invalidity is the validators' business, not the loader's.
+(dim^2 entries each, one per basis vector in a connection) or an algebra's
+multiplication table (dim^3).  Structural problems raise ParseError;
+mathematical invalidity is the validators' business, not the loader's.
 """
 
 from __future__ import annotations
