@@ -145,6 +145,9 @@ def _load(path, report):
     except json.JSONDecodeError as exc:
         raise ParseError("malformed JSON at line %d column %d: %s"
                          % (exc.lineno, exc.colno, exc.msg))
+    except (ValueError, RecursionError) as exc:
+        # invalid UTF-8, an integer literal too long to convert, deep nesting
+        raise ParseError("unreadable JSON: %s" % exc)
     return load_fixture(doc)
 
 

@@ -44,9 +44,21 @@ def _dimension(spec, key, owner):
 def _capped(value, power, what):
     """Refuse a dimension whose dense table of value**power entries is above
     MAX_DENSE_ENTRIES."""
+    if value > MAX_DENSE_ENTRIES:
+        # value ** power could have too many digits to print
+        raise ParseError("%s is above %d" % (what, MAX_DENSE_ENTRIES))
     if value ** power > MAX_DENSE_ENTRIES:
         raise ParseError("%s %d needs a dense table of %d entries, above %d"
                          % (what, value, value ** power, MAX_DENSE_ENTRIES))
+    return value
+
+
+def _entries(spec, key, owner):
+    """spec[key] as the list of [i, j, [coeffs]] entries of a sparse table."""
+    value = spec.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError("%s %r must be a list of [i, j, [coeffs]] entries"
+                         % (owner, key))
     return value
 
 
@@ -109,7 +121,7 @@ def load_fixture(doc) -> Fixture:
     _capped(dim, 3, "'dim'")
     algebra = LieAlgebra.zero(dim)
     seen = set()
-    for entry in doc.get("bracket", []):
+    for entry in _entries(doc, "bracket", "fixture"):
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError("bracket entries are [i, j, [coeffs]]")
         i, j, coeffs = entry
@@ -174,7 +186,7 @@ def load_fixture(doc) -> Fixture:
                    for m in action])
         mult = [[[GaussScalar(0)] * adim for _ in range(adim)]
                 for _ in range(adim)]
-        for entry in spec.get("mult", []):
+        for entry in _entries(spec, "mult", "algebra %r" % name):
             if not isinstance(entry, list) or len(entry) != 3:
                 raise ParseError("algebra mult entries are [i, j, [coeffs]]")
             i, j, coeffs = entry

@@ -33,7 +33,7 @@ from .lie_core import (
     tensor_module,
     trivial_module,
 )
-from .linalg import Matrix, basis_vec, zero_vec
+from .linalg import basis_vec, zero_vec
 from .multilinear import (
     exterior_basis,
     exterior_index,
@@ -77,12 +77,7 @@ class SplittingTensors:
 
 def splitting_tensors(pair: LiePair, conn_b: Connection) -> SplittingTensors:
     m, nb = pair.dim_g, pair.dim_b
-    delta = []
-    for b in range(nb):
-        cols = [pair.d.c[m + b][a][:m] for a in range(m)]
-        delta.append(Matrix.from_rows([[cols[a][s] for a in range(m)]
-                                       for s in range(m)])
-                     if m else Matrix(0, 0, []))
+    delta = [pair.d.ad(m + b, 0, m) for b in range(nb)]
     alpha_map = [[pair.d.c[m + b1][m + b2][:m] for b2 in range(nb)]
                  for b1 in range(nb)]
     beta = []

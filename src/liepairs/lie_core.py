@@ -15,11 +15,10 @@ from .linalg import (
     solve,
     vec_add,
     vec_is_zero,
-    vec_scale,
     vec_sub,
     zero_vec,
 )
-from .scalars import GaussScalar, ZERO, as_scalar
+from .scalars import ZERO, as_scalar
 
 
 class SubalgebraNotClosed(Exception):
@@ -72,8 +71,6 @@ class LieAlgebra:
     """Finite-dimensional Lie algebra given by its structure-constant tensor.
 
     ``c[i][j]`` is the coordinate vector of the bracket of basis vectors i, j.
-    The anchor of the underlying one-object algebroid is identically zero and
-    is not stored.
     """
 
     __slots__ = ("dim", "c")
@@ -105,36 +102,35 @@ class LieAlgebra:
             alg.c[j][i] = [-x for x in vec]
         return alg
 
-    def anchor(self, vec):
-        """The anchor map into the (zero) tangent space of the point base.
-
-        Identically zero by construction; kept so the one-object-algebroid
-        reading of these algebras is explicit.  No computation consumes it.
-        """
-        return ()
-
     def bracket(self, u, v):
         """Bracket of coordinate vectors, extended bilinearly."""
-        out = zero_vec(self.dim)
-        for i, a in enumerate(u):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(v):
-                if b.is_zero():
-                    continue
-                coeff = a * b
-                row = self.c[i][j]
-                for k, x in enumerate(row):
-                    if not x.is_zero():
-                        out[k] = out[k] + coeff * x
-        return out
+        return _table_product(self.c, u, v)
 
-    def ad(self, i):
-        """Matrix of ad(x_i) acting on coordinates."""
-        cols = [self.c[i][j] for j in range(self.dim)]
-        return Matrix.from_rows(
-            [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
-        )
+    def ad(self, i, lo=0, hi=None):
+        """Matrix of ad(x_i) on coordinates, restricted to the square block of
+        basis vectors lo..hi-1 (the whole algebra by default): entry (k, j) is
+        the x_(lo+k) coordinate of [x_i, x_(lo+j)]."""
+        hi = self.dim if hi is None else hi
+        row = self.c[i]
+        return Matrix.from_rows([[row[j][k] for j in range(lo, hi)]
+                                 for k in range(lo, hi)])
+
+
+def _table_product(table, u, v):
+    """sum_(i,j) u_i v_j table[i][j]: the bilinear product a structure
+    tensor defines on coordinate vectors."""
+    out = zero_vec(len(table))
+    for i, a in enumerate(u):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(v):
+            if b.is_zero():
+                continue
+            coeff = a * b
+            for k, x in enumerate(table[i][j]):
+                if not x.is_zero():
+                    out[k] = out[k] + coeff * x
+    return out
 
 
 def validate_lie_algebra(g: LieAlgebra) -> Report:
@@ -205,16 +201,9 @@ class LiePair:
     def quotient_module(self) -> "GModule":
         """The quotient B with the action q([a, l]); flat by the Jacobi identity."""
         if self._b_module is None:
-            m, nb = self.dim_g, self.dim_b
-            action = []
-            for a in range(m):
-                rows = [[ZERO] * nb for _ in range(nb)]
-                for b in range(nb):
-                    h = self.d.c[a][m + b]
-                    for out in range(nb):
-                        rows[out][b] = h[m + out]
-                action.append(Matrix.from_rows(rows) if nb else Matrix(0, 0, []))
-            self._b_module = GModule(nb, action)
+            m = self.dim_g
+            self._b_module = GModule(self.dim_b, [self.d.ad(a, m, self.d.dim)
+                                                  for a in range(m)])
         return self._b_module
 
 
@@ -438,18 +427,7 @@ class GAlgebra:
         return self.module.dim
 
     def product(self, u, v):
-        out = zero_vec(self.dim)
-        for i, a in enumerate(u):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(v):
-                if b.is_zero():
-                    continue
-                coeff = a * b
-                for k, x in enumerate(self.mult[i][j]):
-                    if not x.is_zero():
-                        out[k] = out[k] + coeff * x
-        return out
+        return _table_product(self.mult, u, v)
 
     def product_basis(self, i, j):
         return self.mult[i][j]
@@ -506,96 +484,79 @@ class MatchedPairData:
         self.delta = list(delta)
         if len(self.nabla) != a.dim or len(self.delta) != b.dim:
             raise ValueError("action count mismatch")
+        for mats, n, what in ((self.nabla, b.dim, "nabla"),
+                              (self.delta, a.dim, "delta")):
+            if any(m.rows != n or m.cols != n for m in mats):
+                raise ValueError("%s matrices must be %d x %d" % (what, n, n))
 
 
-def check_matched_pair(m: MatchedPairData) -> Report:
-    """Validates both algebras, both actions, and the mixed compatibility laws."""
-    report = Report("matched_pair")
-    for label, alg in (("a", m.a), ("b", m.b)):
-        sub = validate_lie_algebra(alg)
-        for entry in sub.entries:
-            report.add(label + "_" + entry["check"], entry["location"], entry["residual"])
-    nab = check_module(m.a, GModule(m.b.dim, m.nabla))
-    for entry in nab.entries:
-        report.add("nabla_flatness", entry["location"], entry["residual"])
-    delt = check_module(m.b, GModule(m.a.dim, m.delta))
-    for entry in delt.entries:
-        report.add("delta_flatness", entry["location"], entry["residual"])
-
+def _sum_algebra(m: MatchedPairData) -> LieAlgebra:
+    """The bracket on A + B (A first): [X, Y] = -delta_Y X + nabla_X Y for X
+    in A and Y in B, and the brackets of A and of B on their own blocks."""
     na, nb = m.a.dim, m.b.dim
-    # nabla_X [Y1,Y2] = [nabla_X Y1, Y2] + [Y1, nabla_X Y2]
-    #                   + nabla_{delta_{Y2} X} Y1 - nabla_{delta_{Y1} X} Y2
-    for x in range(na):
-        for y1 in range(nb):
-            for y2 in range(nb):
-                lhs = m.nabla[x].apply(m.b.c[y1][y2])
-                t1 = m.b.bracket(m.nabla[x].col(y1), basis_vec(nb, y2))
-                t2 = m.b.bracket(basis_vec(nb, y1), m.nabla[x].col(y2))
-                t3 = _act_combo(m.nabla, m.delta[y2].col(x), basis_vec(nb, y1))
-                t4 = _act_combo(m.nabla, m.delta[y1].col(x), basis_vec(nb, y2))
-                res = vec_sub(lhs, vec_add(vec_add(t1, t2), vec_sub(t3, t4)))
-                if not vec_is_zero(res):
-                    where = _first_nonzero(res)
-                    report.add("mixed_nabla", (x, y1, y2, where[0]), where[1])
-    # delta_Y [X1,X2] = [delta_Y X1, X2] + [X1, delta_Y X2]
-    #                   + delta_{nabla_{X2} Y} X1 - delta_{nabla_{X1} Y} X2
-    for y in range(nb):
-        for x1 in range(na):
-            for x2 in range(na):
-                lhs = m.delta[y].apply(m.a.c[x1][x2])
-                t1 = m.a.bracket(m.delta[y].col(x1), basis_vec(na, x2))
-                t2 = m.a.bracket(basis_vec(na, x1), m.delta[y].col(x2))
-                t3 = _act_combo(m.delta, m.nabla[x2].col(y), basis_vec(na, x1))
-                t4 = _act_combo(m.delta, m.nabla[x1].col(y), basis_vec(na, x2))
-                res = vec_sub(lhs, vec_add(vec_add(t1, t2), vec_sub(t3, t4)))
-                if not vec_is_zero(res):
-                    where = _first_nonzero(res)
-                    report.add("mixed_delta", (y, x1, x2, where[0]), where[1])
+    n = na + nb
+    c = [[None] * n for _ in range(n)]
+    for i in range(na):
+        for j in range(na):
+            c[i][j] = m.a.c[i][j] + [ZERO] * nb
+    for i in range(nb):
+        for j in range(nb):
+            c[na + i][na + j] = [ZERO] * na + m.b.c[i][j]
+    for i in range(na):
+        for j in range(nb):
+            vec = [-x for x in m.delta[j].col(i)] + m.nabla[i].col(j)
+            c[i][na + j] = vec
+            c[na + j][i] = [-x for x in vec]
+    return LieAlgebra(n, c)
+
+
+# The law a Jacobi violation of the sum breaks, keyed by how many of the
+# triple's indices lie in A and whether the residual coordinate lies in A.
+# For X, X' in A and Y, Y' in B the A-part of Jacobi(X, X', Y) is the mixed
+# delta law and its B-part the flatness of nabla; Jacobi(X, Y, Y') likewise.
+_SUM_LAWS = {
+    (3, True): "a_jacobi",
+    (2, True): "mixed_delta",
+    (2, False): "nabla_flatness",
+    (1, True): "delta_flatness",
+    (1, False): "mixed_nabla",
+    (0, False): "b_jacobi",
+}
+
+
+def _law_report(d: LieAlgebra, na: int) -> Report:
+    """validate_lie_algebra on a sum algebra, each entry named by the law it
+    breaks; locations are sum indices."""
+    report = Report("matched_pair")
+    for entry in validate_lie_algebra(d).entries:
+        loc = entry["location"]
+        if entry["check"] == "antisymmetry":
+            law = "a_antisymmetry" if loc[0] < na else "b_antisymmetry"
+        else:
+            law = _SUM_LAWS[sum(x < na for x in loc[:3]), loc[3] < na]
+        report.add(law, loc, entry["residual"])
     return report
 
 
-def _act_combo(matrices, coeffs, vec):
-    """Apply a coefficient combination of action matrices to vec."""
-    out = zero_vec(matrices[0].rows if matrices else 0)
-    for s, c in enumerate(coeffs):
-        if not c.is_zero():
-            out = vec_add(out, vec_scale(c, matrices[s].apply(vec)))
-    return out
+def check_matched_pair(m: MatchedPairData) -> Report:
+    """The matched-pair laws, checked as the Jacobi identity of the sum.
+
+    Both brackets are Lie, both actions are flat and the two mixed
+    compatibility laws hold exactly when the bracket on A + B is a Lie
+    bracket (Majid, Pacific J. Math. 141 (1990); Mokri, Glasgow Math. J. 39
+    (1997)), so the sum is validated once and each violation is named by
+    the law its block belongs to.
+    """
+    return _law_report(_sum_algebra(m), m.a.dim)
 
 
 def matched_sum(m: MatchedPairData) -> LiePair:
     """The Lie algebra on A + B defined by a matched pair, as a pair with g = A."""
-    report = check_matched_pair(m)
+    d = _sum_algebra(m)
+    report = _law_report(d, m.a.dim)
     if not report.ok:
         raise MatchedPairAxiomsFail(report.entries[0])
-    na, nb = m.a.dim, m.b.dim
-    n = na + nb
-    c = [[zero_vec(n) for _ in range(n)] for _ in range(n)]
-
-    def emb_a(vec):
-        return list(vec) + zero_vec(nb)
-
-    def emb_b(vec):
-        return zero_vec(na) + list(vec)
-
-    for i in range(na):
-        for j in range(na):
-            c[i][j] = emb_a(m.a.c[i][j])
-    for i in range(nb):
-        for j in range(nb):
-            c[na + i][na + j] = emb_b(m.b.c[i][j])
-    for i in range(na):
-        for j in range(nb):
-            # [X + 0, 0 + Y] = -delta_Y X + nabla_X Y
-            vec = emb_a(vec_scale(GaussScalar(-1), m.delta[j].col(i)))
-            vec = vec_add(vec, emb_b(m.nabla[i].col(j)))
-            c[i][na + j] = vec
-            c[na + j][i] = vec_scale(GaussScalar(-1), vec)
-    d = LieAlgebra(n, c)
-    jac = validate_lie_algebra(d)
-    if not jac.ok:
-        raise MatchedPairAxiomsFail(jac.entries[0])
-    return LiePair(d, na)
+    return LiePair(d, m.a.dim)
 
 
 def pair_to_matched(pair: LiePair) -> MatchedPairData:
@@ -612,18 +573,8 @@ def pair_to_matched(pair: LiePair) -> MatchedPairData:
     a_alg = pair.g_algebra()
     b_c = [[d.c[na + i][na + j][na:] for j in range(nb)] for i in range(nb)]
     b_alg = LieAlgebra(nb, b_c)
-    nabla = []
-    for x in range(na):
-        cols = [d.c[x][na + y][na:] for y in range(nb)]
-        nabla.append(Matrix.from_rows(
-            [[cols[y][k] for y in range(nb)] for k in range(nb)])
-            if nb else Matrix(0, 0, []))
-    delta = []
-    for y in range(nb):
-        cols = [d.c[na + y][x][:na] for x in range(na)]
-        delta.append(Matrix.from_rows(
-            [[cols[x][k] for x in range(na)] for k in range(na)])
-            if na else Matrix(0, 0, []))
+    nabla = [d.ad(x, na, d.dim) for x in range(na)]
+    delta = [d.ad(na + y, 0, na) for y in range(nb)]
     return MatchedPairData(a_alg, b_alg, nabla, delta)
 
 
@@ -647,10 +598,8 @@ def bialgebra_pair(g: LieAlgebra, cobracket) -> MatchedPairData:
     dual_c = [[[cobracket[i][j, k] for i in range(n)] for k in range(n)]
               for j in range(n)]
     g_star = LieAlgebra(n, dual_c)
-    star_report = validate_lie_algebra(g_star)
-    if not star_report.ok:
-        raise NotABialgebra(star_report.entries[0])
-    # nabla_X = coadjoint action of g on g*; delta_alpha = coadjoint of g* on g.
+    # nabla_X = coadjoint action of g on g*; delta_alpha = coadjoint of g* on
+    # g.  The sum's g*-block triples are the Jacobi identity of g*.
     nabla = [-g.ad(i).transpose() for i in range(n)]
     delta = [-g_star.ad(i).transpose() for i in range(n)]
     data = MatchedPairData(g, g_star, nabla, delta)

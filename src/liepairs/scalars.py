@@ -12,6 +12,7 @@ Scalars serialize as strings like "2", "-1/3" or "1/2+3/4*i".
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -162,9 +163,11 @@ def format_scalar(s: GaussScalar) -> str:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """One part, [+-]digits or [+-]digits/digits.  Fraction alone would also
+    take decimals, "_" and exponents: "1e999999" is a million-digit integer."""
     text = text.strip()
-    if not text:
-        raise ValueError("empty rational")
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise ValueError("malformed rational %r" % text)
     return Fraction(text)
 
 

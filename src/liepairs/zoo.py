@@ -20,6 +20,7 @@ from .lie_core import (
     dual_module,
     make_pair,
     matched_sum,
+    pair_to_matched,
     tensor_module,
     trivial_module,
 )
@@ -176,36 +177,19 @@ class UnitaryTriangularPair:
 
 
 def gl_un_tn(n: int) -> UnitaryTriangularPair:
-    """Real matched pair decomposing the n x n complex matrix algebra."""
+    """Real matched pair decomposing the n x n complex matrix algebra.
+
+    The bracket on u(n) + t(n) is the matrix commutator split into its two
+    parts; the matched-pair data are read off that table."""
     if n not in (2, 3):
         raise ValueError("pinned to n in {2, 3}")
-    ub = _u_basis(n)
     tb = _t_basis(n)
-    na = len(ub)
     nb = len(tb)
-    a_c = [[_u_coords(n, _split_anti_hermitian(ub[i].commutator(ub[j]))[0])
-            for j in range(na)] for i in range(na)]
-    b_c = [[_t_coords(n, _split_anti_hermitian(tb[i].commutator(tb[j]))[1])
-            for j in range(nb)] for i in range(nb)]
-    a_alg = LieAlgebra(na, a_c)
-    b_alg = LieAlgebra(nb, b_c)
-    nabla = []
-    for x in range(na):
-        cols = []
-        for y in range(nb):
-            _, t = _split_anti_hermitian(ub[x].commutator(tb[y]))
-            cols.append(_t_coords(n, t))
-        nabla.append(Matrix.from_rows(
-            [[cols[y][k] for y in range(nb)] for k in range(nb)]))
-    delta = []
-    for y in range(nb):
-        cols = []
-        for x in range(na):
-            u, _ = _split_anti_hermitian(tb[y].commutator(ub[x]))
-            cols.append(_u_coords(n, u))
-        delta.append(Matrix.from_rows(
-            [[cols[x][k] for x in range(na)] for k in range(na)]))
-    matched = MatchedPairData(a_alg, b_alg, nabla, delta)
+    basis = _u_basis(n) + tb
+    c = [[_u_coords(n, u) + _t_coords(n, t)
+          for u, t in (_split_anti_hermitian(x.commutator(y)) for y in basis)]
+         for x in basis]
+    matched = pair_to_matched(LiePair(LieAlgebra(len(basis), c), n * n))
     pair = matched_sum(matched)
     module_b = pair.quotient_module()
     gamma = []

@@ -1,7 +1,11 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepairs.cli import (
     EXIT_CHECK_FAILURE,
@@ -14,7 +18,13 @@ from liepairs.cli import (
 from liepairs.fixture_io import ParseError, dump_fixture, load_fixture
 from liepairs.homotopy import VerifyReport
 from liepairs.lie_core import LieAlgebra, make_pair, trivial_module
-from liepairs.zoo import gl_un_tn, random_extension, random_module, sl2_pair
+from liepairs.zoo import (
+    dual_numbers_algebra,
+    gl_un_tn,
+    random_extension,
+    random_module,
+    sl2_pair,
+)
 
 
 def run(capsys, argv):
@@ -353,6 +363,45 @@ def test_fixture_loader_rejects_bad_scalars():
         load_fixture({"dim": 2, "dim_g": 1, "bracket": [[0, 0, ["1", "0"]]]})
 
 
+def _sl2_bytes(edit=None, text=None):
+    """The sl2 export as JSON bytes, after edit(doc) and text edits."""
+    pair, modules = sl2_pair()
+    doc = dump_fixture(pair, modules,
+                       algebras={"dual_numbers": dual_numbers_algebra(2)})
+    if edit:
+        edit(doc)
+    raw = json.dumps(doc)
+    for old, new in (text or {}).items():
+        raw = raw.replace(old, new, 1)
+    return raw.encode()
+
+
+def _set_first_coefficient(value):
+    def edit(doc):
+        doc["bracket"][0][2][1] = value
+    return edit
+
+
+@pytest.mark.parametrize("raw", [
+    _sl2_bytes(lambda doc: doc.update(bracket=5)),
+    _sl2_bytes(lambda doc: doc["algebra"]["dual_numbers"].update(mult=5)),
+    _sl2_bytes(_set_first_coefficient("BIG"), {'"BIG"': "9" * 5001}),
+    _sl2_bytes(_set_first_coefficient("1e999999")),
+    json.dumps({"dim": 10 ** 4000, "dim_g": 0}).encode(),
+    b"[" * 100000,
+    b'{"dim": "\xff"}',
+], ids=["bracket_not_a_list", "mult_not_a_list", "integer_of_5001_digits",
+        "scalar_exponent", "dim_too_long_to_print", "nesting_too_deep",
+        "not_utf8"])
+def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    for command in ("validate", "atiyah"):
+        code, out, err = run(capsys, [command, "--input", str(path)])
+        assert (code, out) == (EXIT_PARSE_ERROR, ""), command
+        assert err.count("\n") == 1 and err.startswith("parse error"), err
+
+
 @pytest.mark.parametrize("argv", [
     ["tower", "--depth", "1"],
     ["verify", "--depth", "2", "--max-n", "3"],
@@ -529,3 +578,106 @@ def test_tower_commands_byte_identical_to_goldens(capsys, tmp_path,
         assert code == EXIT_OK, name
         assert hashlib.sha256(out.encode()).hexdigest() == \
             TOWER_GOLDENS[name], name
+
+
+# -- fuzz: type-breaking mutations of exported fixtures ------------------------
+
+FUZZ_FIXTURES = ("sl2", "heisenberg", "affine_bialgebra", "u2t2")
+
+# Values no slot of the given kind accepts.  "BIG" becomes an integer literal
+# of 5,001 digits in the JSON text, more than json.loads will convert.
+_NOT_A_LIST = (5, "x", None, {})
+_MUTATIONS = {
+    "dim": ("3", 1.5, None, [], -1),
+    "table": _NOT_A_LIST,
+    "entry": _NOT_A_LIST + ("drop", "append"),
+    "index": ("0", 1.5, None, [], -1, "dim", 10 ** 6),
+    "vector": _NOT_A_LIST + ("drop", "append"),
+    "scalar": ("1e999999", "BIG", "1e3", "2.0", "2_0", "", "x", "1/0",
+               "1//2", "i*i", None, True, 1.5, [], {}),
+    "matrices": _NOT_A_LIST + ("drop", "append"),
+    "object": (5, "x", None, []),
+}
+
+
+def _slots(doc):
+    """(container, key, kind) for every slot a mutation may break."""
+    slots = [(doc, "dim", "dim"), (doc, "dim_g", "dim"),
+             (doc, "bracket", "table")]
+
+    def table(entries):
+        for pos, entry in enumerate(entries):
+            slots.extend([(entries, pos, "entry"), (entry, 0, "index"),
+                          (entry, 1, "index"), (entry, 2, "vector")])
+            vector(entry[2])
+
+    def vector(values):
+        slots.extend((values, pos, "scalar") for pos in range(len(values)))
+
+    def matrices(owner, key):
+        slots.append((owner, key, "matrices"))
+        for mat in owner[key]:
+            slots.extend((mat, r, "vector") for r in range(len(mat)))
+            for row in mat:
+                vector(row)
+
+    table(doc["bracket"])
+    for section in ("modules", "connection", "algebra"):
+        if section not in doc:
+            continue
+        slots.append((doc, section, "object"))
+        for name, spec in doc[section].items():
+            slots.append((doc[section], name, "object"))
+            if section == "connection":
+                matrices(doc[section], name)
+                continue
+            slots.append((spec, "dim", "dim"))
+            matrices(spec, "action")
+            if "mult" in spec:
+                slots.append((spec, "mult", "table"))
+                table(spec["mult"])
+    return slots
+
+
+def _mutate(container, key, mutation):
+    value = container[key]
+    if mutation == "drop":
+        container[key] = value[:-1]
+    elif mutation == "append":
+        container[key] = value + value[-1:] if value else [[]]
+    elif mutation == "dim":
+        container[key] = len(container[2])
+    else:
+        container[key] = mutation
+
+
+@pytest.fixture(scope="module")
+def fuzz_exports(tmp_path_factory):
+    docs = {name: json.loads(_zoo_export(name)) for name in FUZZ_FIXTURES}
+    return docs, tmp_path_factory.mktemp("fuzz") / "mutated.json"
+
+
+def _zoo_export(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["zoo", "export", name]) == EXIT_OK
+    return out.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_fixtures_exit_2_or_3_with_one_stderr_line(fuzz_exports,
+                                                          data):
+    docs, path = fuzz_exports
+    doc = copy.deepcopy(docs[data.draw(st.sampled_from(FUZZ_FIXTURES))])
+    kind = data.draw(st.sampled_from(sorted(_MUTATIONS)))
+    container, key, _ = data.draw(st.sampled_from(
+        [slot for slot in _slots(doc) if slot[2] == kind]))
+    _mutate(container, key, data.draw(st.sampled_from(_MUTATIONS[kind])))
+    path.write_text(json.dumps(doc).replace('"BIG"', "9" * 5001))
+    for command in ("validate", "atiyah"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--input", str(path)])
+        assert code in (EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR), command
+        assert err.getvalue().count("\n") == 1, (command, err.getvalue())

@@ -6,6 +6,7 @@ from liepairs.lie_core import (
     GAlgebra,
     GModule,
     LieAlgebra,
+    MatchedPairAxiomsFail,
     MatchedPairData,
     NotABialgebra,
     NotASubalgebra,
@@ -44,6 +45,7 @@ from liepairs.zoo import (
     sl2_pair_swapped,
     unit_algebra,
     weighted_dual_numbers,
+    zero_cobracket_bialgebra,
 )
 
 
@@ -280,6 +282,150 @@ def test_corrupted_nabla_breaks_jacobi_of_the_sum():
     report = validate_lie_algebra(LieAlgebra(n, c))
     mixed = [e for e in report.entries if e["check"] == "jacobi"]
     assert mixed
+
+
+def oracle_check_matched_pair(m):
+    """The matched-pair check check_matched_pair replaced: both algebras and
+    both actions validated on their own, then the two mixed compatibility
+    laws over every index triple with dense vectors."""
+    report = Report("matched_pair")
+    for label, alg in (("a", m.a), ("b", m.b)):
+        for entry in validate_lie_algebra(alg).entries:
+            report.add(label + "_" + entry["check"], entry["location"],
+                       entry["residual"])
+    for law, alg, mats, dim in (("nabla_flatness", m.a, m.nabla, m.b.dim),
+                                ("delta_flatness", m.b, m.delta, m.a.dim)):
+        for entry in check_module(alg, GModule(dim, mats)).entries:
+            report.add(law, entry["location"], entry["residual"])
+
+    def act_combo(matrices, coeffs, vec):
+        out = [ZERO] * len(vec)
+        for s, c in enumerate(coeffs):
+            if not c.is_zero():
+                out = vec_add(out, [c * x for x in matrices[s].apply(vec)])
+        return out
+
+    # nabla_X [Y1,Y2] = [nabla_X Y1, Y2] + [Y1, nabla_X Y2]
+    #                   + nabla_{delta_{Y2} X} Y1 - nabla_{delta_{Y1} X} Y2,
+    # and the same law with the roles of (A, nabla) and (B, delta) swapped
+    for law, outer, inner, act, coact in (
+            ("mixed_nabla", m.a, m.b, m.nabla, m.delta),
+            ("mixed_delta", m.b, m.a, m.delta, m.nabla)):
+        n = inner.dim
+        for x in range(outer.dim):
+            for y1 in range(n):
+                for y2 in range(n):
+                    e1, e2 = basis_vec(n, y1), basis_vec(n, y2)
+                    lhs = act[x].apply(inner.c[y1][y2])
+                    t1 = inner.bracket(act[x].col(y1), e2)
+                    t2 = inner.bracket(e1, act[x].col(y2))
+                    t3 = act_combo(act, coact[y2].col(x), e1)
+                    t4 = act_combo(act, coact[y1].col(x), e2)
+                    res = [a - b - c - d + e for a, b, c, d, e
+                           in zip(lhs, t1, t2, t3, t4)]
+                    if not vec_is_zero(res):
+                        pos = next(p for p, v in enumerate(res)
+                                   if not v.is_zero())
+                        report.add(law, (x, y1, y2, pos), res[pos])
+    return report
+
+
+def _matched_bases():
+    sl2 = sl2_pair()[0]
+    return [("affine", affine_bialgebra()), ("u2t2", gl_un_tn(2).matched),
+            ("sl2_zero_cobracket", zero_cobracket_bialgebra(sl2.d)),
+            ("sl2_split", pair_to_matched(sl2))]
+
+
+def _corrupted_action(mats, rng):
+    """A copy of the action matrices with one entry changed."""
+    out = [Matrix(mat.rows, mat.cols, mat.data) for mat in mats]
+    mat = rng.choice(out)
+    pos = rng.randrange(len(mat.data))
+    mat.data[pos] = mat.data[pos] + GaussScalar(rng.choice([-2, -1, 1, 3]),
+                                                rng.choice([0, 0, 1]))
+    return out
+
+
+def _matched_corruptions(m, rng):
+    """Seeded one-entry corruptions of A and B (keeping antisymmetry and
+    breaking it), of nabla and of delta."""
+    for trial in range(16):
+        keep = trial % 2 == 0
+        if m.a.dim > 1 or not keep:
+            yield MatchedPairData(corrupted(m.a, rng, keep), m.b, m.nabla,
+                                  m.delta)
+        if m.b.dim > 1 or not keep:
+            yield MatchedPairData(m.a, corrupted(m.b, rng, keep), m.nabla,
+                                  m.delta)
+        yield MatchedPairData(m.a, m.b, _corrupted_action(m.nabla, rng),
+                              m.delta)
+        yield MatchedPairData(m.a, m.b, m.nabla,
+                              _corrupted_action(m.delta, rng))
+
+
+def test_matched_pair_check_agrees_with_the_dense_oracle():
+    rng = random.Random(1990)
+    named = set()
+    cases = 0
+    for name, base in _matched_bases():
+        for data in [base] + list(_matched_corruptions(base, rng)):
+            new, old = check_matched_pair(data), oracle_check_matched_pair(data)
+            assert new.ok == old.ok, name
+            laws = {e["check"] for e in new.entries}
+            assert laws <= {e["check"] for e in old.entries}, name
+            named |= laws
+            if old.ok:
+                assert matched_sum(data).dim_g == data.a.dim
+            else:
+                with pytest.raises(MatchedPairAxiomsFail):
+                    matched_sum(data)
+            cases += 1
+    # sl2_split's B is one-dimensional: it has no antisymmetric corruption
+    assert cases == 4 + 4 * 64 - 8
+    assert named == {"a_antisymmetry", "b_antisymmetry", "a_jacobi",
+                     "b_jacobi", "nabla_flatness", "delta_flatness",
+                     "mixed_nabla", "mixed_delta"}
+
+
+def test_bialgebra_pair_raises_exactly_when_the_oracle_fails():
+    # one antisymmetric entry pair of one cobracket matrix changed
+    rng = random.Random(1204)
+    verdicts = set()
+    for g in (affine_bialgebra().a, sl2_pair()[0].d, heisenberg_pair().d):
+        n = g.dim
+        base = [Matrix(n, n, [ZERO] * (n * n)) for _ in range(n)]
+        if n == 2:
+            base[1] = Matrix.from_rows([[ZERO, ONE], [-ONE, ZERO]])
+        for _ in range(10):
+            cob = [Matrix(n, n, mat.data) for mat in base]
+            mat = rng.choice(cob)
+            j, k = rng.sample(range(n), 2)
+            value = mat[j, k] + GaussScalar(rng.choice([-1, 1, 2]))
+            mat.data[j * n + k], mat.data[k * n + j] = value, -value
+            dual_c = [[[cob[i][j, k] for i in range(n)] for k in range(n)]
+                      for j in range(n)]
+            g_star = LieAlgebra(n, dual_c)
+            data = MatchedPairData(
+                g, g_star, [-g.ad(i).transpose() for i in range(n)],
+                [-g_star.ad(i).transpose() for i in range(n)])
+            ok = oracle_check_matched_pair(data).ok
+            verdicts.add(ok)
+            if ok:
+                assert bialgebra_pair(g, cob).b.c == g_star.c
+            else:
+                with pytest.raises(NotABialgebra):
+                    bialgebra_pair(g, cob)
+    assert verdicts == {True, False}
+
+
+def test_matched_pair_data_checks_action_shapes():
+    data = affine_bialgebra()
+    wrong = [Matrix.zeros(3, 3)] * 2
+    with pytest.raises(ValueError, match="nabla"):
+        MatchedPairData(data.a, data.b, wrong, data.delta)
+    with pytest.raises(ValueError, match="delta"):
+        MatchedPairData(data.a, data.b, data.nabla, wrong)
 
 
 def test_matched_sum_zero_actions_direct_product():

@@ -2,6 +2,8 @@ import random
 
 from fractions import Fraction
 
+import pytest
+
 from liepairs.linalg import (
     Matrix,
     nullspace_basis,
@@ -10,7 +12,7 @@ from liepairs.linalg import (
     solve,
     vec_is_zero,
 )
-from liepairs.ce import diff_matrix
+from liepairs.ce import cohomology_dim, diff_matrix
 from liepairs.lie_core import end_module, matched_sum
 from liepairs.scalars import GaussScalar, I, ONE, ZERO
 from liepairs.zoo import (
@@ -150,7 +152,8 @@ def dense_rref(m):
     return out, tuple(pivots), len(pivots)
 
 
-def _diff_matrices():
+def _diff_cases():
+    """(pair, module, k, l) for every differential the rref oracles check."""
     pair, modules = sl2_pair()
     cases = [(pair, modules[name]) for name in ("B", "B_dual", "hom_bb_b")]
     u2t2 = gl_un_tn(2).pair
@@ -167,7 +170,12 @@ def _diff_matrices():
     for pair, module in cases:
         for k in range(pair.dim_g + 1):
             for l in (0, 1):
-                yield diff_matrix(pair, module, k, l)
+                yield pair, module, k, l
+
+
+def _diff_matrices():
+    for case in _diff_cases():
+        yield diff_matrix(*case)
 
 
 def _sparse_entry(rng):
@@ -209,3 +217,26 @@ def test_rref_matches_dense_oracle_on_random_matrices():
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         assert rref(m) == dense_rref(m)
     assert ranks == {True, False}
+
+
+def test_rref_and_cohomology_match_sympy_over_gaussian_rationals():
+    # an independent exact engine: SymPy's matrices over QQ_I (test-only)
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    def sympy_rref(m):
+        rows = [[QQ_I(x.re, x.im) for x in m.row(r)] for r in range(m.rows)]
+        return DomainMatrix(rows, (m.rows, m.cols), QQ_I).rref()[1]
+
+    rank_below = {}  # l -> rank of d_(k-1) on the current (pair, module)
+    checked = 0
+    for pair, module, k, l in _diff_cases():
+        m = diff_matrix(pair, module, k, l)
+        pivots = tuple(sympy_rref(m)) if m.rows else ()
+        assert rref(m)[1:] == (pivots, len(pivots)), (k, l)
+        expected = m.cols - len(pivots) - (rank_below[l] if k else 0)
+        assert cohomology_dim(pair, module, k, l) == expected, (k, l)
+        rank_below[l] = len(pivots)
+        checked += 1
+    assert checked == 102

@@ -94,7 +94,7 @@ def test_format_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "one", "1+*i", "i*i", "1/2/3"]:
+    for bad in ["", "one", "1+*i", "i*i", "1/2/3", "1e3", "2.0", "2_0"]:
         with pytest.raises((ValueError, ZeroDivisionError)):
             parse_scalar(bad)
 
