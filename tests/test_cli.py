@@ -584,8 +584,10 @@ def test_tower_commands_byte_identical_to_goldens(capsys, tmp_path,
 
 FUZZ_FIXTURES = ("sl2", "heisenberg", "affine_bialgebra", "u2t2")
 
-# Values no slot of the given kind accepts.  "BIG" becomes an integer literal
-# of 5,001 digits in the JSON text, more than json.loads will convert.
+# Mutations no slot of the given kind accepts: a value to put in its place, or
+# "drop"/"append" of a list's last element ("dim": an index equal to the
+# dimension).  "BIG" becomes an integer literal of 5,001 digits in the JSON
+# text, more than json.loads will convert.
 _NOT_A_LIST = (5, "x", None, {})
 _MUTATIONS = {
     "dim": ("3", 1.5, None, [], -1),
