@@ -12,6 +12,7 @@ conventions fixed once:
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 from math import prod
 
@@ -33,7 +34,7 @@ from .lie_core import (
     tensor_module,
     trivial_module,
 )
-from .linalg import basis_vec, zero_vec
+from .linalg import basis_vec, vec_is_zero, zero_vec
 from .multilinear import (
     exterior_basis,
     exterior_index,
@@ -300,9 +301,6 @@ class GradedElement:
     def is_zero(self):
         return not self.terms
 
-    def is_homogeneous(self):
-        return len({len(key[0]) for key in self.terms}) <= 1
-
     def degree(self):
         """Exterior degree of a homogeneous element (0 for the zero element)."""
         degrees = {len(key[0]) for key in self.terms}
@@ -428,9 +426,8 @@ def _contract(slices, args, signed, mdim, algebra=None) -> GradedElement:
                 if len(keys[i][0]) % 2:
                     sign = -sign
             if cdim is not None:
-                cvec = basis_vec(cdim, keys[0][2])
-                for key in keys[1:]:
-                    cvec = algebra.product(cvec, basis_vec(cdim, key[2]))
+                cvec = reduce(algebra.product,
+                              [basis_vec(cdim, key[2]) for key in keys])
                 cvec = [(t, cv) for t, cv in enumerate(cvec)
                         if not cv.is_zero()]
             for form, v_out, c in hits:
@@ -533,12 +530,6 @@ def xi_witness(tower: BracketTower, v0, v1, v2) -> GradedElement:
 # -- identity residuals ------------------------------------------------------------
 
 
-def _check_homogeneous(elements):
-    for el in elements:
-        if not el.is_homogeneous():
-            raise ValueError("identity sweeps need homogeneous elements")
-
-
 def _jacobiator(tower: BracketTower, args, bracket, mdim,
                 algebra: GAlgebra = None) -> GradedElement:
     """Shuffle/Koszul sum of the generalized Jacobi identity on args.
@@ -547,8 +538,7 @@ def _jacobiator(tower: BracketTower, args, bracket, mdim,
     when the arguments end with args[-1] or with a bracket that contains it.
     """
     n = len(args)
-    _check_homogeneous(args)
-    degs = [a.degree() for a in args]
+    degs = [a.degree() for a in args]  # raises on inhomogeneous elements
     # With every degree even each Koszul and front sign is +1; the sweeps
     # evaluate such tuples only.
     graded = any(d % 2 for d in degs)
@@ -816,19 +806,49 @@ def _lemma_failures(pair, forms, sides, brackets, memo, algebra=None):
     return out
 
 
+def _degree0_residuals(tower, n, module_side=False, algebra=None):
+    """The nonzero map _decorated reads at arity n >= 2, from one sparse tensor
+    of all degree-0 residuals (_coherence_into, or _module_into on the module
+    side) from fresh terms, sliced by tuple.  With an algebra the residual on
+    (b_1 (x) c_1, ..) is the slice at b times c_1 .. c_n, multiplied in
+    argument order; its pool indices are b_i * dim C + c_i."""
+    terms = _ProofTerms(tower)
+    if module_side:
+        tensor = terms.sparse(2, n - 1, tower.s[n].module)
+        _module_into(tensor, terms, n)
+    else:
+        tensor = terms.sparse(2, n)
+        _coherence_into(tensor, terms, n)
+    dim_in = tower.module.dim if module_side else None
+    pair, mdim = tower.pair, dim_in or tower.pair.dim_b
+    slices = _slices(tensor, dim_in)
+    if algebra is None:
+        return {bt: GradedElement(pair, mdim, None, {(form, out): c
+                                                     for form, out, c in hits})
+                for bt, hits in slices.items()}
+    cdim = algebra.dim
+    products = [(cs, reduce(algebra.product, [basis_vec(cdim, c) for c in cs]))
+                for cs in product(range(cdim), repeat=n)]
+    return {tuple(b * cdim + c for b, c in zip(bt, cs)): GradedElement(
+                pair, mdim, cdim, {(f, o, t): c * cv for f, o, c in hits
+                                   for t, cv in enumerate(cvec)})
+            for bt, hits in slices.items() for cs, cvec in products
+            if not vec_is_zero(cvec)}
+
+
 def _sweep(tower: BracketTower, identity, max_n, degree_cap, last, residual,
            brackets, algebra: GAlgebra = None) -> VerifyReport:
     """Residual sweep over every basis tuple of arity n <= max_n up to the
     degree cap whose first n - 1 entries are B-valued and whose last entry
     lies on last = (side, module).
 
-    residual(args, memo) evaluates one tuple; memo lives for this sweep only
-    (see _memo_diff).  Each residual is evaluated once per degree-0 tuple and
-    every tuple with forms is decided through the wedge (see _decorated), so
-    checked counts the tuples by arithmetic.  The two lemmas the factoring
-    rests on are checked first, over the brackets named in brackets (see
-    _lemma_failures); a failing lemma is reported as a violation under its
-    own name.
+    For n >= 2 the degree-0 residuals come from one tensor per arity (see
+    _degree0_residuals); at n = 1 residual(args, memo) evaluates each, memo
+    living for this sweep only (see _memo_diff).  Every tuple with forms is
+    decided through the wedge (see _decorated), so checked counts the tuples
+    by arithmetic.  The two lemmas the factoring rests on are checked first,
+    over the brackets named in brackets (see _lemma_failures); a failing
+    lemma is reported as a violation under its own name.
     """
     if max_n > tower.depth:
         raise ArityBeyondTower("max_n %d exceeds tower depth %d"
@@ -850,13 +870,11 @@ def _sweep(tower: BracketTower, identity, max_n, degree_cap, last, residual,
     for n in range(1, max_n + 1):
         args_pools = [pools["v"]] * (n - 1) + [pools[last[0]]]
         report.checked += len(forms) ** n * prod(map(len, args_pools))
-        nonzero = {}
-        # a residual has form degree two above its arguments' sum
-        if pair.dim_g >= 2:
-            for idx in product(*[range(len(p)) for p in args_pools]):
-                res = residual([p[i] for p, i in zip(args_pools, idx)], memo)
-                if not res.is_zero():
-                    nonzero[idx] = res
+        if n == 1:
+            nonzero = {(i,): res for i, el in enumerate(args_pools[0])
+                       if not (res := residual([el], memo)).is_zero()}
+        else:
+            nonzero = _degree0_residuals(tower, n, last[0] == "w", algebra)
         for fs, bs, res in _decorated(forms, args_pools, nonzero, pair.dim_g):
             report.add_violation(
                 n, [(forms[f],) + next(iter(p[b].terms))[1:]
@@ -939,13 +957,37 @@ def _compose_into(total, outer, inner, slot: int):
             data[idx] = data[idx] + (term if sign > 0 else -term)
 
 
+def _chain_into(total, outer, inner, dim_e: int):
+    """total += outer . inner for End(E)-valued cochains, values indexed
+    out * dim_e + in: inner's output feeds outer's input, and the arguments
+    are joined outer block first, forms shuffle-wedged (see _compose_into)."""
+    nb = outer.pair.dim_b
+    b_radix, inner_radix = nb ** (outer.l + inner.l), nb ** inner.l
+    out_index = exterior_index(outer.pair.dim_g, outer.k + inner.k)
+    data = total.data
+    by_output = {}
+    for g2, t2, f2, c2 in inner.iter_nonzero():
+        by_output.setdefault(f2 // dim_e, []).append(
+            (g2, tensor_index(t2, nb), f2 % dim_e, c2))
+    for g1, t1, f1, c1 in outer.iter_nonzero():
+        e_out, mid = divmod(f1, dim_e)
+        head = tensor_index(t1, nb) * inner_radix
+        for g2, i2, e_in, c2 in by_output.get(mid, ()):
+            step = merge_sign(g1, g2)
+            if step is not None:
+                idx = (((out_index[step[1]] * b_radix + head + i2) * dim_e
+                        + e_out) * dim_e + e_in)
+                term = c1 * c2
+                data[idx] = data[idx] + (term if step[0] > 0 else -term)
+
+
 class _ProofTerms:
     """The B-valued tensors the proof identities share, each formed once, as
     a SparseCochain, by the first identity that needs it: the nonzeros of
     R_n and of the torsion, d R_n, and the composites R_i o_slot R_j.
 
-    One lives for one check only; nothing is kept on the tower, so a tower
-    tensor changed in place between two checks is read afresh.
+    One lives for one check or sweep arity; nothing is kept on the tower, so
+    a tower tensor changed in place between two checks is read afresh.
     """
 
     __slots__ = ("tower", "module", "_memo")
@@ -960,9 +1002,9 @@ class _ProofTerms:
             self._memo[key] = build()
         return self._memo[key]
 
-    def sparse(self, k, l):
-        """A fresh B-valued sparse accumulator of bidegree (k, l)."""
-        return SparseCochain(self.tower.pair, self.module, k, l)
+    def sparse(self, k, l, module=None):
+        """A fresh sparse accumulator of bidegree (k, l), B by default."""
+        return SparseCochain(self.tower.pair, module or self.module, k, l)
 
     def r(self, n):
         return self._once(("r", n), lambda: SparseCochain.of(self.tower.r[n]))
@@ -1040,6 +1082,24 @@ def _coherence_into(total, terms: _ProofTerms, n: int):
                 # composite argument order: sigma-first block, sigma-second
                 # block, position k, then the untouched tail
                 _add_permuted(total, part, sigma + tuple(range(k - 1, n)))
+
+
+def _module_into(total, terms: _ProofTerms, n: int):
+    """Degree-n module coherence, End(E)-valued of bidegree (2, n - 1): d S_n
+    against shuffle sums of S_i o_slot R_j and, for the inner bracket that
+    holds the module argument, S_i . S_j (see _chain_into).  At
+    (J; b's; out * dim E + in) it is module_residual(b's, e_in) at (J, out)."""
+    s = terms.tower.s
+    _ce_into(total, s[n])
+    for j in range(2, n):
+        for k in range(j, n + 1):
+            part = terms.sparse(2, n - 1, total.module)
+            if k < n:
+                _compose_into(part, s[n + 1 - j], terms.r(j), k - j + 1)
+            else:
+                _chain_into(part, s[n + 1 - j], s[j], terms.tower.module.dim)
+            for sigma in _shuffles(k - j, j - 1):
+                _add_permuted(total, part, sigma + tuple(range(k - 1, n - 1)))
 
 
 def _mixed_into(total, terms: _ProofTerms, n: int):

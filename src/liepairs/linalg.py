@@ -22,6 +22,14 @@ class Matrix:
         self.data = [as_scalar(x) for x in data]
 
     @classmethod
+    def _trusted(cls, rows, cols, data):
+        """A matrix over a fresh list of GaussScalars, taken as it is: the
+        constructor for the arithmetic below, whose entries need no coercion."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.data = rows, cols, data
+        return m
+
+    @classmethod
     def from_rows(cls, rows):
         r = len(rows)
         c = len(rows[0]) if rows else 0
@@ -34,7 +42,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        return cls._trusted(rows, cols, [ZERO] * (rows * cols))
 
     @classmethod
     def identity(cls, n):
@@ -73,20 +81,20 @@ class Matrix:
 
     def __add__(self, other):
         _shape_check(self, other)
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.data, other.data)])
+        return Matrix._trusted(self.rows, self.cols,
+                               [a + b for a, b in zip(self.data, other.data)])
 
     def __sub__(self, other):
         _shape_check(self, other)
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self.data, other.data)])
+        return Matrix._trusted(self.rows, self.cols,
+                               [a - b for a, b in zip(self.data, other.data)])
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, [-a for a in self.data])
+        return Matrix._trusted(self.rows, self.cols, [-a for a in self.data])
 
     def scale(self, s):
         s = as_scalar(s)
-        return Matrix(self.rows, self.cols, [s * a for a in self.data])
+        return Matrix._trusted(self.rows, self.cols, [s * a for a in self.data])
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -183,8 +191,7 @@ def rref(m: Matrix):
         if lead == m.rows:
             break
     flat = [x for row in work for x in row]
-    out = Matrix(m.rows, m.cols, flat) if m.rows else Matrix(0, m.cols, [])
-    return out, tuple(pivots), len(pivots)
+    return Matrix._trusted(m.rows, m.cols, flat), tuple(pivots), len(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -226,11 +233,6 @@ def vec_add(u, v):
 
 def vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(s, v):
-    s = as_scalar(s)
-    return [s * a for a in v]
 
 
 def vec_is_zero(v):

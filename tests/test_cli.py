@@ -580,6 +580,32 @@ def test_tower_commands_byte_identical_to_goldens(capsys, tmp_path,
             TOWER_GOLDENS[name], name
 
 
+
+# sha256 of verify --json with the dual numbers as coefficient algebra, on
+# u2t2 with a seeded connection on B and the module sweep, as the sweeps
+# printed it when they evaluated every degree-0 tuple one bracket at a time
+ALGEBRA_VERIFY_GOLDEN = ("70bd21caf2433ab6a4c3b76f6085cb6c"
+                         "68558450adfa675f48b36e705a1140e2")
+
+
+def test_verify_with_an_algebra_byte_identical_to_golden(capsys, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    fx = gl_un_tn(2)
+    doc = dump_fixture(
+        fx.pair, {"B": fx.module_b},
+        connections={"seeded": random_extension(
+            fx.pair, fx.pair.quotient_module(), 3).nabla},
+        algebras={"dual_numbers": dual_numbers_algebra(fx.pair.dim_g)})
+    (tmp_path / "u2t2_alg.json").write_text(json.dumps(doc))
+    code, out, _ = run(capsys, [
+        "verify", "--input", "u2t2_alg.json", "--connection", "seeded",
+        "--module", "B", "--algebra", "dual_numbers", "--max-n", "3",
+        "--degree-cap", "1", "--json"])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == ALGEBRA_VERIFY_GOLDEN
+
+
 # -- fuzz: type-breaking mutations of exported fixtures ------------------------
 
 FUZZ_FIXTURES = ("sl2", "heisenberg", "affine_bialgebra", "u2t2")

@@ -123,6 +123,23 @@ def test_matrix_products_and_trace():
     assert a.transpose() == mat([[1, 3], [2, 4]])
 
 
+def test_arithmetic_results_match_the_coercing_constructor():
+    # the arithmetic paths skip as_scalar on entries that are GaussScalars
+    # already; each result must equal the matrix the public constructor
+    # builds from the same entries, and hold GaussScalars only
+    rng = random.Random(11)
+    a, b = rand_matrix(rng, 3, 4), rand_matrix(rng, 3, 4)
+    c = rand_matrix(rng, 4, 2)
+    results = [a + b, a - b, -a, a.scale(2), a.scale(GaussScalar(0, 1)),
+               a @ c, Matrix.zeros(2, 3), Matrix.identity(3), rref(a)[0],
+               rref(Matrix(0, 3, []))[0]]
+    for m in results:
+        assert all(isinstance(x, GaussScalar) for x in m.data)
+        assert m == Matrix(m.rows, m.cols, list(m.data))
+    assert (a + b) - b == a and -(-a) == a
+    assert a.scale(2) == a + a
+
+
 def dense_rref(m):
     """Oracle: the dense-row elimination that rref's zero-skipping loop replaced."""
     work = [list(m.row(r)) for r in range(m.rows)]

@@ -3,7 +3,9 @@ contraction kernel behind the brackets, the degree skip in the
 homotopy-witness loops, the scope of the sweep memo, the identity layer
 (one generalized-Jacobi sum, one sweep loop, one differential path), the
 factoring of the sweeps and witness loops through the wedge, with the two
-lemma checks it rests on, and the sparse tensor-level proof identities.
+lemma checks it rests on, the sparse tensor-level proof identities, and the
+tensors the sweeps read their degree-0 residuals off, entry by entry against
+the per-tuple residuals.
 
 The loops the kernels replaced are kept here as oracles: the dense ones visit
 every entry of their output or their input, as the library once did, the
@@ -22,6 +24,7 @@ from liepairs.atiyah import end_connection, extend_by_zero
 from liepairs.ce import Cochain, ce_diff
 from liepairs.homotopy import (
     _add_permuted,
+    _degree0_residuals,
     _wedge,
     basis_elements_v,
     basis_elements_w,
@@ -73,6 +76,7 @@ from liepairs.zoo import (
     random_pair,
     sl2_pair,
     unit_algebra,
+    weighted_dual_numbers,
 )
 
 
@@ -988,21 +992,25 @@ def oracle_nested_binary_coherence(tower):
     return total
 
 
-def corrupted_towers():
-    """(name, tower): four fixtures, each with one entry of R_2, R_3, S_2 or
-    S_3 changed in place, so that the sweeps see violations."""
+def corrupted_towers(depth=3,
+                     names=("u2t2_mult", "bialgebra", "random2", "random6")):
+    """(name, tower): the named fixtures at the given depth, each with one
+    entry of one level R_2 .. R_depth or S_2 .. S_depth changed in place, so
+    that the sweeps see violations.  Names above depth 3 carry the depth."""
     out = []
+    levels = [(side, n) for side in "rs" for n in range(2, depth + 1)]
+    suffix = "" if depth == 3 else "_depth%d" % depth
     for name, pair, conn_b, module, conn_e in FIXTURES:
-        if name not in ("u2t2_mult", "bialgebra", "random2", "random6"):
+        if name not in names:
             continue
-        rng = random.Random(name + "/corrupt")
-        for side, n in (("r", 2), ("r", 3), ("s", 2), ("s", 3)):
-            tower = build_tower(pair, conn_b, depth=3, module=module,
+        rng = random.Random(name + "/corrupt" + suffix)
+        for side, n in levels:
+            tower = build_tower(pair, conn_b, depth=depth, module=module,
                                 conn_e=conn_e)
             data = getattr(tower, side)[n].data
             pos = rng.randrange(len(data))
             data[pos] = data[pos] + GaussScalar(1, rng.choice([0, 1]))
-            out.append(("%s_%s%d" % (name, side.upper(), n), tower))
+            out.append(("%s%s_%s%d" % (name, suffix, side.upper(), n), tower))
     return out
 
 
@@ -1017,8 +1025,28 @@ SWEEP_TOWERS = sweep_towers()
 SWEEP_IDS = [name for name, _ in SWEEP_TOWERS]
 
 
+def deep_towers(names=("u2t2_mult", "bialgebra", "random2")):
+    """(name, tower): the named fixtures at depth 4, clean and with one entry
+    of each level R_2 .. R_4 and S_2 .. S_4 changed in place."""
+    clean = [(name + "_depth4", build_tower(pair, conn_b, depth=4,
+                                            module=module, conn_e=conn_e))
+             for name, pair, conn_b, module, conn_e in FIXTURES
+             if name in names]
+    return clean + corrupted_towers(4, names)
+
+
+DEEP_TOWERS = deep_towers()
+# the benchmark's sweep shape, max_n 4 at cap 0, on u2t2 and its R_4 and S_4
+# corruptions
+DEEP_SWEEP_TOWERS = [(name, tower) for name, tower in DEEP_TOWERS
+                     if name in ("u2t2_mult_depth4", "u2t2_mult_depth4_R4",
+                                 "u2t2_mult_depth4_S4")]
+
+
 def sweep_sizes(tower):
     """(max_n, degree_cap) pairs that keep the u2t2 oracle sweeps short."""
+    if tower.depth >= 4:
+        return [(4, 0)]
     return [(3, 1)] if tower.pair.dim_g <= 2 else [(3, 0), (2, 1)]
 
 
@@ -1057,7 +1085,9 @@ def test_residuals_match_their_two_loop_oracles(fixture):
                 oracle_module_residual(tower, vs, w).terms, n
 
 
-@pytest.mark.parametrize("tower", [t for _, t in SWEEP_TOWERS], ids=SWEEP_IDS)
+@pytest.mark.parametrize("tower",
+                         [t for _, t in SWEEP_TOWERS + DEEP_SWEEP_TOWERS],
+                         ids=SWEEP_IDS + [name for name, _ in DEEP_SWEEP_TOWERS])
 def test_sweeps_match_their_oracle_loops(tower):
     for max_n, cap in sweep_sizes(tower):
         ours = verify_leibniz(tower, max_n, cap)
@@ -1078,6 +1108,99 @@ def test_corrupted_towers_show_violations():
                        and verify_module(tower, max_n, cap).ok)
         coherence += not shuffle_coherence_residual(tower, 3).is_zero()
     assert (sweeps, coherence) == (14, 7)
+
+
+def per_tuple_residuals(tower, n, module_side, algebra=None):
+    """Pool-index tuple -> terms of every nonzero arity-n residual on a
+    degree-0 tuple, one leibniz_residual or module_residual call each."""
+    vs = basis_elements_v(tower, 0, algebra)
+    lasts = basis_elements_w(tower, 0, algebra) if module_side else vs
+    memo = {}
+    out = {}
+    for idx in product(range(len(vs)), repeat=n - 1):
+        args = [vs[i] for i in idx]
+        for i, last in enumerate(lasts):
+            res = module_residual(tower, args, last, algebra, memo) \
+                if module_side \
+                else leibniz_residual(tower, args + [last], algebra, memo)
+            if not res.is_zero():
+                out[idx + (i,)] = res.terms
+    return out
+
+
+def tensor_residual_map(tower, n, module_side, algebra=None):
+    """The same map as the sweeps read it off their arity-n residual
+    tensor."""
+    return {idx: el.terms for idx, el in
+            _degree0_residuals(tower, n, module_side, algebra).items()}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in DEEP_TOWERS])
+def test_sweep_tensors_match_the_per_tuple_residuals(name):
+    tower = dict(DEEP_TOWERS)[name]
+    for n in range(2, 5):
+        for module_side in (False, True):
+            assert tensor_residual_map(tower, n, module_side) == \
+                per_tuple_residuals(tower, n, module_side), (n, module_side)
+
+
+def test_sweep_tensor_comparisons_include_failing_residuals():
+    # every corrupted level gives nonzero degree-0 residuals on some fixture,
+    # and the clean towers give none
+    failing = {}
+    for name, tower in DEEP_TOWERS:
+        count = sum(len(tensor_residual_map(tower, n, module_side))
+                    for n in range(2, 5) for module_side in (False, True))
+        level = name.rsplit("_", 1)[1] if "_depth4_" in name else "clean"
+        failing[level] = failing.get(level, 0) + count
+    assert failing.pop("clean") == 0
+    assert sorted(failing) == ["R2", "R3", "R4", "S2", "S3", "S4"]
+    assert all(failing.values()), failing
+
+
+def sl2_towers():
+    """The sl2 pair at depth 3, clean and with each level corrupted."""
+    pair, conn_b, module, conn_e = next(f[1:] for f in FIXTURES
+                                        if f[0] == "sl2")
+    return [("sl2", build_tower(pair, conn_b, depth=3, module=module,
+                                conn_e=conn_e))] + corrupted_towers(3, ("sl2",))
+
+
+# towers whose arity-2 and arity-3 tensors the algebra cases read: random2 at
+# depth 4, clean and with R_2, R_3, S_2 or S_3 corrupted, and sl2
+ALGEBRA_TOWERS = [(name, tower) for name, tower in DEEP_TOWERS
+                  if name.startswith("random2")
+                  and not name.endswith(("_R4", "_S4"))] + sl2_towers()
+
+
+def weighted_dual_numbers_of(dim_g):
+    # sl2's subalgebra <h, e> scales eps by its character h -> 1, e -> 0
+    return weighted_dual_numbers(dict(ALGEBRA_TOWERS)["sl2"].pair, [1, 0])
+
+
+@pytest.mark.parametrize("family, algebra_of, failing", [
+    ("random2", unit_algebra, 4), ("random2", dual_numbers_algebra, 4),
+    ("random2", golden_algebra, 4), ("sl2", weighted_dual_numbers_of, 2),
+], ids=["unit", "dual_numbers", "golden", "sl2_weighted_dual_numbers"])
+def test_algebra_sweep_tensors_match_the_per_tuple_residuals(family,
+                                                             algebra_of,
+                                                             failing):
+    # every random2 corruption and sl2's R_2 and S_2 corruptions give
+    # nonzero residuals, so failing ones are compared too
+    towers = [(name, tower) for name, tower in ALGEBRA_TOWERS
+              if name.startswith(family)]
+    nonzero = set()
+    for name, tower in towers:
+        algebra = algebra_of(tower.pair.dim_g)
+        for n in (2, 3):
+            for module_side in (False, True):
+                ours = tensor_residual_map(tower, n, module_side, algebra)
+                assert ours == per_tuple_residuals(tower, n, module_side,
+                                                   algebra), \
+                    (name, n, module_side)
+                if ours:
+                    nonzero.add(name)
+    assert len(nonzero) == failing and towers[0][0] not in nonzero
 
 
 @pytest.mark.parametrize("algebra_of", [unit_algebra, dual_numbers_algebra],
@@ -1254,11 +1377,14 @@ def test_effective_module_is_resolved_once_per_sweep_side(monkeypatch):
     tower = build_tower(fx.pair, fx.conn_mult, depth=3, module=fx.module_b,
                         conn_e=fx.conn_mult)
     algebra = dual_numbers_algebra(fx.pair.dim_g)
-    for sweep, sides in ((verify_leibniz, 1), (verify_module, 2)):
-        for cap in (0, 1):
-            del calls[:]
-            assert sweep(tower, 3, cap, algebra).ok
-            assert len(calls) == sides, (sweep.__name__, cap)
+    # only the arity-1 tuples and the lemma checks differentiate elements:
+    # at arity 2 and up the sweeps read the tower tensors, so at cap 0 the
+    # module sweep differentiates on its module side alone
+    for sweep, cap, sides in ((verify_leibniz, 0, 1), (verify_leibniz, 1, 1),
+                              (verify_module, 0, 1), (verify_module, 1, 2)):
+        del calls[:]
+        assert sweep(tower, 3, cap, algebra).ok
+        assert len(calls) == sides, (sweep.__name__, cap)
     del calls[:]
     check_proof_identities(tower, 1)
     assert not calls
