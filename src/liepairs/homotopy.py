@@ -12,7 +12,7 @@ conventions fixed once:
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 from math import prod
 
@@ -174,7 +174,11 @@ def _nabla_into(total, w, conn_coeff: Connection, conn_b: Connection,
 
 
 class BracketTower:
-    """The family of multilinear curvature derivatives, plus module analogues."""
+    """The family of multilinear curvature derivatives, plus module analogues.
+
+    The slices cache on the tower for brackets called on it directly; the
+    checks call them on a view with caches of its own (see _ProofTerms), so
+    they read the tower as it stands."""
 
     __slots__ = ("pair", "conn_b", "depth", "st", "r", "module", "conn_e", "s",
                  "_r_slices", "_s_slices", "_beta_slices")
@@ -375,12 +379,13 @@ def _diff(pair, module, el, algebra=None) -> GradedElement:
 
 
 def _memo_diff(memo, side, pair, module, el, algebra=None):
-    """graded_diff through a sweep's memo dict.  Each side ("v" for B-valued,
-    "w" for module-valued elements) holds its effective module, resolved once,
-    and the differentials keyed on the element's terms.
+    """graded_diff through a memo dict.  Each side ("v" for B-valued, "w" for
+    module-valued elements) holds its effective module, resolved once, and
+    the differentials keyed on the element's terms.
 
-    A sweep creates the dict on entry and drops it on return, so a tower
-    changed between sweeps never meets an entry computed from the old one.
+    The entries are keyed by side alone, so a dict serves one coefficient
+    algebra: a verify run keeps one per algebra (_ProofTerms.diff_memo) and
+    drops them with the run.
     """
     if memo is None:
         return graded_diff(pair, module, el, algebra)
@@ -449,7 +454,7 @@ def lambda_k(tower: BracketTower, args, algebra: GAlgebra = None,
              memo=None) -> GradedElement:
     """Arity-k bracket on Lambda g* (x) B (x C): wedge the forms, apply the
     k-th tower tensor, with the printed (-1)^(sum of form degrees) prefix.
-    memo is a sweep's graded_diff memo (see _memo_diff)."""
+    memo is a run's graded_diff memo for this algebra (see _memo_diff)."""
     k = len(args)
     if k == 0:
         raise ValueError("need at least one argument")
@@ -742,83 +747,107 @@ def _decorated(forms, pools, nonzero, dim_g):
     return walk((), (), (), 1)
 
 
-def _lemma_failures(pair, forms, sides, brackets, memo, algebra=None):
+def _lemma_failures(terms, forms, sides, brackets, algebra=None):
     """Check the two facts behind _decorated exactly; return the first
     failure of each as (lemma, arity, where, residual).
 
-    graded_diff_derivation is (D) for every basis form omega of positive
-    degree in forms and every basis element x up to the cap of each side in
-    sides, a list of (side, module).  contract_form_linearity is (C) for
-    every bracket in brackets, a list of (name, signed positions,
-    bracket(args, memo), side of each argument), in every position and for
-    every such omega, on two argument tuples: the degree-0 basis elements of
-    each position's side summed with distinct coefficients, and the same
-    tuple with its first entry wedged onto the first basis 1-form.  Nothing
-    is checked when forms has degree 0 only.
+    graded_diff_derivation is (D) on each side in sides, a list of (side,
+    module) (see _derivation_failure); contract_form_linearity is (C) for
+    each bracket in brackets, a list of (name, signed positions,
+    bracket(args, memo), side of each argument) (see _linearity_failure).
+    Each instance, one side or one bracket, is checked once per run for its
+    algebra and form cap: terms keeps its first failure, or None, and every
+    later check of the run reads it there.  Nothing is checked when forms
+    has degree 0 only.
     """
-    omegas = [w for w in forms if w]
-    if not omegas:
-        return []
     cap = len(forms[-1])
-    trivial = trivial_module(pair.dim_g, 1)
-
-    def derivation():
-        for side, module in sides:
-            for x in _basis_elements(pair, module.dim, cap, algebra):
-                dx = _memo_diff(memo, side, pair, module, x, algebra)
-                for w in omegas:
-                    res = _memo_diff(memo, side, pair, module, _wedge(w, x),
-                                     algebra)
-                    res = res - _wedge(w, dx, -1 if len(w) % 2 else 1)
-                    for dw, _, _, c in _ce_terms(pair, trivial, w, (), 0):
-                        res = res - _wedge(dw, x).scale(c)
-                    if not res.is_zero():
-                        yield 1, [w, x.first_term()[0]], res
-
-    def sums(module):
-        cdim = algebra.dim if algebra is not None else None
-        terms = {next(iter(el.terms)): GaussScalar(i + 1) for i, el in
-                 enumerate(_basis_elements(pair, module.dim, 0, algebra))}
-        return GradedElement(pair, module.dim, cdim, terms)
-
-    def linearity():
-        full = {side: sums(module) for side, module in sides}
-        for name, signed, bracket, arg_sides in brackets:
-            plain = [full[side] for side in arg_sides]
-            for args in (plain, [_wedge(omegas[0], plain[0])] + plain[1:]):
-                base = bracket(args, memo)
-                before = 0
-                for i, arg in enumerate(args):
-                    for w in omegas:
-                        odd = len(w) * ((i in signed) + before) % 2
-                        res = bracket(args[:i] + [_wedge(w, arg)] + args[i + 1:],
-                                      memo) - _wedge(w, base, -1 if odd else 1)
-                        if not res.is_zero():
-                            yield len(args), [name, i, w], res
-                    before += arg.degree()
-
+    if not cap:
+        return []
+    derivation = [((side, module), partial(_derivation_failure, terms, side,
+                                           module, forms, algebra))
+                  for side, module in sides]
+    linearity = [((bracket[0],), partial(_linearity_failure, terms, bracket,
+                                         forms, dict(sides), algebra))
+                 for bracket in brackets]
     out = []
-    for lemma, found in (("graded_diff_derivation", derivation()),
-                         ("contract_form_linearity", linearity())):
-        hit = next(found, None)
+    for lemma, instances in (("graded_diff_derivation", derivation),
+                             ("contract_form_linearity", linearity)):
+        hits = (terms._once((lemma,) + key + (algebra, cap), check)
+                for key, check in instances)
+        hit = next(filter(None, hits), None)
         if hit is not None:
             out.append((lemma,) + hit)
     return out
 
 
-def _degree0_residuals(tower, n, module_side=False, algebra=None):
+def _derivation_failure(terms, side, module, forms, algebra):
+    """The first failure of (D) on one side, as (arity, where, residual), or
+    None: every basis form omega of positive degree in forms against every
+    basis element x up to the cap."""
+    pair = terms.tower.pair
+    memo = terms.diff_memo(algebra)
+    trivial = trivial_module(pair.dim_g, 1)
+    omegas = [w for w in forms if w]
+    for x in _basis_elements(pair, module.dim, len(forms[-1]), algebra):
+        dx = _memo_diff(memo, side, pair, module, x, algebra)
+        effective = memo[side][0]
+        for w in omegas:
+            # each omega.x is differentiated once per run: not memoized
+            res = _diff(pair, effective, _wedge(w, x), algebra)
+            res = res - _wedge(w, dx, -1 if len(w) % 2 else 1)
+            for dw, _, _, c in _ce_terms(pair, trivial, w, (), 0):
+                res = res - _wedge(dw, x).scale(c)
+            if not res.is_zero():
+                return 1, [w, x.first_term()[0]], res
+    return None
+
+
+def _linearity_failure(terms, bracket, forms, modules, algebra):
+    """The first failure of (C) for one bracket, as (arity, where, residual),
+    or None: in every position and for every basis form omega of positive
+    degree in forms, on two argument tuples: the degree-0 basis elements of
+    each position's side (modules maps side to module) summed with distinct
+    coefficients, and the same tuple with its first entry wedged onto the
+    first basis 1-form."""
+    name, signed, evaluate, arg_sides = bracket
+    pair = terms.tower.pair
+    memo = terms.diff_memo(algebra)
+    cdim = algebra.dim if algebra is not None else None
+    omegas = [w for w in forms if w]
+    plain = []
+    for side in arg_sides:
+        mdim = modules[side].dim
+        plain.append(GradedElement(pair, mdim, cdim, {
+            next(iter(el.terms)): GaussScalar(i + 1) for i, el in
+            enumerate(_basis_elements(pair, mdim, 0, algebra))}))
+    for args in (plain, [_wedge(omegas[0], plain[0])] + plain[1:]):
+        base = evaluate(args, memo)
+        before = 0
+        for i, arg in enumerate(args):
+            for w in omegas:
+                odd = len(w) * ((i in signed) + before) % 2
+                res = evaluate(args[:i] + [_wedge(w, arg)] + args[i + 1:],
+                               memo) - _wedge(w, base, -1 if odd else 1)
+                if not res.is_zero():
+                    return len(args), [name, i, w], res
+            before += arg.degree()
+    return None
+
+
+def _degree0_residuals(tower, n, module_side=False, algebra=None,
+                       terms=None):
     """The nonzero map _decorated reads at arity n >= 2, from one sparse tensor
-    of all degree-0 residuals (_coherence_into, or _module_into on the module
-    side) from fresh terms, sliced by tuple.  With an algebra the residual on
+    of all degree-0 residuals (the run's coherence tensor, or _module_into on
+    the module side), sliced by tuple.  With an algebra the residual on
     (b_1 (x) c_1, ..) is the slice at b times c_1 .. c_n, multiplied in
-    argument order; its pool indices are b_i * dim C + c_i."""
-    terms = _ProofTerms(tower)
+    argument order; its pool indices are b_i * dim C + c_i.  terms is the
+    run's state (see _ProofTerms), fresh by default."""
+    terms = _ProofTerms(tower) if terms is None else terms
     if module_side:
         tensor = terms.sparse(2, n - 1, tower.s[n].module)
         _module_into(tensor, terms, n)
     else:
-        tensor = terms.sparse(2, n)
-        _coherence_into(tensor, terms, n)
+        tensor = terms.coherence(n)
     dim_in = tower.module.dim if module_side else None
     pair, mdim = tower.pair, dim_in or tower.pair.dim_b
     slices = _slices(tensor, dim_in)
@@ -836,20 +865,22 @@ def _degree0_residuals(tower, n, module_side=False, algebra=None):
             if not vec_is_zero(cvec)}
 
 
-def _sweep(tower: BracketTower, identity, max_n, degree_cap, last, residual,
+def _sweep(terms: _ProofTerms, identity, max_n, degree_cap, last, residual,
            brackets, algebra: GAlgebra = None) -> VerifyReport:
     """Residual sweep over every basis tuple of arity n <= max_n up to the
     degree cap whose first n - 1 entries are B-valued and whose last entry
-    lies on last = (side, module).
+    lies on last = (side, module), on the tower of terms, the run's state.
 
     For n >= 2 the degree-0 residuals come from one tensor per arity (see
-    _degree0_residuals); at n = 1 residual(args, memo) evaluates each, memo
-    living for this sweep only (see _memo_diff).  Every tuple with forms is
-    decided through the wedge (see _decorated), so checked counts the tuples
-    by arithmetic.  The two lemmas the factoring rests on are checked first,
-    over the brackets named in brackets (see _lemma_failures); a failing
+    _degree0_residuals), formed once per run; at n = 1 residual(args, memo)
+    evaluates each, memo being the run's graded_diff memo for the algebra
+    (see _memo_diff).  Every tuple with forms is decided through the wedge
+    (see _decorated), so checked counts the tuples by arithmetic.  The two
+    lemmas the factoring rests on are checked first, over the brackets named
+    in brackets, each instance once per run (see _lemma_failures); a failing
     lemma is reported as a violation under its own name.
     """
+    tower = terms.tower
     if max_n > tower.depth:
         raise ArityBeyondTower("max_n %d exceeds tower depth %d"
                                % (max_n, tower.depth))
@@ -857,13 +888,13 @@ def _sweep(tower: BracketTower, identity, max_n, degree_cap, last, residual,
         AlgebraExtension(tower, algebra)  # validates
     report = VerifyReport(identity)
     pair = tower.pair
-    memo = {}
+    memo = terms.diff_memo(algebra)
     forms = _forms(pair.dim_g, degree_cap)
     sides = [("v", pair.quotient_module())]
     if last[0] != "v":
         sides.append(last)
-    for lemma, n, where, res in _lemma_failures(pair, forms, sides, brackets,
-                                                memo, algebra):
+    for lemma, n, where, res in _lemma_failures(terms, forms, sides, brackets,
+                                                algebra):
         report.add_violation(n, where, res.first_term(), lemma)
     pools = {side: _basis_elements(pair, module.dim, 0, algebra)
              for side, module in sides}
@@ -874,7 +905,8 @@ def _sweep(tower: BracketTower, identity, max_n, degree_cap, last, residual,
             nonzero = {(i,): res for i, el in enumerate(args_pools[0])
                        if not (res := residual([el], memo)).is_zero()}
         else:
-            nonzero = _degree0_residuals(tower, n, last[0] == "w", algebra)
+            nonzero = _degree0_residuals(tower, n, last[0] == "w", algebra,
+                                         terms)
         for fs, bs, res in _decorated(forms, args_pools, nonzero, pair.dim_g):
             report.add_violation(
                 n, [(forms[f],) + next(iter(p[b].terms))[1:]
@@ -884,12 +916,16 @@ def _sweep(tower: BracketTower, identity, max_n, degree_cap, last, residual,
 
 
 def verify_leibniz(tower: BracketTower, max_n: int, degree_cap: int,
-                   algebra: GAlgebra = None) -> VerifyReport:
+                   algebra: GAlgebra = None, terms=None) -> VerifyReport:
     """Exhaustive residual sweep over basis-decomposable tuples.
 
     Multilinearity makes basis tuples a complete check at each degree profile.
+    terms is the state of the verify run this sweep belongs to (see
+    _ProofTerms); called alone, the sweep makes its own.
     """
-    return _sweep(tower, "leibniz", max_n, degree_cap,
+    terms = _ProofTerms(tower) if terms is None else terms
+    tower = terms.tower
+    return _sweep(terms, "leibniz", max_n, degree_cap,
                   ("v", tower.pair.quotient_module()),
                   lambda args, memo: leibniz_residual(tower, args, algebra,
                                                       memo),
@@ -897,16 +933,19 @@ def verify_leibniz(tower: BracketTower, max_n: int, degree_cap: int,
 
 
 def verify_module(tower: BracketTower, max_n: int, degree_cap: int,
-                  algebra: GAlgebra = None) -> VerifyReport:
-    """Sweep of the module identity over (V, ..., V, W) basis tuples."""
+                  algebra: GAlgebra = None, terms=None) -> VerifyReport:
+    """Sweep of the module identity over (V, ..., V, W) basis tuples; terms
+    as for verify_leibniz."""
     if tower.module is None:
         raise ValueError("tower was built without a module side")
+    terms = _ProofTerms(tower) if terms is None else terms
+    tower = terms.tower
     brackets = _lambda_brackets(tower, max_n, algebra) + [
         ("mu_%d" % k, range(k),
          lambda args, memo: mu_k(tower, args[:-1], args[-1], algebra, memo),
          ["v"] * (k - 1) + ["w"])
         for k in range(2, max_n + 1)]
-    return _sweep(tower, "leibniz_module", max_n, degree_cap,
+    return _sweep(terms, "leibniz_module", max_n, degree_cap,
                   ("w", tower.module),
                   lambda args, memo: module_residual(tower, args[:-1], args[-1],
                                                      algebra, memo),
@@ -982,18 +1021,30 @@ def _chain_into(total, outer, inner, dim_e: int):
 
 
 class _ProofTerms:
-    """The B-valued tensors the proof identities share, each formed once, as
-    a SparseCochain, by the first identity that needs it: the nonzeros of
-    R_n and of the torsion, d R_n, and the composites R_i o_slot R_j.
+    """The state one verify run shares between its checks, each part formed
+    once, by the first check that needs it:
 
-    One lives for one check or sweep arity; nothing is kept on the tower, so
-    a tower tensor changed in place between two checks is read afresh.
+      * the B-valued tensors, as SparseCochains: the nonzeros of R_n and of
+        the torsion, d R_n, the composites R_i o_slot R_j and the shuffle
+        coherence tensors;
+      * the bracket slices, cached on tower, a view of the tower that shares
+        its tensors and has slice caches of its own;
+      * one graded_diff memo per coefficient algebra (see _memo_diff);
+      * the first failure, or None, of each lemma instance (see
+        _lemma_failures).
+
+    verify_leibniz, verify_module and check_proof_identities each make one
+    when called alone; `liepairs verify` makes one for the run and hands it
+    to all three.  Nothing is kept on the tower itself, so a tower tensor
+    changed in place between two runs is read afresh.
     """
 
     __slots__ = ("tower", "module", "_memo")
 
     def __init__(self, tower: BracketTower):
-        self.tower = tower
+        self.tower = BracketTower(tower.pair, tower.conn_b, tower.depth,
+                                  tower.st, tower.r, tower.module,
+                                  tower.conn_e, tower.s)
         self.module = tower.pair.quotient_module()
         self._memo = {}
 
@@ -1028,6 +1079,20 @@ class _ProofTerms:
             _compose_into(out, self.r(i), self.r(j), slot)
             return out
         return self._once(("o", i, j, slot), build)
+
+    def coherence(self, n):
+        """The degree-n shuffle coherence tensor, of bidegree (2, n) (see
+        _coherence_into)."""
+        def build():
+            out = self.sparse(2, n)
+            _coherence_into(out, self, n)
+            return out
+        return self._once(("coherence", n), build)
+
+    def diff_memo(self, algebra):
+        """The graded_diff memo of one coefficient algebra, None for none:
+        _memo_diff keys its entries by side alone."""
+        return self._once(("diff", algebra), dict)
 
 
 def _negated(w):
@@ -1135,7 +1200,7 @@ def mixed_differential_residual(tower: BracketTower, n: int) -> Cochain:
     return out
 
 
-def tensor_residuals(tower: BracketTower):
+def tensor_residuals(tower: BracketTower, terms=None):
     """The tensor-level identities behind the bracket construction, as
     (name, residual) pairs in report order; every residual vanishes on a tower
     built from a valid pair and extending connection.
@@ -1143,9 +1208,11 @@ def tensor_residuals(tower: BracketTower):
     Each residual is a SparseCochain: accumulated in a map from flat position
     to value by the same kernel bodies that fill the dense public functions.
     The tensors the identities share (each R_n's nonzeros, each d R_n, each
-    composite R_i o_slot R_j) are formed once per call (see _ProofTerms).
+    composite R_i o_slot R_j, each shuffle coherence tensor, which the
+    Leibniz sweep reads too) are formed once per run (see _ProofTerms);
+    terms is the run's state, fresh by default.
     """
-    terms = _ProofTerms(tower)
+    terms = _ProofTerms(tower) if terms is None else terms
 
     def residual(k, l, into, *args):
         out = terms.sparse(k, l)
@@ -1153,8 +1220,7 @@ def tensor_residuals(tower: BracketTower):
         return out
 
     out = [("torsion_antisymmetrization", residual(1, 2, _torsion_into))]
-    coherence = {n: residual(2, n, _coherence_into, n)
-                 for n in range(3, tower.depth + 1)}
+    coherence = {n: terms.coherence(n) for n in range(3, tower.depth + 1)}
     if tower.depth >= 3:
         out.append(("ternary_symmetry_defect", residual(1, 3, _ternary_into)))
         # the nested binary coherence is the shuffle coherence at arity three
@@ -1166,15 +1232,17 @@ def tensor_residuals(tower: BracketTower):
 
 
 def check_proof_identities(tower: BracketTower,
-                           witness_degree_cap: int = 2):
+                           witness_degree_cap: int = 2, terms=None):
     """Evaluate the named exact identities behind the bracket construction.
 
     Returns a list of (name, ok, witness) triples; all must hold for every
     tower built from a valid pair and extending connection.  The
     tensor-level residuals (see tensor_residuals) are compared with zero
     once each; a failing one's witness is its first nonzero entry in flat
-    order, as Cochain.first_nonzero gives it.
+    order, as Cochain.first_nonzero gives it.  terms as for verify_leibniz.
     """
+    terms = _ProofTerms(tower) if terms is None else terms
+    tower = terms.tower
     pair = tower.pair
     nb = pair.dim_b
     results = []
@@ -1182,7 +1250,7 @@ def check_proof_identities(tower: BracketTower,
     def record(name, found):
         results.append((name, found is None, found))
 
-    for name, residual in tensor_residuals(tower):
+    for name, residual in tensor_residuals(tower, terms):
         record(name, residual.first_nonzero())
 
     # homotopy witnesses on decomposables up to the degree cap: given the two
@@ -1191,7 +1259,7 @@ def check_proof_identities(tower: BracketTower,
     cap = min(witness_degree_cap, pair.dim_g)
     b_module = pair.quotient_module()
     basis = _basis_elements(pair, nb, 0)
-    memo = {}
+    memo = terms.diff_memo(None)
 
     def diff(el):
         return _memo_diff(memo, "v", pair, b_module, el)
@@ -1207,7 +1275,7 @@ def check_proof_identities(tower: BracketTower,
                          lambda args, memo: xi_witness(tower, *args),
                          ["v"] * 3))
     for lemma, _, where, res in _lemma_failures(
-            pair, _forms(pair.dim_g, cap), [("v", b_module)], brackets, memo):
+            terms, _forms(pair.dim_g, cap), [("v", b_module)], brackets):
         results.append((lemma, False, (where, res.first_term())))
 
     def skew_residual(i1, i2):

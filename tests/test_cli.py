@@ -158,7 +158,7 @@ def test_verify_exit_one_when_a_check_fails(capsys, tmp_path, monkeypatch):
     # substituting a failing sweep where cmd_verify imports it from
     import liepairs.homotopy as homotopy
 
-    def fake_verify(tower, max_n, degree_cap, algebra=None):
+    def fake_verify(tower, max_n, degree_cap, algebra=None, terms=None):
         report = VerifyReport("leibniz")
         report.checked = 1
         report.add_violation(2, ["fake"], (((0,), 0), __import__(

@@ -3,9 +3,10 @@ contraction kernel behind the brackets, the degree skip in the
 homotopy-witness loops, the scope of the sweep memo, the identity layer
 (one generalized-Jacobi sum, one sweep loop, one differential path), the
 factoring of the sweeps and witness loops through the wedge, with the two
-lemma checks it rests on, the sparse tensor-level proof identities, and the
+lemma checks it rests on, the sparse tensor-level proof identities, the
 tensors the sweeps read their degree-0 residuals off, entry by entry against
-the per-tuple residuals.
+the per-tuple residuals, and the state one verify run shares between its
+three checks, against the same checks each called alone.
 
 The loops the kernels replaced are kept here as oracles: the dense ones visit
 every entry of their output or their input, as the library once did, the
@@ -15,6 +16,7 @@ tensor-level residuals are summed as dense cochains.
 """
 
 import random
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -22,8 +24,10 @@ from hypothesis import given, settings, strategies as st
 
 from liepairs.atiyah import end_connection, extend_by_zero
 from liepairs.ce import Cochain, ce_diff
+from liepairs.cli import main
 from liepairs.homotopy import (
     _add_permuted,
+    _ProofTerms,
     _degree0_residuals,
     _wedge,
     basis_elements_v,
@@ -1565,3 +1569,147 @@ def test_sparse_and_dense_verdicts_agree_on_corrupted_towers(seed, level,
         data[where % len(data)] = data[where % len(data)] + bump
     expected = dense_tensor_entries(tower)
     assert check_proof_identities(tower, 0)[:len(expected)] == expected
+
+
+# -- one state per verify run ----------------------------------------------------------
+
+
+def verify_run(tower, max_n, cap, algebra=None, terms=None):
+    """The three checks of `liepairs verify`, in its order, on one shared
+    state when terms is given and each on its own otherwise: every sweep's
+    identity, count and violations, then the proof identity triples."""
+    reports = [verify_leibniz(tower, max_n, cap, algebra, terms=terms)]
+    if tower.module is not None:
+        reports.append(verify_module(tower, max_n, cap, algebra, terms=terms))
+    identities = check_proof_identities(tower, min(cap, 2), terms=terms)
+    return [(r.identity, r.checked, r.violations) for r in reports], identities
+
+
+def run_cases():
+    """(name, tower, max_n, degree cap, algebra): five pairs at depth 4 with
+    their module side, u2t2 at cap 3 without one (the sweep and the witness
+    brackets check the lemmas at caps 3 and 2), u2t2 with the dual numbers,
+    and the depth-4 towers with one entry of R_3 or S_3 changed."""
+    fixtures = {f[0]: f[1:] for f in FIXTURES}
+    cases = []
+    for name in ("u2t2_mult", "u2t2_zero", "bialgebra", "heisenberg",
+                 "random2"):
+        pair, conn_b, module, conn_e = fixtures[name]
+        cases.append((name, build_tower(pair, conn_b, depth=4, module=module,
+                                        conn_e=conn_e), 4, 1, None))
+    pair, conn_b, module, conn_e = fixtures["u2t2_mult"]
+    cases.append(("u2t2_mult_no_module", build_tower(pair, conn_b, depth=3),
+                  3, 3, None))
+    cases.append(("u2t2_mult_dual_numbers",
+                  build_tower(pair, conn_b, depth=3, module=module,
+                              conn_e=conn_e),
+                  3, 1, dual_numbers_algebra(pair.dim_g)))
+    return cases + [(name, tower, 4, 1, None) for name, tower in DEEP_TOWERS
+                    if name.endswith(("_R3", "_S3"))]
+
+
+RUN_CASES = run_cases()
+
+
+@pytest.mark.parametrize("case", RUN_CASES, ids=[c[0] for c in RUN_CASES])
+def test_shared_run_matches_checks_called_alone(case):
+    name, tower, max_n, cap, algebra = case
+    shared = verify_run(tower, max_n, cap, algebra, _ProofTerms(tower))
+    assert shared == verify_run(tower, max_n, cap, algebra)
+    sweeps, identities = shared
+    failing = any(violations for _, _, violations in sweeps) \
+        or not all(ok for _, ok, _ in identities)
+    assert failing == name.endswith(("_R3", "_S3"))
+
+
+@pytest.mark.parametrize("target, mutation, lemma", [
+    ("_ce_terms", flip_odd_action_sign, "graded_diff_derivation"),
+    ("_contract", drop_first_signed, "contract_form_linearity"),
+], ids=["derivation", "linearity"])
+def test_shared_run_reports_a_failing_lemma_everywhere(monkeypatch, target,
+                                                       mutation, lemma):
+    # a lemma instance checked once per run still fails every report that
+    # shows it when each check runs alone, with the same where and witness
+    import liepairs.homotopy as homotopy
+
+    fx = gl_un_tn(2)
+    tower = build_tower(fx.pair, fx.conn_mult, depth=3, module=fx.module_b,
+                        conn_e=fx.conn_mult)
+    monkeypatch.setattr(homotopy, target, mutation(getattr(homotopy, target)))
+    shared = verify_run(tower, 2, 1, terms=_ProofTerms(tower))
+    assert shared == verify_run(tower, 2, 1)
+    sweeps, identities = shared
+    assert [violations[0]["identity"] for _, _, violations in sweeps] == \
+        [lemma, lemma]
+    assert lemma in [name for name, ok, _ in identities if not ok]
+
+
+def test_checks_read_a_tower_edited_in_place():
+    # no slice cache to clear: a check reads the tower as it stands, so an
+    # entry of R_3 changed in place after a passing check fails the next
+    # one, homotopy witnesses included, as on a tower built with the change
+    bpair = matched_sum(affine_bialgebra())
+    conn_b = extend_by_zero(bpair, bpair.quotient_module())
+    tower = build_tower(bpair, conn_b, depth=4)
+    assert all(ok for _, ok, _ in check_proof_identities(tower, 2))
+    assert verify_leibniz(tower, 4, 2).ok
+    edited = build_tower(bpair, conn_b, depth=4)
+    for t in (tower, edited):
+        t.r[3].data[0] = t.r[3].data[0] + ONE
+    identities = check_proof_identities(tower, 2)
+    assert identities == check_proof_identities(edited, 2)
+    assert "jacobi_homotopy" in [name for name, ok, _ in identities if not ok]
+    report, fresh = verify_leibniz(tower, 4, 2), verify_leibniz(edited, 4, 2)
+    assert (report.checked, report.violations) == \
+        (fresh.checked, fresh.violations)
+
+
+def test_verify_forms_each_term_and_checks_each_lemma_once(monkeypatch, capsys,
+                                                            tmp_path):
+    import liepairs.homotopy as homotopy
+
+    calls = Counter()
+
+    def entries(w):
+        return w.k, w.l, w.module.dim, tuple(w.iter_nonzero())
+
+    def counting(name, key):
+        fn = getattr(homotopy, name)
+
+        def wrapper(*args):
+            calls[(name,) + key(*args)] += 1
+            return fn(*args)
+        monkeypatch.setattr(homotopy, name, wrapper)
+
+    counting("_ce_into", lambda total, w: (entries(w),))
+    counting("_compose_into", lambda total, outer, inner, slot:
+             (entries(outer), entries(inner), slot))
+    counting("_coherence_into", lambda total, terms, n: (n,))
+    counting("_derivation_failure", lambda terms, side, *rest: (side,))
+    counting("_linearity_failure", lambda terms, bracket, *rest: (bracket[0],))
+    counting("lambda_k", lambda tower, args, *rest: (len(args),))
+    counting("mu_k", lambda tower, vargs, w, *rest: (len(vargs) + 1,))
+    assert main(["zoo", "export", "u2t2"]) == 0
+    path = tmp_path / "u2t2.json"
+    path.write_text(capsys.readouterr().out)
+    assert main(["verify", "--input", str(path), "--connection", "matrix_mult",
+                 "--depth", "4", "--max-n", "4", "--degree-cap", "1",
+                 "--module", "B", "--json"]) == 0
+    # every kernel input, lemma instance and coherence arity is seen once
+    once = [key for key in calls if key[0] not in ("lambda_k", "mu_k")]
+    assert all(calls[key] == 1 for key in once)
+    # d R_2..R_4, d(beta) and d S_2..S_4; R_2 o R_2 at slots 1 and 2, R_2 o
+    # R_3 at 1 and 2, R_3 o R_2 at 1 to 3, R_2 o beta, S_2 o R_2, S_3 o R_2
+    # at 1 and 2 and S_2 o R_3; the coherence tensors at arities 2 to 4
+    assert Counter(key[0] for key in once) == {
+        "_ce_into": 7, "_compose_into": 12, "_coherence_into": 3,
+        "_derivation_failure": 2, "_linearity_failure": 9}
+    assert {key[1] for key in once if key[0] == "_derivation_failure"} == \
+        {"v", "w"}
+    # each bracket of arity k >= 2 is evaluated only by its linearity check:
+    # two argument tuples, each once as it is and once per position and
+    # basis form of positive degree (u2t2 has 4 of degree 1)
+    assert {key: n for key, n in calls.items() if key[0] in ("lambda_k", "mu_k")
+            and key[1] >= 2} == {(name, k): 2 * (1 + 4 * k)
+                                 for name in ("lambda_k", "mu_k")
+                                 for k in (2, 3, 4)}
