@@ -176,12 +176,13 @@ def _nabla_into(total, w, conn_coeff: Connection, conn_b: Connection,
 class BracketTower:
     """The family of multilinear curvature derivatives, plus module analogues.
 
-    The slices cache on the tower for brackets called on it directly; the
-    checks call them on a view with caches of its own (see _ProofTerms), so
-    they read the tower as it stands."""
+    The brackets read R_n, S_n and the torsion through their slices.  A tower
+    groups its slices afresh at every call, so a bracket called on it reads
+    it as it stands; a verify run's checks read a view that groups each slice
+    once and shares the tower's tensors (see cached_view and _ProofTerms)."""
 
     __slots__ = ("pair", "conn_b", "depth", "st", "r", "module", "conn_e", "s",
-                 "_r_slices", "_s_slices", "_beta_slices")
+                 "cached", "_r_slices", "_s_slices", "_beta_slices")
 
     def __init__(self, pair, conn_b, depth, st, r, module=None, conn_e=None,
                  s=None):
@@ -193,27 +194,40 @@ class BracketTower:
         self.module = module
         self.conn_e = conn_e
         self.s = s
+        # the slice caches, filled on a cached view only
+        self.cached = False
         self._r_slices = {}
         self._s_slices = {}
-        self._beta_slices = None
+        self._beta_slices = {}
+
+    def cached_view(self):
+        """A view of this tower, sharing its tensors, that groups each slice
+        once: a tensor changed in place afterwards is not seen."""
+        view = BracketTower(self.pair, self.conn_b, self.depth, self.st,
+                            self.r, self.module, self.conn_e, self.s)
+        view.cached = True
+        return view
+
+    def _slice(self, cache, key, build):
+        if not self.cached:
+            return build()
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
     def r_slice(self, n):
         """dict: b-tuple -> list of (form, out, coeff) nonzeros of R_n."""
-        if n not in self._r_slices:
-            self._r_slices[n] = _slices(self.r[n])
-        return self._r_slices[n]
+        return self._slice(self._r_slices, n, lambda: _slices(self.r[n]))
 
     def s_slice(self, n):
         """The same for S_n, each key ending with the module input index."""
-        if n not in self._s_slices:
-            self._s_slices[n] = _slices(self.s[n], self.module.dim)
-        return self._s_slices[n]
+        return self._slice(self._s_slices, n,
+                           lambda: _slices(self.s[n], self.module.dim))
 
     def beta_slice(self):
         """The same for the torsion, whose forms are empty."""
-        if self._beta_slices is None:
-            self._beta_slices = _slices(_torsion_cochain(self))
-        return self._beta_slices
+        return self._slice(self._beta_slices, (),
+                           lambda: _slices(_torsion_cochain(self)))
 
 
 def _slices(w: Cochain, dim_in=None):
@@ -710,10 +724,14 @@ def _decorated(forms, pools, nonzero, dim_g):
         the four xi terms (xi signs positions 0 and 2) each come to (-1)^k_1
         times their degree-0 value in the same way, tau sign included.
 
-    The witness loops report only the first failing tuple in product order.
-    An element's index there is (form index) * (pool size) + (pool index), so
-    a tuple with forms comes after its degree-0 part, which fails whenever
-    it does: they walk degree-0 tuples alone.
+    The two homotopy witnesses report only the first failing tuple in
+    product order.  An element's index there is (form index) * (pool size) +
+    (pool index), so a tuple with forms comes after its degree-0 part, which
+    fails whenever it does: they read degree-0 tuples alone, off tensors the
+    run holds (see check_proof_identities).  The skew-symmetry residual on
+    (b_1, b_2) is the torsion_antisymmetrization residual at (b_1, b_2), and
+    the Jacobi residual on (b_0, b_1, b_2) is minus the arity-3 shuffle
+    coherence tensor there.
 
     The entries come from forms x pools[i], in that order; nonzero maps a
     tuple of pool indices to its nonzero degree-0 generalized-Jacobi residual
@@ -1027,8 +1045,8 @@ class _ProofTerms:
       * the B-valued tensors, as SparseCochains: the nonzeros of R_n and of
         the torsion, d R_n, the composites R_i o_slot R_j and the shuffle
         coherence tensors;
-      * the bracket slices, cached on tower, a view of the tower that shares
-        its tensors and has slice caches of its own;
+      * the bracket slices, grouped once on tower, a cached view of the
+        tower (see BracketTower.cached_view);
       * one graded_diff memo per coefficient algebra (see _memo_diff);
       * the first failure, or None, of each lemma instance (see
         _lemma_failures).
@@ -1042,9 +1060,7 @@ class _ProofTerms:
     __slots__ = ("tower", "module", "_memo")
 
     def __init__(self, tower: BracketTower):
-        self.tower = BracketTower(tower.pair, tower.conn_b, tower.depth,
-                                  tower.st, tower.r, tower.module,
-                                  tower.conn_e, tower.s)
+        self.tower = tower.cached_view()
         self.module = tower.pair.quotient_module()
         self._memo = {}
 
@@ -1240,31 +1256,31 @@ def check_proof_identities(tower: BracketTower,
     tensor-level residuals (see tensor_residuals) are compared with zero
     once each; a failing one's witness is its first nonzero entry in flat
     order, as Cochain.first_nonzero gives it.  terms as for verify_leibniz.
+
+    The two homotopy witnesses are read off tensors the run already holds.
+    Given the two lemmas checked here for the witness brackets up to the
+    degree cap, the first failing tuple is a degree-0 one (see _decorated):
+    the first b-tuple in product order whose residual is nonzero, and the
+    witness is that residual's first term.  On degree-0 tuples
+    skew_symmetry_homotopy's residual at (b_1, b_2) is the
+    torsion_antisymmetrization slice at (b_1, b_2), and jacobi_homotopy's at
+    (b_0, b_1, b_2) is minus the arity-3 shuffle coherence slice, the
+    tensor the Leibniz sweep reads at arity 3 (see _degree0_residuals).
     """
     terms = _ProofTerms(tower) if terms is None else terms
     tower = terms.tower
     pair = tower.pair
-    nb = pair.dim_b
     results = []
 
     def record(name, found):
         results.append((name, found is None, found))
 
-    for name, residual in tensor_residuals(tower, terms):
+    residuals = tensor_residuals(tower, terms)
+    for name, residual in residuals:
         record(name, residual.first_nonzero())
 
-    # homotopy witnesses on decomposables up to the degree cap: given the two
-    # lemmas checked here, the first failing tuple is a degree-0 one (see
-    # _decorated), where every tau sign is -1
-    cap = min(witness_degree_cap, pair.dim_g)
-    b_module = pair.quotient_module()
-    basis = _basis_elements(pair, nb, 0)
-    memo = terms.diff_memo(None)
-
-    def diff(el):
-        return _memo_diff(memo, "v", pair, b_module, el)
-
-    diffs = [diff(el) for el in basis]
+    # the two lemmas the homotopy witnesses factor through (see _decorated),
+    # for the witness brackets up to the degree cap
     brackets = [
         ("two_bracket", (1,),
          lambda args, memo: two_bracket(tower, *args), ["v"] * 2),
@@ -1275,40 +1291,24 @@ def check_proof_identities(tower: BracketTower,
                          lambda args, memo: xi_witness(tower, *args),
                          ["v"] * 3))
     for lemma, _, where, res in _lemma_failures(
-            terms, _forms(pair.dim_g, cap), [("v", b_module)], brackets):
+            terms, _forms(pair.dim_g, min(witness_degree_cap, pair.dim_g)),
+            [("v", pair.quotient_module())], brackets):
         results.append((lemma, False, (where, res.first_term())))
 
-    def skew_residual(i1, i2):
-        v1, v2 = basis[i1], basis[i2]
-        lhs = two_bracket(tower, v1, v2) - two_bracket(tower, v2, v1)
-        rhs = diff(theta_witness(tower, v1, v2)) \
-            + theta_witness(tower, diffs[i1], v2) \
-            - theta_witness(tower, v1, diffs[i2])
-        return lhs - rhs
-
-    def jacobi_residual(i0, i1, i2):
-        v0, v1, v2 = basis[i0], basis[i1], basis[i2]
-        lhs = two_bracket(tower, two_bracket(tower, v0, v1), v2) \
-            - two_bracket(tower, v0, two_bracket(tower, v1, v2)) \
-            - two_bracket(tower, v1, two_bracket(tower, v0, v2))
-        rhs = diff(xi_witness(tower, v0, v1, v2)) \
-            + xi_witness(tower, diffs[i0], v1, v2) \
-            - xi_witness(tower, v0, diffs[i1], v2) \
-            + xi_witness(tower, v0, v1, diffs[i2])
-        return lhs - rhs
-
-    def first_witness(residual, n, extra):
-        """First nonzero residual, of form degree extra above the arguments'
-        sum, over the degree-0 n-tuples in product order."""
-        if extra > pair.dim_g:
+    def first_witness(tensor, extra, sign):
+        """sign times the first term of tensor's slice at its first b-tuple
+        in product order, or None; extra is the slice's form degree."""
+        slices = _slices(tensor)
+        if extra > pair.dim_g or not slices:
             return None
-        residuals = (residual(*idx) for idx in product(range(nb), repeat=n))
-        return next((r.first_term() for r in residuals if not r.is_zero()),
-                    None)
+        return GradedElement(pair, pair.dim_b, None, {
+            (form, out): c if sign > 0 else -c
+            for form, out, c in slices[min(slices)]}).first_term()
 
-    record("skew_symmetry_homotopy", first_witness(skew_residual, 2, 1))
+    record("skew_symmetry_homotopy", first_witness(
+        dict(residuals)["torsion_antisymmetrization"], 1, 1))
     if tower.depth >= 3:
-        record("jacobi_homotopy", first_witness(jacobi_residual, 3, 2))
+        record("jacobi_homotopy", first_witness(terms.coherence(3), 2, -1))
     return results
 
 
@@ -1319,20 +1319,26 @@ def symmetry_report(tower: BracketTower):
     """Adjacent-transposition symmetry check of every tower tensor.
 
     When all levels pass, the antisymmetrized bracket identities coincide with
-    the non-symmetric ones, i.e. the structure is symmetric-compatible.
+    the non-symmetric ones, i.e. the structure is symmetric-compatible.  Each
+    swap's defect R_n - R_n(.., b_(p+1), b_p, ..) is accumulated from R_n's
+    nonzeros; the witness is its first nonzero entry in flat order.
     """
     out = {}
     for n in sorted(tower.r):
-        tensor = tower.r[n]
+        tensor = SparseCochain.of(tower.r[n])
+        negated = _negated(tensor)
         verdict = {"fully_symmetric": True, "witness": None}
         for pos in range(n - 1):
             perm = list(range(n))
             perm[pos], perm[pos + 1] = perm[pos + 1], perm[pos]
-            swapped = tensor.permute_b_args(perm)
-            if swapped.data != tensor.data:
+            defect = SparseCochain(tensor.pair, tensor.module, tensor.k, n)
+            defect.data.update(tensor.data)
+            _add_permuted(defect, negated, perm)
+            entry = defect.first_nonzero()
+            if entry is not None:
                 verdict["fully_symmetric"] = False
                 verdict["witness"] = {"n": n, "swap_position": pos,
-                                      "entry": (tensor - swapped).first_nonzero()}
+                                      "entry": entry}
                 break
         out[n] = verdict
     out["is_symmetric_tower"] = all(

@@ -5,8 +5,11 @@ homotopy-witness loops, the scope of the sweep memo, the identity layer
 factoring of the sweeps and witness loops through the wedge, with the two
 lemma checks it rests on, the sparse tensor-level proof identities, the
 tensors the sweeps read their degree-0 residuals off, entry by entry against
-the per-tuple residuals, and the state one verify run shares between its
-three checks, against the same checks each called alone.
+the per-tuple residuals, the state one verify run shares between its
+three checks, against the same checks each called alone, the homotopy
+witnesses read off the run's tensors, against the per-tuple loops they
+replaced, brackets on a tower edited in place, and the symmetry scan, against
+dense permuted copies.
 
 The loops the kernels replaced are kept here as oracles: the dense ones visit
 every entry of their output or their input, as the library once did, the
@@ -27,6 +30,7 @@ from liepairs.ce import Cochain, ce_diff
 from liepairs.cli import main
 from liepairs.homotopy import (
     _add_permuted,
+    BracketTower,
     _ProofTerms,
     _degree0_residuals,
     _wedge,
@@ -44,6 +48,7 @@ from liepairs.homotopy import (
     mu_k,
     partial_nabla,
     shuffle_coherence_residual,
+    symmetry_report,
     tensor_residuals,
     theta_witness,
     two_bracket,
@@ -706,6 +711,7 @@ def unskipped_witness_loops(tower, cap, jacobi_limit=None):
 
     jacobi_limit caps how many skipped Jacobi triples are evaluated (a
     seeded sample) where all of them would take too long."""
+    tower = tower.cached_view()
     pair = tower.pair
     elements = basis_elements_v(tower, min(cap, pair.dim_g))
     diffs = [graded_diff(pair, pair.quotient_module(), el) for el in elements]
@@ -755,16 +761,16 @@ def test_skipped_witness_tuples_have_zero_residual(cap):
 
 
 def test_witness_loops_evaluate_exactly_the_unskipped_tuples(monkeypatch):
-    # the loops evaluate degree-0 tuples only (a tuple with forms can fail
-    # only after its degree-0 part, see homotopy._decorated): each degree-0
-    # pair calls theta_witness three times
-    # and each degree-0 triple calls xi_witness four times.  The Omega-
-    # linearity lemma adds, for a bracket of arity k, two argument tuples of
-    # one unwedged call plus one call per position and basis form of
-    # positive degree.  On a passing tower no loop breaks.
+    # the two homotopy witnesses are read off the torsion antisymmetrization
+    # and the arity-3 coherence tensor, so no degree-0 tuple calls
+    # theta_witness or xi_witness.  Only the Omega-linearity lemma does: for a
+    # bracket of arity k, two argument tuples of one unwedged call plus one
+    # call per position and basis form of positive degree.  At cap 0 no lemma
+    # runs; on a passing tower no lemma breaks early.  Each of the lemma's
+    # two_bracket, theta_witness and xi_witness calls is one contraction.
     import liepairs.homotopy as homotopy
 
-    calls = {"theta": 0, "xi": 0}
+    calls = {"theta": 0, "xi": 0, "contract": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -775,16 +781,18 @@ def test_witness_loops_evaluate_exactly_the_unskipped_tuples(monkeypatch):
     monkeypatch.setattr(homotopy, "theta_witness",
                         counting("theta", theta_witness))
     monkeypatch.setattr(homotopy, "xi_witness", counting("xi", xi_witness))
+    monkeypatch.setattr(homotopy, "_contract",
+                        counting("contract", homotopy._contract))
     fx = gl_un_tn(2)
     tower = build_tower(fx.pair, fx.conn_zero, depth=3)
     # u2t2 has dim B = 4 and dim g = 4: 4 forms of degree 1, 6 of degree 2
-    for cap, forms in ((1, 4), (2, 10)):
-        calls.update(theta=0, xi=0)
+    for cap, forms in ((0, 0), (1, 4), (2, 10)):
+        calls.update(theta=0, xi=0, contract=0)
         assert all(ok for _, ok, _ in check_proof_identities(tower, cap))
-        lemma = {k: 2 * (1 + k * forms) for k in (2, 3)}
-        assert calls == {"theta": 3 * 4 ** 2 + lemma[2],
-                         "xi": 4 * 4 ** 3 + lemma[3]}, cap
-    assert calls == {"theta": 90, "xi": 318}
+        lemma = {k: 2 * (1 + k * forms) if cap else 0 for k in (2, 3)}
+        assert calls == {"theta": lemma[2], "xi": lemma[3],
+                         "contract": 2 * lemma[2] + lemma[3]}, cap
+    assert (calls["theta"], calls["xi"]) == (42, 62)
 
 
 def test_witness_loops_still_catch_a_corrupted_tower():
@@ -951,6 +959,7 @@ def oracle_basis(pair, mdim, degree_cap, algebra=None):
 
 def oracle_verify_leibniz(tower, max_n, degree_cap, algebra=None):
     """The loop verify_leibniz ran on its own, as (checked, violations)."""
+    tower = tower.cached_view()
     report = VerifyReport("leibniz")
     elements = oracle_basis(tower.pair, tower.pair.dim_b, degree_cap, algebra)
     for n in range(1, max_n + 1):
@@ -967,6 +976,7 @@ def oracle_verify_leibniz(tower, max_n, degree_cap, algebra=None):
 
 def oracle_verify_module(tower, max_n, degree_cap, algebra=None):
     """The loop verify_module ran on its own, as (checked, violations)."""
+    tower = tower.cached_view()
     report = VerifyReport("leibniz_module")
     vs_pool = oracle_basis(tower.pair, tower.pair.dim_b, degree_cap, algebra)
     ws_pool = oracle_basis(tower.pair, tower.module.dim, degree_cap, algebra)
@@ -1117,6 +1127,7 @@ def test_corrupted_towers_show_violations():
 def per_tuple_residuals(tower, n, module_side, algebra=None):
     """Pool-index tuple -> terms of every nonzero arity-n residual on a
     degree-0 tuple, one leibniz_residual or module_residual call each."""
+    tower = tower.cached_view()
     vs = basis_elements_v(tower, 0, algebra)
     lasts = basis_elements_w(tower, 0, algebra) if module_side else vs
     memo = {}
@@ -1244,6 +1255,7 @@ def oracle_witness_entries(tower, cap, limit=None):
     Where the full walk would take too long, limit keeps the first limit
     tuples in product order and a seeded sample of limit of the rest, so an
     early first witness is still the first one."""
+    tower = tower.cached_view()
     pair = tower.pair
     elements = basis_elements_v(tower, min(cap, pair.dim_g))
     diffs = [graded_diff(pair, pair.quotient_module(), el) for el in elements]
@@ -1287,7 +1299,7 @@ def test_witness_residuals_factor_through_the_wedge(name):
     # the witness loops evaluate degree-0 tuples only; every cap-1 residual
     # is (-1)^k_1 (omega_0 ^ omega_1 [^ omega_2]) ^ (its degree-0 residual),
     # k_1 the degree of the second entry's form (see homotopy._decorated)
-    tower = dict(SWEEP_TOWERS)[name]
+    tower = dict(SWEEP_TOWERS)[name].cached_view()
     pair = tower.pair
     elements = basis_elements_v(tower, 1)
     diffs = [graded_diff(pair, pair.quotient_module(), el) for el in elements]
@@ -1713,3 +1725,171 @@ def test_verify_forms_each_term_and_checks_each_lemma_once(monkeypatch, capsys,
             and key[1] >= 2} == {(name, k): 2 * (1 + 4 * k)
                                  for name in ("lambda_k", "mu_k")
                                  for k in (2, 3, 4)}
+
+
+# -- the homotopy witnesses read off the run's tensors ---------------------------------
+
+
+def witness_towers():
+    """(name, tower): u2t2 with both connections, the affine bialgebra sum,
+    heisenberg (dim g = 1, below the Jacobi witness's form degree 2) and
+    random_pair(0..3), at depth 3, clean and with one entry of R_2 or R_3
+    changed in place: a nonzero one and a seeded one of each level."""
+    fx = gl_un_tn(2)
+    bpair = matched_sum(affine_bialgebra())
+    hpair = heisenberg_pair()
+    fixtures = [("u2t2_mult", fx.pair, fx.conn_mult),
+                ("u2t2_zero", fx.pair, fx.conn_zero),
+                ("bialgebra", bpair,
+                 extend_by_zero(bpair, bpair.quotient_module())),
+                ("heisenberg", hpair,
+                 random_extension(hpair, hpair.quotient_module(), 3))]
+    for seed in range(4):
+        rpair = random_pair(seed)
+        fixtures.append(("random_pair%d" % seed, rpair, random_extension(
+            rpair, rpair.quotient_module(), seed)))
+    out = []
+    for name, pair, conn_b in fixtures:
+        out.append((name, build_tower(pair, conn_b, depth=3)))
+        rng = random.Random(name + "/witness")
+        for n, nonzero in product((2, 3), (True, False)):
+            tower = build_tower(pair, conn_b, depth=3)
+            data = tower.r[n].data
+            picks = [i for i, x in enumerate(data) if not x.is_zero()]
+            pos = rng.choice(picks) if nonzero and picks \
+                else rng.randrange(len(data))
+            data[pos] = data[pos] + GaussScalar(1, rng.choice([0, 1]))
+            out.append(("%s_R%d_%s" % (name, n, "nonzero" if nonzero
+                                       else "seeded"), tower))
+    return out
+
+
+WITNESS_TOWERS = witness_towers()
+
+
+def test_witness_entries_match_the_per_tuple_loops_they_replaced():
+    # at cap 0 oracle_witness_entries walks the degree-0 pairs and triples in
+    # product order, through the residuals check_proof_identities once
+    # evaluated tuple by tuple (skew_residual, jacobi_residual), with its
+    # guards; the entries now come from the torsion antisymmetrization and
+    # the arity-3 coherence tensor.  Every triple is compared at caps 0 to 2.
+    witness_names = ("skew_symmetry_homotopy", "jacobi_homotopy")
+    failing = Counter()
+    for name, tower in WITNESS_TOWERS:
+        replaced = oracle_witness_entries(tower, 0)
+        for cap in (0, 1, 2):
+            entries = check_proof_identities(tower, cap)
+            others = [e for e in entries if e[0] not in witness_names]
+            assert entries == others + replaced, (name, cap)
+        failing.update(entry[0] for entry in replaced if not entry[1])
+    # failing witnesses are compared too; heisenberg's Jacobi entry is the
+    # guard's pass, whatever its tower
+    assert failing == {"jacobi_homotopy": 15, "skew_symmetry_homotopy": 7}
+    assert all(dict((e[0], e[1]) for e in check_proof_identities(tower, 0))
+               ["jacobi_homotopy"] for name, tower in WITNESS_TOWERS
+               if name.startswith("heisenberg"))
+
+
+# -- brackets on a tower read it as it stands -------------------------------------------
+
+
+def bracket_probes(tower):
+    """The first nonzero entries of R_2 and S_2 and the brackets on their
+    basis tuples, as (name, bracket, key of the entry's term)."""
+    pair = tower.pair
+    gt, bt, e, _ = next(tower.r[2].iter_nonzero())
+    args = [GradedElement.basis(pair, pair.dim_b, (), b) for b in bt]
+    gs, bs, f, _ = next(tower.s[2].iter_nonzero())
+    out, e_in = divmod(f, tower.module.dim)
+    vargs = [GradedElement.basis(pair, pair.dim_b, (), b) for b in bs]
+    w = GradedElement.basis(pair, tower.module.dim, (), e_in)
+    return [("lambda_2", lambda t: lambda_k(t, args), (gt, e)),
+            ("two_bracket", lambda t: two_bracket(t, *args), (gt, e)),
+            ("mu_2", lambda t: mu_k(t, vargs, w), (gs, out))]
+
+
+def add_one_to_first_nonzeros(tower):
+    for w in (tower.r[2], tower.s[2]):
+        pos = next(i for i, x in enumerate(w.data) if not x.is_zero())
+        w.data[pos] = w.data[pos] + ONE
+
+
+def u2t2_module_tower():
+    fx = gl_un_tn(2)
+    return build_tower(fx.pair, fx.conn_mult, depth=3, module=fx.module_b,
+                       conn_e=fx.conn_mult)
+
+
+def test_brackets_read_a_tower_edited_in_place():
+    # a bracket called on a tower groups its slices afresh: adding 1 to a
+    # nonzero entry of R_2 or S_2 moves the bracket on the entry's basis
+    # tuple by exactly 1 at the entry's (form, output)
+    tower = u2t2_module_tower()
+    probes = bracket_probes(tower)
+    before = {name: bracket(tower) for name, bracket, _ in probes}
+    add_one_to_first_nonzeros(tower)
+    for name, bracket, key in probes:
+        assert (bracket(tower) - before[name]).terms == {key: ONE}, name
+
+
+def test_a_cached_view_groups_each_slice_once():
+    # the view a verify run reads keeps the slices it grouped, so an edit
+    # made after its first bracket call is not seen by it
+    tower = u2t2_module_tower()
+    view = tower.cached_view()
+    probes = bracket_probes(tower)
+    before = {name: bracket(view) for name, bracket, _ in probes}
+    add_one_to_first_nonzeros(tower)
+    for name, bracket, _ in probes:
+        assert bracket(view) == before[name] != bracket(tower), name
+
+
+# -- the symmetry scan ------------------------------------------------------------------
+
+
+def dense_symmetry_report(tower):
+    """symmetry_report as it compared each level with a dense permuted copy
+    (permute_b_args) for every adjacent swap."""
+    out = {}
+    for n in sorted(tower.r):
+        tensor = tower.r[n]
+        verdict = {"fully_symmetric": True, "witness": None}
+        for pos in range(n - 1):
+            perm = list(range(n))
+            perm[pos], perm[pos + 1] = perm[pos + 1], perm[pos]
+            swapped = tensor.permute_b_args(perm)
+            if swapped.data != tensor.data:
+                verdict["fully_symmetric"] = False
+                verdict["witness"] = {"n": n, "swap_position": pos,
+                                      "entry": (tensor - swapped)
+                                      .first_nonzero()}
+                break
+        out[n] = verdict
+    out["is_symmetric_tower"] = all(
+        v["fully_symmetric"] for k, v in out.items() if isinstance(k, int))
+    return out
+
+
+def test_symmetry_scan_matches_the_dense_permuted_copies():
+    # u2t2 at depth 5 with both connections, clean and with one entry of one
+    # level changed in place: the matrix_mult tower is symmetric, the zero
+    # extension's is not, and each edit breaks its level's symmetry
+    fx = gl_un_tn(2)
+    verdicts = Counter()
+    for conn_name, conn_b in (("mult", fx.conn_mult), ("zero", fx.conn_zero)):
+        clean = build_tower(fx.pair, conn_b, depth=5)
+        towers = [clean]
+        rng = random.Random("symmetry/" + conn_name)
+        for _ in range(6):
+            n = rng.randint(2, 5)
+            r = dict(clean.r)
+            r[n] = clean.r[n].copy()
+            pos = rng.randrange(len(r[n].data))
+            r[n].data[pos] = r[n].data[pos] + GaussScalar(1, rng.choice([0, 1]))
+            towers.append(BracketTower(fx.pair, conn_b, 5, clean.st, r))
+        for tower in towers:
+            expected = dense_symmetry_report(tower)
+            assert symmetry_report(tower) == expected
+            verdicts.update(v["fully_symmetric"] for k, v in expected.items()
+                            if isinstance(k, int))
+    assert verdicts == {True: 22, False: 34}
