@@ -30,12 +30,12 @@ from liepairs.ce import Cochain, ce_diff
 from liepairs.cli import main
 from liepairs.homotopy import (
     _add_permuted,
-    BracketTower,
     _ProofTerms,
     _degree0_residuals,
     _wedge,
     basis_elements_v,
     basis_elements_w,
+    BracketTower,
     build_tower,
     check_proof_identities,
     compose_cochains,
