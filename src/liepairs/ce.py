@@ -1,17 +1,15 @@
 """Cochain complex of the subalgebra with values in (tensor powers of B*) x E.
 
-A Cochain of bidegree (k, l) stores a dense coefficient tensor over
-(sorted exterior multi-index of g, length-l tuple of B indices, E index).
-The differential follows the usual alternating-sum formula, with the module
-action on the value and on every B-slot folded in.  It is applied entry by
-entry to the input's nonzeros, so its cost follows the input's sparsity.  A
-sum of mostly-zero cochains can be accumulated in a SparseCochain instead,
-through the same kernels.
+A Cochain of bidegree (k, l) is a coefficient tensor over (sorted exterior
+multi-index of g, length-l tuple of B indices, E index), kept as a map from
+flat position to value that holds its nonzeros.  The differential follows the
+usual alternating-sum formula, with the module action on the value and on
+every B-slot folded in.  It is applied entry by entry to the input's
+nonzeros, so its cost follows the input's sparsity.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from operator import mul
 
 from .lie_core import GModule, LiePair
@@ -26,21 +24,33 @@ from .scalars import ZERO
 
 
 class Cochain:
-    """Element of Lambda^k g* (x) (B*)^(x l) (x) E, dense over the canonical basis."""
+    """Element of Lambda^k g* (x) (B*)^(x l) (x) E over the canonical basis.
 
-    __slots__ = ("pair", "module", "k", "l", "data")
+    entries maps a flat position (see flat_index) to its value; a position it
+    lacks holds zero.  It holds the nonzeros, and may hold zeros a sum left
+    behind, which equality, hashing and iter_nonzero ignore.  data is the same
+    map indexed like the dense tensor (see DenseView).  A dense coefficient
+    list, as linear algebra returns one, may be passed as data.
+    """
+
+    __slots__ = ("pair", "module", "k", "l", "size", "entries")
 
     def __init__(self, pair: LiePair, module: GModule, k: int, l: int, data=None):
         self.pair = pair
         self.module = module
         self.k = k
         self.l = l
-        size = self.g_count() * self.b_count() * module.dim
-        if data is None:
-            data = [ZERO] * size
-        if len(data) != size:
-            raise ValueError("coefficient tensor has wrong shape")
-        self.data = data
+        self.size = self.g_count() * self.b_count() * module.dim
+        self.entries = {}
+        if data is not None:
+            if len(data) != self.size:
+                raise ValueError("coefficient tensor has wrong shape")
+            self.entries = {pos: v for pos, v in enumerate(data)
+                            if not v.is_zero()}
+
+    @property
+    def data(self):
+        return DenseView(self)
 
     # -- index plumbing -------------------------------------------------------
 
@@ -56,54 +66,73 @@ class Cochain:
     def flat_index(self, gi: int, bi: int, e: int) -> int:
         return (gi * self.b_count() + bi) * self.module.dim + e
 
-    def get(self, g_tuple, b_tuple, e):
+    def _position(self, g_tuple, b_tuple, e):
         gi = exterior_index(self.pair.dim_g, self.k)[tuple(g_tuple)]
-        bi = tensor_index(tuple(b_tuple), self.pair.dim_b)
-        return self.data[self.flat_index(gi, bi, e)]
+        return self.flat_index(gi, tensor_index(tuple(b_tuple), self.pair.dim_b),
+                               e)
+
+    def get(self, g_tuple, b_tuple, e):
+        return self.data[self._position(g_tuple, b_tuple, e)]
 
     def set(self, g_tuple, b_tuple, e, value):
-        gi = exterior_index(self.pair.dim_g, self.k)[tuple(g_tuple)]
-        bi = tensor_index(tuple(b_tuple), self.pair.dim_b)
-        self.data[self.flat_index(gi, bi, e)] = value
+        self.data[self._position(g_tuple, b_tuple, e)] = value
 
     def iter_nonzero(self):
-        """Yields (g_tuple, b_tuple, e, coeff) over nonzero entries."""
-        return _decoded(self, ((pos, c) for pos, c in enumerate(self.data)
-                               if not c.is_zero()))
+        """Yields (g_tuple, b_tuple, e, coeff) over nonzero entries, in flat
+        order, each b-tuple decoded from its index once."""
+        g_basis = self.g_basis()
+        nb, dim_e = self.pair.dim_b, self.module.dim
+        b_radix = nb ** self.l
+        weights = [nb ** (self.l - 1 - slot) for slot in range(self.l)]
+        b_tuples = {}
+        for pos, c in sorted(self._nonzeros().items()):
+            rest, e = divmod(pos, dim_e)
+            gi, bi = divmod(rest, b_radix)
+            bt = b_tuples.get(bi)
+            if bt is None:
+                bt = b_tuples[bi] = tuple(bi // w % nb for w in weights)
+            yield g_basis[gi], bt, e, c
 
     # -- structure ------------------------------------------------------------
 
+    def _like(self, entries):
+        """A cochain of this shape holding entries."""
+        out = Cochain(self.pair, self.module, self.k, self.l)
+        out.entries = entries
+        return out
+
+    def _nonzeros(self):
+        return {pos: c for pos, c in self.entries.items() if not c.is_zero()}
+
     def copy(self):
-        return Cochain(self.pair, self.module, self.k, self.l, list(self.data))
+        return self._like(dict(self.entries))
 
     def is_zero(self):
-        return all(x.is_zero() for x in self.data)
+        return all(c.is_zero() for c in self.entries.values())
 
     def __eq__(self, other):
         if not isinstance(other, Cochain):
             return NotImplemented
-        return (self.k, self.l, self.data) == (other.k, other.l, other.data)
+        return (self.k, self.l, self.size, self._nonzeros()) == \
+            (other.k, other.l, other.size, other._nonzeros())
 
     def __hash__(self):
-        return hash((self.k, self.l, tuple(self.data)))
+        return hash((self.k, self.l, self.size,
+                     frozenset(self._nonzeros().items())))
 
     def __add__(self, other):
         self._match(other)
-        return Cochain(self.pair, self.module, self.k, self.l,
-                       [a + b for a, b in zip(self.data, other.data)])
+        out = self.copy()
+        data = out.entries
+        for pos, v in other.entries.items():
+            data[pos] = data.get(pos, ZERO) + v
+        return out
 
     def __sub__(self, other):
-        self._match(other)
-        return Cochain(self.pair, self.module, self.k, self.l,
-                       [a - b for a, b in zip(self.data, other.data)])
+        return self + -other
 
     def __neg__(self):
-        return Cochain(self.pair, self.module, self.k, self.l,
-                       [-a for a in self.data])
-
-    def scale(self, s):
-        return Cochain(self.pair, self.module, self.k, self.l,
-                       [s * a for a in self.data])
+        return self._like({pos: -v for pos, v in self.entries.items()})
 
     def _match(self, other):
         if self.k != other.k or self.l != other.l \
@@ -111,7 +140,11 @@ class Cochain:
             raise ValueError("cochain shape mismatch")
 
     def first_nonzero(self):
-        return _first_entry(self.iter_nonzero())
+        """A nonzero cochain's witness: its first entry in flat order as a
+        dict, or None."""
+        for gt, bt, e, c in self.iter_nonzero():
+            return {"g": gt, "b": bt, "e": e, "value": str(c)}
+        return None
 
     def permute_b_args(self, perm):
         """New cochain w'(...; b_1..b_l) = w(...; b_perm(1)..b_perm(l))."""
@@ -120,59 +153,47 @@ class Cochain:
         return out
 
 
-class SparseCochain:
-    """A cochain kept as a map from flat position to value, for sums whose
-    terms are mostly zero.  It has Cochain's shape attributes and
-    iter_nonzero, so the kernels below read and write either kind."""
+class DenseView:
+    """A cochain's entries indexed like its dense coefficient tensor: len is
+    the dense size, a position without an entry reads ZERO, iteration yields
+    every value in flat order, and a position outside range(len) raises
+    IndexError on read and on write."""
 
-    __slots__ = ("pair", "module", "k", "l", "data")
+    __slots__ = ("entries", "size")
 
-    def __init__(self, pair: LiePair, module: GModule, k: int, l: int):
-        self.pair = pair
-        self.module = module
-        self.k = k
-        self.l = l
-        self.data = defaultdict(lambda: ZERO)
+    def __init__(self, w: Cochain):
+        self.entries = w.entries
+        self.size = w.size
 
-    @classmethod
-    def of(cls, w: Cochain):
-        """The nonzeros of a dense cochain."""
-        out = cls(w.pair, w.module, w.k, w.l)
-        for pos, v in enumerate(w.data):
-            if not v.is_zero():
-                out.data[pos] = v
-        return out
+    def __len__(self):
+        return self.size
 
-    def iter_nonzero(self):
-        """The same as Cochain.iter_nonzero on the same data: flat order."""
-        return _decoded(self, sorted((pos, c) for pos, c in self.data.items()
-                                     if not c.is_zero()))
+    def _checked(self, pos):
+        if not 0 <= pos < self.size:
+            raise IndexError("cochain position %d outside range(%d)"
+                             % (pos, self.size))
+        return pos
 
-    def first_nonzero(self):
-        return _first_entry(self.iter_nonzero())
+    def __getitem__(self, pos):
+        return self.entries.get(self._checked(pos), ZERO)
 
+    def __setitem__(self, pos, value):
+        self.entries[self._checked(pos)] = value
 
-def _decoded(w, items):
-    """(g_tuple, b_tuple, e, value) for each (flat position, value) of w."""
-    g_basis = exterior_basis(w.pair.dim_g, w.k)
-    bts = tensor_tuples(w.pair.dim_b, w.l)
-    b_radix, dim_e = len(bts), w.module.dim
-    for pos, c in items:
-        rest, e = divmod(pos, dim_e)
-        gi, bi = divmod(rest, b_radix)
-        yield g_basis[gi], bts[bi], e, c
+    def __iter__(self):
+        get = self.entries.get
+        return (get(pos, ZERO) for pos in range(self.size))
+
+    def __eq__(self, other):
+        """Equal to another view, or to a list, with the same dense values."""
+        if isinstance(other, DenseView):
+            other = list(other)
+        return list(self) == other
 
 
-def _first_entry(entries):
-    """A nonzero cochain's witness: its first entry as a dict, or None."""
-    for gt, bt, e, c in entries:
-        return {"g": gt, "b": bt, "e": e, "value": str(c)}
-    return None
-
-
-# Each kernel below adds its image of w into total, a Cochain or a
-# SparseCochain of the image's shape, as total.data[pos] = total.data[pos] +
-# term over the nonzeros of w, so its cost follows those nonzeros.
+# Each kernel below adds its image of w into total, a cochain of the image's
+# shape: it reads w's nonzeros and writes total.entries directly, as
+# data[pos] = data.get(pos, ZERO) + term, so its cost follows those nonzeros.
 
 
 def _add_permuted(total, w, perm):
@@ -184,10 +205,10 @@ def _add_permuted(total, w, perm):
     b_radix = nb ** w.l
     g_index = exterior_index(w.pair.dim_g, w.k)
     weights = [nb ** (w.l - 1 - p) for p in perm]
-    data = total.data
+    data = total.entries
     for gt, bt, e, v in w.iter_nonzero():
         pos = (g_index[gt] * b_radix + sum(map(mul, bt, weights))) * dim_e + e
-        data[pos] = data[pos] + v
+        data[pos] = data.get(pos, ZERO) + v
 
 
 def _ce_terms(pair: LiePair, module: GModule, gt, bt, e):
@@ -246,13 +267,13 @@ def _ce_into(total, w):
     if w.k + 1 > n:
         return
     out_index = exterior_index(n, w.k + 1)
-    b_index = {bt: bi for bi, bt in enumerate(tensor_tuples(nb, w.l))}
     b_radix = nb ** w.l
-    data = total.data
+    data = total.entries
     for gt, bt, e, v in w.iter_nonzero():
         for J, bt_out, e_out, coeff in _ce_terms(pair, w.module, gt, bt, e):
-            pos = (out_index[J] * b_radix + b_index[bt_out]) * dim_e + e_out
-            data[pos] = data[pos] + coeff * v
+            pos = (out_index[J] * b_radix + tensor_index(bt_out, nb)) \
+                * dim_e + e_out
+            data[pos] = data.get(pos, ZERO) + coeff * v
 
 
 def ce_diff(w: Cochain) -> Cochain:

@@ -5,12 +5,12 @@ malformed input (including a dimension that is not an integer >= 0, or a
 bracket table, module End(E) matrix or algebra multiplication table above
 2^22 entries), an out-of-range flag, a `todd` request whose depth
 min(dim g, dim B) is above 8 (TODD_MAX_DEPTH), or a `tower`, `verify` or
-`symmetry` request whose largest dense tensor would have more than 2^22
-entries (TOWER_MAX_ENTRIES), 3 structurally valid input that fails
-validation, 4 an internal invariant failure (an output the library guarantees
-closed failed its cocycle check: a bug in liepairs, not bad input).  Output
-is deterministic; --json disables the timing line so identical inputs give
-byte-identical reports.
+`symmetry` request whose largest tensor would span a dense index range of
+more than 2^22 entries (TOWER_MAX_ENTRIES), 3 structurally valid input that
+fails validation, 4 an internal invariant failure (an output the library
+guarantees closed failed its cocycle check: a bug in liepairs, not bad
+input).  Output is deterministic; --json disables the timing line so
+identical inputs give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -65,10 +65,10 @@ EXIT_INTERNAL_ERROR = 4
 # whole class did not finish within 90 s, so deeper requests are refused.
 TODD_MAX_DEPTH = 8
 
-# Tower tensors are dense with dim_b^depth-fold growth; a request whose largest
-# tensor would exceed this many entries is refused before anything is built.
-# gl(3) verify --depth 4 needs 2.1 M.  The fixture loader refuses a bracket
-# table above the same cap.
+# A tower tensor's dense index range grows dim_b-fold per level; a request
+# whose largest tensor would span more than this many entries is refused
+# before anything is built.  gl(3) verify --depth 4 spans 2.1 M.  The fixture
+# loader refuses a bracket table above the same cap.
 TOWER_MAX_ENTRIES = MAX_DENSE_ENTRIES
 
 
@@ -319,8 +319,8 @@ def _tower(fixture, pair, args):
     if getattr(args, "module", None):
         module = fixture.module(args.module)
         conn_e = extend_by_zero(pair, module)
-    # R_depth has one form and depth + 1 B-indices; verify also takes its
-    # differential (two forms), and S_depth has depth - 1 slots in End(E)
+    # dense index ranges: R_depth has one form and depth + 1 B-indices, its
+    # differential under verify two forms, S_depth depth - 1 slots in End(E)
     forms = max(pair.dim_g, comb(pair.dim_g, 2)) if args.command == "verify" \
         else pair.dim_g
     entries = forms * pair.dim_b ** (args.depth + 1)
@@ -328,7 +328,7 @@ def _tower(fixture, pair, args):
         entries = max(entries, pair.dim_g * pair.dim_b ** (args.depth - 1)
                       * module.dim ** 2)
     if entries > TOWER_MAX_ENTRIES:
-        raise RequestTooLarge("%s: --depth %d needs a dense tensor of %d "
+        raise RequestTooLarge("%s: --depth %d needs a dense index range of %d "
                               "entries, above %d" % (args.command, args.depth,
                                                      entries, TOWER_MAX_ENTRIES))
     return build_tower(pair, conn_b, depth=args.depth, module=module,

@@ -19,7 +19,6 @@ from math import prod
 from .atiyah import Connection, atiyah_cocycle, curvature, end_connection
 from .ce import (
     Cochain,
-    SparseCochain,
     _add_permuted,
     _ce_into,
     _ce_terms,
@@ -120,7 +119,7 @@ def _nabla_into(total, w, conn_coeff: Connection, conn_b: Connection,
     three term families."""
     pair, k, l = w.pair, w.k, w.l
     m, nb, dim_e = pair.dim_g, pair.dim_b, w.module.dim
-    data = total.data
+    data = total.entries
     g_index = exterior_index(m, k)
     b_radix = nb ** l
     out_radix = nb * b_radix
@@ -147,7 +146,8 @@ def _nabla_into(total, w, conn_coeff: Connection, conn_b: Connection,
             # covariant derivative of the value
             dst = (gi * out_radix + col) * dim_e
             for e_out, x in value_terms[e]:
-                data[dst + e_out] = data[dst + e_out] + x * v
+                pos = dst + e_out
+                data[pos] = data.get(pos, ZERO) + x * v
             # exterior slots fed through delta: a_new at position q of gt
             # replaced a_old, which sits at the position its insertion sign
             # counts in the output's tuple
@@ -160,14 +160,14 @@ def _nabla_into(total, w, conn_coeff: Connection, conn_b: Connection,
                     sgn, key = ins
                     pos = (g_index[key] * out_radix + col) * dim_e + e
                     term = x * v
-                    data[pos] = data[pos] + (term if (sgn < 0) != (q % 2 == 1)
-                                             else -term)
+                    data[pos] = data.get(pos, ZERO) + (
+                        term if (sgn < 0) != (q % 2 == 1) else -term)
             # tensor slots fed through the connection on B
             for slot, new in enumerate(bt):
                 for old, x in slot_terms[new]:
                     pos = (gi * out_radix + col
                            + (old - new) * steps[slot]) * dim_e + e
-                    data[pos] = data[pos] - x * v
+                    data[pos] = data.get(pos, ZERO) - x * v
 
 
 # -- the tower -------------------------------------------------------------------
@@ -244,15 +244,11 @@ def _slices(w: Cochain, dim_in=None):
 
 
 def _torsion_cochain(tower: BracketTower) -> Cochain:
-    """The torsion beta as a B-valued (0, 2) cochain."""
+    """The torsion beta as a B-valued (0, 2) cochain, listed in flat order:
+    b1, b2, then the value."""
     pair = tower.pair
-    nb = pair.dim_b
-    out = Cochain(pair, pair.quotient_module(), 0, 2)
-    for b1 in range(nb):
-        for b2 in range(nb):
-            for b_out in range(nb):
-                out.set((), (b1, b2), b_out, tower.st.beta[b1][b2][b_out])
-    return out
+    return Cochain(pair, pair.quotient_module(), 0, 2,
+                   [x for row in tower.st.beta for vec in row for x in vec])
 
 
 def _unfold_end(w: Cochain) -> Cochain:
@@ -854,7 +850,7 @@ def _linearity_failure(terms, bracket, forms, modules, algebra):
 
 def _degree0_residuals(tower, n, module_side=False, algebra=None,
                        terms=None):
-    """The nonzero map _decorated reads at arity n >= 2, from one sparse tensor
+    """The nonzero map _decorated reads at arity n >= 2, from one tensor
     of all degree-0 residuals (the run's coherence tensor, or _module_into on
     the module side), sliced by tuple.  With an algebra the residual on
     (b_1 (x) c_1, ..) is the slice at b times c_1 .. c_n, multiplied in
@@ -862,7 +858,7 @@ def _degree0_residuals(tower, n, module_side=False, algebra=None,
     run's state (see _ProofTerms), fresh by default."""
     terms = _ProofTerms(tower) if terms is None else terms
     if module_side:
-        tensor = terms.sparse(2, n - 1, tower.s[n].module)
+        tensor = Cochain(tower.pair, tower.s[n].module, 2, n - 1)
         _module_into(tensor, terms, n)
     else:
         tensor = terms.coherence(n)
@@ -997,7 +993,7 @@ def _compose_into(total, outer, inner, slot: int):
     nb, dim_e = pair.dim_b, outer.module.dim
     b_radix = nb ** (outer.l + inner.l - 1)
     out_index = exterior_index(pair.dim_g, outer.k + inner.k)
-    data = total.data
+    data = total.entries
     by_value = {}
     for g2, t2, m, c2 in inner.iter_nonzero():
         by_value.setdefault(m, []).append((g2, t2, c2))
@@ -1011,7 +1007,7 @@ def _compose_into(total, outer, inner, slot: int):
             idx = (out_index[merged] * b_radix
                    + tensor_index(pre + t2 + post, nb)) * dim_e + e
             term = c1 * c2
-            data[idx] = data[idx] + (term if sign > 0 else -term)
+            data[idx] = data.get(idx, ZERO) + (term if sign > 0 else -term)
 
 
 def _chain_into(total, outer, inner, dim_e: int):
@@ -1021,7 +1017,7 @@ def _chain_into(total, outer, inner, dim_e: int):
     nb = outer.pair.dim_b
     b_radix, inner_radix = nb ** (outer.l + inner.l), nb ** inner.l
     out_index = exterior_index(outer.pair.dim_g, outer.k + inner.k)
-    data = total.data
+    data = total.entries
     by_output = {}
     for g2, t2, f2, c2 in inner.iter_nonzero():
         by_output.setdefault(f2 // dim_e, []).append(
@@ -1035,16 +1031,17 @@ def _chain_into(total, outer, inner, dim_e: int):
                 idx = (((out_index[step[1]] * b_radix + head + i2) * dim_e
                         + e_out) * dim_e + e_in)
                 term = c1 * c2
-                data[idx] = data[idx] + (term if step[0] > 0 else -term)
+                data[idx] = data.get(idx, ZERO) + (term if step[0] > 0
+                                                   else -term)
 
 
 class _ProofTerms:
     """The state one verify run shares between its checks, each part formed
     once, by the first check that needs it:
 
-      * the B-valued tensors, as SparseCochains: the nonzeros of R_n and of
-        the torsion, d R_n, the composites R_i o_slot R_j and the shuffle
-        coherence tensors;
+      * the B-valued tensors: the torsion, d R_n, the composites
+        R_i o_slot R_j and the shuffle coherence tensors (R_n is the tower's
+        own);
       * the bracket slices, grouped once on tower, a cached view of the
         tower (see BracketTower.cached_view);
       * one graded_diff memo per coefficient algebra (see _memo_diff);
@@ -1069,38 +1066,30 @@ class _ProofTerms:
             self._memo[key] = build()
         return self._memo[key]
 
-    def sparse(self, k, l, module=None):
-        """A fresh sparse accumulator of bidegree (k, l), B by default."""
-        return SparseCochain(self.tower.pair, module or self.module, k, l)
-
     def r(self, n):
-        return self._once(("r", n), lambda: SparseCochain.of(self.tower.r[n]))
+        return self.tower.r[n]
 
     def beta(self):
-        return self._once("beta", lambda: SparseCochain.of(
-            _torsion_cochain(self.tower)))
+        return self._once("beta", lambda: _torsion_cochain(self.tower))
 
     def d(self, n):
         """d R_n, of bidegree (2, n)."""
         def build():
-            out = self.sparse(2, n)
+            out = Cochain(self.tower.pair, self.module, 2, n)
             _ce_into(out, self.r(n))
             return out
         return self._once(("d", n), build)
 
     def composite(self, i, j, slot):
         """R_i o_slot R_j, of bidegree (2, i + j - 1)."""
-        def build():
-            out = self.sparse(2, i + j - 1)
-            _compose_into(out, self.r(i), self.r(j), slot)
-            return out
-        return self._once(("o", i, j, slot), build)
+        return self._once(("o", i, j, slot), lambda: compose_cochains(
+            self.r(i), self.r(j), slot))
 
     def coherence(self, n):
         """The degree-n shuffle coherence tensor, of bidegree (2, n) (see
         _coherence_into)."""
         def build():
-            out = self.sparse(2, n)
+            out = Cochain(self.tower.pair, self.module, 2, n)
             _coherence_into(out, self, n)
             return out
         return self._once(("coherence", n), build)
@@ -1111,21 +1100,13 @@ class _ProofTerms:
         return self._once(("diff", algebra), dict)
 
 
-def _negated(w):
-    """-w, sparse."""
-    out = SparseCochain(w.pair, w.module, w.k, w.l)
-    for pos, v in w.data.items():
-        out.data[pos] = -v
-    return out
-
-
 def _torsion_into(total, terms: _ProofTerms):
     """Torsion antisymmetrization, bidegree (1, 2): swapping the two slots of
     the binary tensor costs the differential of the torsion."""
     r2 = terms.r(2)
     _add_permuted(total, r2, (0, 1))
-    _add_permuted(total, _negated(r2), (1, 0))
-    _ce_into(total, _negated(terms.beta()))
+    _add_permuted(total, -r2, (1, 0))
+    _ce_into(total, -terms.beta())
 
 
 def _ternary_into(total, terms: _ProofTerms):
@@ -1133,21 +1114,16 @@ def _ternary_into(total, terms: _ProofTerms):
     slots against the torsion-fed binary tensor and the differential of the
     curvature."""
     tower = terms.tower
-    pair = tower.pair
-    nb = pair.dim_b
     r3 = terms.r(3)
     _add_permuted(total, r3, (0, 1, 2))
-    _add_permuted(total, _negated(r3), (1, 0, 2))
+    _add_permuted(total, -r3, (1, 0, 2))
     # minus R_2(beta(b0, b1), b2)
-    _compose_into(total, terms.r(2), _negated(terms.beta()), 1)
-    # plus (d omega)(b0, b1) applied to b2
-    omega_cochain = Cochain(pair, end_module(terms.module), 0, 2)
-    for b1 in range(nb):
-        for b2 in range(nb):
-            om = tower.st.omega[b1][b2]
-            for r_ in range(nb):
-                for c_ in range(nb):
-                    omega_cochain.set((), (b1, b2), r_ * nb + c_, om[r_, c_])
+    _compose_into(total, terms.r(2), -terms.beta(), 1)
+    # plus (d omega)(b0, b1) applied to b2; omega(b1, b2)'s row-major entries
+    # are the values at (b1, b2) in flat order
+    omega_cochain = Cochain(tower.pair, end_module(terms.module), 0, 2,
+                            [x for row in tower.st.omega for om in row
+                             for x in om.data])
     _add_permuted(total, _unfold_end(ce_diff(omega_cochain)), (0, 1, 2))
 
 
@@ -1174,7 +1150,7 @@ def _module_into(total, terms: _ProofTerms, n: int):
     _ce_into(total, s[n])
     for j in range(2, n):
         for k in range(j, n + 1):
-            part = terms.sparse(2, n - 1, total.module)
+            part = Cochain(total.pair, total.module, 2, n - 1)
             if k < n:
                 _compose_into(part, s[n + 1 - j], terms.r(j), k - j + 1)
             else:
@@ -1201,9 +1177,7 @@ def shuffle_coherence_residual(tower: BracketTower, n: int) -> Cochain:
     the n-th tensor to shuffle sums of nested lower tensors."""
     if n < 3 or n > tower.depth:
         raise ArityBeyondTower("need 3 <= n <= depth")
-    out = Cochain(tower.pair, tower.pair.quotient_module(), 2, n)
-    _coherence_into(out, _ProofTerms(tower), n)
-    return out
+    return _ProofTerms(tower).coherence(n)
 
 
 def mixed_differential_residual(tower: BracketTower, n: int) -> Cochain:
@@ -1221,9 +1195,8 @@ def tensor_residuals(tower: BracketTower, terms=None):
     (name, residual) pairs in report order; every residual vanishes on a tower
     built from a valid pair and extending connection.
 
-    Each residual is a SparseCochain: accumulated in a map from flat position
-    to value by the same kernel bodies that fill the dense public functions.
-    The tensors the identities share (each R_n's nonzeros, each d R_n, each
+    Each residual is a Cochain accumulated by the kernels from the nonzeros
+    of its terms.  The tensors the identities share (each d R_n, each
     composite R_i o_slot R_j, each shuffle coherence tensor, which the
     Leibniz sweep reads too) are formed once per run (see _ProofTerms);
     terms is the run's state, fresh by default.
@@ -1231,7 +1204,7 @@ def tensor_residuals(tower: BracketTower, terms=None):
     terms = _ProofTerms(tower) if terms is None else terms
 
     def residual(k, l, into, *args):
-        out = terms.sparse(k, l)
+        out = Cochain(tower.pair, terms.module, k, l)
         into(out, terms, *args)
         return out
 
@@ -1320,19 +1293,19 @@ def symmetry_report(tower: BracketTower):
 
     When all levels pass, the antisymmetrized bracket identities coincide with
     the non-symmetric ones, i.e. the structure is symmetric-compatible.  Each
-    swap's defect R_n - R_n(.., b_(p+1), b_p, ..) is accumulated from R_n's
-    nonzeros; the witness is its first nonzero entry in flat order.
+    swap's defect R_n - R_n(.., b_(p+1), b_p, ..) is accumulated into a copy
+    of R_n from its nonzeros; the witness is the defect's first nonzero entry
+    in flat order, so the zeros a cancellation leaves in it are passed over.
     """
     out = {}
     for n in sorted(tower.r):
-        tensor = SparseCochain.of(tower.r[n])
-        negated = _negated(tensor)
+        tensor = tower.r[n]
+        negated = -tensor
         verdict = {"fully_symmetric": True, "witness": None}
         for pos in range(n - 1):
             perm = list(range(n))
             perm[pos], perm[pos + 1] = perm[pos + 1], perm[pos]
-            defect = SparseCochain(tensor.pair, tensor.module, tensor.k, n)
-            defect.data.update(tensor.data)
+            defect = tensor.copy()
             _add_permuted(defect, negated, perm)
             entry = defect.first_nonzero()
             if entry is not None:

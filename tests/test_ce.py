@@ -6,6 +6,7 @@ import pytest
 
 from liepairs.ce import (
     Cochain,
+    _add_permuted,
     ce_diff,
     coboundary_primitive,
     cohomology_dim,
@@ -13,6 +14,7 @@ from liepairs.ce import (
     diff_matrix,
     is_cocycle,
 )
+from liepairs.homotopy import build_tower, symmetry_report
 from liepairs.lie_core import LieAlgebra, make_pair, matched_sum, trivial_module
 from liepairs.linalg import rank
 from liepairs.multilinear import (
@@ -41,9 +43,9 @@ def euler_characteristic(pair, module, l=0):
 
 def rand_cochain(rng, pair, module, k, l):
     w = Cochain(pair, module, k, l)
-    w.data = [GaussScalar(rng.randint(-3, 3), rng.randint(-1, 1))
-              for _ in w.data]
-    return w
+    return Cochain(pair, module, k, l,
+                   [GaussScalar(rng.randint(-3, 3), rng.randint(-1, 1))
+                    for _ in w.data])
 
 
 def test_zero_cochain_over_abelian_trivial():
@@ -158,6 +160,59 @@ def test_permute_b_args():
     for gt, bt, e, c in w.iter_nonzero():
         assert swapped.get(gt, (bt[1], bt[0]), e) == c
     assert swapped.permute_b_args((1, 0)) == w
+
+
+def test_data_is_a_dense_view_of_the_entries():
+    rng = random.Random(4)
+    fixture = gl_un_tn(2)
+    pair, module = fixture.pair, fixture.module_b
+    size = pair.dim_g * pair.dim_b ** 2 * module.dim
+    fresh = Cochain(pair, module, 1, 2)
+    assert len(fresh.data) == size and fresh.entries == {}
+    assert all(fresh.data[pos] is ZERO for pos in range(size))
+    # writes in scrambled order read back, and iterate, in flat order
+    dense = [ZERO] * size
+    w = Cochain(pair, module, 1, 2)
+    for pos in rng.sample(range(size), size // 3):
+        dense[pos] = GaussScalar(rng.randint(1, 3), rng.randint(-1, 1))
+        w.data[pos] = dense[pos]
+    assert list(w.data) == dense and w.data == dense
+    assert [w.data[pos] for pos in range(size)] == dense
+    assert w == Cochain(pair, module, 1, 2, dense)
+    for pos in (size, size + 7, -1):
+        with pytest.raises(IndexError):
+            w.data[pos]
+        with pytest.raises(IndexError):
+            w.data[pos] = ONE
+    assert list(w.data) == dense
+
+
+def test_stored_zeros_are_ignored():
+    fixture = gl_un_tn(2)
+    pair, module = fixture.pair, fixture.module_b
+    fresh = Cochain(pair, module, 1, 2)
+    w = Cochain(pair, module, 1, 2)
+    v = GaussScalar(2, -1)
+    w.data[5] = w.data[5] + v
+    assert w != fresh
+    w.data[5] = w.data[5] - v
+    assert 5 in w.entries  # a stored zero
+    assert w == fresh and hash(w) == hash(fresh)
+    assert w.is_zero() and w.first_nonzero() is None
+    # a kernel sum that cancels leaves its zeros stored too
+    u = rand_cochain(random.Random(5), pair, module, 1, 2)
+    u.data[0] = ONE
+    _add_permuted(u, -u, (0, 1))
+    assert u.entries and u == fresh and hash(u) == hash(fresh)
+    # the symmetry scan passes over them: a stored zero at the first flat
+    # position of every level leaves its verdicts and witnesses unchanged
+    tower = build_tower(pair, fixture.conn_mult, depth=4)
+    expected = symmetry_report(tower)
+    for level in tower.r.values():
+        assert 0 not in level.entries
+        level.data[0] = level.data[0] + v
+        level.data[0] = level.data[0] - v
+    assert symmetry_report(tower) == expected
 
 
 def dense_ce_diff(w: Cochain) -> Cochain:

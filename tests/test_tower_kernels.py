@@ -30,6 +30,7 @@ from liepairs.ce import Cochain, ce_diff
 from liepairs.cli import main
 from liepairs.homotopy import (
     _add_permuted,
+    _chain_into,
     _ProofTerms,
     _degree0_residuals,
     _wedge,
@@ -183,6 +184,32 @@ def dense_compose_cochains(outer, inner, slot):
             term = c1 * c2
             out.data[idx] = out.data[idx] + (term if sign > 0 else -term)
     return out
+
+
+def dense_chain(outer, inner, dim_e):
+    """outer . inner for End(E)-valued cochains (values out * dim_e + in):
+    every pair of dense entries whose forms are disjoint, over every middle
+    index, with the b-tuples joined outer block first."""
+    pair = outer.pair
+    nb = pair.dim_b
+    k, l = outer.k + inner.k, outer.l + inner.l
+    out_index = exterior_index(pair.dim_g, k)
+    a, b = list(outer.data), list(inner.data)
+    acc = [ZERO] * len(Cochain(pair, outer.module, k, l).data)
+    for (g1i, g1), (g2i, g2) in product(enumerate(outer.g_basis()),
+                                        enumerate(inner.g_basis())):
+        step = merge_sign(g1, g2)
+        if step is None:
+            continue
+        for i1, i2 in product(range(nb ** outer.l), range(nb ** inner.l)):
+            dst = (out_index[step[1]] * nb ** l + i1 * nb ** inner.l + i2) \
+                * dim_e * dim_e
+            for e_out, mid, e_in in product(range(dim_e), repeat=3):
+                x = a[outer.flat_index(g1i, i1, e_out * dim_e + mid)] \
+                    * b[inner.flat_index(g2i, i2, mid * dim_e + e_in)]
+                pos = dst + e_out * dim_e + e_in
+                acc[pos] = acc[pos] + (x if step[0] > 0 else -x)
+    return Cochain(pair, outer.module, k, l, acc)
 
 
 # -- bracket oracles -----------------------------------------------------------------
@@ -412,9 +439,9 @@ class OracleBrackets:
 
 def rand_cochain(rng, pair, module, k, l):
     w = Cochain(pair, module, k, l)
-    w.data = [GaussScalar(rng.randint(-3, 3), rng.randint(-1, 1))
-              for _ in w.data]
-    return w
+    return Cochain(pair, module, k, l,
+                   [GaussScalar(rng.randint(-3, 3), rng.randint(-1, 1))
+                    for _ in w.data])
 
 
 def fixture_set():
@@ -1057,6 +1084,28 @@ DEEP_SWEEP_TOWERS = [(name, tower) for name, tower in DEEP_TOWERS
                                  "u2t2_mult_depth4_S4")]
 
 
+@pytest.mark.parametrize("name, tower", SWEEP_TOWERS, ids=SWEEP_IDS)
+def test_chain_kernel_matches_dense_oracle(name, tower):
+    # the S_i . S_j products behind the module sweep, on the zoo and on its
+    # corrupted towers, and dense random End(E)-valued inputs up to arity 2,
+    # whose oracle cost grows with the dense size
+    dim_e = tower.module.dim
+    pair = tower.pair
+    rng = random.Random(name + "/chain")
+    end_e = tower.s[2].module
+    levels = list(tower.s.values())
+    inputs = levels + [rand_cochain(rng, pair, end_e, k, l)
+                       for k in (0, 1) for l in (0, 1)]
+    for (oi, outer), (ii, inner) in product(enumerate(inputs), repeat=2):
+        both_levels = oi < len(levels) and ii < len(levels)
+        if outer.l + inner.l > (3 if both_levels else 2):
+            continue
+        total = Cochain(pair, end_e, outer.k + inner.k, outer.l + inner.l)
+        _chain_into(total, outer, inner, dim_e)
+        assert total == dense_chain(outer, inner, dim_e), \
+            (outer.k, outer.l, inner.k, inner.l)
+
+
 def sweep_sizes(tower):
     """(max_n, degree_cap) pairs that keep the u2t2 oracle sweeps short."""
     if tower.depth >= 4:
@@ -1511,7 +1560,7 @@ def test_sparse_residuals_match_their_dense_sums(tower):
     for name, residual in sparse:
         w = dense[name]
         assert (residual.k, residual.l) == (w.k, w.l), name
-        assert nonzero_map(residual.data.items()) == \
+        assert nonzero_map(residual.entries.items()) == \
             nonzero_map(enumerate(w.data)), name
     # the dense public residuals run the same bodies into a Cochain
     for n in range(2, tower.depth):
