@@ -388,27 +388,6 @@ def _diff(pair, module, el, algebra=None) -> GradedElement:
     return out
 
 
-def _memo_diff(memo, side, pair, module, el, algebra=None):
-    """graded_diff through a memo dict.  Each side ("v" for B-valued, "w" for
-    module-valued elements) holds its effective module, resolved once, and
-    the differentials keyed on the element's terms.
-
-    The entries are keyed by side alone, so a dict serves one coefficient
-    algebra: a verify run keeps one per algebra (_ProofTerms.diff_memo) and
-    drops them with the run.
-    """
-    if memo is None:
-        return graded_diff(pair, module, el, algebra)
-    if side not in memo:
-        memo[side] = (_effective_module(module, algebra), {})
-    effective, cache = memo[side]
-    key = frozenset(el.terms.items())
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = _diff(pair, effective, el, algebra)
-    return hit
-
-
 def _contract(slices, args, signed, mdim, algebra=None) -> GradedElement:
     """The contraction behind every multibracket and homotopy witness.
 
@@ -460,17 +439,17 @@ def _contract(slices, args, signed, mdim, algebra=None) -> GradedElement:
     return out
 
 
-def lambda_k(tower: BracketTower, args, algebra: GAlgebra = None,
-             memo=None) -> GradedElement:
-    """Arity-k bracket on Lambda g* (x) B (x C): wedge the forms, apply the
-    k-th tower tensor, with the printed (-1)^(sum of form degrees) prefix.
-    memo is a run's graded_diff memo for this algebra (see _memo_diff)."""
+def lambda_k(tower: BracketTower, args,
+             algebra: GAlgebra = None) -> GradedElement:
+    """Arity-k bracket on Lambda g* (x) B (x C): graded_diff at k = 1, and
+    for k >= 2 wedge the forms and apply the k-th tower tensor, with the
+    printed (-1)^(sum of form degrees) prefix."""
     k = len(args)
     if k == 0:
         raise ValueError("need at least one argument")
     if k == 1:
-        return _memo_diff(memo, "v", tower.pair, tower.pair.quotient_module(),
-                          args[0], algebra)
+        return graded_diff(tower.pair, tower.pair.quotient_module(), args[0],
+                           algebra)
     if k > tower.depth:
         raise ArityBeyondTower("arity %d exceeds tower depth %d"
                                % (k, tower.depth))
@@ -479,14 +458,14 @@ def lambda_k(tower: BracketTower, args, algebra: GAlgebra = None,
 
 
 def mu_k(tower: BracketTower, vargs, w: GradedElement,
-         algebra: GAlgebra = None, memo=None) -> GradedElement:
+         algebra: GAlgebra = None) -> GradedElement:
     """Module bracket of arity len(vargs) + 1; the module element comes last
     and its form degree is included in the sign prefix as printed."""
     if tower.module is None:
         raise ValueError("tower was built without a module side")
     k = len(vargs) + 1
     if k == 1:
-        return _memo_diff(memo, "w", tower.pair, tower.module, w, algebra)
+        return graded_diff(tower.pair, tower.module, w, algebra)
     if k > tower.depth:
         raise ArityBeyondTower("arity %d exceeds tower depth %d"
                                % (k, tower.depth))
@@ -579,24 +558,24 @@ def _jacobiator(tower: BracketTower, args, bracket, mdim,
     return total
 
 
-def leibniz_residual(tower: BracketTower, vs, algebra: GAlgebra = None,
-                     memo=None) -> GradedElement:
+def leibniz_residual(tower: BracketTower, vs,
+                     algebra: GAlgebra = None) -> GradedElement:
     """Full shuffle/Koszul sum of the generalized Jacobi identity at arity n."""
     return _jacobiator(
         tower, list(vs),
-        lambda args, holds_last: lambda_k(tower, args, algebra, memo),
+        lambda args, holds_last: lambda_k(tower, args, algebra),
         tower.pair.dim_b, algebra)
 
 
-def module_residual(tower: BracketTower, vs, w, algebra: GAlgebra = None,
-                    memo=None) -> GradedElement:
+def module_residual(tower: BracketTower, vs, w,
+                    algebra: GAlgebra = None) -> GradedElement:
     """Module analogue of the generalized Jacobi identity at arity n: the same
     sum over vs + [w], with mu_k for every bracket that holds w."""
 
     def bracket(args, holds_last):
         if holds_last:
-            return mu_k(tower, args[:-1], args[-1], algebra, memo)
-        return lambda_k(tower, args, algebra, memo)
+            return mu_k(tower, args[:-1], args[-1], algebra)
+        return lambda_k(tower, args, algebra)
 
     return _jacobiator(tower, list(vs) + [w], bracket, tower.module.dim,
                        algebra)
@@ -765,23 +744,23 @@ def _lemma_failures(terms, forms, sides, brackets, algebra=None):
     """Check the two facts behind _decorated exactly; return the first
     failure of each as (lemma, arity, where, residual).
 
-    graded_diff_derivation is (D) on each side in sides, a list of (side,
-    module) (see _derivation_failure); contract_form_linearity is (C) for
-    each bracket in brackets, a list of (name, signed positions,
-    bracket(args, memo), side of each argument) (see _linearity_failure).
-    Each instance, one side or one bracket, is checked once per run for its
-    algebra and form cap: terms keeps its first failure, or None, and every
-    later check of the run reads it there.  Nothing is checked when forms
-    has degree 0 only.
+    graded_diff_derivation is (D) on each side named in sides, "v" for
+    B-valued and "w" for module-valued elements (see _derivation_failure);
+    contract_form_linearity is (C) for each bracket in brackets, a list of
+    (name, signed positions, bracket(args), side of each argument) (see
+    _linearity_failure).  Each instance, one side or one bracket, is checked
+    once per run for its algebra and form cap: terms keeps its first
+    failure, or None, and every later check of the run reads it there.
+    Nothing is checked when forms has degree 0 only.
     """
     cap = len(forms[-1])
     if not cap:
         return []
-    derivation = [((side, module), partial(_derivation_failure, terms, side,
-                                           module, forms, algebra))
-                  for side, module in sides]
+    derivation = [((side,), partial(_derivation_failure, terms, side, forms,
+                                    algebra))
+                  for side in sides]
     linearity = [((bracket[0],), partial(_linearity_failure, terms, bracket,
-                                         forms, dict(sides), algebra))
+                                         forms, algebra))
                  for bracket in brackets]
     out = []
     for lemma, instances in (("graded_diff_derivation", derivation),
@@ -794,19 +773,19 @@ def _lemma_failures(terms, forms, sides, brackets, algebra=None):
     return out
 
 
-def _derivation_failure(terms, side, module, forms, algebra):
+def _derivation_failure(terms, side, forms, algebra):
     """The first failure of (D) on one side, as (arity, where, residual), or
     None: every basis form omega of positive degree in forms against every
-    basis element x up to the cap."""
+    basis element x up to the cap, each differentiated on the side's
+    effective module (see _ProofTerms.effective)."""
     pair = terms.tower.pair
-    memo = terms.diff_memo(algebra)
+    effective = terms.effective(side, algebra)
     trivial = trivial_module(pair.dim_g, 1)
     omegas = [w for w in forms if w]
-    for x in _basis_elements(pair, module.dim, len(forms[-1]), algebra):
-        dx = _memo_diff(memo, side, pair, module, x, algebra)
-        effective = memo[side][0]
+    for x in _basis_elements(pair, terms.modules[side].dim, len(forms[-1]),
+                             algebra):
+        dx = _diff(pair, effective, x, algebra)
         for w in omegas:
-            # each omega.x is differentiated once per run: not memoized
             res = _diff(pair, effective, _wedge(w, x), algebra)
             res = res - _wedge(w, dx, -1 if len(w) % 2 else 1)
             for dw, _, _, c in _ce_terms(pair, trivial, w, (), 0):
@@ -816,32 +795,30 @@ def _derivation_failure(terms, side, module, forms, algebra):
     return None
 
 
-def _linearity_failure(terms, bracket, forms, modules, algebra):
+def _linearity_failure(terms, bracket, forms, algebra):
     """The first failure of (C) for one bracket, as (arity, where, residual),
     or None: in every position and for every basis form omega of positive
     degree in forms, on two argument tuples: the degree-0 basis elements of
-    each position's side (modules maps side to module) summed with distinct
-    coefficients, and the same tuple with its first entry wedged onto the
-    first basis 1-form."""
+    each position's side summed with distinct coefficients, and the same
+    tuple with its first entry wedged onto the first basis 1-form."""
     name, signed, evaluate, arg_sides = bracket
     pair = terms.tower.pair
-    memo = terms.diff_memo(algebra)
     cdim = algebra.dim if algebra is not None else None
     omegas = [w for w in forms if w]
     plain = []
     for side in arg_sides:
-        mdim = modules[side].dim
+        mdim = terms.modules[side].dim
         plain.append(GradedElement(pair, mdim, cdim, {
             next(iter(el.terms)): GaussScalar(i + 1) for i, el in
             enumerate(_basis_elements(pair, mdim, 0, algebra))}))
     for args in (plain, [_wedge(omegas[0], plain[0])] + plain[1:]):
-        base = evaluate(args, memo)
+        base = evaluate(args)
         before = 0
         for i, arg in enumerate(args):
             for w in omegas:
                 odd = len(w) * ((i in signed) + before) % 2
-                res = evaluate(args[:i] + [_wedge(w, arg)] + args[i + 1:],
-                               memo) - _wedge(w, base, -1 if odd else 1)
+                res = evaluate(args[:i] + [_wedge(w, arg)] + args[i + 1:]) \
+                    - _wedge(w, base, -1 if odd else 1)
                 if not res.is_zero():
                     return len(args), [name, i, w], res
             before += arg.degree()
@@ -850,20 +827,31 @@ def _linearity_failure(terms, bracket, forms, modules, algebra):
 
 def _degree0_residuals(tower, n, module_side=False, algebra=None,
                        terms=None):
-    """The nonzero map _decorated reads at arity n >= 2, from one tensor
-    of all degree-0 residuals (the run's coherence tensor, or _module_into on
-    the module side), sliced by tuple.  With an algebra the residual on
-    (b_1 (x) c_1, ..) is the slice at b times c_1 .. c_n, multiplied in
-    argument order; its pool indices are b_i * dim C + c_i.  terms is the
-    run's state (see _ProofTerms), fresh by default."""
+    """The nonzero map _decorated reads at arity n, keyed by tuples of pool
+    indices.  At n = 1 it holds d(d(x_i)) for each degree-0 basis element
+    x_i of the last side's pool, differentiated on that side's effective
+    module.  At n >= 2 it comes from one tensor of all degree-0 residuals
+    (the run's coherence tensor, or _module_into on the module side), sliced
+    by tuple.  With an algebra the residual on (b_1 (x) c_1, ..) is the
+    slice at b times c_1 .. c_n, multiplied in argument order; its pool
+    indices are b_i * dim C + c_i.  terms is the run's state (see
+    _ProofTerms), fresh by default."""
     terms = _ProofTerms(tower) if terms is None else terms
+    pair = tower.pair
+    if n == 1:
+        side = "w" if module_side else "v"
+        effective = terms.effective(side, algebra)
+        pool = _basis_elements(pair, terms.modules[side].dim, 0, algebra)
+        return {(i,): res for i, x in enumerate(pool) if not (res := _diff(
+            pair, effective, _diff(pair, effective, x, algebra),
+            algebra)).is_zero()}
     if module_side:
-        tensor = Cochain(tower.pair, tower.s[n].module, 2, n - 1)
+        tensor = Cochain(pair, tower.s[n].module, 2, n - 1)
         _module_into(tensor, terms, n)
     else:
         tensor = terms.coherence(n)
     dim_in = tower.module.dim if module_side else None
-    pair, mdim = tower.pair, dim_in or tower.pair.dim_b
+    mdim = dim_in or pair.dim_b
     slices = _slices(tensor, dim_in)
     if algebra is None:
         return {bt: GradedElement(pair, mdim, None, {(form, out): c
@@ -879,16 +867,16 @@ def _degree0_residuals(tower, n, module_side=False, algebra=None,
             if not vec_is_zero(cvec)}
 
 
-def _sweep(terms: _ProofTerms, identity, max_n, degree_cap, last, residual,
-           brackets, algebra: GAlgebra = None) -> VerifyReport:
+def _sweep(terms: _ProofTerms, identity, max_n, degree_cap, last, brackets,
+           algebra: GAlgebra = None) -> VerifyReport:
     """Residual sweep over every basis tuple of arity n <= max_n up to the
     degree cap whose first n - 1 entries are B-valued and whose last entry
-    lies on last = (side, module), on the tower of terms, the run's state.
+    lies on the side named last ("v" or "w"), on the tower of terms, the
+    run's state.
 
-    For n >= 2 the degree-0 residuals come from one tensor per arity (see
-    _degree0_residuals), formed once per run; at n = 1 residual(args, memo)
-    evaluates each, memo being the run's graded_diff memo for the algebra
-    (see _memo_diff).  Every tuple with forms is decided through the wedge
+    The degree-0 residuals of each arity come from _degree0_residuals: d(d(x))
+    of each basis element at n = 1, one tensor per arity, formed once per
+    run, for n >= 2.  Every tuple with forms is decided through the wedge
     (see _decorated), so checked counts the tuples by arithmetic.  The two
     lemmas the factoring rests on are checked first, over the brackets named
     in brackets, each instance once per run (see _lemma_failures); a failing
@@ -902,25 +890,17 @@ def _sweep(terms: _ProofTerms, identity, max_n, degree_cap, last, residual,
         AlgebraExtension(tower, algebra)  # validates
     report = VerifyReport(identity)
     pair = tower.pair
-    memo = terms.diff_memo(algebra)
     forms = _forms(pair.dim_g, degree_cap)
-    sides = [("v", pair.quotient_module())]
-    if last[0] != "v":
-        sides.append(last)
+    sides = ["v"] if last == "v" else ["v", last]
     for lemma, n, where, res in _lemma_failures(terms, forms, sides, brackets,
                                                 algebra):
         report.add_violation(n, where, res.first_term(), lemma)
-    pools = {side: _basis_elements(pair, module.dim, 0, algebra)
-             for side, module in sides}
+    pools = {side: _basis_elements(pair, terms.modules[side].dim, 0, algebra)
+             for side in sides}
     for n in range(1, max_n + 1):
-        args_pools = [pools["v"]] * (n - 1) + [pools[last[0]]]
+        args_pools = [pools["v"]] * (n - 1) + [pools[last]]
         report.checked += len(forms) ** n * prod(map(len, args_pools))
-        if n == 1:
-            nonzero = {(i,): res for i, el in enumerate(args_pools[0])
-                       if not (res := residual([el], memo)).is_zero()}
-        else:
-            nonzero = _degree0_residuals(tower, n, last[0] == "w", algebra,
-                                         terms)
+        nonzero = _degree0_residuals(tower, n, last == "w", algebra, terms)
         for fs, bs, res in _decorated(forms, args_pools, nonzero, pair.dim_g):
             report.add_violation(
                 n, [(forms[f],) + next(iter(p[b].terms))[1:]
@@ -938,12 +918,8 @@ def verify_leibniz(tower: BracketTower, max_n: int, degree_cap: int,
     _ProofTerms); called alone, the sweep makes its own.
     """
     terms = _ProofTerms(tower) if terms is None else terms
-    tower = terms.tower
-    return _sweep(terms, "leibniz", max_n, degree_cap,
-                  ("v", tower.pair.quotient_module()),
-                  lambda args, memo: leibniz_residual(tower, args, algebra,
-                                                      memo),
-                  _lambda_brackets(tower, max_n, algebra), algebra)
+    return _sweep(terms, "leibniz", max_n, degree_cap, "v",
+                  _lambda_brackets(terms.tower, max_n, algebra), algebra)
 
 
 def verify_module(tower: BracketTower, max_n: int, degree_cap: int,
@@ -956,21 +932,18 @@ def verify_module(tower: BracketTower, max_n: int, degree_cap: int,
     tower = terms.tower
     brackets = _lambda_brackets(tower, max_n, algebra) + [
         ("mu_%d" % k, range(k),
-         lambda args, memo: mu_k(tower, args[:-1], args[-1], algebra, memo),
+         lambda args: mu_k(tower, args[:-1], args[-1], algebra),
          ["v"] * (k - 1) + ["w"])
         for k in range(2, max_n + 1)]
-    return _sweep(terms, "leibniz_module", max_n, degree_cap,
-                  ("w", tower.module),
-                  lambda args, memo: module_residual(tower, args[:-1], args[-1],
-                                                     algebra, memo),
-                  brackets, algebra)
+    return _sweep(terms, "leibniz_module", max_n, degree_cap, "w", brackets,
+                  algebra)
 
 
 def _lambda_brackets(tower, max_n, algebra):
     """lambda_2 .. lambda_max_n as _lemma_failures brackets: every position is
     signed."""
     return [("lambda_%d" % k, range(k),
-             lambda args, memo: lambda_k(tower, args, algebra, memo), ["v"] * k)
+             lambda args: lambda_k(tower, args, algebra), ["v"] * k)
             for k in range(2, max_n + 1)]
 
 
@@ -1044,7 +1017,10 @@ class _ProofTerms:
         own);
       * the bracket slices, grouped once on tower, a cached view of the
         tower (see BracketTower.cached_view);
-      * one graded_diff memo per coefficient algebra (see _memo_diff);
+      * modules, which maps each side to its module: "v" to B, "w" to the
+        tower's module side;
+      * each side's effective module for each coefficient algebra, resolved
+        once (see effective);
       * the first failure, or None, of each lemma instance (see
         _lemma_failures).
 
@@ -1054,11 +1030,11 @@ class _ProofTerms:
     changed in place between two runs is read afresh.
     """
 
-    __slots__ = ("tower", "module", "_memo")
+    __slots__ = ("tower", "modules", "_memo")
 
     def __init__(self, tower: BracketTower):
         self.tower = tower.cached_view()
-        self.module = tower.pair.quotient_module()
+        self.modules = {"v": tower.pair.quotient_module(), "w": tower.module}
         self._memo = {}
 
     def _once(self, key, build):
@@ -1066,44 +1042,42 @@ class _ProofTerms:
             self._memo[key] = build()
         return self._memo[key]
 
-    def r(self, n):
-        return self.tower.r[n]
-
     def beta(self):
         return self._once("beta", lambda: _torsion_cochain(self.tower))
 
     def d(self, n):
         """d R_n, of bidegree (2, n)."""
         def build():
-            out = Cochain(self.tower.pair, self.module, 2, n)
-            _ce_into(out, self.r(n))
+            out = Cochain(self.tower.pair, self.modules["v"], 2, n)
+            _ce_into(out, self.tower.r[n])
             return out
         return self._once(("d", n), build)
 
     def composite(self, i, j, slot):
         """R_i o_slot R_j, of bidegree (2, i + j - 1)."""
         return self._once(("o", i, j, slot), lambda: compose_cochains(
-            self.r(i), self.r(j), slot))
+            self.tower.r[i], self.tower.r[j], slot))
 
     def coherence(self, n):
         """The degree-n shuffle coherence tensor, of bidegree (2, n) (see
         _coherence_into)."""
         def build():
-            out = Cochain(self.tower.pair, self.module, 2, n)
+            out = Cochain(self.tower.pair, self.modules["v"], 2, n)
             _coherence_into(out, self, n)
             return out
         return self._once(("coherence", n), build)
 
-    def diff_memo(self, algebra):
-        """The graded_diff memo of one coefficient algebra, None for none:
-        _memo_diff keys its entries by side alone."""
-        return self._once(("diff", algebra), dict)
+    def effective(self, side, algebra):
+        """The module the elements of side are differentiated on: the side's
+        module, tensored with the algebra's when there is one."""
+        return self._once(("effective", side, algebra), lambda:
+                          _effective_module(self.modules[side], algebra))
 
 
 def _torsion_into(total, terms: _ProofTerms):
     """Torsion antisymmetrization, bidegree (1, 2): swapping the two slots of
     the binary tensor costs the differential of the torsion."""
-    r2 = terms.r(2)
+    r2 = terms.tower.r[2]
     _add_permuted(total, r2, (0, 1))
     _add_permuted(total, -r2, (1, 0))
     _ce_into(total, -terms.beta())
@@ -1114,14 +1088,14 @@ def _ternary_into(total, terms: _ProofTerms):
     slots against the torsion-fed binary tensor and the differential of the
     curvature."""
     tower = terms.tower
-    r3 = terms.r(3)
+    r3 = tower.r[3]
     _add_permuted(total, r3, (0, 1, 2))
     _add_permuted(total, -r3, (1, 0, 2))
     # minus R_2(beta(b0, b1), b2)
-    _compose_into(total, terms.r(2), -terms.beta(), 1)
+    _compose_into(total, tower.r[2], -terms.beta(), 1)
     # plus (d omega)(b0, b1) applied to b2; omega(b1, b2)'s row-major entries
     # are the values at (b1, b2) in flat order
-    omega_cochain = Cochain(tower.pair, end_module(terms.module), 0, 2,
+    omega_cochain = Cochain(tower.pair, end_module(terms.modules["v"]), 0, 2,
                             [x for row in tower.st.omega for om in row
                              for x in om.data])
     _add_permuted(total, _unfold_end(ce_diff(omega_cochain)), (0, 1, 2))
@@ -1152,7 +1126,7 @@ def _module_into(total, terms: _ProofTerms, n: int):
         for k in range(j, n + 1):
             part = Cochain(total.pair, total.module, 2, n - 1)
             if k < n:
-                _compose_into(part, s[n + 1 - j], terms.r(j), k - j + 1)
+                _compose_into(part, s[n + 1 - j], terms.tower.r[j], k - j + 1)
             else:
                 _chain_into(part, s[n + 1 - j], s[j], terms.tower.module.dim)
             for sigma in _shuffles(k - j, j - 1):
@@ -1204,7 +1178,7 @@ def tensor_residuals(tower: BracketTower, terms=None):
     terms = _ProofTerms(tower) if terms is None else terms
 
     def residual(k, l, into, *args):
-        out = Cochain(tower.pair, terms.module, k, l)
+        out = Cochain(tower.pair, terms.modules["v"], k, l)
         into(out, terms, *args)
         return out
 
@@ -1255,17 +1229,16 @@ def check_proof_identities(tower: BracketTower,
     # the two lemmas the homotopy witnesses factor through (see _decorated),
     # for the witness brackets up to the degree cap
     brackets = [
-        ("two_bracket", (1,),
-         lambda args, memo: two_bracket(tower, *args), ["v"] * 2),
-        ("theta_witness", (0,),
-         lambda args, memo: theta_witness(tower, *args), ["v"] * 2)]
+        ("two_bracket", (1,), lambda args: two_bracket(tower, *args),
+         ["v"] * 2),
+        ("theta_witness", (0,), lambda args: theta_witness(tower, *args),
+         ["v"] * 2)]
     if tower.depth >= 3:
         brackets.append(("xi_witness", (0, 2),
-                         lambda args, memo: xi_witness(tower, *args),
-                         ["v"] * 3))
+                         lambda args: xi_witness(tower, *args), ["v"] * 3))
     for lemma, _, where, res in _lemma_failures(
             terms, _forms(pair.dim_g, min(witness_degree_cap, pair.dim_g)),
-            [("v", pair.quotient_module())], brackets):
+            ["v"], brackets):
         results.append((lemma, False, (where, res.first_term())))
 
     def first_witness(tensor, extra, sign):

@@ -1,5 +1,6 @@
-"""Import hygiene: every module of the package uses each name it imports, and
-the obstruction commands load only the layers they run.
+"""Import hygiene: every module of the package uses each name it imports,
+reads each private helper it defines somewhere, and the obstruction commands
+load only the layers they run.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library alone.  ``__init__.py`` is exempt: its imports are the
@@ -50,20 +51,25 @@ def test_no_unused_imports(path):
 
 
 def orphaned_private_names(sources):
-    """Private module-level functions and classes of the given modules (name
-    -> source) that no code of those modules reads outside their own def."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+    """Private module-level functions and classes of the given modules (file
+    name -> source), __init__.py's aside, that no code of those modules reads
+    outside their own def.  Only a read counts: a name bound, rebound or
+    deleted elsewhere is still orphaned."""
     defined = set()
     used = set()
-    for tree in trees.values():
-        for node in tree.body:
+    for filename, source in sources.items():
+        for node in ast.parse(source).body:
             own = None
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
                     and node.name.startswith("_") \
                     and not node.name.startswith("__"):
                 own = node.name
-                defined.add(own)
+                if filename != "__init__.py":
+                    defined.add(own)
             for sub in ast.walk(node):
+                if not isinstance(getattr(sub, "ctx", None), ast.Load):
+                    continue
                 if isinstance(sub, ast.Name):
                     read = sub.id
                 elif isinstance(sub, ast.Attribute):
@@ -77,11 +83,16 @@ def orphaned_private_names(sources):
 
 def test_the_check_sees_an_orphaned_helper():
     sources = {
-        "a": "def _used():\n    pass\n\ndef _recursive(n):\n"
-             "    return _recursive(n - 1)\n\nclass _Orphan:\n    pass\n",
-        "b": "from .a import _used\n\ndef public():\n    return _used()\n",
+        "a.py": "def _used():\n    pass\n\ndef _recursive(n):\n"
+                "    return _recursive(n - 1)\n\nclass _Orphan:\n    pass\n"
+                "\ndef _rebound():\n    pass\n\ndef _deleted():\n    pass\n",
+        "b.py": "from . import a\nfrom .a import _used\n\ndef public():\n"
+                "    return _used()\n\n_rebound = None\na._deleted = None\n"
+                "del a._deleted\n",
+        "__init__.py": "def _exported():\n    pass\n",
     }
-    assert orphaned_private_names(sources) == ["_Orphan", "_recursive"]
+    assert orphaned_private_names(sources) == \
+        ["_Orphan", "_deleted", "_rebound", "_recursive"]
 
 
 def test_no_orphaned_private_helpers():

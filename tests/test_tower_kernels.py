@@ -1,6 +1,6 @@
 """Differential tests for the nonzero-driven tower kernels, the shared
 contraction kernel behind the brackets, the degree skip in the
-homotopy-witness loops, the scope of the sweep memo, the identity layer
+homotopy-witness loops, the two sides of the unary bracket, the identity layer
 (one generalized-Jacobi sum, one sweep loop, one differential path), the
 factoring of the sweeps and witness loops through the wedge, with the two
 lemma checks it rests on, the sparse tensor-level proof identities, the
@@ -834,7 +834,7 @@ def test_witness_loops_still_catch_a_corrupted_tower():
     assert not verdicts["jacobi_homotopy"]
 
 
-# -- memo scope ------------------------------------------------------------------------
+# -- the two sides of the unary bracket ------------------------------------------------
 
 
 def test_corrupted_tower_fails_proof_identities():
@@ -851,7 +851,7 @@ def test_corrupted_tower_fails_proof_identities():
     assert "jacobi_homotopy" in failed
 
 
-def test_sweep_memo_keeps_the_two_sides_apart():
+def test_unary_brackets_keep_the_two_sides_apart():
     # B and its dual are both 1-dim over sl2, so a B-valued and a module-valued
     # element can have equal terms; their differentials still differ
     pair, modules = sl2_pair()
@@ -860,14 +860,11 @@ def test_sweep_memo_keeps_the_two_sides_apart():
     tower = build_tower(pair, conn_b, depth=2, module=dual,
                         conn_e=extend_by_zero(pair, dual))
     el = GradedElement.basis(pair, 1, (), 0)
-    memo = {}
-    for _ in range(2):
-        on_b = lambda_k(tower, [el], memo=memo)
-        on_dual = mu_k(tower, [], el, memo=memo)
-        assert on_b == graded_diff(pair, modules["B"], el)
-        assert on_dual == graded_diff(pair, dual, el)
-        assert on_b != on_dual
-    assert len(memo) == 2
+    on_b = lambda_k(tower, [el])
+    on_dual = mu_k(tower, [], el)
+    assert on_b == graded_diff(pair, modules["B"], el)
+    assert on_dual == graded_diff(pair, dual, el)
+    assert on_b != on_dual
 
 
 # -- the identity layer against its two-loop oracles -------------------------------------
@@ -1179,14 +1176,12 @@ def per_tuple_residuals(tower, n, module_side, algebra=None):
     tower = tower.cached_view()
     vs = basis_elements_v(tower, 0, algebra)
     lasts = basis_elements_w(tower, 0, algebra) if module_side else vs
-    memo = {}
     out = {}
     for idx in product(range(len(vs)), repeat=n - 1):
         args = [vs[i] for i in idx]
         for i, last in enumerate(lasts):
-            res = module_residual(tower, args, last, algebra, memo) \
-                if module_side \
-                else leibniz_residual(tower, args + [last], algebra, memo)
+            res = module_residual(tower, args, last, algebra) if module_side \
+                else leibniz_residual(tower, args + [last], algebra)
             if not res.is_zero():
                 out[idx + (i,)] = res.terms
     return out
@@ -1202,7 +1197,7 @@ def tensor_residual_map(tower, n, module_side, algebra=None):
 @pytest.mark.parametrize("name", [name for name, _ in DEEP_TOWERS])
 def test_sweep_tensors_match_the_per_tuple_residuals(name):
     tower = dict(DEEP_TOWERS)[name]
-    for n in range(2, 5):
+    for n in range(1, 5):
         for module_side in (False, True):
             assert tensor_residual_map(tower, n, module_side) == \
                 per_tuple_residuals(tower, n, module_side), (n, module_side)
@@ -1256,7 +1251,7 @@ def test_algebra_sweep_tensors_match_the_per_tuple_residuals(family,
     nonzero = set()
     for name, tower in towers:
         algebra = algebra_of(tower.pair.dim_g)
-        for n in (2, 3):
+        for n in (1, 2, 3):
             for module_side in (False, True):
                 ours = tensor_residual_map(tower, n, module_side, algebra)
                 assert ours == per_tuple_residuals(tower, n, module_side,
@@ -1426,6 +1421,22 @@ def test_lemma_checks_catch_sign_mutations(monkeypatch, target, mutation,
     # at cap 0 there is nothing to factor and no lemma runs
     assert all(v["identity"] != lemma
                for v in verify_leibniz(tower, 2, 0).violations)
+
+
+def test_arity_one_residual_maps_agree_under_a_sign_mutation(monkeypatch):
+    # d(d(x)) = 0 on working code, so with the action sign flipped on odd
+    # forms the arity-1 comparison includes failing residuals
+    import liepairs.homotopy as homotopy
+
+    fx = gl_un_tn(2)
+    tower = build_tower(fx.pair, fx.conn_mult, depth=3, module=fx.module_b,
+                        conn_e=fx.conn_mult)
+    monkeypatch.setattr(homotopy, "_ce_terms",
+                        flip_odd_action_sign(homotopy._ce_terms))
+    for module_side in (False, True):
+        ours = tensor_residual_map(tower, 1, module_side)
+        assert ours == per_tuple_residuals(tower, 1, module_side)
+        assert len(ours) == 4, module_side
 
 
 def test_effective_module_is_resolved_once_per_sweep_side(monkeypatch):
