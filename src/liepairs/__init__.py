@@ -48,7 +48,6 @@ from .atiyah import (
 # never run it, so its names load on first access (PEP 562) instead of with
 # the package.
 _HOMOTOPY_NAMES = (
-    "AlgebraExtension",
     "BracketTower",
     "GradedElement",
     "build_tower",

@@ -346,7 +346,10 @@ def scalar_class(pair: LiePair, module: GModule, k: int,
     if conn is None:
         conn = extend_by_zero(pair, module)
     alpha = obstruction_biform_matrix(conn)
-    trace = _power_traces(alpha, k)[-1]
+    # alpha's entries have bidegree (1, 1), so tr(alpha^k) is zero past
+    # bidegree (depth, depth) and no power is formed there
+    depth = min(pair.dim_g, pair.dim_b)
+    trace = _power_traces(alpha, k)[-1] if k <= depth else BiForm()
     cochain = _diagonal_cochain(pair, trace, k)
     if not is_cocycle(cochain):
         raise NotACocycle("scalar class cochain is not closed")

@@ -354,8 +354,8 @@ def cmd_tower(args):
 
 
 def cmd_verify(args):
-    from .homotopy import (_ProofTerms, check_proof_identities,
-                           verify_leibniz, verify_module)
+    from .homotopy import (check_proof_identities, verify_leibniz,
+                           verify_module)
 
     report = RunReport(["verify", args.input, "--max-n", str(args.max_n),
                         "--degree-cap", str(args.degree_cap)])
@@ -370,19 +370,16 @@ def cmd_verify(args):
         if not rep.ok:
             raise ValidationFailure("algebra %r: %s"
                                     % (args.algebra, rep.entries[0]))
-    tower = _tower(fixture, pair, args)
-    # the three checks share one set of proof terms and lemma verdicts
-    terms = _ProofTerms(tower)
-    sweep = verify_leibniz(tower, args.max_n, args.degree_cap, algebra,
-                           terms=terms)
+    # the three checks share one run state: its tensors and lemma verdicts
+    tower = _tower(fixture, pair, args).cached_view()
+    sweep = verify_leibniz(tower, args.max_n, args.degree_cap, algebra)
     report.check("leibniz_sweep", sweep.ok,
                  residual=None if sweep.ok
                  else sweep.violations[0]["residual"],
                  witness=None if sweep.ok else sweep.violations[0]["tuple"],
                  detail="%d tuples" % sweep.checked)
     if tower.s is not None:
-        msweep = verify_module(tower, args.max_n, args.degree_cap, algebra,
-                               terms=terms)
+        msweep = verify_module(tower, args.max_n, args.degree_cap, algebra)
         report.check("module_sweep", msweep.ok,
                      residual=None if msweep.ok
                      else msweep.violations[0]["residual"],
@@ -390,7 +387,7 @@ def cmd_verify(args):
                      else msweep.violations[0]["tuple"],
                      detail="%d tuples" % msweep.checked)
     for name, ok, witness in check_proof_identities(
-            tower, witness_degree_cap=min(args.degree_cap, 2), terms=terms):
+            tower, witness_degree_cap=min(args.degree_cap, 2)):
         report.check(name, ok,
                      witness=None if ok else repr(witness))
     return report, EXIT_OK if report.ok else EXIT_CHECK_FAILURE

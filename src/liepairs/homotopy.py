@@ -176,13 +176,28 @@ def _nabla_into(total, w, conn_coeff: Connection, conn_b: Connection,
 class BracketTower:
     """The family of multilinear curvature derivatives, plus module analogues.
 
-    The brackets read R_n, S_n and the torsion through their slices.  A tower
-    groups its slices afresh at every call, so a bracket called on it reads
-    it as it stands; a verify run's checks read a view that groups each slice
-    once and shares the tower's tensors (see cached_view and _ProofTerms)."""
+    The brackets read R_n, S_n and the torsion through their slices.  A plain
+    tower forms its slices afresh at every call, so a bracket called on it
+    reads it as it stands.  A verify run's checks share one cached view
+    instead (see cached_view): its memo holds the state of the run, each part
+    formed once, by the first check that needs it (see once):
+
+      * the bracket slices;
+      * the B-valued tensors: the torsion, d R_n, the composites
+        R_i o_slot R_j and the shuffle coherence tensors (R_n is the tower's
+        own);
+      * each side's effective module for each coefficient algebra (see
+        effective);
+      * the first failure, or None, of each lemma instance (see
+        _lemma_failures), and the coefficient algebra's check_g_algebra
+        report (see _sweep).
+
+    verify_leibniz, verify_module and check_proof_identities read the view
+    they are given, or make a fresh one from a plain tower; `liepairs verify`
+    hands one view to all three."""
 
     __slots__ = ("pair", "conn_b", "depth", "st", "r", "module", "conn_e", "s",
-                 "cached", "_r_slices", "_s_slices", "_beta_slices")
+                 "memo")
 
     def __init__(self, pair, conn_b, depth, st, r, module=None, conn_e=None,
                  s=None):
@@ -194,40 +209,77 @@ class BracketTower:
         self.module = module
         self.conn_e = conn_e
         self.s = s
-        # the slice caches, filled on a cached view only
-        self.cached = False
-        self._r_slices = {}
-        self._s_slices = {}
-        self._beta_slices = {}
+        # None on a plain tower, a dict on a cached view
+        self.memo = None
 
     def cached_view(self):
-        """A view of this tower, sharing its tensors, that groups each slice
-        once: a tensor changed in place afterwards is not seen."""
+        """A view of this tower, sharing its tensors, that forms each part of
+        a run's state once: a tensor changed in place afterwards is not seen.
+        A view is its own cached view."""
+        if self.memo is not None:
+            return self
         view = BracketTower(self.pair, self.conn_b, self.depth, self.st,
                             self.r, self.module, self.conn_e, self.s)
-        view.cached = True
+        view.memo = {}
         return view
 
-    def _slice(self, cache, key, build):
-        if not self.cached:
+    def once(self, key, build):
+        """build(), kept under key on a cached view; a plain tower calls it
+        every time."""
+        if self.memo is None:
             return build()
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
+
+    def side_module(self, side):
+        """The module of a side: "v" is B, "w" the tower's module side."""
+        return self.pair.quotient_module() if side == "v" else self.module
 
     def r_slice(self, n):
         """dict: b-tuple -> list of (form, out, coeff) nonzeros of R_n."""
-        return self._slice(self._r_slices, n, lambda: _slices(self.r[n]))
+        return self.once(("r_slice", n), lambda: _slices(self.r[n]))
 
     def s_slice(self, n):
         """The same for S_n, each key ending with the module input index."""
-        return self._slice(self._s_slices, n,
-                           lambda: _slices(self.s[n], self.module.dim))
+        return self.once(("s_slice", n),
+                         lambda: _slices(self.s[n], self.module.dim))
 
     def beta_slice(self):
         """The same for the torsion, whose forms are empty."""
-        return self._slice(self._beta_slices, (),
-                           lambda: _slices(_torsion_cochain(self)))
+        return self.once("beta_slice", lambda: _slices(self.torsion()))
+
+    def torsion(self):
+        """The torsion as a cochain (see _torsion_cochain)."""
+        return self.once("torsion", lambda: _torsion_cochain(self))
+
+    def d(self, n):
+        """d R_n, of bidegree (2, n)."""
+        def build():
+            out = Cochain(self.pair, self.pair.quotient_module(), 2, n)
+            _ce_into(out, self.r[n])
+            return out
+        return self.once(("d", n), build)
+
+    def composite(self, i, j, slot):
+        """R_i o_slot R_j, of bidegree (2, i + j - 1)."""
+        return self.once(("o", i, j, slot), lambda: compose_cochains(
+            self.r[i], self.r[j], slot))
+
+    def coherence(self, n):
+        """The degree-n shuffle coherence tensor, of bidegree (2, n) (see
+        _coherence_into)."""
+        def build():
+            out = Cochain(self.pair, self.pair.quotient_module(), 2, n)
+            _coherence_into(out, self, n)
+            return out
+        return self.once(("coherence", n), build)
+
+    def effective(self, side, algebra):
+        """The module the elements of side are differentiated on: the side's
+        module, tensored with the algebra's when there is one."""
+        return self.once(("effective", side, algebra), lambda:
+                         _effective_module(self.side_module(side), algebra))
 
 
 def _slices(w: Cochain, dim_in=None):
@@ -471,29 +523,6 @@ def mu_k(tower: BracketTower, vargs, w: GradedElement,
                                % (k, tower.depth))
     return _contract(tower.s_slice(k), list(vargs) + [w], range(k),
                      tower.module.dim, algebra)
-
-
-class AlgebraExtension:
-    """Brackets extended by a commutative coefficient algebra.
-
-    Construction validates the algebra; the unit algebra extension acts
-    exactly like the plain brackets.
-    """
-
-    __slots__ = ("tower", "algebra")
-
-    def __init__(self, tower: BracketTower, algebra: GAlgebra):
-        report = check_g_algebra(tower.pair.g_algebra(), algebra)
-        if not report.ok:
-            raise NotCommutativeAlgebra(report.entries[0])
-        self.tower = tower
-        self.algebra = algebra
-
-    def lambda_k(self, args):
-        return lambda_k(self.tower, args, self.algebra)
-
-    def mu_k(self, vargs, w):
-        return mu_k(self.tower, vargs, w, self.algebra)
 
 
 # -- the two-argument homotopy bracket and its witnesses --------------------------
@@ -740,7 +769,7 @@ def _decorated(forms, pools, nonzero, dim_g):
     return walk((), (), (), 1)
 
 
-def _lemma_failures(terms, forms, sides, brackets, algebra=None):
+def _lemma_failures(tower, forms, sides, brackets, algebra=None):
     """Check the two facts behind _decorated exactly; return the first
     failure of each as (lemma, arity, where, residual).
 
@@ -749,23 +778,23 @@ def _lemma_failures(terms, forms, sides, brackets, algebra=None):
     contract_form_linearity is (C) for each bracket in brackets, a list of
     (name, signed positions, bracket(args), side of each argument) (see
     _linearity_failure).  Each instance, one side or one bracket, is checked
-    once per run for its algebra and form cap: terms keeps its first
-    failure, or None, and every later check of the run reads it there.
-    Nothing is checked when forms has degree 0 only.
+    once per run for its algebra and form cap: the run's view, tower, keeps
+    its first failure, or None, and every later check of the run reads it
+    there.  Nothing is checked when forms has degree 0 only.
     """
     cap = len(forms[-1])
     if not cap:
         return []
-    derivation = [((side,), partial(_derivation_failure, terms, side, forms,
+    derivation = [((side,), partial(_derivation_failure, tower, side, forms,
                                     algebra))
                   for side in sides]
-    linearity = [((bracket[0],), partial(_linearity_failure, terms, bracket,
+    linearity = [((bracket[0],), partial(_linearity_failure, tower, bracket,
                                          forms, algebra))
                  for bracket in brackets]
     out = []
     for lemma, instances in (("graded_diff_derivation", derivation),
                              ("contract_form_linearity", linearity)):
-        hits = (terms._once((lemma,) + key + (algebra, cap), check)
+        hits = (tower.once((lemma,) + key + (algebra, cap), check)
                 for key, check in instances)
         hit = next(filter(None, hits), None)
         if hit is not None:
@@ -773,17 +802,17 @@ def _lemma_failures(terms, forms, sides, brackets, algebra=None):
     return out
 
 
-def _derivation_failure(terms, side, forms, algebra):
+def _derivation_failure(tower, side, forms, algebra):
     """The first failure of (D) on one side, as (arity, where, residual), or
     None: every basis form omega of positive degree in forms against every
     basis element x up to the cap, each differentiated on the side's
-    effective module (see _ProofTerms.effective)."""
-    pair = terms.tower.pair
-    effective = terms.effective(side, algebra)
+    effective module (see BracketTower.effective)."""
+    pair = tower.pair
+    effective = tower.effective(side, algebra)
     trivial = trivial_module(pair.dim_g, 1)
     omegas = [w for w in forms if w]
-    for x in _basis_elements(pair, terms.modules[side].dim, len(forms[-1]),
-                             algebra):
+    for x in _basis_elements(pair, tower.side_module(side).dim,
+                             len(forms[-1]), algebra):
         dx = _diff(pair, effective, x, algebra)
         for w in omegas:
             res = _diff(pair, effective, _wedge(w, x), algebra)
@@ -795,19 +824,19 @@ def _derivation_failure(terms, side, forms, algebra):
     return None
 
 
-def _linearity_failure(terms, bracket, forms, algebra):
+def _linearity_failure(tower, bracket, forms, algebra):
     """The first failure of (C) for one bracket, as (arity, where, residual),
     or None: in every position and for every basis form omega of positive
     degree in forms, on two argument tuples: the degree-0 basis elements of
     each position's side summed with distinct coefficients, and the same
     tuple with its first entry wedged onto the first basis 1-form."""
     name, signed, evaluate, arg_sides = bracket
-    pair = terms.tower.pair
+    pair = tower.pair
     cdim = algebra.dim if algebra is not None else None
     omegas = [w for w in forms if w]
     plain = []
     for side in arg_sides:
-        mdim = terms.modules[side].dim
+        mdim = tower.side_module(side).dim
         plain.append(GradedElement(pair, mdim, cdim, {
             next(iter(el.terms)): GaussScalar(i + 1) for i, el in
             enumerate(_basis_elements(pair, mdim, 0, algebra))}))
@@ -825,8 +854,7 @@ def _linearity_failure(terms, bracket, forms, algebra):
     return None
 
 
-def _degree0_residuals(tower, n, module_side=False, algebra=None,
-                       terms=None):
+def _degree0_residuals(tower, n, module_side=False, algebra=None):
     """The nonzero map _decorated reads at arity n, keyed by tuples of pool
     indices.  At n = 1 it holds d(d(x_i)) for each degree-0 basis element
     x_i of the last side's pool, differentiated on that side's effective
@@ -834,22 +862,22 @@ def _degree0_residuals(tower, n, module_side=False, algebra=None,
     (the run's coherence tensor, or _module_into on the module side), sliced
     by tuple.  With an algebra the residual on (b_1 (x) c_1, ..) is the
     slice at b times c_1 .. c_n, multiplied in argument order; its pool
-    indices are b_i * dim C + c_i.  terms is the run's state (see
-    _ProofTerms), fresh by default."""
-    terms = _ProofTerms(tower) if terms is None else terms
+    indices are b_i * dim C + c_i.  A plain tower is read through a fresh
+    cached view."""
+    tower = tower.cached_view()
     pair = tower.pair
     if n == 1:
         side = "w" if module_side else "v"
-        effective = terms.effective(side, algebra)
-        pool = _basis_elements(pair, terms.modules[side].dim, 0, algebra)
+        effective = tower.effective(side, algebra)
+        pool = _basis_elements(pair, tower.side_module(side).dim, 0, algebra)
         return {(i,): res for i, x in enumerate(pool) if not (res := _diff(
             pair, effective, _diff(pair, effective, x, algebra),
             algebra)).is_zero()}
     if module_side:
         tensor = Cochain(pair, tower.s[n].module, 2, n - 1)
-        _module_into(tensor, terms, n)
+        _module_into(tensor, tower, n)
     else:
-        tensor = terms.coherence(n)
+        tensor = tower.coherence(n)
     dim_in = tower.module.dim if module_side else None
     mdim = dim_in or pair.dim_b
     slices = _slices(tensor, dim_in)
@@ -867,12 +895,12 @@ def _degree0_residuals(tower, n, module_side=False, algebra=None,
             if not vec_is_zero(cvec)}
 
 
-def _sweep(terms: _ProofTerms, identity, max_n, degree_cap, last, brackets,
+def _sweep(tower: BracketTower, identity, max_n, degree_cap, last, brackets,
            algebra: GAlgebra = None) -> VerifyReport:
     """Residual sweep over every basis tuple of arity n <= max_n up to the
     degree cap whose first n - 1 entries are B-valued and whose last entry
-    lies on the side named last ("v" or "w"), on the tower of terms, the
-    run's state.
+    lies on the side named last ("v" or "w"), on tower, the run's cached
+    view.
 
     The degree-0 residuals of each arity come from _degree0_residuals: d(d(x))
     of each basis element at n = 1, one tensor per arity, formed once per
@@ -882,25 +910,28 @@ def _sweep(terms: _ProofTerms, identity, max_n, degree_cap, last, brackets,
     in brackets, each instance once per run (see _lemma_failures); a failing
     lemma is reported as a violation under its own name.
     """
-    tower = terms.tower
     if max_n > tower.depth:
         raise ArityBeyondTower("max_n %d exceeds tower depth %d"
                                % (max_n, tower.depth))
-    if algebra is not None:
-        AlgebraExtension(tower, algebra)  # validates
-    report = VerifyReport(identity)
     pair = tower.pair
+    if algebra is not None:
+        found = tower.once(("algebra", algebra), lambda: check_g_algebra(
+            pair.g_algebra(), algebra))
+        if not found.ok:
+            raise NotCommutativeAlgebra(found.entries[0])
+    report = VerifyReport(identity)
     forms = _forms(pair.dim_g, degree_cap)
     sides = ["v"] if last == "v" else ["v", last]
-    for lemma, n, where, res in _lemma_failures(terms, forms, sides, brackets,
+    for lemma, n, where, res in _lemma_failures(tower, forms, sides, brackets,
                                                 algebra):
         report.add_violation(n, where, res.first_term(), lemma)
-    pools = {side: _basis_elements(pair, terms.modules[side].dim, 0, algebra)
+    pools = {side: _basis_elements(pair, tower.side_module(side).dim, 0,
+                                   algebra)
              for side in sides}
     for n in range(1, max_n + 1):
         args_pools = [pools["v"]] * (n - 1) + [pools[last]]
         report.checked += len(forms) ** n * prod(map(len, args_pools))
-        nonzero = _degree0_residuals(tower, n, last == "w", algebra, terms)
+        nonzero = _degree0_residuals(tower, n, last == "w", algebra)
         for fs, bs, res in _decorated(forms, args_pools, nonzero, pair.dim_g):
             report.add_violation(
                 n, [(forms[f],) + next(iter(p[b].terms))[1:]
@@ -910,32 +941,31 @@ def _sweep(terms: _ProofTerms, identity, max_n, degree_cap, last, brackets,
 
 
 def verify_leibniz(tower: BracketTower, max_n: int, degree_cap: int,
-                   algebra: GAlgebra = None, terms=None) -> VerifyReport:
+                   algebra: GAlgebra = None) -> VerifyReport:
     """Exhaustive residual sweep over basis-decomposable tuples.
 
     Multilinearity makes basis tuples a complete check at each degree profile.
-    terms is the state of the verify run this sweep belongs to (see
-    _ProofTerms); called alone, the sweep makes its own.
+    A cached view of the tower shares its state with the other checks of the
+    run (see BracketTower); a plain tower is read through a fresh one.
     """
-    terms = _ProofTerms(tower) if terms is None else terms
-    return _sweep(terms, "leibniz", max_n, degree_cap, "v",
-                  _lambda_brackets(terms.tower, max_n, algebra), algebra)
+    tower = tower.cached_view()
+    return _sweep(tower, "leibniz", max_n, degree_cap, "v",
+                  _lambda_brackets(tower, max_n, algebra), algebra)
 
 
 def verify_module(tower: BracketTower, max_n: int, degree_cap: int,
-                  algebra: GAlgebra = None, terms=None) -> VerifyReport:
-    """Sweep of the module identity over (V, ..., V, W) basis tuples; terms
-    as for verify_leibniz."""
+                  algebra: GAlgebra = None) -> VerifyReport:
+    """Sweep of the module identity over (V, ..., V, W) basis tuples; the
+    tower is read as by verify_leibniz."""
     if tower.module is None:
         raise ValueError("tower was built without a module side")
-    terms = _ProofTerms(tower) if terms is None else terms
-    tower = terms.tower
+    tower = tower.cached_view()
     brackets = _lambda_brackets(tower, max_n, algebra) + [
         ("mu_%d" % k, range(k),
          lambda args: mu_k(tower, args[:-1], args[-1], algebra),
          ["v"] * (k - 1) + ["w"])
         for k in range(2, max_n + 1)]
-    return _sweep(terms, "leibniz_module", max_n, degree_cap, "w", brackets,
+    return _sweep(tower, "leibniz_module", max_n, degree_cap, "w", brackets,
                   algebra)
 
 
@@ -1008,142 +1038,75 @@ def _chain_into(total, outer, inner, dim_e: int):
                                                    else -term)
 
 
-class _ProofTerms:
-    """The state one verify run shares between its checks, each part formed
-    once, by the first check that needs it:
-
-      * the B-valued tensors: the torsion, d R_n, the composites
-        R_i o_slot R_j and the shuffle coherence tensors (R_n is the tower's
-        own);
-      * the bracket slices, grouped once on tower, a cached view of the
-        tower (see BracketTower.cached_view);
-      * modules, which maps each side to its module: "v" to B, "w" to the
-        tower's module side;
-      * each side's effective module for each coefficient algebra, resolved
-        once (see effective);
-      * the first failure, or None, of each lemma instance (see
-        _lemma_failures).
-
-    verify_leibniz, verify_module and check_proof_identities each make one
-    when called alone; `liepairs verify` makes one for the run and hands it
-    to all three.  Nothing is kept on the tower itself, so a tower tensor
-    changed in place between two runs is read afresh.
-    """
-
-    __slots__ = ("tower", "modules", "_memo")
-
-    def __init__(self, tower: BracketTower):
-        self.tower = tower.cached_view()
-        self.modules = {"v": tower.pair.quotient_module(), "w": tower.module}
-        self._memo = {}
-
-    def _once(self, key, build):
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
-
-    def beta(self):
-        return self._once("beta", lambda: _torsion_cochain(self.tower))
-
-    def d(self, n):
-        """d R_n, of bidegree (2, n)."""
-        def build():
-            out = Cochain(self.tower.pair, self.modules["v"], 2, n)
-            _ce_into(out, self.tower.r[n])
-            return out
-        return self._once(("d", n), build)
-
-    def composite(self, i, j, slot):
-        """R_i o_slot R_j, of bidegree (2, i + j - 1)."""
-        return self._once(("o", i, j, slot), lambda: compose_cochains(
-            self.tower.r[i], self.tower.r[j], slot))
-
-    def coherence(self, n):
-        """The degree-n shuffle coherence tensor, of bidegree (2, n) (see
-        _coherence_into)."""
-        def build():
-            out = Cochain(self.tower.pair, self.modules["v"], 2, n)
-            _coherence_into(out, self, n)
-            return out
-        return self._once(("coherence", n), build)
-
-    def effective(self, side, algebra):
-        """The module the elements of side are differentiated on: the side's
-        module, tensored with the algebra's when there is one."""
-        return self._once(("effective", side, algebra), lambda:
-                          _effective_module(self.modules[side], algebra))
-
-
-def _torsion_into(total, terms: _ProofTerms):
+def _torsion_into(total, tower: BracketTower):
     """Torsion antisymmetrization, bidegree (1, 2): swapping the two slots of
     the binary tensor costs the differential of the torsion."""
-    r2 = terms.tower.r[2]
+    r2 = tower.r[2]
     _add_permuted(total, r2, (0, 1))
     _add_permuted(total, -r2, (1, 0))
-    _ce_into(total, -terms.beta())
+    _ce_into(total, -tower.torsion())
 
 
-def _ternary_into(total, terms: _ProofTerms):
+def _ternary_into(total, tower: BracketTower):
     """Ternary symmetry defect, bidegree (1, 3): the swap of the first two
     slots against the torsion-fed binary tensor and the differential of the
     curvature."""
-    tower = terms.tower
     r3 = tower.r[3]
     _add_permuted(total, r3, (0, 1, 2))
     _add_permuted(total, -r3, (1, 0, 2))
     # minus R_2(beta(b0, b1), b2)
-    _compose_into(total, tower.r[2], -terms.beta(), 1)
+    _compose_into(total, tower.r[2], -tower.torsion(), 1)
     # plus (d omega)(b0, b1) applied to b2; omega(b1, b2)'s row-major entries
     # are the values at (b1, b2) in flat order
-    omega_cochain = Cochain(tower.pair, end_module(terms.modules["v"]), 0, 2,
+    b = tower.pair.quotient_module()
+    omega_cochain = Cochain(tower.pair, end_module(b), 0, 2,
                             [x for row in tower.st.omega for om in row
                              for x in om.data])
     _add_permuted(total, _unfold_end(ce_diff(omega_cochain)), (0, 1, 2))
 
 
-def _coherence_into(total, terms: _ProofTerms, n: int):
+def _coherence_into(total, tower: BracketTower, n: int):
     """Degree-n shuffle coherence, bidegree (2, n): the differential of R_n
     against shuffle sums of nested lower tensors."""
-    _add_permuted(total, terms.d(n), range(n))
+    _add_permuted(total, tower.d(n), range(n))
     for i in range(2, n):
         j = n + 1 - i
         for k in range(j, n + 1):
-            part = terms.composite(i, j, k - j + 1)
+            part = tower.composite(i, j, k - j + 1)
             for sigma in _shuffles(k - j, j - 1):
                 # composite argument order: sigma-first block, sigma-second
                 # block, position k, then the untouched tail
                 _add_permuted(total, part, sigma + tuple(range(k - 1, n)))
 
 
-def _module_into(total, terms: _ProofTerms, n: int):
+def _module_into(total, tower: BracketTower, n: int):
     """Degree-n module coherence, End(E)-valued of bidegree (2, n - 1): d S_n
     against shuffle sums of S_i o_slot R_j and, for the inner bracket that
     holds the module argument, S_i . S_j (see _chain_into).  At
     (J; b's; out * dim E + in) it is module_residual(b's, e_in) at (J, out)."""
-    s = terms.tower.s
+    s = tower.s
     _ce_into(total, s[n])
     for j in range(2, n):
         for k in range(j, n + 1):
             part = Cochain(total.pair, total.module, 2, n - 1)
             if k < n:
-                _compose_into(part, s[n + 1 - j], terms.tower.r[j], k - j + 1)
+                _compose_into(part, s[n + 1 - j], tower.r[j], k - j + 1)
             else:
-                _chain_into(part, s[n + 1 - j], s[j], terms.tower.module.dim)
+                _chain_into(part, s[n + 1 - j], s[j], tower.module.dim)
             for sigma in _shuffles(k - j, j - 1):
                 _add_permuted(total, part, sigma + tuple(range(k - 1, n - 1)))
 
 
-def _mixed_into(total, terms: _ProofTerms, n: int):
+def _mixed_into(total, tower: BracketTower, n: int):
     """Degree-n mixed differential, bidegree (2, n + 1): the anticommutator
     of the two derivatives on R_n."""
-    tower = terms.tower
-    _add_permuted(total, terms.d(n + 1), range(n + 1))
-    _nabla_into(total, terms.d(n), tower.conn_b, tower.conn_b, tower.st)
-    _add_permuted(total, terms.composite(2, n, 2), range(n + 1))
+    _add_permuted(total, tower.d(n + 1), range(n + 1))
+    _nabla_into(total, tower.d(n), tower.conn_b, tower.conn_b, tower.st)
+    _add_permuted(total, tower.composite(2, n, 2), range(n + 1))
     for j in range(1, n + 1):
         # composite canonical order: b_1..b_(j-1), b_0, b_j, b_(j+1)..b_n
         perm = list(range(1, j)) + [0, j] + list(range(j + 1, n + 1))
-        _add_permuted(total, terms.composite(n, 2, j), perm)
+        _add_permuted(total, tower.composite(n, 2, j), perm)
 
 
 def shuffle_coherence_residual(tower: BracketTower, n: int) -> Cochain:
@@ -1151,7 +1114,7 @@ def shuffle_coherence_residual(tower: BracketTower, n: int) -> Cochain:
     the n-th tensor to shuffle sums of nested lower tensors."""
     if n < 3 or n > tower.depth:
         raise ArityBeyondTower("need 3 <= n <= depth")
-    return _ProofTerms(tower).coherence(n)
+    return tower.cached_view().coherence(n)
 
 
 def mixed_differential_residual(tower: BracketTower, n: int) -> Cochain:
@@ -1160,11 +1123,11 @@ def mixed_differential_residual(tower: BracketTower, n: int) -> Cochain:
     if n < 2 or n + 1 > tower.depth:
         raise ArityBeyondTower("need 2 <= n <= depth - 1")
     out = Cochain(tower.pair, tower.pair.quotient_module(), 2, n + 1)
-    _mixed_into(out, _ProofTerms(tower), n)
+    _mixed_into(out, tower.cached_view(), n)
     return out
 
 
-def tensor_residuals(tower: BracketTower, terms=None):
+def tensor_residuals(tower: BracketTower):
     """The tensor-level identities behind the bracket construction, as
     (name, residual) pairs in report order; every residual vanishes on a tower
     built from a valid pair and extending connection.
@@ -1172,18 +1135,18 @@ def tensor_residuals(tower: BracketTower, terms=None):
     Each residual is a Cochain accumulated by the kernels from the nonzeros
     of its terms.  The tensors the identities share (each d R_n, each
     composite R_i o_slot R_j, each shuffle coherence tensor, which the
-    Leibniz sweep reads too) are formed once per run (see _ProofTerms);
-    terms is the run's state, fresh by default.
+    Leibniz sweep reads too) are formed once per run, on the run's cached
+    view; a plain tower is read through a fresh one.
     """
-    terms = _ProofTerms(tower) if terms is None else terms
+    tower = tower.cached_view()
 
     def residual(k, l, into, *args):
-        out = Cochain(tower.pair, terms.modules["v"], k, l)
-        into(out, terms, *args)
+        out = Cochain(tower.pair, tower.pair.quotient_module(), k, l)
+        into(out, tower, *args)
         return out
 
     out = [("torsion_antisymmetrization", residual(1, 2, _torsion_into))]
-    coherence = {n: terms.coherence(n) for n in range(3, tower.depth + 1)}
+    coherence = {n: tower.coherence(n) for n in range(3, tower.depth + 1)}
     if tower.depth >= 3:
         out.append(("ternary_symmetry_defect", residual(1, 3, _ternary_into)))
         # the nested binary coherence is the shuffle coherence at arity three
@@ -1195,14 +1158,15 @@ def tensor_residuals(tower: BracketTower, terms=None):
 
 
 def check_proof_identities(tower: BracketTower,
-                           witness_degree_cap: int = 2, terms=None):
+                           witness_degree_cap: int = 2):
     """Evaluate the named exact identities behind the bracket construction.
 
     Returns a list of (name, ok, witness) triples; all must hold for every
     tower built from a valid pair and extending connection.  The
     tensor-level residuals (see tensor_residuals) are compared with zero
     once each; a failing one's witness is its first nonzero entry in flat
-    order, as Cochain.first_nonzero gives it.  terms as for verify_leibniz.
+    order, as Cochain.first_nonzero gives it.  The tower is read as by
+    verify_leibniz.
 
     The two homotopy witnesses are read off tensors the run already holds.
     Given the two lemmas checked here for the witness brackets up to the
@@ -1214,15 +1178,14 @@ def check_proof_identities(tower: BracketTower,
     (b_0, b_1, b_2) is minus the arity-3 shuffle coherence slice, the
     tensor the Leibniz sweep reads at arity 3 (see _degree0_residuals).
     """
-    terms = _ProofTerms(tower) if terms is None else terms
-    tower = terms.tower
+    tower = tower.cached_view()
     pair = tower.pair
     results = []
 
     def record(name, found):
         results.append((name, found is None, found))
 
-    residuals = tensor_residuals(tower, terms)
+    residuals = tensor_residuals(tower)
     for name, residual in residuals:
         record(name, residual.first_nonzero())
 
@@ -1237,7 +1200,7 @@ def check_proof_identities(tower: BracketTower,
         brackets.append(("xi_witness", (0, 2),
                          lambda args: xi_witness(tower, *args), ["v"] * 3))
     for lemma, _, where, res in _lemma_failures(
-            terms, _forms(pair.dim_g, min(witness_degree_cap, pair.dim_g)),
+            tower, _forms(pair.dim_g, min(witness_degree_cap, pair.dim_g)),
             ["v"], brackets):
         results.append((lemma, False, (where, res.first_term())))
 
@@ -1254,7 +1217,7 @@ def check_proof_identities(tower: BracketTower,
     record("skew_symmetry_homotopy", first_witness(
         dict(residuals)["torsion_antisymmetrization"], 1, 1))
     if tower.depth >= 3:
-        record("jacobi_homotopy", first_witness(terms.coherence(3), 2, -1))
+        record("jacobi_homotopy", first_witness(tower.coherence(3), 2, -1))
     return results
 
 

@@ -251,16 +251,25 @@ def adapt_basis(d: LieAlgebra, span_g):
         if rref(mat)[2] == len(candidate):
             cols.append(basis_vec(n, e))
     t = Matrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
-    # New structure constants: c'(i, j) = T^-1 [T e_i, T e_j].
+    return change_basis(d, t), t
+
+
+def change_basis(d: LieAlgebra, t: Matrix) -> LieAlgebra:
+    """Structure constants in the basis whose old coordinates are t's columns:
+    c'(i, j) = T^-1 [T e_i, T e_j]."""
+    n = d.dim
+    cols = [t.col(j) for j in range(n)]
     new_c = []
     for i in range(n):
         row = []
         for j in range(n):
             br = d.bracket(cols[i], cols[j])
             coords = solve(t, br)
+            if coords is None:
+                raise ValueError("basis change matrix is singular")
             row.append(coords)
         new_c.append(row)
-    return LieAlgebra(n, new_c), t
+    return LieAlgebra(n, new_c)
 
 
 class GModule:
@@ -339,29 +348,9 @@ def tensor_module(*mods) -> GModule:
 
 
 def end_module(m: GModule) -> GModule:
-    """End(E) with the action phi -> rho phi - phi rho; unit E_(r,s) at r*dim + s."""
-    dim = m.dim * m.dim
-    action = []
-    for a in range(m.dim_g):
-        rho = m.action[a]
-        mat = Matrix.zeros(dim, dim)
-        for r in range(m.dim):
-            for s in range(m.dim):
-                col = r * m.dim + s
-                # rho @ E_(r,s): column s gets rho's column r.
-                for k in range(m.dim):
-                    x = rho[k, r]
-                    if not x.is_zero():
-                        mat.data[(k * m.dim + s) * dim + col] = \
-                            mat.data[(k * m.dim + s) * dim + col] + x
-                # -E_(r,s) @ rho: row r spreads rho's row s.
-                for k in range(m.dim):
-                    x = rho[s, k]
-                    if not x.is_zero():
-                        mat.data[(r * m.dim + k) * dim + col] = \
-                            mat.data[(r * m.dim + k) * dim + col] - x
-        action.append(mat)
-    return GModule(dim, action)
+    """End(E) = E (x) E* with the action phi -> rho phi - phi rho; unit E_(r,s)
+    at r*dim + s."""
+    return tensor_module(m, dual_module(m))
 
 
 def exterior_power_module(m: GModule, k: int) -> GModule:

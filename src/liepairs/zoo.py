@@ -17,6 +17,7 @@ from .lie_core import (
     LiePair,
     MatchedPairData,
     bialgebra_pair,
+    change_basis,
     dual_module,
     make_pair,
     matched_sum,
@@ -24,7 +25,7 @@ from .lie_core import (
     tensor_module,
     trivial_module,
 )
-from .linalg import Matrix, nullspace_basis, solve, zero_vec
+from .linalg import Matrix, nullspace_basis, zero_vec
 from .scalars import GaussScalar, ONE, ZERO
 
 
@@ -272,23 +273,6 @@ def _unimodular(rng, n):
                 m.data[i * n + c], m.data[j * n + c] = \
                     -m.data[j * n + c], m.data[i * n + c]
     return m
-
-
-def change_basis(d: LieAlgebra, t: Matrix) -> LieAlgebra:
-    """Structure constants in the basis whose old coordinates are t's columns."""
-    n = d.dim
-    cols = [t.col(j) for j in range(n)]
-    new_c = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            br = d.bracket(cols[i], cols[j])
-            coords = solve(t, br)
-            if coords is None:
-                raise ValueError("basis change matrix is singular")
-            row.append(coords)
-        new_c.append(row)
-    return LieAlgebra(n, new_c)
 
 
 def _catalog():

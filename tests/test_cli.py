@@ -3,6 +3,7 @@ import copy
 import hashlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,7 +159,7 @@ def test_verify_exit_one_when_a_check_fails(capsys, tmp_path, monkeypatch):
     # substituting a failing sweep where cmd_verify imports it from
     import liepairs.homotopy as homotopy
 
-    def fake_verify(tower, max_n, degree_cap, algebra=None, terms=None):
+    def fake_verify(tower, max_n, degree_cap, algebra=None):
         report = VerifyReport("leibniz")
         report.checked = 1
         report.add_violation(2, ["fake"], (((0,), 0), __import__(
@@ -424,6 +425,19 @@ def _abelian_fixture(tmp_path, bracket=()):
     path = tmp_path / "abelian9.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def test_chern_past_the_depth_is_the_empty_class(capsys, tmp_path):
+    # tr(alpha^k) vanishes for k > min(dim g, dim B), 1 on sl2, so no power
+    # of alpha is formed there and the time does not grow with k
+    path = export(capsys, tmp_path, "sl2")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["chern", "--input", str(path), "--module",
+                                "B", "--k", str(10 ** 12), "--json"])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["cochain"] == []
+    assert elapsed < 0.5, elapsed
 
 
 def test_todd_refuses_depth_above_cap_exit_2(capsys, tmp_path):

@@ -100,6 +100,29 @@ def test_no_orphaned_private_helpers():
     assert orphaned_private_names(sources) == []
 
 
+def private_package_imports(source):
+    """Private names (one leading underscore) that source imports from the
+    package, by relative or absolute import."""
+    return sorted(
+        alias.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "liepairs")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__"))
+
+
+def test_the_check_sees_a_private_import():
+    source = ("from .homotopy import (_Terms, verify_leibniz)\n"
+              "from . import _layer\nfrom liepairs.ce import _ce_into\n"
+              "from os import _exit\nfrom __future__ import annotations\n")
+    assert private_package_imports(source) == ["_Terms", "_ce_into", "_layer"]
+
+
+def test_the_cli_imports_only_public_names():
+    # the CLI runs on the library's public API
+    assert private_package_imports((PACKAGE / "cli.py").read_text()) == []
+
+
 DIET_SCRIPT = """
 import contextlib, io, json, sys
 from liepairs.cli import main

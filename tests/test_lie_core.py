@@ -40,6 +40,7 @@ from liepairs.zoo import (
     dual_numbers_algebra,
     gl_un_tn,
     heisenberg_pair,
+    random_module,
     random_pair,
     sl2_pair,
     sl2_pair_swapped,
@@ -201,6 +202,48 @@ def test_module_constructions():
     for module in [dual_module(b), hom, end_module(b),
                    tensor_module(b, b), exterior_power_module(b, 1)]:
         assert check_module(gsub, module).ok
+
+
+def oracle_end_module(m):
+    """End(E) built entry by entry, as end_module once did: the action
+    phi -> rho phi - phi rho, with unit E_(r,s) at r*dim + s."""
+    dim = m.dim * m.dim
+    action = []
+    for a in range(m.dim_g):
+        rho = m.action[a]
+        mat = Matrix.zeros(dim, dim)
+        for r in range(m.dim):
+            for s in range(m.dim):
+                col = r * m.dim + s
+                # rho @ E_(r,s): column s gets rho's column r.
+                for k in range(m.dim):
+                    x = rho[k, r]
+                    if not x.is_zero():
+                        mat.data[(k * m.dim + s) * dim + col] = \
+                            mat.data[(k * m.dim + s) * dim + col] + x
+                # -E_(r,s) @ rho: row r spreads rho's row s.
+                for k in range(m.dim):
+                    x = rho[s, k]
+                    if not x.is_zero():
+                        mat.data[(r * m.dim + k) * dim + col] = \
+                            mat.data[(r * m.dim + k) * dim + col] - x
+        action.append(mat)
+    return GModule(dim, action)
+
+
+def test_end_module_matches_the_entrywise_oracle():
+    # End(E) is E (x) E*: sl2's three modules, the B of u2t2 and gl(3), and
+    # the quotient and a random module of random_pair(0..7)
+    _, modules = sl2_pair()
+    cases = list(modules.values()) + [gl_un_tn(n).module_b for n in (2, 3)]
+    for seed in range(8):
+        rpair = random_pair(seed)
+        cases += [rpair.quotient_module(), random_module(rpair, 2, seed)]
+    assert len(cases) == 21
+    for module in cases:
+        end = end_module(module)
+        assert end.dim == module.dim ** 2
+        assert end.action == oracle_end_module(module).action
 
 
 def test_derived_modules_flat_on_bigger_pair():

@@ -31,7 +31,6 @@ from liepairs.cli import main
 from liepairs.homotopy import (
     _add_permuted,
     _chain_into,
-    _ProofTerms,
     _degree0_residuals,
     _wedge,
     basis_elements_v,
@@ -60,6 +59,7 @@ from liepairs.homotopy import (
 )
 from liepairs.lie_core import (
     GAlgebra,
+    check_g_algebra,
     end_module,
     matched_sum,
     tensor_module,
@@ -829,7 +829,6 @@ def test_witness_loops_still_catch_a_corrupted_tower():
     tower = build_tower(fx.pair, fx.conn_zero, depth=3)
     pos = next(i for i, x in enumerate(tower.r[3].data) if not x.is_zero())
     tower.r[3].data[pos] = tower.r[3].data[pos] + ONE
-    tower._r_slices.clear()
     verdicts = {name: ok for name, ok, _ in check_proof_identities(tower, 1)}
     assert not verdicts["jacobi_homotopy"]
 
@@ -844,7 +843,6 @@ def test_corrupted_tower_fails_proof_identities():
                         depth=4)
     assert all(ok for _, ok, _ in check_proof_identities(tower, 2))
     tower.r[3].data[0] = tower.r[3].data[0] + ONE
-    tower._r_slices.clear()
     failed = [name for name, ok, _ in check_proof_identities(tower, 2)
               if not ok]
     assert failed
@@ -1646,14 +1644,15 @@ def test_sparse_and_dense_verdicts_agree_on_corrupted_towers(seed, level,
 # -- one state per verify run ----------------------------------------------------------
 
 
-def verify_run(tower, max_n, cap, algebra=None, terms=None):
+def verify_run(tower, max_n, cap, algebra=None):
     """The three checks of `liepairs verify`, in its order, on one shared
-    state when terms is given and each on its own otherwise: every sweep's
-    identity, count and violations, then the proof identity triples."""
-    reports = [verify_leibniz(tower, max_n, cap, algebra, terms=terms)]
+    state when tower is a cached view and each on its own otherwise: every
+    sweep's identity, count and violations, then the proof identity
+    triples."""
+    reports = [verify_leibniz(tower, max_n, cap, algebra)]
     if tower.module is not None:
-        reports.append(verify_module(tower, max_n, cap, algebra, terms=terms))
-    identities = check_proof_identities(tower, min(cap, 2), terms=terms)
+        reports.append(verify_module(tower, max_n, cap, algebra))
+    identities = check_proof_identities(tower, min(cap, 2))
     return [(r.identity, r.checked, r.violations) for r in reports], identities
 
 
@@ -1686,7 +1685,7 @@ RUN_CASES = run_cases()
 @pytest.mark.parametrize("case", RUN_CASES, ids=[c[0] for c in RUN_CASES])
 def test_shared_run_matches_checks_called_alone(case):
     name, tower, max_n, cap, algebra = case
-    shared = verify_run(tower, max_n, cap, algebra, _ProofTerms(tower))
+    shared = verify_run(tower.cached_view(), max_n, cap, algebra)
     assert shared == verify_run(tower, max_n, cap, algebra)
     sweeps, identities = shared
     failing = any(violations for _, _, violations in sweeps) \
@@ -1708,12 +1707,48 @@ def test_shared_run_reports_a_failing_lemma_everywhere(monkeypatch, target,
     tower = build_tower(fx.pair, fx.conn_mult, depth=3, module=fx.module_b,
                         conn_e=fx.conn_mult)
     monkeypatch.setattr(homotopy, target, mutation(getattr(homotopy, target)))
-    shared = verify_run(tower, 2, 1, terms=_ProofTerms(tower))
+    shared = verify_run(tower.cached_view(), 2, 1)
     assert shared == verify_run(tower, 2, 1)
     sweeps, identities = shared
     assert [violations[0]["identity"] for _, _, violations in sweeps] == \
         [lemma, lemma]
     assert lemma in [name for name, ok, _ in identities if not ok]
+
+
+def test_a_shared_view_checks_the_algebra_once(monkeypatch):
+    import liepairs.homotopy as homotopy
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return check_g_algebra(*args)
+
+    monkeypatch.setattr(homotopy, "check_g_algebra", counting)
+    view = u2t2_module_tower().cached_view()
+    algebra = dual_numbers_algebra(view.pair.dim_g)
+    assert verify_leibniz(view, 2, 1, algebra).ok
+    assert verify_module(view, 2, 1, algebra).ok
+    assert len(calls) == 1
+
+
+def test_a_shared_view_builds_the_torsion_once(monkeypatch):
+    # the torsion antisymmetrization and theta_witness's slices read one
+    # torsion cochain
+    import liepairs.homotopy as homotopy
+
+    calls = []
+    build = homotopy._torsion_cochain
+
+    def counting(tower):
+        calls.append(tower)
+        return build(tower)
+
+    monkeypatch.setattr(homotopy, "_torsion_cochain", counting)
+    fx = gl_un_tn(2)
+    view = build_tower(fx.pair, fx.conn_zero, depth=3).cached_view()
+    assert all(ok for _, ok, _ in check_proof_identities(view, 1))
+    assert len(calls) == 1
 
 
 def test_checks_read_a_tower_edited_in_place():
