@@ -370,8 +370,10 @@ def cmd_verify(args):
         if not rep.ok:
             raise ValidationFailure("algebra %r: %s"
                                     % (args.algebra, rep.entries[0]))
-    # the three checks share one run state: its tensors and lemma verdicts
+    # the three checks share one run state, the algebra's report included
     tower = _tower(fixture, pair, args).cached_view()
+    if algebra is not None:
+        tower.once(("algebra", algebra), lambda: rep)
     sweep = verify_leibniz(tower, args.max_n, args.degree_cap, algebra)
     report.check("leibniz_sweep", sweep.ok,
                  residual=None if sweep.ok

@@ -186,6 +186,7 @@ def load_fixture(doc) -> Fixture:
                    for m in action])
         mult = [[[GaussScalar(0)] * adim for _ in range(adim)]
                 for _ in range(adim)]
+        seen = set()
         for entry in _entries(spec, "mult", "algebra %r" % name):
             if not isinstance(entry, list) or len(entry) != 3:
                 raise ParseError("algebra mult entries are [i, j, [coeffs]]")
@@ -193,6 +194,11 @@ def load_fixture(doc) -> Fixture:
             if not isinstance(i, int) or not isinstance(j, int) \
                     or not 0 <= i < adim or not 0 <= j < adim:
                 raise ParseError("algebra mult indices out of range")
+            # mult is not antisymmetric: (j, i) is an entry of its own
+            if (i, j) in seen:
+                raise ParseError("duplicate algebra %r mult entry (%d, %d)"
+                                 % (name, i, j))
+            seen.add((i, j))
             mult[i][j] = _vector(coeffs, adim, "algebra mult")
         algebras[name] = GAlgebra(module, mult)
 

@@ -38,7 +38,6 @@ from .multilinear import (
     exterior_basis,
     exterior_index,
     insert_with_sign,
-    koszul_sign,
     merge_sign,
     _shuffles,
     tensor_index,
@@ -190,7 +189,8 @@ class BracketTower:
         effective);
       * the first failure, or None, of each lemma instance (see
         _lemma_failures), and the coefficient algebra's check_g_algebra
-        report (see _sweep).
+        report under ("algebra", algebra) (see _sweep; `liepairs verify`
+        puts there the report it checked before building the tower).
 
     verify_leibniz, verify_module and check_proof_identities read the view
     they are given, or make a fresh one from a plain tower; `liepairs verify`
@@ -550,66 +550,6 @@ def xi_witness(tower: BracketTower, v0, v1, v2) -> GradedElement:
                      tower.pair.dim_b)
 
 
-# -- identity residuals ------------------------------------------------------------
-
-
-def _jacobiator(tower: BracketTower, args, bracket, mdim,
-                algebra: GAlgebra = None) -> GradedElement:
-    """Shuffle/Koszul sum of the generalized Jacobi identity on args.
-
-    bracket(inner_args, holds_last) evaluates one bracket; holds_last is true
-    when the arguments end with args[-1] or with a bracket that contains it.
-    """
-    n = len(args)
-    degs = [a.degree() for a in args]  # raises on inhomogeneous elements
-    # With every degree even each Koszul and front sign is +1; the sweeps
-    # evaluate such tuples only.
-    graded = any(d % 2 for d in degs)
-    cdim = algebra.dim if algebra is not None else None
-    total = GradedElement(tower.pair, mdim, cdim)
-    for j in range(1, n + 1):
-        for k in range(j, n + 1):
-            for sigma in _shuffles(k - j, j - 1):
-                sign = 1
-                if graded:
-                    eps = koszul_sign(sigma, degs[: k - 1])
-                    front = sum(degs[sigma[m]] for m in range(k - j))
-                    sign = eps * (-1 if front % 2 else 1)
-                inner = bracket([args[sigma[m]] for m in range(k - j, k - 1)]
-                                + [args[k - 1]], k == n)
-                if inner.is_zero():
-                    continue
-                term = bracket([args[sigma[m]] for m in range(k - j)]
-                               + [inner] + args[k:], True)
-                if sign < 0:
-                    term = -term
-                total = total + term
-    return total
-
-
-def leibniz_residual(tower: BracketTower, vs,
-                     algebra: GAlgebra = None) -> GradedElement:
-    """Full shuffle/Koszul sum of the generalized Jacobi identity at arity n."""
-    return _jacobiator(
-        tower, list(vs),
-        lambda args, holds_last: lambda_k(tower, args, algebra),
-        tower.pair.dim_b, algebra)
-
-
-def module_residual(tower: BracketTower, vs, w,
-                    algebra: GAlgebra = None) -> GradedElement:
-    """Module analogue of the generalized Jacobi identity at arity n: the same
-    sum over vs + [w], with mu_k for every bracket that holds w."""
-
-    def bracket(args, holds_last):
-        if holds_last:
-            return mu_k(tower, args[:-1], args[-1], algebra)
-        return lambda_k(tower, args, algebra)
-
-    return _jacobiator(tower, list(vs) + [w], bracket, tower.module.dim,
-                       algebra)
-
-
 # -- sweeps -------------------------------------------------------------------------
 
 
@@ -662,18 +602,6 @@ def _basis_elements(pair: LiePair, mdim: int, degree_cap: int,
     return out
 
 
-def basis_elements_v(tower: BracketTower, degree_cap: int,
-                     algebra: GAlgebra = None):
-    """Basis-decomposable elements of Lambda g* (x) B (x C) up to degree cap."""
-    return _basis_elements(tower.pair, tower.pair.dim_b, degree_cap, algebra)
-
-
-def basis_elements_w(tower: BracketTower, degree_cap: int,
-                     algebra: GAlgebra = None):
-    """The same for the module side of the tower."""
-    return _basis_elements(tower.pair, tower.module.dim, degree_cap, algebra)
-
-
 # -- factoring through Omega_A-multilinearity ------------------------------------
 
 
@@ -707,7 +635,7 @@ def _decorated(forms, pools, nonzero, dim_g):
     d(omega) terms cancel by the Leibniz rule of d on Lambda g*.  The sign s
     depends only on the form degrees k_i:
 
-      * generalized Jacobi (leibniz_residual, module_residual), s = +1.
+      * generalized Jacobi, on the Leibniz and the module side, s = +1.
         lambda_k and mu_k sign every position and their tensors carry one
         form, so pulling Omega_in out of an inner bracket costs
         (-1)^|Omega_in|, pulling Omega out of the outer one (-1)^|Omega|, and
@@ -1083,7 +1011,8 @@ def _module_into(total, tower: BracketTower, n: int):
     """Degree-n module coherence, End(E)-valued of bidegree (2, n - 1): d S_n
     against shuffle sums of S_i o_slot R_j and, for the inner bracket that
     holds the module argument, S_i . S_j (see _chain_into).  At
-    (J; b's; out * dim E + in) it is module_residual(b's, e_in) at (J, out)."""
+    (J; b's; out * dim E + in) it is the module identity's residual on
+    (b's, e_in) at (J, out)."""
     s = tower.s
     _ce_into(total, s[n])
     for j in range(2, n):
@@ -1107,24 +1036,6 @@ def _mixed_into(total, tower: BracketTower, n: int):
         # composite canonical order: b_1..b_(j-1), b_0, b_j, b_(j+1)..b_n
         perm = list(range(1, j)) + [0, j] + list(range(j + 1, n + 1))
         _add_permuted(total, tower.composite(n, 2, j), perm)
-
-
-def shuffle_coherence_residual(tower: BracketTower, n: int) -> Cochain:
-    """Residual of the degree-n coherence identity relating the differential of
-    the n-th tensor to shuffle sums of nested lower tensors."""
-    if n < 3 or n > tower.depth:
-        raise ArityBeyondTower("need 3 <= n <= depth")
-    return tower.cached_view().coherence(n)
-
-
-def mixed_differential_residual(tower: BracketTower, n: int) -> Cochain:
-    """Residual of the anticommutator identity for the two derivatives on the
-    n-th tensor."""
-    if n < 2 or n + 1 > tower.depth:
-        raise ArityBeyondTower("need 2 <= n <= depth - 1")
-    out = Cochain(tower.pair, tower.pair.quotient_module(), 2, n + 1)
-    _mixed_into(out, tower.cached_view(), n)
-    return out
 
 
 def tensor_residuals(tower: BracketTower):

@@ -18,7 +18,12 @@ from liepairs.cli import (
 )
 from liepairs.fixture_io import ParseError, dump_fixture, load_fixture
 from liepairs.homotopy import VerifyReport
-from liepairs.lie_core import LieAlgebra, make_pair, trivial_module
+from liepairs.lie_core import (
+    LieAlgebra,
+    check_g_algebra,
+    make_pair,
+    trivial_module,
+)
 from liepairs.zoo import (
     dual_numbers_algebra,
     gl_un_tn,
@@ -401,6 +406,96 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, raw):
         code, out, err = run(capsys, [command, "--input", str(path)])
         assert (code, out) == (EXIT_PARSE_ERROR, ""), command
         assert err.count("\n") == 1 and err.startswith("parse error"), err
+
+
+def test_fixture_loader_refuses_a_repeated_mult_entry(capsys, tmp_path):
+    # mult is not antisymmetric, so the export holds (0, 1) and (1, 0) as two
+    # entries; a second (0, 1) is refused like a repeated bracket entry
+    def repeat(doc):
+        doc["algebra"]["dual_numbers"]["mult"].append([0, 1, ["0", "1"]])
+
+    mult = json.loads(_sl2_bytes())["algebra"]["dual_numbers"]["mult"]
+    assert [0, 1] in [e[:2] for e in mult] and [1, 0] in [e[:2] for e in mult]
+    path = tmp_path / "sl2.json"
+    path.write_bytes(_sl2_bytes())
+    assert run(capsys, ["validate", "--input", str(path)])[0] == EXIT_OK
+    path.write_bytes(_sl2_bytes(repeat))
+    code, out, err = run(capsys, ["validate", "--input", str(path)])
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err == ("parse error: duplicate algebra 'dual_numbers' mult entry "
+                   "(0, 1)\n")
+
+
+def _add_small_connection(doc):
+    # 2 x 2 matrices, while sl2's quotient module B is 1-dimensional
+    doc["connection"] = {"small": [[["0", "0"], ["0", "0"]]] * doc["dim"]}
+
+
+def _add_bent_module(doc):
+    # e acts by 1 and h by 0, but [h, e] = 2e must then act by 0
+    doc["modules"]["bent"] = {"dim": 1, "action": [[["0"]], [["1"]]]}
+
+
+def _break_dual_numbers(doc):
+    # eps * 1 = 1 while 1 * eps = eps
+    mult = doc["algebra"]["dual_numbers"]["mult"]
+    next(e for e in mult if e[:2] == [1, 0])[2] = ["1", "0"]
+
+
+@pytest.mark.parametrize("edit, argv, code, line, check", [
+    (None, ["tower", "--connection", "nope"], EXIT_PARSE_ERROR,
+     "parse error: unknown connection 'nope'\n", None),
+    (_add_small_connection, ["tower", "--connection", "small"],
+     EXIT_VALIDATION_ERROR,
+     "validation error: connection 'small' has dimension 2, module has 1\n",
+     None),
+    (_add_bent_module, ["atiyah", "--module", "bent"], EXIT_VALIDATION_ERROR,
+     "validation error: module 'bent' not flat: ", "module_bent_flat"),
+    (_break_dual_numbers, ["verify", "--algebra", "dual_numbers"],
+     EXIT_VALIDATION_ERROR, "validation error: algebra 'dual_numbers': ",
+     "algebra_dual_numbers"),
+], ids=["unknown_connection", "connection_of_another_dimension",
+        "module_not_flat", "algebra_not_a_g_algebra"])
+def test_invalid_requests_exit_with_one_stderr_line(capsys, tmp_path, edit,
+                                                    argv, code, line, check):
+    # where the fixture itself is invalid, validate names the failing check
+    # with its residual and witness
+    path = tmp_path / "sl2.json"
+    path.write_bytes(_sl2_bytes(edit))
+    got, out, err = run(capsys, argv + ["--input", str(path)])
+    assert (got, out) == (code, "")
+    assert err.count("\n") == 1 and err.startswith(line), err
+    if check is None:
+        return
+    got, out, err = run(capsys, ["validate", "--input", str(path), "--json"])
+    assert (got, err) == (EXIT_VALIDATION_ERROR, "")
+    failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == [check]
+    assert failed[0]["residual"] and failed[0]["witness"]
+
+
+def test_verify_checks_the_algebra_once_per_run(capsys, tmp_path,
+                                                monkeypatch):
+    # the CLI checks the algebra before the size cap and hands its report to
+    # the sweeps
+    import liepairs.cli as cli_mod
+    import liepairs.homotopy as homotopy
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return check_g_algebra(*args)
+
+    for module in (cli_mod, homotopy):
+        monkeypatch.setattr(module, "check_g_algebra", counting)
+    path = tmp_path / "sl2.json"
+    path.write_bytes(_sl2_bytes())
+    code, _, _ = run(capsys, [
+        "verify", "--input", str(path), "--module", "B", "--algebra",
+        "dual_numbers", "--max-n", "3", "--degree-cap", "1"])
+    assert code == EXIT_OK
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [

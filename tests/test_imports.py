@@ -1,6 +1,7 @@
 """Import hygiene: every module of the package uses each name it imports,
-reads each private helper it defines somewhere, and the obstruction commands
-load only the layers they run.
+reads each private helper it defines somewhere, defines no public name that
+only the unit tests read, and the obstruction commands load only the layers
+they run.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library alone.  ``__init__.py`` is exempt: its imports are the
@@ -50,34 +51,44 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def definitions_and_reads(source):
+    """The module-level functions and classes source defines, and the names
+    and attributes it reads, each read outside the def of the name it reads.
+    Only a read counts: a name bound, rebound or deleted is not read."""
+    defined = []
+    reads = set()
+    for node in ast.parse(source).body:
+        own = None
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            own = node.name
+            defined.append(own)
+        for sub in ast.walk(node):
+            if not isinstance(getattr(sub, "ctx", None), ast.Load):
+                continue
+            if isinstance(sub, ast.Name):
+                read = sub.id
+            elif isinstance(sub, ast.Attribute):
+                read = sub.attr
+            else:
+                continue
+            if read != own:
+                reads.add(read)
+    return defined, reads
+
+
 def orphaned_private_names(sources):
     """Private module-level functions and classes of the given modules (file
     name -> source), __init__.py's aside, that no code of those modules reads
-    outside their own def.  Only a read counts: a name bound, rebound or
-    deleted elsewhere is still orphaned."""
+    outside their own def."""
     defined = set()
     used = set()
     for filename, source in sources.items():
-        for node in ast.parse(source).body:
-            own = None
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) \
-                    and node.name.startswith("_") \
-                    and not node.name.startswith("__"):
-                own = node.name
-                if filename != "__init__.py":
-                    defined.add(own)
-            for sub in ast.walk(node):
-                if not isinstance(getattr(sub, "ctx", None), ast.Load):
-                    continue
-                if isinstance(sub, ast.Name):
-                    read = sub.id
-                elif isinstance(sub, ast.Attribute):
-                    read = sub.attr
-                else:
-                    continue
-                if read != own:
-                    used.add(read)
+        names, reads = definitions_and_reads(source)
+        used |= reads
+        if filename != "__init__.py":
+            defined.update(name for name in names if name.startswith("_")
+                           and not name.startswith("__"))
     return sorted(defined - used)
 
 
@@ -98,6 +109,58 @@ def test_the_check_sees_an_orphaned_helper():
 def test_no_orphaned_private_helpers():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     assert orphaned_private_names(sources) == []
+
+
+def imported_names(source):
+    """Names that source imports with from-imports."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def unread_public_names(sources, acceptance):
+    """Public module-level functions and classes of the given modules (file
+    name -> source) that no code of those modules reads outside their own
+    def, that __init__.py does not re-export and that the acceptance tests
+    (source acceptance) do not import.  __init__.py re-exports the names it
+    imports and the names its tuples list for lazy loading.  The definitions
+    of __init__.py and of zoo.py, whose job is fixtures, are exempt; their
+    reads count."""
+    defined = set()
+    used = imported_names(acceptance)
+    for filename, source in sources.items():
+        names, reads = definitions_and_reads(source)
+        used |= reads
+        if filename == "__init__.py":
+            used |= imported_names(source)
+            used |= {elt.value for node in ast.walk(ast.parse(source))
+                     if isinstance(node, ast.Tuple) for elt in node.elts
+                     if isinstance(elt, ast.Constant)}
+        elif filename != "zoo.py":
+            defined.update(name for name in names
+                           if not name.startswith("_"))
+    return sorted(defined - used)
+
+
+def test_the_check_sees_a_public_name_nothing_reads():
+    sources = {
+        "a.py": "def called():\n    pass\n\ndef recursive(n):\n"
+                "    return recursive(n - 1)\n\nclass Exported:\n    pass\n"
+                "\ndef lazy():\n    pass\n\ndef accepted():\n    pass\n"
+                "\ndef _private():\n    pass\n",
+        "b.py": "from .a import called\n\ndef caller():\n"
+                "    return called()\n",
+        "zoo.py": "def fixture():\n    pass\n",
+        "__init__.py": "from .a import Exported\n_LAZY = (\"lazy\",)\n",
+    }
+    acceptance = "from liepairs.a import accepted\n"
+    assert unread_public_names(sources, acceptance) == ["caller", "recursive"]
+
+
+def test_every_public_name_is_read_exported_or_accepted():
+    # a public name only the unit tests call belongs in the tests
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    acceptance = (Path(__file__).parent / "test_acceptance.py").read_text()
+    assert unread_public_names(sources, acceptance) == []
 
 
 def private_package_imports(source):

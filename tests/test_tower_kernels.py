@@ -1,21 +1,20 @@
 """Differential tests for the nonzero-driven tower kernels, the shared
 contraction kernel behind the brackets, the degree skip in the
-homotopy-witness loops, the two sides of the unary bracket, the identity layer
-(one generalized-Jacobi sum, one sweep loop, one differential path), the
-factoring of the sweeps and witness loops through the wedge, with the two
-lemma checks it rests on, the sparse tensor-level proof identities, the
-tensors the sweeps read their degree-0 residuals off, entry by entry against
-the per-tuple residuals, the state one verify run shares between its
-three checks, against the same checks each called alone, the homotopy
-witnesses read off the run's tensors, against the per-tuple loops they
-replaced, brackets on a tower edited in place, and the symmetry scan, against
-dense permuted copies.
+homotopy-witness loops, the two sides of the unary bracket, the sweeps (one
+sweep loop, one differential path), the factoring of the sweeps and witness
+loops through the wedge, with the two lemma checks it rests on, the sparse
+tensor-level proof identities, the tensors the sweeps read their degree-0
+residuals off, entry by entry against the per-tuple residuals, the state one
+verify run shares between its three checks, against the same checks each
+called alone, the homotopy witnesses read off the run's tensors, against the
+per-tuple loops they replaced, brackets on a tower edited in place, and the
+symmetry scan, against dense permuted copies.
 
-The loops the kernels replaced are kept here as oracles: the dense ones visit
-every entry of their output or their input, as the library once did, the
-five bracket loops each keep their own sign and algebra bookkeeping, the
-Leibniz and module residuals and sweeps keep their separate loops, and the
-tensor-level residuals are summed as dense cochains.
+The loops the kernels replaced are kept here, or in oracles.py, as oracles:
+the dense ones visit every entry of their output or their input, as the
+library once did, the five bracket loops each keep their own sign and algebra
+bookkeeping, the Leibniz and module residuals and sweeps keep their separate
+loops, and the tensor-level residuals are summed as dense cochains.
 """
 
 import random
@@ -33,8 +32,6 @@ from liepairs.homotopy import (
     _chain_into,
     _degree0_residuals,
     _wedge,
-    basis_elements_v,
-    basis_elements_w,
     BracketTower,
     build_tower,
     check_proof_identities,
@@ -42,12 +39,8 @@ from liepairs.homotopy import (
     GradedElement,
     graded_diff,
     lambda_k,
-    leibniz_residual,
-    mixed_differential_residual,
-    module_residual,
     mu_k,
     partial_nabla,
-    shuffle_coherence_residual,
     symmetry_report,
     tensor_residuals,
     theta_witness,
@@ -70,7 +63,6 @@ from liepairs.multilinear import (
     exterior_basis,
     exterior_index,
     insert_with_sign,
-    koszul_sign,
     merge_sign,
     tensor_index,
     tensor_tuples,
@@ -87,6 +79,13 @@ from liepairs.zoo import (
     sl2_pair,
     unit_algebra,
     weighted_dual_numbers,
+)
+
+from oracles import (
+    dense_graded_diff,
+    oracle_basis,
+    oracle_leibniz_residual,
+    oracle_module_residual,
 )
 
 
@@ -597,7 +596,7 @@ def argument_pools(rng, basis, diff, bracket):
 
 def v_pool(tower, rng, algebra=None):
     pair = tower.pair
-    basis = basis_elements_v(tower, 1, algebra)
+    basis = oracle_basis(pair, pair.dim_b, 1, algebra)
 
     def bracket(el):
         other = rng.choice(basis)
@@ -612,9 +611,9 @@ def v_pool(tower, rng, algebra=None):
 
 def w_pool(tower, rng, algebra=None):
     pair = tower.pair
-    vs = basis_elements_v(tower, 1, algebra)
+    vs = oracle_basis(pair, pair.dim_b, 1, algebra)
     return argument_pools(
-        rng, basis_elements_w(tower, 1, algebra),
+        rng, oracle_basis(pair, tower.module.dim, 1, algebra),
         lambda el: graded_diff(pair, tower.module, el, algebra),
         lambda el: mu_k(tower, [rng.choice(vs)], el, algebra))
 
@@ -740,7 +739,7 @@ def unskipped_witness_loops(tower, cap, jacobi_limit=None):
     seeded sample) where all of them would take too long."""
     tower = tower.cached_view()
     pair = tower.pair
-    elements = basis_elements_v(tower, min(cap, pair.dim_g))
+    elements = oracle_basis(pair, pair.dim_b, min(cap, pair.dim_g))
     diffs = [graded_diff(pair, pair.quotient_module(), el) for el in elements]
     idx = range(len(elements))
     skew_first = None
@@ -865,118 +864,7 @@ def test_unary_brackets_keep_the_two_sides_apart():
     assert on_b != on_dual
 
 
-# -- the identity layer against its two-loop oracles -------------------------------------
-
-
-def dense_graded_diff(pair, base_module, el, algebra=None):
-    """The round trip graded_diff replaced: per exterior degree, a dense
-    cochain through ce_diff and back."""
-    module = base_module if algebra is None \
-        else tensor_module(base_module, algebra.module)
-    cdim = algebra.dim if algebra is not None else None
-    out = GradedElement(pair, el.mdim, cdim)
-    by_degree = {}
-    for key, val in el.terms.items():
-        by_degree.setdefault(len(key[0]), {})[key] = val
-    for k, terms in sorted(by_degree.items()):
-        w = Cochain(pair, module, k, 0)
-        for key, val in terms.items():
-            midx = key[1] if cdim is None else key[1] * cdim + key[2]
-            w.set(key[0], (), midx, val)
-        for gt, _, midx, c in ce_diff(w).iter_nonzero():
-            if cdim is None:
-                out.add_term((gt, midx), c)
-            else:
-                out.add_term((gt, midx // cdim, midx % cdim), c)
-    return out
-
-
-def oracle_lambda(tower, args, algebra=None):
-    if len(args) == 1:
-        return dense_graded_diff(tower.pair, tower.pair.quotient_module(),
-                                 args[0], algebra)
-    return lambda_k(tower, args, algebra)
-
-
-def oracle_mu(tower, vargs, w, algebra=None):
-    if not vargs:
-        return dense_graded_diff(tower.pair, tower.module, w, algebra)
-    return mu_k(tower, vargs, w, algebra)
-
-
-def oracle_leibniz_residual(tower, vs, algebra=None):
-    """The generalized Jacobi sum as leibniz_residual once wrote it out."""
-    n = len(vs)
-    degs = [v.degree() for v in vs]
-    cdim = algebra.dim if algebra is not None else None
-    total = GradedElement(tower.pair, tower.pair.dim_b, cdim)
-    for j in range(1, n + 1):
-        for k in range(j, n + 1):
-            for sigma in enumerate_shuffles(k - j, j - 1):
-                eps = koszul_sign(sigma, degs[: k - 1])
-                front = sum(degs[sigma[m]] for m in range(k - j))
-                sign = eps * (-1 if front % 2 else 1)
-                inner_args = [vs[sigma[m]] for m in range(k - j, k - 1)] \
-                    + [vs[k - 1]]
-                inner = oracle_lambda(tower, inner_args, algebra)
-                if inner.is_zero():
-                    continue
-                outer_args = [vs[sigma[m]] for m in range(k - j)] + [inner] \
-                    + vs[k:]
-                term = oracle_lambda(tower, outer_args, algebra)
-                total = total + (term if sign > 0 else -term)
-    return total
-
-
-def oracle_module_residual(tower, vs, w, algebra=None):
-    """The module identity as module_residual once wrote it: one loop for the
-    brackets that take a lambda_k inside, one for those that nest two mu_k."""
-    n = len(vs) + 1
-    degs = [v.degree() for v in vs]
-    cdim = algebra.dim if algebra is not None else None
-    total = GradedElement(tower.pair, tower.module.dim, cdim)
-    for j in range(1, n):
-        for k in range(j, n):
-            for sigma in enumerate_shuffles(k - j, j - 1):
-                eps = koszul_sign(sigma, degs[: k - 1])
-                front = sum(degs[sigma[m]] for m in range(k - j))
-                sign = eps * (-1 if front % 2 else 1)
-                inner_args = [vs[sigma[m]] for m in range(k - j, k - 1)] \
-                    + [vs[k - 1]]
-                inner = oracle_lambda(tower, inner_args, algebra)
-                if inner.is_zero():
-                    continue
-                front_args = [vs[sigma[m]] for m in range(k - j)]
-                term = oracle_mu(tower, front_args + [inner] + list(vs[k:]),
-                                 w, algebra)
-                total = total + (term if sign > 0 else -term)
-    for j in range(1, n + 1):
-        for sigma in enumerate_shuffles(n - j, j - 1):
-            eps = koszul_sign(sigma, degs)
-            front = sum(degs[sigma[m]] for m in range(n - j))
-            sign = eps * (-1 if front % 2 else 1)
-            inner = oracle_mu(tower, [vs[sigma[m]] for m in range(n - j, n - 1)],
-                              w, algebra)
-            if inner.is_zero():
-                continue
-            term = oracle_mu(tower, [vs[sigma[m]] for m in range(n - j)], inner,
-                             algebra)
-            total = total + (term if sign > 0 else -term)
-    return total
-
-
-def oracle_basis(pair, mdim, degree_cap, algebra=None):
-    cdim = algebra.dim if algebra is not None else None
-    out = []
-    for k in range(min(degree_cap, pair.dim_g) + 1):
-        for gt in exterior_basis(pair.dim_g, k):
-            for e in range(mdim):
-                if cdim is None:
-                    out.append(GradedElement.basis(pair, mdim, gt, e))
-                else:
-                    out += [GradedElement.basis(pair, mdim, gt, e, cdim, c)
-                            for c in range(cdim)]
-    return out
+# -- the sweeps against their oracle loops ------------------------------------
 
 
 def oracle_verify_leibniz(tower, max_n, degree_cap, algebra=None):
@@ -1126,23 +1014,6 @@ def test_graded_diff_matches_dense_round_trip(fixture, algebra_of):
                 dense_graded_diff(pair, base, el, algebra).terms
 
 
-@pytest.mark.parametrize("fixture", FIXTURES, ids=IDS)
-def test_residuals_match_their_two_loop_oracles(fixture):
-    name, pair, conn_b, module, conn_e = fixture
-    rng = random.Random(name + "/residuals")
-    tower = build_tower(pair, conn_b, depth=4, module=module, conn_e=conn_e)
-    pools = v_pool(tower, rng)
-    wpools = w_pool(tower, rng)
-    for n in range(1, 4):
-        for vs in draw(rng, pools, n, 40):
-            assert leibniz_residual(tower, vs).terms == \
-                oracle_leibniz_residual(tower, vs).terms, n
-        for vs, (w,) in zip(draw(rng, pools, n - 1, 40),
-                            draw(rng, wpools, 1, 40)):
-            assert module_residual(tower, vs, w).terms == \
-                oracle_module_residual(tower, vs, w).terms, n
-
-
 @pytest.mark.parametrize("tower",
                          [t for _, t in SWEEP_TOWERS + DEEP_SWEEP_TOWERS],
                          ids=SWEEP_IDS + [name for name, _ in DEEP_SWEEP_TOWERS])
@@ -1164,22 +1035,27 @@ def test_corrupted_towers_show_violations():
         max_n, cap = sweep_sizes(tower)[0]
         sweeps += not (verify_leibniz(tower, max_n, cap).ok
                        and verify_module(tower, max_n, cap).ok)
-        coherence += not shuffle_coherence_residual(tower, 3).is_zero()
+        coherence += not tower.cached_view().coherence(3).is_zero()
     assert (sweeps, coherence) == (14, 7)
 
 
 def per_tuple_residuals(tower, n, module_side, algebra=None):
     """Pool-index tuple -> terms of every nonzero arity-n residual on a
-    degree-0 tuple, one leibniz_residual or module_residual call each."""
+    degree-0 tuple, one oracle_leibniz_residual or oracle_module_residual
+    call each."""
     tower = tower.cached_view()
-    vs = basis_elements_v(tower, 0, algebra)
-    lasts = basis_elements_w(tower, 0, algebra) if module_side else vs
+    pair = tower.pair
+    vs = oracle_basis(pair, pair.dim_b, 0, algebra)
+    lasts = oracle_basis(pair, tower.module.dim, 0, algebra) if module_side \
+        else vs
     out = {}
     for idx in product(range(len(vs)), repeat=n - 1):
         args = [vs[i] for i in idx]
         for i, last in enumerate(lasts):
-            res = module_residual(tower, args, last, algebra) if module_side \
-                else leibniz_residual(tower, args + [last], algebra)
+            if module_side:
+                res = oracle_module_residual(tower, args, last, algebra)
+            else:
+                res = oracle_leibniz_residual(tower, args + [last], algebra)
             if not res.is_zero():
                 out[idx + (i,)] = res.terms
     return out
@@ -1278,7 +1154,7 @@ def test_algebra_sweeps_match_their_oracle_loops(name, algebra_of):
 def test_nested_binary_coherence_is_shuffle_coherence_at_arity_three():
     for name, tower in SWEEP_TOWERS:
         expected = oracle_nested_binary_coherence(tower)
-        assert shuffle_coherence_residual(tower, 3).data == expected.data, name
+        assert tower.cached_view().coherence(3).data == expected.data, name
         verdicts = {entry: (ok, witness) for entry, ok, witness
                     in check_proof_identities(tower, 0)}
         ok = expected.is_zero()
@@ -1299,7 +1175,7 @@ def oracle_witness_entries(tower, cap, limit=None):
     early first witness is still the first one."""
     tower = tower.cached_view()
     pair = tower.pair
-    elements = basis_elements_v(tower, min(cap, pair.dim_g))
+    elements = oracle_basis(pair, pair.dim_b, min(cap, pair.dim_g))
     diffs = [graded_diff(pair, pair.quotient_module(), el) for el in elements]
     degrees = [el.degree() for el in elements]
 
@@ -1343,7 +1219,7 @@ def test_witness_residuals_factor_through_the_wedge(name):
     # k_1 the degree of the second entry's form (see homotopy._decorated)
     tower = dict(SWEEP_TOWERS)[name].cached_view()
     pair = tower.pair
-    elements = basis_elements_v(tower, 1)
+    elements = oracle_basis(pair, pair.dim_b, 1)
     diffs = [graded_diff(pair, pair.quotient_module(), el) for el in elements]
     nb = pair.dim_b
     failing = with_forms = 0
@@ -1423,14 +1299,18 @@ def test_lemma_checks_catch_sign_mutations(monkeypatch, target, mutation,
 
 def test_arity_one_residual_maps_agree_under_a_sign_mutation(monkeypatch):
     # d(d(x)) = 0 on working code, so with the action sign flipped on odd
-    # forms the arity-1 comparison includes failing residuals
+    # forms the arity-1 comparison includes failing residuals.  The sweeps
+    # differentiate through homotopy's _ce_terms and the oracles through
+    # ce_diff, so both are mutated.
+    import liepairs.ce as ce
     import liepairs.homotopy as homotopy
 
     fx = gl_un_tn(2)
     tower = build_tower(fx.pair, fx.conn_mult, depth=3, module=fx.module_b,
                         conn_e=fx.conn_mult)
-    monkeypatch.setattr(homotopy, "_ce_terms",
-                        flip_odd_action_sign(homotopy._ce_terms))
+    mutated = flip_odd_action_sign(homotopy._ce_terms)
+    monkeypatch.setattr(homotopy, "_ce_terms", mutated)
+    monkeypatch.setattr(ce, "_ce_terms", mutated)
     for module_side in (False, True):
         ours = tensor_residual_map(tower, 1, module_side)
         assert ours == per_tuple_residuals(tower, 1, module_side)
@@ -1478,7 +1358,7 @@ def dense_unfold_end(w):
 
 
 def dense_coherence(tower, n):
-    """shuffle_coherence_residual as a dense sum, composites formed anew."""
+    """The shuffle coherence tensor as a dense sum, composites formed anew."""
     total = ce_diff(tower.r[n])
     for i in range(2, n):
         j = n + 1 - i
@@ -1491,7 +1371,7 @@ def dense_coherence(tower, n):
 
 
 def dense_mixed(tower, n):
-    """mixed_differential_residual as a dense sum."""
+    """The mixed differential residual as a dense sum."""
     total = ce_diff(tower.r[n + 1]) \
         + partial_nabla(ce_diff(tower.r[n]), tower.conn_b, tower.conn_b,
                         tower.st)
@@ -1571,13 +1451,6 @@ def test_sparse_residuals_match_their_dense_sums(tower):
         assert (residual.k, residual.l) == (w.k, w.l), name
         assert nonzero_map(residual.entries.items()) == \
             nonzero_map(enumerate(w.data)), name
-    # the dense public residuals run the same bodies into a Cochain
-    for n in range(2, tower.depth):
-        assert mixed_differential_residual(tower, n) == \
-            dense["mixed_differential_n%d" % n]
-    for n in range(3, tower.depth + 1):
-        assert shuffle_coherence_residual(tower, n) == \
-            dense["shuffle_coherence_n%d" % n]
     # verdicts and witnesses: the full list at cap 0 (caps 1 and 2 below)
     expected = [(name, w.is_zero(), w.first_nonzero())
                 for name, w in dense.items()]
