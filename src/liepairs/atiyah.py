@@ -21,7 +21,7 @@ from .lie_core import (
     exterior_power_module,
 )
 from .linalg import Matrix
-from .multilinear import exterior_index, merge_sign
+from .multilinear import exterior_index
 from .scalars import GaussScalar
 
 
@@ -166,9 +166,6 @@ def direct_sum_connection(c1: Connection, c2: Connection) -> Connection:
 # -- bigraded scalar coefficients ---------------------------------------------
 
 
-_UNSEEN = object()
-
-
 class BiForm:
     """Element of the bigraded commutative coefficient algebra
     Lambda g* (x) Lambda B*, with the Koszul sign of the graded tensor product.
@@ -218,82 +215,129 @@ class BiForm:
         return BiForm({k: s * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        out = {}
-        # Terms share few distinct index tuples, so each wedge sign is
-        # computed once per product; merge_sign itself stays uncached.
-        merged = {}
-        for (g1, b1), v1 in self.terms.items():
-            for (g2, b2), v2 in other.terms.items():
-                gm = merged.get((g1, g2), _UNSEEN)
-                if gm is _UNSEEN:
-                    gm = merged[g1, g2] = merge_sign(g1, g2)
-                if gm is None:
-                    continue
-                bm = merged.get((b1, b2), _UNSEEN)
-                if bm is _UNSEEN:
-                    bm = merged[b1, b2] = merge_sign(b1, b2)
-                if bm is None:
-                    continue
-                sign = gm[0] * bm[0]
-                if (len(b1) * len(g2)) % 2:
-                    sign = -sign
-                key = (gm[1], bm[1])
-                term = v1 * v2
-                if sign < 0:
-                    term = -term
-                acc = out.get(key)
-                acc = term if acc is None else acc + term
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return BiForm(out)
+        shift = 1 + max((g[-1] for g, _ in (*self.terms, *other.terms) if g),
+                        default=-1)
+        return _unpacked(_products([(_packed(self, shift),
+                                     _packed(other, shift))]), shift)
 
     def component(self, gdeg, bdeg):
         return BiForm({k: v for k, v in self.terms.items()
                        if len(k[0]) == gdeg and len(k[1]) == bdeg})
 
 
-def _bf_mat_mul(a, b):
-    n = len(a)
-    return [[_bf_dot(a, b, i, j, n) for j in range(n)] for i in range(n)]
+# The product kernel.  A packed form is a list of terms
+# (mask, parity, re, im): the g-indices are the bits of mask below a shift
+# (at least every g-index + 1) and the B-indices the bits above it, parity is
+# _parity_mask(mask), and re and im are plain ints or Fractions.  With the
+# B-bits above the g-bits, the inversions of two disjoint masks are those of
+# the g-tuples, those of the B-tuples and one per pair (b in left, g in
+# right): the Koszul factor (-1)^(|b1| |g2|).
 
 
-def _bf_dot(a, b, i, j, n):
-    return _bf_sum(a[i][k] * b[k][j] for k in range(n)
-                   if not a[i][k].is_zero() and not b[k][j].is_zero())
+def _parity_mask(mask):
+    """Bit k set iff an odd number of mask's bits lie below k, so that
+    (left & _parity_mask(mask)).bit_count() is the number of inversions
+    (i in left, j in mask, i > j) mod 2."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= -(low << 1)
+        mask ^= low
+    return out
 
 
-def _bf_sum(forms):
-    acc = BiForm()
-    for form in forms:
-        acc = acc + form
+def _products(pairs):
+    """The sum of l * r over pairs (l, r) of packed forms as an accumulator
+    {mask: [re, im]}: each product of two terms carries its wedge sign, and
+    none is taken where their masks meet."""
+    acc = {}
+    for left, right in pairs:
+        for m1, _, r1, i1 in left:
+            for m2, p2, r2, i2 in right:
+                if m1 & m2:
+                    continue
+                re = r1 * r2 - i1 * i2
+                im = r1 * i2 + i1 * r2
+                if (m1 & p2).bit_count() & 1:
+                    re, im = -re, -im
+                mask = m1 | m2
+                old = acc.get(mask)
+                if old is None:
+                    acc[mask] = [re, im]
+                else:
+                    old[0] += re
+                    old[1] += im
     return acc
 
 
+def _finished(acc):
+    """The packed form of an accumulator, zeros dropped."""
+    return [(mask, _parity_mask(mask), re, im)
+            for mask, (re, im) in acc.items() if re or im]
+
+
+def _indices(mask):
+    """The positions of mask's bits, ascending."""
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def _packed(form, shift):
+    """The packed form of a BiForm whose g-indices are all below shift."""
+    acc = {}
+    for (gt, bt), val in form.terms.items():
+        mask = sum(1 << a for a in gt) | sum(1 << (shift + b) for b in bt)
+        acc[mask] = [val.re, val.im]
+    return _finished(acc)
+
+
+def _unpacked(acc, shift):
+    """The BiForm of an accumulator: one GaussScalar per nonzero mask."""
+    low = (1 << shift) - 1
+    return BiForm({(_indices(mask & low), _indices(mask >> shift)):
+                   GaussScalar(re, im)
+                   for mask, (re, im) in acc.items() if re or im})
+
+
+def _mat_mul(a, b):
+    dim = len(a)
+    return [[_finished(_products((a[i][k], b[k][j]) for k in range(dim)))
+             for j in range(dim)] for i in range(dim)]
+
+
 def _power_traces(alpha, n):
-    """[tr alpha, ..., tr alpha^n], the last as sum_ik (alpha^(n-1))_ik alpha_ki
-    so that alpha^n itself is never formed."""
-    dim = len(alpha)
-    powers = [alpha]
-    while len(powers) < n - 1:
-        powers.append(_bf_mat_mul(powers[-1], alpha))
-    traces = [_bf_sum(p[i][i] for i in range(dim)) for p in powers[:n]]
-    if n > 1:
-        traces.append(_bf_sum(_bf_dot(powers[-1], alpha, i, i, dim)
-                              for i in range(dim)))
+    """[tr alpha, ..., tr alpha^n] for alpha = (packed matrix, shift).
+
+    Powers are formed only up to alpha^h, h = ceil(n / 2); past h, tr alpha^m
+    is read as sum_ij (alpha^h)_ij (alpha^(m-h))_ji, so alpha^(n-1) is never
+    formed.  Below h the same sum runs against alpha^0, the identity."""
+    rows, shift = alpha
+    dim = len(rows)
+    half = (n + 1) // 2
+    one = [(0, 0, 1, 0)]
+    powers = [[[one if i == j else [] for j in range(dim)]
+               for i in range(dim)], rows]
+    while len(powers) <= half:
+        powers.append(_mat_mul(powers[-1], rows))
+    traces = []
+    for m in range(1, n + 1):
+        p = min(m, half)
+        left, right = powers[p], powers[m - p]
+        traces.append(_unpacked(_products(
+            (left[i][j], right[j][i]) for i in range(dim) for j in range(dim)),
+            shift))
     return traces
 
 
 def obstruction_biform_matrix(conn: Connection):
-    """The obstruction cocycle as an End(E)-matrix over the bigraded algebra."""
+    """The obstruction cocycle as a packed End(E)-matrix over the bigraded
+    algebra, with its shift: (rows, dim g)."""
     cocycle = atiyah_cocycle(conn)
-    dim = conn.module.dim
-    mat = [[BiForm() for _ in range(dim)] for _ in range(dim)]
+    dim, shift = conn.module.dim, conn.pair.dim_g
+    rows = [[{} for _ in range(dim)] for _ in range(dim)]
     for (a,), (b,), e, val in cocycle.iter_nonzero():
         row, col = divmod(e, dim)
-        mat[row][col] = mat[row][col] + BiForm({(((a,)), ((b,))): val})
-    return mat
+        rows[row][col][1 << a | 1 << (shift + b)] = [val.re, val.im]
+    return [[_finished(acc) for acc in row] for row in rows], shift
 
 
 def _todd_log_coefficients(n):

@@ -125,7 +125,7 @@ def load_fixture(doc) -> Fixture:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError("bracket entries are [i, j, [coeffs]]")
         i, j, coeffs = entry
-        if not isinstance(i, int) or not isinstance(j, int) \
+        if type(i) is not int or type(j) is not int \
                 or not 0 <= i < dim or not 0 <= j < dim:
             raise ParseError("bracket indices out of range")
         if i == j:
@@ -191,7 +191,7 @@ def load_fixture(doc) -> Fixture:
             if not isinstance(entry, list) or len(entry) != 3:
                 raise ParseError("algebra mult entries are [i, j, [coeffs]]")
             i, j, coeffs = entry
-            if not isinstance(i, int) or not isinstance(j, int) \
+            if type(i) is not int or type(j) is not int \
                     or not 0 <= i < adim or not 0 <= j < adim:
                 raise ParseError("algebra mult indices out of range")
             # mult is not antisymmetric: (j, i) is an entry of its own

@@ -162,13 +162,15 @@ def format_scalar(s: GaussScalar) -> str:
     return _format_fraction(s.re) + sign + imag
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str) -> int | Fraction:
     """One part, [+-]digits or [+-]digits/digits.  Fraction alone would also
-    take decimals, "_" and exponents: "1e999999" is a million-digit integer."""
+    take decimals, "_" and exponents: "1e999999" is a million-digit integer;
+    int() alone would take "_" and non-ASCII digits.  Past the gate, text
+    without "/" is read by int(), at a fraction of Fraction()'s cost."""
     text = text.strip()
     if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
         raise ValueError("malformed rational %r" % text)
-    return Fraction(text)
+    return Fraction(text) if "/" in text else int(text)
 
 
 def parse_scalar(text: str) -> GaussScalar:
@@ -193,10 +195,10 @@ def parse_scalar(text: str) -> GaussScalar:
             raise ValueError("malformed scalar %r" % text)
         im = _parse_fraction(num)
     elif coeff in ("", "+"):
-        im = Fraction(1)
+        im = 1
     elif coeff == "-":
-        im = Fraction(-1)
+        im = -1
     else:
         raise ValueError("imaginary part needs '*i' in %r" % text)
-    re = _parse_fraction(real_part) if real_part else Fraction(0)
+    re = _parse_fraction(real_part) if real_part else 0
     return GaussScalar(re, im)

@@ -3,10 +3,13 @@
 Each evaluates what the library computes by a separate route: the
 differential of a graded element as a dense cochain through ce_diff and back,
 the brackets with that differential at arity one, the Leibniz and module
-identities as their own shuffle/Koszul loops over single brackets, and the
-basis elements of Lambda g* (x) M (x C) enumerated afresh.
+identities as their own shuffle/Koszul loops over single brackets, the
+basis elements of Lambda g* (x) M (x C) enumerated afresh, and the product of
+Lambda g* (x) Lambda B* with the powers and traces of the obstruction matrix
+as tuple-keyed BiForm sums with wedge signs from merge_sign.
 """
 
+from liepairs.atiyah import BiForm, atiyah_cocycle
 from liepairs.ce import Cochain, ce_diff
 from liepairs.homotopy import GradedElement, lambda_k, mu_k
 from liepairs.lie_core import tensor_module
@@ -14,6 +17,7 @@ from liepairs.multilinear import (
     enumerate_shuffles,
     exterior_basis,
     koszul_sign,
+    merge_sign,
 )
 
 
@@ -126,3 +130,82 @@ def oracle_basis(pair, mdim, degree_cap, algebra=None):
                     out += [GradedElement.basis(pair, mdim, gt, e, cdim, c)
                             for c in range(cdim)]
     return out
+
+
+_UNSEEN = object()
+
+
+def oracle_biform_product(x, y):
+    """x * y as BiForm.__mul__ once computed it: tuple keys, each wedge sign
+    from merge_sign once per product, and one GaussScalar per addition."""
+    out = {}
+    merged = {}
+    for (g1, b1), v1 in x.terms.items():
+        for (g2, b2), v2 in y.terms.items():
+            gm = merged.get((g1, g2), _UNSEEN)
+            if gm is _UNSEEN:
+                gm = merged[g1, g2] = merge_sign(g1, g2)
+            if gm is None:
+                continue
+            bm = merged.get((b1, b2), _UNSEEN)
+            if bm is _UNSEEN:
+                bm = merged[b1, b2] = merge_sign(b1, b2)
+            if bm is None:
+                continue
+            sign = gm[0] * bm[0]
+            if (len(b1) * len(g2)) % 2:
+                sign = -sign
+            key = (gm[1], bm[1])
+            term = v1 * v2
+            if sign < 0:
+                term = -term
+            acc = out.get(key)
+            acc = term if acc is None else acc + term
+            if acc.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = acc
+    return BiForm(out)
+
+
+def oracle_biform_matrix(conn):
+    """The obstruction cocycle as a matrix of tuple-keyed BiForms."""
+    cocycle = atiyah_cocycle(conn)
+    dim = conn.module.dim
+    mat = [[BiForm() for _ in range(dim)] for _ in range(dim)]
+    for (a,), (b,), e, val in cocycle.iter_nonzero():
+        row, col = divmod(e, dim)
+        mat[row][col] = mat[row][col] + BiForm({((a,), (b,)): val})
+    return mat
+
+
+def _bf_sum(forms):
+    acc = BiForm()
+    for form in forms:
+        acc = acc + form
+    return acc
+
+
+def _bf_dot(a, b, i, j, n):
+    return _bf_sum(oracle_biform_product(a[i][k], b[k][j]) for k in range(n)
+                   if not a[i][k].is_zero() and not b[k][j].is_zero())
+
+
+def _bf_mat_mul(a, b):
+    n = len(a)
+    return [[_bf_dot(a, b, i, j, n) for j in range(n)] for i in range(n)]
+
+
+def oracle_power_traces(alpha, n):
+    """[tr alpha, ..., tr alpha^n] for a BiForm matrix by full matrix powers:
+    every power up to alpha^(n-1), the last trace as
+    sum_ik (alpha^(n-1))_ik alpha_ki."""
+    dim = len(alpha)
+    powers = [alpha]
+    while len(powers) < n - 1:
+        powers.append(_bf_mat_mul(powers[-1], alpha))
+    traces = [_bf_sum(p[i][i] for i in range(dim)) for p in powers[:n]]
+    if n > 1:
+        traces.append(_bf_sum(_bf_dot(powers[-1], alpha, i, i, dim)
+                              for i in range(dim)))
+    return traces

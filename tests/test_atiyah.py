@@ -8,6 +8,7 @@ from liepairs.atiyah import (
     BiForm,
     Connection,
     _diagonal_cochain,
+    _packed,
     _power_traces,
     _todd_log_coefficients,
     atiyah_class,
@@ -28,6 +29,7 @@ from liepairs.linalg import Matrix
 from liepairs.multilinear import merge_sign
 from liepairs.scalars import GaussScalar, ONE, ZERO
 from liepairs.zoo import (
+    affine_pair,
     gl_un_tn,
     heisenberg_pair,
     random_extension,
@@ -35,6 +37,12 @@ from liepairs.zoo import (
     random_pair,
     sl2_borel_pair,
     sl2_pair,
+    sl2_pair_swapped,
+)
+from oracles import (
+    oracle_biform_matrix,
+    oracle_biform_product,
+    oracle_power_traces,
 )
 
 
@@ -229,7 +237,8 @@ def test_scalar_and_todd_outputs_are_cocycles():
 
 # Oracle: the series Todd class and the plain matrix powers that the
 # power-trace versions replaced, with the hand-typed coefficient table of
-# x / (1 - exp(-x)) they used.
+# x / (1 - exp(-x)) they used.  Every product here is oracle_biform_product,
+# so no oracle shares the library's product kernel.
 TODD_SERIES = [
     Fraction(1),
     Fraction(1, 2),
@@ -249,7 +258,8 @@ def bf_mul(a, b):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                out[i][j] = out[i][j] + a[i][k] * b[k][j]
+                out[i][j] = out[i][j] + oracle_biform_product(a[i][k],
+                                                              b[k][j])
     return out
 
 
@@ -278,7 +288,7 @@ def series_todd_biform(conn):
     depth = min(conn.pair.dim_g, conn.pair.dim_b)
     assert depth < len(TODD_SERIES)
     dim = conn.module.dim
-    alpha = obstruction_biform_matrix(conn)
+    alpha = oracle_biform_matrix(conn)
     one = bf_identity(dim)
     nilpotent = [[BiForm() for _ in range(dim)] for _ in range(dim)]
     power = one
@@ -296,7 +306,7 @@ def series_todd_biform(conn):
     result = BiForm.constant(1)
     tpower = BiForm.constant(1)
     for m in range(1, depth + 1):
-        tpower = tpower * log_trace
+        tpower = oracle_biform_product(tpower, log_trace)
         result = result + tpower.scale(GaussScalar(Fraction(1, factorial(m))))
     return result
 
@@ -328,7 +338,7 @@ def test_todd_and_scalar_classes_match_series_oracle():
         depths.add(depth)
         assert todd_biform(conn) == series_todd_biform(conn)
         alpha = obstruction_biform_matrix(conn)
-        expected = series_power_traces(alpha, depth + 1)
+        expected = series_power_traces(oracle_biform_matrix(conn), depth + 1)
         assert _power_traces(alpha, depth + 1) == expected
         assert _power_traces(alpha, 0) == []
         # scalar_class(k) takes the last of k traces, the one formed as a dot
@@ -362,7 +372,7 @@ def test_todd_log_coefficients_exponentiate_to_series_table():
 
 def termwise_product(x, y):
     """x * y with one merge_sign call per pair of terms, summed one term at a
-    time: the product BiForm.__mul__ computes with shared wedge signs."""
+    time: the product BiForm.__mul__ computes on bit masks."""
     out = BiForm()
     for (g1, b1), v1 in x.terms.items():
         for (g2, b2), v2 in y.terms.items():
@@ -383,6 +393,22 @@ def random_biform(rng, dim_g, dim_b):
                    for _ in range(rng.randint(0, 12))})
 
 
+def random_value(rng):
+    """A Gaussian value whose parts are integral or not."""
+    def part():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+    return GaussScalar(part(), part() if rng.random() < 0.5 else 0)
+
+
+def random_fraction_biform(rng, dim_g, dim_b):
+    def indices(n):
+        return tuple(sorted(rng.sample(range(n), rng.randint(0, min(n, 2)))))
+
+    terms = {(indices(dim_g), indices(dim_b)): random_value(rng)
+             for _ in range(rng.randint(0, 6))}
+    return BiForm({k: v for k, v in terms.items() if not v.is_zero()})
+
+
 def test_biform_product_matches_termwise_signs():
     # mixed bidegrees, so the Koszul factor (-1)^(|b1| |g2|) is exercised
     rng = random.Random(77)
@@ -393,3 +419,70 @@ def test_biform_product_matches_termwise_signs():
         assert product == termwise_product(x, y)
         nonzero += not product.is_zero()
     assert nonzero > 100
+    # wider index ranges, Gaussian and non-integral values, and operands with
+    # no g-index at all, where the mask shift is 0
+    nonzero = 0
+    for _ in range(200):
+        dim_g = rng.choice((0, 3, 6))
+        x = random_fraction_biform(rng, dim_g, 5)
+        y = random_fraction_biform(rng, dim_g, 5)
+        product = x * y
+        assert product == termwise_product(x, y) == oracle_biform_product(x, y)
+        nonzero += not product.is_zero()
+    assert nonzero > 100
+
+
+# -- the power-trace kernel against the full matrix powers it replaced ---------
+
+
+def _zoo_connections():
+    """Every connection the zoo builds: each zoo pair's modules extended by
+    zero, the unitary-triangular connections and seeded random extensions
+    (none on gl(3), whose dense random alpha would take minutes)."""
+    sl2, modules = sl2_pair()
+    for module in modules.values():
+        yield extend_by_zero(sl2, module)
+    for pair in (sl2_pair_swapped(), sl2_borel_pair(), heisenberg_pair(),
+                 affine_pair()):
+        yield extend_by_zero(pair, pair.quotient_module())
+    for n in (2, 3):
+        fixture = gl_un_tn(n)
+        yield fixture.conn_mult
+        yield fixture.conn_zero
+    u2t2 = gl_un_tn(2)
+    yield random_extension(u2t2.pair, u2t2.module_b, 42)
+    for seed in range(8):
+        rpair = random_pair(seed)
+        yield random_extension(rpair, rpair.quotient_module(), seed + 60)
+
+
+def test_power_traces_match_full_powers_on_zoo_connections():
+    nonzero = 0
+    for conn in _zoo_connections():
+        depth = min(conn.pair.dim_g, conn.pair.dim_b)
+        alpha = obstruction_biform_matrix(conn)
+        expected = oracle_power_traces(oracle_biform_matrix(conn), depth + 1)
+        nonzero += sum(not trace.is_zero() for trace in expected)
+        for n in range(depth + 2):
+            assert _power_traces(alpha, n) == expected[:n]
+    assert nonzero > 20
+
+
+def test_power_traces_match_full_powers_on_random_matrices():
+    # entries of every bidegree up to (2, 2), so odd entries and the Koszul
+    # factor reach the traces too
+    rng = random.Random(79)
+    fractional = 0
+    for _ in range(30):
+        dim, dim_g, dim_b = rng.randint(1, 3), 4, 3
+        mat = [[random_fraction_biform(rng, dim_g, dim_b)
+                for _ in range(dim)] for _ in range(dim)]
+        packed = ([[_packed(entry, dim_g) for entry in row] for row in mat],
+                  dim_g)
+        depth = min(dim_g, dim_b)
+        expected = oracle_power_traces(mat, depth + 1)
+        fractional += any(v.re.__class__ is Fraction or v.im
+                          for trace in expected for v in trace.terms.values())
+        for n in range(depth + 2):
+            assert _power_traces(packed, n) == expected[:n]
+    assert fractional > 15

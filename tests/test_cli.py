@@ -388,17 +388,35 @@ def _set_first_coefficient(value):
     return edit
 
 
+def _set_first_entry(table, entry):
+    # JSON true and false are Python bools, and bool is a subclass of int
+    def edit(doc):
+        table(doc)[0] = entry
+    return edit
+
+
 @pytest.mark.parametrize("raw", [
     _sl2_bytes(lambda doc: doc.update(bracket=5)),
     _sl2_bytes(lambda doc: doc["algebra"]["dual_numbers"].update(mult=5)),
     _sl2_bytes(_set_first_coefficient("BIG"), {'"BIG"': "9" * 5001}),
     _sl2_bytes(_set_first_coefficient("1e999999")),
+    _sl2_bytes(_set_first_coefficient("1e5")),
+    _sl2_bytes(_set_first_coefficient("1_0")),
+    _sl2_bytes(_set_first_coefficient("\u0663")),
+    _sl2_bytes(_set_first_coefficient("9" * 5000)),
+    _sl2_bytes(_set_first_entry(lambda doc: doc["bracket"],
+                                [0, True, ["0", "2", "0"]])),
+    _sl2_bytes(_set_first_entry(
+        lambda doc: doc["algebra"]["dual_numbers"]["mult"],
+        [0, False, ["1", "0"]])),
     json.dumps({"dim": 10 ** 4000, "dim_g": 0}).encode(),
     b"[" * 100000,
     b'{"dim": "\xff"}',
 ], ids=["bracket_not_a_list", "mult_not_a_list", "integer_of_5001_digits",
-        "scalar_exponent", "dim_too_long_to_print", "nesting_too_deep",
-        "not_utf8"])
+        "scalar_exponent", "scalar_small_exponent", "scalar_underscore",
+        "scalar_arabic_indic_digit", "scalar_string_of_5000_digits",
+        "boolean_bracket_index", "boolean_mult_index",
+        "dim_too_long_to_print", "nesting_too_deep", "not_utf8"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, raw):
     path = tmp_path / "bad.json"
     path.write_bytes(raw)

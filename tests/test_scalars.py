@@ -77,10 +77,22 @@ def test_immutability_and_hash():
         ("1/2+3/4*i", GaussScalar(Fraction(1, 2), Fraction(3, 4))),
         ("1-2*i", GaussScalar(1, -2)),
         ("-1/3-1/3*i", GaussScalar(Fraction(-1, 3), Fraction(-1, 3))),
+        ("007", GaussScalar(7)),
+        ("+7", GaussScalar(7)),
+        ("-0", GaussScalar(0)),
+        ("-0/5", GaussScalar(0)),
+        ("+3/6", GaussScalar(Fraction(1, 2))),
+        ("007*i", GaussScalar(0, 7)),
+        ("-0+i", I),
+        ("2-i", GaussScalar(2, -1)),
     ],
 )
 def test_parse(text, expected):
-    assert parse_scalar(text) == expected
+    got = parse_scalar(text)
+    assert got == expected
+    # integral parts are ints, as GaussScalar stores them
+    assert (type(got.re), type(got.im)) == (type(expected.re),
+                                            type(expected.im))
 
 
 def test_format_round_trip():
