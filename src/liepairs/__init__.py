@@ -1,77 +1,80 @@
 """Exact obstruction classes and homotopy bracket towers for Lie subalgebra
 pairs, over the Gaussian rationals."""
 
-from .scalars import GaussScalar, format_scalar, parse_scalar
-from .linalg import Matrix, nullspace_basis, rank, rref, solve
-from .multilinear import enumerate_shuffles, koszul_sign, wedge
-from .lie_core import (
-    GAlgebra,
-    GModule,
-    LieAlgebra,
-    LiePair,
-    MatchedPairData,
-    adapt_basis,
-    bialgebra_pair,
-    check_g_algebra,
-    check_matched_pair,
-    check_module,
-    dual_module,
-    end_module,
-    exterior_power_module,
-    make_pair,
-    matched_sum,
-    pair_to_matched,
-    tensor_module,
-    trivial_module,
-    validate_lie_algebra,
-)
-from .ce import (
-    Cochain,
-    ce_diff,
-    coboundary_primitive,
-    cohomology_dim,
-    cohomology_representatives,
-    is_cocycle,
-)
-from .atiyah import (
-    Connection,
-    atiyah_class,
-    atiyah_cocycle,
-    compatibility_report,
-    curvature,
-    extend_by_zero,
-    scalar_class,
-    todd_class,
-)
+from importlib import import_module
 
-# The tower and sweep layer is the largest module and the obstruction commands
-# never run it, so its names load on first access (PEP 562) instead of with
-# the package.
-_HOMOTOPY_NAMES = (
-    "BracketTower",
-    "GradedElement",
-    "build_tower",
-    "check_proof_identities",
-    "lambda_k",
-    "mu_k",
-    "partial_nabla",
-    "splitting_tensors",
-    "symmetry_report",
-    "verify_leibniz",
-    "verify_module",
-)
+# Each public name loads its module on first access (PEP 562) instead of with
+# the package, so that a job compiles only the layers it runs: validate never
+# loads the cochain, obstruction or tower layers.
+_LAZY_NAMES = {
+    "scalars": ("GaussScalar", "format_scalar", "parse_scalar"),
+    "linalg": ("Matrix", "nullspace_basis", "rank", "rref", "solve"),
+    "multilinear": ("enumerate_shuffles", "koszul_sign", "wedge"),
+    "lie_core": (
+        "GAlgebra",
+        "GModule",
+        "LieAlgebra",
+        "LiePair",
+        "MatchedPairData",
+        "adapt_basis",
+        "bialgebra_pair",
+        "check_g_algebra",
+        "check_matched_pair",
+        "check_module",
+        "dual_module",
+        "end_module",
+        "exterior_power_module",
+        "make_pair",
+        "matched_sum",
+        "pair_to_matched",
+        "tensor_module",
+        "trivial_module",
+        "validate_lie_algebra",
+    ),
+    "ce": (
+        "Cochain",
+        "ce_diff",
+        "coboundary_primitive",
+        "cohomology_dim",
+        "cohomology_representatives",
+        "is_cocycle",
+    ),
+    "atiyah": (
+        "Connection",
+        "atiyah_class",
+        "atiyah_cocycle",
+        "compatibility_report",
+        "curvature",
+        "extend_by_zero",
+        "scalar_class",
+        "todd_class",
+    ),
+    "homotopy": (
+        "BracketTower",
+        "GradedElement",
+        "build_tower",
+        "check_proof_identities",
+        "lambda_k",
+        "mu_k",
+        "partial_nabla",
+        "splitting_tensors",
+        "symmetry_report",
+        "verify_leibniz",
+        "verify_module",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _LAZY_NAMES.items()
+              for name in names}
 
 
 def __getattr__(name):
-    if name in _HOMOTOPY_NAMES:
-        from . import homotopy
-
-        return getattr(homotopy, name)
+    if name in _MODULE_OF:
+        return getattr(import_module("." + _MODULE_OF[name], __name__), name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_HOMOTOPY_NAMES))
+    return sorted(set(globals()) | set(_MODULE_OF))
 
 
 __version__ = "0.1.0"

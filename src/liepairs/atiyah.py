@@ -10,10 +10,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .ce import Cochain, coboundary_primitive, is_cocycle
+from .ce import Cochain, _primitive, is_cocycle
 from .lie_core import (
     GModule,
     LiePair,
+    NotACocycle,
     Report,
     direct_sum_module,
     dual_module,
@@ -23,10 +24,6 @@ from .lie_core import (
 from .linalg import Matrix
 from .multilinear import exterior_index
 from .scalars import GaussScalar
-
-
-class NotACocycle(Exception):
-    """Internal invariant broke: an output guaranteed closed failed the check."""
 
 
 class Connection:
@@ -104,15 +101,22 @@ def compatibility_report(conn: Connection) -> Report:
 
 
 class AtiyahClassReport:
-    """Outcome of the obstruction computation for the canonical extension."""
+    """Outcome of the obstruction computation for the canonical extension.
 
-    __slots__ = ("vanishes", "cocycle", "primitive", "repaired")
+    coboundary_rank is the rank of the degree-0 differential on
+    B* (x) End(E), read off the elimination that looked for the primitive.
+    """
 
-    def __init__(self, vanishes, cocycle, primitive, repaired):
+    __slots__ = ("vanishes", "cocycle", "primitive", "repaired",
+                 "coboundary_rank")
+
+    def __init__(self, vanishes, cocycle, primitive, repaired,
+                 coboundary_rank):
         self.vanishes = vanishes
         self.cocycle = cocycle
         self.primitive = primitive
         self.repaired = repaired
+        self.coboundary_rank = coboundary_rank
 
 
 def connection_minus_section(conn: Connection, phi: Cochain) -> Connection:
@@ -139,11 +143,12 @@ def atiyah_class(pair: LiePair, module: GModule,
     if conn is None:
         conn = extend_by_zero(pair, module)
     cocycle = atiyah_cocycle(conn)
-    primitive = coboundary_primitive(cocycle)
+    rank_d0, primitive = _primitive(cocycle)
     repaired = None
     if primitive is not None:
         repaired = connection_minus_section(conn, primitive)
-    return AtiyahClassReport(primitive is not None, cocycle, primitive, repaired)
+    return AtiyahClassReport(primitive is not None, cocycle, primitive, repaired,
+                             rank_d0)
 
 
 def end_connection(conn: Connection) -> Connection:

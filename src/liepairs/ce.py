@@ -10,17 +10,13 @@ nonzeros, so its cost follows the input's sparsity.
 
 from __future__ import annotations
 
+from bisect import bisect
 from operator import mul
 
 from .lie_core import GModule, LiePair
-from .linalg import Matrix, nullspace_basis, rref, solve, vec_is_zero
-from .multilinear import (
-    exterior_basis,
-    exterior_index,
-    tensor_index,
-    tensor_tuples,
-)
-from .scalars import ZERO
+from .linalg import Matrix, nullspace_basis, pivot_columns, solve_rows
+from .multilinear import exterior_basis, exterior_index, tensor_index
+from .scalars import ONE, ZERO, GaussScalar
 
 
 class Cochain:
@@ -211,69 +207,98 @@ def _add_permuted(total, w, perm):
         data[pos] = data.get(pos, ZERO) + v
 
 
-def _ce_terms(pair: LiePair, module: GModule, gt, bt, e):
-    """Yield the nonzero terms (J, b-tuple, e_out, coeff) of d applied to the
-    basis cochain that is 1 at (gt, bt, e) and 0 elsewhere.
+def _ce_table(pair: LiePair, module: GModule, l: int):
+    """The nonzeros the differential on l B-slots reads, listed per kernel
+    call by input as plain (re, im) parts: (act, quot, brk, the B-slots'
+    index weights, dim B).  act[a][e] holds (e_out, re, im) for a acting on
+    the value, quot[a][b] (b_old, re, im) for a acting on a B-slot, and
+    brk[s] (x, y, re, im), x < y, for [x, y] along s."""
+    n, nb, dim_e = pair.dim_g, pair.dim_b, module.dim
+    rho_b = pair.quotient_module().action
+    act, quot = [], []
+    for a in range(n):
+        rho, rows = module.action[a].data, rho_b[a].data
+        act.append([[(e_out, x.re, x.im) for e_out in range(dim_e)
+                     if (x := rho[e_out * dim_e + e])] for e in range(dim_e)])
+        quot.append([[(old, x.re, x.im) for old in range(nb)
+                      if (x := rows[new * nb + old])] for new in range(nb)]
+                     if l else None)
+    c = pair.d.c
+    brk = [[(x, y, v.re, v.im) for x in range(n) for y in range(x + 1, n)
+            if (v := c[x][y][s])] for s in range(n)]
+    return act, quot, brk, [nb ** (l - 1 - slot) for slot in range(l)], nb
+
+
+def _ce_terms(table, gt, bi, e):
+    """Yield the terms (J, b-index, e_out, re, im) of d applied to the basis
+    cochain that is 1 at (gt, bi, e) and 0 elsewhere, read off the table.
 
     The transpose of the three term families of the differential: the action
     on the value, minus the action routed through each B-slot, and the
     bracket terms.  A key may be yielded more than once; callers add.
     """
-    n, nb, dim_e = pair.dim_g, pair.dim_b, module.dim
-    rho_b = pair.quotient_module().action
+    act, quot, brk, weights, nb = table
     k = len(gt)
     m = 0  # entries of gt below a, i.e. the position of a in J
-    for a in range(n):
+    for a, rows in enumerate(act):
         if m < k and gt[m] == a:
             m += 1
             continue
         J = gt[:m] + (a,) + gt[m:]
-        odd = m % 2
-        rho_e = module.action[a].data
-        for e_out in range(dim_e):
-            x = rho_e[e_out * dim_e + e]
-            if not x.is_zero():
-                yield J, bt, e_out, -x if odd else x
-        rho = rho_b[a].data
-        for slot, new in enumerate(bt):
-            head, tail = bt[:slot], bt[slot + 1 :]
-            row = new * nb
-            for old in range(nb):
-                x = rho[row + old]
-                if not x.is_zero():
-                    yield J, head + (old,) + tail, e, x if odd else -x
+        sign = -1 if m % 2 else 1
+        for e_out, re, im in rows[e]:
+            yield J, bi, e_out, sign * re, sign * im
+        for w in weights:
+            new = bi // w % nb
+            for old, re, im in quot[a][new]:
+                yield J, bi + (old - new) * w, e, -sign * re, -sign * im
     # gt = insert(s, rest) with sign (-1)^q; J = rest + {x, y}, x < y.
-    c = pair.d.c
     for q, s in enumerate(gt):
         rest = gt[:q] + gt[q + 1 :]
-        free = [x for x in range(n) if x not in rest]
-        for i, x in enumerate(free):
-            mx = x - i  # entries of rest below x
-            cx = c[x]
-            for j in range(i + 1, len(free)):
-                y = free[j]
-                coeff = cx[y][s]
-                if coeff.is_zero():
-                    continue
-                my = y - j + 1  # entries of rest below y, plus x
-                J = rest[:mx] + (x,) + rest[mx : my - 1] + (y,) + rest[my - 1 :]
-                yield J, bt, e, -coeff if (mx + my + q) % 2 else coeff
+        for x, y, re, im in brk[s]:
+            if x in rest or y in rest:
+                continue
+            mx = bisect(rest, x)  # entries of rest below x
+            my = bisect(rest, y) + 1  # entries of rest below y, plus x
+            J = rest[:mx] + (x,) + rest[mx : my - 1] + (y,) + rest[my - 1 :]
+            if (mx + my + q) % 2:
+                re, im = -re, -im
+            yield J, bi, e, re, im
+
+
+def _ce_image(w, table, entries):
+    """d of the entries {position: value} of a cochain shaped like w, as its
+    nonzeros {output position: value}: the terms are summed as plain parts,
+    and one GaussScalar is built per output position."""
+    g_basis, dim_e = w.g_basis(), w.module.dim
+    out_index = exterior_index(w.pair.dim_g, w.k + 1)
+    b_radix = w.pair.dim_b ** w.l
+    acc = {}
+    for pos, v in entries.items():
+        vr, vi = v.re, v.im
+        rest, e = divmod(pos, dim_e)
+        gi, bi = divmod(rest, b_radix)
+        for J, bo, e_out, cr, ci in _ce_terms(table, g_basis[gi], bi, e):
+            out = (out_index[J] * b_radix + bo) * dim_e + e_out
+            re, im = (cr * vr - ci * vi, cr * vi + ci * vr) if ci \
+                else (cr * vr, cr * vi)
+            old = acc.get(out)
+            if old is None:
+                acc[out] = [re, im]
+            else:
+                old[0] += re
+                old[1] += im
+    return {out: GaussScalar(re, im) for out, (re, im) in acc.items()
+            if re or im}
 
 
 def _ce_into(total, w):
     """total += d(w)."""
-    pair = w.pair
-    n, nb, dim_e = pair.dim_g, pair.dim_b, w.module.dim
-    if w.k + 1 > n:
-        return
-    out_index = exterior_index(n, w.k + 1)
-    b_radix = nb ** w.l
-    data = total.entries
-    for gt, bt, e, v in w.iter_nonzero():
-        for J, bt_out, e_out, coeff in _ce_terms(pair, w.module, gt, bt, e):
-            pos = (out_index[J] * b_radix + tensor_index(bt_out, nb)) \
-                * dim_e + e_out
-            data[pos] = data.get(pos, ZERO) + coeff * v
+    if w.k < w.pair.dim_g:
+        data = total.entries
+        table = _ce_table(w.pair, w.module, w.l)
+        for out, x in _ce_image(w, table, w.entries).items():
+            data[out] = data[out] + x if out in data else x
 
 
 def ce_diff(w: Cochain) -> Cochain:
@@ -287,79 +312,82 @@ def is_cocycle(w: Cochain) -> bool:
     return ce_diff(w).is_zero()
 
 
+def _diff_columns(pair: LiePair, module: GModule, k: int, l: int = 0):
+    """The degree-k differential w.r.t. the canonical cochain bases as sparse
+    columns {row: value}: the image of each basis cochain."""
+    shape = Cochain(pair, module, k, l)
+    table = _ce_table(pair, module, l)
+    return [_ce_image(shape, table, {col: ONE}) for col in range(shape.size)]
+
+
 def diff_matrix(pair: LiePair, module: GModule, k: int, l: int = 0) -> Matrix:
-    """Matrix of the degree-k differential w.r.t. the canonical cochain bases."""
-    n, nb, dim_e = pair.dim_g, pair.dim_b, module.dim
-    g_basis = exterior_basis(n, k)
-    bts = tensor_tuples(nb, l)
-    b_index = {bt: bi for bi, bt in enumerate(bts)}
-    b_radix = len(bts)
-    out_index = exterior_index(n, k + 1)
-    cols = len(g_basis) * b_radix * dim_e
-    mat = Matrix.zeros(len(out_index) * b_radix * dim_e, cols)
-    data = mat.data
-    col = 0
-    for gt in g_basis:
-        for bt in bts:
-            for e in range(dim_e):
-                for J, bt_out, e_out, coeff in _ce_terms(pair, module, gt, bt, e):
-                    row = (out_index[J] * b_radix + b_index[bt_out]) * dim_e + e_out
-                    pos = row * cols + col
-                    data[pos] = data[pos] + coeff
-                col += 1
+    """Matrix of the degree-k differential w.r.t. the canonical cochain
+    bases: the dense view of _diff_columns."""
+    columns = _diff_columns(pair, module, k, l)
+    cols = len(columns)
+    mat = Matrix.zeros(Cochain(pair, module, k + 1, l).size, cols)
+    for c, image in enumerate(columns):
+        for r, v in image.items():
+            mat.data[r * cols + c] = v
     return mat
+
+
+def _transposed(columns, size):
+    """Sparse columns {row: value} as size sparse rows {column: value}."""
+    rows = [{} for _ in range(size)]
+    for c, column in enumerate(columns):
+        for r, v in column.items():
+            rows[r][c] = v
+    return rows
+
+
+def _primitive(w: Cochain):
+    """(rank of d_(k-1), phi) from one elimination of [d_(k-1) | w], phi a
+    deterministic primitive with d(phi) = w, or None when w is not exact."""
+    columns = _diff_columns(w.pair, w.module, w.k - 1, w.l)
+    rank_prev, x = solve_rows(_transposed(columns + [w._nonzeros()], w.size),
+                              len(columns))
+    return rank_prev, None if x is None \
+        else Cochain(w.pair, w.module, w.k - 1, w.l, x)
 
 
 def coboundary_primitive(w: Cochain):
     """A deterministic phi with d(phi) = w, or None when w is not exact."""
-    if w.k == 0:
-        return None
-    mat = diff_matrix(w.pair, w.module, w.k - 1, w.l)
-    x = solve(mat, w.data)
-    if x is None:
-        return None
-    return Cochain(w.pair, w.module, w.k - 1, w.l, x)
+    return None if w.k == 0 else _primitive(w)[1]
 
 
-def cohomology_dim(pair: LiePair, module: GModule, k: int, l: int = 0) -> int:
+def _rank(pair: LiePair, module: GModule, k: int, l: int) -> int:
+    return len(pivot_columns(_diff_columns(pair, module, k, l),
+                             Cochain(pair, module, k + 1, l).size))
+
+
+def cohomology_dim(pair: LiePair, module: GModule, k: int, l: int = 0,
+                   rank_below: int = None) -> int:
     """dim ker(d_k) - rank(d_(k-1)); 0 above the top degree dim g, where
-    there are no cochains."""
+    there are no cochains.  rank_below, when the caller has it, is
+    rank(d_(k-1)), which is then not computed again."""
     if k < 0:
         raise ValueError("degree out of range")
     if k > pair.dim_g:
         return 0
-    d_k = diff_matrix(pair, module, k, l)
-    kernel = d_k.cols - rref(d_k)[2]
-    if k == 0:
-        return kernel
-    d_prev = diff_matrix(pair, module, k - 1, l)
-    return kernel - rref(d_prev)[2]
+    if k and rank_below is None:
+        rank_below = _rank(pair, module, k - 1, l)
+    return Cochain(pair, module, k, l).size - _rank(pair, module, k, l) \
+        - (rank_below if k else 0)
 
 
 def cohomology_representatives(pair: LiePair, module: GModule, k: int, l: int = 0):
-    """(dimension, representative cochains) with a deterministic rref-based choice.
+    """(dimension, representative cochains) with a deterministic choice.
 
-    Representatives are the kernel basis vectors that add new pivots once the
-    coboundary space has been rref-reduced.
+    Representatives are the kernel basis vectors independent of the
+    coboundaries and of the vectors before them: the pivot columns past the
+    coboundaries of [d_(k-1) | kernel basis].
     """
-    d_k = diff_matrix(pair, module, k, l)
-    kernel = nullspace_basis(d_k)
-    image_rows = []
-    if k > 0:
-        d_prev = diff_matrix(pair, module, k - 1, l)
-        src_dim = d_prev.cols
-        for col in range(src_dim):
-            vec = d_prev.col(col)
-            if not vec_is_zero(vec):
-                image_rows.append(vec)
-    reps = []
-    rows = list(image_rows)
-    current_rank = rref(Matrix.from_rows(rows))[2] if rows else 0
-    for v in kernel:
-        candidate = rows + [v]
-        new_rank = rref(Matrix.from_rows(candidate))[2]
-        if new_rank > current_rank:
-            reps.append(Cochain(pair, module, k, l, list(v)))
-            rows = candidate
-            current_rank = new_rank
+    images = _diff_columns(pair, module, k - 1, l) if k else []
+    kernel = nullspace_basis(diff_matrix(pair, module, k, l))
+    columns = images + [{i: x for i, x in enumerate(v) if x} for v in kernel]
+    reps = [Cochain(pair, module, k, l, kernel[c - len(images)])
+            for c in pivot_columns(_transposed(
+                columns, Cochain(pair, module, k, l).size), len(columns))
+            if c >= len(images)]
     return len(reps), reps

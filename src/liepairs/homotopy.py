@@ -21,6 +21,7 @@ from .ce import (
     Cochain,
     _add_permuted,
     _ce_into,
+    _ce_table,
     _ce_terms,
     ce_diff,
 )
@@ -425,19 +426,31 @@ def _effective_module(base: GModule, algebra) -> GModule:
 def graded_diff(pair: LiePair, base_module: GModule, el: GradedElement,
                 algebra: GAlgebra = None) -> GradedElement:
     """Unary bracket: the cochain differential applied term by term."""
-    return _diff(pair, _effective_module(base_module, algebra), el, algebra)
+    return _diff(_ce_table(pair, _effective_module(base_module, algebra), 0),
+                 el, algebra)
 
 
-def _diff(pair, module, el, algebra=None) -> GradedElement:
-    """graded_diff on the effective module (base module (x) algebra)."""
+def _diff(table, el, algebra=None) -> GradedElement:
+    """graded_diff through the term table of the effective module (base
+    module (x) algebra): the terms are summed as plain parts, and one
+    GaussScalar is built per output key."""
     cdim = algebra.dim if algebra is not None else None
-    out = GradedElement(pair, el.mdim, cdim)
+    acc = {}
     for key, val in el.terms.items():
+        vr, vi = val.re, val.im
         midx = key[1] if cdim is None else key[1] * cdim + key[2]
-        for gt, _, e, c in _ce_terms(pair, module, key[0], (), midx):
-            out.add_term((gt, e) if cdim is None else (gt,) + divmod(e, cdim),
-                         c * val)
-    return out
+        for gt, _, e, cr, ci in _ce_terms(table, key[0], 0, midx):
+            out = (gt, e) if cdim is None else (gt,) + divmod(e, cdim)
+            re, im = (cr * vr - ci * vi, cr * vi + ci * vr) if ci \
+                else (cr * vr, cr * vi)
+            old = acc.get(out)
+            if old is None:
+                acc[out] = [re, im]
+            else:
+                old[0] += re
+                old[1] += im
+    return GradedElement(el.pair, el.mdim, cdim, {
+        out: GaussScalar(re, im) for out, (re, im) in acc.items() if re or im})
 
 
 def _contract(slices, args, signed, mdim, algebra=None) -> GradedElement:
@@ -736,17 +749,17 @@ def _derivation_failure(tower, side, forms, algebra):
     basis element x up to the cap, each differentiated on the side's
     effective module (see BracketTower.effective)."""
     pair = tower.pair
-    effective = tower.effective(side, algebra)
-    trivial = trivial_module(pair.dim_g, 1)
+    table = _ce_table(pair, tower.effective(side, algebra), 0)
+    trivial = _ce_table(pair, trivial_module(pair.dim_g, 1), 0)
     omegas = [w for w in forms if w]
     for x in _basis_elements(pair, tower.side_module(side).dim,
                              len(forms[-1]), algebra):
-        dx = _diff(pair, effective, x, algebra)
+        dx = _diff(table, x, algebra)
         for w in omegas:
-            res = _diff(pair, effective, _wedge(w, x), algebra)
+            res = _diff(table, _wedge(w, x), algebra)
             res = res - _wedge(w, dx, -1 if len(w) % 2 else 1)
-            for dw, _, _, c in _ce_terms(pair, trivial, w, (), 0):
-                res = res - _wedge(dw, x).scale(c)
+            for dw, _, _, re, im in _ce_terms(trivial, w, 0, 0):
+                res = res - _wedge(dw, x).scale(GaussScalar(re, im))
             if not res.is_zero():
                 return 1, [w, x.first_term()[0]], res
     return None
@@ -796,11 +809,10 @@ def _degree0_residuals(tower, n, module_side=False, algebra=None):
     pair = tower.pair
     if n == 1:
         side = "w" if module_side else "v"
-        effective = tower.effective(side, algebra)
+        table = _ce_table(pair, tower.effective(side, algebra), 0)
         pool = _basis_elements(pair, tower.side_module(side).dim, 0, algebra)
         return {(i,): res for i, x in enumerate(pool) if not (res := _diff(
-            pair, effective, _diff(pair, effective, x, algebra),
-            algebra)).is_zero()}
+            table, _diff(table, x, algebra), algebra)).is_zero()}
     if module_side:
         tensor = Cochain(pair, tower.s[n].module, 2, n - 1)
         _module_into(tensor, tower, n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .linalg import (
     Matrix,
     basis_vec,
-    rref,
+    rank,
     solve,
     vec_add,
     vec_is_zero,
@@ -19,6 +19,10 @@ from .linalg import (
     zero_vec,
 )
 from .scalars import ZERO, as_scalar
+
+
+class NotACocycle(Exception):
+    """Internal invariant broke: an output guaranteed closed failed the check."""
 
 
 class SubalgebraNotClosed(Exception):
@@ -231,7 +235,7 @@ def adapt_basis(d: LieAlgebra, span_g):
     span = [[as_scalar(x) for x in v] for v in span_g]
     span_matrix = Matrix.from_rows([[v[i] for v in span] for i in range(n)]) \
         if span else Matrix(0, n, [])
-    if span and rref(span_matrix)[2] != m:
+    if span and rank(span_matrix) != m:
         raise NotASubalgebra("dependent vectors in the given span")
     # Closure: each pairwise bracket must solve against the span.
     for i in range(m):
@@ -248,7 +252,7 @@ def adapt_basis(d: LieAlgebra, span_g):
             break
         candidate = cols + [basis_vec(n, e)]
         mat = Matrix.from_rows([[v[i] for v in candidate] for i in range(n)])
-        if rref(mat)[2] == len(candidate):
+        if rank(mat) == len(candidate):
             cols.append(basis_vec(n, e))
     t = Matrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
     return change_basis(d, t), t

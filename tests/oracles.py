@@ -6,19 +6,28 @@ the brackets with that differential at arity one, the Leibniz and module
 identities as their own shuffle/Koszul loops over single brackets, the
 basis elements of Lambda g* (x) M (x C) enumerated afresh, and the product of
 Lambda g* (x) Lambda B* with the powers and traces of the obstruction matrix
-as tuple-keyed BiForm sums with wedge signs from merge_sign.
+as tuple-keyed BiForm sums with wedge signs from merge_sign.  The dense
+paths the sparse cohomology replaced stay here too: the differential as one
+loop over every output and every input entry, its matrix read through the
+dense action matrices, and rank and solve by rref of the (augmented) matrix.
 """
 
 from liepairs.atiyah import BiForm, atiyah_cocycle
 from liepairs.ce import Cochain, ce_diff
 from liepairs.homotopy import GradedElement, lambda_k, mu_k
 from liepairs.lie_core import tensor_module
+from liepairs.linalg import Matrix, rref
 from liepairs.multilinear import (
     enumerate_shuffles,
     exterior_basis,
+    exterior_index,
+    insert_with_sign,
     koszul_sign,
     merge_sign,
+    tensor_index,
+    tensor_tuples,
 )
+from liepairs.scalars import ZERO, as_scalar
 
 
 def dense_graded_diff(pair, base_module, el, algebra=None):
@@ -209,3 +218,176 @@ def oracle_power_traces(alpha, n):
         traces.append(_bf_sum(_bf_dot(powers[-1], alpha, i, i, dim)
                               for i in range(dim)))
     return traces
+
+
+# -- the dense cohomology path ------------------------------------------------
+
+
+def dense_ce_diff(w: Cochain) -> Cochain:
+    """Reference differential: for every output J, visit every input entry.
+
+    This is the dense loop the sparse-input ce_diff replaced; it stays here
+    as the oracle the fast path is checked against."""
+    pair = w.pair
+    n, nb, dim_e = pair.dim_g, pair.dim_b, w.module.dim
+    out = Cochain(pair, w.module, w.k + 1, w.l)
+    if w.k + 1 > n:
+        return out
+    rho_b = pair.quotient_module().action
+    in_index = exterior_index(n, w.k)
+    bts = tensor_tuples(nb, w.l)
+    b_radix = nb ** w.l
+
+    for J in exterior_basis(n, w.k + 1):
+        out_gi = exterior_index(n, w.k + 1)[J]
+        for m, a in enumerate(J):
+            rest = J[:m] + J[m + 1 :]
+            gi = in_index[rest]
+            sign = -1 if m % 2 else 1
+            rho_e = w.module.action[a]
+            for bi, bt in enumerate(bts):
+                base_in = (gi * b_radix + bi) * dim_e
+                base_out = (out_gi * b_radix + bi) * dim_e
+                # action on the value
+                for e_out in range(dim_e):
+                    acc = ZERO
+                    row = e_out * dim_e
+                    for e_in in range(dim_e):
+                        x = rho_e.data[row + e_in]
+                        if not x.is_zero():
+                            v = w.data[base_in + e_in]
+                            if not v.is_zero():
+                                acc = acc + x * v
+                    if not acc.is_zero():
+                        out.data[base_out + e_out] = out.data[base_out + e_out] + \
+                            (acc if sign > 0 else -acc)
+                # minus the action routed through each B-slot
+                for slot in range(w.l):
+                    old = bt[slot]
+                    for new in range(nb):
+                        x = rho_b[a][new, old]
+                        if x.is_zero():
+                            continue
+                        bt2 = bt[:slot] + (new,) + bt[slot + 1 :]
+                        src = (gi * b_radix + tensor_index(bt2, nb)) * dim_e
+                        for e in range(dim_e):
+                            v = w.data[src + e]
+                            if not v.is_zero():
+                                term = x * v
+                                out.data[base_out + e] = out.data[base_out + e] - \
+                                    (term if sign > 0 else -term)
+        # bracket terms
+        for m in range(len(J)):
+            for p in range(m + 1, len(J)):
+                sign_mp = -1 if (m + p) % 2 else 1
+                rest = tuple(x for idx, x in enumerate(J) if idx not in (m, p))
+                br = pair.d.c[J[m]][J[p]]
+                for s in range(n):  # only subalgebra components can be nonzero
+                    coeff = br[s]
+                    if coeff.is_zero():
+                        continue
+                    ins = insert_with_sign(rest, s)
+                    if ins is None:
+                        continue
+                    sgn, key = ins
+                    gi = in_index[key]
+                    total = sign_mp * sgn
+                    for bi in range(b_radix):
+                        src = (gi * b_radix + bi) * dim_e
+                        dst = (out_gi * b_radix + bi) * dim_e
+                        for e in range(dim_e):
+                            v = w.data[src + e]
+                            if not v.is_zero():
+                                term = coeff * v
+                                out.data[dst + e] = out.data[dst + e] + \
+                                    (term if total > 0 else -term)
+    return out
+
+
+def dense_ce_terms(pair, module, gt, bt, e):
+    """The nonzero terms (J, b-tuple, e_out, coeff) of d applied to the basis
+    cochain that is 1 at (gt, bt, e), read off the dense action matrices and
+    bracket table entry by entry."""
+    n, nb, dim_e = pair.dim_g, pair.dim_b, module.dim
+    rho_b = pair.quotient_module().action
+    k = len(gt)
+    m = 0
+    for a in range(n):
+        if m < k and gt[m] == a:
+            m += 1
+            continue
+        J = gt[:m] + (a,) + gt[m:]
+        odd = m % 2
+        rho_e = module.action[a].data
+        for e_out in range(dim_e):
+            x = rho_e[e_out * dim_e + e]
+            if not x.is_zero():
+                yield J, bt, e_out, -x if odd else x
+        rho = rho_b[a].data
+        for slot, new in enumerate(bt):
+            head, tail = bt[:slot], bt[slot + 1 :]
+            row = new * nb
+            for old in range(nb):
+                x = rho[row + old]
+                if not x.is_zero():
+                    yield J, head + (old,) + tail, e, x if odd else -x
+    c = pair.d.c
+    for q, s in enumerate(gt):
+        rest = gt[:q] + gt[q + 1 :]
+        free = [x for x in range(n) if x not in rest]
+        for i, x in enumerate(free):
+            mx = x - i
+            cx = c[x]
+            for j in range(i + 1, len(free)):
+                y = free[j]
+                coeff = cx[y][s]
+                if coeff.is_zero():
+                    continue
+                my = y - j + 1
+                J = rest[:mx] + (x,) + rest[mx : my - 1] + (y,) + rest[my - 1 :]
+                yield J, bt, e, -coeff if (mx + my + q) % 2 else coeff
+
+
+def dense_diff_matrix(pair, module, k, l=0):
+    """The differential's matrix as one dense loop over the input basis."""
+    n, nb, dim_e = pair.dim_g, pair.dim_b, module.dim
+    g_basis = exterior_basis(n, k)
+    bts = tensor_tuples(nb, l)
+    b_radix = len(bts)
+    out_index = exterior_index(n, k + 1)
+    cols = len(g_basis) * b_radix * dim_e
+    mat = Matrix.zeros(len(out_index) * b_radix * dim_e, cols)
+    data = mat.data
+    col = 0
+    for gt in g_basis:
+        for bt in bts:
+            for e in range(dim_e):
+                for J, bt_out, e_out, coeff in dense_ce_terms(pair, module,
+                                                              gt, bt, e):
+                    row = (out_index[J] * b_radix + tensor_index(bt_out, nb)) \
+                        * dim_e + e_out
+                    data[row * cols + col] = data[row * cols + col] + coeff
+                col += 1
+    return mat
+
+
+def augmented(m, vec):
+    """[m | vec]."""
+    rows = [m.row(r) + [as_scalar(vec[r])] for r in range(m.rows)]
+    return Matrix.from_rows(rows) if rows else Matrix(0, m.cols + 1, [])
+
+
+def rref_rank(m):
+    return rref(m)[2]
+
+
+def rref_solve(m, rhs):
+    """One solution of m.x = rhs, free variables zero, or None: rref of the
+    augmented matrix."""
+    red, pivots, _ = rref(augmented(m, rhs))
+    if m.cols in pivots:
+        return None
+    x = [ZERO] * m.cols
+    for r, col in enumerate(pivots):
+        x[col] = red[r, m.cols]
+    return x

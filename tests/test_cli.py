@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -612,6 +613,103 @@ def test_internal_invariant_failure_exit_4(capsys, tmp_path, monkeypatch,
     assert err.count("\n") == 1
     assert err.startswith("internal invariant failure:")
     assert "Traceback" not in err
+
+
+def _counted_kernels(monkeypatch):
+    """Counts, by input, each differential ce computes, each assembly of a
+    differential and each elimination."""
+    import liepairs.ce as ce
+    import liepairs.linalg as linalg
+
+    calls = Counter()
+
+    def counting(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[key(*args)] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(ce, "_ce_into", lambda total, w: (
+        "d", w.k, w.l, w.module.dim, tuple(w.iter_nonzero())))
+    counting(ce, "_diff_columns", lambda pair, module, k, l=0:
+             ("assembled", k, l, module.dim))
+    counting(linalg, "_eliminate", lambda rows, cols: ("eliminated",))
+    return calls
+
+
+@pytest.mark.parametrize("command, extra, differentials", [
+    ("atiyah", [], 1), ("chern", ["--k", "3"], 2), ("todd", [], 6)])
+def test_class_commands_differentiate_each_cochain_once(
+        capsys, tmp_path, monkeypatch, command, extra, differentials):
+    # the obstruction cocycle and each class cochain are checked closed once,
+    # by the library: atiyah 1, chern 2, and todd 1 + (depth + 1) with depth
+    # min(dim g, dim B) = 4 on u2t2 (it ran 1 + 2 (depth + 1) = 11 before).
+    # atiyah assembles and eliminates d_0 once, for the primitive and for
+    # the rank the obstruction space dimension subtracts, and d_1 once.
+    fixture = gl_un_tn(2)
+    b = fixture.pair.quotient_module()
+    path = tmp_path / "u2t2.json"
+    path.write_text(json.dumps(dump_fixture(fixture.pair, {"B": b}, connections={
+        "gauss_B": random_extension(fixture.pair, b, 3).nabla})))
+    calls = _counted_kernels(monkeypatch)
+    code, _, _ = run(capsys, [command, "--input", str(path), "--module", "B",
+                              "--connection", "gauss_B", *extra, "--json"])
+    assert code == EXIT_OK
+    diffs = [key for key in calls if key[0] == "d"]
+    assert len(diffs) == differentials
+    assert all(calls[key] == 1 for key in diffs)
+    rest = {key: n for key, n in calls.items() if key[0] != "d"}
+    assert rest == ({("assembled", 0, 1, 16): 1, ("assembled", 1, 1, 16): 1,
+                     ("eliminated",): 2} if command == "atiyah" else {})
+
+
+def _sl2_with_trivial_module(tmp_path, dim):
+    """sl2 with its module B and a valid dim-dimensional trivial module T."""
+    pair, modules = sl2_pair()
+    path = tmp_path / ("sl2_T%d.json" % dim)
+    path.write_text(json.dumps(dump_fixture(pair, {
+        "B": modules["B"], "T": trivial_module(pair.dim_g, dim)})))
+    return path
+
+
+@pytest.mark.parametrize("command",
+                         ["atiyah", "chern", "todd", "tower", "verify"])
+def test_oversized_module_endomorphisms_exit_2(capsys, tmp_path, command):
+    # End(E) acts by dim g matrices of (dim E)^4 entries each: on a valid
+    # 120-dimensional module that is 207,360,000, and the request is refused
+    # after validation and before End(E) is built
+    path = _sl2_with_trivial_module(tmp_path, 120)
+    code, out, err = run(capsys, [command, "--input", str(path),
+                                  "--module", "T", "--json"])
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("%s: --module T needs End(E) matrices of 207360000 "
+                          "entries, above 4194304" % command)
+
+
+def test_module_endomorphism_cap_boundary(capsys, tmp_path, monkeypatch):
+    # 45^4 = 4,100,625 entries fit under the cap and 46^4 = 4,477,456 do not;
+    # the refusal is arithmetic, made before End(E) is built
+    import liepairs.atiyah as atiyah_mod
+
+    class Reached(Exception):
+        pass
+
+    def fake_end_module(module):
+        raise Reached
+
+    monkeypatch.setattr(atiyah_mod, "end_module", fake_end_module)
+    with pytest.raises(Reached):
+        main(["atiyah", "--input", str(_sl2_with_trivial_module(tmp_path, 45)),
+              "--module", "T"])
+    code, out, err = run(capsys, [
+        "atiyah", "--input", str(_sl2_with_trivial_module(tmp_path, 46)),
+        "--module", "T"])
+    assert code == EXIT_PARSE_ERROR and out == ""
+    assert "4477456 entries, above 4194304" in err
 
 
 @pytest.mark.parametrize("command", ["tower", "verify", "symmetry"])

@@ -9,6 +9,7 @@ package's public re-exports.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -18,7 +19,6 @@ from pathlib import Path
 import pytest
 
 import liepairs
-import liepairs.homotopy as homotopy
 from liepairs.fixture_io import dump_fixture
 from liepairs.zoo import sl2_pair
 
@@ -202,25 +202,43 @@ def test_obstruction_commands_load_no_tower_or_zoo_layer(tmp_path):
     pair, modules = sl2_pair()
     path = tmp_path / "sl2.json"
     path.write_text(json.dumps(dump_fixture(pair, modules)))
-    jobs = [["validate", "--input", str(path), "--json"]] + [
+    validate = [["validate", "--input", str(path), "--json"]]
+    jobs = validate + [
         [command, "--input", str(path), "--module", "B", "--json"]
         for command in ("atiyah", "todd", "chern")]
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    done = subprocess.run([sys.executable, "-c", DIET_SCRIPT,
-                           json.dumps(jobs)], env=env, capture_output=True,
-                          text=True, check=True)
-    report = json.loads(done.stdout)
-    assert report["codes"] == [0, 0, 0, 0]
-    assert "liepairs.cli" in report["loaded"]
-    assert "liepairs.atiyah" in report["loaded"]
-    assert "liepairs.homotopy" not in report["loaded"]
-    assert "liepairs.zoo" not in report["loaded"]
+
+    def loaded(argvs):
+        done = subprocess.run([sys.executable, "-c", DIET_SCRIPT,
+                               json.dumps(argvs)], env=env,
+                              capture_output=True, text=True, check=True)
+        report = json.loads(done.stdout)
+        assert report["codes"] == [0] * len(argvs)
+        return report["loaded"]
+
+    names = loaded(jobs)
+    assert "liepairs.cli" in names
+    assert "liepairs.atiyah" in names
+    assert "liepairs.homotopy" not in names
+    assert "liepairs.zoo" not in names
+    # validate alone compiles none of the cochain and obstruction layers
+    names = loaded(validate)
+    assert "liepairs.cli" in names
+    for layer in ("ce", "atiyah", "multilinear", "homotopy", "zoo"):
+        assert "liepairs." + layer not in names, layer
 
 
 def test_lazy_package_names_resolve_and_are_listed():
-    for name in liepairs._HOMOTOPY_NAMES:
-        assert getattr(liepairs, name) is getattr(homotopy, name)
+    # every name of the table resolves to its module's own object, and the
+    # table holds each name once
+    table = liepairs._LAZY_NAMES
+    assert sum(map(len, table.values())) == len(liepairs._MODULE_OF)
+    for layer, names in table.items():
+        module = importlib.import_module("liepairs." + layer)
+        for name in names:
+            assert getattr(liepairs, name) is getattr(module, name)
+            assert name in dir(liepairs)
+    for name in ("atiyah_class", "build_tower", "verify_leibniz", "rref"):
         assert name in dir(liepairs)
-    assert "atiyah_class" in dir(liepairs)
     with pytest.raises(AttributeError):
         liepairs.no_such_name

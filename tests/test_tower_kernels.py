@@ -1252,16 +1252,19 @@ def test_witness_residuals_factor_through_the_wedge(name):
 def flip_odd_action_sign(ce_terms):
     """_ce_terms with the sign (-1)^|omega| of the action term flipped on
     odd-degree forms: all terms negated, then the bracket terms, which the
-    trivial module yields alone, added back twice."""
-    def mutated(pair, module, gt, bt, e):
+    term table yields alone once its action lists are emptied, added back
+    twice."""
+    def mutated(table, gt, bi, e):
         if len(gt) % 2 == 0:
-            yield from ce_terms(pair, module, gt, bt, e)
+            yield from ce_terms(table, gt, bi, e)
             return
-        for J, bt_out, e_out, c in ce_terms(pair, module, gt, bt, e):
-            yield J, bt_out, e_out, -c
-        for J, bt_out, _, c in ce_terms(pair, trivial_module(pair.dim_g, 1),
-                                        gt, bt, 0):
-            yield J, bt_out, e, c + c
+        for J, b_out, e_out, re, im in ce_terms(table, gt, bi, e):
+            yield J, b_out, e_out, -re, -im
+        act, _, brk, weights, nb = table
+        brackets = ([[()] * len(rows) for rows in act],
+                    [[()] * nb for _ in act], brk, weights, nb)
+        for J, b_out, e_out, re, im in ce_terms(brackets, gt, bi, e):
+            yield J, b_out, e_out, re + re, im + im
     return mutated
 
 
