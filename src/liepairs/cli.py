@@ -9,7 +9,9 @@ above 2^22 (dim E above 45), a `todd` request whose depth
 min(dim g, dim B) is above 8 (TODD_MAX_DEPTH), or a `tower`, `verify` or
 `symmetry` request whose largest tensor would span a dense index range of
 more than 2^22 entries (TOWER_MAX_ENTRIES), 3 structurally valid input that
-fails validation, 4 an internal invariant failure (an output the library
+fails validation (a declared module B that differs from the quotient module
+L/A in dimension or action among it; every command but `zoo` refuses such a
+fixture), 4 an internal invariant failure (an output the library
 guarantees closed failed its cocycle check: a bug in liepairs, not bad
 input).  Output is deterministic; --json disables the timing line so
 identical inputs give byte-identical reports.
@@ -26,7 +28,6 @@ from math import comb
 
 from .fixture_io import (
     MAX_DENSE_ENTRIES,
-    Fixture,
     ParseError,
     dump_fixture,
     load_fixture,
@@ -94,6 +95,13 @@ class RunReport:
             entry["detail"] = detail
         self.checks.append(entry)
 
+    def record(self, name, violations, witness="location", detail=None):
+        """A check that fails on a library report's violations, with the
+        first one's residual and witness."""
+        first = violations[0] if violations else {}
+        self.check(name, not violations, first.get("residual"),
+                   first.get(witness), detail)
+
     @property
     def ok(self):
         return all(c["status"] != "fail" for c in self.checks)
@@ -145,41 +153,66 @@ def _load(path, report):
     return load_fixture(doc)
 
 
-def _validated_pair(fixture: Fixture, report: RunReport):
-    """Structural validation gate shared by the mathematical commands."""
-    lie = validate_lie_algebra(fixture.pair.d)
-    if not lie.ok:
-        raise ValidationFailure("invalid bracket: %s" % lie.entries[0])
+def _checks(fixture, everything=False):
+    """The validation gate: (check name, violations, refusal) for each check
+    a fixture's pair and modules must pass, and with everything validate's
+    further checks, in validate's order.  A check passes when its violations
+    are none; a command refused by it prints refusal.  Past a failing bracket
+    or subalgebra check nothing more is checked."""
+    pair = fixture.pair
+    lie = validate_lie_algebra(pair.d).entries
+    yield "lie_algebra", lie, lie and "invalid bracket: %s" % lie[0]
     try:
-        make_pair(fixture.pair.d, fixture.pair.dim_g)
+        make_pair(pair.d, pair.dim_g)
+        closed = []
     except SubalgebraNotClosed as exc:
-        raise ValidationFailure(str(exc))
-    gsub = fixture.pair.g_algebra()
-    for name, module in fixture.modules.items():
-        flat = check_module(gsub, module)
-        if not flat.ok:
-            raise ValidationFailure("module %r not flat: %s"
-                                    % (name, flat.entries[0]))
-    return fixture.pair
+        closed = [{"location": str(exc)}]
+    yield "subalgebra_closed", closed, closed and closed[0]["location"]
+    if lie or closed:
+        return
+    gsub = pair.g_algebra()
+    quotient = pair.quotient_module()
+    if everything:
+        # flat once Jacobi holds, so the commands do not spend time on it
+        yield "quotient_module_flat", check_module(gsub, quotient).entries, None
+    for name, module in sorted(fixture.modules.items()):
+        flat = check_module(gsub, module).entries
+        yield ("module_%s_flat" % name, flat,
+               flat and "module %r not flat: %s" % (name, flat[0]))
+        if name == "B":
+            same = (module.dim, module.action) == (quotient.dim,
+                                                   quotient.action)
+            # a failure with neither residual nor witness
+            yield ("module_B_matches_quotient", [] if same else [{}],
+                   "module 'B' differs from the quotient module L/A of "
+                   "dimension %d" % quotient.dim)
+    if not everything:
+        return
+    for name, alg in sorted(fixture.algebras.items()):
+        yield "algebra_%s" % name, check_g_algebra(gsub, alg).entries, None
+    for name, mats in sorted(fixture.connections.items()):
+        shapes = len(mats) == pair.dim_d and all(
+            m.rows == m.cols == mats[0].rows for m in mats)
+        yield "connection_%s_shape" % name, [] if shapes else [{}], None
 
 
-def _module(fixture, name, command):
-    """The named module, refused before End(E) is built when its dense
+def _module(fixture, args):
+    """The requested module, refused before End(E) is built when its dense
     action matrices of (dim E)^4 entries each would be above the cap."""
-    module = fixture.module(name)
+    module = fixture.module(args.module)
     if module.dim ** 4 > MAX_DENSE_ENTRIES:
         raise RequestTooLarge("%s: --module %s needs End(E) matrices of %d "
-                              "entries, above %d" % (command, name,
+                              "entries, above %d" % (args.command, args.module,
                                                      module.dim ** 4,
                                                      MAX_DENSE_ENTRIES))
     return module
 
 
-def _connection(fixture, pair, module, name):
+def _connection(fixture, module, name):
     from .atiyah import Connection, extend_by_zero
 
     if name is None:
-        return extend_by_zero(pair, module)
+        return extend_by_zero(fixture.pair, module)
     if name not in fixture.connections:
         raise ParseError("unknown connection %r" % name)
     mats = fixture.connections[name]
@@ -188,82 +221,33 @@ def _connection(fixture, pair, module, name):
             "connection %r has dimension %d, module has %d"
             % (name, mats[0].rows, module.dim))
     try:
-        return Connection(pair, module, mats)
+        return Connection(fixture.pair, module, mats)
     except ValueError as exc:
         raise ValidationFailure("connection %r: %s" % (name, exc))
 
 
-def cmd_validate(args):
-    report = RunReport(["validate", args.input])
-    fixture = _load(args.input, report)
-    lie = validate_lie_algebra(fixture.pair.d)
-    report.check("lie_algebra", lie.ok,
-                 residual=None if lie.ok else lie.entries[0]["residual"],
-                 witness=None if lie.ok else lie.entries[0]["location"])
-    closed = True
-    witness = None
-    try:
-        make_pair(fixture.pair.d, fixture.pair.dim_g)
-    except SubalgebraNotClosed as exc:
-        closed = False
-        witness = str(exc)
-    report.check("subalgebra_closed", closed, witness=witness)
-    gsub = fixture.pair.g_algebra()
-    if lie.ok and closed:
-        quotient = fixture.pair.quotient_module()
-        flat = check_module(gsub, quotient)
-        report.check("quotient_module_flat", flat.ok,
-                     residual=None if flat.ok else flat.entries[0]["residual"])
-        for name, module in sorted(fixture.modules.items()):
-            flat = check_module(gsub, module)
-            report.check("module_%s_flat" % name, flat.ok,
-                         residual=None if flat.ok
-                         else flat.entries[0]["residual"],
-                         witness=None if flat.ok
-                         else flat.entries[0]["location"])
-            if name == "B" and module.dim == quotient.dim:
-                same = all(module.action[a] == quotient.action[a]
-                           for a in range(fixture.pair.dim_g))
-                report.check("module_B_matches_quotient", same)
-        for name, alg in sorted(fixture.algebras.items()):
-            rep = check_g_algebra(gsub, alg)
-            report.check("algebra_%s" % name, rep.ok,
-                         residual=None if rep.ok
-                         else rep.entries[0]["residual"],
-                         witness=None if rep.ok
-                         else rep.entries[0]["location"])
-        for name, mats in sorted(fixture.connections.items()):
-            shapes = len(mats) == fixture.pair.dim_d and all(
-                m.rows == m.cols == mats[0].rows for m in mats)
-            report.check("connection_%s_shape" % name, shapes)
-    exit_code = EXIT_OK if report.ok else EXIT_VALIDATION_ERROR
-    return report, exit_code
+def _module_connection(fixture, args):
+    module = _module(fixture, args)
+    return module, _connection(fixture, module, args.connection)
 
 
 def _cochain_json(cochain):
-    entries = []
-    for gt, bt, e, c in cochain.iter_nonzero():
-        entries.append([list(gt), list(bt), e, format_scalar(c)])
-    return entries
+    return [[list(gt), list(bt), e, format_scalar(c)]
+            for gt, bt, e, c in cochain.iter_nonzero()]
 
 
-def cmd_atiyah(args):
+def cmd_atiyah(args, report, fixture):
     from .atiyah import atiyah_class, compatibility_report
     from .ce import cohomology_dim
 
-    report = RunReport(["atiyah", args.input, "--module", args.module])
-    fixture = _load(args.input, report)
-    pair = _validated_pair(fixture, report)
-    module = _module(fixture, args.module, "atiyah")
-    conn = _connection(fixture, pair, module, args.connection)
-    outcome = atiyah_class(pair, module, conn)
+    outcome = atiyah_class(fixture.pair, *_module_connection(fixture, args))
     # each class cochain is checked closed once, by the library, which
     # raises NotACocycle (exit 4) instead of returning an unclosed one
     report.check("cocycle_closed", True)
     report.results["vanishes"] = outcome.vanishes
     report.results["representative"] = _cochain_json(outcome.cocycle)
     report.results["obstruction_space_dim"] = cohomology_dim(
-        pair, outcome.cocycle.module, 1, 1,
+        fixture.pair, outcome.cocycle.module, 1, 1,
         rank_below=outcome.coboundary_rank)
     if outcome.primitive is not None:
         report.results["primitive"] = _cochain_json(outcome.primitive)
@@ -274,34 +258,24 @@ def cmd_atiyah(args):
              for i in range(m.rows)] for m in outcome.repaired.nabla]
     else:
         report.results["primitive"] = None
-    return report, EXIT_OK if report.ok else EXIT_CHECK_FAILURE
 
 
-def cmd_chern(args):
+def cmd_chern(args, report, fixture):
     from .atiyah import scalar_class
 
-    report = RunReport(["chern", args.input, "--module", args.module,
-                        "--k", str(args.k)])
-    fixture = _load(args.input, report)
-    pair = _validated_pair(fixture, report)
-    module = _module(fixture, args.module, "chern")
-    conn = _connection(fixture, pair, module, args.connection)
-    outcome = scalar_class(pair, module, args.k, conn)
+    module, conn = _module_connection(fixture, args)
+    outcome = scalar_class(fixture.pair, module, args.k, conn)
     report.check("scalar_class_closed", True)
     report.results["k"] = args.k
     report.results["prefactor"] = outcome.prefactor
     report.results["cochain"] = _cochain_json(outcome.cochain)
-    return report, EXIT_OK if report.ok else EXIT_CHECK_FAILURE
 
 
-def cmd_todd(args):
+def cmd_todd(args, report, fixture):
     from .atiyah import todd_class
 
-    report = RunReport(["todd", args.input, "--module", args.module])
-    fixture = _load(args.input, report)
-    pair = _validated_pair(fixture, report)
-    module = _module(fixture, args.module, "todd")
-    conn = _connection(fixture, pair, module, args.connection)
+    pair = fixture.pair
+    module, conn = _module_connection(fixture, args)
     if min(pair.dim_g, pair.dim_b) > TODD_MAX_DEPTH:
         raise RequestTooLarge("todd: depth min(dim g, dim B) = min(%d, %d) is "
                               "above %d" % (pair.dim_g, pair.dim_b, TODD_MAX_DEPTH))
@@ -315,19 +289,18 @@ def cmd_todd(args):
     report.results["components"] = {
         str(k): _cochain_json(c) for k, c in sorted(outcome.components.items())
     }
-    return report, EXIT_OK if report.ok else EXIT_CHECK_FAILURE
 
 
-def _tower(fixture, pair, args):
+def _tower(fixture, args):
     from .atiyah import extend_by_zero
     from .homotopy import build_tower
 
-    module_b = pair.quotient_module()
-    conn_b = _connection(fixture, pair, module_b, args.connection)
+    pair = fixture.pair
+    conn_b = _connection(fixture, pair.quotient_module(), args.connection)
     module = None
     conn_e = None
     if getattr(args, "module", None):
-        module = _module(fixture, args.module, args.command)
+        module = _module(fixture, args)
         conn_e = extend_by_zero(pair, module)
     # dense index ranges: R_depth has one form and depth + 1 B-indices, its
     # differential under verify two forms, S_depth depth - 1 slots in End(E)
@@ -345,11 +318,8 @@ def _tower(fixture, pair, args):
                        conn_e=conn_e)
 
 
-def cmd_tower(args):
-    report = RunReport(["tower", args.input, "--depth", str(args.depth)])
-    fixture = _load(args.input, report)
-    pair = _validated_pair(fixture, report)
-    tower = _tower(fixture, pair, args)
+def cmd_tower(args, report, fixture):
+    tower = _tower(fixture, args)
     report.results["depth"] = tower.depth
     report.results["tensors"] = {
         str(n): _cochain_json(tower.r[n]) for n in sorted(tower.r)
@@ -360,59 +330,42 @@ def cmd_tower(args):
         }
     report.check("tower_built", True,
                  detail="%d levels" % len(tower.r))
-    return report, EXIT_OK
 
 
-def cmd_verify(args):
+def cmd_verify(args, report, fixture):
     from .homotopy import (check_proof_identities, verify_leibniz,
                            verify_module)
 
-    report = RunReport(["verify", args.input, "--max-n", str(args.max_n),
-                        "--degree-cap", str(args.degree_cap)])
-    fixture = _load(args.input, report)
-    pair = _validated_pair(fixture, report)
     algebra = None
     if args.algebra:
         if args.algebra not in fixture.algebras:
             raise ParseError("unknown algebra %r" % args.algebra)
         algebra = fixture.algebras[args.algebra]
-        rep = check_g_algebra(pair.g_algebra(), algebra)
+        rep = check_g_algebra(fixture.pair.g_algebra(), algebra)
         if not rep.ok:
             raise ValidationFailure("algebra %r: %s"
                                     % (args.algebra, rep.entries[0]))
     # the three checks share one run state, the algebra's report included
-    tower = _tower(fixture, pair, args).cached_view()
+    tower = _tower(fixture, args).cached_view()
     if algebra is not None:
         tower.once(("algebra", algebra), lambda: rep)
     sweep = verify_leibniz(tower, args.max_n, args.degree_cap, algebra)
-    report.check("leibniz_sweep", sweep.ok,
-                 residual=None if sweep.ok
-                 else sweep.violations[0]["residual"],
-                 witness=None if sweep.ok else sweep.violations[0]["tuple"],
-                 detail="%d tuples" % sweep.checked)
+    report.record("leibniz_sweep", sweep.violations, witness="tuple",
+                  detail="%d tuples" % sweep.checked)
     if tower.s is not None:
-        msweep = verify_module(tower, args.max_n, args.degree_cap, algebra)
-        report.check("module_sweep", msweep.ok,
-                     residual=None if msweep.ok
-                     else msweep.violations[0]["residual"],
-                     witness=None if msweep.ok
-                     else msweep.violations[0]["tuple"],
-                     detail="%d tuples" % msweep.checked)
+        sweep = verify_module(tower, args.max_n, args.degree_cap, algebra)
+        report.record("module_sweep", sweep.violations, witness="tuple",
+                      detail="%d tuples" % sweep.checked)
     for name, ok, witness in check_proof_identities(
             tower, witness_degree_cap=min(args.degree_cap, 2)):
         report.check(name, ok,
                      witness=None if ok else repr(witness))
-    return report, EXIT_OK if report.ok else EXIT_CHECK_FAILURE
 
 
-def cmd_symmetry(args):
+def cmd_symmetry(args, report, fixture):
     from .homotopy import symmetry_report
 
-    report = RunReport(["symmetry", args.input, "--depth", str(args.depth)])
-    fixture = _load(args.input, report)
-    pair = _validated_pair(fixture, report)
-    tower = _tower(fixture, pair, args)
-    verdict = symmetry_report(tower)
+    verdict = symmetry_report(_tower(fixture, args))
     for n in sorted(k for k in verdict if isinstance(k, int)):
         report.check("symmetric_arity_%d" % n, True,
                      detail="fully_symmetric=%s"
@@ -420,81 +373,71 @@ def cmd_symmetry(args):
                      witness=None if verdict[n]["witness"] is None
                      else repr(verdict[n]["witness"]))
     report.results["is_symmetric_tower"] = verdict["is_symmetric_tower"]
-    return report, EXIT_OK
 
 
-def _zoo_registry():
-    from .zoo import (
-        affine_bialgebra,
-        dual_numbers_algebra,
-        gl_un_tn,
-        heisenberg_pair,
-        sl2_borel_pair,
-        sl2_pair,
-        sl2_pair_swapped,
-    )
+# The flags each command's report echoes after its input path.
+_ECHOED = {
+    "validate": (), "atiyah": ("module",), "chern": ("module", "k"),
+    "todd": ("module",), "tower": ("depth",),
+    "verify": ("max_n", "degree_cap"), "symmetry": ("depth",),
+}
 
-    def sl2_fixture():
-        pair, modules = sl2_pair()
-        return dump_fixture(pair, modules,
-                            algebras={"dual_numbers":
-                                      dual_numbers_algebra(pair.dim_g)})
 
-    def sl2_swapped_fixture():
-        pair = sl2_pair_swapped()
-        return dump_fixture(pair, {"B": pair.quotient_module()})
+def _run(args):
+    """The one command path: load the fixture, then record every check of
+    the gate (validate) or pass it and run the command into its report."""
+    argv = [args.command, args.input]
+    for attr in _ECHOED[args.command]:
+        argv += ["--" + attr.replace("_", "-"), str(getattr(args, attr))]
+    report = RunReport(argv)
+    fixture = _load(args.input, report)
+    if args.command == "validate":
+        for name, violations, _ in _checks(fixture, everything=True):
+            report.record(name, violations)
+        return report
+    for _, violations, refusal in _checks(fixture):
+        if violations:
+            raise ValidationFailure(refusal)
+    args.func(args, report, fixture)
+    return report
 
-    def sl2_borel_fixture():
-        pair = sl2_borel_pair()
-        return dump_fixture(pair, {"B": pair.quotient_module()})
 
-    def heisenberg_fixture():
-        pair = heisenberg_pair()
-        return dump_fixture(pair, {"B": pair.quotient_module(),
-                                   "trivial": trivial_module(pair.dim_g, 1)})
+def _matrix_mult(fixture):
+    """A gl_un_tn fixture's row: its pair and multiplication connection."""
+    return fixture.pair, {}, {"matrix_mult": fixture.conn_mult.nabla}
 
-    def gl_fixture(n):
-        fx = gl_un_tn(n)
-        return dump_fixture(
-            fx.pair, {"B": fx.module_b},
-            connections={"matrix_mult": fx.conn_mult.nabla})
 
-    def affine_bialgebra_fixture():
-        pair = matched_sum(affine_bialgebra())
-        return dump_fixture(pair, {"B": pair.quotient_module()})
-
-    return {
-        "sl2": sl2_fixture,
-        "sl2_swapped": sl2_swapped_fixture,
-        "sl2_borel": sl2_borel_fixture,
-        "heisenberg": heisenberg_fixture,
-        "u2t2": lambda: gl_fixture(2),
-        "gl3": lambda: gl_fixture(3),
-        "affine_bialgebra": affine_bialgebra_fixture,
-    }
+# name -> (pair, modules, connections, algebras) of each built-in fixture, as
+# built from the zoo module; every export adds its quotient module as B.
+_ZOO = {
+    "sl2": lambda zoo: zoo.sl2_pair() + (None, {
+        "dual_numbers": zoo.dual_numbers_algebra(2)}),
+    "sl2_swapped": lambda zoo: (zoo.sl2_pair_swapped(), {}),
+    "sl2_borel": lambda zoo: (zoo.sl2_borel_pair(), {}),
+    "heisenberg": lambda zoo: (zoo.heisenberg_pair(),
+                               {"trivial": trivial_module(1, 1)}),
+    "u2t2": lambda zoo: _matrix_mult(zoo.gl_un_tn(2)),
+    "gl3": lambda zoo: _matrix_mult(zoo.gl_un_tn(3)),
+    "affine_bialgebra": lambda zoo: (matched_sum(zoo.affine_bialgebra()), {}),
+}
 
 
 def cmd_zoo(args):
-    from .zoo import random_module, random_pair
+    from . import zoo
 
-    registry = _zoo_registry()
     if args.action == "list":
-        names = sorted(registry) + ["random"]
-        print("\n".join(names))
-        return None, EXIT_OK
-    name = args.name
-    if name == "random":
-        pair = random_pair(args.seed)
-        doc = dump_fixture(pair, {
-            "B": pair.quotient_module(),
-            "rand2": random_module(pair, 2, args.seed + 1),
-        })
-    elif name in registry:
-        doc = registry[name]()
+        print("\n".join(sorted(_ZOO) + ["random"]))
+        return
+    if args.name == "random":
+        pair = zoo.random_pair(args.seed)
+        fixture = pair, {"rand2": zoo.random_module(pair, 2, args.seed + 1)}
+    elif args.name in _ZOO:
+        fixture = _ZOO[args.name](zoo)
     else:
-        raise ParseError("unknown zoo fixture %r" % name)
+        raise ParseError("unknown zoo fixture %r" % args.name)
+    pair, modules, *rest = fixture
+    doc = dump_fixture(pair, {"B": pair.quotient_module(), **modules}, *rest)
     print(json.dumps(doc, indent=2, sort_keys=True))
-    return None, EXIT_OK
 
 
 def build_parser():
@@ -516,7 +459,6 @@ def build_parser():
     p = sub.add_parser("validate", help="run all structural validators")
     p.add_argument("--input", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("atiyah", help="obstruction cocycle/class of a module")
     common(p, module_default="B")
@@ -577,7 +519,10 @@ def main(argv=None):
     if args.command == "chern" and args.k < 1:
         parser.error("--k must be at least 1")
     try:
-        report, exit_code = args.func(args)
+        if args.command == "zoo":
+            cmd_zoo(args)
+            return EXIT_OK
+        report = _run(args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -590,13 +535,14 @@ def main(argv=None):
     except NotACocycle as exc:
         print("internal invariant failure: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL_ERROR
-    if report is not None:
-        if args.json:
-            print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-        else:
-            print(report.render_text())
-    return exit_code
-
+    if args.json:
+        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+    else:
+        print(report.render_text())
+    if report.ok:
+        return EXIT_OK
+    return EXIT_VALIDATION_ERROR if args.command == "validate" \
+        else EXIT_CHECK_FAILURE
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -91,8 +91,9 @@ def _matrix(value, rows, cols, what):
 class Fixture:
     """A loaded fixture: the pair plus named modules/connections/algebras.
 
-    The name "B" always resolves to the quotient module unless the fixture
-    declares its own.
+    The name "B" resolves to the quotient module L/A.  A fixture may declare
+    "B" only as that module: the CLI refuses one that differs from it in
+    dimension or action with exit 3.
     """
 
     __slots__ = ("pair", "modules", "connections", "algebras")

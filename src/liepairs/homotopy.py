@@ -59,18 +59,16 @@ class NotCommutativeAlgebra(Exception):
 
 
 class SplittingTensors:
-    """The four tensors a splitting and a connection on B determine:
+    """The three tensors a splitting and a connection on B determine:
     delta[b] : g -> g, the projected bracket with the lifted b;
-    alpha_map[b1][b2] in g, the subalgebra part of complement brackets;
     beta[b1][b2] in B, the torsion of the connection on B;
     omega[b1][b2] in End(B), its curvature on complement pairs.
     """
 
-    __slots__ = ("delta", "alpha_map", "beta", "omega")
+    __slots__ = ("delta", "beta", "omega")
 
-    def __init__(self, delta, alpha_map, beta, omega):
+    def __init__(self, delta, beta, omega):
         self.delta = delta
-        self.alpha_map = alpha_map
         self.beta = beta
         self.omega = omega
 
@@ -78,8 +76,6 @@ class SplittingTensors:
 def splitting_tensors(pair: LiePair, conn_b: Connection) -> SplittingTensors:
     m, nb = pair.dim_g, pair.dim_b
     delta = [pair.d.ad(m + b, 0, m) for b in range(nb)]
-    alpha_map = [[pair.d.c[m + b1][m + b2][:m] for b2 in range(nb)]
-                 for b1 in range(nb)]
     beta = []
     for b1 in range(nb):
         row = []
@@ -92,7 +88,7 @@ def splitting_tensors(pair: LiePair, conn_b: Connection) -> SplittingTensors:
         beta.append(row)
     omega = [[curvature(conn_b, m + b1, m + b2) for b2 in range(nb)]
              for b1 in range(nb)]
-    return SplittingTensors(delta, alpha_map, beta, omega)
+    return SplittingTensors(delta, beta, omega)
 
 
 # -- the prepending covariant derivative ----------------------------------------

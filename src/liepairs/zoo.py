@@ -166,10 +166,9 @@ class UnitaryTriangularPair:
     """Matched pair of the unitary and triangular real forms, plus the
     multiplication connection nabla_X Y = XY on the triangular side."""
 
-    __slots__ = ("n", "matched", "pair", "module_b", "conn_mult", "conn_zero")
+    __slots__ = ("matched", "pair", "module_b", "conn_mult", "conn_zero")
 
-    def __init__(self, n, matched, pair, conn_mult):
-        self.n = n
+    def __init__(self, matched, pair, conn_mult):
         self.matched = matched
         self.pair = pair
         self.module_b = pair.quotient_module()
@@ -199,7 +198,7 @@ def gl_un_tn(n: int) -> UnitaryTriangularPair:
         gamma.append(Matrix.from_rows(
             [[cols[z][k] for z in range(nb)] for k in range(nb)]))
     conn = Connection(pair, module_b, list(module_b.action) + gamma)
-    return UnitaryTriangularPair(n, matched, pair, conn)
+    return UnitaryTriangularPair(matched, pair, conn)
 
 
 # -- bialgebras ----------------------------------------------------------------

@@ -4,6 +4,7 @@ Each evaluates what the library computes by a separate route: the
 differential of a graded element as a dense cochain through ce_diff and back,
 the brackets with that differential at arity one, the Leibniz and module
 identities as their own shuffle/Koszul loops over single brackets, the
+g-algebra axioms as products of whole basis vectors over the dense tables, the
 basis elements of Lambda g* (x) M (x C) enumerated afresh, and the product of
 Lambda g* (x) Lambda B* with the powers and traces of the obstruction matrix
 as tuple-keyed BiForm sums with wedge signs from merge_sign.  The dense
@@ -15,8 +16,15 @@ dense action matrices, and rank and solve by rref of the (augmented) matrix.
 from liepairs.atiyah import BiForm, atiyah_cocycle
 from liepairs.ce import Cochain, ce_diff
 from liepairs.homotopy import GradedElement, lambda_k, mu_k
-from liepairs.lie_core import tensor_module
-from liepairs.linalg import Matrix, rref
+from liepairs.lie_core import Report, check_module, tensor_module
+from liepairs.linalg import (
+    Matrix,
+    basis_vec,
+    rref,
+    vec_add,
+    vec_is_zero,
+    vec_sub,
+)
 from liepairs.multilinear import (
     enumerate_shuffles,
     exterior_basis,
@@ -391,3 +399,45 @@ def rref_solve(m, rhs):
     for r, col in enumerate(pivots):
         x[col] = red[r, m.cols]
     return x
+
+
+def _first_nonzero(vec):
+    return next((pos, x) for pos, x in enumerate(vec) if not x.is_zero())
+
+
+def dense_check_g_algebra(g, algebra):
+    """The g-algebra check the sparse one replaced: every identity formed
+    from products of whole basis vectors, entry by entry."""
+    report = Report("g_algebra")
+    report.entries.extend(check_module(g, algebra.module).entries)
+    d = algebra.dim
+    for i in range(d):
+        for j in range(i + 1, d):
+            res = vec_sub(algebra.mult[i][j], algebra.mult[j][i])
+            if not vec_is_zero(res):
+                where = _first_nonzero(res)
+                report.add("commutativity", (i, j, where[0]), where[1])
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                res = vec_sub(
+                    algebra.product(algebra.mult[i][j], basis_vec(d, k)),
+                    algebra.product(basis_vec(d, i), algebra.mult[j][k]),
+                )
+                if not vec_is_zero(res):
+                    where = _first_nonzero(res)
+                    report.add("associativity", (i, j, k, where[0]), where[1])
+    for a in range(g.dim):
+        rho = algebra.module.action[a]
+        for i in range(d):
+            for j in range(d):
+                lhs = rho.apply(algebra.mult[i][j])
+                rhs = vec_add(
+                    algebra.product(rho.apply(basis_vec(d, i)), basis_vec(d, j)),
+                    algebra.product(basis_vec(d, i), rho.apply(basis_vec(d, j))),
+                )
+                res = vec_sub(lhs, rhs)
+                if not vec_is_zero(res):
+                    where = _first_nonzero(res)
+                    report.add("derivation", (a, i, j, where[0]), where[1])
+    return report

@@ -445,6 +445,23 @@ def test_fixture_loader_refuses_a_repeated_mult_entry(capsys, tmp_path):
                    "(0, 1)\n")
 
 
+def test_validate_follows_the_nonzeros_of_an_algebra(capsys, tmp_path):
+    # a 60-dim algebra with an empty table and a zero action (18 KB) took
+    # 19.8 s when the check formed every product of basis vectors densely
+    dim = 60
+    path = tmp_path / "zero_algebra.json"
+    path.write_text(json.dumps({
+        "dim": 2, "dim_g": 1, "bracket": [], "algebra": {"Z": {
+            "dim": dim, "action": [[["0"] * dim for _ in range(dim)]],
+            "mult": []}}}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["validate", "--input", str(path), "--json"])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK
+    assert {"name": "algebra_Z", "status": "pass"} in json.loads(out)["checks"]
+    assert elapsed < 1.0, elapsed
+
+
 def _add_small_connection(doc):
     # 2 x 2 matrices, while sl2's quotient module B is 1-dimensional
     doc["connection"] = {"small": [[["0", "0"], ["0", "0"]]] * doc["dim"]}
@@ -491,6 +508,40 @@ def test_invalid_requests_exit_with_one_stderr_line(capsys, tmp_path, edit,
     failed = [c for c in json.loads(out)["checks"] if c["status"] == "fail"]
     assert [c["name"] for c in failed] == [check]
     assert failed[0]["residual"] and failed[0]["witness"]
+
+
+def _zero_b(dim):
+    """Replace sl2's module B by the zero module of dimension dim; its
+    quotient L/A is 1-dimensional with h acting by -2."""
+    def edit(doc):
+        doc["modules"]["B"] = {"dim": dim, "action": [
+            [["0"] * dim for _ in range(dim)]] * 2}
+    return edit
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_declared_b_must_be_the_quotient(capsys, tmp_path, dim):
+    # on the 2-dim zero B, validate exited 0 and atiyah --module B printed
+    # vanishes: true over a 4-dim obstruction space (the quotient gives false
+    # and 1); on the 1-dim one atiyah and verify --module B exited 0
+    path = tmp_path / "sl2.json"
+    path.write_bytes(_sl2_bytes())
+    _, out, _ = run(capsys, ["validate", "--input", str(path), "--json"])
+    valid = json.loads(out)["checks"]
+    path.write_bytes(_sl2_bytes(_zero_b(dim)))
+    code, out, err = run(capsys, ["validate", "--input", str(path), "--json"])
+    assert (code, err) == (EXIT_VALIDATION_ERROR, "")
+    checks = json.loads(out)["checks"]
+    mismatch = {"name": "module_B_matches_quotient", "status": "fail"}
+    assert checks == [mismatch if c["name"] == mismatch["name"] else c
+                      for c in valid]
+    line = ("validation error: module 'B' differs from the quotient module "
+            "L/A of dimension 1\n")
+    for argv in (["atiyah", "--module", "B"], ["chern", "--module", "B_dual"],
+                 ["todd"], ["tower"], ["verify", "--module", "B"],
+                 ["symmetry"]):
+        code, out, err = run(capsys, argv + ["--input", str(path), "--json"])
+        assert (code, out, err) == (EXIT_VALIDATION_ERROR, "", line), argv
 
 
 def test_verify_checks_the_algebra_once_per_run(capsys, tmp_path,
@@ -934,3 +985,86 @@ def test_fuzzed_fixtures_exit_2_or_3_with_one_stderr_line(fuzz_exports,
             code = main([command, "--input", str(path)])
         assert code in (EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR), command
         assert err.getvalue().count("\n") == 1, (command, err.getvalue())
+
+
+# -- byte gates on validate and zoo export ---------------------------------------
+
+# sha256 of stdout (and the exit code) of every zoo export and of validate
+# --json on three exports and on the two invalid sl2 fixtures of
+# test_invalid_requests_exit_with_one_stderr_line, each run from the directory
+# that holds its input, as the CLI printed them when validate and the
+# mathematical commands validated along two separate paths and the zoo table
+# was a set of builder functions.
+GATE_GOLDENS = {
+    "export_affine_bialgebra": [0, ("ead47dc25dce3d179a1923c34ce7998f"
+                                    "755c414b74ac0cff3091434ac90f4112")],
+    "export_gl3": [0, ("54de9db2a9c7b089f0c2e97d3463de9f"
+                       "1529a9f4789ba97b39a6513fa514ab59")],
+    "export_heisenberg": [0, ("4ca182a6e646f574da4ab49aee304a46"
+                              "6f1f45fee75ee4950afe8f3f04b90b08")],
+    "export_random_0": [0, ("4202db38acbe860cafbef4708ba59133"
+                            "a27a401716a949d41347a03ec9c22143")],
+    "export_random_1": [0, ("8b6fd88de28a3295f77eb9032d707c2d"
+                            "cd223fbe2b458a76f7763a42f398309f")],
+    "export_random_2": [0, ("10158becd90c30fb31d13f9176a84620"
+                            "5657364da148f790df0247dee0089d24")],
+    "export_sl2": [0, ("d26bd8a7605db0039b36db8be7a42944"
+                       "a4ebe57f556739be85c3bb9cd4ea9f79")],
+    "export_sl2_borel": [0, ("1c9b34ef03e95a384b1dcf4b4a28ff28"
+                             "bc3d6cb760336eedf6ca10a8d4e5b64c")],
+    "export_sl2_swapped": [0, ("18d853433f008a27a4e4d6326453915f"
+                               "9dd9f908023856fc79bebb6da82be4ec")],
+    "export_u2t2": [0, ("35115a8081e99c7a77ce1cd12c7f675b"
+                        "9812c554e73c1f0fe32801d883ca9e0c")],
+    "validate_bent_module": [3, ("d0eef43b9a95e2cd17fc02511e47c1dd"
+                                 "1580070120e46e3c555549de98c60dc8")],
+    "validate_broken_algebra": [3, ("c414328d7b8967a338fab724e9f7be85"
+                                    "7991fa00f1dbfb530a6a593b72f4c707")],
+    "validate_gl3": [0, ("0e5814c1f4fc55573e3a68117db6bf93"
+                         "5e18f17bc57dd1d3134fc00eb6c95f8f")],
+    "validate_random_1": [0, ("f6126794906fdb6c1de3e1df8c0dd058"
+                              "d6358c846f0070b1c439d01e69711386")],
+    "validate_sl2": [0, ("f89cdab3ada044cfecac21b14c44fb6a"
+                         "8d507251d1634671bb77f886c41c504b")],
+}
+
+
+def _gated_outputs():
+    """{gate name: (exit code, sha256 of stdout)}, writing the inputs into the
+    current directory."""
+    def stdout_of(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        return code, out.getvalue()
+
+    names = stdout_of(["zoo", "list"])[1].split()
+    exports = {"export_" + name: ["zoo", "export", name]
+               for name in names if name != "random"}
+    exports.update({"export_random_%d" % seed: [
+        "zoo", "export", "random", "--seed", str(seed)] for seed in range(3)})
+    gates = {}
+    for gate, argv in exports.items():
+        code, out = stdout_of(argv)
+        with open(gate[len("export_"):] + ".json", "w") as handle:
+            handle.write(out)
+        gates[gate] = (code, hashlib.sha256(out.encode()).hexdigest())
+    for name, edit in (("bent_module", _add_bent_module),
+                       ("broken_algebra", _break_dual_numbers)):
+        with open(name + ".json", "wb") as handle:
+            handle.write(_sl2_bytes(edit))
+    for name in ("sl2", "gl3", "random_1", "bent_module", "broken_algebra"):
+        code, out = stdout_of(["validate", "--input", name + ".json",
+                               "--json"])
+        gates["validate_" + name] = (code, hashlib.sha256(
+            out.encode()).hexdigest())
+    return gates
+
+
+def test_validate_and_zoo_export_byte_identical_to_goldens(monkeypatch,
+                                                           tmp_path):
+    monkeypatch.chdir(tmp_path)
+    gates = _gated_outputs()
+    assert sorted(gates) == sorted(GATE_GOLDENS)
+    for gate, got in gates.items():
+        assert list(got) == GATE_GOLDENS[gate], gate

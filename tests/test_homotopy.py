@@ -57,7 +57,6 @@ def test_splitting_tensors_sl2():
     assert st.delta[0].col(0) == [ZERO, ZERO]
     assert st.delta[0].col(1) == [g(-1), ZERO]
     # rank-one quotient kills the antisymmetric tensors
-    assert st.alpha_map[0][0] == [ZERO, ZERO]
     assert st.beta[0][0] == [ZERO]
     assert st.omega[0][0].is_zero()
 
@@ -70,8 +69,6 @@ def test_splitting_tensors_multiplication_connection():
         for j in range(nb):
             assert all(x.is_zero() for x in st.beta[i][j])
             assert st.omega[i][j].is_zero()
-            # matched pairs have no subalgebra component in complement brackets
-            assert all(x.is_zero() for x in st.alpha_map[i][j])
 
 
 def test_partial_nabla_constant_section():

@@ -1,7 +1,7 @@
-"""Import hygiene: every module of the package uses each name it imports,
-reads each private helper it defines somewhere, defines no public name that
-only the unit tests read, and the obstruction commands load only the layers
-they run.
+"""Import hygiene: every module of the package uses each name it imports and
+reads each parameter its functions take, reads each private helper it defines
+somewhere, defines no public name that only the unit tests read, and the
+obstruction commands load only the layers they run.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library alone.  ``__init__.py`` is exempt: its imports are the
@@ -49,6 +49,48 @@ def test_the_check_sees_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_parameters(source):
+    """(function, parameter) for each parameter of a function or lambda that
+    its body never reads, a read by a nested function included.  Dunder
+    methods are exempt: their signatures are the language's."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Lambda):
+            name, body = "<lambda>", [node.body]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            name, body = node.name, node.body
+        else:
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            arg for arg in (args.vararg, args.kwarg) if arg is not None]
+        reads = {sub.id for stmt in body for sub in ast.walk(stmt)
+                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        found += [(name, p.arg) for p in params if p.arg not in reads]
+    return sorted(found)
+
+
+def test_the_check_sees_an_unused_parameter():
+    source = ("def used(a, *rest, key=None, **extra):\n"
+              "    return a, rest, key, extra\n\n"
+              "def outer(x, unread, y=None):\n"
+              "    def inner(z):\n        return x + z\n"
+              "    return inner, lambda w, v: w\n\n"
+              "class C:\n    def __init__(self, ignored):\n        pass\n\n"
+              "    def method(self, n):\n        return n\n\n"
+              "async def fetch(*args, **kwargs):\n    return kwargs\n")
+    assert unused_parameters(source) == [
+        ("<lambda>", "v"), ("fetch", "args"), ("method", "self"),
+        ("outer", "unread"), ("outer", "y")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
 
 
 def definitions_and_reads(source):

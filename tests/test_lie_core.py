@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -48,6 +49,8 @@ from liepairs.zoo import (
     weighted_dual_numbers,
     zero_cobracket_bialgebra,
 )
+
+from oracles import dense_check_g_algebra
 
 
 def g(x):
@@ -529,6 +532,66 @@ def test_g_algebra_checks():
     report = check_g_algebra(LieAlgebra.zero(2), bad)
     assert any(e["check"] == "derivation" and e["residual"] == "-2"
                for e in report.entries)
+
+
+def _truncated_polynomials(n, weights):
+    """k[x]/(x^n) with g abelian of dim len(weights), basis vector a acting
+    by the derivation weights[a] * x d/dx."""
+    mult = [[[ONE if k == i + j else ZERO for k in range(n)]
+             for j in range(n)] for i in range(n)]
+    action = [Matrix.from_rows([[GaussScalar(w) * i if i == j else ZERO
+                                 for j in range(n)] for i in range(n)])
+              for w in weights]
+    return GAlgebra(GModule(n, action), mult)
+
+
+def _corrupted(algebra, kind, rng):
+    """A copy of algebra with one seeded Gaussian or fractional change that
+    breaks commutativity, associativity (a symmetric change) or the
+    derivation property (an action entry)."""
+    d = algebra.dim
+    mult = [[list(vec) for vec in row] for row in algebra.mult]
+    action = [Matrix.from_rows([[m[r, c] for c in range(d)] for r in range(d)])
+              for m in algebra.module.action]
+    value = rng.choice([GaussScalar(1, 1), GaussScalar(Fraction(1, 3)),
+                        GaussScalar(-2)])
+    i, j, k = (rng.randrange(d) for _ in range(3))
+    if kind == "commutativity":
+        j = (i + 1 + rng.randrange(d - 1)) % d
+        mult[i][j][k] = mult[i][j][k] + value
+    elif kind == "associativity":
+        mult[i][j][k] = mult[i][j][k] + value
+        if i != j:
+            mult[j][i][k] = mult[j][i][k] + value
+    else:
+        a = rng.randrange(len(action))
+        action[a].data[i * d + j] = action[a].data[i * d + j] + value
+    return GAlgebra(GModule(d, action), mult)
+
+
+def test_g_algebra_check_matches_dense_oracle():
+    # the sparse check reports every violation the dense products find,
+    # in the same order, with the same residuals
+    pair, _ = sl2_pair()
+    zero2 = LieAlgebra.zero(2)
+    cases = [(zero2, unit_algebra(2)), (zero2, dual_numbers_algebra(2)),
+             (pair.g_algebra(), weighted_dual_numbers(pair, [1, 0])),
+             (pair.g_algebra(), weighted_dual_numbers(pair, [0, 1])),
+             (zero2, _truncated_polynomials(4, [1, -2])),
+             (zero2, _truncated_polynomials(5, [0, 1]))]
+    rng = random.Random(20)
+    for g, algebra in list(cases):
+        for kind in ("commutativity", "associativity", "derivation"):
+            if kind == "commutativity" and algebra.dim == 1:
+                continue
+            for _ in range(6):
+                cases.append((g, _corrupted(algebra, kind, rng)))
+    failing = 0
+    for g, algebra in cases:
+        got = check_g_algebra(g, algebra).entries
+        assert got == dense_check_g_algebra(g, algebra).entries
+        failing += bool(got)
+    assert failing >= 50
 
 
 def test_weighted_dual_numbers_flatness_constraint():
