@@ -1,20 +1,21 @@
 """Command-line surface: batch validation and verification over JSON fixtures.
 
-Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 unreadable or
-malformed input (including a dimension that is not an integer >= 0, or a
-bracket table, module End(E) matrix or algebra multiplication table above
-2^22 entries), an out-of-range flag, an `atiyah`, `chern`, `todd`, `tower`
-or `verify` request whose --module E has End(E) matrices of (dim E)^4 entries
-above 2^22 (dim E above 45), a `todd` request whose depth
-min(dim g, dim B) is above 8 (TODD_MAX_DEPTH), or a `tower`, `verify` or
-`symmetry` request whose largest tensor would span a dense index range of
-more than 2^22 entries (TOWER_MAX_ENTRIES), 3 structurally valid input that
-fails validation (a declared module B that differs from the quotient module
-L/A in dimension or action among it; every command but `zoo` refuses such a
-fixture), 4 an internal invariant failure (an output the library
-guarantees closed failed its cocycle check: a bug in liepairs, not bad
-input).  Output is deterministic; --json disables the timing line so
-identical inputs give byte-identical reports.
+Exit codes (README.md states every refusal in full):
+  0  all checks pass;
+  1  a mathematical check failed;
+  2  unreadable or malformed input, an out-of-range flag, or a request above
+     a size cap: a fixture table (fixture_io.MAX_DENSE_ENTRIES), the End(E)
+     matrices of --module E, a `todd` depth above TODD_MAX_DEPTH, a tower
+     index range above TOWER_MAX_ENTRIES (one of more than 4,000 digits
+     refused without being formed), or the B (x) C, or E (x) C, that
+     `verify --algebra C` differentiates on;
+  3  structurally valid input that fails the validation gate (see _checks),
+     which every command but `zoo` runs: an invalid pair, module, declared B
+     other than L/A, or algebra, named by --algebra or not;
+  4  an internal invariant failure: an output the library guarantees closed
+     failed its cocycle check, a bug in liepairs, not bad input.
+Output is deterministic; --json disables the timing line so identical inputs
+give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import hashlib
 import json
 import sys
 import time
-from math import comb
+from math import comb, log10
 
 from .fixture_io import (
     MAX_DENSE_ENTRIES,
@@ -84,6 +85,8 @@ class RunReport:
         self.results = {}
         self.started = time.monotonic()
         self.input_digest = None
+        # the gate's violations by check name, none once a command runs
+        self.gate = {}
 
     def check(self, name, ok, residual=None, witness=None, detail=None):
         entry = {"name": name, "status": "pass" if ok else "fail"}
@@ -155,10 +158,10 @@ def _load(path, report):
 
 def _checks(fixture, everything=False):
     """The validation gate: (check name, violations, refusal) for each check
-    a fixture's pair and modules must pass, and with everything validate's
-    further checks, in validate's order.  A check passes when its violations
-    are none; a command refused by it prints refusal.  Past a failing bracket
-    or subalgebra check nothing more is checked."""
+    a fixture's pair, modules and algebras must pass, and with everything
+    validate's further checks, in validate's order.  A check passes when its
+    violations are none; a command refused by it prints refusal.  Past a
+    failing bracket or subalgebra check nothing more is checked."""
     pair = fixture.pair
     lie = validate_lie_algebra(pair.d).entries
     yield "lie_algebra", lie, lie and "invalid bracket: %s" % lie[0]
@@ -186,25 +189,32 @@ def _checks(fixture, everything=False):
             yield ("module_B_matches_quotient", [] if same else [{}],
                    "module 'B' differs from the quotient module L/A of "
                    "dimension %d" % quotient.dim)
+    for name, alg in sorted(fixture.algebras.items()):
+        found = check_g_algebra(gsub, alg).entries
+        yield ("algebra_%s" % name, found,
+               found and "algebra %r: %s" % (name, found[0]))
     if not everything:
         return
-    for name, alg in sorted(fixture.algebras.items()):
-        yield "algebra_%s" % name, check_g_algebra(gsub, alg).entries, None
     for name, mats in sorted(fixture.connections.items()):
         shapes = len(mats) == pair.dim_d and all(
             m.rows == m.cols == mats[0].rows for m in mats)
         yield "connection_%s_shape" % name, [] if shapes else [{}], None
 
 
+def _capped(args, needs, entries, cap=MAX_DENSE_ENTRIES):
+    """Refuse a request, before anything is built, when a dense table it
+    needs has more than cap entries."""
+    if entries > cap:
+        raise RequestTooLarge("%s: %s %d entries, above %d" % (
+            args.command, needs, entries, cap))
+
+
 def _module(fixture, args):
-    """The requested module, refused before End(E) is built when its dense
-    action matrices of (dim E)^4 entries each would be above the cap."""
+    """The requested module, refused when its End(E) action matrices of
+    (dim E)^4 entries each would be above the cap."""
     module = fixture.module(args.module)
-    if module.dim ** 4 > MAX_DENSE_ENTRIES:
-        raise RequestTooLarge("%s: --module %s needs End(E) matrices of %d "
-                              "entries, above %d" % (args.command, args.module,
-                                                     module.dim ** 4,
-                                                     MAX_DENSE_ENTRIES))
+    _capped(args, "--module %s needs End(E) matrices of" % args.module,
+            module.dim ** 4)
     return module
 
 
@@ -302,6 +312,13 @@ def _tower(fixture, args):
     if getattr(args, "module", None):
         module = _module(fixture, args)
         conn_e = extend_by_zero(pair, module)
+    if pair.dim_g and pair.dim_b > 1 \
+            and (args.depth + 1) * log10(pair.dim_b) > 4000:
+        # dim_b ** (depth + 1) is refused unformed past 4,000 digits: Python
+        # prints no int of more than 4,300 (--depth 7,150 on u2t2)
+        raise RequestTooLarge("%s: --depth %d needs a dense index range above "
+                              "%d entries" % (args.command, args.depth,
+                                              TOWER_MAX_ENTRIES))
     # dense index ranges: R_depth has one form and depth + 1 B-indices, its
     # differential under verify two forms, S_depth depth - 1 slots in End(E)
     forms = max(pair.dim_g, comb(pair.dim_g, 2)) if args.command == "verify" \
@@ -310,10 +327,8 @@ def _tower(fixture, args):
     if module is not None:
         entries = max(entries, pair.dim_g * pair.dim_b ** (args.depth - 1)
                       * module.dim ** 2)
-    if entries > TOWER_MAX_ENTRIES:
-        raise RequestTooLarge("%s: --depth %d needs a dense index range of %d "
-                              "entries, above %d" % (args.command, args.depth,
-                                                     entries, TOWER_MAX_ENTRIES))
+    _capped(args, "--depth %d needs a dense index range of" % args.depth,
+            entries, TOWER_MAX_ENTRIES)
     return build_tower(pair, conn_b, depth=args.depth, module=module,
                        conn_e=conn_e)
 
@@ -341,14 +356,18 @@ def cmd_verify(args, report, fixture):
         if args.algebra not in fixture.algebras:
             raise ParseError("unknown algebra %r" % args.algebra)
         algebra = fixture.algebras[args.algebra]
-        rep = check_g_algebra(fixture.pair.g_algebra(), algebra)
-        if not rep.ok:
-            raise ValidationFailure("algebra %r: %s"
-                                    % (args.algebra, rep.entries[0]))
-    # the three checks share one run state, the algebra's report included
+        # the sweeps differentiate on B (x) C, and E (x) C under --module E,
+        # whose dense action matrices are capped as End(E)'s are
+        for name in ["B"] + ([args.module] if args.module else []):
+            _capped(args, "--algebra %s makes %s (x) C act by matrices of"
+                    % (args.algebra, name),
+                    (fixture.module(name).dim * algebra.dim) ** 2)
+    # the three checks share one run state, the gate's verdict on the
+    # algebra included
     tower = _tower(fixture, args).cached_view()
     if algebra is not None:
-        tower.once(("algebra", algebra), lambda: rep)
+        tower.once(("algebra", algebra),
+                   lambda: report.gate["algebra_%s" % args.algebra])
     sweep = verify_leibniz(tower, args.max_n, args.degree_cap, algebra)
     report.record("leibniz_sweep", sweep.violations, witness="tuple",
                   detail="%d tuples" % sweep.checked)
@@ -395,9 +414,10 @@ def _run(args):
         for name, violations, _ in _checks(fixture, everything=True):
             report.record(name, violations)
         return report
-    for _, violations, refusal in _checks(fixture):
+    for name, violations, refusal in _checks(fixture):
         if violations:
             raise ValidationFailure(refusal)
+        report.gate[name] = violations
     args.func(args, report, fixture)
     return report
 

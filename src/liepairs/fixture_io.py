@@ -9,11 +9,13 @@ Schema:
 
 Scalars are strings "a/b" or "a/b+c/d*i"; plain integers are accepted.
 Every "dim" is a JSON integer >= 0, and a fixture is refused before anything
-is allocated when a dense table it implies would exceed MAX_DENSE_ENTRIES:
-the bracket table (dim^3 structure constants), a module's End(E) matrices
-(dim^2 entries each, one per basis vector in a connection) or an algebra's
-multiplication table (dim^3).  Structural problems raise ParseError;
-mathematical invalidity is the validators' business, not the loader's.
+is allocated when a table it implies would exceed MAX_DENSE_ENTRIES: the
+bracket table (dim^3 structure constants), a module's End(E) matrices (dim^2
+entries each, one per basis vector in a connection) or an algebra's dim^3.
+An algebra keeps only the nonzero terms of its products (see GAlgebra), so
+its cap bounds what a file can list, dim^2 mult entries of dim coefficients
+each, not a table.  Structural problems raise ParseError; mathematical
+invalidity is the validators' business, not the loader's.
 """
 
 from __future__ import annotations
@@ -53,13 +55,30 @@ def _capped(value, power, what):
     return value
 
 
-def _entries(spec, key, owner):
-    """spec[key] as the list of [i, j, [coeffs]] entries of a sparse table."""
+def _entries(spec, key, owner, what, dim, antisymmetric=False):
+    """(i, j, coefficient vector) for each [i, j, [coeffs]] entry of the
+    sparse table spec[key], named what in messages.  An entry is refused when
+    its pair of indices repeats; an antisymmetric table omits its diagonal,
+    and its (j, i) repeats its (i, j)."""
     value = spec.get(key, [])
     if not isinstance(value, list):
         raise ParseError("%s %r must be a list of [i, j, [coeffs]] entries"
                          % (owner, key))
-    return value
+    seen = set()
+    for entry in value:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise ParseError("%s entries are [i, j, [coeffs]]" % what)
+        i, j, coeffs = entry
+        if type(i) is not int or type(j) is not int \
+                or not 0 <= i < dim or not 0 <= j < dim:
+            raise ParseError("%s indices out of range" % what)
+        if antisymmetric and i == j:
+            raise ParseError("%s of a vector with itself must be omitted"
+                             % what)
+        if (i, j) in seen:
+            raise ParseError("duplicate %s entry (%d, %d)" % (what, i, j))
+        seen.update([(i, j), (j, i)] if antisymmetric else [(i, j)])
+        yield i, j, _vector(coeffs, dim, "%s (%d, %d)" % (what, i, j))
 
 
 def _scalar(value):
@@ -121,20 +140,8 @@ def load_fixture(doc) -> Fixture:
         raise ParseError("dim_g out of range")
     _capped(dim, 3, "'dim'")
     algebra = LieAlgebra.zero(dim)
-    seen = set()
-    for entry in _entries(doc, "bracket", "fixture"):
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ParseError("bracket entries are [i, j, [coeffs]]")
-        i, j, coeffs = entry
-        if type(i) is not int or type(j) is not int \
-                or not 0 <= i < dim or not 0 <= j < dim:
-            raise ParseError("bracket indices out of range")
-        if i == j:
-            raise ParseError("bracket of a vector with itself must be omitted")
-        if (i, j) in seen or (j, i) in seen:
-            raise ParseError("duplicate bracket entry (%d, %d)" % (i, j))
-        seen.add((i, j))
-        vec = _vector(coeffs, dim, "bracket (%d, %d)" % (i, j))
+    for i, j, vec in _entries(doc, "bracket", "fixture", "bracket", dim,
+                              antisymmetric=True):
         algebra.c[i][j] = vec
         algebra.c[j][i] = [-x for x in vec]
     pair = LiePair(algebra, dim_g)
@@ -185,22 +192,14 @@ def load_fixture(doc) -> Fixture:
         module = GModule(
             adim, [_matrix(m, adim, adim, "algebra %r action" % name)
                    for m in action])
-        mult = [[[GaussScalar(0)] * adim for _ in range(adim)]
-                for _ in range(adim)]
-        seen = set()
-        for entry in _entries(spec, "mult", "algebra %r" % name):
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise ParseError("algebra mult entries are [i, j, [coeffs]]")
-            i, j, coeffs = entry
-            if type(i) is not int or type(j) is not int \
-                    or not 0 <= i < adim or not 0 <= j < adim:
-                raise ParseError("algebra mult indices out of range")
-            # mult is not antisymmetric: (j, i) is an entry of its own
-            if (i, j) in seen:
-                raise ParseError("duplicate algebra %r mult entry (%d, %d)"
-                                 % (name, i, j))
-            seen.add((i, j))
-            mult[i][j] = _vector(coeffs, adim, "algebra mult")
+        # mult is not antisymmetric: (j, i) is an entry of its own, and an
+        # all-zero entry stores nothing
+        mult = {}
+        for i, j, vec in _entries(spec, "mult", "algebra %r" % name,
+                                  "algebra %r mult" % name, adim):
+            terms = [(k, x) for k, x in enumerate(vec) if not x.is_zero()]
+            if terms:
+                mult[i, j] = terms
         algebras[name] = GAlgebra(module, mult)
 
     return Fixture(pair, modules, connections, algebras)
@@ -233,11 +232,11 @@ def dump_fixture(pair: LiePair, modules=None, connections=None,
         doc["algebra"] = {}
         for name, alg in algebras.items():
             mult = []
-            for i in range(alg.dim):
-                for j in range(alg.dim):
-                    vec = alg.mult[i][j]
-                    if any(not x.is_zero() for x in vec):
-                        mult.append([i, j, [format_scalar(x) for x in vec]])
+            for (i, j), terms in sorted(alg.mult.items()):
+                vec = ["0"] * alg.dim
+                for k, x in terms:
+                    vec[k] = format_scalar(x)
+                mult.append([i, j, vec])
             doc["algebra"][name] = {
                 "dim": alg.dim,
                 "action": [_matrix_json(m) for m in alg.module.action],

@@ -12,7 +12,7 @@ conventions fixed once:
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import partial
 from itertools import product
 from math import prod
 
@@ -34,7 +34,7 @@ from .lie_core import (
     tensor_module,
     trivial_module,
 )
-from .linalg import basis_vec, vec_is_zero, zero_vec
+from .linalg import zero_vec
 from .multilinear import (
     exterior_basis,
     exterior_index,
@@ -186,8 +186,9 @@ class BracketTower:
         effective);
       * the first failure, or None, of each lemma instance (see
         _lemma_failures), and the coefficient algebra's check_g_algebra
-        report under ("algebra", algebra) (see _sweep; `liepairs verify`
-        puts there the report it checked before building the tower).
+        violations under ("algebra", algebra) (see _sweep; `liepairs verify`
+        puts there the violations its validation gate found for the named
+        algebra, so a run checks each algebra once).
 
     verify_leibniz, verify_module and check_proof_identities read the view
     they are given, or make a fresh one from a plain tower; `liepairs verify`
@@ -457,7 +458,8 @@ def _contract(slices, args, signed, mdim, algebra=None) -> GradedElement:
     terms' forms are wedged left to right, then each hit's form is wedged on.
     The sign is the product of the merge signs and (-1)^(form degree) of the
     term chosen from each argument whose position is in signed.  With an
-    algebra, the terms' algebra indices are multiplied in argument order.
+    algebra, the terms' algebra indices are multiplied in argument order
+    (see GAlgebra.basis_products), and a zero product skips the choice.
     """
     cdim = algebra.dim if algebra is not None else None
     out = GradedElement(args[0].pair, mdim, cdim)
@@ -481,10 +483,10 @@ def _contract(slices, args, signed, mdim, algebra=None) -> GradedElement:
                 if len(keys[i][0]) % 2:
                     sign = -sign
             if cdim is not None:
-                cvec = reduce(algebra.product,
-                              [basis_vec(cdim, key[2]) for key in keys])
-                cvec = [(t, cv) for t, cv in enumerate(cvec)
-                        if not cv.is_zero()]
+                found = algebra.basis_products([(key[2],) for key in keys])
+                if not found:
+                    continue
+                cterms = found[0][1]
             for form, v_out, c in hits:
                 ins = merge_sign(merged, form)
                 if ins is None:
@@ -495,7 +497,7 @@ def _contract(slices, args, signed, mdim, algebra=None) -> GradedElement:
                 if cdim is None:
                     out.add_term((ins[1], v_out), term)
                 else:
-                    for t, cv in cvec:
+                    for t, cv in cterms.items():
                         out.add_term((ins[1], v_out, t), term * cv)
     return out
 
@@ -599,16 +601,11 @@ def _basis_elements(pair: LiePair, mdim: int, degree_cap: int,
                     algebra: GAlgebra = None):
     """Basis-decomposable elements of Lambda g* (x) M (x C) up to degree cap,
     for an mdim-dimensional M."""
-    cdim = algebra.dim if algebra is not None else None
-    out = []
-    for gt in _forms(pair.dim_g, degree_cap):
-        for e in range(mdim):
-            if cdim is None:
-                out.append(GradedElement.basis(pair, mdim, gt, e))
-            else:
-                for c in range(cdim):
-                    out.append(GradedElement.basis(pair, mdim, gt, e, cdim, c))
-    return out
+    algebra_indices = [(None, None)] if algebra is None \
+        else [(algebra.dim, c) for c in range(algebra.dim)]
+    return [GradedElement.basis(pair, mdim, gt, e, *cc)
+            for gt in _forms(pair.dim_g, degree_cap) for e in range(mdim)
+            for cc in algebra_indices]
 
 
 # -- factoring through Omega_A-multilinearity ------------------------------------
@@ -798,8 +795,9 @@ def _degree0_residuals(tower, n, module_side=False, algebra=None):
     module.  At n >= 2 it comes from one tensor of all degree-0 residuals
     (the run's coherence tensor, or _module_into on the module side), sliced
     by tuple.  With an algebra the residual on (b_1 (x) c_1, ..) is the
-    slice at b times c_1 .. c_n, multiplied in argument order; its pool
-    indices are b_i * dim C + c_i.  A plain tower is read through a fresh
+    slice at b times c_1 .. c_n, multiplied in argument order, and a tuple
+    whose product is zero is never formed (see GAlgebra.basis_products); its
+    pool indices are b_i * dim C + c_i.  A plain tower is read through a fresh
     cached view."""
     tower = tower.cached_view()
     pair = tower.pair
@@ -822,13 +820,11 @@ def _degree0_residuals(tower, n, module_side=False, algebra=None):
                                                      for form, out, c in hits})
                 for bt, hits in slices.items()}
     cdim = algebra.dim
-    products = [(cs, reduce(algebra.product, [basis_vec(cdim, c) for c in cs]))
-                for cs in product(range(cdim), repeat=n)]
+    products = algebra.basis_products([range(cdim)] * n)
     return {tuple(b * cdim + c for b, c in zip(bt, cs)): GradedElement(
                 pair, mdim, cdim, {(f, o, t): c * cv for f, o, c in hits
-                                   for t, cv in enumerate(cvec)})
-            for bt, hits in slices.items() for cs, cvec in products
-            if not vec_is_zero(cvec)}
+                                   for t, cv in cterms.items()})
+            for bt, hits in slices.items() for cs, cterms in products}
 
 
 def _sweep(tower: BracketTower, identity, max_n, degree_cap, last, brackets,
@@ -852,9 +848,9 @@ def _sweep(tower: BracketTower, identity, max_n, degree_cap, last, brackets,
     pair = tower.pair
     if algebra is not None:
         found = tower.once(("algebra", algebra), lambda: check_g_algebra(
-            pair.g_algebra(), algebra))
-        if not found.ok:
-            raise NotCommutativeAlgebra(found.entries[0])
+            pair.g_algebra(), algebra).entries)
+        if found:
+            raise NotCommutativeAlgebra(found[0])
     report = VerifyReport(identity)
     forms = _forms(pair.dim_g, degree_cap)
     sides = ["v"] if last == "v" else ["v", last]

@@ -15,10 +15,9 @@ from .linalg import (
     solve,
     vec_add,
     vec_is_zero,
-    vec_sub,
     zero_vec,
 )
-from .scalars import ZERO, as_scalar
+from .scalars import ONE, ZERO, as_scalar
 
 
 class NotACocycle(Exception):
@@ -108,7 +107,18 @@ class LieAlgebra:
 
     def bracket(self, u, v):
         """Bracket of coordinate vectors, extended bilinearly."""
-        return _table_product(self.c, u, v)
+        out = zero_vec(self.dim)
+        for i, a in enumerate(u):
+            if a.is_zero():
+                continue
+            for j, b in enumerate(v):
+                if b.is_zero():
+                    continue
+                coeff = a * b
+                for k, x in enumerate(self.c[i][j]):
+                    if not x.is_zero():
+                        out[k] = out[k] + coeff * x
+        return out
 
     def ad(self, i, lo=0, hi=None):
         """Matrix of ad(x_i) on coordinates, restricted to the square block of
@@ -118,23 +128,6 @@ class LieAlgebra:
         row = self.c[i]
         return Matrix.from_rows([[row[j][k] for j in range(lo, hi)]
                                  for k in range(lo, hi)])
-
-
-def _table_product(table, u, v):
-    """sum_(i,j) u_i v_j table[i][j]: the bilinear product a structure
-    tensor defines on coordinate vectors."""
-    out = zero_vec(len(table))
-    for i, a in enumerate(u):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(v):
-            if b.is_zero():
-                continue
-            coeff = a * b
-            for k, x in enumerate(table[i][j]):
-                if not x.is_zero():
-                    out[k] = out[k] + coeff * x
-    return out
 
 
 def validate_lie_algebra(g: LieAlgebra) -> Report:
@@ -404,65 +397,82 @@ def direct_sum_module(m1: GModule, m2: GModule) -> GModule:
 
 
 class GAlgebra:
-    """Commutative associative algebra with the subalgebra acting by derivations."""
+    """Commutative associative algebra with the subalgebra acting by derivations.
+
+    mult maps (i, j) to the nonzero terms [(k, coeff), ...] of e_i e_j; a zero
+    product of basis vectors has no key.
+    """
 
     __slots__ = ("module", "mult")
 
     def __init__(self, module: GModule, mult):
         self.module = module
-        self.mult = [[[as_scalar(x) for x in vec] for vec in row] for row in mult]
-        d = module.dim
-        if len(self.mult) != d or any(len(r) != d for r in self.mult):
-            raise ValueError("mult tensor must be dim x dim")
+        self.mult = mult
 
     @property
     def dim(self):
         return self.module.dim
 
-    def product(self, u, v):
-        return _table_product(self.mult, u, v)
+    def basis_products(self, factors):
+        """[(cs, terms)]: for each choice cs of one basis index from each of
+        factors, in product order, the nonzero terms {k: coeff} of
+        e_c1 ... e_cn, multiplied left to right; a zero partial product is
+        not extended."""
+        level = [((c,), {c: ONE}) for c in factors[0]]
+        for choices in factors[1:]:
+            level = [(cs + (c,), prod) for cs, terms in level for c in choices
+                     if (prod := _times(self.mult, terms.items(), [(c, ONE)]))]
+        return level
 
-    def product_basis(self, i, j):
-        return self.mult[i][j]
+
+def _times(mult, u, v, acc=None):
+    """The nonzero entries of acc, a map index -> coeff (empty by default),
+    plus u v, for lists u and v of (basis index, coeff) terms multiplied
+    through a map of nonzero basis products (see GAlgebra)."""
+    acc = {} if acc is None else dict(acc)
+    for s, x in u:
+        for t, y in v:
+            for k, z in mult.get((s, t), ()):
+                acc[k] = acc.get(k, ZERO) + x * y * z
+    return {k: x for k, x in acc.items() if not x.is_zero()}
 
 
 def check_g_algebra(g: LieAlgebra, algebra: GAlgebra) -> Report:
     """Commutativity, associativity, derivation property; exact residuals.
 
-    Each identity on basis vectors is summed over the nonzero entries of the
-    multiplication table and of the action matrices' columns only, so the
-    work follows the nonzeros, into a dense vector whose first nonzero
-    coordinate names the violation.
+    Each identity on basis vectors is formed only where a nonzero product or
+    a nonzero column of an action matrix reaches it, and is summed over
+    those nonzeros; the lowest index of a nonzero residual names the
+    violation.
     """
     report = Report("g_algebra")
     report.entries.extend(check_module(g, algebra.module).entries)
     d = algebra.dim
     mult = algebra.mult
-    nz = [[[(k, x) for k, x in enumerate(vec) if not x.is_zero()]
-           for vec in row] for row in mult]
-    # cols[s]: the k with e_s e_k != 0
-    cols = [{k for k in range(d) if nz[s][k]} for s in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            if nz[i][j] or nz[j][i]:
-                where = _first_nonzero(vec_sub(mult[i][j], mult[j][i]))
-                if where is not None:
-                    report.add("commutativity", (i, j, where[0]), where[1])
-    for i in range(d):
-        for j in range(d):
-            # (e_i e_j) e_k - e_i (e_j e_k) can be nonzero only for these k
-            ks = cols[j].union(*(cols[s] for s, _ in nz[i][j]))
-            for k in sorted(ks):
-                res = [ZERO] * d
-                for s, x in nz[i][j]:
-                    for t, y in nz[s][k]:
-                        res[t] = res[t] + x * y
-                for t, x in nz[j][k]:
-                    for u, y in nz[i][t]:
-                        res[u] = res[u] - x * y
-                where = _first_nonzero(res)
-                if where is not None:
-                    report.add("associativity", (i, j, k, where[0]), where[1])
+
+    def add(check, where, residual):
+        if residual:
+            k = min(residual)
+            report.add(check, where + (k,), residual[k])
+
+    for i, j in sorted({(min(key), max(key)) for key in mult
+                        if key[0] != key[1]}):
+        # e_i e_j - e_j e_i
+        add("commutativity", (i, j), _times(
+            mult, [(j, -ONE)], [(i, ONE)], dict(mult.get((i, j), ()))))
+    rows = {}  # rows[s]: the k with e_s e_k != 0
+    for s, k in sorted(mult):
+        rows.setdefault(s, []).append(k)
+    # (e_i e_j) e_k - e_i (e_j e_k) vanishes unless e_i has a nonzero product
+    # and e_i e_j or e_j e_k is nonzero
+    for i in sorted(rows):
+        for j in sorted(set(rows).union(rows[i])):
+            ij = mult.get((i, j), ())
+            for k in sorted(set(rows.get(j, ())).union(
+                    *(rows.get(s, ()) for s, _ in ij))):
+                res = _times(mult, ij, [(k, ONE)])
+                add("associativity", (i, j, k), _times(
+                    mult, [(i, -ONE)], mult.get((j, k), ()), res))
     for a in range(g.dim):
         rho = algebra.module.action[a]
         # rcol[i]: the nonzero entries (s, rho[s, i]) of column i
@@ -472,22 +482,16 @@ def check_g_algebra(g: LieAlgebra, algebra: GAlgebra) -> Report:
             continue
         for i in range(d):
             for j in range(d):
-                if not (nz[i][j] or rcol[i] or rcol[j]):
+                if not ((i, j) in mult or rcol[i] or rcol[j]):
                     continue
                 # rho(e_i e_j) - rho(e_i) e_j - e_i rho(e_j)
-                res = [ZERO] * d
-                for k, x in nz[i][j]:
+                res = {}
+                for k, x in mult.get((i, j), ()):
                     for r, y in rcol[k]:
-                        res[r] = res[r] + y * x
-                for s, x in rcol[i]:
-                    for t, y in nz[s][j]:
-                        res[t] = res[t] - x * y
-                for t, x in rcol[j]:
-                    for u, y in nz[i][t]:
-                        res[u] = res[u] - x * y
-                where = _first_nonzero(res)
-                if where is not None:
-                    report.add("derivation", (a, i, j, where[0]), where[1])
+                        res[r] = res.get(r, ZERO) + y * x
+                res = _times(mult, rcol[i], [(j, -ONE)], res)
+                add("derivation", (a, i, j),
+                    _times(mult, [(i, -ONE)], rcol[j], res))
     return report
 
 

@@ -278,10 +278,6 @@ def vec_add(u, v):
     return [a + b for a, b in zip(u, v)]
 
 
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
 def vec_is_zero(v):
     return all(a.is_zero() for a in v)
 

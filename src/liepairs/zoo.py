@@ -99,30 +99,25 @@ def _matrix_units(n):
     return unit
 
 
+def _upper(n):
+    """The positions (k, l) above the diagonal of an n x n matrix."""
+    return [(k, l) for k in range(n) for l in range(k + 1, n)]
+
+
 def _u_basis(n):
     unit = _matrix_units(n)
     i = GaussScalar(0, 1)
-    basis = [unit(k, k, i) for k in range(n)]
-    for k in range(n):
-        for l in range(k + 1, n):
-            basis.append(unit(k, l) - unit(l, k))
-    for k in range(n):
-        for l in range(k + 1, n):
-            basis.append(unit(k, l, i) + unit(l, k, i))
-    return basis
+    return ([unit(k, k, i) for k in range(n)]
+            + [unit(k, l) - unit(l, k) for k, l in _upper(n)]
+            + [unit(k, l, i) + unit(l, k, i) for k, l in _upper(n)])
 
 
 def _t_basis(n):
     unit = _matrix_units(n)
     i = GaussScalar(0, 1)
-    basis = [unit(k, k) for k in range(n)]
-    for k in range(n):
-        for l in range(k + 1, n):
-            basis.append(unit(k, l))
-    for k in range(n):
-        for l in range(k + 1, n):
-            basis.append(unit(k, l, i))
-    return basis
+    return ([unit(k, k) for k in range(n)]
+            + [unit(k, l) for k, l in _upper(n)]
+            + [unit(k, l, i) for k, l in _upper(n)])
 
 
 def _split_anti_hermitian(z: Matrix):
@@ -141,25 +136,18 @@ def _split_anti_hermitian(z: Matrix):
 
 
 def _u_coords(n, u: Matrix):
-    coords = [GaussScalar(u[k, k].im) for k in range(n)]
-    for k in range(n):
-        for l in range(k + 1, n):
-            coords.append(GaussScalar(u[k, l].re))
-    for k in range(n):
-        for l in range(k + 1, n):
-            coords.append(GaussScalar(u[k, l].im))
-    return coords
+    return [GaussScalar(u[k, k].im) for k in range(n)] + _upper_coords(n, u)
 
 
 def _t_coords(n, t: Matrix):
-    coords = [GaussScalar(t[k, k].re) for k in range(n)]
-    for k in range(n):
-        for l in range(k + 1, n):
-            coords.append(GaussScalar(t[k, l].re))
-    for k in range(n):
-        for l in range(k + 1, n):
-            coords.append(GaussScalar(t[k, l].im))
-    return coords
+    return [GaussScalar(t[k, k].re) for k in range(n)] + _upper_coords(n, t)
+
+
+def _upper_coords(n, m: Matrix):
+    """The real parts of m's entries above the diagonal, then their
+    imaginary parts: the off-diagonal coordinates in either basis."""
+    return ([GaussScalar(m[k, l].re) for k, l in _upper(n)]
+            + [GaussScalar(m[k, l].im) for k, l in _upper(n)])
 
 
 class UnitaryTriangularPair:
@@ -224,16 +212,13 @@ def zero_cobracket_bialgebra(g: LieAlgebra) -> MatchedPairData:
 
 def unit_algebra(dim_g: int) -> GAlgebra:
     """The ground field as a one-dimensional algebra with zero action."""
-    return GAlgebra(trivial_module(dim_g, 1), [[[ONE]]])
+    return GAlgebra(trivial_module(dim_g, 1), {(0, 0): [(0, ONE)]})
 
 
 def dual_numbers_algebra(dim_g: int) -> GAlgebra:
     """Basis (1, eps) with eps^2 = 0 and zero action."""
-    mult = [
-        [[ONE, ZERO], [ZERO, ONE]],
-        [[ZERO, ONE], [ZERO, ZERO]],
-    ]
-    return GAlgebra(trivial_module(dim_g, 2), mult)
+    return GAlgebra(trivial_module(dim_g, 2), {
+        (0, 0): [(0, ONE)], (0, 1): [(1, ONE)], (1, 0): [(1, ONE)]})
 
 
 def weighted_dual_numbers(pair: LiePair, weights) -> GAlgebra:
@@ -242,15 +227,10 @@ def weighted_dual_numbers(pair: LiePair, weights) -> GAlgebra:
     The character must kill the derived subalgebra for the action to be flat;
     the GAlgebra validators re-check everything downstream.
     """
-    mult = [
-        [[ONE, ZERO], [ZERO, ONE]],
-        [[ZERO, ONE], [ZERO, ZERO]],
-    ]
-    action = []
-    for a in range(pair.dim_g):
-        w = weights[a]
-        action.append(Matrix.from_rows([[ZERO, ZERO], [ZERO, GaussScalar(w)]]))
-    return GAlgebra(GModule(2, action), mult)
+    action = [Matrix.from_rows([[ZERO, ZERO], [ZERO, GaussScalar(weights[a])]])
+              for a in range(pair.dim_g)]
+    return GAlgebra(GModule(2, action),
+                    dual_numbers_algebra(pair.dim_g).mult)
 
 
 # -- seeded random fixtures ------------------------------------------------------

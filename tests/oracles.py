@@ -4,8 +4,9 @@ Each evaluates what the library computes by a separate route: the
 differential of a graded element as a dense cochain through ce_diff and back,
 the brackets with that differential at arity one, the Leibniz and module
 identities as their own shuffle/Koszul loops over single brackets, the
-g-algebra axioms as products of whole basis vectors over the dense tables, the
-basis elements of Lambda g* (x) M (x C) enumerated afresh, and the product of
+g-algebra axioms as products of whole basis vectors over a dense table built
+from the algebra's map of nonzero products, the basis elements of
+Lambda g* (x) M (x C) enumerated afresh, and the product of
 Lambda g* (x) Lambda B* with the powers and traces of the obstruction matrix
 as tuple-keyed BiForm sums with wedge signs from merge_sign.  The dense
 paths the sparse cohomology replaced stay here too: the differential as one
@@ -16,14 +17,13 @@ dense action matrices, and rank and solve by rref of the (augmented) matrix.
 from liepairs.atiyah import BiForm, atiyah_cocycle
 from liepairs.ce import Cochain, ce_diff
 from liepairs.homotopy import GradedElement, lambda_k, mu_k
-from liepairs.lie_core import Report, check_module, tensor_module
+from liepairs.lie_core import GAlgebra, Report, check_module, tensor_module
 from liepairs.linalg import (
     Matrix,
     basis_vec,
     rref,
     vec_add,
     vec_is_zero,
-    vec_sub,
 )
 from liepairs.multilinear import (
     enumerate_shuffles,
@@ -405,15 +405,57 @@ def _first_nonzero(vec):
     return next((pos, x) for pos, x in enumerate(vec) if not x.is_zero())
 
 
+def dense_mult(algebra):
+    """An algebra's d x d x d product table, read off its map of nonzeros."""
+    d = algebra.dim
+    table = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
+    for (i, j), terms in algebra.mult.items():
+        for k, x in terms:
+            table[i][j][k] = x
+    return table
+
+
+def algebra_from_table(module, table):
+    """The GAlgebra whose products are the nonzero entries of a dense
+    d x d x d table."""
+    mult = {}
+    for i, row in enumerate(table):
+        for j, vec in enumerate(row):
+            terms = [(k, x) for k, x in enumerate(vec) if not x.is_zero()]
+            if terms:
+                mult[i, j] = terms
+    return GAlgebra(module, mult)
+
+
+def vec_sub(u, v):
+    return [a - b for a, b in zip(u, v)]
+
+
+def dense_product(table, u, v):
+    """The product of two coordinate vectors through a dense table."""
+    out = [ZERO] * len(table)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            for k, x in enumerate(table[i][j]):
+                out[k] = out[k] + a * b * x
+    return out
+
+
 def dense_check_g_algebra(g, algebra):
     """The g-algebra check the sparse one replaced: every identity formed
-    from products of whole basis vectors, entry by entry."""
+    from products of whole basis vectors, entry by entry, over the dense
+    table."""
     report = Report("g_algebra")
     report.entries.extend(check_module(g, algebra.module).entries)
     d = algebra.dim
+    mult = dense_mult(algebra)
+
+    def product(u, v):
+        return dense_product(mult, u, v)
+
     for i in range(d):
         for j in range(i + 1, d):
-            res = vec_sub(algebra.mult[i][j], algebra.mult[j][i])
+            res = vec_sub(mult[i][j], mult[j][i])
             if not vec_is_zero(res):
                 where = _first_nonzero(res)
                 report.add("commutativity", (i, j, where[0]), where[1])
@@ -421,8 +463,8 @@ def dense_check_g_algebra(g, algebra):
         for j in range(d):
             for k in range(d):
                 res = vec_sub(
-                    algebra.product(algebra.mult[i][j], basis_vec(d, k)),
-                    algebra.product(basis_vec(d, i), algebra.mult[j][k]),
+                    product(mult[i][j], basis_vec(d, k)),
+                    product(basis_vec(d, i), mult[j][k]),
                 )
                 if not vec_is_zero(res):
                     where = _first_nonzero(res)
@@ -431,10 +473,10 @@ def dense_check_g_algebra(g, algebra):
         rho = algebra.module.action[a]
         for i in range(d):
             for j in range(d):
-                lhs = rho.apply(algebra.mult[i][j])
+                lhs = rho.apply(mult[i][j])
                 rhs = vec_add(
-                    algebra.product(rho.apply(basis_vec(d, i)), basis_vec(d, j)),
-                    algebra.product(basis_vec(d, i), rho.apply(basis_vec(d, j))),
+                    product(rho.apply(basis_vec(d, i)), basis_vec(d, j)),
+                    product(basis_vec(d, i), rho.apply(basis_vec(d, j))),
                 )
                 res = vec_sub(lhs, rhs)
                 if not vec_is_zero(res):

@@ -24,7 +24,15 @@ from liepairs.atiyah import (
     todd_class,
 )
 from liepairs.ce import Cochain, ce_diff, is_cocycle
-from liepairs.lie_core import direct_sum_module, make_pair, trivial_module
+from liepairs.lie_core import (
+    GModule,
+    direct_sum_module,
+    dual_module,
+    end_module,
+    make_pair,
+    tensor_module,
+    trivial_module,
+)
 from liepairs.linalg import Matrix
 from liepairs.multilinear import merge_sign
 from liepairs.scalars import GaussScalar, ONE, ZERO
@@ -486,3 +494,121 @@ def test_power_traces_match_full_powers_on_random_matrices():
         for n in range(depth + 2):
             assert _power_traces(packed, n) == expected[:n]
     assert fractional > 15
+
+
+# -- the calculus of Atiyah classes -------------------------------------------
+
+
+def dual_connection(conn):
+    """Oracle: the dual connection -nabla^T on E*."""
+    return Connection(conn.pair, dual_module(conn.module),
+                      [-m.transpose() for m in conn.nabla])
+
+
+def tensor_connection(c1, c2):
+    """Oracle: nabla (x) 1 + 1 (x) nabla on E (x) F, built as end_connection
+    builds its action, by tensor_module over the connections' matrices."""
+    mats = tensor_module(GModule(c1.module.dim, c1.nabla),
+                         GModule(c2.module.dim, c2.nabla)).action
+    return Connection(c1.pair, tensor_module(c1.module, c2.module), mats)
+
+
+def tensor_cocycle(pair, alpha_e, alpha_f, p, q):
+    """alpha_E (x) 1 + 1 (x) alpha_F for dim E = p and dim F = q, on the
+    big-endian basis e_i (x) f_j = i * q + j of tensor_module."""
+    out = Cochain(pair, end_module(trivial_module(pair.dim_g, p * q)), 1, 1)
+
+    def add(gt, bt, row, col, c):
+        pos = row * p * q + col
+        out.set(gt, bt, pos, out.get(gt, bt, pos) + c)
+
+    for gt, bt, f, c in alpha_e.iter_nonzero():
+        i_out, i_in = divmod(f, p)
+        for j in range(q):
+            add(gt, bt, i_out * q + j, i_in * q + j, c)
+    for gt, bt, f, c in alpha_f.iter_nonzero():
+        j_out, j_in = divmod(f, q)
+        for i in range(p):
+            add(gt, bt, i * q + j_out, i * q + j_in, c)
+    return out
+
+
+def _calculus_connections():
+    """(name, connection) over one pair each: the zoo modules with their
+    zero and seeded extensions, u2t2's two connections on B, and two seeded
+    random modules."""
+    pair, modules = sl2_pair()
+    for name, module in sorted(modules.items()):
+        yield "sl2", extend_by_zero(pair, module)
+        yield "sl2", random_extension(pair, module, 4)
+    hpair = heisenberg_pair()
+    yield "heisenberg", extend_by_zero(hpair, trivial_module(hpair.dim_g, 1))
+    yield "heisenberg", random_extension(hpair, hpair.quotient_module(), 5)
+    fixture = gl_un_tn(2)
+    yield "u2t2", fixture.conn_mult
+    yield "u2t2", fixture.conn_zero
+    for seed in (0, 1):
+        rpair = random_pair(seed)
+        module = random_module(rpair, 2, seed + 1)
+        yield "random%d" % seed, extend_by_zero(rpair, module)
+        yield "random%d" % seed, random_extension(rpair, module, seed + 7)
+
+
+def test_dual_connection_has_minus_the_transposed_class():
+    nonzero = 0
+    for _, conn in _calculus_connections():
+        alpha = atiyah_cocycle(conn)
+        d = conn.module.dim
+        expected = Cochain(conn.pair, alpha.module, 1, 1)
+        for gt, bt, f, c in alpha.iter_nonzero():
+            row, col = divmod(f, d)
+            expected.set(gt, bt, col * d + row, -c)
+        assert atiyah_cocycle(dual_connection(conn)) == expected
+        nonzero += bool(expected.entries)
+    assert nonzero >= 10
+
+
+def test_tensor_connection_has_the_sum_of_the_classes():
+    by_pair = {}
+    for name, conn in _calculus_connections():
+        by_pair.setdefault(name, []).append(conn)
+    checked = 0
+    for conns in by_pair.values():
+        for c1 in conns:
+            for c2 in conns:
+                expected = tensor_cocycle(
+                    c1.pair, atiyah_cocycle(c1), atiyah_cocycle(c2),
+                    c1.module.dim, c2.module.dim)
+                got = atiyah_cocycle(tensor_connection(c1, c2))
+                assert got == expected
+                checked += bool(expected.entries)
+    assert checked >= 30
+
+
+def test_end_connection_has_the_class_of_e_tensor_e_dual():
+    # End E = E (x) E* on the same basis (row, col), and the commutator
+    # connection is nabla (x) 1 + 1 (x) (-nabla^T)
+    for _, conn in _calculus_connections():
+        dual = dual_connection(conn)
+        econn = end_connection(conn)
+        assert econn.nabla == tensor_connection(conn, dual).nabla
+        d = conn.module.dim
+        assert atiyah_cocycle(econn) == tensor_cocycle(
+            conn.pair, atiyah_cocycle(conn), atiyah_cocycle(dual), d, d)
+
+
+def test_tensor_class_vanishes_when_both_factors_do():
+    by_pair = {}
+    for name, conn in _calculus_connections():
+        if atiyah_class(conn.pair, conn.module, conn).vanishes:
+            by_pair.setdefault(name, []).append(conn)
+    # u2t2's connections on B have vanishing classes but nonzero cocycles
+    assert any(atiyah_cocycle(c).entries for c in by_pair["u2t2"])
+    pairs = 0
+    for conns in by_pair.values():
+        for i, c1 in enumerate(conns):
+            for c2 in conns[i:]:
+                conn = tensor_connection(c1, c2)
+                assert atiyah_class(conn.pair, conn.module, conn).vanishes
+                pairs += 1
+    assert pairs >= 5

@@ -20,6 +20,7 @@ from liepairs.cli import (
 from liepairs.fixture_io import ParseError, dump_fixture, load_fixture
 from liepairs.homotopy import VerifyReport
 from liepairs.lie_core import (
+    GAlgebra,
     LieAlgebra,
     check_g_algebra,
     make_pair,
@@ -447,19 +448,23 @@ def test_fixture_loader_refuses_a_repeated_mult_entry(capsys, tmp_path):
 
 def test_validate_follows_the_nonzeros_of_an_algebra(capsys, tmp_path):
     # a 60-dim algebra with an empty table and a zero action (18 KB) took
-    # 19.8 s when the check formed every product of basis vectors densely
-    dim = 60
-    path = tmp_path / "zero_algebra.json"
-    path.write_text(json.dumps({
-        "dim": 2, "dim_g": 1, "bracket": [], "algebra": {"Z": {
-            "dim": dim, "action": [[["0"] * dim for _ in range(dim)]],
-            "mult": []}}}))
-    start = time.perf_counter()
-    code, out, _ = run(capsys, ["validate", "--input", str(path), "--json"])
-    elapsed = time.perf_counter() - start
-    assert code == EXIT_OK
-    assert {"name": "algebra_Z", "status": "pass"} in json.loads(out)["checks"]
-    assert elapsed < 1.0, elapsed
+    # 19.8 s when the check formed every product of basis vectors densely,
+    # and a 161-dim one (130 KB) about 1 s at 91 MB peak RSS when the loader
+    # stored the products as a dense d x d x d table
+    for dim in (60, 161):
+        path = tmp_path / ("zero_algebra_%d.json" % dim)
+        path.write_text(json.dumps({
+            "dim": 2, "dim_g": 1, "bracket": [], "algebra": {"Z": {
+                "dim": dim, "action": [[["0"] * dim for _ in range(dim)]],
+                "mult": []}}}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["validate", "--input", str(path),
+                                    "--json"])
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK
+        checks = json.loads(out)["checks"]
+        assert {"name": "algebra_Z", "status": "pass"} in checks
+        assert elapsed < 1.0, (dim, elapsed)
 
 
 def _add_small_connection(doc):
@@ -510,6 +515,20 @@ def test_invalid_requests_exit_with_one_stderr_line(capsys, tmp_path, edit,
     assert failed[0]["residual"] and failed[0]["witness"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["atiyah"], ["chern"], ["todd"], ["tower"], ["verify"], ["symmetry"]],
+    ids=lambda argv: argv[0])
+def test_a_broken_algebra_refuses_every_command(capsys, tmp_path, argv):
+    # the gate checks every algebra of the fixture, named or not, as validate
+    # does; these commands used to exit 0 on it
+    path = tmp_path / "sl2.json"
+    path.write_bytes(_sl2_bytes(_break_dual_numbers))
+    code, out, err = run(capsys, argv + ["--input", str(path), "--json"])
+    assert (code, out) == (EXIT_VALIDATION_ERROR, "")
+    assert err.count("\n") == 1
+    assert err.startswith("validation error: algebra 'dual_numbers': "), err
+
+
 def _zero_b(dim):
     """Replace sl2's module B by the zero module of dimension dim; its
     quotient L/A is 1-dimensional with h acting by -2."""
@@ -546,8 +565,8 @@ def test_a_declared_b_must_be_the_quotient(capsys, tmp_path, dim):
 
 def test_verify_checks_the_algebra_once_per_run(capsys, tmp_path,
                                                 monkeypatch):
-    # the CLI checks the algebra before the size cap and hands its report to
-    # the sweeps
+    # the gate checks each algebra once, before the size cap, and hands its
+    # verdict on the named one to the sweeps
     import liepairs.cli as cli_mod
     import liepairs.homotopy as homotopy
 
@@ -566,6 +585,16 @@ def test_verify_checks_the_algebra_once_per_run(capsys, tmp_path,
         "dual_numbers", "--max-n", "3", "--degree-cap", "1"])
     assert code == EXIT_OK
     assert len(calls) == 1
+    # with a second algebra in the fixture, one call per algebra
+    calls.clear()
+    path.write_bytes(_sl2_bytes(lambda doc: doc["algebra"].update(
+        unit={"dim": 1, "action": [[["0"]], [["0"]]],
+              "mult": [[0, 0, ["1"]]]})))
+    code, _, _ = run(capsys, [
+        "verify", "--input", str(path), "--module", "B", "--algebra",
+        "dual_numbers", "--max-n", "3", "--degree-cap", "1"])
+    assert code == EXIT_OK
+    assert sorted(algebra.dim for _, algebra in calls) == [1, 2]
 
 
 @pytest.mark.parametrize("argv", [
@@ -763,17 +792,28 @@ def test_module_endomorphism_cap_boundary(capsys, tmp_path, monkeypatch):
     assert "4477456 entries, above 4194304" in err
 
 
-@pytest.mark.parametrize("command", ["tower", "verify", "symmetry"])
-def test_oversized_tower_request_exit_2(capsys, tmp_path, command):
+@pytest.mark.parametrize("command, depth", [
+    pytest.param(command, depth,
+                 id=command if depth == 40 else "%s-%d" % (command, depth))
+    for depth in (40, 10000, 10 ** 9)
+    for command in ("tower", "verify", "symmetry")])
+def test_oversized_tower_request_exit_2(capsys, tmp_path, command, depth):
+    # from about --depth 7,150 on u2t2 the dense index range has more digits
+    # than Python prints, and at 10^8 forming it took 1.1 s and 103 MB; the
+    # refusal is decided without forming it
     path = export(capsys, tmp_path, "u2t2")
+    start = time.perf_counter()
     code, out, err = run(capsys, [command, "--input", str(path),
-                                  "--depth", "40", "--json"])
+                                  "--depth", str(depth), "--json"])
+    elapsed = time.perf_counter() - start
     assert code == EXIT_PARSE_ERROR
     assert out == ""
-    assert err.count("\n") == 1 and "--depth 40" in err
+    assert err.count("\n") == 1 and "--depth %d" % depth in err
+    assert elapsed < 1.0, elapsed
     # validation comes first: an unclosed subalgebra still exits 3
     bad = _abelian_fixture(tmp_path, [[0, 1, ["0"] * 9 + ["1"] + ["0"] * 8]])
-    code, _, _ = run(capsys, [command, "--input", str(bad), "--depth", "40"])
+    code, _, _ = run(capsys, [command, "--input", str(bad), "--depth",
+                              str(depth)])
     assert code == EXIT_VALIDATION_ERROR
 
 
@@ -816,6 +856,66 @@ def test_tower_size_cap_boundary(capsys, tmp_path, monkeypatch):
         main(["tower", "--input", str(path), "--depth", "9"])
     code, _, err = run(capsys, argv + ["--depth", "9"])
     assert code == EXIT_PARSE_ERROR and "16777216 entries" in err
+
+
+def _sl2_with_zero_algebra(tmp_path, dim_t, dim_c):
+    """sl2 with a dim_t-dimensional trivial module T and a dim_c-dimensional
+    algebra Z whose products and action are all zero."""
+    pair, modules = sl2_pair()
+    path = tmp_path / ("sl2_T%d_Z%d.json" % (dim_t, dim_c))
+    path.write_text(json.dumps(dump_fixture(
+        pair, {"B": modules["B"], "T": trivial_module(pair.dim_g, dim_t)},
+        algebras={"Z": GAlgebra(trivial_module(pair.dim_g, dim_c), {})})))
+    return path
+
+
+def test_oversized_algebra_tensored_module_exit_2(capsys, tmp_path):
+    # verify --algebra differentiates on M (x) C, whose dim g action matrices
+    # have (dim M * dim C)^2 entries each: (13 * 161)^2 = 4,380,649 is above
+    # the cap, and the request is refused before the tower is built
+    path = _sl2_with_zero_algebra(tmp_path, 13, 161)
+    code, out, err = run(capsys, ["verify", "--input", str(path), "--module",
+                                  "T", "--algebra", "Z", "--json"])
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err == ("verify: --algebra Z makes T (x) C act by matrices of "
+                   "4380649 entries, above 4194304\n")
+    # the quotient side counts too: B of dimension 19 on an abelian 1 + 19
+    # pair gives (19 * 161)^2 entries
+    pair = make_pair(LieAlgebra.zero(20), 1)
+    doc = dump_fixture(pair, algebras={
+        "Z": GAlgebra(trivial_module(1, 161), {})})
+    path = tmp_path / "abelian20_z161.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["verify", "--input", str(path),
+                                  "--algebra", "Z"])
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err.startswith("verify: --algebra Z makes B (x) C act by matrices "
+                          "of 9357481 entries")
+
+
+def test_algebra_tensored_module_cap_boundary(capsys, tmp_path, monkeypatch):
+    # 16 * 128 = 2048 and 2048^2 = 2^22 entries are allowed; 16 * 129 = 2064
+    # (4,260,096 entries) is refused before the tower is built
+    import liepairs.homotopy as homotopy
+
+    class Reached(Exception):
+        pass
+
+    def fake_build_tower(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(homotopy, "build_tower", fake_build_tower)
+    argv = ["verify", "--module", "T", "--algebra", "Z", "--input"]
+    with pytest.raises(Reached):
+        main(argv + [str(_sl2_with_zero_algebra(tmp_path, 16, 128))])
+    code, out, err = run(capsys, argv + [str(_sl2_with_zero_algebra(
+        tmp_path, 16, 129))])
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert "4260096 entries, above 4194304" in err
+    # without the module side only B (x) C counts, 129-dimensional here
+    with pytest.raises(Reached):
+        main(argv[:1] + argv[3:] + [str(_sl2_with_zero_algebra(
+            tmp_path, 16, 129))])
 
 
 # sha256 of each tower command's --json stdout on the zoo u2t2 fixture, as the

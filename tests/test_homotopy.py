@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -21,7 +22,7 @@ from liepairs.homotopy import (
     verify_leibniz,
     verify_module,
 )
-from liepairs.lie_core import matched_sum, trivial_module
+from liepairs.lie_core import GAlgebra, matched_sum, trivial_module
 from liepairs.multilinear import merge_sign
 from liepairs.scalars import GaussScalar, ONE, ZERO
 from liepairs.zoo import (
@@ -37,7 +38,7 @@ from liepairs.zoo import (
     weighted_dual_numbers,
 )
 
-from oracles import oracle_leibniz_residual
+from oracles import dense_mult, oracle_leibniz_residual
 
 
 def g(x):
@@ -311,7 +312,7 @@ def test_extension_reproduces_binary_cocycle_formula():
         if step is None:
             return out
         s0, merged = step
-        cprod = algebra.product_basis(c1, c2)
+        cprod = dense_mult(algebra)[c1][c2]
         for a in range(pair.dim_g):
             for b_out in range(nb):
                 coeff = cocycle.get((a,), (b1,), b_out * nb + b2)
@@ -366,6 +367,21 @@ def test_bad_algebra_rejected():
                          conn_e=extend_by_zero(pair, modules["B_dual"]))
     with pytest.raises(NotCommutativeAlgebra):
         verify_module(mtower, 2, 1, algebra=bad)
+
+
+def test_zero_products_cost_nothing_in_the_sweeps():
+    # sl2 with a 161-dim algebra whose products are all zero: the arity-3
+    # sweep formed all 161^3 products of basis vectors densely (258 s and
+    # 6.0 GB peak RSS for verify --max-n 3 --degree-cap 0); a zero partial
+    # product is now never extended
+    pair, _, tower = sl2_tower(depth=3)
+    algebra = GAlgebra(trivial_module(pair.dim_g, 161), {})
+    start = time.perf_counter()
+    report = verify_leibniz(tower, 3, 0, algebra)
+    elapsed = time.perf_counter() - start
+    assert report.ok
+    assert report.checked == 161 + 161 ** 2 + 161 ** 3
+    assert elapsed < 10.0, elapsed
 
 
 def test_thread_env_var_keeps_reports_identical(monkeypatch):

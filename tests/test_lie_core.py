@@ -50,7 +50,7 @@ from liepairs.zoo import (
     zero_cobracket_bialgebra,
 )
 
-from oracles import dense_check_g_algebra
+from oracles import algebra_from_table, dense_check_g_algebra, dense_mult
 
 
 def g(x):
@@ -542,7 +542,7 @@ def _truncated_polynomials(n, weights):
     action = [Matrix.from_rows([[GaussScalar(w) * i if i == j else ZERO
                                  for j in range(n)] for i in range(n)])
               for w in weights]
-    return GAlgebra(GModule(n, action), mult)
+    return algebra_from_table(GModule(n, action), mult)
 
 
 def _corrupted(algebra, kind, rng):
@@ -550,7 +550,7 @@ def _corrupted(algebra, kind, rng):
     breaks commutativity, associativity (a symmetric change) or the
     derivation property (an action entry)."""
     d = algebra.dim
-    mult = [[list(vec) for vec in row] for row in algebra.mult]
+    mult = dense_mult(algebra)
     action = [Matrix.from_rows([[m[r, c] for c in range(d)] for r in range(d)])
               for m in algebra.module.action]
     value = rng.choice([GaussScalar(1, 1), GaussScalar(Fraction(1, 3)),
@@ -566,7 +566,7 @@ def _corrupted(algebra, kind, rng):
     else:
         a = rng.randrange(len(action))
         action[a].data[i * d + j] = action[a].data[i * d + j] + value
-    return GAlgebra(GModule(d, action), mult)
+    return algebra_from_table(GModule(d, action), mult)
 
 
 def test_g_algebra_check_matches_dense_oracle():

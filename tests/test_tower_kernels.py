@@ -51,7 +51,6 @@ from liepairs.homotopy import (
     xi_witness,
 )
 from liepairs.lie_core import (
-    GAlgebra,
     check_g_algebra,
     end_module,
     matched_sum,
@@ -82,7 +81,10 @@ from liepairs.zoo import (
 )
 
 from oracles import (
+    algebra_from_table,
     dense_graded_diff,
+    dense_mult,
+    dense_product,
     oracle_basis,
     oracle_leibniz_residual,
     oracle_module_residual,
@@ -223,18 +225,7 @@ def oracle_slices(w):
 
 
 def oracle_algebra_product(algebra, cvec1, cvec2):
-    out = [ZERO] * algebra.dim
-    for i, a in enumerate(cvec1):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(cvec2):
-            if b.is_zero():
-                continue
-            coeff = a * b
-            for t, x in enumerate(algebra.mult[i][j]):
-                if not x.is_zero():
-                    out[t] = out[t] + coeff * x
-    return out
+    return dense_product(dense_mult(algebra), cvec1, cvec2)
 
 
 class OracleBrackets:
@@ -559,7 +550,7 @@ def golden_algebra(dim_g):
     more x's has both coordinates nonzero, so the kernel's algebra products
     accumulate."""
     mult = [[[ONE, ZERO], [ZERO, ONE]], [[ZERO, ONE], [ONE, ONE]]]
-    return GAlgebra(trivial_module(dim_g, 2), mult)
+    return algebra_from_table(trivial_module(dim_g, 2), mult)
 
 
 def combinations_of(rng, basis, count):
