@@ -5,50 +5,51 @@ from importlib import import_module
 
 # Each public name loads its module on first access (PEP 562) instead of with
 # the package, so that a job compiles only the layers it runs: validate never
-# loads the cochain, obstruction or tower layers.
+# loads the cochain, obstruction or tower layers, and the tower never loads
+# the obstruction layer ``atiyah`` or the pair constructions of ``zoo``.
 _LAZY_NAMES = {
     "scalars": ("GaussScalar", "format_scalar", "parse_scalar"),
-    "linalg": ("Matrix", "nullspace_basis", "rank", "rref", "solve"),
+    "linalg": ("Matrix",),
     "multilinear": ("enumerate_shuffles", "koszul_sign", "wedge"),
     "lie_core": (
         "GAlgebra",
         "GModule",
         "LieAlgebra",
         "LiePair",
-        "MatchedPairData",
-        "adapt_basis",
-        "bialgebra_pair",
         "check_g_algebra",
-        "check_matched_pair",
         "check_module",
         "dual_module",
         "end_module",
         "exterior_power_module",
         "make_pair",
-        "matched_sum",
-        "pair_to_matched",
         "tensor_module",
         "trivial_module",
         "validate_lie_algebra",
     ),
     "ce": (
         "Cochain",
+        "Connection",
+        "atiyah_cocycle",
         "ce_diff",
-        "coboundary_primitive",
-        "cohomology_dim",
-        "cohomology_representatives",
+        "curvature",
+        "extend_by_zero",
         "is_cocycle",
     ),
     "atiyah": (
-        "Connection",
         "atiyah_class",
-        "atiyah_cocycle",
+        "coboundary_primitive",
+        "cohomology_dim",
+        "cohomology_representatives",
         "compatibility_report",
-        "curvature",
-        "extend_by_zero",
+        "nullspace_basis",
+        "rank",
+        "rref",
         "scalar_class",
+        "solve",
         "todd_class",
     ),
+    "zoo": ("MatchedPairData", "adapt_basis", "bialgebra_pair",
+            "check_matched_pair", "matched_sum", "pair_to_matched"),
     "homotopy": (
         "BracketTower",
         "GradedElement",

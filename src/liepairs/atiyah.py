@@ -1,5 +1,10 @@
-"""Connections extending a module action, curvature, obstruction cocycles,
-scalar characteristic cochains and the Todd cochain.
+"""The obstruction layer: exact elimination and cohomology, the obstruction
+class and its repair, scalar characteristic cochains and the Todd cochain.
+
+One sparse eliminator (see _eliminate) runs rank, solve, rref, the kernel
+basis and the cohomology queries, with deterministic pivoting, so every result
+is reproducible bit for bit.  The tower, which never decides a class, reads
+its connections and cocycle from ce and does not compile this module.
 
 The transcendental prefactor of the scalar classes is never folded into the
 coefficients: it is reported as a symbolic string next to an exact tensor.
@@ -10,7 +15,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .ce import Cochain, _primitive, is_cocycle
+from .ce import (
+    Cochain,
+    Connection,
+    _ce_image,
+    _ce_table,
+    atiyah_cocycle,
+    curvature,
+    extend_by_zero,
+    is_cocycle,
+)
 from .lie_core import (
     GModule,
     LiePair,
@@ -18,74 +32,11 @@ from .lie_core import (
     Report,
     direct_sum_module,
     dual_module,
-    end_module,
     exterior_power_module,
 )
-from .linalg import Matrix
+from .linalg import Matrix, basis_vec
 from .multilinear import exterior_index
-from .scalars import GaussScalar
-
-
-class Connection:
-    """Linear extension of the subalgebra action to the whole algebra.
-
-    ``nabla[x]`` is the End(E) matrix of the covariant derivative along the
-    x-th basis vector of d; the first dim_g slots must equal the module action.
-    """
-
-    __slots__ = ("pair", "module", "nabla")
-
-    def __init__(self, pair: LiePair, module: GModule, nabla):
-        self.pair = pair
-        self.module = module
-        self.nabla = list(nabla)
-        if len(self.nabla) != pair.dim_d:
-            raise ValueError("need one matrix per basis vector of d")
-        for x, mat in enumerate(self.nabla):
-            if mat.rows != module.dim or mat.cols != module.dim:
-                raise ValueError("connection matrices must match the module")
-        for a in range(pair.dim_g):
-            if not (self.nabla[a] - module.action[a]).is_zero():
-                raise ValueError(
-                    "connection does not extend the action at slot %d" % a)
-
-
-def extend_by_zero(pair: LiePair, module: GModule) -> Connection:
-    """The canonical extension that kills the complement directions."""
-    zero = Matrix.zeros(module.dim, module.dim)
-    return Connection(pair, module,
-                      list(module.action) + [zero] * pair.dim_b)
-
-
-def curvature(conn: Connection, i: int, j: int) -> Matrix:
-    """R(x_i, x_j) = [nabla_i, nabla_j] - nabla_([x_i, x_j])."""
-    out = conn.nabla[i].commutator(conn.nabla[j])
-    for s, c in enumerate(conn.pair.d.c[i][j]):
-        if not c.is_zero():
-            out = out - conn.nabla[s].scale(c)
-    return out
-
-
-def atiyah_cocycle(conn: Connection) -> Cochain:
-    """The obstruction cochain (a, b) -> R(a, j(b)) in degree (1, 1), End(E)-valued.
-
-    Raises NotACocycle if the output fails the closedness check, which would
-    signal a bug in this library rather than bad input.
-    """
-    pair, module = conn.pair, conn.module
-    endo = end_module(module)
-    out = Cochain(pair, endo, 1, 1)
-    for a in range(pair.dim_g):
-        for b in range(pair.dim_b):
-            r = curvature(conn, a, pair.dim_g + b)
-            for row in range(module.dim):
-                for col in range(module.dim):
-                    x = r[row, col]
-                    if not x.is_zero():
-                        out.set((a,), (b,), row * module.dim + col, x)
-    if not is_cocycle(out):
-        raise NotACocycle("curvature cochain is not closed")
-    return out
+from .scalars import ONE, ZERO, GaussScalar, as_scalar
 
 
 def compatibility_report(conn: Connection) -> Report:
@@ -149,13 +100,6 @@ def atiyah_class(pair: LiePair, module: GModule,
         repaired = connection_minus_section(conn, primitive)
     return AtiyahClassReport(primitive is not None, cocycle, primitive, repaired,
                              rank_d0)
-
-
-def end_connection(conn: Connection) -> Connection:
-    """Induced connection on End(E): the commutator with each nabla matrix."""
-    nabla = GModule(conn.module.dim, conn.nabla)
-    return Connection(conn.pair, end_module(conn.module),
-                      end_module(nabla).action)
 
 
 def direct_sum_connection(c1: Connection, c2: Connection) -> Connection:
@@ -452,3 +396,207 @@ def todd_class(pair: LiePair, module: GModule,
             raise NotACocycle("Todd component %d is not closed" % k)
         components[k] = cochain
     return ToddClass(components, biform)
+
+
+# -- exact elimination and cohomology -----------------------------------------
+
+
+def _eliminate(rows, cols):
+    """Forward elimination of sparse rows {column: value} over the columns
+    0 .. cols - 1 in order.  A column's pivot is the shortest remaining row
+    holding it (Markowitz's minimum-degree rule, ties to the first row), so
+    fill-in stays small, and the pivot columns are the leftmost independent
+    ones.  Returns [(column, pivot row scaled to 1 there)] in column order;
+    rows is left as it was."""
+    live = {i: dict(row) for i, row in enumerate(rows) if row}
+    holders = {}  # column -> the live rows holding it
+    for i, row in live.items():
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    pivots = []
+    for col in range(cols):
+        others = holders.pop(col, None)
+        if not others:
+            continue
+        p = min(others, key=lambda i: (len(live[i]), i))
+        others.discard(p)
+        pivot = live.pop(p)
+        inv = ONE / pivot.pop(col)
+        for c in pivot:
+            holders[c].discard(p)
+            pivot[c] = inv * pivot[c]
+        for i in others:
+            row = live[i]
+            f = row.pop(col)
+            for c, v in pivot.items():
+                old = row.get(c)
+                if old is None:
+                    row[c] = -(f * v)
+                    holders[c].add(i)
+                elif (old := old - f * v).is_zero():
+                    del row[c]
+                    holders[c].discard(i)
+                else:
+                    row[c] = old
+        pivot[col] = ONE
+        pivots.append((col, pivot))
+    return pivots
+
+
+def _back_substitute(pivots, x, rhs=-1):
+    """x with each pivot column's entry solved from its pivot row, bottom
+    up: the row's entry at column rhs (none by default) minus its other
+    entries times x."""
+    for col, row in reversed(pivots):
+        acc = row.get(rhs, ZERO)
+        for c, v in row.items():
+            if c != col and c != rhs:
+                acc = acc - v * x[c]
+        x[col] = acc
+    return x
+
+
+def _kernel(pivots, cols):
+    """[(free column, kernel vector)] in column order, each vector 1 at its
+    free column and 0 at the others."""
+    pivot_cols = {col for col, _ in pivots}
+    return [(free, _back_substitute(pivots, basis_vec(cols, free)))
+            for free in range(cols) if free not in pivot_cols]
+
+
+def _sparse_rows(m: Matrix):
+    return [{c: x for c, x in enumerate(m.row(r)) if x} for r in range(m.rows)]
+
+
+def rref(m: Matrix):
+    """Reduced row echelon form; returns (rref, pivot column tuple, rank).
+
+    Row r is 1 at the r-th pivot column, and at each free column minus that
+    column's kernel vector at the pivot; the rows past the rank are zero."""
+    pivots = _eliminate(_sparse_rows(m), m.cols)
+    cols = tuple(col for col, _ in pivots)
+    out = Matrix.zeros(m.rows, m.cols)
+    for r, col in enumerate(cols):
+        out.data[r * m.cols + col] = ONE
+    for free, v in _kernel(pivots, m.cols):
+        for r, col in enumerate(cols):
+            out.data[r * m.cols + free] = -v[col]
+    return out, cols, len(cols)
+
+
+def pivot_columns(rows, cols):
+    """The leftmost independent columns of sparse rows {column: value} over
+    cols columns, in order; their number is the rank."""
+    return tuple(col for col, _ in _eliminate(rows, cols))
+
+
+def rank(m: Matrix) -> int:
+    return len(pivot_columns(_sparse_rows(m), m.cols))
+
+
+def solve_rows(rows, cols):
+    """(rank, x) for the sparse rows of [m | rhs], rhs in column cols: rank
+    is m's rank and x one exact solution of m.x = rhs, free variables zero,
+    or None when there is none."""
+    pivots = _eliminate(rows, cols + 1)
+    if pivots and pivots[-1][0] == cols:
+        return len(pivots) - 1, None
+    return len(pivots), _back_substitute(pivots, [ZERO] * cols, cols)
+
+
+def solve(m: Matrix, rhs):
+    """One exact solution of m.x = rhs (free variables zero), or None."""
+    if len(rhs) != m.rows:
+        raise ValueError("rhs length mismatch")
+    rows = _sparse_rows(m)
+    for row, x in zip(rows, map(as_scalar, rhs)):
+        if x:
+            row[m.cols] = x
+    return solve_rows(rows, m.cols)[1]
+
+
+def nullspace_basis(m: Matrix):
+    """Echelon-normalized kernel basis, ordered by free-column index."""
+    return [v for _, v in _kernel(_eliminate(_sparse_rows(m), m.cols), m.cols)]
+
+
+
+def _diff_columns(pair: LiePair, module: GModule, k: int, l: int = 0):
+    """The degree-k differential w.r.t. the canonical cochain bases as sparse
+    columns {row: value}: the image of each basis cochain."""
+    shape = Cochain(pair, module, k, l)
+    table = _ce_table(pair, module, l)
+    return [_ce_image(shape, table, {col: ONE}) for col in range(shape.size)]
+
+
+def diff_matrix(pair: LiePair, module: GModule, k: int, l: int = 0) -> Matrix:
+    """Matrix of the degree-k differential w.r.t. the canonical cochain
+    bases: the dense view of _diff_columns."""
+    columns = _diff_columns(pair, module, k, l)
+    cols = len(columns)
+    mat = Matrix.zeros(Cochain(pair, module, k + 1, l).size, cols)
+    for c, image in enumerate(columns):
+        for r, v in image.items():
+            mat.data[r * cols + c] = v
+    return mat
+
+
+def _transposed(columns, size):
+    """Sparse columns {row: value} as size sparse rows {column: value}."""
+    rows = [{} for _ in range(size)]
+    for c, column in enumerate(columns):
+        for r, v in column.items():
+            rows[r][c] = v
+    return rows
+
+
+def _primitive(w: Cochain):
+    """(rank of d_(k-1), phi) from one elimination of [d_(k-1) | w], phi a
+    deterministic primitive with d(phi) = w, or None when w is not exact."""
+    columns = _diff_columns(w.pair, w.module, w.k - 1, w.l)
+    rank_prev, x = solve_rows(_transposed(columns + [w._nonzeros()], w.size),
+                              len(columns))
+    return rank_prev, None if x is None \
+        else Cochain(w.pair, w.module, w.k - 1, w.l, x)
+
+
+def coboundary_primitive(w: Cochain):
+    """A deterministic phi with d(phi) = w, or None when w is not exact."""
+    return None if w.k == 0 else _primitive(w)[1]
+
+
+def _rank(pair: LiePair, module: GModule, k: int, l: int) -> int:
+    return len(pivot_columns(_diff_columns(pair, module, k, l),
+                             Cochain(pair, module, k + 1, l).size))
+
+
+def cohomology_dim(pair: LiePair, module: GModule, k: int, l: int = 0,
+                   rank_below: int = None) -> int:
+    """dim ker(d_k) - rank(d_(k-1)); 0 above the top degree dim g, where
+    there are no cochains.  rank_below, when the caller has it, is
+    rank(d_(k-1)), which is then not computed again."""
+    if k < 0:
+        raise ValueError("degree out of range")
+    if k > pair.dim_g:
+        return 0
+    if k and rank_below is None:
+        rank_below = _rank(pair, module, k - 1, l)
+    return Cochain(pair, module, k, l).size - _rank(pair, module, k, l) \
+        - (rank_below if k else 0)
+
+
+def cohomology_representatives(pair: LiePair, module: GModule, k: int, l: int = 0):
+    """(dimension, representative cochains) with a deterministic choice.
+
+    Representatives are the kernel basis vectors independent of the
+    coboundaries and of the vectors before them: the pivot columns past the
+    coboundaries of [d_(k-1) | kernel basis].
+    """
+    images = _diff_columns(pair, module, k - 1, l) if k else []
+    kernel = nullspace_basis(diff_matrix(pair, module, k, l))
+    columns = images + [{i: x for i, x in enumerate(v) if x} for v in kernel]
+    reps = [Cochain(pair, module, k, l, kernel[c - len(images)])
+            for c in pivot_columns(_transposed(
+                columns, Cochain(pair, module, k, l).size), len(columns))
+            if c >= len(images)]
+    return len(reps), reps

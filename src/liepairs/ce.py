@@ -1,11 +1,13 @@
-"""Cochain complex of the subalgebra with values in (tensor powers of B*) x E.
+"""Cochain complex of the subalgebra with values in (tensor powers of B*) x E,
+and the connections whose curvature is its obstruction cocycle.
 
 A Cochain of bidegree (k, l) is a coefficient tensor over (sorted exterior
 multi-index of g, length-l tuple of B indices, E index), kept as a map from
 flat position to value that holds its nonzeros.  The differential follows the
 usual alternating-sum formula, with the module action on the value and on
 every B-slot folded in.  It is applied entry by entry to the input's
-nonzeros, so its cost follows the input's sparsity.
+nonzeros, so its cost follows the input's sparsity.  Whether a cochain is
+exact is decided in atiyah.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from __future__ import annotations
 from bisect import bisect
 from operator import mul
 
-from .lie_core import GModule, LiePair
-from .linalg import Matrix, nullspace_basis, pivot_columns, solve_rows
+from .lie_core import GModule, LiePair, NotACocycle, end_module
+from .linalg import Matrix
 from .multilinear import exterior_basis, exterior_index, tensor_index
-from .scalars import ONE, ZERO, GaussScalar
+from .scalars import ZERO, GaussScalar
 
 
 class Cochain:
@@ -312,82 +314,73 @@ def is_cocycle(w: Cochain) -> bool:
     return ce_diff(w).is_zero()
 
 
-def _diff_columns(pair: LiePair, module: GModule, k: int, l: int = 0):
-    """The degree-k differential w.r.t. the canonical cochain bases as sparse
-    columns {row: value}: the image of each basis cochain."""
-    shape = Cochain(pair, module, k, l)
-    table = _ce_table(pair, module, l)
-    return [_ce_image(shape, table, {col: ONE}) for col in range(shape.size)]
+# -- connections --------------------------------------------------------------
 
 
-def diff_matrix(pair: LiePair, module: GModule, k: int, l: int = 0) -> Matrix:
-    """Matrix of the degree-k differential w.r.t. the canonical cochain
-    bases: the dense view of _diff_columns."""
-    columns = _diff_columns(pair, module, k, l)
-    cols = len(columns)
-    mat = Matrix.zeros(Cochain(pair, module, k + 1, l).size, cols)
-    for c, image in enumerate(columns):
-        for r, v in image.items():
-            mat.data[r * cols + c] = v
-    return mat
+class Connection:
+    """Linear extension of the subalgebra action to the whole algebra.
 
-
-def _transposed(columns, size):
-    """Sparse columns {row: value} as size sparse rows {column: value}."""
-    rows = [{} for _ in range(size)]
-    for c, column in enumerate(columns):
-        for r, v in column.items():
-            rows[r][c] = v
-    return rows
-
-
-def _primitive(w: Cochain):
-    """(rank of d_(k-1), phi) from one elimination of [d_(k-1) | w], phi a
-    deterministic primitive with d(phi) = w, or None when w is not exact."""
-    columns = _diff_columns(w.pair, w.module, w.k - 1, w.l)
-    rank_prev, x = solve_rows(_transposed(columns + [w._nonzeros()], w.size),
-                              len(columns))
-    return rank_prev, None if x is None \
-        else Cochain(w.pair, w.module, w.k - 1, w.l, x)
-
-
-def coboundary_primitive(w: Cochain):
-    """A deterministic phi with d(phi) = w, or None when w is not exact."""
-    return None if w.k == 0 else _primitive(w)[1]
-
-
-def _rank(pair: LiePair, module: GModule, k: int, l: int) -> int:
-    return len(pivot_columns(_diff_columns(pair, module, k, l),
-                             Cochain(pair, module, k + 1, l).size))
-
-
-def cohomology_dim(pair: LiePair, module: GModule, k: int, l: int = 0,
-                   rank_below: int = None) -> int:
-    """dim ker(d_k) - rank(d_(k-1)); 0 above the top degree dim g, where
-    there are no cochains.  rank_below, when the caller has it, is
-    rank(d_(k-1)), which is then not computed again."""
-    if k < 0:
-        raise ValueError("degree out of range")
-    if k > pair.dim_g:
-        return 0
-    if k and rank_below is None:
-        rank_below = _rank(pair, module, k - 1, l)
-    return Cochain(pair, module, k, l).size - _rank(pair, module, k, l) \
-        - (rank_below if k else 0)
-
-
-def cohomology_representatives(pair: LiePair, module: GModule, k: int, l: int = 0):
-    """(dimension, representative cochains) with a deterministic choice.
-
-    Representatives are the kernel basis vectors independent of the
-    coboundaries and of the vectors before them: the pivot columns past the
-    coboundaries of [d_(k-1) | kernel basis].
+    ``nabla[x]`` is the End(E) matrix of the covariant derivative along the
+    x-th basis vector of d; the first dim_g slots must equal the module action.
     """
-    images = _diff_columns(pair, module, k - 1, l) if k else []
-    kernel = nullspace_basis(diff_matrix(pair, module, k, l))
-    columns = images + [{i: x for i, x in enumerate(v) if x} for v in kernel]
-    reps = [Cochain(pair, module, k, l, kernel[c - len(images)])
-            for c in pivot_columns(_transposed(
-                columns, Cochain(pair, module, k, l).size), len(columns))
-            if c >= len(images)]
-    return len(reps), reps
+
+    __slots__ = ("pair", "module", "nabla")
+
+    def __init__(self, pair: LiePair, module: GModule, nabla):
+        self.pair = pair
+        self.module = module
+        self.nabla = list(nabla)
+        if len(self.nabla) != pair.dim_d:
+            raise ValueError("need one matrix per basis vector of d")
+        for x, mat in enumerate(self.nabla):
+            if mat.rows != module.dim or mat.cols != module.dim:
+                raise ValueError("connection matrices must match the module")
+        for a in range(pair.dim_g):
+            if not (self.nabla[a] - module.action[a]).is_zero():
+                raise ValueError(
+                    "connection does not extend the action at slot %d" % a)
+
+
+def extend_by_zero(pair: LiePair, module: GModule) -> Connection:
+    """The canonical extension that kills the complement directions."""
+    zero = Matrix.zeros(module.dim, module.dim)
+    return Connection(pair, module,
+                      list(module.action) + [zero] * pair.dim_b)
+
+
+def curvature(conn: Connection, i: int, j: int) -> Matrix:
+    """R(x_i, x_j) = [nabla_i, nabla_j] - nabla_([x_i, x_j])."""
+    out = conn.nabla[i].commutator(conn.nabla[j])
+    for s, c in enumerate(conn.pair.d.c[i][j]):
+        if not c.is_zero():
+            out = out - conn.nabla[s].scale(c)
+    return out
+
+
+def atiyah_cocycle(conn: Connection) -> Cochain:
+    """The obstruction cochain (a, b) -> R(a, j(b)) in degree (1, 1), End(E)-valued.
+
+    Raises NotACocycle if the output fails the closedness check, which would
+    signal a bug in this library rather than bad input.
+    """
+    pair, module = conn.pair, conn.module
+    endo = end_module(module)
+    out = Cochain(pair, endo, 1, 1)
+    for a in range(pair.dim_g):
+        for b in range(pair.dim_b):
+            r = curvature(conn, a, pair.dim_g + b)
+            for row in range(module.dim):
+                for col in range(module.dim):
+                    x = r[row, col]
+                    if not x.is_zero():
+                        out.set((a,), (b,), row * module.dim + col, x)
+    if not is_cocycle(out):
+        raise NotACocycle("curvature cochain is not closed")
+    return out
+
+
+def end_connection(conn: Connection) -> Connection:
+    """Induced connection on End(E): the commutator with each nabla matrix."""
+    nabla = GModule(conn.module.dim, conn.nabla)
+    return Connection(conn.pair, end_module(conn.module),
+                      end_module(nabla).action)

@@ -16,14 +16,17 @@ from functools import partial
 from itertools import product
 from math import prod
 
-from .atiyah import Connection, atiyah_cocycle, curvature, end_connection
 from .ce import (
     Cochain,
+    Connection,
     _add_permuted,
     _ce_into,
     _ce_table,
     _ce_terms,
+    atiyah_cocycle,
     ce_diff,
+    curvature,
+    end_connection,
 )
 from .lie_core import (
     GAlgebra,

@@ -1,22 +1,15 @@
-"""Lie algebras by structure constants, subalgebra pairs, modules, matched pairs.
+"""Lie algebras by structure constants, subalgebra pairs, modules, coefficient
+algebras and their validators.
 
 Everything is stored in an adapted basis: the first ``dim_g`` basis vectors of
 a pair span the distinguished subalgebra, and the remaining vectors span the
 chosen complement.  The inclusion/projection maps of the splitting are then
-plain coordinate operations.
+plain coordinate operations.  Basis changes and matched pairs are in zoo.
 """
 
 from __future__ import annotations
 
-from .linalg import (
-    Matrix,
-    basis_vec,
-    rank,
-    solve,
-    vec_add,
-    vec_is_zero,
-    zero_vec,
-)
+from .linalg import Matrix, vec_add, vec_is_zero, zero_vec
 from .scalars import ONE, ZERO, as_scalar
 
 
@@ -26,18 +19,6 @@ class NotACocycle(Exception):
 
 class SubalgebraNotClosed(Exception):
     """The declared subalgebra span is not closed under the bracket."""
-
-
-class NotASubalgebra(Exception):
-    """A span handed to adapt_basis is dependent or not bracket-closed."""
-
-
-class MatchedPairAxiomsFail(Exception):
-    """Matched-pair compatibility identities do not hold."""
-
-
-class NotABialgebra(Exception):
-    """A cobracket fails the Lie bialgebra conditions."""
 
 
 class Report:
@@ -214,59 +195,6 @@ def make_pair(d: LieAlgebra, dim_g: int) -> LiePair:
                     "bracket of basis vectors (%d, %d) leaves the subalgebra" % (i, j)
                 )
     return LiePair(d, dim_g)
-
-
-def adapt_basis(d: LieAlgebra, span_g):
-    """Conjugate d into a basis whose first vectors are span_g.
-
-    Returns (adapted LieAlgebra, transition Matrix T) with new coordinates
-    related to old ones by old = T . new.  Raises NotASubalgebra when span_g is
-    dependent or not closed under the bracket.
-    """
-    n = d.dim
-    m = len(span_g)
-    span = [[as_scalar(x) for x in v] for v in span_g]
-    span_matrix = Matrix.from_rows([[v[i] for v in span] for i in range(n)]) \
-        if span else Matrix(0, n, [])
-    if span and rank(span_matrix) != m:
-        raise NotASubalgebra("dependent vectors in the given span")
-    # Closure: each pairwise bracket must solve against the span.
-    for i in range(m):
-        for j in range(m):
-            br = d.bracket(span[i], span[j])
-            if solve(span_matrix, br) is None:
-                raise NotASubalgebra(
-                    "bracket of span vectors (%d, %d) leaves the span" % (i, j)
-                )
-    # Complete to a basis with standard vectors, deterministically.
-    cols = [list(v) for v in span]
-    for e in range(n):
-        if len(cols) == n:
-            break
-        candidate = cols + [basis_vec(n, e)]
-        mat = Matrix.from_rows([[v[i] for v in candidate] for i in range(n)])
-        if rank(mat) == len(candidate):
-            cols.append(basis_vec(n, e))
-    t = Matrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
-    return change_basis(d, t), t
-
-
-def change_basis(d: LieAlgebra, t: Matrix) -> LieAlgebra:
-    """Structure constants in the basis whose old coordinates are t's columns:
-    c'(i, j) = T^-1 [T e_i, T e_j]."""
-    n = d.dim
-    cols = [t.col(j) for j in range(n)]
-    new_c = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            br = d.bracket(cols[i], cols[j])
-            coords = solve(t, br)
-            if coords is None:
-                raise ValueError("basis change matrix is singular")
-            row.append(coords)
-        new_c.append(row)
-    return LieAlgebra(n, new_c)
 
 
 class GModule:
@@ -493,140 +421,3 @@ def check_g_algebra(g: LieAlgebra, algebra: GAlgebra) -> Report:
                 add("derivation", (a, i, j),
                     _times(mult, [(i, -ONE)], rcol[j], res))
     return report
-
-
-class MatchedPairData:
-    """Two Lie algebras acting on each other: nabla = A on B, delta = B on A."""
-
-    __slots__ = ("a", "b", "nabla", "delta")
-
-    def __init__(self, a: LieAlgebra, b: LieAlgebra, nabla, delta):
-        self.a = a
-        self.b = b
-        self.nabla = list(nabla)
-        self.delta = list(delta)
-        if len(self.nabla) != a.dim or len(self.delta) != b.dim:
-            raise ValueError("action count mismatch")
-        for mats, n, what in ((self.nabla, b.dim, "nabla"),
-                              (self.delta, a.dim, "delta")):
-            if any(m.rows != n or m.cols != n for m in mats):
-                raise ValueError("%s matrices must be %d x %d" % (what, n, n))
-
-
-def _sum_algebra(m: MatchedPairData) -> LieAlgebra:
-    """The bracket on A + B (A first): [X, Y] = -delta_Y X + nabla_X Y for X
-    in A and Y in B, and the brackets of A and of B on their own blocks."""
-    na, nb = m.a.dim, m.b.dim
-    n = na + nb
-    c = [[None] * n for _ in range(n)]
-    for i in range(na):
-        for j in range(na):
-            c[i][j] = m.a.c[i][j] + [ZERO] * nb
-    for i in range(nb):
-        for j in range(nb):
-            c[na + i][na + j] = [ZERO] * na + m.b.c[i][j]
-    for i in range(na):
-        for j in range(nb):
-            vec = [-x for x in m.delta[j].col(i)] + m.nabla[i].col(j)
-            c[i][na + j] = vec
-            c[na + j][i] = [-x for x in vec]
-    return LieAlgebra(n, c)
-
-
-# The law a Jacobi violation of the sum breaks, keyed by how many of the
-# triple's indices lie in A and whether the residual coordinate lies in A.
-# For X, X' in A and Y, Y' in B the A-part of Jacobi(X, X', Y) is the mixed
-# delta law and its B-part the flatness of nabla; Jacobi(X, Y, Y') likewise.
-_SUM_LAWS = {
-    (3, True): "a_jacobi",
-    (2, True): "mixed_delta",
-    (2, False): "nabla_flatness",
-    (1, True): "delta_flatness",
-    (1, False): "mixed_nabla",
-    (0, False): "b_jacobi",
-}
-
-
-def _law_report(d: LieAlgebra, na: int) -> Report:
-    """validate_lie_algebra on a sum algebra, each entry named by the law it
-    breaks; locations are sum indices."""
-    report = Report("matched_pair")
-    for entry in validate_lie_algebra(d).entries:
-        loc = entry["location"]
-        if entry["check"] == "antisymmetry":
-            law = "a_antisymmetry" if loc[0] < na else "b_antisymmetry"
-        else:
-            law = _SUM_LAWS[sum(x < na for x in loc[:3]), loc[3] < na]
-        report.add(law, loc, entry["residual"])
-    return report
-
-
-def check_matched_pair(m: MatchedPairData) -> Report:
-    """The matched-pair laws, checked as the Jacobi identity of the sum.
-
-    Both brackets are Lie, both actions are flat and the two mixed
-    compatibility laws hold exactly when the bracket on A + B is a Lie
-    bracket (Majid, Pacific J. Math. 141 (1990); Mokri, Glasgow Math. J. 39
-    (1997)), so the sum is validated once and each violation is named by
-    the law its block belongs to.
-    """
-    return _law_report(_sum_algebra(m), m.a.dim)
-
-
-def matched_sum(m: MatchedPairData) -> LiePair:
-    """The Lie algebra on A + B defined by a matched pair, as a pair with g = A."""
-    d = _sum_algebra(m)
-    report = _law_report(d, m.a.dim)
-    if not report.ok:
-        raise MatchedPairAxiomsFail(report.entries[0])
-    return LiePair(d, m.a.dim)
-
-
-def pair_to_matched(pair: LiePair) -> MatchedPairData:
-    """Split a pair whose complement is itself a subalgebra into matched data."""
-    na, nb = pair.dim_g, pair.dim_b
-    d = pair.d
-    for i in range(nb):
-        for j in range(nb):
-            head = d.c[na + i][na + j][:na]
-            if not vec_is_zero(head):
-                raise SubalgebraNotClosed(
-                    "complement bracket (%d, %d) has a subalgebra component" % (i, j)
-                )
-    a_alg = pair.g_algebra()
-    b_c = [[d.c[na + i][na + j][na:] for j in range(nb)] for i in range(nb)]
-    b_alg = LieAlgebra(nb, b_c)
-    nabla = [d.ad(x, na, d.dim) for x in range(na)]
-    delta = [d.ad(na + y, 0, na) for y in range(nb)]
-    return MatchedPairData(a_alg, b_alg, nabla, delta)
-
-
-def bialgebra_pair(g: LieAlgebra, cobracket) -> MatchedPairData:
-    """Matched pair (g, g*) from a cobracket delta: g -> Lambda^2 g.
-
-    ``cobracket[i]`` is an antisymmetric dim x dim Matrix M with
-    delta(x_i) = sum_{j<k} M[j,k] x_j ^ x_k.  The dual bracket must satisfy
-    Jacobi and the two actions (both coadjoint) must satisfy the matched-pair
-    laws; otherwise NotABialgebra is raised.
-    """
-    n = g.dim
-    if len(cobracket) != n:
-        raise ValueError("need one cobracket matrix per basis vector")
-    for m in cobracket:
-        if m.rows != n or m.cols != n:
-            raise NotABialgebra("cobracket matrices must be dim x dim")
-        if not (m + m.transpose()).is_zero():
-            raise NotABialgebra("cobracket matrices must be antisymmetric")
-    # Dual bracket: [x*_j, x*_k] = sum_i cobracket[i][j,k] x*_i.
-    dual_c = [[[cobracket[i][j, k] for i in range(n)] for k in range(n)]
-              for j in range(n)]
-    g_star = LieAlgebra(n, dual_c)
-    # nabla_X = coadjoint action of g on g*; delta_alpha = coadjoint of g* on
-    # g.  The sum's g*-block triples are the Jacobi identity of g*.
-    nabla = [-g.ad(i).transpose() for i in range(n)]
-    delta = [-g_star.ad(i).transpose() for i in range(n)]
-    data = MatchedPairData(g, g_star, nabla, delta)
-    report = check_matched_pair(data)
-    if not report.ok:
-        raise NotABialgebra(report.entries[0])
-    return data

@@ -1,8 +1,7 @@
-"""Exact linear algebra over the Gaussian rationals.
+"""Exact dense matrices and vectors over the Gaussian rationals.
 
-rank, solve, rref and the kernel basis all run one sparse eliminator (see
-_eliminate) and its back substitution.  Pivoting is deterministic, so every
-result is reproducible bit for bit.
+The eliminator behind rank, solve, rref and the kernel basis is in atiyah,
+the only layer that eliminates, so the tower commands do not compile it.
 """
 
 from __future__ import annotations
@@ -153,125 +152,6 @@ class Matrix:
 def _shape_check(a, b):
     if a.rows != b.rows or a.cols != b.cols:
         raise ValueError("shape mismatch")
-
-
-def _eliminate(rows, cols):
-    """Forward elimination of sparse rows {column: value} over the columns
-    0 .. cols - 1 in order.  A column's pivot is the shortest remaining row
-    holding it (Markowitz's minimum-degree rule, ties to the first row), so
-    fill-in stays small, and the pivot columns are the leftmost independent
-    ones.  Returns [(column, pivot row scaled to 1 there)] in column order;
-    rows is left as it was."""
-    live = {i: dict(row) for i, row in enumerate(rows) if row}
-    holders = {}  # column -> the live rows holding it
-    for i, row in live.items():
-        for c in row:
-            holders.setdefault(c, set()).add(i)
-    pivots = []
-    for col in range(cols):
-        others = holders.pop(col, None)
-        if not others:
-            continue
-        p = min(others, key=lambda i: (len(live[i]), i))
-        others.discard(p)
-        pivot = live.pop(p)
-        inv = ONE / pivot.pop(col)
-        for c in pivot:
-            holders[c].discard(p)
-            pivot[c] = inv * pivot[c]
-        for i in others:
-            row = live[i]
-            f = row.pop(col)
-            for c, v in pivot.items():
-                old = row.get(c)
-                if old is None:
-                    row[c] = -(f * v)
-                    holders[c].add(i)
-                elif (old := old - f * v).is_zero():
-                    del row[c]
-                    holders[c].discard(i)
-                else:
-                    row[c] = old
-        pivot[col] = ONE
-        pivots.append((col, pivot))
-    return pivots
-
-
-def _back_substitute(pivots, x, rhs=-1):
-    """x with each pivot column's entry solved from its pivot row, bottom
-    up: the row's entry at column rhs (none by default) minus its other
-    entries times x."""
-    for col, row in reversed(pivots):
-        acc = row.get(rhs, ZERO)
-        for c, v in row.items():
-            if c != col and c != rhs:
-                acc = acc - v * x[c]
-        x[col] = acc
-    return x
-
-
-def _kernel(pivots, cols):
-    """[(free column, kernel vector)] in column order, each vector 1 at its
-    free column and 0 at the others."""
-    pivot_cols = {col for col, _ in pivots}
-    return [(free, _back_substitute(pivots, basis_vec(cols, free)))
-            for free in range(cols) if free not in pivot_cols]
-
-
-def _sparse_rows(m: Matrix):
-    return [{c: x for c, x in enumerate(m.row(r)) if x} for r in range(m.rows)]
-
-
-def rref(m: Matrix):
-    """Reduced row echelon form; returns (rref, pivot column tuple, rank).
-
-    Row r is 1 at the r-th pivot column, and at each free column minus that
-    column's kernel vector at the pivot; the rows past the rank are zero."""
-    pivots = _eliminate(_sparse_rows(m), m.cols)
-    cols = tuple(col for col, _ in pivots)
-    out = Matrix.zeros(m.rows, m.cols)
-    for r, col in enumerate(cols):
-        out.data[r * m.cols + col] = ONE
-    for free, v in _kernel(pivots, m.cols):
-        for r, col in enumerate(cols):
-            out.data[r * m.cols + free] = -v[col]
-    return out, cols, len(cols)
-
-
-def pivot_columns(rows, cols):
-    """The leftmost independent columns of sparse rows {column: value} over
-    cols columns, in order; their number is the rank."""
-    return tuple(col for col, _ in _eliminate(rows, cols))
-
-
-def rank(m: Matrix) -> int:
-    return len(pivot_columns(_sparse_rows(m), m.cols))
-
-
-def solve_rows(rows, cols):
-    """(rank, x) for the sparse rows of [m | rhs], rhs in column cols: rank
-    is m's rank and x one exact solution of m.x = rhs, free variables zero,
-    or None when there is none."""
-    pivots = _eliminate(rows, cols + 1)
-    if pivots and pivots[-1][0] == cols:
-        return len(pivots) - 1, None
-    return len(pivots), _back_substitute(pivots, [ZERO] * cols, cols)
-
-
-def solve(m: Matrix, rhs):
-    """One exact solution of m.x = rhs (free variables zero), or None."""
-    if len(rhs) != m.rows:
-        raise ValueError("rhs length mismatch")
-    rows = _sparse_rows(m)
-    for row, x in zip(rows, map(as_scalar, rhs)):
-        if x:
-            row[m.cols] = x
-    return solve_rows(rows, m.cols)[1]
-
-
-def nullspace_basis(m: Matrix):
-    """Echelon-normalized kernel basis, ordered by free-column index."""
-    return [v for _, v in _kernel(_eliminate(_sparse_rows(m), m.cols), m.cols)]
 
 
 def vec_add(u, v):

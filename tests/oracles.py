@@ -14,17 +14,11 @@ loop over every output and every input entry, its matrix read through the
 dense action matrices, and rank and solve by rref of the (augmented) matrix.
 """
 
-from liepairs.atiyah import BiForm, atiyah_cocycle
-from liepairs.ce import Cochain, ce_diff
+from liepairs.atiyah import BiForm, rref
+from liepairs.ce import Cochain, atiyah_cocycle, ce_diff
 from liepairs.homotopy import GradedElement, lambda_k, mu_k
 from liepairs.lie_core import GAlgebra, Report, check_module, tensor_module
-from liepairs.linalg import (
-    Matrix,
-    basis_vec,
-    rref,
-    vec_add,
-    vec_is_zero,
-)
+from liepairs.linalg import Matrix, basis_vec, vec_add, vec_is_zero
 from liepairs.multilinear import (
     enumerate_shuffles,
     exterior_basis,

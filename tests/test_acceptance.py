@@ -12,20 +12,21 @@ import pytest
 
 from liepairs.atiyah import (
     atiyah_class,
-    atiyah_cocycle,
+    coboundary_primitive,
+    cohomology_dim,
     compatibility_report,
+    diff_matrix,
     direct_sum_connection,
-    extend_by_zero,
+    nullspace_basis,
     scalar_class,
     todd_biform,
     todd_class,
 )
 from liepairs.ce import (
     Cochain,
+    atiyah_cocycle,
     ce_diff,
-    coboundary_primitive,
-    cohomology_dim,
-    diff_matrix,
+    extend_by_zero,
     is_cocycle,
 )
 from liepairs.cli import EXIT_OK, main
@@ -47,11 +48,10 @@ from liepairs.lie_core import (
     LiePair,
     check_module,
     direct_sum_module,
-    matched_sum,
     trivial_module,
     validate_lie_algebra,
 )
-from liepairs.linalg import Matrix, nullspace_basis
+from liepairs.linalg import Matrix
 from liepairs.multilinear import exterior_basis
 from liepairs.scalars import GaussScalar, ONE, ZERO
 from liepairs.zoo import (
@@ -59,6 +59,7 @@ from liepairs.zoo import (
     affine_pair,
     gl_un_tn,
     heisenberg_pair,
+    matched_sum,
     random_extension,
     random_module,
     random_pair,

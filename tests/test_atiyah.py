@@ -6,24 +6,28 @@ import pytest
 
 from liepairs.atiyah import (
     BiForm,
-    Connection,
     _diagonal_cochain,
     _packed,
     _power_traces,
     _todd_log_coefficients,
     atiyah_class,
-    atiyah_cocycle,
     compatibility_report,
-    curvature,
     direct_sum_connection,
-    end_connection,
-    extend_by_zero,
     obstruction_biform_matrix,
     scalar_class,
     todd_biform,
     todd_class,
 )
-from liepairs.ce import Cochain, ce_diff, is_cocycle
+from liepairs.ce import (
+    Cochain,
+    Connection,
+    atiyah_cocycle,
+    ce_diff,
+    curvature,
+    end_connection,
+    extend_by_zero,
+    is_cocycle,
+)
 from liepairs.lie_core import (
     GModule,
     direct_sum_module,

@@ -5,31 +5,29 @@ from math import comb
 
 import pytest
 
-from liepairs.ce import (
-    Cochain,
-    _add_permuted,
-    ce_diff,
+from liepairs.atiyah import (
     coboundary_primitive,
     cohomology_dim,
     cohomology_representatives,
     diff_matrix,
-    is_cocycle,
+    rank,
+    solve,
 )
+from liepairs.ce import Cochain, _add_permuted, ce_diff, is_cocycle
 from liepairs.homotopy import build_tower, symmetry_report
 from liepairs.lie_core import (
     LieAlgebra,
     dual_module,
     end_module,
     make_pair,
-    matched_sum,
     trivial_module,
 )
-from liepairs.linalg import rank, solve
 from liepairs.scalars import GaussScalar, ONE, ZERO
 from liepairs.zoo import (
     affine_bialgebra,
     gl_un_tn,
     heisenberg_pair,
+    matched_sum,
     random_module,
     random_pair,
     sl2_borel_pair,

@@ -15,6 +15,7 @@ from liepairs.cli import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
     EXIT_VALIDATION_ERROR,
+    TOWER_MAX_ENTRIES,
     main,
 )
 from liepairs.fixture_io import ParseError, dump_fixture, load_fixture
@@ -683,9 +684,9 @@ def test_internal_invariant_failure_exit_4(capsys, tmp_path, monkeypatch,
                                            command):
     # a closedness check the library guarantees can only fail through a bug;
     # stub it to fail and the CLI must say so in one line, not a traceback
-    import liepairs.atiyah as atiyah_mod
+    import liepairs.ce as ce
 
-    monkeypatch.setattr(atiyah_mod, "is_cocycle", lambda w: False)
+    monkeypatch.setattr(ce, "is_cocycle", lambda w: False)
     path = export(capsys, tmp_path, "u2t2")
     code, out, err = run(capsys, [command, "--input", str(path), "--json"])
     assert code == EXIT_INTERNAL_ERROR
@@ -698,8 +699,8 @@ def test_internal_invariant_failure_exit_4(capsys, tmp_path, monkeypatch,
 def _counted_kernels(monkeypatch):
     """Counts, by input, each differential ce computes, each assembly of a
     differential and each elimination."""
+    import liepairs.atiyah as atiyah
     import liepairs.ce as ce
-    import liepairs.linalg as linalg
 
     calls = Counter()
 
@@ -713,9 +714,9 @@ def _counted_kernels(monkeypatch):
 
     counting(ce, "_ce_into", lambda total, w: (
         "d", w.k, w.l, w.module.dim, tuple(w.iter_nonzero())))
-    counting(ce, "_diff_columns", lambda pair, module, k, l=0:
+    counting(atiyah, "_diff_columns", lambda pair, module, k, l=0:
              ("assembled", k, l, module.dim))
-    counting(linalg, "_eliminate", lambda rows, cols: ("eliminated",))
+    counting(atiyah, "_eliminate", lambda rows, cols: ("eliminated",))
     return calls
 
 
@@ -773,7 +774,7 @@ def test_oversized_module_endomorphisms_exit_2(capsys, tmp_path, command):
 def test_module_endomorphism_cap_boundary(capsys, tmp_path, monkeypatch):
     # 45^4 = 4,100,625 entries fit under the cap and 46^4 = 4,477,456 do not;
     # the refusal is arithmetic, made before End(E) is built
-    import liepairs.atiyah as atiyah_mod
+    import liepairs.ce as ce
 
     class Reached(Exception):
         pass
@@ -781,7 +782,7 @@ def test_module_endomorphism_cap_boundary(capsys, tmp_path, monkeypatch):
     def fake_end_module(module):
         raise Reached
 
-    monkeypatch.setattr(atiyah_mod, "end_module", fake_end_module)
+    monkeypatch.setattr(ce, "end_module", fake_end_module)
     with pytest.raises(Reached):
         main(["atiyah", "--input", str(_sl2_with_trivial_module(tmp_path, 45)),
               "--module", "T"])
@@ -815,6 +816,40 @@ def test_oversized_tower_request_exit_2(capsys, tmp_path, command, depth):
     code, _, _ = run(capsys, [command, "--input", str(bad), "--depth",
                               str(depth)])
     assert code == EXIT_VALIDATION_ERROR
+
+
+@pytest.mark.parametrize("depth", [22, 10000])
+@pytest.mark.parametrize("dim_g", [2, 0], ids=["sl2", "dim_g_0"])
+def test_depth_above_21_refused_where_the_index_range_stays_small(
+        capsys, tmp_path, depth, dim_g):
+    # sl2 has dim B = 1 and the abelian pair dim g = 0, so their index
+    # ranges never grow with the depth and only the bound on the levels
+    # refuses them (sl2 --depth 10000 ran for 35 s)
+    if dim_g:
+        path = export(capsys, tmp_path, "sl2")
+    else:
+        path = tmp_path / "abelian2.json"
+        path.write_text(json.dumps(dump_fixture(
+            make_pair(LieAlgebra.zero(2), 0), {})))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["tower", "--input", str(path),
+                                  "--depth", str(depth), "--json"])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.count("\n") == 1 and "--depth %d" % depth in err
+    assert elapsed < 1.0, elapsed
+
+
+def test_depth_21_is_built_on_a_one_dimensional_quotient(capsys, tmp_path):
+    # 21 = TOWER_MAX_ENTRIES.bit_length() - 2, the deepest tower the cap
+    # admits on a pair with dim B >= 2 and dim g >= 1
+    assert TOWER_MAX_ENTRIES.bit_length() - 2 == 21
+    path = export(capsys, tmp_path, "sl2")
+    code, out, _ = run(capsys, ["tower", "--input", str(path),
+                                "--depth", "21", "--json"])
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["depth"] == 21
 
 
 def test_tower_size_cap_boundary(capsys, tmp_path, monkeypatch):

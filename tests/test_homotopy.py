@@ -3,8 +3,7 @@ import time
 
 import pytest
 
-from liepairs.atiyah import atiyah_cocycle, extend_by_zero
-from liepairs.ce import Cochain, ce_diff
+from liepairs.ce import Cochain, atiyah_cocycle, ce_diff, extend_by_zero
 from liepairs.homotopy import (
     ArityBeyondTower,
     GradedElement,
@@ -22,7 +21,7 @@ from liepairs.homotopy import (
     verify_leibniz,
     verify_module,
 )
-from liepairs.lie_core import GAlgebra, matched_sum, trivial_module
+from liepairs.lie_core import GAlgebra, trivial_module
 from liepairs.multilinear import merge_sign
 from liepairs.scalars import GaussScalar, ONE, ZERO
 from liepairs.zoo import (
@@ -30,6 +29,7 @@ from liepairs.zoo import (
     dual_numbers_algebra,
     gl_un_tn,
     heisenberg_pair,
+    matched_sum,
     random_extension,
     random_module,
     random_pair,

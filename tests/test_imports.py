@@ -1,7 +1,7 @@
 """Import hygiene: every module of the package uses each name it imports and
 reads each parameter its functions take, reads each private helper it defines
 somewhere, defines no public name that only the unit tests read, and the
-obstruction commands load only the layers they run.
+obstruction and tower commands load only the layers they run.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library alone.  ``__init__.py`` is exempt: its imports are the
@@ -20,7 +20,7 @@ import pytest
 
 import liepairs
 from liepairs.fixture_io import dump_fixture
-from liepairs.zoo import sl2_pair
+from liepairs.zoo import dual_numbers_algebra, sl2_pair
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liepairs"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -235,19 +235,36 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
-print(json.dumps({"codes": codes, "loaded": sorted(
-    name for name in sys.modules if name.startswith("liepairs"))}))
+loaded = sorted(name for name in sys.modules if name.startswith("liepairs"))
+print(json.dumps({"codes": codes, "loaded": loaded, "defined": sorted(
+    attr for name in loaded for attr, value in vars(sys.modules[name]).items()
+    if getattr(value, "__module__", None) == name)}))
 """
+
+# The obstruction layer's elimination, cohomology queries and classes, and
+# the pair constructions of the zoo, none of which a tower command runs.
+NOT_ON_THE_TOWER_PATH = (
+    "_eliminate", "rref", "rank", "solve", "nullspace_basis", "diff_matrix",
+    "coboundary_primitive", "cohomology_dim", "cohomology_representatives",
+    "atiyah_class", "scalar_class", "todd_class", "MatchedPairData",
+    "check_matched_pair", "matched_sum", "bialgebra_pair", "adapt_basis")
 
 
 def test_obstruction_commands_load_no_tower_or_zoo_layer(tmp_path):
     pair, modules = sl2_pair()
     path = tmp_path / "sl2.json"
-    path.write_text(json.dumps(dump_fixture(pair, modules)))
+    path.write_text(json.dumps(dump_fixture(
+        pair, modules, None, {"dual_numbers": dual_numbers_algebra(2)})))
     validate = [["validate", "--input", str(path), "--json"]]
     jobs = validate + [
         [command, "--input", str(path), "--module", "B", "--json"]
         for command in ("atiyah", "todd", "chern")]
+    towers = [[command, "--input", str(path), *extra, "--json"]
+              for command, extra in (
+                  ("tower", ["--module", "B"]),
+                  ("verify", ["--module", "B", "--max-n", "2"]),
+                  ("verify", ["--algebra", "dual_numbers", "--max-n", "2"]),
+                  ("symmetry", []))]
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
 
     def loaded(argvs):
@@ -256,18 +273,26 @@ def test_obstruction_commands_load_no_tower_or_zoo_layer(tmp_path):
                               capture_output=True, text=True, check=True)
         report = json.loads(done.stdout)
         assert report["codes"] == [0] * len(argvs)
-        return report["loaded"]
+        return report
 
-    names = loaded(jobs)
+    names = loaded(jobs)["loaded"]
     assert "liepairs.cli" in names
     assert "liepairs.atiyah" in names
     assert "liepairs.homotopy" not in names
     assert "liepairs.zoo" not in names
     # validate alone compiles none of the cochain and obstruction layers
-    names = loaded(validate)
+    names = loaded(validate)["loaded"]
     assert "liepairs.cli" in names
     for layer in ("ce", "atiyah", "multilinear", "homotopy", "zoo"):
         assert "liepairs." + layer not in names, layer
+    # each tower command compiles the tower path alone: no module it loads
+    # eliminates, decides a class or constructs a pair
+    for argv in towers:
+        report = loaded([argv])
+        assert "liepairs.homotopy" in report["loaded"], argv
+        for layer in ("atiyah", "zoo"):
+            assert "liepairs." + layer not in report["loaded"], (argv, layer)
+        assert not set(NOT_ON_THE_TOWER_PATH) & set(report["defined"]), argv
 
 
 def test_lazy_package_names_resolve_and_are_listed():

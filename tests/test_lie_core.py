@@ -7,23 +7,14 @@ from liepairs.lie_core import (
     GAlgebra,
     GModule,
     LieAlgebra,
-    MatchedPairAxiomsFail,
-    MatchedPairData,
-    NotABialgebra,
-    NotASubalgebra,
     Report,
     SubalgebraNotClosed,
-    adapt_basis,
-    bialgebra_pair,
     check_g_algebra,
-    check_matched_pair,
     check_module,
     dual_module,
     end_module,
     exterior_power_module,
     make_pair,
-    matched_sum,
-    pair_to_matched,
     tensor_module,
     trivial_module,
     validate_lie_algebra,
@@ -31,16 +22,25 @@ from liepairs.lie_core import (
 from liepairs.linalg import Matrix, basis_vec, vec_add, vec_is_zero
 from liepairs.scalars import GaussScalar, ONE, ZERO
 from liepairs.zoo import (
+    MatchedPairAxiomsFail,
+    MatchedPairData,
+    NotABialgebra,
+    NotASubalgebra,
     _catalog,
     _split_anti_hermitian,
     _t_basis,
     _t_coords,
     _u_basis,
     _u_coords,
+    adapt_basis,
     affine_bialgebra,
+    bialgebra_pair,
+    check_matched_pair,
     dual_numbers_algebra,
     gl_un_tn,
     heisenberg_pair,
+    matched_sum,
+    pair_to_matched,
     random_module,
     random_pair,
     sl2_pair,

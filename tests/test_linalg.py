@@ -4,21 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from liepairs.linalg import (
-    Matrix,
+from liepairs.atiyah import (
+    cohomology_dim,
+    diff_matrix,
     nullspace_basis,
     rank,
     rref,
     solve,
-    vec_is_zero,
 )
-from liepairs.ce import cohomology_dim, diff_matrix
-from liepairs.lie_core import end_module, matched_sum
+from liepairs.lie_core import end_module
+from liepairs.linalg import Matrix, vec_is_zero
 from liepairs.scalars import GaussScalar, I, ONE, ZERO
 from liepairs.zoo import (
     affine_bialgebra,
     gl_un_tn,
     heisenberg_pair,
+    matched_sum,
     random_module,
     random_pair,
     sl2_pair,

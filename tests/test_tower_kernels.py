@@ -24,19 +24,19 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liepairs.atiyah import end_connection, extend_by_zero
-from liepairs.ce import Cochain, ce_diff
+from liepairs.ce import Cochain, ce_diff, end_connection, extend_by_zero
 from liepairs.cli import main
 from liepairs.homotopy import (
+    BracketTower,
+    GradedElement,
+    VerifyReport,
     _add_permuted,
     _chain_into,
     _degree0_residuals,
     _wedge,
-    BracketTower,
     build_tower,
     check_proof_identities,
     compose_cochains,
-    GradedElement,
     graded_diff,
     lambda_k,
     mu_k,
@@ -47,13 +47,11 @@ from liepairs.homotopy import (
     two_bracket,
     verify_leibniz,
     verify_module,
-    VerifyReport,
     xi_witness,
 )
 from liepairs.lie_core import (
     check_g_algebra,
     end_module,
-    matched_sum,
     tensor_module,
     trivial_module,
 )
@@ -72,6 +70,7 @@ from liepairs.zoo import (
     dual_numbers_algebra,
     gl_un_tn,
     heisenberg_pair,
+    matched_sum,
     random_extension,
     random_module,
     random_pair,

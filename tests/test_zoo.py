@@ -1,13 +1,13 @@
-from liepairs.ce import cohomology_dim
+from liepairs.atiyah import cohomology_dim
 from liepairs.lie_core import (
     check_g_algebra,
-    check_matched_pair,
     check_module,
     validate_lie_algebra,
 )
 from liepairs.scalars import GaussScalar, ZERO
 from liepairs.zoo import (
     affine_bialgebra,
+    check_matched_pair,
     dual_numbers_algebra,
     gl_un_tn,
     heisenberg_pair,
