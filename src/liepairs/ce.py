@@ -13,12 +13,14 @@ exact is decided in atiyah.
 from __future__ import annotations
 
 from bisect import bisect
+from functools import lru_cache
 from operator import mul
 
 from .lie_core import GModule, LiePair, NotACocycle, end_module
 from .linalg import Matrix
-from .multilinear import exterior_basis, exterior_index, tensor_index
-from .scalars import ZERO, GaussScalar
+from .multilinear import (exterior_basis, exterior_index, tensor_index,
+                          tensor_tuples)
+from .scalars import ZERO, GaussScalar, _scalar
 
 
 class Cochain:
@@ -76,20 +78,25 @@ class Cochain:
         self.data[self._position(g_tuple, b_tuple, e)] = value
 
     def iter_nonzero(self):
-        """Yields (g_tuple, b_tuple, e, coeff) over nonzero entries, in flat
-        order, each b-tuple decoded from its index once."""
+        """(g_tuple, b_tuple, e, coeff) per nonzero entry, in flat order."""
+        return self._decode(sorted(self.entries.items()))
+
+    def _decode(self, items):
+        """iter_nonzero over (position, value) items, in their order, each
+        b-tuple decoded from its index once."""
         g_basis = self.g_basis()
         nb, dim_e = self.pair.dim_b, self.module.dim
         b_radix = nb ** self.l
         weights = [nb ** (self.l - 1 - slot) for slot in range(self.l)]
         b_tuples = {}
-        for pos, c in sorted(self._nonzeros().items()):
-            rest, e = divmod(pos, dim_e)
-            gi, bi = divmod(rest, b_radix)
-            bt = b_tuples.get(bi)
-            if bt is None:
-                bt = b_tuples[bi] = tuple(bi // w % nb for w in weights)
-            yield g_basis[gi], bt, e, c
+        for pos, c in items:
+            if c.re or c.im:
+                rest, e = divmod(pos, dim_e)
+                gi, bi = divmod(rest, b_radix)
+                bt = b_tuples.get(bi)
+                if bt is None:
+                    bt = b_tuples[bi] = tuple(bi // w % nb for w in weights)
+                yield g_basis[gi], bt, e, c
 
     # -- structure ------------------------------------------------------------
 
@@ -138,11 +145,14 @@ class Cochain:
             raise ValueError("cochain shape mismatch")
 
     def first_nonzero(self):
-        """A nonzero cochain's witness: its first entry in flat order as a
-        dict, or None."""
-        for gt, bt, e, c in self.iter_nonzero():
+        """A nonzero cochain's witness: its first nonzero entry in flat order
+        as a dict, or None.  Only that entry is decoded."""
+        pos = min((pos for pos, c in self.entries.items() if c.re or c.im),
+                  default=None)
+        if pos is None:
+            return None
+        for gt, bt, e, c in self._decode([(pos, self.entries[pos])]):
             return {"g": gt, "b": bt, "e": e, "value": str(c)}
-        return None
 
     def permute_b_args(self, perm):
         """New cochain w'(...; b_1..b_l) = w(...; b_perm(1)..b_perm(l))."""
@@ -189,24 +199,81 @@ class DenseView:
         return list(self) == other
 
 
-# Each kernel below adds its image of w into total, a cochain of the image's
-# shape: it reads w's nonzeros and writes total.entries directly, as
-# data[pos] = data.get(pos, ZERO) + term, so its cost follows those nonzeros.
+# The kernel protocol: each kernel adds its image of w into total, a cochain
+# of the image's shape.  It reads w.entries, skips stored zeros and finds
+# its indices by divmod on flat positions and in cached tables, never by
+# decoding tuples.  It sums plain (re, im) parts (see _scatter), and _flush
+# builds one GaussScalar per position, none per term.
 
 
-def _add_permuted(total, w, perm):
-    """total += w.permute_b_args(perm): the entry of w at b-tuple s lands at
-    the t with t[perm[i]] = s[i]."""
-    if sorted(perm) != list(range(w.l)):
+def _scatter(acc, terms, vr, vi):
+    """acc += (xr + i xi)(vr + i vi) at p for each (p, xr, xi) of terms: acc
+    is a kernel's own pair of maps {flat position: real, imaginary part}."""
+    re_acc, im_acc = acc
+    get_re, get_im = re_acc.get, im_acc.get
+    for p, xr, xi in terms:
+        re, im = (xr * vr - xi * vi, xr * vi + xi * vr) if xi or vi \
+            else (xr * vr, 0)
+        re_acc[p] = get_re(p, 0) + re
+        if im:
+            im_acc[p] = get_im(p, 0) + im
+
+
+def _flush(total, acc):
+    """total += acc (see _scatter), one GaussScalar per position.  acc's
+    real map is converted in place, and an empty total adopts it, so no
+    second map is held beside it."""
+    re_acc, im_acc = acc
+    data = total.entries
+    get, get_im = data.get, im_acc.get
+    for pos, re in re_acc.items():
+        im, old = get_im(pos, 0), get(pos)
+        if old is not None:
+            re, im = old.re + re, old.im + im
+        re_acc[pos] = _scalar(re, im) if re or im else ZERO  # cancelled
+    if data:
+        data.update(re_acc)
+    else:
+        total.entries = re_acc
+
+
+@lru_cache(maxsize=None)
+def _digit_tables(nb, l, perm):
+    """How a permutation of l B-slots moves a b-index s: by hi[s // nb^h] +
+    lo[s % nb^h], h = l // 2, since the move is additive over s's base-nb
+    digits and each table sums those of its half (nb^ceil(l/2) entries)."""
+    moves = [nb ** (l - 1 - p) - nb ** (l - 1 - i) for i, p in enumerate(perm)]
+    halves = moves[:l - l // 2], moves[l - l // 2:]
+    return tuple(tuple(sum(map(mul, digits, half))
+                       for digits in tensor_tuples(nb, len(half)))
+                 for half in halves)
+
+
+def _add_permuted(total, w, *perms, signs=None):
+    """total += the sum over perms of sign * w.permute_b_args(perm), in one
+    pass over w: the entry of w at b-tuple s lands at the t with t[perm[i]]
+    = s[i].  signs holds one +-1 per perm, +1 each by default."""
+    if any(sorted(perm) != list(range(w.l)) for perm in perms):
         raise ValueError("perm must be a permutation of the %d B-slots" % w.l)
     nb, dim_e = w.pair.dim_b, w.module.dim
-    b_radix = nb ** w.l
-    g_index = exterior_index(w.pair.dim_g, w.k)
-    weights = [nb ** (w.l - 1 - p) for p in perm]
-    data = total.entries
-    for gt, bt, e, v in w.iter_nonzero():
-        pos = (g_index[gt] * b_radix + sum(map(mul, bt, weights))) * dim_e + e
-        data[pos] = data.get(pos, ZERO) + v
+    lo_radix, hi_radix = nb ** (w.l // 2), nb ** (w.l - w.l // 2)
+    moves = [_digit_tables(nb, w.l, tuple(perm)) + (sign < 0,) for perm, sign
+             in zip(perms, signs or [1] * len(perms))]
+    # each term is +-v: _scatter's work, inlined on the hottest kernel
+    acc = re_acc, im_acc = {}, {}
+    get_re, get_im = re_acc.get, im_acc.get
+    for pos, v in w.entries.items():
+        vr, vi = v.re, v.im
+        if not (vr or vi):
+            continue
+        hi, lo = divmod(pos // dim_e, lo_radix)
+        hi %= hi_radix
+        for hi_moves, lo_moves, neg in moves:
+            p = pos + (hi_moves[hi] + lo_moves[lo]) * dim_e
+            re_acc[p] = get_re(p, 0) - vr if neg else get_re(p, 0) + vr
+            if vi:
+                im_acc[p] = get_im(p, 0) - vi if neg else get_im(p, 0) + vi
+    _flush(total, acc)
 
 
 def _ce_table(pair: LiePair, module: GModule, l: int):

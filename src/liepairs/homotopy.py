@@ -12,7 +12,7 @@ conventions fixed once:
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from math import prod
 
@@ -23,6 +23,8 @@ from .ce import (
     _ce_into,
     _ce_table,
     _ce_terms,
+    _flush,
+    _scatter,
     atiyah_cocycle,
     ce_diff,
     curvature,
@@ -37,17 +39,14 @@ from .lie_core import (
     tensor_module,
     trivial_module,
 )
-from .linalg import zero_vec
 from .multilinear import (
     exterior_basis,
     exterior_index,
     insert_with_sign,
     merge_sign,
     _shuffles,
-    tensor_index,
-    tensor_tuples,
 )
-from .scalars import GaussScalar, ONE, ZERO
+from .scalars import GaussScalar, ONE
 
 
 class ArityBeyondTower(Exception):
@@ -114,59 +113,53 @@ def partial_nabla(w: Cochain, conn_coeff: Connection, conn_b: Connection,
 def _nabla_into(total, w, conn_coeff: Connection, conn_b: Connection,
                 st: SplittingTensors):
     """total += partial_nabla(w) (see ce._add_permuted for the kernels'
-    protocol).  Each nonzero of w is scattered through the transpose of the
-    three term families."""
+    protocol): each nonzero of w is scattered through the transpose of the
+    three term families, their coefficients listed per b0 as signed plain
+    parts; moves[gi] lists (a_new, a_old, index, sign) per form term."""
     pair, k, l = w.pair, w.k, w.l
     m, nb, dim_e = pair.dim_g, pair.dim_b, w.module.dim
-    data = total.entries
-    g_index = exterior_index(m, k)
     b_radix = nb ** l
     out_radix = nb * b_radix
     steps = [nb ** (l - 1 - slot) for slot in range(l)]
-    entries = [(g_index[gt], gt, tensor_index(bt, nb), bt, e,
-                -v if k % 2 else v) for gt, bt, e, v in w.iter_nonzero()]
+    index = exterior_index(m, k)
+    moves = [[(a_new, a_old, index[ins[1]], ins[0] if q % 2 else -ins[0])
+              for q, a_new in enumerate(gt) for a_old in range(m)
+              if (ins := insert_with_sign(gt[:q] + gt[q + 1:], a_old))]
+             for gt in exterior_basis(m, k)]
+    families = []
     for b0 in range(nb):
         n_coeff = conn_coeff.nabla[m + b0].data
         n_b = conn_b.nabla[m + b0].data
         dl = st.delta[b0].data
-        # the nonzeros of the three operators b0 applies, by input index
-        value_terms = [[(e_out, n_coeff[e_out * dim_e + e])
-                        for e_out in range(dim_e)
-                        if not n_coeff[e_out * dim_e + e].is_zero()]
-                       for e in range(dim_e)]
-        form_terms = [[(a_old, dl[a_new * m + a_old]) for a_old in range(m)
-                       if not dl[a_new * m + a_old].is_zero()]
-                      for a_new in range(m)]
-        slot_terms = [[(old, n_b[new * nb + old]) for old in range(nb)
-                       if not n_b[new * nb + old].is_zero()]
-                      for new in range(nb)]
-        for gi, gt, bi, bt, e, v in entries:
+        # the nonzeros of the three operators b0 applies, by input index:
+        # the value, the form and each tensor slot
+        families.append((
+            [[(e_out, x.re, x.im) for e_out in range(dim_e)
+              if (x := n_coeff[e_out * dim_e + e])] for e in range(dim_e)],
+            [[(g_out, sign * x.re, sign * x.im)
+              for a_new, a_old, g_out, sign in row
+              if (x := dl[a_new * m + a_old])] for row in moves],
+            [[(old - new, -x.re, -x.im) for old in range(nb)
+              if (x := n_b[new * nb + old])] for new in range(nb)]))
+    acc = {}, {}
+    for pos, v in w.entries.items():
+        vr, vi = (-v.re, -v.im) if k % 2 else (v.re, v.im)
+        if not (vr or vi):
+            continue
+        rest, e = divmod(pos, dim_e)
+        gi, bi = divmod(rest, b_radix)
+        terms = []
+        for b0, (value, forms, slots) in enumerate(families):
             col = b0 * b_radix + bi
-            # covariant derivative of the value
             dst = (gi * out_radix + col) * dim_e
-            for e_out, x in value_terms[e]:
-                pos = dst + e_out
-                data[pos] = data.get(pos, ZERO) + x * v
-            # exterior slots fed through delta: a_new at position q of gt
-            # replaced a_old, which sits at the position its insertion sign
-            # counts in the output's tuple
-            for q, a_new in enumerate(gt):
-                rest = gt[:q] + gt[q + 1 :]
-                for a_old, x in form_terms[a_new]:
-                    ins = insert_with_sign(rest, a_old)
-                    if ins is None:
-                        continue
-                    sgn, key = ins
-                    pos = (g_index[key] * out_radix + col) * dim_e + e
-                    term = x * v
-                    data[pos] = data.get(pos, ZERO) + (
-                        term if (sgn < 0) != (q % 2 == 1) else -term)
-            # tensor slots fed through the connection on B
-            for slot, new in enumerate(bt):
-                for old, x in slot_terms[new]:
-                    pos = (gi * out_radix + col
-                           + (old - new) * steps[slot]) * dim_e + e
-                    data[pos] = data.get(pos, ZERO) - x * v
+            terms += [(dst + e_out, xr, xi) for e_out, xr, xi in value[e]]
+            terms += [((g_out * out_radix + col) * dim_e + e, xr, xi)
+                      for g_out, xr, xi in forms[gi]]
+            for step in steps:
+                terms += [(dst + shift * step * dim_e + e, xr, xi)
+                          for shift, xr, xi in slots[bi // step % nb]]
+        _scatter(acc, terms, vr, vi)
+    _flush(total, acc)
 
 
 # -- the tower -------------------------------------------------------------------
@@ -288,7 +281,7 @@ def _slices(w: Cochain, dim_in=None):
     End-valued w acts on a dim_in-dimensional space: the input index of its
     value ends the key and the output index is the hit's out."""
     slices = {}
-    for gt, bt, f, c in w.iter_nonzero():
+    for gt, bt, f, c in w._decode(w.entries.items()):
         if dim_in is not None:
             f, e_in = divmod(f, dim_in)
             bt = bt + (e_in,)
@@ -308,11 +301,10 @@ def _unfold_end(w: Cochain) -> Cochain:
     """Turn an End(B)-valued (k, l) cochain into a B-valued (k, l+1) one: the
     value at row*dim_b + col moves to value row, with col as the new last
     quotient argument."""
-    pair = w.pair
-    out = Cochain(pair, pair.quotient_module(), w.k, w.l + 1)
-    for gt, bt, f, c in w.iter_nonzero():
-        row, col = divmod(f, pair.dim_b)
-        out.set(gt, bt + (col,), row, c)
+    nb = w.pair.dim_b
+    out = Cochain(w.pair, w.pair.quotient_module(), w.k, w.l + 1)
+    out.entries = {(pos // nb ** 2 * nb + pos % nb) * nb + pos // nb % nb: c
+                   for pos, c in w.entries.items()}
     return out
 
 
@@ -926,59 +918,73 @@ def compose_cochains(outer: Cochain, inner: Cochain, slot: int) -> Cochain:
 
 def _compose_into(total, outer, inner, slot: int):
     """total += compose_cochains(outer, inner, slot) (see ce._add_permuted
-    for the kernels' protocol)."""
-    pair = outer.pair
-    nb, dim_e = pair.dim_b, outer.module.dim
-    b_radix = nb ** (outer.l + inner.l - 1)
-    out_index = exterior_index(pair.dim_g, outer.k + inner.k)
-    data = total.entries
-    by_value = {}
-    for g2, t2, m, c2 in inner.iter_nonzero():
-        by_value.setdefault(m, []).append((g2, t2, c2))
-    for g1, t1, e, c1 in outer.iter_nonzero():
-        pre, mid, post = t1[: slot - 1], t1[slot - 1], t1[slot:]
-        for g2, t2, c2 in by_value.get(mid, ()):
-            step = merge_sign(g1, g2)
-            if step is None:
-                continue
-            sign, merged = step
-            idx = (out_index[merged] * b_radix
-                   + tensor_index(pre + t2 + post, nb)) * dim_e + e
-            term = c1 * c2
-            data[idx] = data.get(idx, ZERO) + (term if sign > 0 else -term)
+    for the kernels' protocol): inner's value meets outer's slot-th B-index
+    (see _product_into)."""
+    nb, dim_e = outer.pair.dim_b, outer.module.dim
+    tail_radix, inner_radix = nb ** (outer.l - slot), inner.b_count()
+
+    def outer_key(b1, e):
+        head, tail = divmod(b1, tail_radix)
+        head, mid = divmod(head, nb)
+        return mid, (head * inner_radix * tail_radix + tail) * dim_e + e
+    _product_into(total, outer, outer_key, inner,
+                  lambda i2, value: (value, i2 * tail_radix * dim_e),
+                  nb ** (outer.l - 1) * inner_radix * dim_e)
 
 
 def _chain_into(total, outer, inner, dim_e: int):
     """total += outer . inner for End(E)-valued cochains, values indexed
-    out * dim_e + in: inner's output feeds outer's input, and the arguments
-    are joined outer block first, forms shuffle-wedged (see _compose_into)."""
-    nb = outer.pair.dim_b
-    b_radix, inner_radix = nb ** (outer.l + inner.l), nb ** inner.l
-    out_index = exterior_index(outer.pair.dim_g, outer.k + inner.k)
-    data = total.entries
-    by_output = {}
-    for g2, t2, f2, c2 in inner.iter_nonzero():
-        by_output.setdefault(f2 // dim_e, []).append(
-            (g2, tensor_index(t2, nb), f2 % dim_e, c2))
-    for g1, t1, f1, c1 in outer.iter_nonzero():
-        e_out, mid = divmod(f1, dim_e)
-        head = tensor_index(t1, nb) * inner_radix
-        for g2, i2, e_in, c2 in by_output.get(mid, ()):
-            step = merge_sign(g1, g2)
-            if step is not None:
-                idx = (((out_index[step[1]] * b_radix + head + i2) * dim_e
-                        + e_out) * dim_e + e_in)
-                term = c1 * c2
-                data[idx] = data.get(idx, ZERO) + (term if step[0] > 0
-                                                   else -term)
+    out * dim_e + in: inner's output feeds outer's input, arguments joined
+    outer block first, forms shuffle-wedged (see _product_into)."""
+    dd, inner_radix = dim_e * dim_e, inner.b_count()
+    # outer meets on its input index, inner on its output index
+    _product_into(
+        total, outer,
+        lambda b1, f1: (f1 % dim_e, b1 * inner_radix * dd + f1 - f1 % dim_e),
+        inner, lambda i2, f2: (f2 // dim_e, i2 * dd + f2 % dim_e),
+        outer.b_count() * inner_radix * dd)
+
+
+def _product_into(total, outer, outer_key, inner, inner_key, g_stride):
+    """The kernel behind _compose_into and _chain_into: a nonzero of outer
+    (inner) at exterior index g, b-index b and value v has (key, offset) =
+    outer_key(b, v) (inner_key(b, v)), and each pair with one key adds sign
+    * c1 * c2 at g * g_stride + both offsets (g, sign: see _merge_table)."""
+    def split(w, key_of):
+        for pos, c in w.entries.items():
+            if c.re or c.im:
+                rest, v = divmod(pos, w.module.dim)
+                g, b = divmod(rest, w.b_count())
+                yield (g,) + key_of(b, v) + (c.re, c.im)
+
+    groups = {}
+    for g2, key, offset2, br, bi in split(inner, inner_key):
+        groups.setdefault(key, []).append((g2, offset2, br, bi))
+    merge = _merge_table(outer.pair.dim_g, outer.k, inner.k)
+    acc = {}, {}
+    for g1, key, offset, ar, ai in split(outer, outer_key):
+        row = merge[g1]
+        _scatter(acc, [(step[0] * g_stride + offset + offset2, step[1] * br,
+                        step[1] * bi) for g2, offset2, br, bi in
+                       groups.get(key, ()) if (step := row[g2])], ar, ai)
+    _flush(total, acc)
+
+
+@lru_cache(maxsize=None)
+def _merge_table(n, k1, k2):
+    """table[i1][i2]: the wedge of the basis forms of degrees k1 and k2 on n
+    generators at exterior indices i1, i2 as (merged index, sign), or None."""
+    index = exterior_index(n, k1 + k2)
+    return tuple(tuple(None if (step := merge_sign(f1, f2)) is None
+                       else (index[step[1]], step[0])
+                       for f2 in exterior_basis(n, k2))
+                 for f1 in exterior_basis(n, k1))
 
 
 def _torsion_into(total, tower: BracketTower):
     """Torsion antisymmetrization, bidegree (1, 2): swapping the two slots of
     the binary tensor costs the differential of the torsion."""
-    r2 = tower.r[2]
-    _add_permuted(total, r2, (0, 1))
-    _add_permuted(total, -r2, (1, 0))
+    _add_permuted(total, tower.r[2], (0, 1), (1, 0), signs=(1, -1))
     _ce_into(total, -tower.torsion())
 
 
@@ -986,9 +992,7 @@ def _ternary_into(total, tower: BracketTower):
     """Ternary symmetry defect, bidegree (1, 3): the swap of the first two
     slots against the torsion-fed binary tensor and the differential of the
     curvature."""
-    r3 = tower.r[3]
-    _add_permuted(total, r3, (0, 1, 2))
-    _add_permuted(total, -r3, (1, 0, 2))
+    _add_permuted(total, tower.r[3], (0, 1, 2), (1, 0, 2), signs=(1, -1))
     # minus R_2(beta(b0, b1), b2)
     _compose_into(total, tower.r[2], -tower.torsion(), 1)
     # plus (d omega)(b0, b1) applied to b2; omega(b1, b2)'s row-major entries
@@ -1007,11 +1011,11 @@ def _coherence_into(total, tower: BracketTower, n: int):
     for i in range(2, n):
         j = n + 1 - i
         for k in range(j, n + 1):
-            part = tower.composite(i, j, k - j + 1)
-            for sigma in _shuffles(k - j, j - 1):
-                # composite argument order: sigma-first block, sigma-second
-                # block, position k, then the untouched tail
-                _add_permuted(total, part, sigma + tuple(range(k - 1, n)))
+            # composite argument order: sigma's two blocks, position k, then
+            # the untouched tail; one pass scatters it through all shuffles
+            tail = tuple(range(k - 1, n))
+            _add_permuted(total, tower.composite(i, j, k - j + 1),
+                          *[sigma + tail for sigma in _shuffles(k - j, j - 1)])
 
 
 def _module_into(total, tower: BracketTower, n: int):
@@ -1029,8 +1033,9 @@ def _module_into(total, tower: BracketTower, n: int):
                 _compose_into(part, s[n + 1 - j], tower.r[j], k - j + 1)
             else:
                 _chain_into(part, s[n + 1 - j], s[j], tower.module.dim)
-            for sigma in _shuffles(k - j, j - 1):
-                _add_permuted(total, part, sigma + tuple(range(k - 1, n - 1)))
+            tail = tuple(range(k - 1, n - 1))
+            _add_permuted(total, part,
+                          *[sigma + tail for sigma in _shuffles(k - j, j - 1)])
 
 
 def _mixed_into(total, tower: BracketTower, n: int):
@@ -1147,20 +1152,19 @@ def symmetry_report(tower: BracketTower):
 
     When all levels pass, the antisymmetrized bracket identities coincide with
     the non-symmetric ones, i.e. the structure is symmetric-compatible.  Each
-    swap's defect R_n - R_n(.., b_(p+1), b_p, ..) is accumulated into a copy
-    of R_n from its nonzeros; the witness is the defect's first nonzero entry
-    in flat order, so the zeros a cancellation leaves in it are passed over.
+    swap's defect R_n - R_n(.., b_(p+1), b_p, ..) is formed in one pass over
+    R_n's nonzeros; the witness is the defect's first nonzero entry in flat
+    order, so the zeros a cancellation leaves in it are passed over.
     """
     out = {}
     for n in sorted(tower.r):
         tensor = tower.r[n]
-        negated = -tensor
         verdict = {"fully_symmetric": True, "witness": None}
         for pos in range(n - 1):
             perm = list(range(n))
             perm[pos], perm[pos + 1] = perm[pos + 1], perm[pos]
-            defect = tensor.copy()
-            _add_permuted(defect, negated, perm)
+            defect = Cochain(tensor.pair, tensor.module, tensor.k, n)
+            _add_permuted(defect, tensor, range(n), perm, signs=(1, -1))
             entry = defect.first_nonzero()
             if entry is not None:
                 verdict["fully_symmetric"] = False
@@ -1172,30 +1176,3 @@ def symmetry_report(tower: BracketTower):
         v["fully_symmetric"] for k, v in out.items() if isinstance(k, int))
     return out
 
-
-# -- matched-pair closed form ---------------------------------------------------------
-
-
-def matched_zero_gamma_closed_form(tower: BracketTower, n: int) -> Cochain:
-    """Independent oracle for towers over a matched pair with the zero
-    extension: iterate the complement action on the subalgebra slot, then act
-    on the last argument."""
-    pair = tower.pair
-    m, nb = pair.dim_g, pair.dim_b
-    action = pair.quotient_module().action
-    out = Cochain(pair, pair.quotient_module(), 1, n)
-    for a in range(m):
-        for bt in tensor_tuples(nb, n):
-            vec = [ONE if s == a else ZERO for s in range(m)]
-            for i in range(n - 1):
-                vec = tower.st.delta[bt[i]].apply(vec)
-            value = zero_vec(nb)
-            for s, c in enumerate(vec):
-                if not c.is_zero():
-                    col = action[s].col(bt[n - 1])
-                    for outb in range(nb):
-                        value[outb] = value[outb] + c * col[outb]
-            for outb in range(nb):
-                if not value[outb].is_zero():
-                    out.set((a,), bt, outb, value[outb])
-    return out

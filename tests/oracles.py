@@ -12,13 +12,19 @@ as tuple-keyed BiForm sums with wedge signs from merge_sign.  The dense
 paths the sparse cohomology replaced stay here too: the differential as one
 loop over every output and every input entry, its matrix read through the
 dense action matrices, and rank and solve by rref of the (augmented) matrix.
+The tower kernels the flat-position ones replaced are kept as they were:
+each decodes its operands through Cochain.iter_nonzero, wedges forms with
+merge_sign or insert_with_sign and builds a GaussScalar per term.  So is
+the closed form of the towers over a matched pair with the zero extension.
 """
+
+from operator import mul
 
 from liepairs.atiyah import BiForm, rref
 from liepairs.ce import Cochain, atiyah_cocycle, ce_diff
 from liepairs.homotopy import GradedElement, lambda_k, mu_k
 from liepairs.lie_core import GAlgebra, Report, check_module, tensor_module
-from liepairs.linalg import Matrix, basis_vec, vec_add, vec_is_zero
+from liepairs.linalg import Matrix, basis_vec, vec_add, vec_is_zero, zero_vec
 from liepairs.multilinear import (
     enumerate_shuffles,
     exterior_basis,
@@ -29,7 +35,7 @@ from liepairs.multilinear import (
     tensor_index,
     tensor_tuples,
 )
-from liepairs.scalars import ZERO, as_scalar
+from liepairs.scalars import ONE, ZERO, as_scalar
 
 
 def dense_graded_diff(pair, base_module, el, algebra=None):
@@ -477,3 +483,210 @@ def dense_check_g_algebra(g, algebra):
                     where = _first_nonzero(res)
                     report.add("derivation", (a, i, j, where[0]), where[1])
     return report
+
+
+# -- the tower kernels the flat-position kernels replaced ---------------------
+
+
+def replaced_first_nonzero(w):
+    """Cochain.first_nonzero as it was: the first item of iter_nonzero."""
+    for gt, bt, e, c in w.iter_nonzero():
+        return {"g": gt, "b": bt, "e": e, "value": str(c)}
+    return None
+
+
+def replaced_add_permuted(total, w, perm):
+    """total += w.permute_b_args(perm): the entry of w at b-tuple s lands at
+    the t with t[perm[i]] = s[i]."""
+    if sorted(perm) != list(range(w.l)):
+        raise ValueError("perm must be a permutation of the %d B-slots" % w.l)
+    nb, dim_e = w.pair.dim_b, w.module.dim
+    b_radix = nb ** w.l
+    g_index = exterior_index(w.pair.dim_g, w.k)
+    weights = [nb ** (w.l - 1 - p) for p in perm]
+    data = total.entries
+    for gt, bt, e, v in w.iter_nonzero():
+        pos = (g_index[gt] * b_radix + sum(map(mul, bt, weights))) * dim_e + e
+        data[pos] = data.get(pos, ZERO) + v
+
+
+def replaced_nabla_into(total, w, conn_coeff, conn_b, st):
+    """total += partial_nabla(w): each nonzero of w is scattered through the
+    transpose of the three term families."""
+    pair, k, l = w.pair, w.k, w.l
+    m, nb, dim_e = pair.dim_g, pair.dim_b, w.module.dim
+    data = total.entries
+    g_index = exterior_index(m, k)
+    b_radix = nb ** l
+    out_radix = nb * b_radix
+    steps = [nb ** (l - 1 - slot) for slot in range(l)]
+    entries = [(g_index[gt], gt, tensor_index(bt, nb), bt, e,
+                -v if k % 2 else v) for gt, bt, e, v in w.iter_nonzero()]
+    for b0 in range(nb):
+        n_coeff = conn_coeff.nabla[m + b0].data
+        n_b = conn_b.nabla[m + b0].data
+        dl = st.delta[b0].data
+        # the nonzeros of the three operators b0 applies, by input index
+        value_terms = [[(e_out, n_coeff[e_out * dim_e + e])
+                        for e_out in range(dim_e)
+                        if not n_coeff[e_out * dim_e + e].is_zero()]
+                       for e in range(dim_e)]
+        form_terms = [[(a_old, dl[a_new * m + a_old]) for a_old in range(m)
+                       if not dl[a_new * m + a_old].is_zero()]
+                      for a_new in range(m)]
+        slot_terms = [[(old, n_b[new * nb + old]) for old in range(nb)
+                       if not n_b[new * nb + old].is_zero()]
+                      for new in range(nb)]
+        for gi, gt, bi, bt, e, v in entries:
+            col = b0 * b_radix + bi
+            # covariant derivative of the value
+            dst = (gi * out_radix + col) * dim_e
+            for e_out, x in value_terms[e]:
+                pos = dst + e_out
+                data[pos] = data.get(pos, ZERO) + x * v
+            # exterior slots fed through delta: a_new at position q of gt
+            # replaced a_old, which sits at the position its insertion sign
+            # counts in the output's tuple
+            for q, a_new in enumerate(gt):
+                rest = gt[:q] + gt[q + 1 :]
+                for a_old, x in form_terms[a_new]:
+                    ins = insert_with_sign(rest, a_old)
+                    if ins is None:
+                        continue
+                    sgn, key = ins
+                    pos = (g_index[key] * out_radix + col) * dim_e + e
+                    term = x * v
+                    data[pos] = data.get(pos, ZERO) + (
+                        term if (sgn < 0) != (q % 2 == 1) else -term)
+            # tensor slots fed through the connection on B
+            for slot, new in enumerate(bt):
+                for old, x in slot_terms[new]:
+                    pos = (gi * out_radix + col
+                           + (old - new) * steps[slot]) * dim_e + e
+                    data[pos] = data.get(pos, ZERO) - x * v
+
+
+def replaced_compose_into(total, outer, inner, slot):
+    """total += compose_cochains(outer, inner, slot): inner's value fed into
+    outer's slot-th quotient argument, forms merged with merge_sign."""
+    pair = outer.pair
+    nb, dim_e = pair.dim_b, outer.module.dim
+    b_radix = nb ** (outer.l + inner.l - 1)
+    out_index = exterior_index(pair.dim_g, outer.k + inner.k)
+    data = total.entries
+    by_value = {}
+    for g2, t2, m, c2 in inner.iter_nonzero():
+        by_value.setdefault(m, []).append((g2, t2, c2))
+    for g1, t1, e, c1 in outer.iter_nonzero():
+        pre, mid, post = t1[: slot - 1], t1[slot - 1], t1[slot:]
+        for g2, t2, c2 in by_value.get(mid, ()):
+            step = merge_sign(g1, g2)
+            if step is None:
+                continue
+            sign, merged = step
+            idx = (out_index[merged] * b_radix
+                   + tensor_index(pre + t2 + post, nb)) * dim_e + e
+            term = c1 * c2
+            data[idx] = data.get(idx, ZERO) + (term if sign > 0 else -term)
+
+
+def replaced_chain_into(total, outer, inner, dim_e):
+    """total += outer . inner for End(E)-valued cochains, values indexed
+    out * dim_e + in: inner's output feeds outer's input, and the arguments
+    are joined outer block first, forms shuffle-wedged."""
+    nb = outer.pair.dim_b
+    b_radix, inner_radix = nb ** (outer.l + inner.l), nb ** inner.l
+    out_index = exterior_index(outer.pair.dim_g, outer.k + inner.k)
+    data = total.entries
+    by_output = {}
+    for g2, t2, f2, c2 in inner.iter_nonzero():
+        by_output.setdefault(f2 // dim_e, []).append(
+            (g2, tensor_index(t2, nb), f2 % dim_e, c2))
+    for g1, t1, f1, c1 in outer.iter_nonzero():
+        e_out, mid = divmod(f1, dim_e)
+        head = tensor_index(t1, nb) * inner_radix
+        for g2, i2, e_in, c2 in by_output.get(mid, ()):
+            step = merge_sign(g1, g2)
+            if step is not None:
+                idx = (((out_index[step[1]] * b_radix + head + i2) * dim_e
+                        + e_out) * dim_e + e_in)
+                term = c1 * c2
+                data[idx] = data.get(idx, ZERO) + (term if step[0] > 0
+                                                   else -term)
+
+
+def replaced_slices(w, dim_in=None):
+    """Group w's nonzeros by b-tuple as (form, out, coeff) hits, in flat
+    order.  An End-valued w acts on a dim_in-dimensional space: the input
+    index of its value ends the key and the output index is the hit's out."""
+    slices = {}
+    for gt, bt, f, c in w.iter_nonzero():
+        if dim_in is not None:
+            f, e_in = divmod(f, dim_in)
+            bt = bt + (e_in,)
+        slices.setdefault(bt, []).append((gt, f, c))
+    return slices
+
+
+def replaced_unfold_end(w):
+    """Turn an End(B)-valued (k, l) cochain into a B-valued (k, l+1) one: the
+    value at row*dim_b + col moves to value row, with col as the new last
+    quotient argument."""
+    pair = w.pair
+    out = Cochain(pair, pair.quotient_module(), w.k, w.l + 1)
+    for gt, bt, f, c in w.iter_nonzero():
+        row, col = divmod(f, pair.dim_b)
+        out.set(gt, bt + (col,), row, c)
+    return out
+
+
+def matched_zero_gamma_closed_form(tower, n):
+    """Independent oracle for towers over a matched pair with the zero
+    extension: iterate the complement action on the subalgebra slot, then act
+    on the last argument."""
+    pair = tower.pair
+    m, nb = pair.dim_g, pair.dim_b
+    action = pair.quotient_module().action
+    out = Cochain(pair, pair.quotient_module(), 1, n)
+    for a in range(m):
+        for bt in tensor_tuples(nb, n):
+            vec = [ONE if s == a else ZERO for s in range(m)]
+            for i in range(n - 1):
+                vec = tower.st.delta[bt[i]].apply(vec)
+            value = zero_vec(nb)
+            for s, c in enumerate(vec):
+                if not c.is_zero():
+                    col = action[s].col(bt[n - 1])
+                    for outb in range(nb):
+                        value[outb] = value[outb] + c * col[outb]
+            for outb in range(nb):
+                if not value[outb].is_zero():
+                    out.set((a,), bt, outb, value[outb])
+    return out
+
+
+# -- seeded mutations of the flat-position kernels' tables --------------------
+
+
+def digit_table_off_by_one(digit_tables):
+    """ce._digit_tables with the last entry of every high table moved by
+    one: an entry whose high digits are all dim B - 1 lands one b-index
+    early."""
+    def mutated(nb, l, perm):
+        hi, lo = digit_tables(nb, l, perm)
+        return hi[:-1] + (hi[-1] - 1,), lo
+    return mutated
+
+
+def merge_table_sign_flip(merge_table):
+    """homotopy._merge_table with the sign of its last wedge flipped, the
+    one of the two highest-indexed forms that meet."""
+    def mutated(n, k1, k2):
+        table = [list(row) for row in merge_table(n, k1, k2)]
+        cells = [(i1, i2) for i1, row in enumerate(table)
+                 for i2, step in enumerate(row) if step is not None]
+        if cells:
+            i1, i2 = cells[-1]
+            table[i1][i2] = (table[i1][i2][0], -table[i1][i2][1])
+        return table
+    return mutated

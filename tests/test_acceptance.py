@@ -10,6 +10,8 @@ import time
 
 import pytest
 
+import liepairs.ce as ce
+import liepairs.homotopy as homotopy
 from liepairs.atiyah import (
     atiyah_class,
     coboundary_primitive,
@@ -36,7 +38,6 @@ from liepairs.homotopy import (
     check_proof_identities,
     graded_diff,
     lambda_k,
-    matched_zero_gamma_closed_form,
     splitting_tensors,
     symmetry_report,
     verify_leibniz,
@@ -66,6 +67,12 @@ from liepairs.zoo import (
     sl2_borel_pair,
     sl2_pair,
     sl2_pair_swapped,
+)
+
+from oracles import (
+    digit_table_off_by_one,
+    matched_zero_gamma_closed_form,
+    merge_table_sign_flip,
 )
 
 
@@ -445,7 +452,7 @@ def _detect_structure_mutation(pair, declared_modules):
     return None
 
 
-def test_criterion_9_mutation_sensitivity(u2t2, bialgebra_sum):
+def test_criterion_9_mutation_sensitivity(u2t2, bialgebra_sum, monkeypatch):
     budget = Budget("9 mutation sensitivity", 120.0)
     rng = random.Random(2026)
     detected = 0
@@ -529,6 +536,19 @@ def test_criterion_9_mutation_sensitivity(u2t2, bialgebra_sum):
         total += 1
         assert matched_zero_gamma_closed_form(tower, 2) != tower.r[2]
         detected += 1
+
+    # kernel table mutations: a digit-table off-by-one (the permutations of
+    # the shuffle sums) and a merge-table sign flip (the composites) each
+    # break a tensor-level proof identity of the u2t2 tower
+    for layer, name, mutate in ((ce, "_digit_tables", digit_table_off_by_one),
+                                (homotopy, "_merge_table",
+                                 merge_table_sign_flip)):
+        with monkeypatch.context() as patch:
+            patch.setattr(layer, name, mutate(getattr(layer, name)))
+            tower = build_tower(u2t2.pair, u2t2.conn_mult, depth=4)
+            total += 1
+            assert not all(ok for _, ok, _ in check_proof_identities(tower, 0))
+            detected += 1
 
     assert total >= 50 and detected == total
     budget.done("%d/%d mutations detected" % (detected, total))

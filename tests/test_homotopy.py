@@ -12,7 +12,6 @@ from liepairs.homotopy import (
     check_proof_identities,
     graded_diff,
     lambda_k,
-    matched_zero_gamma_closed_form,
     mu_k,
     partial_nabla,
     splitting_tensors,
@@ -38,7 +37,11 @@ from liepairs.zoo import (
     weighted_dual_numbers,
 )
 
-from oracles import dense_mult, oracle_leibniz_residual
+from oracles import (
+    dense_mult,
+    matched_zero_gamma_closed_form,
+    oracle_leibniz_residual,
+)
 
 
 def g(x):

@@ -1,6 +1,7 @@
 """Import hygiene: every module of the package uses each name it imports and
 reads each parameter its functions take, reads each private helper it defines
-somewhere, defines no public name that only the unit tests read, and the
+somewhere, defines no public name that only the unit tests read, the tower
+layers' kernels never read a cochain through its decoded view, and the
 obstruction and tower commands load only the layers they run.
 
 No linter ships with the project, so this walks the syntax tree with the
@@ -226,6 +227,40 @@ def test_the_check_sees_a_private_import():
 def test_the_cli_imports_only_public_names():
     # the CLI runs on the library's public API
     assert private_package_imports((PACKAGE / "cli.py").read_text()) == []
+
+
+def iter_nonzero_callers(source):
+    """The functions and methods of source, nested ones and the functions
+    around them included, whose bodies call iter_nonzero."""
+    return sorted({
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(node) if isinstance(call, ast.Call)
+        and "iter_nonzero" in (getattr(call.func, "attr", None),
+                               getattr(call.func, "id", None))})
+
+
+def test_the_check_sees_a_decoded_view():
+    source = ("class C:\n    def first(self):\n"
+              "        for x in self.iter_nonzero():\n            return x\n\n"
+              "def kernel(w):\n    def inner():\n"
+              "        return list(w.iter_nonzero())\n    return inner\n\n"
+              "def flat(w):\n    return w.entries, w.iter_nonzero\n")
+    assert iter_nonzero_callers(source) == ["first", "inner", "kernel"]
+
+
+# Cochain.iter_nonzero sorts a cochain's entries and decodes each position
+# into tuples: it is the ordered view for the CLI's JSON, the witnesses and
+# the class code.  The kernels of the tower layers read flat positions (see
+# the kernel protocol in ce.py), and first_nonzero decodes its one
+# entry alone, so no function of those layers calls it.
+DECODED_VIEW_ALLOWED = {"ce.py": [], "homotopy.py": []}
+
+
+@pytest.mark.parametrize("name", sorted(DECODED_VIEW_ALLOWED))
+def test_tower_layers_read_flat_positions(name):
+    assert iter_nonzero_callers((PACKAGE / name).read_text()) == \
+        DECODED_VIEW_ALLOWED[name]
 
 
 DIET_SCRIPT = """

@@ -1,4 +1,5 @@
-"""Differential tests for the nonzero-driven tower kernels, the shared
+"""Differential tests for the nonzero-driven tower kernels, against dense
+oracles and against the kernels the flat-position ones replaced, the shared
 contraction kernel behind the brackets, the degree skip in the
 homotopy-witness loops, the two sides of the unary bracket, the sweeps (one
 sweep loop, one differential path), the factoring of the sweeps and witness
@@ -19,12 +20,21 @@ loops, and the tensor-level residuals are summed as dense cochains.
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liepairs.ce import Cochain, ce_diff, end_connection, extend_by_zero
+import liepairs.ce as ce
+import liepairs.homotopy as homotopy
+from liepairs.ce import (
+    Cochain,
+    atiyah_cocycle,
+    ce_diff,
+    end_connection,
+    extend_by_zero,
+)
 from liepairs.cli import main
 from liepairs.homotopy import (
     BracketTower,
@@ -32,7 +42,11 @@ from liepairs.homotopy import (
     VerifyReport,
     _add_permuted,
     _chain_into,
+    _compose_into,
     _degree0_residuals,
+    _nabla_into,
+    _slices,
+    _unfold_end,
     _wedge,
     build_tower,
     check_proof_identities,
@@ -84,9 +98,18 @@ from oracles import (
     dense_graded_diff,
     dense_mult,
     dense_product,
+    digit_table_off_by_one,
+    merge_table_sign_flip,
     oracle_basis,
     oracle_leibniz_residual,
     oracle_module_residual,
+    replaced_add_permuted,
+    replaced_chain_into,
+    replaced_compose_into,
+    replaced_first_nonzero,
+    replaced_nabla_into,
+    replaced_slices,
+    replaced_unfold_end,
 )
 
 
@@ -517,6 +540,13 @@ def test_permute_b_args_rejects_non_permutations():
     for perm in ((0,), (0, 0), (1, 2), (0, 1, 2)):
         with pytest.raises(ValueError):
             w.permute_b_args(perm)
+    # in any position of a set of permutations, before anything is added
+    w = rand_cochain(random.Random(3), fx.pair, fx.module_b, 1, 2)
+    total = Cochain(fx.pair, fx.module_b, 1, 2)
+    for perms in (((0, 1), (1, 2)), ((1, 0), (0,)), ((0, 1), (0, 1, 2))):
+        with pytest.raises(ValueError):
+            _add_permuted(total, w, *perms)
+    assert total.entries == {}
 
 
 @pytest.mark.parametrize("fixture", FIXTURES, ids=IDS)
@@ -1854,3 +1884,202 @@ def test_symmetry_scan_matches_the_dense_permuted_copies():
             verdicts.update(v["fully_symmetric"] for k, v in expected.items()
                             if isinstance(k, int))
     assert verdicts == {True: 22, False: 34}
+
+
+# -- the flat-position kernels against the kernels they replaced -------------------
+
+
+def exact_value(rng):
+    """A nonzero Gaussian rational, integral or not, real or not."""
+    while True:
+        x = GaussScalar(Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])),
+                        rng.choice([0, 0, Fraction(rng.randint(-2, 2),
+                                                   rng.choice([1, 2]))]))
+        if x:
+            return x
+
+
+def sparse_cochain(rng, pair, module, k, l, count=8):
+    """A cochain with count nonzeros at seeded positions."""
+    w = Cochain(pair, module, k, l)
+    for pos in rng.sample(range(w.size), min(count, w.size)):
+        w.entries[pos] = exact_value(rng)
+    return w
+
+
+def with_cancelled_zeros(w, rng, count=4):
+    """A copy of w that also stores zeros, as a sum that cancels leaves
+    them, at position 0 and at seeded positions w lacks."""
+    out = w.copy()
+    free = [pos for pos in range(w.size) if pos not in w.entries]
+    for pos in free[:1] + rng.sample(free[1:], min(count - 1, len(free[1:]))):
+        x = exact_value(rng)
+        out.entries[pos] = x - x
+    return out
+
+
+def corrupted(w, rng):
+    """A copy of w with one seeded entry changed."""
+    out = w.copy()
+    pos = rng.randrange(w.size)
+    out.entries[pos] = out.entries.get(pos, ZERO) + GaussScalar(
+        1, rng.choice([0, 1]))
+    return out
+
+
+def flat_kernel_cases(fixture):
+    """The tower of a fixture at depth 4 with its module side, and (label,
+    cochain, connection on its values) inputs: its levels R_n and S_n, and
+    seeded sparse cochains with Gaussian and fractional values, B-, End(B)-
+    and End(E)-valued, each as it is, with cancelled zeros stored and with
+    one entry corrupted."""
+    name, pair, conn_b, module, conn_e = fixture
+    rng = random.Random(name + "/flat")
+    tower = build_tower(pair, conn_b, depth=4, module=module, conn_e=conn_e)
+    b = pair.quotient_module()
+    end_b, end_e = end_module(b), end_module(module)
+    conn_end = end_connection(conn_e)
+    base = [("R%d" % n, w, conn_b) for n, w in tower.r.items()]
+    base += [("S%d" % n, w, conn_end) for n, w in tower.s.items()]
+    base.append(("atiyah", atiyah_cocycle(conn_b), None))
+    for k in range(min(pair.dim_g, 2) + 1):
+        for l in range(4):
+            base.append(("B%d%d" % (k, l), sparse_cochain(rng, pair, b, k, l),
+                         conn_b))
+            base.append(("E%d%d" % (k, l),
+                         sparse_cochain(rng, pair, end_e, k, l), conn_end))
+            base.append(("EndB%d%d" % (k, l),
+                         sparse_cochain(rng, pair, end_b, k, l), None))
+    cases = []
+    for label, w, conn in base:
+        cases += [(label, w, conn),
+                  (label + "+zeros", with_cancelled_zeros(w, rng), conn),
+                  (label + "+corrupt", corrupted(w, rng), conn)]
+    return tower, cases
+
+
+def by_form_and_out(slices):
+    """Slices with each slice's hits in (form, out) order, the flat order
+    within a slice."""
+    return {key: sorted(hits, key=lambda hit: hit[:2])
+            for key, hits in slices.items()}
+
+
+def flat_kernel_mismatches(fixture):
+    """Labels of the inputs on which a flat-position kernel and the kernel it
+    replaced (tests/oracles.py) disagree, summed into an empty total and into
+    a seeded nonzero one: _add_permuted on single permutations and on signed
+    sets of them (which must also equal its single calls), _nabla_into,
+    _compose_into, _chain_into, _slices, _unfold_end and first_nonzero."""
+    tower, cases = flat_kernel_cases(fixture)
+    pair, st, conn_b = tower.pair, tower.st, tower.conn_b
+    rng = random.Random(fixture[0] + "/mismatch")
+    found = []
+
+    def compare(label, shape, new, old):
+        """new(total) against old(total) from an empty and from a seeded
+        total of the given (module, k, l)."""
+        for start in (Cochain(pair, *shape),
+                      sparse_cochain(rng, pair, *shape)):
+            got, expected = start.copy(), start.copy()
+            new(got)
+            old(expected)
+            if got != expected:
+                found.append(label)
+
+    for label, w, conn in cases:
+        shape = (w.module, w.k, w.l)
+        perms = list(permutations(range(w.l)))
+        for perm in rng.sample(perms, min(len(perms), 6)):
+            compare("permute %s %s" % (label, perm), shape,
+                    lambda t: _add_permuted(t, w, perm),
+                    lambda t: replaced_add_permuted(t, w, perm))
+        chosen = [rng.choice(perms) for _ in range(3)]
+        signs = [rng.choice([1, -1]) for _ in chosen]
+        compare("permute %s %s %s" % (label, chosen, signs), shape,
+                lambda t: _add_permuted(t, w, *chosen, signs=signs),
+                lambda t: [replaced_add_permuted(t, -w if sign < 0 else w,
+                                                 perm)
+                           for perm, sign in zip(chosen, signs)])
+        compare("permute %s one by one" % label, shape,
+                lambda t: _add_permuted(t, w, *chosen, signs=signs),
+                lambda t: [_add_permuted(t, w, perm, signs=[sign])
+                           for perm, sign in zip(chosen, signs)])
+        if conn is not None and w.l < 3:
+            compare("nabla " + label, (w.module, w.k, w.l + 1),
+                    lambda t: _nabla_into(t, w, conn, conn_b, st),
+                    lambda t: replaced_nabla_into(t, w, conn, conn_b, st))
+        if w.first_nonzero() != replaced_first_nonzero(w):
+            found.append("first_nonzero " + label)
+        end_e_valued = label.startswith(("S", "E")) \
+            and not label.startswith("EndB")
+        dim_in = tower.module.dim if end_e_valued else None
+        if by_form_and_out(_slices(w, dim_in)) != \
+                by_form_and_out(replaced_slices(w, dim_in)):
+            found.append("slices " + label)
+        if label.startswith(("EndB", "atiyah")) and \
+                _unfold_end(w) != replaced_unfold_end(w):
+            found.append("unfold " + label)
+    b_valued = [case for case in cases if case[0].startswith(("R", "B"))]
+    e_valued = [case for case in cases if case[0].startswith(("S", "E"))
+                and not case[0].startswith("EndB")]
+    for (o_label, outer, _), (i_label, inner, _) in rng.sample(
+            list(product(b_valued + e_valued, b_valued)), 60):
+        if outer.l and outer.l + inner.l <= 5:
+            for slot in range(1, outer.l + 1):
+                compare("compose %s %s %d" % (o_label, i_label, slot),
+                        (outer.module, outer.k + inner.k,
+                         outer.l + inner.l - 1),
+                        lambda t: _compose_into(t, outer, inner, slot),
+                        lambda t: replaced_compose_into(t, outer, inner, slot))
+    dim_e = tower.module.dim
+    for (o_label, outer, _), (i_label, inner, _) in rng.sample(
+            list(product(e_valued, repeat=2)), 40):
+        if outer.l + inner.l <= 4:
+            compare("chain %s %s" % (o_label, i_label),
+                    (outer.module, outer.k + inner.k, outer.l + inner.l),
+                    lambda t: _chain_into(t, outer, inner, dim_e),
+                    lambda t: replaced_chain_into(t, outer, inner, dim_e))
+    return found
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=IDS)
+def test_flat_kernels_match_the_kernels_they_replaced(fixture):
+    assert flat_kernel_mismatches(fixture) == []
+
+
+TABLE_MUTATIONS = [(ce, "_digit_tables", digit_table_off_by_one, "permute"),
+                   (homotopy, "_merge_table", merge_table_sign_flip,
+                    ("compose", "chain"))]
+
+
+@pytest.mark.parametrize("layer, name, mutate, kernels", TABLE_MUTATIONS,
+                         ids=[m[1] for m in TABLE_MUTATIONS])
+def test_the_differential_test_catches_table_mutations(monkeypatch, layer,
+                                                       name, mutate, kernels):
+    # a digit-table off-by-one and a merge-table sign flip, each caught on
+    # every zoo fixture by the kernels that read the table
+    monkeypatch.setattr(layer, name, mutate(getattr(layer, name)))
+    for fixture in FIXTURES:
+        found = flat_kernel_mismatches(fixture)
+        assert found and all(label.startswith(kernels) for label in found), \
+            fixture[0]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=IDS)
+def test_first_nonzero_is_the_first_decoded_entry(fixture):
+    # on the tower levels and the tensor-level residuals, whose sums leave
+    # cancelled zeros (the coherence tensors hold nothing else), and on each
+    # with zeros stored before its first nonzero
+    tower, _ = flat_kernel_cases(fixture)
+    tensors = list(tower.r.values()) + list(tower.s.values())
+    tensors += [w for _, w in tensor_residuals(tower)]
+    rng = random.Random(fixture[0] + "/first")
+    zeros = 0
+    for w in tensors + [with_cancelled_zeros(w, rng) for w in tensors]:
+        first = next(iter(w.iter_nonzero()), None)
+        assert w.first_nonzero() == (None if first is None else {
+            "g": first[0], "b": first[1], "e": first[2],
+            "value": str(first[3])})
+        zeros += any(not c for c in w.entries.values())
+    assert zeros >= sum(len(w.entries) < w.size for w in tensors)
