@@ -18,8 +18,9 @@ from math import comb
 from .ce import (
     Cochain,
     Connection,
-    _ce_image,
+    _ce_sum,
     _ce_table,
+    _flush,
     atiyah_cocycle,
     curvature,
     extend_by_zero,
@@ -524,9 +525,9 @@ def nullspace_basis(m: Matrix):
 def _diff_columns(pair: LiePair, module: GModule, k: int, l: int = 0):
     """The degree-k differential w.r.t. the canonical cochain bases as sparse
     columns {row: value}: the image of each basis cochain."""
-    shape = Cochain(pair, module, k, l)
-    table = _ce_table(pair, module, l)
-    return [_ce_image(shape, table, {col: ONE}) for col in range(shape.size)]
+    table = _ce_table(pair, module, k, l)
+    return [_flush({}, _ce_sum(table, {col: ONE}))
+            for col in range(Cochain(pair, module, k, l).size)]
 
 
 def diff_matrix(pair: LiePair, module: GModule, k: int, l: int = 0) -> Matrix:

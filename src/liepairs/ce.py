@@ -3,32 +3,33 @@ and the connections whose curvature is its obstruction cocycle.
 
 A Cochain of bidegree (k, l) is a coefficient tensor over (sorted exterior
 multi-index of g, length-l tuple of B indices, E index), kept as a map from
-flat position to value that holds its nonzeros.  The differential follows the
-usual alternating-sum formula, with the module action on the value and on
-every B-slot folded in.  It is applied entry by entry to the input's
-nonzeros, so its cost follows the input's sparsity.  Whether a cochain is
-exact is decided in atiyah.
+flat position to value that holds its nonzeros.  The differential
+d(e^I (x) v) = sum_a e^a ^ e^I (x) a.v + d(e^I) (x) v, a acting on the value
+and on every B-slot, is one of the flat-position kernels below: each input
+nonzero is scattered through moves listed per exterior index, so its cost
+follows the input's sparsity.  Whether a cochain is exact is decided in
+atiyah.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from functools import lru_cache
 from operator import mul
 
 from .lie_core import GModule, LiePair, NotACocycle, end_module
 from .linalg import Matrix
-from .multilinear import (exterior_basis, exterior_index, tensor_index,
-                          tensor_tuples)
-from .scalars import ZERO, GaussScalar, _scalar
+from .multilinear import (exterior_basis, exterior_index, merge_sign,
+                          tensor_index, tensor_tuples)
+from .scalars import ZERO, _scalar
 
 
 class Cochain:
     """Element of Lambda^k g* (x) (B*)^(x l) (x) E over the canonical basis.
 
     entries maps a flat position (see flat_index) to its value; a position it
-    lacks holds zero.  It holds the nonzeros, and may hold zeros a sum left
-    behind, which equality, hashing and iter_nonzero ignore.  data is the same
+    lacks holds zero.  The kernels store nonzeros only; a zero written
+    directly, through data, entries or +, is ignored by equality, hashing,
+    iter_nonzero and every kernel that reads the cochain.  data is the same
     map indexed like the dense tensor (see DenseView).  A dense coefficient
     list, as linear algebra returns one, may be passed as data.
     """
@@ -199,11 +200,12 @@ class DenseView:
         return list(self) == other
 
 
-# The kernel protocol: each kernel adds its image of w into total, a cochain
-# of the image's shape.  It reads w.entries, skips stored zeros and finds
-# its indices by divmod on flat positions and in cached tables, never by
-# decoding tuples.  It sums plain (re, im) parts (see _scatter), and _flush
-# builds one GaussScalar per position, none per term.
+# The kernel protocol: each kernel, the differential among them, adds its
+# image of w into total, a cochain of the image's shape.  It reads w.entries
+# and finds its indices by divmod on flat positions and in tables, never by
+# decoding tuples: every wedge of basis forms is read off _merge_table.  It
+# sums plain (re, im) parts (see _scatter), and _flush builds one
+# GaussScalar per position, none per term, and keeps no sum that cancels.
 
 
 def _scatter(acc, terms, vr, vi):
@@ -212,29 +214,44 @@ def _scatter(acc, terms, vr, vi):
     re_acc, im_acc = acc
     get_re, get_im = re_acc.get, im_acc.get
     for p, xr, xi in terms:
-        re, im = (xr * vr - xi * vi, xr * vi + xi * vr) if xi or vi \
-            else (xr * vr, 0)
+        re, im = (xr * vr - xi * vi, xr * vi + xi * vr) if xi \
+            else (xr * vr, xr * vi)
         re_acc[p] = get_re(p, 0) + re
         if im:
             im_acc[p] = get_im(p, 0) + im
 
 
-def _flush(total, acc):
-    """total += acc (see _scatter), one GaussScalar per position.  acc's
-    real map is converted in place, and an empty total adopts it, so no
-    second map is held beside it."""
+def _flush(entries, acc):
+    """entries + acc (see _scatter) as one map {flat position: value}, one
+    GaussScalar per position, with no position whose sum cancels.  entries
+    is updated in place; acc's real map is converted in place and, when
+    entries is empty, returned, so no second map is held beside it."""
     re_acc, im_acc = acc
-    data = total.entries
-    get, get_im = data.get, im_acc.get
+    get, get_im = entries.get, im_acc.get
     for pos, re in re_acc.items():
         im, old = get_im(pos, 0), get(pos)
         if old is not None:
             re, im = old.re + re, old.im + im
-        re_acc[pos] = _scalar(re, im) if re or im else ZERO  # cancelled
-    if data:
-        data.update(re_acc)
-    else:
-        total.entries = re_acc
+        re_acc[pos] = _scalar(re, im) if re or im else None  # cancelled
+    for pos in [pos for pos, x in re_acc.items() if x is None]:
+        del re_acc[pos]
+        entries.pop(pos, None)
+    if not entries:
+        return re_acc
+    entries.update(re_acc)
+    return entries
+
+
+@lru_cache(maxsize=None)
+def _merge_table(n, k1, k2):
+    """table[i1][i2]: the wedge of the basis forms of degrees k1 and k2 on n
+    generators at exterior indices i1, i2 as (merged index, sign), or None.
+    The one place the kernels' wedges and strips of forms are worked out."""
+    index = exterior_index(n, k1 + k2)
+    return tuple(tuple(None if (step := merge_sign(f1, f2)) is None
+                       else (index[step[1]], step[0])
+                       for f2 in exterior_basis(n, k2))
+                 for f1 in exterior_basis(n, k1))
 
 
 @lru_cache(maxsize=None)
@@ -264,8 +281,6 @@ def _add_permuted(total, w, *perms, signs=None):
     get_re, get_im = re_acc.get, im_acc.get
     for pos, v in w.entries.items():
         vr, vi = v.re, v.im
-        if not (vr or vi):
-            continue
         hi, lo = divmod(pos // dim_e, lo_radix)
         hi %= hi_radix
         for hi_moves, lo_moves, neg in moves:
@@ -273,101 +288,90 @@ def _add_permuted(total, w, *perms, signs=None):
             re_acc[p] = get_re(p, 0) - vr if neg else get_re(p, 0) + vr
             if vi:
                 im_acc[p] = get_im(p, 0) - vi if neg else get_im(p, 0) + vi
-    _flush(total, acc)
+    total.entries = _flush(total.entries, acc)
 
 
-def _ce_table(pair: LiePair, module: GModule, l: int):
-    """The nonzeros the differential on l B-slots reads, listed per kernel
-    call by input as plain (re, im) parts: (act, quot, brk, the B-slots'
-    index weights, dim B).  act[a][e] holds (e_out, re, im) for a acting on
-    the value, quot[a][b] (b_old, re, im) for a acting on a B-slot, and
-    brk[s] (x, y, re, im), x < y, for [x, y] along s."""
+def _ce_table(pair: LiePair, module: GModule, k: int, l: int):
+    """The differential on (k, l)-cochains as flat moves per input exterior
+    index gi, for _ce_terms: (moves, brackets, the B-slots' index weights,
+    dim B, the size of one form's block, dim E).  An entry at offset at =
+    bi * dim E + e of gi's block sends each (shift, re, im) of a list to off
+    + at + shift.  moves[gi] holds (off, value, slots) per a with e^a ^ e^gi
+    = sign e^J, off J's block: value[e] lists sign * a on the value, and
+    slots[slot][new] -sign * a on that B-slot.  brackets[gi] holds (off, re,
+    im) per term of d e^gi: e^gi = sign e^s ^ e^rest, and d e^s = -sum_(x<y)
+    c^s_xy e^x ^ e^y is wedged onto e^rest.  Every wedge and strip is read
+    off _merge_table."""
     n, nb, dim_e = pair.dim_g, pair.dim_b, module.dim
+    stride = nb ** l * dim_e
+    weights = [nb ** (l - 1 - slot) for slot in range(l)]
     rho_b = pair.quotient_module().action
-    act, quot = [], []
+    actions = []
     for a in range(n):
         rho, rows = module.action[a].data, rho_b[a].data
-        act.append([[(e_out, x.re, x.im) for e_out in range(dim_e)
-                     if (x := rho[e_out * dim_e + e])] for e in range(dim_e)])
-        quot.append([[(old, x.re, x.im) for old in range(nb)
-                      if (x := rows[new * nb + old])] for new in range(nb)]
-                     if l else None)
+        value = [[(e_out - e, x.re, x.im) for e_out in range(dim_e)
+                  if (x := rho[e_out * dim_e + e]).re or x.im]
+                 for e in range(dim_e)]
+        slots = [[[((old - new) * w * dim_e, -x.re, -x.im) for old in range(nb)
+                   if (x := rows[new * nb + old]).re or x.im]
+                  for new in range(nb)] for w in weights]
+        actions.append({1: (value, slots), -1: (
+            _negated(value), [_negated(rows) for rows in slots])})
+    moves = [[] for _ in exterior_basis(n, k)]
+    for a, row in enumerate(_merge_table(n, 1, k)):
+        for gi, step in enumerate(row):
+            if step is not None:
+                moves[gi].append((step[0] * stride,) + actions[a][step[1]])
     c = pair.d.c
-    brk = [[(x, y, v.re, v.im) for x in range(n) for y in range(x + 1, n)
-            if (v := c[x][y][s])] for s in range(n)]
-    return act, quot, brk, [nb ** (l - 1 - slot) for slot in range(l)], nb
+    d_forms = [[(xy, v) for xy, (x, y) in enumerate(exterior_basis(n, 2))
+                if (v := c[x][y][s]).re or v.im] for s in range(n)]
+    brackets = [[] for _ in exterior_basis(n, k)]
+    wedges = _merge_table(n, 2, k - 1)
+    for s, row in enumerate(_merge_table(n, 1, k - 1)):
+        for rest, strip in enumerate(row):
+            if strip is not None:
+                gi, sign = strip
+                brackets[gi] += [(wedge[0] * stride, -sign * wedge[1] * v.re,
+                                  -sign * wedge[1] * v.im)
+                                 for xy, v in d_forms[s]
+                                 if (wedge := wedges[xy][rest]) is not None]
+    return moves, brackets, weights, nb, stride, dim_e
 
 
-def _ce_terms(table, gt, bi, e):
-    """Yield the terms (J, b-index, e_out, re, im) of d applied to the basis
-    cochain that is 1 at (gt, bi, e) and 0 elsewhere, read off the table.
-
-    The transpose of the three term families of the differential: the action
-    on the value, minus the action routed through each B-slot, and the
-    bracket terms.  A key may be yielded more than once; callers add.
-    """
-    act, quot, brk, weights, nb = table
-    k = len(gt)
-    m = 0  # entries of gt below a, i.e. the position of a in J
-    for a, rows in enumerate(act):
-        if m < k and gt[m] == a:
-            m += 1
-            continue
-        J = gt[:m] + (a,) + gt[m:]
-        sign = -1 if m % 2 else 1
-        for e_out, re, im in rows[e]:
-            yield J, bi, e_out, sign * re, sign * im
-        for w in weights:
-            new = bi // w % nb
-            for old, re, im in quot[a][new]:
-                yield J, bi + (old - new) * w, e, -sign * re, -sign * im
-    # gt = insert(s, rest) with sign (-1)^q; J = rest + {x, y}, x < y.
-    for q, s in enumerate(gt):
-        rest = gt[:q] + gt[q + 1 :]
-        for x, y, re, im in brk[s]:
-            if x in rest or y in rest:
-                continue
-            mx = bisect(rest, x)  # entries of rest below x
-            my = bisect(rest, y) + 1  # entries of rest below y, plus x
-            J = rest[:mx] + (x,) + rest[mx : my - 1] + (y,) + rest[my - 1 :]
-            if (mx + my + q) % 2:
-                re, im = -re, -im
-            yield J, bi, e, re, im
+def _negated(rows):
+    return [[(shift, -re, -im) for shift, re, im in row] for row in rows]
 
 
-def _ce_image(w, table, entries):
-    """d of the entries {position: value} of a cochain shaped like w, as its
-    nonzeros {output position: value}: the terms are summed as plain parts,
-    and one GaussScalar is built per output position."""
-    g_basis, dim_e = w.g_basis(), w.module.dim
-    out_index = exterior_index(w.pair.dim_g, w.k + 1)
-    b_radix = w.pair.dim_b ** w.l
-    acc = {}
+def _ce_terms(table, pos):
+    """The terms (position, re, im) of d applied to the basis cochain that is
+    1 at flat position pos, read off the table (see _ce_table).  A position
+    may be listed more than once; callers add."""
+    moves, brackets, weights, nb, stride, dim_e = table
+    gi, at = divmod(pos, stride)
+    bi, e = divmod(at, dim_e)
+    terms = [(off + at, re, im) for off, re, im in brackets[gi]]
+    for off, value, slots in moves[gi]:
+        dst = off + at
+        terms += [(dst + shift, re, im) for shift, re, im in value[e]]
+        for w, rows in zip(weights, slots):
+            terms += [(dst + shift, re, im)
+                      for shift, re, im in rows[bi // w % nb]]
+    return terms
+
+
+def _ce_sum(table, entries):
+    """d of entries {flat position: value} of a cochain the table fits,
+    summed by _scatter into an accumulator for _flush."""
+    acc = {}, {}
     for pos, v in entries.items():
-        vr, vi = v.re, v.im
-        rest, e = divmod(pos, dim_e)
-        gi, bi = divmod(rest, b_radix)
-        for J, bo, e_out, cr, ci in _ce_terms(table, g_basis[gi], bi, e):
-            out = (out_index[J] * b_radix + bo) * dim_e + e_out
-            re, im = (cr * vr - ci * vi, cr * vi + ci * vr) if ci \
-                else (cr * vr, cr * vi)
-            old = acc.get(out)
-            if old is None:
-                acc[out] = [re, im]
-            else:
-                old[0] += re
-                old[1] += im
-    return {out: GaussScalar(re, im) for out, (re, im) in acc.items()
-            if re or im}
+        _scatter(acc, _ce_terms(table, pos), v.re, v.im)
+    return acc
 
 
 def _ce_into(total, w):
     """total += d(w)."""
-    if w.k < w.pair.dim_g:
-        data = total.entries
-        table = _ce_table(w.pair, w.module, w.l)
-        for out, x in _ce_image(w, table, w.entries).items():
-            data[out] = data[out] + x if out in data else x
+    table = _ce_table(w.pair, w.module, w.k, w.l)
+    total.entries = _flush(total.entries, _ce_sum(table, w.entries))
 
 
 def ce_diff(w: Cochain) -> Cochain:

@@ -12,7 +12,7 @@ conventions fixed once:
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from itertools import product
 from math import prod
 
@@ -21,9 +21,10 @@ from .ce import (
     Connection,
     _add_permuted,
     _ce_into,
+    _ce_sum,
     _ce_table,
-    _ce_terms,
     _flush,
+    _merge_table,
     _scatter,
     atiyah_cocycle,
     ce_diff,
@@ -42,7 +43,6 @@ from .lie_core import (
 from .multilinear import (
     exterior_basis,
     exterior_index,
-    insert_with_sign,
     merge_sign,
     _shuffles,
 )
@@ -112,20 +112,25 @@ def partial_nabla(w: Cochain, conn_coeff: Connection, conn_b: Connection,
 
 def _nabla_into(total, w, conn_coeff: Connection, conn_b: Connection,
                 st: SplittingTensors):
-    """total += partial_nabla(w) (see ce._add_permuted for the kernels'
-    protocol): each nonzero of w is scattered through the transpose of the
-    three term families, their coefficients listed per b0 as signed plain
-    parts; moves[gi] lists (a_new, a_old, index, sign) per form term."""
+    """total += partial_nabla(w) (see the kernel protocol in ce): each
+    nonzero of w is scattered through the transpose of the three term
+    families, their coefficients listed per b0 as signed plain parts.
+    moves[gi] lists (a_new, a_old, index, sign) per form term: e^gi = s1
+    e^a_new ^ e^rest and e^a_old ^ e^rest = s2 e^index, read off
+    _merge_table, with sign -s1 * s2."""
     pair, k, l = w.pair, w.k, w.l
     m, nb, dim_e = pair.dim_g, pair.dim_b, w.module.dim
     b_radix = nb ** l
     out_radix = nb * b_radix
     steps = [nb ** (l - 1 - slot) for slot in range(l)]
-    index = exterior_index(m, k)
-    moves = [[(a_new, a_old, index[ins[1]], ins[0] if q % 2 else -ins[0])
-              for q, a_new in enumerate(gt) for a_old in range(m)
-              if (ins := insert_with_sign(gt[:q] + gt[q + 1:], a_old))]
-             for gt in exterior_basis(m, k)]
+    moves = [[] for _ in exterior_basis(m, k)]
+    for column in zip(*_merge_table(m, 1, k - 1)):
+        for a_new, strip in enumerate(column):
+            if strip is not None:
+                moves[strip[0]] += [(a_new, a_old, wedge[0],
+                                     -strip[1] * wedge[1])
+                                    for a_old, wedge in enumerate(column)
+                                    if wedge is not None]
     families = []
     for b0 in range(nb):
         n_coeff = conn_coeff.nabla[m + b0].data
@@ -144,8 +149,6 @@ def _nabla_into(total, w, conn_coeff: Connection, conn_b: Connection,
     acc = {}, {}
     for pos, v in w.entries.items():
         vr, vi = (-v.re, -v.im) if k % 2 else (v.re, v.im)
-        if not (vr or vi):
-            continue
         rest, e = divmod(pos, dim_e)
         gi, bi = divmod(rest, b_radix)
         terms = []
@@ -159,7 +162,7 @@ def _nabla_into(total, w, conn_coeff: Connection, conn_b: Connection,
                 terms += [(dst + shift * step * dim_e + e, xr, xi)
                           for shift, xr, xi in slots[bi // step % nb]]
         _scatter(acc, terms, vr, vi)
-    _flush(total, acc)
+    total.entries = _flush(total.entries, acc)
 
 
 # -- the tower -------------------------------------------------------------------
@@ -418,31 +421,36 @@ def _effective_module(base: GModule, algebra) -> GModule:
 def graded_diff(pair: LiePair, base_module: GModule, el: GradedElement,
                 algebra: GAlgebra = None) -> GradedElement:
     """Unary bracket: the cochain differential applied term by term."""
-    return _diff(_ce_table(pair, _effective_module(base_module, algebra), 0),
-                 el, algebra)
+    return _diff(_diff_tables(pair, _effective_module(base_module, algebra),
+                              {len(key[0]) for key in el.terms}), el, algebra)
 
 
-def _diff(table, el, algebra=None) -> GradedElement:
-    """graded_diff through the term table of the effective module (base
-    module (x) algebra): the terms are summed as plain parts, and one
-    GaussScalar is built per output key."""
+def _diff_tables(pair: LiePair, module: GModule, degrees):
+    """_diff's term tables (see ce._ce_table) on module, by exterior degree,
+    built once for every element a caller differentiates."""
+    return {k: _ce_table(pair, module, k, 0) for k in degrees}
+
+
+def _diff(tables, el, algebra=None) -> GradedElement:
+    """graded_diff through tables[k], the term table of the effective module
+    (base module (x) algebra) in degree k: each degree's terms, at flat
+    positions gi * dim E + value index, are summed as d of a cochain is."""
     cdim = algebra.dim if algebra is not None else None
-    acc = {}
+    n = el.pair.dim_g
+    by_degree = {}
     for key, val in el.terms.items():
-        vr, vi = val.re, val.im
+        k = len(key[0])
         midx = key[1] if cdim is None else key[1] * cdim + key[2]
-        for gt, _, e, cr, ci in _ce_terms(table, key[0], 0, midx):
-            out = (gt, e) if cdim is None else (gt,) + divmod(e, cdim)
-            re, im = (cr * vr - ci * vi, cr * vi + ci * vr) if ci \
-                else (cr * vr, cr * vi)
-            old = acc.get(out)
-            if old is None:
-                acc[out] = [re, im]
-            else:
-                old[0] += re
-                old[1] += im
-    return GradedElement(el.pair, el.mdim, cdim, {
-        out: GaussScalar(re, im) for out, (re, im) in acc.items() if re or im})
+        by_degree.setdefault(k, {})[
+            exterior_index(n, k)[key[0]] * tables[k][-1] + midx] = val
+    out = GradedElement(el.pair, el.mdim, cdim)
+    for k, entries in by_degree.items():
+        basis, dim_e = exterior_basis(n, k + 1), tables[k][-1]
+        for pos, c in _flush({}, _ce_sum(tables[k], entries)).items():
+            gi, e = divmod(pos, dim_e)
+            out.terms[(basis[gi], e) if cdim is None
+                      else (basis[gi],) + divmod(e, cdim)] = c
+    return out
 
 
 def _contract(slices, args, signed, mdim, algebra=None) -> GradedElement:
@@ -735,19 +743,22 @@ def _derivation_failure(tower, side, forms, algebra):
     """The first failure of (D) on one side, as (arity, where, residual), or
     None: every basis form omega of positive degree in forms against every
     basis element x up to the cap, each differentiated on the side's
-    effective module (see BracketTower.effective)."""
-    pair = tower.pair
-    table = _ce_table(pair, tower.effective(side, algebra), 0)
-    trivial = _ce_table(pair, trivial_module(pair.dim_g, 1), 0)
-    omegas = [w for w in forms if w]
-    for x in _basis_elements(pair, tower.side_module(side).dim,
-                             len(forms[-1]), algebra):
-        dx = _diff(table, x, algebra)
-        for w in omegas:
-            res = _diff(table, _wedge(w, x), algebra)
+    effective module (see BracketTower.effective), and d omega on the
+    trivial module."""
+    pair, cap = tower.pair, len(forms[-1])
+    tables = _diff_tables(pair, tower.effective(side, algebra),
+                          range(2 * cap + 1))
+    trivial = trivial_module(pair.dim_g, 1)
+    d_omegas = {w: graded_diff(pair, trivial, GradedElement.basis(
+        pair, 1, w, 0)).terms for w in forms if w}
+    for x in _basis_elements(pair, tower.side_module(side).dim, cap,
+                             algebra):
+        dx = _diff(tables, x, algebra)
+        for w, dw in d_omegas.items():
+            res = _diff(tables, _wedge(w, x), algebra)
             res = res - _wedge(w, dx, -1 if len(w) % 2 else 1)
-            for dw, _, _, re, im in _ce_terms(trivial, w, 0, 0):
-                res = res - _wedge(dw, x).scale(GaussScalar(re, im))
+            for (form, _), c in dw.items():
+                res = res - _wedge(form, x).scale(c)
             if not res.is_zero():
                 return 1, [w, x.first_term()[0]], res
     return None
@@ -798,10 +809,10 @@ def _degree0_residuals(tower, n, module_side=False, algebra=None):
     pair = tower.pair
     if n == 1:
         side = "w" if module_side else "v"
-        table = _ce_table(pair, tower.effective(side, algebra), 0)
+        tables = _diff_tables(pair, tower.effective(side, algebra), (0, 1))
         pool = _basis_elements(pair, tower.side_module(side).dim, 0, algebra)
         return {(i,): res for i, x in enumerate(pool) if not (res := _diff(
-            table, _diff(table, x, algebra), algebra)).is_zero()}
+            tables, _diff(tables, x, algebra), algebra)).is_zero()}
     if module_side:
         tensor = Cochain(pair, tower.s[n].module, 2, n - 1)
         _module_into(tensor, tower, n)
@@ -952,10 +963,9 @@ def _product_into(total, outer, outer_key, inner, inner_key, g_stride):
     * c1 * c2 at g * g_stride + both offsets (g, sign: see _merge_table)."""
     def split(w, key_of):
         for pos, c in w.entries.items():
-            if c.re or c.im:
-                rest, v = divmod(pos, w.module.dim)
-                g, b = divmod(rest, w.b_count())
-                yield (g,) + key_of(b, v) + (c.re, c.im)
+            rest, v = divmod(pos, w.module.dim)
+            g, b = divmod(rest, w.b_count())
+            yield (g,) + key_of(b, v) + (c.re, c.im)
 
     groups = {}
     for g2, key, offset2, br, bi in split(inner, inner_key):
@@ -967,18 +977,7 @@ def _product_into(total, outer, outer_key, inner, inner_key, g_stride):
         _scatter(acc, [(step[0] * g_stride + offset + offset2, step[1] * br,
                         step[1] * bi) for g2, offset2, br, bi in
                        groups.get(key, ()) if (step := row[g2])], ar, ai)
-    _flush(total, acc)
-
-
-@lru_cache(maxsize=None)
-def _merge_table(n, k1, k2):
-    """table[i1][i2]: the wedge of the basis forms of degrees k1 and k2 on n
-    generators at exterior indices i1, i2 as (merged index, sign), or None."""
-    index = exterior_index(n, k1 + k2)
-    return tuple(tuple(None if (step := merge_sign(f1, f2)) is None
-                       else (index[step[1]], step[0])
-                       for f2 in exterior_basis(n, k2))
-                 for f1 in exterior_basis(n, k1))
+    total.entries = _flush(total.entries, acc)
 
 
 def _torsion_into(total, tower: BracketTower):
@@ -1153,8 +1152,8 @@ def symmetry_report(tower: BracketTower):
     When all levels pass, the antisymmetrized bracket identities coincide with
     the non-symmetric ones, i.e. the structure is symmetric-compatible.  Each
     swap's defect R_n - R_n(.., b_(p+1), b_p, ..) is formed in one pass over
-    R_n's nonzeros; the witness is the defect's first nonzero entry in flat
-    order, so the zeros a cancellation leaves in it are passed over.
+    R_n's nonzeros, which stores no cancelled sum; the witness is the
+    defect's first entry in flat order.
     """
     out = {}
     for n in sorted(tower.r):

@@ -104,17 +104,6 @@ def sort_with_sign(indices):
     return sign, tuple(seq)
 
 
-def insert_with_sign(index_tuple, s):
-    """(sign, new tuple) for x_s wedged in front of a sorted tuple; None if s present."""
-    if s in index_tuple:
-        return None
-    pos = 0
-    while pos < len(index_tuple) and index_tuple[pos] < s:
-        pos += 1
-    sign = -1 if pos % 2 else 1
-    return sign, index_tuple[:pos] + (s,) + index_tuple[pos:]
-
-
 def wedge(n: int, p: int, q: int, a, b):
     """Exact wedge of dense coefficient lists on Lambda^p and Lambda^q.
 

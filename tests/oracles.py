@@ -15,9 +15,13 @@ dense action matrices, and rank and solve by rref of the (augmented) matrix.
 The tower kernels the flat-position ones replaced are kept as they were:
 each decodes its operands through Cochain.iter_nonzero, wedges forms with
 merge_sign or insert_with_sign and builds a GaussScalar per term.  So is
-the closed form of the towers over a matched pair with the zero extension.
+the differential they replaced, which built each output form as a tuple,
+found it with bisect and exterior_index and summed its terms in a map of its
+own, for cochains and for graded elements; and so is the closed form of the
+towers over a matched pair with the zero extension.
 """
 
+from bisect import bisect
 from operator import mul
 
 from liepairs.atiyah import BiForm, rref
@@ -29,13 +33,25 @@ from liepairs.multilinear import (
     enumerate_shuffles,
     exterior_basis,
     exterior_index,
-    insert_with_sign,
     koszul_sign,
     merge_sign,
     tensor_index,
     tensor_tuples,
 )
-from liepairs.scalars import ONE, ZERO, as_scalar
+from liepairs.scalars import ONE, ZERO, GaussScalar, as_scalar
+
+
+def insert_with_sign(index_tuple, s):
+    """(sign, new tuple) for x_s wedged in front of a sorted tuple; None if s
+    present.  The dense oracles' wedge of one generator, by a scan of the
+    tuple."""
+    if s in index_tuple:
+        return None
+    pos = 0
+    while pos < len(index_tuple) and index_tuple[pos] < s:
+        pos += 1
+    sign = -1 if pos % 2 else 1
+    return sign, index_tuple[:pos] + (s,) + index_tuple[pos:]
 
 
 def dense_graded_diff(pair, base_module, el, algebra=None):
@@ -640,6 +656,124 @@ def replaced_unfold_end(w):
     return out
 
 
+# -- the differential the flat-position one replaced ---------------------------
+
+
+def replaced_ce_table(pair, module, l):
+    """The nonzeros the differential on l B-slots reads, listed per kernel
+    call by input as plain (re, im) parts: (act, quot, brk, the B-slots'
+    index weights, dim B).  act[a][e] holds (e_out, re, im) for a acting on
+    the value, quot[a][b] (b_old, re, im) for a acting on a B-slot, and
+    brk[s] (x, y, re, im), x < y, for [x, y] along s."""
+    n, nb, dim_e = pair.dim_g, pair.dim_b, module.dim
+    rho_b = pair.quotient_module().action
+    act, quot = [], []
+    for a in range(n):
+        rho, rows = module.action[a].data, rho_b[a].data
+        act.append([[(e_out, x.re, x.im) for e_out in range(dim_e)
+                     if (x := rho[e_out * dim_e + e])] for e in range(dim_e)])
+        quot.append([[(old, x.re, x.im) for old in range(nb)
+                      if (x := rows[new * nb + old])] for new in range(nb)]
+                     if l else None)
+    c = pair.d.c
+    brk = [[(x, y, v.re, v.im) for x in range(n) for y in range(x + 1, n)
+            if (v := c[x][y][s])] for s in range(n)]
+    return act, quot, brk, [nb ** (l - 1 - slot) for slot in range(l)], nb
+
+
+def replaced_ce_terms(table, gt, bi, e):
+    """The terms (J, b-index, e_out, re, im) of d applied to the basis
+    cochain that is 1 at (gt, bi, e), each output form built as a tuple: the
+    action on the value, minus the action routed through each B-slot, and
+    the bracket terms, with J found by bisect.  A key may be yielded more
+    than once; callers add."""
+    act, quot, brk, weights, nb = table
+    k = len(gt)
+    m = 0  # entries of gt below a, i.e. the position of a in J
+    for a, rows in enumerate(act):
+        if m < k and gt[m] == a:
+            m += 1
+            continue
+        J = gt[:m] + (a,) + gt[m:]
+        sign = -1 if m % 2 else 1
+        for e_out, re, im in rows[e]:
+            yield J, bi, e_out, sign * re, sign * im
+        for w in weights:
+            new = bi // w % nb
+            for old, re, im in quot[a][new]:
+                yield J, bi + (old - new) * w, e, -sign * re, -sign * im
+    # gt = insert(s, rest) with sign (-1)^q; J = rest + {x, y}, x < y.
+    for q, s in enumerate(gt):
+        rest = gt[:q] + gt[q + 1:]
+        for x, y, re, im in brk[s]:
+            if x in rest or y in rest:
+                continue
+            mx = bisect(rest, x)  # entries of rest below x
+            my = bisect(rest, y) + 1  # entries of rest below y, plus x
+            J = rest[:mx] + (x,) + rest[mx:my - 1] + (y,) + rest[my - 1:]
+            if (mx + my + q) % 2:
+                re, im = -re, -im
+            yield J, bi, e, re, im
+
+
+def replaced_ce_image(w, table, entries):
+    """d of the entries {position: value} of a cochain shaped like w, as its
+    nonzeros {output position: value}, summed in a map of [re, im] pairs of
+    its own and looked up in exterior_index."""
+    g_basis, dim_e = w.g_basis(), w.module.dim
+    out_index = exterior_index(w.pair.dim_g, w.k + 1)
+    b_radix = w.pair.dim_b ** w.l
+    acc = {}
+    for pos, v in entries.items():
+        vr, vi = v.re, v.im
+        rest, e = divmod(pos, dim_e)
+        gi, bi = divmod(rest, b_radix)
+        for J, bo, e_out, cr, ci in replaced_ce_terms(table, g_basis[gi], bi,
+                                                      e):
+            out = (out_index[J] * b_radix + bo) * dim_e + e_out
+            re, im = (cr * vr - ci * vi, cr * vi + ci * vr) if ci \
+                else (cr * vr, cr * vi)
+            old = acc.get(out)
+            if old is None:
+                acc[out] = [re, im]
+            else:
+                old[0] += re
+                old[1] += im
+    return {out: GaussScalar(re, im) for out, (re, im) in acc.items()
+            if re or im}
+
+
+def replaced_ce_into(total, w):
+    """total += d(w) through replaced_ce_image."""
+    if w.k < w.pair.dim_g:
+        data = total.entries
+        table = replaced_ce_table(w.pair, w.module, w.l)
+        for out, x in replaced_ce_image(w, table, w.entries).items():
+            data[out] = data[out] + x if out in data else x
+
+
+def replaced_diff(table, el, algebra=None):
+    """graded_diff through replaced_ce_table(pair, effective module, 0): the
+    terms are summed in a map of [re, im] pairs keyed by output key."""
+    cdim = algebra.dim if algebra is not None else None
+    acc = {}
+    for key, val in el.terms.items():
+        vr, vi = val.re, val.im
+        midx = key[1] if cdim is None else key[1] * cdim + key[2]
+        for gt, _, e, cr, ci in replaced_ce_terms(table, key[0], 0, midx):
+            out = (gt, e) if cdim is None else (gt,) + divmod(e, cdim)
+            re, im = (cr * vr - ci * vi, cr * vi + ci * vr) if ci \
+                else (cr * vr, cr * vi)
+            old = acc.get(out)
+            if old is None:
+                acc[out] = [re, im]
+            else:
+                old[0] += re
+                old[1] += im
+    return GradedElement(el.pair, el.mdim, cdim, {
+        out: GaussScalar(re, im) for out, (re, im) in acc.items() if re or im})
+
+
 def matched_zero_gamma_closed_form(tower, n):
     """Independent oracle for towers over a matched pair with the zero
     extension: iterate the complement action on the subalgebra slot, then act
@@ -679,8 +813,8 @@ def digit_table_off_by_one(digit_tables):
 
 
 def merge_table_sign_flip(merge_table):
-    """homotopy._merge_table with the sign of its last wedge flipped, the
-    one of the two highest-indexed forms that meet."""
+    """ce._merge_table with the sign of its last wedge flipped, the one of
+    the two highest-indexed forms that meet."""
     def mutated(n, k1, k2):
         table = [list(row) for row in merge_table(n, k1, k2)]
         cells = [(i1, i2) for i1, row in enumerate(table)

@@ -538,14 +538,18 @@ def test_criterion_9_mutation_sensitivity(u2t2, bialgebra_sum, monkeypatch):
         detected += 1
 
     # kernel table mutations: a digit-table off-by-one (the permutations of
-    # the shuffle sums) and a merge-table sign flip (the composites) each
-    # break a tensor-level proof identity of the u2t2 tower
-    for layer, name, mutate in ((ce, "_digit_tables", digit_table_off_by_one),
-                                (homotopy, "_merge_table",
-                                 merge_table_sign_flip)):
+    # the shuffle sums) and a merge-table sign flip (the differential and
+    # the composites; homotopy also reads the table under its name) each
+    # break a tensor-level proof identity of the u2t2 tower, built before
+    # the mutation, as the flipped differential would refuse to build it
+    for layers, name, mutate in (((ce,), "_digit_tables",
+                                  digit_table_off_by_one),
+                                 ((ce, homotopy), "_merge_table",
+                                  merge_table_sign_flip)):
+        tower = build_tower(u2t2.pair, u2t2.conn_mult, depth=4)
         with monkeypatch.context() as patch:
-            patch.setattr(layer, name, mutate(getattr(layer, name)))
-            tower = build_tower(u2t2.pair, u2t2.conn_mult, depth=4)
+            for layer in layers:
+                patch.setattr(layer, name, mutate(getattr(ce, name)))
             total += 1
             assert not all(ok for _, ok, _ in check_proof_identities(tower, 0))
             detected += 1

@@ -1,7 +1,8 @@
 """Import hygiene: every module of the package uses each name it imports and
 reads each parameter its functions take, reads each private helper it defines
 somewhere, defines no public name that only the unit tests read, the tower
-layers' kernels never read a cochain through its decoded view, and the
+layers' kernels never read a cochain through its decoded view, the
+flat-position kernels wedge forms only through the one wedge table, and the
 obstruction and tower commands load only the layers they run.
 
 No linter ships with the project, so this walks the syntax tree with the
@@ -261,6 +262,52 @@ DECODED_VIEW_ALLOWED = {"ce.py": [], "homotopy.py": []}
 def test_tower_layers_read_flat_positions(name):
     assert iter_nonzero_callers((PACKAGE / name).read_text()) == \
         DECODED_VIEW_ALLOWED[name]
+
+
+def tuple_wedge_calls(source, kernels):
+    """(function, callee) for each call that a function of source named in
+    kernels, nested functions included, makes to a helper that wedges or
+    looks up forms as index tuples."""
+    return sorted({
+        (node.name, callee) for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in kernels
+        for call in ast.walk(node) if isinstance(call, ast.Call)
+        for callee in (getattr(call.func, "attr", None),
+                       getattr(call.func, "id", None))
+        if callee in TUPLE_WEDGES})
+
+
+def test_the_check_sees_a_tuple_wedge():
+    source = ("def _kernel(w):\n    def inner(f):\n"
+              "        return multilinear.merge_sign(f, (0,))\n"
+              "    return bisect(w, 1), inner\n\n"
+              "def _table(n, k):\n    return exterior_index(n, k)\n\n"
+              "def _other(f):\n    return insert_with_sign(f, 0)\n\n"
+              "def _flat(w):\n    return w.entries, exterior_index\n")
+    assert tuple_wedge_calls(source, ("_kernel", "_flat", "_other")) == [
+        ("_kernel", "bisect"), ("_kernel", "merge_sign"),
+        ("_other", "insert_with_sign")]
+
+
+# The flat-position kernels (see the kernel protocol in ce.py) move every
+# form through a table of flat moves: the one table of basis-form wedges,
+# ce._merge_table, is the only code that turns index tuples into moves, so
+# no kernel wedges, strips or looks up a tuple itself.
+FLAT_KERNELS = ("_ce_table", "_ce_terms", "_ce_sum", "_ce_into",
+                "_nabla_into", "_product_into", "_add_permuted", "_scatter",
+                "_flush")
+TUPLE_WEDGES = ("merge_sign", "insert_with_sign", "bisect", "exterior_index")
+
+
+def test_flat_kernels_wedge_through_the_one_table():
+    sources = [(PACKAGE / name).read_text() for name in ("ce.py", "homotopy.py")]
+    defined = {node.name for source in sources
+               for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(FLAT_KERNELS) <= defined
+    assert [hit for source in sources
+            for hit in tuple_wedge_calls(source, FLAT_KERNELS)] == []
 
 
 DIET_SCRIPT = """

@@ -10,7 +10,6 @@ from liepairs.multilinear import (
     enumerate_shuffles,
     exterior_basis,
     exterior_index,
-    insert_with_sign,
     koszul_sign,
     merge_sign,
     sort_with_sign,
@@ -20,6 +19,8 @@ from liepairs.multilinear import (
 )
 from liepairs.scalars import GaussScalar, ONE, ZERO
 from liepairs.zoo import gl_un_tn
+
+from oracles import insert_with_sign
 
 
 def brute_force_shuffles(p, q):

@@ -28,8 +28,10 @@ from hypothesis import given, settings, strategies as st
 
 import liepairs.ce as ce
 import liepairs.homotopy as homotopy
+from liepairs.atiyah import diff_matrix
 from liepairs.ce import (
     Cochain,
+    _ce_into,
     atiyah_cocycle,
     ce_diff,
     end_connection,
@@ -73,7 +75,6 @@ from liepairs.multilinear import (
     enumerate_shuffles,
     exterior_basis,
     exterior_index,
-    insert_with_sign,
     merge_sign,
     tensor_index,
     tensor_tuples,
@@ -99,13 +100,18 @@ from oracles import (
     dense_mult,
     dense_product,
     digit_table_off_by_one,
+    insert_with_sign,
     merge_table_sign_flip,
     oracle_basis,
     oracle_leibniz_residual,
     oracle_module_residual,
     replaced_add_permuted,
+    replaced_ce_image,
+    replaced_ce_into,
+    replaced_ce_table,
     replaced_chain_into,
     replaced_compose_into,
+    replaced_diff,
     replaced_first_nonzero,
     replaced_nabla_into,
     replaced_slices,
@@ -1029,9 +1035,13 @@ def test_graded_diff_matches_dense_round_trip(fixture, algebra_of):
         combos = combinations_of(rng, basis, 8)
         # mixed-degree sums cover the dense path's per-degree grouping
         mixed = [rng.choice(basis) + rng.choice(basis) for _ in range(8)]
+        # and the path the per-degree term tables replaced
+        table = replaced_ce_table(pair, base if algebra is None else
+                                  tensor_module(base, algebra.module), 0)
         for el in basis + combos + mixed:
-            assert graded_diff(pair, base, el, algebra).terms == \
-                dense_graded_diff(pair, base, el, algebra).terms
+            terms = graded_diff(pair, base, el, algebra).terms
+            assert terms == dense_graded_diff(pair, base, el, algebra).terms
+            assert terms == replaced_diff(table, el, algebra).terms
 
 
 @pytest.mark.parametrize("tower",
@@ -1269,22 +1279,19 @@ def test_witness_residuals_factor_through_the_wedge(name):
     assert with_forms or pair.dim_g == 2
 
 
-def flip_odd_action_sign(ce_terms):
-    """_ce_terms with the sign (-1)^|omega| of the action term flipped on
-    odd-degree forms: all terms negated, then the bracket terms, which the
-    term table yields alone once its action lists are emptied, added back
-    twice."""
-    def mutated(table, gt, bi, e):
-        if len(gt) % 2 == 0:
-            yield from ce_terms(table, gt, bi, e)
-            return
-        for J, b_out, e_out, re, im in ce_terms(table, gt, bi, e):
-            yield J, b_out, e_out, -re, -im
-        act, _, brk, weights, nb = table
-        brackets = ([[()] * len(rows) for rows in act],
-                    [[()] * nb for _ in act], brk, weights, nb)
-        for J, b_out, e_out, re, im in ce_terms(brackets, gt, bi, e):
-            yield J, b_out, e_out, re + re, im + im
+def flip_odd_action_sign(ce_table):
+    """_ce_table with the sign (-1)^|omega| of the action moves flipped on
+    odd-degree forms: each move's value and B-slot terms negated, the
+    bracket terms kept."""
+    def negated(rows):
+        return [[(shift, -re, -im) for shift, re, im in row] for row in rows]
+
+    def mutated(pair, module, k, l):
+        moves, *rest = ce_table(pair, module, k, l)
+        if k % 2:
+            moves = [[(off, negated(value), [negated(rows) for rows in slots])
+                      for off, value, slots in row] for row in moves]
+        return (moves, *rest)
     return mutated
 
 
@@ -1296,7 +1303,7 @@ def drop_first_signed(contract):
 
 
 @pytest.mark.parametrize("target, mutation, lemma", [
-    ("_ce_terms", flip_odd_action_sign, "graded_diff_derivation"),
+    ("_ce_table", flip_odd_action_sign, "graded_diff_derivation"),
     ("_contract", drop_first_signed, "contract_form_linearity"),
 ], ids=["derivation", "linearity"])
 def test_lemma_checks_catch_sign_mutations(monkeypatch, target, mutation,
@@ -1323,17 +1330,17 @@ def test_lemma_checks_catch_sign_mutations(monkeypatch, target, mutation,
 def test_arity_one_residual_maps_agree_under_a_sign_mutation(monkeypatch):
     # d(d(x)) = 0 on working code, so with the action sign flipped on odd
     # forms the arity-1 comparison includes failing residuals.  The sweeps
-    # differentiate through homotopy's _ce_terms and the oracles through
-    # ce_diff, so both are mutated.
+    # read their term tables through homotopy's _ce_table and the oracles
+    # through ce_diff, so both are mutated.
     import liepairs.ce as ce
     import liepairs.homotopy as homotopy
 
     fx = gl_un_tn(2)
     tower = build_tower(fx.pair, fx.conn_mult, depth=3, module=fx.module_b,
                         conn_e=fx.conn_mult)
-    mutated = flip_odd_action_sign(homotopy._ce_terms)
-    monkeypatch.setattr(homotopy, "_ce_terms", mutated)
-    monkeypatch.setattr(ce, "_ce_terms", mutated)
+    mutated = flip_odd_action_sign(homotopy._ce_table)
+    monkeypatch.setattr(homotopy, "_ce_table", mutated)
+    monkeypatch.setattr(ce, "_ce_table", mutated)
     for module_side in (False, True):
         ours = tensor_residual_map(tower, 1, module_side)
         assert ours == per_tuple_residuals(tower, 1, module_side)
@@ -1590,7 +1597,7 @@ def test_shared_run_matches_checks_called_alone(case):
 
 
 @pytest.mark.parametrize("target, mutation, lemma", [
-    ("_ce_terms", flip_odd_action_sign, "graded_diff_derivation"),
+    ("_ce_table", flip_odd_action_sign, "graded_diff_derivation"),
     ("_contract", drop_first_signed, "contract_form_linearity"),
 ], ids=["derivation", "linearity"])
 def test_shared_run_reports_a_failing_lemma_everywhere(monkeypatch, target,
@@ -1965,13 +1972,15 @@ def by_form_and_out(slices):
             for key, hits in slices.items()}
 
 
-def flat_kernel_mismatches(fixture):
+def flat_kernel_mismatches(fixture, built=None):
     """Labels of the inputs on which a flat-position kernel and the kernel it
     replaced (tests/oracles.py) disagree, summed into an empty total and into
     a seeded nonzero one: _add_permuted on single permutations and on signed
-    sets of them (which must also equal its single calls), _nabla_into,
-    _compose_into, _chain_into, _slices, _unfold_end and first_nonzero."""
-    tower, cases = flat_kernel_cases(fixture)
+    sets of them (which must also equal its single calls), _ce_into,
+    _nabla_into, _compose_into, _chain_into, _slices, _unfold_end and
+    first_nonzero.  built is flat_kernel_cases(fixture), built here when
+    not given."""
+    tower, cases = built or flat_kernel_cases(fixture)
     pair, st, conn_b = tower.pair, tower.st, tower.conn_b
     rng = random.Random(fixture[0] + "/mismatch")
     found = []
@@ -2005,6 +2014,8 @@ def flat_kernel_mismatches(fixture):
                 lambda t: _add_permuted(t, w, *chosen, signs=signs),
                 lambda t: [_add_permuted(t, w, perm, signs=[sign])
                            for perm, sign in zip(chosen, signs)])
+        compare("diff " + label, (w.module, w.k + 1, w.l),
+                lambda t: _ce_into(t, w), lambda t: replaced_ce_into(t, w))
         if conn is not None and w.l < 3:
             compare("nabla " + label, (w.module, w.k, w.l + 1),
                     lambda t: _nabla_into(t, w, conn, conn_b, st),
@@ -2044,33 +2055,82 @@ def flat_kernel_mismatches(fixture):
 
 
 @pytest.mark.parametrize("fixture", FIXTURES, ids=IDS)
+def test_differential_matches_the_replaced_path(fixture):
+    # diff_matrix column by column, and ce_diff into an empty total, a seeded
+    # one and one its image cancels, against the path that built each output
+    # form as a tuple: in every degree k <= dim g on up to two B-slots, on B
+    # and on the fixture's module, with Gaussian and fractional values, and
+    # with zeros written through data
+    name, pair, _, module, _ = fixture
+    rng = random.Random(name + "/differential")
+    for base in (pair.quotient_module(), module):
+        for k in range(pair.dim_g + 1):
+            for l in range(3):
+                table = replaced_ce_table(pair, base, l)
+                shape = Cochain(pair, base, k, l)
+                mat = diff_matrix(pair, base, k, l)
+                for col in range(shape.size):
+                    image = replaced_ce_image(shape, table, {col: ONE})
+                    assert mat.col(col) == [image.get(row, ZERO)
+                                            for row in range(mat.rows)]
+                w = sparse_cochain(rng, pair, base, k, l)
+                zeros = w.copy()
+                for pos in rng.sample(range(w.size), min(3, w.size)):
+                    if pos not in w.entries:
+                        x = exact_value(rng)
+                        zeros.data[pos] = x - x
+                for v in (w, zeros):
+                    expected = Cochain(pair, base, k + 1, l)
+                    replaced_ce_into(expected, v)
+                    seeded = sparse_cochain(rng, pair, base, k + 1, l)
+                    for start in (Cochain(pair, base, k + 1, l), seeded,
+                                  seeded - expected):
+                        got, want = start.copy(), start.copy()
+                        _ce_into(got, v)
+                        replaced_ce_into(want, v)
+                        assert got == want, (k, l)
+                        assert all(got.entries.values()), (k, l)
+                    assert ce_diff(v) == expected
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=IDS)
 def test_flat_kernels_match_the_kernels_they_replaced(fixture):
     assert flat_kernel_mismatches(fixture) == []
 
 
-TABLE_MUTATIONS = [(ce, "_digit_tables", digit_table_off_by_one, "permute"),
-                   (homotopy, "_merge_table", merge_table_sign_flip,
-                    ("compose", "chain"))]
+# (table, mutation, the kernels that read the table): ce._merge_table is
+# also read under its name in homotopy, by _nabla_into and the products
+TABLE_MUTATIONS = [("_digit_tables", digit_table_off_by_one, ("permute",)),
+                   ("_merge_table", merge_table_sign_flip,
+                    ("diff", "nabla", "compose", "chain"))]
 
 
-@pytest.mark.parametrize("layer, name, mutate, kernels", TABLE_MUTATIONS,
-                         ids=[m[1] for m in TABLE_MUTATIONS])
-def test_the_differential_test_catches_table_mutations(monkeypatch, layer,
-                                                       name, mutate, kernels):
+@pytest.mark.parametrize("name, mutate, kernels", TABLE_MUTATIONS,
+                         ids=[m[0] for m in TABLE_MUTATIONS])
+def test_the_differential_test_catches_table_mutations(monkeypatch, name,
+                                                       mutate, kernels):
     # a digit-table off-by-one and a merge-table sign flip, each caught on
-    # every zoo fixture by the kernels that read the table
-    monkeypatch.setattr(layer, name, mutate(getattr(layer, name)))
-    for fixture in FIXTURES:
-        found = flat_kernel_mismatches(fixture)
+    # every zoo fixture by the kernels that read the table, and each of
+    # those kernels caught on some fixture.  The inputs are built first: the
+    # towers' own differential check would refuse a flipped wedge.
+    built = [flat_kernel_cases(fixture) for fixture in FIXTURES]
+    mutated = mutate(getattr(ce, name))
+    for layer in (ce, homotopy):
+        if hasattr(layer, name):
+            monkeypatch.setattr(layer, name, mutated)
+    caught = set()
+    for fixture, cases in zip(FIXTURES, built):
+        found = flat_kernel_mismatches(fixture, cases)
         assert found and all(label.startswith(kernels) for label in found), \
             fixture[0]
+        caught.update(label.split()[0] for label in found)
+    assert caught == set(kernels)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES, ids=IDS)
 def test_first_nonzero_is_the_first_decoded_entry(fixture):
-    # on the tower levels and the tensor-level residuals, whose sums leave
-    # cancelled zeros (the coherence tensors hold nothing else), and on each
-    # with zeros stored before its first nonzero
+    # on the tower levels and the tensor-level residuals, and on each with
+    # zeros stored before its first nonzero
     tower, _ = flat_kernel_cases(fixture)
     tensors = list(tower.r.values()) + list(tower.s.values())
     tensors += [w for _, w in tensor_residuals(tower)]
@@ -2083,3 +2143,16 @@ def test_first_nonzero_is_the_first_decoded_entry(fixture):
             "value": str(first[3])})
         zeros += any(not c for c in w.entries.values())
     assert zeros >= sum(len(w.entries) < w.size for w in tensors)
+
+
+def test_tower_levels_store_only_their_nonzeros():
+    # a sum that cancels stores nothing: the u2t2 tower with the matrix
+    # connection once stored 62, 126 and 214 entries for R_3..R_5 and for
+    # S_3..S_5, and d R_2 = 0 stores none
+    fx = gl_un_tn(2)
+    tower = build_tower(fx.pair, fx.conn_mult, depth=5, module=fx.module_b,
+                        conn_e=fx.conn_mult)
+    for levels in (tower.r, tower.s):
+        assert [len(levels[n].entries) for n in (3, 4, 5)] == [50, 90, 142]
+        assert all(all(levels[n].entries.values()) for n in (3, 4, 5))
+    assert not tower.d(2).entries
