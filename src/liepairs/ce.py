@@ -27,8 +27,8 @@ class Cochain:
     """Element of Lambda^k g* (x) (B*)^(x l) (x) E over the canonical basis.
 
     entries maps a flat position (see flat_index) to its value; a position it
-    lacks holds zero.  The kernels store nonzeros only; a zero written
-    directly, through data, entries or +, is ignored by equality, hashing,
+    lacks holds zero.  The kernels and + store nonzeros only; a zero written
+    directly, through data or entries, is ignored by equality, hashing,
     iter_nonzero and every kernel that reads the cochain.  data is the same
     map indexed like the dense tensor (see DenseView).  A dense coefficient
     list, as linear algebra returns one, may be passed as data.
@@ -128,11 +128,10 @@ class Cochain:
 
     def __add__(self, other):
         self._match(other)
-        out = self.copy()
-        data = out.entries
-        for pos, v in other.entries.items():
-            data[pos] = data.get(pos, ZERO) + v
-        return out
+        parts = other.entries.items()
+        return self._like(_flush(dict(self.entries), (
+            {pos: v.re for pos, v in parts},
+            {pos: v.im for pos, v in parts if v.im})))
 
     def __sub__(self, other):
         return self + -other

@@ -207,9 +207,10 @@ def test_stored_zeros_are_ignored():
     assert 5 in w.entries  # a stored zero
     assert w == fresh and hash(w) == hash(fresh)
     assert w.is_zero() and w.first_nonzero() is None
-    # a kernel sum that cancels stores nothing
+    # a kernel sum that cancels stores nothing, and neither does +
     u = rand_cochain(random.Random(5), pair, module, 1, 2)
     u.data[0] = ONE
+    assert not (u - u).entries
     _add_permuted(u, -u, (0, 1))
     assert not u.entries and u == fresh and hash(u) == hash(fresh)
     # the symmetry scan passes over them: a stored zero at the first flat
