@@ -14,6 +14,8 @@ atiyah.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
+from math import comb
 from operator import mul
 
 from .lie_core import GModule, LiePair, NotACocycle, end_module
@@ -251,6 +253,28 @@ def _merge_table(n, k1, k2):
                        else (index[step[1]], step[0])
                        for f2 in exterior_basis(n, k2))
                  for f1 in exterior_basis(n, k1))
+
+
+@lru_cache(maxsize=None)
+def _form_starts(n):
+    """The number of basis forms of Lambda g* on n generators below each
+    degree 0 .. n + 1: the form of degree k at exterior index gi has
+    degree-major index _form_starts(n)[k] + gi."""
+    return tuple(accumulate((comb(n, k) for k in range(n + 1)), initial=0))
+
+
+@lru_cache(maxsize=None)
+def _form_at(n, f):
+    """(degree, exterior index) of the form at degree-major index f."""
+    starts, k = _form_starts(n), 0
+    while starts[k + 1] <= f:
+        k += 1
+    return k, f - starts[k]
+
+
+def _form_index(n, form):
+    """The degree-major index of a sorted form tuple (see _form_starts)."""
+    return _form_starts(n)[len(form)] + exterior_index(n, len(form))[form]
 
 
 @lru_cache(maxsize=None)

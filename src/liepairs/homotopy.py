@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import product
 from math import prod
+from types import MappingProxyType
 
 from .ce import (
     Cochain,
@@ -24,6 +25,9 @@ from .ce import (
     _ce_sum,
     _ce_table,
     _flush,
+    _form_at,
+    _form_index,
+    _form_starts,
     _merge_table,
     _scatter,
     atiyah_cocycle,
@@ -40,12 +44,7 @@ from .lie_core import (
     tensor_module,
     trivial_module,
 )
-from .multilinear import (
-    exterior_basis,
-    exterior_index,
-    merge_sign,
-    _shuffles,
-)
+from .multilinear import exterior_basis, _shuffles
 from .scalars import GaussScalar, ONE
 
 
@@ -181,8 +180,8 @@ class BracketTower:
       * the B-valued tensors: the torsion, d R_n, the composites
         R_i o_slot R_j and the shuffle coherence tensors (R_n is the tower's
         own);
-      * each side's effective module for each coefficient algebra (see
-        effective);
+      * each side's effective module for each coefficient algebra, and the
+        term table of its differential in each degree (see _side_tables);
       * the first failure, or None, of each lemma instance (see
         _lemma_failures), and the coefficient algebra's check_g_algebra
         violations under ("algebra", algebra) (see _sweep; `liepairs verify`
@@ -234,7 +233,7 @@ class BracketTower:
         return self.pair.quotient_module() if side == "v" else self.module
 
     def r_slice(self, n):
-        """dict: b-tuple -> list of (form, out, coeff) nonzeros of R_n."""
+        """R_n's nonzeros grouped by b-index (see _slices)."""
         return self.once(("r_slice", n), lambda: _slices(self.r[n]))
 
     def s_slice(self, n):
@@ -272,24 +271,30 @@ class BracketTower:
             return out
         return self.once(("coherence", n), build)
 
-    def effective(self, side, algebra):
-        """The module the elements of side are differentiated on: the side's
-        module, tensored with the algebra's when there is one."""
-        return self.once(("effective", side, algebra), lambda:
-                         _effective_module(self.side_module(side), algebra))
-
 
 def _slices(w: Cochain, dim_in=None):
-    """Group w's nonzeros by b-tuple as (form, out, coeff) hits.  An
-    End-valued w acts on a dim_in-dimensional space: the input index of its
-    value ends the key and the output index is the hit's out."""
+    """(w.k, {b-index: [(exterior index, out, coeff)]}), w's nonzeros as
+    hits by b-index.  An End-valued w acts on a dim_in-dimensional space:
+    its key is b-index * dim_in + the input index of its value, and out the
+    output index."""
+    dim_e, b_radix, dim_in = w.module.dim, w.b_count(), dim_in or 1
     slices = {}
-    for gt, bt, f, c in w._decode(w.entries.items()):
-        if dim_in is not None:
-            f, e_in = divmod(f, dim_in)
-            bt = bt + (e_in,)
-        slices.setdefault(bt, []).append((gt, f, c))
-    return slices
+    for pos, c in w.entries.items():
+        if c.re or c.im:
+            rest, f = divmod(pos, dim_e)
+            gi, bi = divmod(rest, b_radix)
+            out, e_in = divmod(f, dim_in)
+            slices.setdefault(bi * dim_in + e_in, []).append((gi, out, c))
+    return w.k, slices
+
+
+def _slice_element(pair, mdim, k, hits, cdim=None, cterms=None):
+    """The element of the hits (see _slices) of form degree k, each times
+    each coefficient of cterms {algebra index: coeff} (by default, once)."""
+    start = _form_starts(pair.dim_g)[k]
+    return _element(pair, mdim, cdim, {
+        ((start + gi) * mdim + o) * (cdim or 1) + t: c * cv
+        for gi, o, c in hits for t, cv in (cterms or {0: ONE}).items()})
 
 
 def _torsion_cochain(tower: BracketTower) -> Cochain:
@@ -339,20 +344,23 @@ def build_tower(pair: LiePair, conn_b: Connection, depth: int = 4,
 class GradedElement:
     """Sparse element of (+)_k Lambda^k g* (x) M, optionally (x) C.
 
-    Keys are (g-tuple, value index) or (g-tuple, value index, algebra index).
+    entries maps a flat position to a nonzero value, as Cochain.entries
+    does: (form, value index, algebra index) sits at (F * dim M + value
+    index) * dim C + algebra index, F the form's degree-major index (see
+    ce._form_starts), dim C = 1 without an algebra.  So an element may mix
+    degrees, and flat order is (degree, form, value, algebra).  terms is the
+    decoded view, keyed (g-tuple, value index[, algebra index]), the keys
+    that basis, the terms argument and add_term encode.
     """
 
-    __slots__ = ("pair", "mdim", "cdim", "terms")
+    __slots__ = ("pair", "mdim", "cdim", "entries")
 
     def __init__(self, pair, mdim, cdim=None, terms=None):
         self.pair = pair
         self.mdim = mdim
         self.cdim = cdim
-        self.terms = {}
-        if terms:
-            for key, val in terms.items():
-                if not val.is_zero():
-                    self.terms[key] = val
+        self.entries = {self._position(key): val
+                        for key, val in (terms or {}).items() if val}
 
     @classmethod
     def basis(cls, pair, mdim, g_tuple, midx, cdim=None, cidx=None):
@@ -360,44 +368,55 @@ class GradedElement:
             else (tuple(g_tuple), midx, cidx)
         return cls(pair, mdim, cdim, {key: ONE})
 
+    def _position(self, key):
+        return ((_form_index(self.pair.dim_g, key[0]) * self.mdim + key[1])
+                * (self.cdim or 1) + (key[2] if self.cdim is not None else 0))
+
+    @property
+    def terms(self):
+        """The decoded view {key: value}, read-only, in flat order."""
+        n, cd, decoded = self.pair.dim_g, self.cdim or 1, {}
+        for pos, val in sorted(self.entries.items()):
+            f, at = divmod(pos, self.mdim * cd)
+            k, gi = _form_at(n, f)
+            decoded[(exterior_basis(n, k)[gi],)
+                    + (divmod(at, cd) if self.cdim else (at,))] = val
+        return MappingProxyType(decoded)
+
+    def _like(self, entries):
+        return _element(self.pair, self.mdim, self.cdim, entries)
+
     def is_zero(self):
-        return not self.terms
+        return not self.entries
 
     def degree(self):
         """Exterior degree of a homogeneous element (0 for the zero element)."""
-        degrees = {len(key[0]) for key in self.terms}
+        dim = self.mdim * (self.cdim or 1)
+        degrees = {_form_at(self.pair.dim_g, pos // dim)[0]
+                   for pos in self.entries}
         if len(degrees) > 1:
             raise ValueError("element is not homogeneous")
         return degrees.pop() if degrees else 0
 
     def add_term(self, key, val):
-        acc = self.terms.get(key)
-        acc = val if acc is None else acc + val
-        if acc.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = acc
+        pos = self._position(key)
+        self.entries = _flush(self.entries, ({pos: val.re}, {pos: val.im}))
 
     def __add__(self, other):
-        out = GradedElement(self.pair, self.mdim, self.cdim, dict(self.terms))
-        for key, val in other.terms.items():
-            out.add_term(key, val)
-        return out
+        parts = other.entries.items()
+        return self._like(_flush(dict(self.entries), (
+            {pos: v.re for pos, v in parts},
+            {pos: v.im for pos, v in parts if v.im})))
 
     def __sub__(self, other):
-        out = GradedElement(self.pair, self.mdim, self.cdim, dict(self.terms))
-        for key, val in other.terms.items():
-            out.add_term(key, -val)
-        return out
+        return self + -other
 
     def __neg__(self):
         return self.scale(GaussScalar(-1))
 
     def scale(self, s):
-        if s.is_zero():
-            return GradedElement(self.pair, self.mdim, self.cdim)
-        return GradedElement(self.pair, self.mdim, self.cdim,
-                             {k: s * v for k, v in self.terms.items()})
+        return self._like({pos: s * v for pos, v in self.entries.items()}
+                          if s else {})
 
     def __eq__(self, other):
         if not isinstance(other, GradedElement):
@@ -405,13 +424,20 @@ class GradedElement:
         return self.terms == other.terms
 
     def first_term(self):
-        if not self.terms:
-            return None
-        key = min(self.terms, key=lambda k: (len(k[0]),) + tuple(map(str, k)))
-        return key, self.terms[key]
+        """The witness (key, value): the least key by form degree, then by
+        the str of each index, so that index 10 comes before index 2."""
+        return min(self.terms.items(), default=None, key=lambda item: (
+            len(item[0][0]),) + tuple(map(str, item[0])))
 
     def __repr__(self):
-        return "GradedElement(%d terms)" % len(self.terms)
+        return "GradedElement(%d terms)" % len(self.entries)
+
+
+def _element(pair, mdim, cdim, entries):
+    """The GradedElement of that shape holding entries."""
+    out = GradedElement(pair, mdim, cdim)
+    out.entries = entries
+    return out
 
 
 def _effective_module(base: GModule, algebra) -> GModule:
@@ -421,88 +447,100 @@ def _effective_module(base: GModule, algebra) -> GModule:
 def graded_diff(pair: LiePair, base_module: GModule, el: GradedElement,
                 algebra: GAlgebra = None) -> GradedElement:
     """Unary bracket: the cochain differential applied term by term."""
-    return _diff(_diff_tables(pair, _effective_module(base_module, algebra),
-                              {len(key[0]) for key in el.terms}), el, algebra)
+    module = _effective_module(base_module, algebra)
+    return _diff(lambda k: _ce_table(pair, module, k, 0), el)
 
 
-def _diff_tables(pair: LiePair, module: GModule, degrees):
-    """_diff's term tables (see ce._ce_table) on module, by exterior degree,
-    built once for every element a caller differentiates."""
-    return {k: _ce_table(pair, module, k, 0) for k in degrees}
+def _side_tables(tower, side, algebra):
+    """_diff's table_of on side's effective module, the module its elements
+    are differentiated on: the side's module, tensored with the algebra's
+    when there is one.  The module and each degree's table are kept on a
+    cached view, built once per run."""
+    module = tower.once(("effective", side, algebra), lambda:
+                        _effective_module(tower.side_module(side), algebra))
+    return lambda k: tower.once(("diff_table", side, algebra, k),
+                                lambda: _ce_table(tower.pair, module, k, 0))
 
 
-def _diff(tables, el, algebra=None) -> GradedElement:
-    """graded_diff through tables[k], the term table of the effective module
-    (base module (x) algebra) in degree k: each degree's terms, at flat
-    positions gi * dim E + value index, are summed as d of a cochain is."""
-    cdim = algebra.dim if algebra is not None else None
-    n = el.pair.dim_g
+def _diff(table_of, el) -> GradedElement:
+    """graded_diff through table_of(k), the term table (see ce._ce_table) of
+    the effective module in degree k: the terms of degree k sit at the flat
+    positions of a (k, 0)-cochain on it shifted by the forms of lower
+    degree, and are summed as d of a cochain is."""
+    n, dim_e = el.pair.dim_g, el.mdim * (el.cdim or 1)
+    starts = _form_starts(n)
     by_degree = {}
-    for key, val in el.terms.items():
-        k = len(key[0])
-        midx = key[1] if cdim is None else key[1] * cdim + key[2]
-        by_degree.setdefault(k, {})[
-            exterior_index(n, k)[key[0]] * tables[k][-1] + midx] = val
-    out = GradedElement(el.pair, el.mdim, cdim)
+    for pos, val in el.entries.items():
+        k = _form_at(n, pos // dim_e)[0]
+        by_degree.setdefault(k, {})[pos - starts[k] * dim_e] = val
+    out = el._like({})
     for k, entries in by_degree.items():
-        basis, dim_e = exterior_basis(n, k + 1), tables[k][-1]
-        for pos, c in _flush({}, _ce_sum(tables[k], entries)).items():
-            gi, e = divmod(pos, dim_e)
-            out.terms[(basis[gi], e) if cdim is None
-                      else (basis[gi],) + divmod(e, cdim)] = c
+        shift = starts[k + 1] * dim_e
+        for pos, c in _flush({}, _ce_sum(table_of(k), entries)).items():
+            out.entries[pos + shift] = c
     return out
 
 
 def _contract(slices, args, signed, mdim, algebra=None) -> GradedElement:
     """The contraction behind every multibracket and homotopy witness.
 
-    For each choice of one term per argument, the tuple of the terms' value
-    indices is looked up in slices (see BracketTower.r_slice); on a hit the
-    terms' forms are wedged left to right, then each hit's form is wedged on.
-    The sign is the product of the merge signs and (-1)^(form degree) of the
-    term chosen from each argument whose position is in signed.  With an
-    algebra, the terms' algebra indices are multiplied in argument order
-    (see GAlgebra.basis_products), and a zero product skips the choice.
+    Each argument's terms are grouped by form, and each choice of one form
+    per argument is wedged once, left to right; then each choice of one
+    term per form is looked up in slices (see _slices) by its value indices
+    read as digits, base dim B and the last one base mdim, and each hit's
+    form is wedged on.  Every wedge is read off _merge_table.  The sign is
+    the product of the merge signs and (-1)^(form degree) of the form
+    chosen for each argument whose position is in signed.  With an algebra,
+    the terms' algebra indices are multiplied in argument order (see
+    GAlgebra.basis_products), and a zero product skips the choice.
     """
+    pair, (kt, by_key), last = args[0].pair, slices, len(args) - 1
+    n, nb = pair.dim_g, pair.dim_b
     cdim = algebra.dim if algebra is not None else None
-    out = GradedElement(args[0].pair, mdim, cdim)
-    terms = [arg.terms for arg in args]
-    for keys in product(*terms):
-        hits = slices.get(tuple([key[1] for key in keys]))
-        if not hits:
-            continue
-        merged = keys[0][0]
-        coeff = terms[0][keys[0]]
-        sign = 1
-        for i in range(1, len(keys)):
-            step = merge_sign(merged, keys[i][0])
+    groups = []
+    for i, arg in enumerate(args):
+        weight = mdim * nb ** (last - 1 - i) if i < last else 1
+        acd = arg.cdim or 1
+        by_form = {}
+        for pos, val in arg.entries.items():
+            f, at = divmod(pos, arg.mdim * acd)
+            v, c = divmod(at, acd)
+            by_form.setdefault(f, []).append((v * weight, c, val))
+        groups.append([(_form_at(n, f), terms)
+                       for f, terms in by_form.items()])
+    acc = {}, {}
+    for choice in product(*groups):
+        (km, gm), sign = choice[0][0], 1
+        for (k, gi), _ in choice[1:]:
+            step = _merge_table(n, km, k)[gm][gi]
             if step is None:
                 break
-            sign *= step[0]
-            merged = step[1]
-            coeff = coeff * terms[i][keys[i]]
+            km, gm, sign = km + k, step[0], sign * step[1]
         else:
-            for i in signed:
-                if len(keys[i][0]) % 2:
-                    sign = -sign
-            if cdim is not None:
-                found = algebra.basis_products([(key[2],) for key in keys])
-                if not found:
+            if km + kt > n:
+                continue
+            if sum(choice[i][0][0] for i in signed) % 2:
+                sign = -sign
+            row, start = _merge_table(n, km, kt)[gm], _form_starts(n)[km + kt]
+            for picks in product(*[terms for _, terms in choice]):
+                hits = by_key.get(sum([pick[0] for pick in picks]))
+                if not hits:
                     continue
-                cterms = found[0][1]
-            for form, v_out, c in hits:
-                ins = merge_sign(merged, form)
-                if ins is None:
-                    continue
-                term = coeff * c
-                if sign * ins[0] < 0:
-                    term = -term
+                vr, vi = sign, 0
+                for _, _, val in picks:
+                    vr, vi = (vr * val.re - vi * val.im,
+                              vr * val.im + vi * val.re)
+                terms = [(((start + hit[0]) * mdim + out) * (cdim or 1),
+                          hit[1] * c.re, hit[1] * c.im)
+                         for gi, out, c in hits if (hit := row[gi])]
                 if cdim is None:
-                    out.add_term((ins[1], v_out), term)
-                else:
-                    for t, cv in cterms.items():
-                        out.add_term((ins[1], v_out, t), term * cv)
-    return out
+                    _scatter(acc, terms, vr, vi)
+                    continue
+                found = algebra.basis_products([(pick[1],) for pick in picks])
+                for t, cv in (found[0][1].items() if found else ()):
+                    _scatter(acc, [(p + t, xr, xi) for p, xr, xi in terms],
+                             vr * cv.re - vi * cv.im, vr * cv.im + vi * cv.re)
+    return _element(pair, mdim, cdim, _flush({}, acc))
 
 
 def lambda_k(tower: BracketTower, args,
@@ -514,8 +552,7 @@ def lambda_k(tower: BracketTower, args,
     if k == 0:
         raise ValueError("need at least one argument")
     if k == 1:
-        return graded_diff(tower.pair, tower.pair.quotient_module(), args[0],
-                           algebra)
+        return _diff(_side_tables(tower, "v", algebra), args[0])
     if k > tower.depth:
         raise ArityBeyondTower("arity %d exceeds tower depth %d"
                                % (k, tower.depth))
@@ -531,7 +568,7 @@ def mu_k(tower: BracketTower, vargs, w: GradedElement,
         raise ValueError("tower was built without a module side")
     k = len(vargs) + 1
     if k == 1:
-        return graded_diff(tower.pair, tower.module, w, algebra)
+        return _diff(_side_tables(tower, "w", algebra), w)
     if k > tower.depth:
         raise ArityBeyondTower("arity %d exceeds tower depth %d"
                                % (k, tower.depth))
@@ -603,12 +640,11 @@ def _forms(dim_g: int, degree_cap: int):
 def _basis_elements(pair: LiePair, mdim: int, degree_cap: int,
                     algebra: GAlgebra = None):
     """Basis-decomposable elements of Lambda g* (x) M (x C) up to degree cap,
-    for an mdim-dimensional M."""
-    algebra_indices = [(None, None)] if algebra is None \
-        else [(algebra.dim, c) for c in range(algebra.dim)]
-    return [GradedElement.basis(pair, mdim, gt, e, *cc)
-            for gt in _forms(pair.dim_g, degree_cap) for e in range(mdim)
-            for cc in algebra_indices]
+    for an mdim-dimensional M: one per flat position, in flat order."""
+    cdim = algebra.dim if algebra is not None else None
+    forms = _form_starts(pair.dim_g)[min(degree_cap, pair.dim_g) + 1]
+    return [_element(pair, mdim, cdim, {pos: ONE})
+            for pos in range(forms * mdim * (cdim or 1))]
 
 
 # -- factoring through Omega_A-multilinearity ------------------------------------
@@ -616,13 +652,18 @@ def _basis_elements(pair: LiePair, mdim: int, degree_cap: int,
 
 def _wedge(omega, el: GradedElement, sign=1) -> GradedElement:
     """sign * omega ^ el: the sorted form tuple omega wedged onto the left of
-    every term of el."""
-    out = GradedElement(el.pair, el.mdim, el.cdim)
-    for key, val in el.terms.items():
-        step = merge_sign(omega, key[0])
+    every term of el, each wedge read off _merge_table."""
+    n, dim = el.pair.dim_g, el.mdim * (el.cdim or 1)
+    starts, ko = _form_starts(n), len(omega)
+    go = _form_index(n, omega) - starts[ko]
+    out = el._like({})
+    for pos, val in el.entries.items():
+        f, at = divmod(pos, dim)
+        k, gi = _form_at(n, f)
+        step = _merge_table(n, ko, k)[go][gi]
         if step is not None:
-            out.terms[(step[1],) + key[1:]] = \
-                val if sign * step[0] > 0 else -val
+            out.entries[(starts[ko + k] + step[0]) * dim + at] = \
+                val if sign * step[1] > 0 else -val
     return out
 
 
@@ -681,6 +722,8 @@ def _decorated(forms, pools, nonzero, dim_g):
     whose degree-0 residual is zero are never visited.
     """
     n = len(pools)
+    forms = [(len(form), _form_index(dim_g, form)
+              - _form_starts(dim_g)[len(form)]) for form in forms]
     nexts = {}
     for bs in nonzero:
         for p in range(n):
@@ -688,22 +731,24 @@ def _decorated(forms, pools, nonzero, dim_g):
     nexts = {prefix: sorted(bs) for prefix, bs in nexts.items()}
 
     def walk(fs, bs, merged, sign):
+        km, gm = merged
         if len(bs) == n:
-            res = _wedge(merged, nonzero[bs], sign)
+            res = _wedge(exterior_basis(dim_g, km)[gm], nonzero[bs], sign)
             if not res.is_zero():
                 yield fs, bs, res
             return
         following = nexts.get(bs)
         if not following:
             return
-        for f, form in enumerate(forms):
-            step = merge_sign(merged, form)
-            if step is None or len(step[1]) + 2 > dim_g:
+        for f, (k, gi) in enumerate(forms):
+            step = _merge_table(dim_g, km, k)[gm][gi]
+            if step is None or km + k + 2 > dim_g:
                 continue
             for b in following:
-                yield from walk(fs + (f,), bs + (b,), step[1], sign * step[0])
+                yield from walk(fs + (f,), bs + (b,), (km + k, step[0]),
+                                sign * step[1])
 
-    return walk((), (), (), 1)
+    return walk((), (), (0, 0), 1)
 
 
 def _lemma_failures(tower, forms, sides, brackets, algebra=None):
@@ -743,19 +788,17 @@ def _derivation_failure(tower, side, forms, algebra):
     """The first failure of (D) on one side, as (arity, where, residual), or
     None: every basis form omega of positive degree in forms against every
     basis element x up to the cap, each differentiated on the side's
-    effective module (see BracketTower.effective), and d omega on the
-    trivial module."""
+    effective module (see _side_tables), and d omega on the trivial module."""
     pair, cap = tower.pair, len(forms[-1])
-    tables = _diff_tables(pair, tower.effective(side, algebra),
-                          range(2 * cap + 1))
+    table_of = _side_tables(tower, side, algebra)
     trivial = trivial_module(pair.dim_g, 1)
     d_omegas = {w: graded_diff(pair, trivial, GradedElement.basis(
         pair, 1, w, 0)).terms for w in forms if w}
     for x in _basis_elements(pair, tower.side_module(side).dim, cap,
                              algebra):
-        dx = _diff(tables, x, algebra)
+        dx = _diff(table_of, x)
         for w, dw in d_omegas.items():
-            res = _diff(tables, _wedge(w, x), algebra)
+            res = _diff(table_of, _wedge(w, x))
             res = res - _wedge(w, dx, -1 if len(w) % 2 else 1)
             for (form, _), c in dw.items():
                 res = res - _wedge(form, x).scale(c)
@@ -776,10 +819,10 @@ def _linearity_failure(tower, bracket, forms, algebra):
     omegas = [w for w in forms if w]
     plain = []
     for side in arg_sides:
+        # its degree-0 basis elements, in order, sit at positions 0, 1, ..
         mdim = tower.side_module(side).dim
-        plain.append(GradedElement(pair, mdim, cdim, {
-            next(iter(el.terms)): GaussScalar(i + 1) for i, el in
-            enumerate(_basis_elements(pair, mdim, 0, algebra))}))
+        plain.append(_element(pair, mdim, cdim, {
+            pos: GaussScalar(pos + 1) for pos in range(mdim * (cdim or 1))}))
     for args in (plain, [_wedge(omegas[0], plain[0])] + plain[1:]):
         base = evaluate(args)
         before = 0
@@ -809,10 +852,10 @@ def _degree0_residuals(tower, n, module_side=False, algebra=None):
     pair = tower.pair
     if n == 1:
         side = "w" if module_side else "v"
-        tables = _diff_tables(pair, tower.effective(side, algebra), (0, 1))
+        table_of = _side_tables(tower, side, algebra)
         pool = _basis_elements(pair, tower.side_module(side).dim, 0, algebra)
-        return {(i,): res for i, x in enumerate(pool) if not (res := _diff(
-            tables, _diff(tables, x, algebra), algebra)).is_zero()}
+        return {(i,): res for i, x in enumerate(pool)
+                if not (res := _diff(table_of, _diff(table_of, x))).is_zero()}
     if module_side:
         tensor = Cochain(pair, tower.s[n].module, 2, n - 1)
         _module_into(tensor, tower, n)
@@ -820,17 +863,21 @@ def _degree0_residuals(tower, n, module_side=False, algebra=None):
         tensor = tower.coherence(n)
     dim_in = tower.module.dim if module_side else None
     mdim = dim_in or pair.dim_b
-    slices = _slices(tensor, dim_in)
-    if algebra is None:
-        return {bt: GradedElement(pair, mdim, None, {(form, out): c
-                                                     for form, out, c in hits})
-                for bt, hits in slices.items()}
-    cdim = algebra.dim
-    products = algebra.basis_products([range(cdim)] * n)
-    return {tuple(b * cdim + c for b, c in zip(bt, cs)): GradedElement(
-                pair, mdim, cdim, {(f, o, t): c * cv for f, o, c in hits
-                                   for t, cv in cterms.items()})
-            for bt, hits in slices.items() for cs, cterms in products}
+    k, slices = _slices(tensor, dim_in)
+    cdim = algebra.dim if algebra is not None else None
+    products = [((0,) * n, None)] if algebra is None \
+        else algebra.basis_products([range(cdim)] * n)
+    out = {}
+    for key, hits in slices.items():
+        # the key's digits: the b-index's, then the module input index
+        bt = []
+        for radix in [mdim] + [pair.dim_b] * (n - 1):
+            key, digit = divmod(key, radix)
+            bt.insert(0, digit)
+        for cs, cterms in products:
+            out[tuple(b * (cdim or 1) + c for b, c in zip(bt, cs))] = \
+                _slice_element(pair, mdim, k, hits, cdim, cterms)
+    return out
 
 
 def _sweep(tower: BracketTower, identity, max_n, degree_cap, last, brackets,
@@ -863,18 +910,18 @@ def _sweep(tower: BracketTower, identity, max_n, degree_cap, last, brackets,
     for lemma, n, where, res in _lemma_failures(tower, forms, sides, brackets,
                                                 algebra):
         report.add_violation(n, where, res.first_term(), lemma)
-    pools = {side: _basis_elements(pair, tower.side_module(side).dim, 0,
-                                   algebra)
+    # the degree-0 basis elements of a side, by pool index = flat position
+    cdim = algebra.dim if algebra is not None else None
+    pools = {side: range(tower.side_module(side).dim * (cdim or 1))
              for side in sides}
     for n in range(1, max_n + 1):
         args_pools = [pools["v"]] * (n - 1) + [pools[last]]
         report.checked += len(forms) ** n * prod(map(len, args_pools))
         nonzero = _degree0_residuals(tower, n, last == "w", algebra)
         for fs, bs, res in _decorated(forms, args_pools, nonzero, pair.dim_g):
-            report.add_violation(
-                n, [(forms[f],) + next(iter(p[b].terms))[1:]
-                    for f, b, p in zip(fs, bs, args_pools)],
-                res.first_term())
+            report.add_violation(n, [
+                (forms[f],) + (divmod(b, cdim) if cdim else (b,))
+                for f, b in zip(fs, bs)], res.first_term())
     return report
 
 
@@ -1129,12 +1176,11 @@ def check_proof_identities(tower: BracketTower,
     def first_witness(tensor, extra, sign):
         """sign times the first term of tensor's slice at its first b-tuple
         in product order, or None; extra is the slice's form degree."""
-        slices = _slices(tensor)
+        k, slices = _slices(tensor)
         if extra > pair.dim_g or not slices:
             return None
-        return GradedElement(pair, pair.dim_b, None, {
-            (form, out): c if sign > 0 else -c
-            for form, out, c in slices[min(slices)]}).first_term()
+        return _slice_element(pair, pair.dim_b, k, slices[min(slices)], None,
+                              {0: GaussScalar(sign)}).first_term()
 
     record("skew_symmetry_homotopy", first_witness(
         dict(residuals)["torsion_antisymmetrization"], 1, 1))

@@ -107,29 +107,18 @@ def sort_with_sign(indices):
 def wedge(n: int, p: int, q: int, a, b):
     """Exact wedge of dense coefficient lists on Lambda^p and Lambda^q.
 
-    Returns dense coefficients on Lambda^(p+q) w.r.t. exterior_basis(n, p+q).
+    Returns dense coefficients on Lambda^(p+q) w.r.t. exterior_basis(n, p+q),
+    each wedge of basis forms read off the kernels' table, ce._merge_table.
     """
-    basis_p = exterior_basis(n, p)
-    basis_q = exterior_basis(n, q)
-    if len(a) != len(basis_p) or len(b) != len(basis_q):
+    from .ce import _merge_table
+    if len(a) != len(exterior_basis(n, p)) or \
+            len(b) != len(exterior_basis(n, q)):
         raise ValueError("coefficient length mismatch")
-    out_index = exterior_index(n, p + q)
     out = [ZERO] * len(exterior_basis(n, p + q))
-    for ia, left in enumerate(basis_p):
-        ca = a[ia]
-        if ca.is_zero():
-            continue
-        for ib, right in enumerate(basis_q):
-            cb = b[ib]
-            if cb.is_zero():
-                continue
-            merged = merge_sign(left, right)
-            if merged is None:
-                continue
-            sign, key = merged
-            pos = out_index[key]
-            term = ca * cb
-            out[pos] = out[pos] + (term if sign > 0 else -term)
+    for ca, row in zip(a, _merge_table(n, p, q)):
+        for cb, step in zip(b, row):
+            if step is not None and ca and cb:
+                out[step[0]] += ca * cb if step[1] > 0 else -(ca * cb)
     return out
 
 

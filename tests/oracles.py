@@ -18,14 +18,19 @@ merge_sign or insert_with_sign and builds a GaussScalar per term.  So is
 the differential they replaced, which built each output form as a tuple,
 found it with bisect and exterior_index and summed its terms in a map of its
 own, for cochains and for graded elements; and so is the closed form of the
-towers over a matched pair with the zero extension.
+towers over a matched pair with the zero extension.  The bracket layer the
+flat-position one replaced is kept too: graded elements keyed by (g-tuple,
+value[, algebra index]) tuples and summed key by key, and the contraction,
+the wedge, the differential and the walk of decorated tuples on them, each
+form merged with merge_sign.
 """
 
 from bisect import bisect
+from itertools import product
 from operator import mul
 
 from liepairs.atiyah import BiForm, rref
-from liepairs.ce import Cochain, atiyah_cocycle, ce_diff
+from liepairs.ce import Cochain, _ce_sum, _flush, atiyah_cocycle, ce_diff
 from liepairs.homotopy import GradedElement, lambda_k, mu_k
 from liepairs.lie_core import GAlgebra, Report, check_module, tensor_module
 from liepairs.linalg import Matrix, basis_vec, vec_add, vec_is_zero, zero_vec
@@ -824,3 +829,203 @@ def merge_table_sign_flip(merge_table):
             table[i1][i2] = (table[i1][i2][0], -table[i1][i2][1])
         return table
     return mutated
+
+
+# -- the tuple-keyed bracket layer the flat-position one replaced -------------
+
+
+class TupleKeyedElement:
+    """GradedElement as it was: terms keyed (g-tuple, value index) or
+    (g-tuple, value index, algebra index), summed key by key by add_term."""
+
+    __slots__ = ("pair", "mdim", "cdim", "terms")
+
+    def __init__(self, pair, mdim, cdim=None, terms=None):
+        self.pair = pair
+        self.mdim = mdim
+        self.cdim = cdim
+        self.terms = {}
+        if terms:
+            for key, val in terms.items():
+                if not val.is_zero():
+                    self.terms[key] = val
+
+    @classmethod
+    def of(cls, el):
+        """The tuple-keyed copy of an element's decoded terms."""
+        return cls(el.pair, el.mdim, el.cdim, dict(el.terms))
+
+    def is_zero(self):
+        return not self.terms
+
+    def degree(self):
+        """Exterior degree of a homogeneous element (0 for the zero element)."""
+        degrees = {len(key[0]) for key in self.terms}
+        if len(degrees) > 1:
+            raise ValueError("element is not homogeneous")
+        return degrees.pop() if degrees else 0
+
+    def add_term(self, key, val):
+        acc = self.terms.get(key)
+        acc = val if acc is None else acc + val
+        if acc.is_zero():
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = acc
+
+    def __add__(self, other):
+        out = TupleKeyedElement(self.pair, self.mdim, self.cdim,
+                                dict(self.terms))
+        for key, val in other.terms.items():
+            out.add_term(key, val)
+        return out
+
+    def __sub__(self, other):
+        out = TupleKeyedElement(self.pair, self.mdim, self.cdim,
+                                dict(self.terms))
+        for key, val in other.terms.items():
+            out.add_term(key, -val)
+        return out
+
+    def __neg__(self):
+        return self.scale(GaussScalar(-1))
+
+    def scale(self, s):
+        if s.is_zero():
+            return TupleKeyedElement(self.pair, self.mdim, self.cdim)
+        return TupleKeyedElement(self.pair, self.mdim, self.cdim,
+                                 {k: s * v for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def first_term(self):
+        if not self.terms:
+            return None
+        key = min(self.terms, key=lambda k: (len(k[0]),) + tuple(map(str, k)))
+        return key, self.terms[key]
+
+
+def tuple_keyed_diff(tables, el, cdim=None):
+    """graded_diff as it was, through tables[k], the term table of the
+    effective module (base module (x) algebra) in degree k: each degree's
+    terms, at flat positions gi * dim E + value index, are summed as d of a
+    cochain is, and decoded back into keys."""
+    n = el.pair.dim_g
+    by_degree = {}
+    for key, val in el.terms.items():
+        k = len(key[0])
+        midx = key[1] if cdim is None else key[1] * cdim + key[2]
+        by_degree.setdefault(k, {})[
+            exterior_index(n, k)[key[0]] * tables[k][-1] + midx] = val
+    out = TupleKeyedElement(el.pair, el.mdim, cdim)
+    for k, entries in by_degree.items():
+        basis, dim_e = exterior_basis(n, k + 1), tables[k][-1]
+        for pos, c in _flush({}, _ce_sum(tables[k], entries)).items():
+            gi, e = divmod(pos, dim_e)
+            out.terms[(basis[gi], e) if cdim is None
+                      else (basis[gi],) + divmod(e, cdim)] = c
+    return out
+
+
+def tuple_keyed_contract(slices, args, signed, mdim, algebra=None):
+    """_contract as it was, on slices keyed by b-tuple (see
+    replaced_slices): for each choice of one term per argument, the tuple of
+    the terms' value indices is looked up; on a hit the terms' forms are
+    wedged left to right with merge_sign, then each hit's form is wedged
+    on, and each term is added by add_term."""
+    cdim = algebra.dim if algebra is not None else None
+    out = TupleKeyedElement(args[0].pair, mdim, cdim)
+    terms = [arg.terms for arg in args]
+    for keys in product(*terms):
+        hits = slices.get(tuple([key[1] for key in keys]))
+        if not hits:
+            continue
+        merged = keys[0][0]
+        coeff = terms[0][keys[0]]
+        sign = 1
+        for i in range(1, len(keys)):
+            step = merge_sign(merged, keys[i][0])
+            if step is None:
+                break
+            sign *= step[0]
+            merged = step[1]
+            coeff = coeff * terms[i][keys[i]]
+        else:
+            for i in signed:
+                if len(keys[i][0]) % 2:
+                    sign = -sign
+            if cdim is not None:
+                found = algebra.basis_products([(key[2],) for key in keys])
+                if not found:
+                    continue
+                cterms = found[0][1]
+            for form, v_out, c in hits:
+                ins = merge_sign(merged, form)
+                if ins is None:
+                    continue
+                term = coeff * c
+                if sign * ins[0] < 0:
+                    term = -term
+                if cdim is None:
+                    out.add_term((ins[1], v_out), term)
+                else:
+                    for t, cv in cterms.items():
+                        out.add_term((ins[1], v_out, t), term * cv)
+    return out
+
+
+def tuple_keyed_wedge(omega, el, sign=1):
+    """_wedge as it was: omega merged onto every term with merge_sign."""
+    out = TupleKeyedElement(el.pair, el.mdim, el.cdim)
+    for key, val in el.terms.items():
+        step = merge_sign(omega, key[0])
+        if step is not None:
+            out.terms[(step[1],) + key[1:]] = \
+                val if sign * step[0] > 0 else -val
+    return out
+
+
+def tuple_keyed_decorated(forms, pools, nonzero, dim_g):
+    """_decorated's walk as it was: the forms merged with merge_sign, the
+    residuals wedged by tuple_keyed_wedge."""
+    n = len(pools)
+    nexts = {}
+    for bs in nonzero:
+        for p in range(n):
+            nexts.setdefault(bs[:p], set()).add(bs[p])
+    nexts = {prefix: sorted(bs) for prefix, bs in nexts.items()}
+
+    def walk(fs, bs, merged, sign):
+        if len(bs) == n:
+            res = tuple_keyed_wedge(merged, nonzero[bs], sign)
+            if not res.is_zero():
+                yield fs, bs, res
+            return
+        following = nexts.get(bs)
+        if not following:
+            return
+        for f, form in enumerate(forms):
+            step = merge_sign(merged, form)
+            if step is None or len(step[1]) + 2 > dim_g:
+                continue
+            for b in following:
+                yield from walk(fs + (f,), bs + (b,), step[1], sign * step[0])
+
+    return walk((), (), (), 1)
+
+
+def tuple_keyed_slices(slices, arity, pair, mdim):
+    """Slices (see homotopy._slices) as replaced_slices keys them: by the
+    tuple of the key's arity digits, base dim B and the last one base mdim,
+    with (form tuple, out, coeff) hits."""
+    k, by_key = slices
+    out = {}
+    for key, hits in by_key.items():
+        digits = []
+        for radix in ([mdim] + [pair.dim_b] * (arity - 1))[:arity]:
+            key, digit = divmod(key, radix)
+            digits.insert(0, digit)
+        out[tuple(digits)] = [(exterior_basis(pair.dim_g, k)[gi], o, c)
+                              for gi, o, c in hits]
+    return out

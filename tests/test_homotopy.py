@@ -2,6 +2,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepairs.ce import Cochain, atiyah_cocycle, ce_diff, extend_by_zero
 from liepairs.homotopy import (
@@ -20,7 +21,7 @@ from liepairs.homotopy import (
     verify_leibniz,
     verify_module,
 )
-from liepairs.lie_core import GAlgebra, trivial_module
+from liepairs.lie_core import GAlgebra, LieAlgebra, LiePair, trivial_module
 from liepairs.multilinear import merge_sign
 from liepairs.scalars import GaussScalar, ONE, ZERO
 from liepairs.zoo import (
@@ -38,6 +39,7 @@ from liepairs.zoo import (
 )
 
 from oracles import (
+    TupleKeyedElement,
     dense_mult,
     matched_zero_gamma_closed_form,
     oracle_leibniz_residual,
@@ -442,3 +444,89 @@ def test_theta_witness_formula():
         if not x.is_zero():
             expected[((0,), b_out)] = -x  # (-1)^(deg of first form) = -1
     assert out.terms == expected
+
+
+# -- the element store: flat positions behind the tuple-keyed boundary ---------
+
+
+def wide_pair():
+    """An abelian pair with dim g = 12, so form indices reach 10 and 11."""
+    return LiePair(LieAlgebra.zero(13), 12)
+
+
+def test_first_term_orders_indices_by_their_strings():
+    # the witness term is the least key by form degree, then by the str of
+    # each index, so an index of 10 or more sorts before 2: in flat order
+    # ((), 2) comes first, but ((), 10) is the witness, as it always was
+    pair = wide_pair()
+    el = GradedElement(pair, 12, None, {((), 2): g(1), ((), 10): g(5)})
+    assert el.first_term() == (((), 10), g(5))
+    el = GradedElement(pair, 1, None, {((2,), 0): g(1), ((10,), 0): g(5)})
+    assert el.first_term() == (((10,), 0), g(5))
+    el = GradedElement(pair, 1, None, {((2, 10), 0): g(1), ((1, 3), 0): g(5),
+                                       ((10, 11), 0): g(7)})
+    assert el.first_term() == (((1, 3), 0), g(5))
+    # degree first; an algebra index of 10 also sorts before 2
+    el = GradedElement(pair, 12, 11, {((10,), 0, 0): g(1), ((), 3, 10): g(2),
+                                      ((), 3, 2): g(3)})
+    assert el.first_term() == (((), 3, 10), g(2))
+    assert list(el.terms) == [((), 3, 2), ((), 3, 10), ((10,), 0, 0)]
+
+
+STORE_PAIRS = [sl2_pair()[0], gl_un_tn(2).pair, wide_pair()]
+
+
+@st.composite
+def element_terms(draw):
+    """(pair, mdim, cdim, terms, terms, scalar): two term maps of one shape,
+    mixing degrees, with zero values among them."""
+    pair = draw(st.sampled_from(STORE_PAIRS))
+    mdim = draw(st.integers(1, 12))
+    cdim = draw(st.sampled_from([None, 1, 2, 11]))
+    n = pair.dim_g
+    form = st.integers(0, min(n, 3)).flatmap(lambda k: st.lists(
+        st.integers(0, n - 1), min_size=k, max_size=k, unique=True).map(
+            lambda f: tuple(sorted(f))))
+    index = st.tuples(st.integers(0, mdim - 1)) if cdim is None else \
+        st.tuples(st.integers(0, mdim - 1), st.integers(0, cdim - 1))
+    value = st.builds(GaussScalar, st.integers(-2, 2), st.integers(-1, 1))
+    key = st.builds(lambda f, i: (f,) + i, form, index)
+    terms = st.dictionaries(key, value, max_size=8)
+    return pair, mdim, cdim, draw(terms), draw(terms), draw(value)
+
+
+def degree_or_error(el):
+    try:
+        return el.degree()
+    except ValueError:
+        return "mixed"
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=element_terms())
+def test_element_store_matches_the_tuple_keyed_arithmetic(case):
+    pair, mdim, cdim, ta, tb, s = case
+    a, b = (GradedElement(pair, mdim, cdim, t) for t in (ta, tb))
+    a_old, b_old = (TupleKeyedElement(pair, mdim, cdim, t) for t in (ta, tb))
+    # decode -> encode round trip, and the decoded view is read-only
+    assert dict(a.terms) == a_old.terms
+    assert GradedElement(pair, mdim, cdim, a.terms).entries == a.entries
+    with pytest.raises(TypeError):
+        a.terms[next(iter(ta), ((), 0))] = ONE
+    for new, old in ((a, a_old), (a + b, a_old + b_old),
+                     (a - b, a_old - b_old), (-a, -a_old),
+                     (a.scale(s), a_old.scale(s))):
+        assert dict(new.terms) == old.terms
+        assert new.first_term() == old.first_term()
+        assert new.is_zero() == old.is_zero()
+        assert degree_or_error(new) == degree_or_error(old)
+    assert (a == b) == (a_old == b_old)
+    assert a - b + b == a and (a - a).is_zero()
+    # add_term accumulates key by key, as before
+    summed, summed_old = GradedElement(pair, mdim, cdim), \
+        TupleKeyedElement(pair, mdim, cdim)
+    for key, val in list(ta.items()) + list(tb.items()):
+        summed.add_term(key, val)
+        summed_old.add_term(key, val)
+    assert dict(summed.terms) == summed_old.terms
+    assert summed == a + b

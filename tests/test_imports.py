@@ -293,10 +293,11 @@ def test_the_check_sees_a_tuple_wedge():
 # The flat-position kernels (see the kernel protocol in ce.py) move every
 # form through a table of flat moves: the one table of basis-form wedges,
 # ce._merge_table, is the only code that turns index tuples into moves, so
-# no kernel wedges, strips or looks up a tuple itself.
+# no kernel wedges, strips or looks up a tuple itself.  The bracket layer
+# (_contract, _wedge, _decorated, _diff) is among them.
 FLAT_KERNELS = ("_ce_table", "_ce_terms", "_ce_sum", "_ce_into",
                 "_nabla_into", "_product_into", "_add_permuted", "_scatter",
-                "_flush")
+                "_flush", "_contract", "_wedge", "_decorated", "_diff")
 TUPLE_WEDGES = ("merge_sign", "insert_with_sign", "bisect", "exterior_index")
 
 

@@ -8,8 +8,9 @@ tensor-level proof identities, the tensors the sweeps read their degree-0
 residuals off, entry by entry against the per-tuple residuals, the state one
 verify run shares between its three checks, against the same checks each
 called alone, the homotopy witnesses read off the run's tensors, against the
-per-tuple loops they replaced, brackets on a tower edited in place, and the
-symmetry scan, against dense permuted copies.
+per-tuple loops they replaced, brackets on a tower edited in place, the
+symmetry scan, against dense permuted copies, and the bracket layer on flat
+positions, against the tuple-keyed layer it replaced.
 
 The loops the kernels replaced are kept here, or in oracles.py, as oracles:
 the dense ones visit every entry of their output or their input, as the
@@ -105,6 +106,7 @@ from oracles import (
     oracle_basis,
     oracle_leibniz_residual,
     oracle_module_residual,
+    TupleKeyedElement,
     replaced_add_permuted,
     replaced_ce_image,
     replaced_ce_into,
@@ -116,6 +118,11 @@ from oracles import (
     replaced_nabla_into,
     replaced_slices,
     replaced_unfold_end,
+    tuple_keyed_contract,
+    tuple_keyed_decorated,
+    tuple_keyed_diff,
+    tuple_keyed_slices,
+    tuple_keyed_wedge,
 )
 
 
@@ -1935,11 +1942,12 @@ def corrupted(w, rng):
 
 
 def flat_kernel_cases(fixture):
-    """The tower of a fixture at depth 4 with its module side, and (label,
+    """The tower of a fixture at depth 4 with its module side; (label,
     cochain, connection on its values) inputs: its levels R_n and S_n, and
     seeded sparse cochains with Gaussian and fractional values, B-, End(B)-
     and End(E)-valued, each as it is, with cancelled zeros stored and with
-    one entry corrupted."""
+    one entry corrupted; and the B- and module-valued argument pools of
+    the bracket layer (see argument_pools)."""
     name, pair, conn_b, module, conn_e = fixture
     rng = random.Random(name + "/flat")
     tower = build_tower(pair, conn_b, depth=4, module=module, conn_e=conn_e)
@@ -1962,7 +1970,7 @@ def flat_kernel_cases(fixture):
         cases += [(label, w, conn),
                   (label + "+zeros", with_cancelled_zeros(w, rng), conn),
                   (label + "+corrupt", corrupted(w, rng), conn)]
-    return tower, cases
+    return tower, cases, (v_pool(tower, rng), w_pool(tower, rng))
 
 
 def by_form_and_out(slices):
@@ -1977,10 +1985,11 @@ def flat_kernel_mismatches(fixture, built=None):
     replaced (tests/oracles.py) disagree, summed into an empty total and into
     a seeded nonzero one: _add_permuted on single permutations and on signed
     sets of them (which must also equal its single calls), _ce_into,
-    _nabla_into, _compose_into, _chain_into, _slices, _unfold_end and
-    first_nonzero.  built is flat_kernel_cases(fixture), built here when
-    not given."""
-    tower, cases = built or flat_kernel_cases(fixture)
+    _nabla_into, _compose_into, _chain_into, _slices, _unfold_end,
+    first_nonzero and the bracket layer ("bracket" labels, see
+    bracket_layer_mismatches).  built is flat_kernel_cases(fixture), built
+    here when not given."""
+    tower, cases, pools = built or flat_kernel_cases(fixture)
     pair, st, conn_b = tower.pair, tower.st, tower.conn_b
     rng = random.Random(fixture[0] + "/mismatch")
     found = []
@@ -2025,7 +2034,9 @@ def flat_kernel_mismatches(fixture, built=None):
         end_e_valued = label.startswith(("S", "E")) \
             and not label.startswith("EndB")
         dim_in = tower.module.dim if end_e_valued else None
-        if by_form_and_out(_slices(w, dim_in)) != \
+        if by_form_and_out(tuple_keyed_slices(
+                _slices(w, dim_in), w.l + bool(dim_in), pair,
+                dim_in or pair.dim_b)) != \
                 by_form_and_out(replaced_slices(w, dim_in)):
             found.append("slices " + label)
         if label.startswith(("EndB", "atiyah")) and \
@@ -2051,7 +2062,7 @@ def flat_kernel_mismatches(fixture, built=None):
                     (outer.module, outer.k + inner.k, outer.l + inner.l),
                     lambda t: _chain_into(t, outer, inner, dim_e),
                     lambda t: replaced_chain_into(t, outer, inner, dim_e))
-    return found
+    return found + bracket_layer_mismatches(tower, pools, fixture[0])
 
 
 @pytest.mark.parametrize("fixture", FIXTURES, ids=IDS)
@@ -2099,10 +2110,11 @@ def test_flat_kernels_match_the_kernels_they_replaced(fixture):
 
 
 # (table, mutation, the kernels that read the table): ce._merge_table is
-# also read under its name in homotopy, by _nabla_into and the products
+# also read under its name in homotopy, by _nabla_into, the products and
+# the bracket layer
 TABLE_MUTATIONS = [("_digit_tables", digit_table_off_by_one, ("permute",)),
                    ("_merge_table", merge_table_sign_flip,
-                    ("diff", "nabla", "compose", "chain"))]
+                    ("diff", "nabla", "compose", "chain", "bracket"))]
 
 
 @pytest.mark.parametrize("name, mutate, kernels", TABLE_MUTATIONS,
@@ -2131,7 +2143,7 @@ def test_the_differential_test_catches_table_mutations(monkeypatch, name,
 def test_first_nonzero_is_the_first_decoded_entry(fixture):
     # on the tower levels and the tensor-level residuals, and on each with
     # zeros stored before its first nonzero
-    tower, _ = flat_kernel_cases(fixture)
+    tower = flat_kernel_cases(fixture)[0]
     tensors = list(tower.r.values()) + list(tower.s.values())
     tensors += [w for _, w in tensor_residuals(tower)]
     rng = random.Random(fixture[0] + "/first")
@@ -2156,3 +2168,175 @@ def test_tower_levels_store_only_their_nonzeros():
         assert [len(levels[n].entries) for n in (3, 4, 5)] == [50, 90, 142]
         assert all(all(levels[n].entries.values()) for n in (3, 4, 5))
     assert not tower.d(2).entries
+
+
+# -- the bracket layer against the tuple-keyed layer it replaced -------------------
+
+
+def to_element(tk):
+    """The GradedElement holding a TupleKeyedElement's terms."""
+    return GradedElement(tk.pair, tk.mdim, tk.cdim, tk.terms)
+
+
+def tuple_keyed_layer(patch):
+    """Replace homotopy's bracket layer, _contract, _wedge, _diff and
+    _decorated, through patch (a MonkeyPatch) by the tuple-keyed bodies it
+    replaced (tests/oracles.py), each output read back as a GradedElement."""
+    def contract(slices, args, signed, mdim, algebra=None):
+        return to_element(tuple_keyed_contract(
+            tuple_keyed_slices(slices, len(args), args[0].pair, mdim),
+            args, signed, mdim, algebra))
+
+    def wedge(omega, el, sign=1):
+        return to_element(tuple_keyed_wedge(omega, el, sign))
+
+    def diff(table_of, el):
+        degrees = {len(key[0]) for key in el.terms}
+        return to_element(tuple_keyed_diff({k: table_of(k) for k in degrees},
+                                           el, el.cdim))
+
+    def decorated(*args):
+        return [(fs, bs, to_element(res))
+                for fs, bs, res in tuple_keyed_decorated(*args)]
+
+    for name, body in (("_contract", contract), ("_wedge", wedge),
+                       ("_diff", diff), ("_decorated", decorated)):
+        patch.setattr(homotopy, name, body)
+
+
+def bracket_layer_outputs(tower, pools, seed, algebra=None):
+    """{label: (decoded terms, first term)} of the bracket layer on
+    arguments drawn from pools, (B-valued pools, module-valued pools) (see
+    argument_pools): the unary brackets, a form wedged on with either sign,
+    lambda_k and mu_k at every arity the tower holds, and without an
+    algebra the binary bracket and the two witnesses."""
+    rng = random.Random(seed + "/outputs")
+    vpools, wpools = pools
+    forms = [f for k in (1, 2) for f in exterior_basis(tower.pair.dim_g, k)]
+    out = {}
+    for i, args in enumerate(draw(rng, vpools, 4, 16)):
+        (w,) = draw(rng, wpools, 1, 1)[0]
+        out["lambda_1 %d" % i] = lambda_k(tower, args[:1], algebra)
+        out["mu_1 %d" % i] = mu_k(tower, [], w, algebra)
+        out["wedge %d" % i] = _wedge(rng.choice(forms), args[0],
+                                     rng.choice([1, -1]))
+        for k in range(2, tower.depth + 1):
+            out["lambda_%d %d" % (k, i)] = lambda_k(tower, args[:k], algebra)
+            out["mu_%d %d" % (k, i)] = mu_k(tower, args[:k - 1], w, algebra)
+        if algebra is None:
+            out["two %d" % i] = two_bracket(tower, *args[:2])
+            out["theta %d" % i] = theta_witness(tower, *args[:2])
+            out["xi %d" % i] = xi_witness(tower, *args[:3])
+    return {label: (dict(el.terms), el.first_term())
+            for label, el in out.items()}
+
+
+def bracket_layer_mismatches(tower, pools, seed, algebra=None):
+    """Labels ("bracket ...") of the bracket-layer outputs (see
+    bracket_layer_outputs) and of the sums, differences, negatives and
+    multiples of drawn B-valued elements on which the flat-position layer
+    and the tuple-keyed one it replaced differ, in decoded terms or in
+    first term."""
+    ours = bracket_layer_outputs(tower, pools, seed, algebra)
+    with pytest.MonkeyPatch.context() as patch:
+        tuple_keyed_layer(patch)
+        theirs = bracket_layer_outputs(tower, pools, seed, algebra)
+    found = ["bracket " + label for label, out in ours.items()
+             if out != theirs[label]]
+    rng = random.Random(seed + "/arithmetic")
+    for i, (a, b) in enumerate(draw(rng, pools[0], 2, 24)):
+        s = exact_value(rng)
+        a_old, b_old = TupleKeyedElement.of(a), TupleKeyedElement.of(b)
+        for op, new, old in (("+", a + b, a_old + b_old),
+                             ("-", a - b, a_old - b_old),
+                             ("neg", -a, -a_old),
+                             ("scale", a.scale(s), a_old.scale(s))):
+            if (dict(new.terms), new.first_term()) != \
+                    (old.terms, old.first_term()):
+                found.append("bracket %s %d" % (op, i))
+    return found
+
+
+def with_r3_corrupted(tower):
+    """tower with 1 added to the first nonzero entry of R_3 in flat order,
+    or to its first entry when it has none."""
+    r3 = tower.r[3]
+    pos = min(r3.entries, default=0)
+    r3.data[pos] = r3.data[pos] + ONE
+    return tower
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "R3"])
+@pytest.mark.parametrize("algebra_of", [None, dual_numbers_algebra],
+                         ids=["plain", "dual_numbers"])
+@pytest.mark.parametrize("fixture", FIXTURES, ids=IDS)
+def test_bracket_layer_matches_the_tuple_keyed_path(fixture, algebra_of,
+                                                    corrupt):
+    # the brackets, wedges and unary brackets on basis, multi-term and
+    # nested arguments, and the element arithmetic, equal the tuple-keyed
+    # bodies they replaced in decoded terms and first term; and so do the
+    # sweeps' violations and check_proof_identities' verdicts with those
+    # bodies patched in, on the clean tower and with R_3 corrupted
+    name, pair, conn_b, module, conn_e = fixture
+    tower = build_tower(pair, conn_b, depth=4, module=module, conn_e=conn_e)
+    if corrupt:
+        with_r3_corrupted(tower)
+    algebra = algebra_of(pair.dim_g) if algebra_of else None
+    rng = random.Random(name + "/tuple-keyed")
+    pools = (v_pool(tower, rng, algebra), w_pool(tower, rng, algebra))
+    assert bracket_layer_mismatches(tower, pools, name, algebra) == []
+
+    def outcomes():
+        view = tower.cached_view()
+        sweeps = [(report.checked, report.violations) for report in (
+            verify_leibniz(view, 3, 1, algebra),
+            verify_module(view, 3, 1, algebra))]
+        return sweeps, None if algebra else check_proof_identities(view, 1)
+
+    ours = outcomes()
+    with pytest.MonkeyPatch.context() as patch:
+        tuple_keyed_layer(patch)
+        assert outcomes() == ours
+    if corrupt and name.startswith("u2t2"):
+        assert any(violations for _, violations in ours[0])
+
+
+def test_a_cached_view_builds_each_diff_table_once(monkeypatch):
+    # the unary brackets, the arity-1 sweep residuals and the derivation
+    # lemma read each (side, algebra, degree) table off the view; a plain
+    # tower and graded_diff build theirs at every call.  The module side of
+    # u2t2 is B itself, so each table is built twice, once per side.
+    built = Counter()
+    original = homotopy._ce_table
+
+    def counting(pair, module, k, l):
+        # the sides' modules; d omega on the trivial module is not counted
+        if module in (pair.quotient_module(), tower.module):
+            built[k] += 1
+        return original(pair, module, k, l)
+
+    monkeypatch.setattr(homotopy, "_ce_table", counting)
+    fx = gl_un_tn(2)
+    pair = fx.pair
+    tower = build_tower(pair, fx.conn_mult, depth=3, module=fx.module_b,
+                        conn_e=fx.conn_mult)
+    view = tower.cached_view()
+    vs = oracle_basis(pair, pair.dim_b, 1)
+    ws = oracle_basis(pair, tower.module.dim, 1)
+    for _ in range(3):
+        for v, w in zip(vs, ws):
+            lambda_k(view, [v])
+            mu_k(view, [], w)
+        # one table for each side and each of the degrees 0 and 1
+        assert sum(built.values()) == 4
+    # the sweeps' derivation lemma reaches degree 2 on both sides, and a
+    # second sweep on the same view builds nothing
+    for _ in range(2):
+        for report in (verify_leibniz(view, 3, 1), verify_module(view, 3, 1)):
+            assert report.ok
+        assert sum(built.values()) == 6
+    built.clear()
+    for _ in range(3):
+        lambda_k(tower, vs[:1])
+        graded_diff(pair, pair.quotient_module(), vs[0])
+    assert sum(built.values()) == 6
