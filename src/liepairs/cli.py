@@ -20,11 +20,18 @@ give byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 from math import comb
+
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .fixture_io import (
     MAX_DENSE_ENTRIES,
@@ -48,6 +55,7 @@ from .scalars import format_scalar
 # verify and symmetry ``ce`` and ``homotopy`` but not the obstruction layer
 # ``atiyah``; atiyah, chern and todd ``ce`` and ``atiyah``; only zoo ``zoo``.
 # The saving is compile time, about 1% of a job once bytecode is cached.
+# The digest takes the built-in SHA-256: importing hashlib loads libcrypto.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -143,7 +151,7 @@ def _load(path, report):
             raw = handle.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc))
-    report.input_digest = "sha256:" + hashlib.sha256(raw).hexdigest()
+    report.input_digest = "sha256:" + sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:

@@ -181,7 +181,8 @@ class BracketTower:
         R_i o_slot R_j and the shuffle coherence tensors (R_n is the tower's
         own);
       * each side's effective module for each coefficient algebra, and the
-        term table of its differential in each degree (see _side_tables);
+        term table of its differential in each degree, and the same for the
+        trivial module that forms are differentiated on (see _side_tables);
       * the first failure, or None, of each lemma instance (see
         _lemma_failures), and the coefficient algebra's check_g_algebra
         violations under ("algebra", algebra) (see _sweep; `liepairs verify`
@@ -229,7 +230,10 @@ class BracketTower:
         return self.memo[key]
 
     def side_module(self, side):
-        """The module of a side: "v" is B, "w" the tower's module side."""
+        """The module of a side: "v" is B, "w" the tower's module side, and
+        "1" the trivial module, on which forms are differentiated."""
+        if side == "1":
+            return trivial_module(self.pair.dim_g, 1)
         return self.pair.quotient_module() if side == "v" else self.module
 
     def r_slice(self, n):
@@ -788,12 +792,13 @@ def _derivation_failure(tower, side, forms, algebra):
     """The first failure of (D) on one side, as (arity, where, residual), or
     None: every basis form omega of positive degree in forms against every
     basis element x up to the cap, each differentiated on the side's
-    effective module (see _side_tables), and d omega on the trivial module."""
+    effective module (see _side_tables), and d omega on the trivial module
+    "1", whose tables the view keeps as well."""
     pair, cap = tower.pair, len(forms[-1])
     table_of = _side_tables(tower, side, algebra)
-    trivial = trivial_module(pair.dim_g, 1)
-    d_omegas = {w: graded_diff(pair, trivial, GradedElement.basis(
-        pair, 1, w, 0)).terms for w in forms if w}
+    d_form = _side_tables(tower, "1", None)
+    d_omegas = {w: _diff(d_form, GradedElement.basis(pair, 1, w, 0)).terms
+                for w in forms if w}
     for x in _basis_elements(pair, tower.side_module(side).dim, cap,
                              algebra):
         dx = _diff(table_of, x)

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liepairs.atiyah import (
     BiForm,
@@ -159,6 +160,33 @@ def test_repaired_connection_is_compatible():
     assert not report.cocycle.is_zero()
     assert compatibility_report(report.repaired).ok
     assert not compatibility_report(conn).ok
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(pair_seed=st.integers(0, 10 ** 6),
+       module=st.sampled_from(["B", 1, 2, 3]),
+       module_seed=st.integers(0, 10 ** 6),
+       extension_seed=st.none() | st.integers(0, 10 ** 6))
+def test_a_class_vanishes_exactly_when_its_repair_is_compatible(
+        pair_seed, module, module_seed, extension_seed):
+    # over seeded pairs, the quotient module B or a seeded flat module, and
+    # the zero or a seeded extension; both verdicts occur among the examples
+    pair = random_pair(pair_seed)
+    if module == "B":
+        module = pair.quotient_module()
+    else:
+        module = random_module(pair, module, module_seed)
+    if extension_seed is None:
+        conn = extend_by_zero(pair, module)
+    else:
+        conn = random_extension(pair, module, extension_seed)
+    report = atiyah_class(pair, module, conn)
+    assert report.vanishes == (report.repaired is not None)
+    if report.vanishes:
+        assert compatibility_report(report.repaired).ok
+        assert atiyah_cocycle(report.repaired).is_zero()
+    else:
+        assert not report.cocycle.is_zero()
 
 
 def test_end_connection_matches_commutator():

@@ -1,14 +1,17 @@
 import contextlib
 import copy
 import hashlib
+import importlib.util
 import io
 import json
+import sys
 import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import liepairs.cli as cli
 from liepairs.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_INTERNAL_ERROR,
@@ -445,6 +448,58 @@ def test_fixture_loader_refuses_a_repeated_mult_entry(capsys, tmp_path):
     assert (code, out) == (EXIT_PARSE_ERROR, "")
     assert err == ("parse error: duplicate algebra 'dual_numbers' mult entry "
                    "(0, 1)\n")
+
+
+# Inputs around SHA-256's 64-byte block and its padding boundary (a message
+# of 55 bytes pads into one block, 56 into two), one of many blocks, and
+# bytes of every value, most of them neither ASCII nor UTF-8.
+DIGEST_INPUTS = [bytes((131 * i + 7) % 256 for i in range(n))
+                 for n in (0, 55, 56, 63, 64, 65, 10 ** 5)] + [
+    '{"dim": "\u00e9\u2202"}'.encode(), b'{"dim": "\xff"}']
+
+
+def _digests(module, tmp_path):
+    """The input digest module._load records for each of DIGEST_INPUTS; it
+    is recorded before the bytes are parsed, so input that is no fixture
+    serves as well."""
+    out = []
+    for raw in DIGEST_INPUTS:
+        path = tmp_path / "input.bin"
+        path.write_bytes(raw)
+        report = module.RunReport("validate")
+        with contextlib.suppress(ParseError):
+            module._load(str(path), report)
+        out.append(report.input_digest)
+    return out
+
+
+EXPECTED_DIGESTS = ["sha256:" + hashlib.sha256(raw).hexdigest()
+                    for raw in DIGEST_INPUTS]
+
+
+def test_the_input_digest_is_sha256_without_hashlib(capsys, tmp_path):
+    # the interpreter's built-in module, not hashlib's OpenSSL one
+    assert cli.sha256.__module__ in ("_sha2", "_sha256")
+    assert _digests(cli, tmp_path) == EXPECTED_DIGESTS
+    path = tmp_path / "sl2.json"
+    path.write_bytes(_sl2_bytes())
+    code, out, _ = run(capsys, ["validate", "--input", str(path), "--json"])
+    assert code == EXIT_OK
+    assert json.loads(out)["input_digest"] == \
+        "sha256:" + hashlib.sha256(_sl2_bytes()).hexdigest()
+
+
+def test_the_input_digest_falls_back_to_hashlib(monkeypatch, tmp_path):
+    # an interpreter built without _sha2 (3.12+) and _sha256 (3.10-3.11):
+    # a fresh copy of the CLI module takes the hashlib branch
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    spec = importlib.util.spec_from_file_location(
+        "liepairs._cli_without_builtin_sha256", cli.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fallback)
+    assert fallback.sha256 is hashlib.sha256
+    assert _digests(fallback, tmp_path) == EXPECTED_DIGESTS
 
 
 def test_validate_follows_the_nonzeros_of_an_algebra(capsys, tmp_path):

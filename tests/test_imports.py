@@ -2,8 +2,9 @@
 reads each parameter its functions take, reads each private helper it defines
 somewhere, defines no public name that only the unit tests read, the tower
 layers' kernels never read a cochain through its decoded view, the
-flat-position kernels wedge forms only through the one wedge table, and the
-obstruction and tower commands load only the layers they run.
+flat-position kernels wedge forms only through the one wedge table, the
+obstruction and tower commands load only the layers they run, and no module
+loads OpenSSL through hashlib.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library alone.  ``__init__.py`` is exempt: its imports are the
@@ -311,6 +312,45 @@ def test_flat_kernels_wedge_through_the_one_table():
             for hit in tuple_wedge_calls(source, FLAT_KERNELS)] == []
 
 
+def hashlib_imports(source):
+    """Line numbers of source's imports of hashlib, other than those in the
+    handler of an ``except ImportError``: importing hashlib loads OpenSSL's
+    libcrypto, about 3 MB of a CLI job's peak memory, so the package takes
+    SHA-256 from the interpreter's own module and hashlib only as a
+    fallback."""
+    tree = ast.parse(source)
+    fallback = {id(node) for handler in ast.walk(tree)
+                if isinstance(handler, ast.ExceptHandler)
+                and getattr(handler.type, "id", None) == "ImportError"
+                for stmt in handler.body for node in ast.walk(stmt)}
+    return sorted(
+        node.lineno for node in ast.walk(tree) if id(node) not in fallback
+        and (isinstance(node, ast.Import)
+             and any(alias.name.split(".")[0] == "hashlib"
+                     for alias in node.names)
+             or isinstance(node, ast.ImportFrom) and not node.level
+             and (node.module or "").split(".")[0] == "hashlib"))
+
+
+def test_the_check_sees_a_hashlib_import():
+    source = ("import hashlib\nimport os, hashlib as h\n"
+              "from hashlib import sha256\n"
+              "try:\n    from _sha2 import sha256\nexcept ImportError:\n"
+              "    try:\n        from _sha256 import sha256\n"
+              "    except ImportError:\n        from hashlib import sha256\n"
+              "try:\n    import json\nexcept ValueError:\n"
+              "    import hashlib\n"
+              "def digest():\n    import hashlib\n"
+              "from .hashlib import sha256\n")
+    assert hashlib_imports(source) == [1, 2, 3, 14, 16]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_hashlib_but_as_a_fallback(path):
+    assert hashlib_imports(path.read_text()) == []
+
+
 DIET_SCRIPT = """
 import contextlib, io, json, sys
 from liepairs.cli import main
@@ -321,7 +361,8 @@ for argv in json.loads(sys.argv[1]):
 loaded = sorted(name for name in sys.modules if name.startswith("liepairs"))
 print(json.dumps({"codes": codes, "loaded": loaded, "defined": sorted(
     attr for name in loaded for attr, value in vars(sys.modules[name]).items()
-    if getattr(value, "__module__", None) == name)}))
+    if getattr(value, "__module__", None) == name), "openssl": sorted(
+    name for name in ("_hashlib", "ssl") if name in sys.modules)}))
 """
 
 # The obstruction layer's elimination, cohomology queries and classes, and
@@ -356,6 +397,8 @@ def test_obstruction_commands_load_no_tower_or_zoo_layer(tmp_path):
                               capture_output=True, text=True, check=True)
         report = json.loads(done.stdout)
         assert report["codes"] == [0] * len(argvs)
+        # no command loads OpenSSL: the input digest is the interpreter's
+        assert report["openssl"] == [], argvs
         return report
 
     names = loaded(jobs)["loaded"]

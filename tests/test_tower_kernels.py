@@ -2303,16 +2303,20 @@ def test_bracket_layer_matches_the_tuple_keyed_path(fixture, algebra_of,
 
 def test_a_cached_view_builds_each_diff_table_once(monkeypatch):
     # the unary brackets, the arity-1 sweep residuals and the derivation
-    # lemma read each (side, algebra, degree) table off the view; a plain
+    # lemma read each (side, algebra, degree) table off the view, and the
+    # lemma's d omega each degree's table of the trivial module; a plain
     # tower and graded_diff build theirs at every call.  The module side of
     # u2t2 is B itself, so each table is built twice, once per side.
-    built = Counter()
+    built, trivial = Counter(), Counter()
     original = homotopy._ce_table
 
     def counting(pair, module, k, l):
-        # the sides' modules; d omega on the trivial module is not counted
         if module in (pair.quotient_module(), tower.module):
             built[k] += 1
+        else:
+            # the sides have dimension 2, the trivial module 1
+            assert module.dim == 1
+            trivial[k] += 1
         return original(pair, module, k, l)
 
     monkeypatch.setattr(homotopy, "_ce_table", counting)
@@ -2329,12 +2333,15 @@ def test_a_cached_view_builds_each_diff_table_once(monkeypatch):
             mu_k(view, [], w)
         # one table for each side and each of the degrees 0 and 1
         assert sum(built.values()) == 4
-    # the sweeps' derivation lemma reaches degree 2 on both sides, and a
+    assert not trivial
+    # the sweeps' derivation lemma reaches degree 2 on both sides and
+    # differentiates the 1-forms on the trivial module once for both, and a
     # second sweep on the same view builds nothing
     for _ in range(2):
         for report in (verify_leibniz(view, 3, 1), verify_module(view, 3, 1)):
             assert report.ok
         assert sum(built.values()) == 6
+        assert trivial == {1: 1}
     built.clear()
     for _ in range(3):
         lambda_k(tower, vs[:1])
