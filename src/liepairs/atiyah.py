@@ -20,7 +20,6 @@ from .ce import (
     Connection,
     _ce_sum,
     _ce_table,
-    _flush,
     atiyah_cocycle,
     curvature,
     extend_by_zero,
@@ -37,7 +36,7 @@ from .lie_core import (
 )
 from .linalg import Matrix, basis_vec
 from .multilinear import exterior_index
-from .scalars import ONE, ZERO, GaussScalar, as_scalar
+from .scalars import ONE, ZERO, GaussScalar, _flush, as_scalar
 
 
 def compatibility_report(conn: Connection) -> Report:

@@ -22,7 +22,7 @@ from .lie_core import GModule, LiePair, NotACocycle, end_module
 from .linalg import Matrix
 from .multilinear import (exterior_basis, exterior_index, merge_sign,
                           tensor_index, tensor_tuples)
-from .scalars import ZERO, _scalar
+from .scalars import ZERO, _flush, _scatter
 
 
 class Cochain:
@@ -205,42 +205,9 @@ class DenseView:
 # image of w into total, a cochain of the image's shape.  It reads w.entries
 # and finds its indices by divmod on flat positions and in tables, never by
 # decoding tuples: every wedge of basis forms is read off _merge_table.  It
-# sums plain (re, im) parts (see _scatter), and _flush builds one
-# GaussScalar per position, none per term, and keeps no sum that cancels.
-
-
-def _scatter(acc, terms, vr, vi):
-    """acc += (xr + i xi)(vr + i vi) at p for each (p, xr, xi) of terms: acc
-    is a kernel's own pair of maps {flat position: real, imaginary part}."""
-    re_acc, im_acc = acc
-    get_re, get_im = re_acc.get, im_acc.get
-    for p, xr, xi in terms:
-        re, im = (xr * vr - xi * vi, xr * vi + xi * vr) if xi \
-            else (xr * vr, xr * vi)
-        re_acc[p] = get_re(p, 0) + re
-        if im:
-            im_acc[p] = get_im(p, 0) + im
-
-
-def _flush(entries, acc):
-    """entries + acc (see _scatter) as one map {flat position: value}, one
-    GaussScalar per position, with no position whose sum cancels.  entries
-    is updated in place; acc's real map is converted in place and, when
-    entries is empty, returned, so no second map is held beside it."""
-    re_acc, im_acc = acc
-    get, get_im = entries.get, im_acc.get
-    for pos, re in re_acc.items():
-        im, old = get_im(pos, 0), get(pos)
-        if old is not None:
-            re, im = old.re + re, old.im + im
-        re_acc[pos] = _scalar(re, im) if re or im else None  # cancelled
-    for pos in [pos for pos, x in re_acc.items() if x is None]:
-        del re_acc[pos]
-        entries.pop(pos, None)
-    if not entries:
-        return re_acc
-    entries.update(re_acc)
-    return entries
+# sums plain (re, im) parts through the accumulator of scalars (_scatter),
+# and _flush builds one GaussScalar per position, none per term, and keeps
+# no sum that cancels.
 
 
 @lru_cache(maxsize=None)
@@ -430,7 +397,7 @@ class Connection:
             if mat.rows != module.dim or mat.cols != module.dim:
                 raise ValueError("connection matrices must match the module")
         for a in range(pair.dim_g):
-            if not (self.nabla[a] - module.action[a]).is_zero():
+            if self.nabla[a] != module.action[a]:
                 raise ValueError(
                     "connection does not extend the action at slot %d" % a)
 

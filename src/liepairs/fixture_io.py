@@ -55,11 +55,12 @@ def _capped(value, power, what):
     return value
 
 
-def _entries(spec, key, owner, what, dim, antisymmetric=False):
+def _entries(spec, key, owner, what, dim, memo, antisymmetric=False):
     """(i, j, coefficient vector) for each [i, j, [coeffs]] entry of the
-    sparse table spec[key], named what in messages.  An entry is refused when
-    its pair of indices repeats; an antisymmetric table omits its diagonal,
-    and its (j, i) repeats its (i, j)."""
+    sparse table spec[key], named what in messages, its scalars read through
+    memo (see _scalar).  An entry is refused when its pair of indices
+    repeats; an antisymmetric table omits its diagonal, and its (j, i)
+    repeats its (i, j)."""
     value = spec.get(key, [])
     if not isinstance(value, list):
         raise ParseError("%s %r must be a list of [i, j, [coeffs]] entries"
@@ -78,32 +79,38 @@ def _entries(spec, key, owner, what, dim, antisymmetric=False):
         if (i, j) in seen:
             raise ParseError("duplicate %s entry (%d, %d)" % (what, i, j))
         seen.update([(i, j), (j, i)] if antisymmetric else [(i, j)])
-        yield i, j, _vector(coeffs, dim, "%s (%d, %d)" % (what, i, j))
+        yield i, j, _vector(coeffs, dim, "%s (%d, %d)" % (what, i, j), memo)
 
 
-def _scalar(value):
+def _scalar(value, memo):
+    """One scalar of a fixture.  A string is parsed once per load: memo, a
+    map the load owns, keeps the scalar of each string read so far (a
+    GaussScalar is immutable, so entries may share it)."""
+    if isinstance(value, str):
+        s = memo.get(value)
+        if s is None:
+            try:
+                s = memo[value] = parse_scalar(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError("bad scalar %r: %s" % (value, exc))
+        return s
     if isinstance(value, bool):
         raise ParseError("booleans are not scalars")
     if isinstance(value, int):
         return GaussScalar(value)
-    if isinstance(value, str):
-        try:
-            return parse_scalar(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError("bad scalar %r: %s" % (value, exc))
     raise ParseError("scalar must be string or integer, got %r" % (value,))
 
 
-def _vector(value, length, what):
+def _vector(value, length, what, memo):
     if not isinstance(value, list) or len(value) != length:
         raise ParseError("%s must be a list of %d scalars" % (what, length))
-    return [_scalar(x) for x in value]
+    return [_scalar(x, memo) for x in value]
 
 
-def _matrix(value, rows, cols, what):
+def _matrix(value, rows, cols, what, memo):
     if not isinstance(value, list) or len(value) != rows:
         raise ParseError("%s must have %d rows" % (what, rows))
-    return Matrix.from_rows([_vector(row, cols, what + " row")
+    return Matrix.from_rows([_vector(row, cols, what + " row", memo)
                              for row in value])
 
 
@@ -139,11 +146,13 @@ def load_fixture(doc) -> Fixture:
     if dim_g > dim:
         raise ParseError("dim_g out of range")
     _capped(dim, 3, "'dim'")
+    memo = {}
     algebra = LieAlgebra.zero(dim)
     for i, j, vec in _entries(doc, "bracket", "fixture", "bracket", dim,
-                              antisymmetric=True):
+                              memo, antisymmetric=True):
         algebra.c[i][j] = vec
-        algebra.c[j][i] = [-x for x in vec]
+        # a zero, most of a bracket's coefficients, is its own negative
+        algebra.c[j][i] = [-x if x.re or x.im else x for x in vec]
     pair = LiePair(algebra, dim_g)
 
     modules = {}
@@ -160,7 +169,7 @@ def load_fixture(doc) -> Fixture:
             raise ParseError("module %r needs %d action matrices"
                              % (name, dim_g))
         modules[name] = GModule(
-            mdim, [_matrix(m, mdim, mdim, "module %r action" % name)
+            mdim, [_matrix(m, mdim, mdim, "module %r action" % name, memo)
                    for m in action])
 
     connections = {}
@@ -174,7 +183,8 @@ def load_fixture(doc) -> Fixture:
             raise ParseError("connection %r matrices malformed" % name)
         mdim = len(mats[0])
         connections[name] = [_matrix(m, mdim, mdim,
-                                     "connection %r" % name) for m in mats]
+                                     "connection %r" % name, memo)
+                              for m in mats]
 
     algebras = {}
     alg_doc = doc.get("algebra", {})
@@ -190,13 +200,13 @@ def load_fixture(doc) -> Fixture:
             raise ParseError("algebra %r needs %d action matrices"
                              % (name, dim_g))
         module = GModule(
-            adim, [_matrix(m, adim, adim, "algebra %r action" % name)
+            adim, [_matrix(m, adim, adim, "algebra %r action" % name, memo)
                    for m in action])
         # mult is not antisymmetric: (j, i) is an entry of its own, and an
         # all-zero entry stores nothing
         mult = {}
         for i, j, vec in _entries(spec, "mult", "algebra %r" % name,
-                                  "algebra %r mult" % name, adim):
+                                  "algebra %r mult" % name, adim, memo):
             terms = [(k, x) for k, x in enumerate(vec) if not x.is_zero()]
             if terms:
                 mult[i, j] = terms

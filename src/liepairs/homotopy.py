@@ -24,12 +24,10 @@ from .ce import (
     _ce_into,
     _ce_sum,
     _ce_table,
-    _flush,
     _form_at,
     _form_index,
     _form_starts,
     _merge_table,
-    _scatter,
     atiyah_cocycle,
     ce_diff,
     curvature,
@@ -45,7 +43,7 @@ from .lie_core import (
     trivial_module,
 )
 from .multilinear import exterior_basis, _shuffles
-from .scalars import GaussScalar, ONE
+from .scalars import GaussScalar, ONE, _flush, _scatter
 
 
 class ArityBeyondTower(Exception):

@@ -9,8 +9,8 @@ plain coordinate operations.  Basis changes and matched pairs are in zoo.
 
 from __future__ import annotations
 
-from .linalg import Matrix, vec_add, vec_is_zero, zero_vec
-from .scalars import ONE, ZERO, as_scalar
+from .linalg import Matrix, vec_is_zero, zero_vec
+from .scalars import ONE, ZERO, GaussScalar, _flush, _scatter, as_scalar
 
 
 class NotACocycle(Exception):
@@ -44,11 +44,10 @@ class Report:
         return "Report(%s: %s)" % (self.name, state)
 
 
-def _first_nonzero(vec):
-    for pos, x in enumerate(vec):
-        if not x.is_zero():
-            return pos, x
-    return None
+def _nonzeros(vec):
+    """[(position, re, im)] for the nonzero entries of a list of scalars: the
+    terms _scatter sums."""
+    return [(p, x.re, x.im) for p, x in enumerate(vec) if x.re or x.im]
 
 
 class LieAlgebra:
@@ -63,7 +62,8 @@ class LieAlgebra:
         if len(c) != dim or any(len(row) != dim for row in c):
             raise ValueError("structure tensor must be dim x dim")
         self.dim = dim
-        self.c = [[[as_scalar(x) for x in vec] for vec in row] for row in c]
+        self.c = [[[x if x.__class__ is GaussScalar else as_scalar(x)
+                    for x in vec] for vec in row] for row in c]
         for row in self.c:
             for vec in row:
                 if len(vec) != dim:
@@ -114,32 +114,41 @@ class LieAlgebra:
 def validate_lie_algebra(g: LieAlgebra) -> Report:
     """Exhaustive antisymmetry and Jacobi check with exact residuals.
 
-    Jacobi runs over the nonzero structure constants only: the residual of a
-    triple (i, j, k) is sum_s c_ab^s c_sc over its three cyclic orders
-    (a, b, c), accumulated into a dense vector so that the first nonzero
-    coordinate names the violation.
+    Both run over the nonzero structure constants only, summed as plain
+    parts (scalars._scatter): the antisymmetry residual of a pair i <= j is
+    c_ij + c_ji, the Jacobi residual of a triple i < j < k is sum_s c_ab^s
+    c_sc over its three cyclic orders (a, b, c).  _flush builds no value
+    for a residual that cancels, and the least coordinate of one that does
+    not names the violation.
     """
     report = Report("lie_algebra")
     n = g.dim
+    nonzero = [[_nonzeros(vec) for vec in row] for row in g.c]
     for i in range(n):
         for j in range(i, n):
-            res = vec_add(g.c[i][j], g.c[j][i])
-            if not vec_is_zero(res):
-                where = _first_nonzero(res)
-                report.add("antisymmetry", (i, j, where[0]), where[1])
-    nonzero = [[[(s, x) for s, x in enumerate(vec) if not x.is_zero()]
-                for vec in row] for row in g.c]
+            if nonzero[i][j] or nonzero[j][i]:
+                acc = ({}, {})
+                _scatter(acc, nonzero[i][j], 1, 0)
+                _scatter(acc, nonzero[j][i], 1, 0)
+                res = _flush({}, acc)
+                if res:
+                    t = min(res)
+                    report.add("antisymmetry", (i, j, t), res[t])
     for i in range(n):
         for j in range(i + 1, n):
+            ij = nonzero[i][j]
             for k in range(j + 1, n):
-                res = [ZERO] * n
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for s, x in nonzero[a][b]:
-                        for t, y in nonzero[s][c]:
-                            res[t] = res[t] + x * y
-                if not vec_is_zero(res):
-                    where = _first_nonzero(res)
-                    report.add("jacobi", (i, j, k, where[0]), where[1])
+                jk, ki = nonzero[j][k], nonzero[k][i]
+                if not (ij or jk or ki):
+                    continue
+                acc = ({}, {})
+                for ab, c in ((ij, k), (jk, i), (ki, j)):
+                    for s, xr, xi in ab:
+                        _scatter(acc, nonzero[s][c], xr, xi)
+                res = _flush({}, acc)
+                if res:
+                    t = min(res)
+                    report.add("jacobi", (i, j, k, t), res[t])
     return report
 
 
@@ -215,22 +224,37 @@ class GModule:
 
 
 def check_module(g: LieAlgebra, module: GModule) -> Report:
-    """Flatness check: commutators of action matrices realize the bracket."""
+    """Flatness check: commutators of action matrices realize the bracket.
+
+    Row r of [rho_i, rho_j] - sum_k c_ij^k rho_k is summed as plain parts
+    (scalars._scatter) from the nonzero entries of the rows it reads; the
+    first row whose sum does not cancel, and its least column, name the
+    violation.
+    """
     report = Report("module_flatness")
     if module.dim_g != g.dim:
         report.add("arity", (), "expected %d matrices, got %d" % (g.dim, module.dim_g))
         return report
+    d = module.dim
+    # rows[a][r]: the nonzero entries (column, re, im) of row r of rho_a
+    rows = [[_nonzeros(mat.data[r * d:(r + 1) * d]) for r in range(d)]
+            for mat in module.action]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = module.action[i].commutator(module.action[j])
-            rhs = Matrix.zeros(module.dim, module.dim)
-            for k, x in enumerate(g.c[i][j]):
-                if not x.is_zero():
-                    rhs = rhs + module.action[k].scale(x)
-            diff = lhs - rhs
-            if not diff.is_zero():
-                where = _first_nonzero(diff.data)
-                report.add("flatness", (i, j, where[0]), where[1])
+            bracket = _nonzeros(g.c[i][j])
+            for r in range(d):
+                acc = ({}, {})
+                for m, xr, xi in rows[i][r]:
+                    _scatter(acc, rows[j][m], xr, xi)
+                for m, xr, xi in rows[j][r]:
+                    _scatter(acc, rows[i][m], -xr, -xi)
+                for k, xr, xi in bracket:
+                    _scatter(acc, rows[k][r], -xr, -xi)
+                res = _flush({}, acc)
+                if res:
+                    col = min(res)
+                    report.add("flatness", (i, j, r * d + col), res[col])
+                    break
     return report
 
 

@@ -154,10 +154,6 @@ def _shape_check(a, b):
         raise ValueError("shape mismatch")
 
 
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
 def vec_is_zero(v):
     return all(a.is_zero() for a in v)
 

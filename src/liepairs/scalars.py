@@ -131,6 +131,45 @@ def _scalar(re, im) -> GaussScalar:
     return s
 
 
+# The accumulator: sums of products kept as plain (re, im) parts in a pair of
+# maps {position: part}, so that no GaussScalar is built per term.  The tower
+# kernels flush it into stored values, the validators into residuals.
+
+
+def _scatter(acc, terms, vr, vi):
+    """acc += (xr + i xi)(vr + i vi) at p for each (p, xr, xi) of terms: acc
+    is a caller's own pair of maps {position: real, imaginary part}."""
+    re_acc, im_acc = acc
+    get_re, get_im = re_acc.get, im_acc.get
+    for p, xr, xi in terms:
+        re, im = (xr * vr - xi * vi, xr * vi + xi * vr) if xi \
+            else (xr * vr, xr * vi)
+        re_acc[p] = get_re(p, 0) + re
+        if im:
+            im_acc[p] = get_im(p, 0) + im
+
+
+def _flush(entries, acc):
+    """entries + acc (see _scatter) as one map {flat position: value}, one
+    GaussScalar per position, with no position whose sum cancels.  entries
+    is updated in place; acc's real map is converted in place and, when
+    entries is empty, returned, so no second map is held beside it."""
+    re_acc, im_acc = acc
+    get, get_im = entries.get, im_acc.get
+    for pos, re in re_acc.items():
+        im, old = get_im(pos, 0), get(pos)
+        if old is not None:
+            re, im = old.re + re, old.im + im
+        re_acc[pos] = _scalar(re, im) if re or im else None  # cancelled
+    for pos in [pos for pos, x in re_acc.items() if x is None]:
+        del re_acc[pos]
+        entries.pop(pos, None)
+    if not entries:
+        return re_acc
+    entries.update(re_acc)
+    return entries
+
+
 def as_scalar(value) -> GaussScalar:
     """Coerce ints, Fractions and GaussScalars to GaussScalar."""
     if isinstance(value, GaussScalar):

@@ -296,63 +296,62 @@ def affine_pair():
 # -- unitary / triangular matched pair ----------------------------------------
 
 
-def _matrix_units(n):
-    def unit(r, c, scalar=ONE):
-        m = Matrix.zeros(n, n)
-        m.data[r * n + c] = scalar
-        return m
-    return unit
-
-
 def _upper(n):
     """The positions (k, l) above the diagonal of an n x n matrix."""
     return [(k, l) for k in range(n) for l in range(k + 1, n)]
 
 
-def _u_basis(n):
-    unit = _matrix_units(n)
-    i = GaussScalar(0, 1)
-    return ([unit(k, k, i) for k in range(n)]
-            + [unit(k, l) - unit(l, k) for k, l in _upper(n)]
-            + [unit(k, l, i) + unit(l, k, i) for k, l in _upper(n)])
+def _unit_basis(n):
+    """The bases of u(n), then t(n), each matrix as its nonzero entries
+    [(row, col, re, im)], at most two: i E_kk, E_kl - E_lk, i (E_kl + E_lk),
+    then E_kk, E_kl, i E_kl, for k < l."""
+    upper = _upper(n)
+    return ([[(k, k, 0, 1)] for k in range(n)]
+            + [[(k, l, 1, 0), (l, k, -1, 0)] for k, l in upper]
+            + [[(k, l, 0, 1), (l, k, 0, 1)] for k, l in upper]
+            + [[(k, k, 1, 0)] for k in range(n)]
+            + [[(k, l, 1, 0)] for k, l in upper]
+            + [[(k, l, 0, 1)] for k, l in upper])
 
 
-def _t_basis(n):
-    unit = _matrix_units(n)
-    i = GaussScalar(0, 1)
-    return ([unit(k, k) for k in range(n)]
-            + [unit(k, l) for k, l in _upper(n)]
-            + [unit(k, l, i) for k, l in _upper(n)])
+def _product(x, y, sign=1, z=None):
+    """z + sign * xy for matrices x, y given by their entries (see
+    _unit_basis), z a map (row, col) -> [re, im] (empty by default) that is
+    updated in place."""
+    z = {} if z is None else z
+    for r, m, xr, xi in x:
+        for m2, c, yr, yi in y:
+            if m == m2:
+                part = z.setdefault((r, c), [0, 0])
+                part[0] += sign * (xr * yr - xi * yi)
+                part[1] += sign * (xr * yi + xi * yr)
+    return z
 
 
-def _split_anti_hermitian(z: Matrix):
-    """Z = U + T with U anti-Hermitian and T upper triangular, real diagonal."""
-    n = z.rows
-    u = Matrix.zeros(n, n)
-    for k in range(n):
-        for l in range(n):
-            if k > l:
-                u.data[k * n + l] = z[k, l]
-            elif k < l:
-                u.data[k * n + l] = -(z[l, k].conjugate())
-            else:
-                u.data[k * n + l] = GaussScalar(0, z[k, k].im)
-    return u, z - u
-
-
-def _u_coords(n, u: Matrix):
-    return [GaussScalar(u[k, k].im) for k in range(n)] + _upper_coords(n, u)
-
-
-def _t_coords(n, t: Matrix):
-    return [GaussScalar(t[k, k].re) for k in range(n)] + _upper_coords(n, t)
-
-
-def _upper_coords(n, m: Matrix):
-    """The real parts of m's entries above the diagonal, then their
-    imaginary parts: the off-diagonal coordinates in either basis."""
-    return ([GaussScalar(m[k, l].re) for k, l in _upper(n)]
-            + [GaussScalar(m[k, l].im) for k, l in _upper(n)])
+def _ut_coords(n, z):
+    """The coordinates of a matrix z (see _product) in the basis of
+    u(n) + t(n): z = U + T with U anti-Hermitian and T upper triangular with
+    a real diagonal.  The u(n) part takes Im z_kk and, for k < l, -Re z_lk
+    and Im z_lk; the t(n) part takes Re z_kk, Re (z_kl + z_lk) and
+    Im (z_kl - z_lk)."""
+    nn = n * n
+    p = n * (n - 1) // 2
+    q = {kl: n + at for at, kl in enumerate(_upper(n))}
+    out = [0] * (2 * nn)
+    for (r, c), (re, im) in z.items():
+        if r == c:
+            out[r] += im
+            out[nn + r] += re
+        elif r < c:
+            out[nn + q[r, c]] += re
+            out[nn + p + q[r, c]] += im
+        else:
+            at = q[c, r]
+            out[at] -= re
+            out[p + at] += im
+            out[nn + at] += re
+            out[nn + p + at] -= im
+    return [GaussScalar(x) if x else ZERO for x in out]
 
 
 class UnitaryTriangularPair:
@@ -373,23 +372,24 @@ def gl_un_tn(n: int) -> UnitaryTriangularPair:
     """Real matched pair decomposing the n x n complex matrix algebra.
 
     The bracket on u(n) + t(n) is the matrix commutator split into its two
-    parts; the matched-pair data are read off that table."""
+    parts, formed on the basis matrices' nonzero entries; the matched-pair
+    data are read off that table."""
     if n not in (2, 3):
         raise ValueError("pinned to n in {2, 3}")
-    tb = _t_basis(n)
-    nb = len(tb)
-    basis = _u_basis(n) + tb
-    c = [[_u_coords(n, u) + _t_coords(n, t)
-          for u, t in (_split_anti_hermitian(x.commutator(y)) for y in basis)]
+    basis = _unit_basis(n)
+    nn = n * n
+    c = [[_ut_coords(n, _product(y, x, -1, _product(x, y))) for y in basis]
          for x in basis]
-    matched = pair_to_matched(LiePair(LieAlgebra(len(basis), c), n * n))
+    matched = pair_to_matched(LiePair(LieAlgebra(len(basis), c), nn))
     pair = matched_sum(matched)
     module_b = pair.quotient_module()
+    # gamma_y z = yz on t(n): its t(n) coordinates, the last n^2
+    tb = basis[nn:]
     gamma = []
-    for y in range(nb):
-        cols = [_t_coords(n, tb[y] @ tb[z]) for z in range(nb)]
+    for y in tb:
+        cols = [_ut_coords(n, _product(y, z))[nn:] for z in tb]
         gamma.append(Matrix.from_rows(
-            [[cols[z][k] for z in range(nb)] for k in range(nb)]))
+            [[cols[z][k] for z in range(nn)] for k in range(nn)]))
     conn = Connection(pair, module_b, list(module_b.action) + gamma)
     return UnitaryTriangularPair(matched, pair, conn)
 

@@ -22,7 +22,10 @@ towers over a matched pair with the zero extension.  The bracket layer the
 flat-position one replaced is kept too: graded elements keyed by (g-tuple,
 value[, algebra index]) tuples and summed key by key, and the contraction,
 the wedge, the differential and the walk of decorated tuples on them, each
-form merged with merge_sign.
+form merged with merge_sign.  The validators the nonzero ones replaced are
+kept as well: antisymmetry and Jacobi on whole bracket vectors, flatness as
+dense GaussScalar matrix commutators, and gl_un_tn's structure constants
+and gamma read off dense matrix commutators and products.
 """
 
 from bisect import bisect
@@ -30,10 +33,11 @@ from itertools import product
 from operator import mul
 
 from liepairs.atiyah import BiForm, rref
-from liepairs.ce import Cochain, _ce_sum, _flush, atiyah_cocycle, ce_diff
+from liepairs.ce import Cochain, Connection, _ce_sum, atiyah_cocycle, ce_diff
 from liepairs.homotopy import GradedElement, lambda_k, mu_k
-from liepairs.lie_core import GAlgebra, Report, check_module, tensor_module
-from liepairs.linalg import Matrix, basis_vec, vec_add, vec_is_zero, zero_vec
+from liepairs.lie_core import (GAlgebra, LieAlgebra, LiePair, Report,
+                               tensor_module)
+from liepairs.linalg import Matrix, basis_vec, vec_is_zero, zero_vec
 from liepairs.multilinear import (
     enumerate_shuffles,
     exterior_basis,
@@ -43,7 +47,8 @@ from liepairs.multilinear import (
     tensor_index,
     tensor_tuples,
 )
-from liepairs.scalars import ONE, ZERO, GaussScalar, as_scalar
+from liepairs.scalars import ONE, ZERO, GaussScalar, _flush, as_scalar
+from liepairs.zoo import UnitaryTriangularPair, matched_sum, pair_to_matched
 
 
 def insert_with_sign(index_tuple, s):
@@ -448,6 +453,10 @@ def algebra_from_table(module, table):
     return GAlgebra(module, mult)
 
 
+def vec_add(u, v):
+    return [a + b for a, b in zip(u, v)]
+
+
 def vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
 
@@ -467,7 +476,7 @@ def dense_check_g_algebra(g, algebra):
     from products of whole basis vectors, entry by entry, over the dense
     table."""
     report = Report("g_algebra")
-    report.entries.extend(check_module(g, algebra.module).entries)
+    report.entries.extend(dense_check_module(g, algebra.module).entries)
     d = algebra.dim
     mult = dense_mult(algebra)
 
@@ -504,6 +513,139 @@ def dense_check_g_algebra(g, algebra):
                     where = _first_nonzero(res)
                     report.add("derivation", (a, i, j, where[0]), where[1])
     return report
+
+
+# -- the dense validators and gl_un_tn the nonzero ones replaced ---------------
+
+
+def dense_validate(d):
+    """The dense check validate_lie_algebra replaced: full bracket vectors
+    for every antisymmetry pair and every one of the C(n, 3) Jacobi triples."""
+    report = Report("lie_algebra")
+    n = d.dim
+    for i in range(n):
+        for j in range(i, n):
+            res = vec_add(d.c[i][j], d.c[j][i])
+            if not vec_is_zero(res):
+                where = _first_nonzero(res)
+                report.add("antisymmetry", (i, j, where[0]), where[1])
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                res = vec_add(
+                    d.bracket(d.c[i][j], basis_vec(n, k)),
+                    vec_add(d.bracket(d.c[j][k], basis_vec(n, i)),
+                            d.bracket(d.c[k][i], basis_vec(n, j))))
+                if not vec_is_zero(res):
+                    where = _first_nonzero(res)
+                    report.add("jacobi", (i, j, k, where[0]), where[1])
+    return report
+
+
+def dense_check_module(g, module):
+    """The flatness check check_module replaced: for each pair i < j the
+    dense matrix [rho_i, rho_j] - sum_k c_ij^k rho_k, its first nonzero entry
+    in row-major order naming the violation."""
+    report = Report("module_flatness")
+    if module.dim_g != g.dim:
+        report.add("arity", (), "expected %d matrices, got %d"
+                   % (g.dim, module.dim_g))
+        return report
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            lhs = module.action[i].commutator(module.action[j])
+            rhs = Matrix.zeros(module.dim, module.dim)
+            for k, x in enumerate(g.c[i][j]):
+                if not x.is_zero():
+                    rhs = rhs + module.action[k].scale(x)
+            diff = lhs - rhs
+            if not diff.is_zero():
+                where = _first_nonzero(diff.data)
+                report.add("flatness", (i, j, where[0]), where[1])
+    return report
+
+
+def _matrix_units(n):
+    def unit(r, c, scalar=ONE):
+        m = Matrix.zeros(n, n)
+        m.data[r * n + c] = scalar
+        return m
+    return unit
+
+
+def _upper(n):
+    return [(k, l) for k in range(n) for l in range(k + 1, n)]
+
+
+def u_basis(n):
+    """The basis of u(n) as dense matrices: i E_kk, E_kl - E_lk and
+    i (E_kl + E_lk) for k < l."""
+    unit = _matrix_units(n)
+    i = GaussScalar(0, 1)
+    return ([unit(k, k, i) for k in range(n)]
+            + [unit(k, l) - unit(l, k) for k, l in _upper(n)]
+            + [unit(k, l, i) + unit(l, k, i) for k, l in _upper(n)])
+
+
+def t_basis(n):
+    """The basis of t(n) as dense matrices: E_kk, E_kl and i E_kl for
+    k < l."""
+    unit = _matrix_units(n)
+    i = GaussScalar(0, 1)
+    return ([unit(k, k) for k in range(n)]
+            + [unit(k, l) for k, l in _upper(n)]
+            + [unit(k, l, i) for k, l in _upper(n)])
+
+
+def split_anti_hermitian(z):
+    """Z = U + T with U anti-Hermitian and T upper triangular, real diagonal."""
+    n = z.rows
+    u = Matrix.zeros(n, n)
+    for k in range(n):
+        for l in range(n):
+            if k > l:
+                u.data[k * n + l] = z[k, l]
+            elif k < l:
+                u.data[k * n + l] = -(z[l, k].conjugate())
+            else:
+                u.data[k * n + l] = GaussScalar(0, z[k, k].im)
+    return u, z - u
+
+
+def _upper_coords(n, m):
+    return ([GaussScalar(m[k, l].re) for k, l in _upper(n)]
+            + [GaussScalar(m[k, l].im) for k, l in _upper(n)])
+
+
+def u_coords(n, u):
+    return [GaussScalar(u[k, k].im) for k in range(n)] + _upper_coords(n, u)
+
+
+def t_coords(n, t):
+    return [GaussScalar(t[k, k].re) for k in range(n)] + _upper_coords(n, t)
+
+
+def dense_gl_un_tn(n):
+    """The construction gl_un_tn replaced: every structure constant read off
+    a dense matrix commutator split into its u(n) and t(n) parts, and the
+    multiplication connection's gamma off dense products of t(n) basis
+    matrices."""
+    tb = t_basis(n)
+    nb = len(tb)
+    basis = u_basis(n) + tb
+    c = [[u_coords(n, u) + t_coords(n, t)
+          for u, t in (split_anti_hermitian(x.commutator(y)) for y in basis)]
+         for x in basis]
+    matched = pair_to_matched(LiePair(LieAlgebra(len(basis), c), n * n))
+    pair = matched_sum(matched)
+    module_b = pair.quotient_module()
+    gamma = []
+    for y in range(nb):
+        cols = [t_coords(n, tb[y] @ tb[z]) for z in range(nb)]
+        gamma.append(Matrix.from_rows(
+            [[cols[z][k] for z in range(nb)] for k in range(nb)]))
+    conn = Connection(pair, module_b, list(module_b.action) + gamma)
+    return UnitaryTriangularPair(matched, pair, conn)
 
 
 # -- the tower kernels the flat-position kernels replaced ---------------------

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import liepairs.cli as cli
+import liepairs.fixture_io as fixture_io
+import liepairs.lie_core as lie_core
 from liepairs.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_INTERNAL_ERROR,
@@ -30,6 +32,7 @@ from liepairs.lie_core import (
     make_pair,
     trivial_module,
 )
+from liepairs.scalars import GaussScalar, format_scalar, parse_scalar
 from liepairs.zoo import (
     dual_numbers_algebra,
     gl_un_tn,
@@ -37,6 +40,8 @@ from liepairs.zoo import (
     random_module,
     sl2_pair,
 )
+
+from oracles import dense_check_module, dense_validate
 
 
 def run(capsys, argv):
@@ -266,6 +271,125 @@ def test_fixture_round_trip():
         assert fixture.modules[name].action == module.action
     redoc = dump_fixture(fixture.pair, fixture.modules)
     assert redoc == doc
+
+
+def _zoo_doc(name, seed=None):
+    """The document `zoo export name [--seed seed]` prints."""
+    argv = ["zoo", "export", name]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    return json.loads(out.getvalue())
+
+
+def test_every_zoo_fixture_round_trips_through_the_loader():
+    docs = {name: _zoo_doc(name) for name in cli._ZOO}
+    docs.update({"random_%d" % seed: _zoo_doc("random", seed)
+                 for seed in range(3)})
+    for name, doc in docs.items():
+        fixture = load_fixture(doc)
+        assert dump_fixture(fixture.pair, fixture.modules,
+                            fixture.connections, fixture.algebras) == doc, name
+
+
+def test_the_loader_keeps_no_scalars_between_loads():
+    def module_state():
+        return {name: copy.copy(value)
+                for name, value in vars(fixture_io).items()
+                if not name.startswith("__")
+                and isinstance(value, (dict, list, set))}
+
+    before = module_state()
+    load_fixture(_zoo_doc("gl3"))
+    assert module_state() == before
+    assert not any(isinstance(x, GaussScalar)
+                   for value in before.values() for x in value)
+    assert not any(hasattr(value, "cache_info")
+                   for value in vars(fixture_io).values())
+
+
+# The last coefficient of the gl(3) export's last bracket entry, (15, 17),
+# read after more than a thousand "0" strings; each stderr line is the one
+# the loader printed when it parsed every string afresh.
+@pytest.mark.parametrize("argv, value, code, err", [
+    (["validate"], "1/0", EXIT_PARSE_ERROR,
+     "parse error: bad scalar '1/0': Fraction(1, 0)\n"),
+    (["validate"], "0*", EXIT_PARSE_ERROR,
+     "parse error: bad scalar '0*': malformed rational '0*'\n"),
+    (["validate"], True, EXIT_PARSE_ERROR,
+     "parse error: booleans are not scalars\n"),
+    (["atiyah", "--module", "B"], "3/2*i", EXIT_VALIDATION_ERROR,
+     "validation error: invalid bracket: {'check': 'jacobi', 'location': "
+     "(0, 12, 17, 17), 'residual': '3/2*i'}\n"),
+], ids=["division_by_zero", "malformed", "boolean", "wrong_value"])
+def test_a_bad_scalar_after_thousands_of_zeros(capsys, tmp_path, argv, value,
+                                               code, err):
+    doc = _zoo_doc("gl3")
+    assert sum(x == "0" for entry in doc["bracket"] for x in entry[2]) > 1000
+    assert doc["bracket"][-1][:2] == [15, 17]
+    doc["bracket"][-1][2][-1] = value
+    path = tmp_path / "gl3.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, argv[:1] + ["--input", str(path)] + argv[1:]) == \
+        (code, "", err)
+
+
+def _plus_one(text):
+    return format_scalar(parse_scalar(text) + 1)
+
+
+def _census(doc):
+    """(what, doc) for each single corruption of a fixture document: 1 added
+    to one bracket coefficient of a pair i < j (listed or not), or to one
+    entry of one action matrix of a module or an algebra."""
+    dim = doc["dim"]
+    listed = {(i, j): at for at, (i, j, _) in enumerate(doc["bracket"])}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for t in range(dim):
+                bad = copy.deepcopy(doc)
+                if (i, j) in listed:
+                    vec = bad["bracket"][listed[i, j]][2]
+                else:
+                    vec = ["0"] * dim
+                    bad["bracket"].append([i, j, vec])
+                vec[t] = _plus_one(vec[t])
+                yield ("bracket", i, j, t), bad
+    for kind in ("modules", "algebra"):
+        for name, spec in sorted(doc.get(kind, {}).items()):
+            for a, mat in enumerate(spec["action"]):
+                for r, row in enumerate(mat):
+                    for c in range(len(row)):
+                        bad = copy.deepcopy(doc)
+                        entries = bad[kind][name]["action"][a][r]
+                        entries[c] = _plus_one(entries[c])
+                        yield (kind, name, a, r, c), bad
+
+
+def _gate(fixture):
+    """Each check of validate's gate with its verdict and first witness."""
+    return [(name, not violations, violations[:1], refusal or None)
+            for name, violations, refusal in cli._checks(fixture, True)]
+
+
+def test_input_census_matches_the_dense_validators(monkeypatch):
+    counts = Counter()
+    for name in ("sl2", "sl2_borel", "heisenberg", "affine_bialgebra"):
+        for what, doc in _census(_zoo_doc(name)):
+            fixture = load_fixture(doc)
+            got = _gate(fixture)
+            with monkeypatch.context() as dense:
+                dense.setattr(cli, "validate_lie_algebra", dense_validate)
+                dense.setattr(cli, "check_module", dense_check_module)
+                dense.setattr(lie_core, "check_module", dense_check_module)
+                assert _gate(fixture) == got, (name, what)
+            caught = not all(ok for _, ok, _, _ in got)
+            counts[what[0], caught] += 1
+    assert counts == {("bracket", True): 42, ("bracket", False): 9,
+                      ("modules", True): 20, ("modules", False): 3,
+                      ("algebra", True): 7, ("algebra", False): 1}
 
 
 def test_atiyah_over_a_zero_dimensional_subalgebra(capsys, tmp_path):

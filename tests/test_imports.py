@@ -291,11 +291,12 @@ def test_the_check_sees_a_tuple_wedge():
         ("_other", "insert_with_sign")]
 
 
-# The flat-position kernels (see the kernel protocol in ce.py) move every
-# form through a table of flat moves: the one table of basis-form wedges,
-# ce._merge_table, is the only code that turns index tuples into moves, so
-# no kernel wedges, strips or looks up a tuple itself.  The bracket layer
-# (_contract, _wedge, _decorated, _diff) is among them.
+# The flat-position kernels (see the kernel protocol in ce.py; the
+# accumulator they share is in scalars.py) move every form through a table
+# of flat moves: the one table of basis-form wedges, ce._merge_table, is
+# the only code that turns index tuples into moves, so no kernel wedges,
+# strips or looks up a tuple itself.  The bracket layer (_contract, _wedge,
+# _decorated, _diff) is among them.
 FLAT_KERNELS = ("_ce_table", "_ce_terms", "_ce_sum", "_ce_into",
                 "_nabla_into", "_product_into", "_add_permuted", "_scatter",
                 "_flush", "_contract", "_wedge", "_decorated", "_diff")
@@ -303,7 +304,8 @@ TUPLE_WEDGES = ("merge_sign", "insert_with_sign", "bisect", "exterior_index")
 
 
 def test_flat_kernels_wedge_through_the_one_table():
-    sources = [(PACKAGE / name).read_text() for name in ("ce.py", "homotopy.py")]
+    sources = [(PACKAGE / name).read_text()
+               for name in ("ce.py", "homotopy.py", "scalars.py")]
     defined = {node.name for source in sources
                for node in ast.parse(source).body
                if isinstance(node, ast.FunctionDef)}

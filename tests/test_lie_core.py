@@ -19,19 +19,14 @@ from liepairs.lie_core import (
     trivial_module,
     validate_lie_algebra,
 )
-from liepairs.linalg import Matrix, basis_vec, vec_add, vec_is_zero
-from liepairs.scalars import GaussScalar, ONE, ZERO
+from liepairs.linalg import Matrix, basis_vec, vec_is_zero
+from liepairs.scalars import GaussScalar, ONE, ZERO, format_scalar
 from liepairs.zoo import (
     MatchedPairAxiomsFail,
     MatchedPairData,
     NotABialgebra,
     NotASubalgebra,
     _catalog,
-    _split_anti_hermitian,
-    _t_basis,
-    _t_coords,
-    _u_basis,
-    _u_coords,
     adapt_basis,
     affine_bialgebra,
     bialgebra_pair,
@@ -50,7 +45,20 @@ from liepairs.zoo import (
     zero_cobracket_bialgebra,
 )
 
-from oracles import algebra_from_table, dense_check_g_algebra, dense_mult
+from oracles import (
+    algebra_from_table,
+    dense_check_g_algebra,
+    dense_check_module,
+    dense_gl_un_tn,
+    dense_mult,
+    dense_validate,
+    split_anti_hermitian,
+    t_basis,
+    t_coords,
+    u_basis,
+    u_coords,
+    vec_add,
+)
 
 
 def g(x):
@@ -90,34 +98,6 @@ def test_validate_jacobi_failure():
     assert any(e["check"] == "jacobi" for e in report.entries)
 
 
-def dense_validate(d):
-    """The dense check validate_lie_algebra replaced: full bracket vectors
-    for every antisymmetry pair and every one of the C(n, 3) Jacobi triples."""
-    report = Report("lie_algebra")
-    n = d.dim
-
-    def first_nonzero(vec):
-        return next((p, x) for p, x in enumerate(vec) if not x.is_zero())
-
-    for i in range(n):
-        for j in range(i, n):
-            res = vec_add(d.c[i][j], d.c[j][i])
-            if not vec_is_zero(res):
-                where = first_nonzero(res)
-                report.add("antisymmetry", (i, j, where[0]), where[1])
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                res = vec_add(
-                    d.bracket(d.c[i][j], basis_vec(n, k)),
-                    vec_add(d.bracket(d.c[j][k], basis_vec(n, i)),
-                            d.bracket(d.c[k][i], basis_vec(n, j))))
-                if not vec_is_zero(res):
-                    where = first_nonzero(res)
-                    report.add("jacobi", (i, j, k, where[0]), where[1])
-    return report
-
-
 def zoo_algebras():
     algebras = [(name, build().d) for name, build in _catalog()]
     algebras += [("u2t2", gl_un_tn(2).pair.d), ("gl3", gl_un_tn(3).pair.d)]
@@ -155,6 +135,101 @@ def test_sparse_validation_matches_the_dense_oracle():
             seen.update((trial % 2, e["check"]) for e in entries)
     # antisymmetric corruptions break Jacobi alone, the others both checks
     assert seen == {(0, "jacobi"), (1, "antisymmetry"), (1, "jacobi")}
+
+
+def zoo_modules():
+    """(name, g, module) for the modules the zoo builds and the
+    constructions over them: every catalogued pair's quotient module with
+    its dual, End, square and exterior square, the sl2 and heisenberg
+    export modules, the u2t2 and gl(3) quotients and seeded random
+    modules."""
+    out = []
+    for name, build in _catalog():
+        pair = build()
+        gsub, b = pair.g_algebra(), pair.quotient_module()
+        out += [(name + "_B", gsub, b), (name + "_B_dual", gsub, dual_module(b)),
+                (name + "_end_B", gsub, end_module(b)),
+                (name + "_B_B", gsub, tensor_module(b, b)),
+                (name + "_wedge2_B", gsub, exterior_power_module(b, 2))]
+    pair, modules = sl2_pair()
+    out += [("sl2_" + name, pair.g_algebra(), m)
+            for name, m in sorted(modules.items())]
+    out.append(("heisenberg_trivial", heisenberg_pair().g_algebra(),
+                trivial_module(1, 1)))
+    for n in (2, 3):
+        pair = gl_un_tn(n).pair
+        out.append(("gl%d_B" % n, pair.g_algebra(), pair.quotient_module()))
+    u2t2 = gl_un_tn(2).pair
+    out.append(("u2t2_end_B", u2t2.g_algebra(),
+                end_module(u2t2.quotient_module())))
+    for seed in range(6):
+        pair = random_pair(seed)
+        m = random_module(pair, 3, seed + 1)
+        out += [("random_%d" % seed, pair.g_algebra(), m),
+                ("random_%d_wedge2" % seed, pair.g_algebra(),
+                 exterior_power_module(m, 2)),
+                ("random_%d_end" % seed, pair.g_algebra(), end_module(m))]
+    return out
+
+
+def test_check_module_matches_the_dense_oracle():
+    rng = random.Random(28)
+    cases = zoo_modules()
+    for name, g, module in cases:
+        assert check_module(g, module).entries == \
+            dense_check_module(g, module).entries == [], name
+    pool = [case for case in cases if case[1].dim >= 2 and case[2].dim]
+    values = [GaussScalar(1), GaussScalar(-2), GaussScalar(Fraction(1, 3)),
+              GaussScalar(0, 1), GaussScalar(1, -2), GaussScalar(Fraction(-1, 2), 3)]
+    flat_failures = gaussian = 0
+    for trial in range(80):
+        name, g, module = rng.choice(pool)
+        action = [Matrix(m.rows, m.cols, m.data) for m in module.action]
+        mat = rng.choice(action)
+        pos = rng.randrange(len(mat.data))
+        value = rng.choice(values)
+        mat.data[pos] = mat.data[pos] + value
+        bad = GModule(module.dim, action)
+        entries = check_module(g, bad).entries
+        assert entries == dense_check_module(g, bad).entries, (name, trial)
+        assert all(e["check"] == "flatness" for e in entries)
+        flat_failures += bool(entries)
+        gaussian += bool(entries) and value.im != 0
+    assert flat_failures >= 30 and gaussian >= 5
+    # a module with the wrong number of matrices is reported, not checked
+    g = sl2_pair()[0].g_algebra()
+    short = trivial_module(1, 2)
+    assert check_module(g, short).entries == dense_check_module(g, short).entries \
+        == [{"check": "arity", "location": (), "residual": "expected 2 matrices, got 1"}]
+
+
+def _scalar_strings(values):
+    return [format_scalar(x) for x in values]
+
+
+def test_gl_un_tn_matches_the_dense_construction():
+    for n in (2, 3):
+        got, want = gl_un_tn(n), dense_gl_un_tn(n)
+        dim = 2 * n * n
+        for i in range(dim):
+            for j in range(dim):
+                assert got.pair.d.c[i][j] == want.pair.d.c[i][j], (n, i, j)
+                assert _scalar_strings(got.pair.d.c[i][j]) == \
+                    _scalar_strings(want.pair.d.c[i][j])
+        for field in ("nabla", "delta"):
+            for x, y in zip(getattr(got.matched, field),
+                            getattr(want.matched, field), strict=True):
+                assert x == y and _scalar_strings(x.data) == \
+                    _scalar_strings(y.data), (n, field)
+        assert got.matched.a.c == want.matched.a.c
+        assert got.matched.b.c == want.matched.b.c
+        for mats, oracle in ((got.module_b.action, want.module_b.action),
+                             (got.conn_mult.nabla, want.conn_mult.nabla)):
+            assert len(mats) == len(oracle)
+            for x, y in zip(mats, oracle):
+                assert (x.rows, x.cols) == (y.rows, y.cols)
+                assert x == y and _scalar_strings(x.data) == \
+                    _scalar_strings(y.data), n
 
 
 def test_make_pair_closure():
@@ -490,18 +565,18 @@ def test_unitary_triangular_matched_pair_against_matrix_oracle():
     assert check_matched_pair(fixture.matched).ok
     assert validate_lie_algebra(fixture.pair.d).ok
     # Oracle: structure constants computed directly from 2x2 matrix commutators.
-    mats = _u_basis(2) + _t_basis(2)
+    mats = u_basis(2) + t_basis(2)
     for i in range(8):
         for j in range(8):
             z = mats[i].commutator(mats[j])
-            u, t = _split_anti_hermitian(z)
-            expected = _u_coords(2, u) + _t_coords(2, t)
+            u, t = split_anti_hermitian(z)
+            expected = u_coords(2, u) + t_coords(2, t)
             assert fixture.pair.d.c[i][j] == expected
 
 
 def test_split_anti_hermitian_is_exact_decomposition():
-    for m in _u_basis(2) + _t_basis(2):
-        u, t = _split_anti_hermitian(m)
+    for m in u_basis(2) + t_basis(2):
+        u, t = split_anti_hermitian(m)
         assert (u + t) == m
         # u anti-Hermitian: u + conj(u)^T = 0
         conj_t = Matrix(2, 2, [u[j, i].conjugate() for i in range(2) for j in range(2)])
