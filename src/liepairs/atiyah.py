@@ -525,8 +525,12 @@ def _diff_columns(pair: LiePair, module: GModule, k: int, l: int = 0):
     """The degree-k differential w.r.t. the canonical cochain bases as sparse
     columns {row: value}: the image of each basis cochain."""
     table = _ce_table(pair, module, k, l)
-    return [_flush({}, _ce_sum(table, {col: ONE}))
-            for col in range(Cochain(pair, module, k, l).size)]
+    columns = []
+    for col in range(Cochain(pair, module, k, l).size):
+        acc = {}, {}
+        _ce_sum(acc, table, {col: ONE})
+        columns.append(_flush(acc))
+    return columns
 
 
 def diff_matrix(pair: LiePair, module: GModule, k: int, l: int = 0) -> Matrix:
@@ -592,11 +596,13 @@ def cohomology_representatives(pair: LiePair, module: GModule, k: int, l: int = 
     coboundaries and of the vectors before them: the pivot columns past the
     coboundaries of [d_(k-1) | kernel basis].
     """
+    size = Cochain(pair, module, k, l).size
     images = _diff_columns(pair, module, k - 1, l) if k else []
-    kernel = nullspace_basis(diff_matrix(pair, module, k, l))
+    rows = _transposed(_diff_columns(pair, module, k, l),
+                       Cochain(pair, module, k + 1, l).size)
+    kernel = [v for _, v in _kernel(_eliminate(rows, size), size)]
     columns = images + [{i: x for i, x in enumerate(v) if x} for v in kernel]
     reps = [Cochain(pair, module, k, l, kernel[c - len(images)])
-            for c in pivot_columns(_transposed(
-                columns, Cochain(pair, module, k, l).size), len(columns))
+            for c in pivot_columns(_transposed(columns, size), len(columns))
             if c >= len(images)]
     return len(reps), reps

@@ -22,7 +22,7 @@ from .lie_core import GModule, LiePair, NotACocycle, end_module
 from .linalg import Matrix
 from .multilinear import (exterior_basis, exterior_index, merge_sign,
                           tensor_index, tensor_tuples)
-from .scalars import ZERO, _flush, _scatter
+from .scalars import ZERO, _flush, _scatter, _sum
 
 
 class Cochain:
@@ -130,10 +130,7 @@ class Cochain:
 
     def __add__(self, other):
         self._match(other)
-        parts = other.entries.items()
-        return self._like(_flush(dict(self.entries), (
-            {pos: v.re for pos, v in parts},
-            {pos: v.im for pos, v in parts if v.im})))
+        return self._like(_sum(self.entries, other.entries))
 
     def __sub__(self, other):
         return self + -other
@@ -158,9 +155,8 @@ class Cochain:
 
     def permute_b_args(self, perm):
         """New cochain w'(...; b_1..b_l) = w(...; b_perm(1)..b_perm(l))."""
-        out = Cochain(self.pair, self.module, self.k, self.l)
-        _add_permuted(out, self, perm)
-        return out
+        return _summed(self.pair, self.module, self.k, self.l, _add_permuted,
+                       self, perm)
 
 
 class DenseView:
@@ -201,13 +197,24 @@ class DenseView:
         return list(self) == other
 
 
-# The kernel protocol: each kernel, the differential among them, adds its
-# image of w into total, a cochain of the image's shape.  It reads w.entries
-# and finds its indices by divmod on flat positions and in tables, never by
-# decoding tuples: every wedge of basis forms is read off _merge_table.  It
-# sums plain (re, im) parts through the accumulator of scalars (_scatter),
-# and _flush builds one GaussScalar per position, none per term, and keeps
-# no sum that cancels.
+# The kernel protocol: each kernel, the differential among them, scatters its
+# image of w into acc, its caller's accumulator (scalars._scatter) over the
+# flat positions of the image's shape, and never flushes.  It reads
+# w.entries and finds its indices by divmod on flat positions and in tables,
+# never by decoding tuples: every wedge of basis forms is read off
+# _merge_table.  The owner of an output scatters every term of it into one
+# accumulator and flushes it once, through _summed: one GaussScalar per
+# position, none per term or per kernel call, and no sum that cancels.
+
+
+def _summed(pair, module, k, l, into, *args) -> Cochain:
+    """The (k, l)-cochain with values in module that into(acc, *args)
+    scatters into one accumulator, flushed once."""
+    acc = {}, {}
+    into(acc, *args)
+    out = Cochain(pair, module, k, l)
+    out.entries = _flush(acc)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -256,8 +263,8 @@ def _digit_tables(nb, l, perm):
                  for half in halves)
 
 
-def _add_permuted(total, w, *perms, signs=None):
-    """total += the sum over perms of sign * w.permute_b_args(perm), in one
+def _add_permuted(acc, w, *perms, signs=None):
+    """acc += the sum over perms of sign * w.permute_b_args(perm), in one
     pass over w: the entry of w at b-tuple s lands at the t with t[perm[i]]
     = s[i].  signs holds one +-1 per perm, +1 each by default."""
     if any(sorted(perm) != list(range(w.l)) for perm in perms):
@@ -267,7 +274,7 @@ def _add_permuted(total, w, *perms, signs=None):
     moves = [_digit_tables(nb, w.l, tuple(perm)) + (sign < 0,) for perm, sign
              in zip(perms, signs or [1] * len(perms))]
     # each term is +-v: _scatter's work, inlined on the hottest kernel
-    acc = re_acc, im_acc = {}, {}
+    re_acc, im_acc = acc
     get_re, get_im = re_acc.get, im_acc.get
     for pos, v in w.entries.items():
         vr, vi = v.re, v.im
@@ -278,7 +285,6 @@ def _add_permuted(total, w, *perms, signs=None):
             re_acc[p] = get_re(p, 0) - vr if neg else get_re(p, 0) + vr
             if vi:
                 im_acc[p] = get_im(p, 0) - vi if neg else get_im(p, 0) + vi
-    total.entries = _flush(total.entries, acc)
 
 
 def _ce_table(pair: LiePair, module: GModule, k: int, l: int):
@@ -349,26 +355,21 @@ def _ce_terms(table, pos):
     return terms
 
 
-def _ce_sum(table, entries):
-    """d of entries {flat position: value} of a cochain the table fits,
-    summed by _scatter into an accumulator for _flush."""
-    acc = {}, {}
+def _ce_sum(acc, table, entries):
+    """acc += d of entries {flat position: value} of a cochain the table
+    fits."""
     for pos, v in entries.items():
         _scatter(acc, _ce_terms(table, pos), v.re, v.im)
-    return acc
 
 
-def _ce_into(total, w):
-    """total += d(w)."""
-    table = _ce_table(w.pair, w.module, w.k, w.l)
-    total.entries = _flush(total.entries, _ce_sum(table, w.entries))
+def _ce_into(acc, w):
+    """acc += d(w)."""
+    _ce_sum(acc, _ce_table(w.pair, w.module, w.k, w.l), w.entries)
 
 
 def ce_diff(w: Cochain) -> Cochain:
     """Exact degree-(k+1) image of the Chevalley-Eilenberg differential."""
-    out = Cochain(w.pair, w.module, w.k + 1, w.l)
-    _ce_into(out, w)
-    return out
+    return _summed(w.pair, w.module, w.k + 1, w.l, _ce_into, w)
 
 
 def is_cocycle(w: Cochain) -> bool:

@@ -28,6 +28,7 @@ from .ce import (
     _form_index,
     _form_starts,
     _merge_table,
+    _summed,
     atiyah_cocycle,
     ce_diff,
     curvature,
@@ -43,7 +44,7 @@ from .lie_core import (
     trivial_module,
 )
 from .multilinear import exterior_basis, _shuffles
-from .scalars import GaussScalar, ONE, _flush, _scatter
+from .scalars import GaussScalar, ONE, _flush, _scatter, _sum
 
 
 class ArityBeyondTower(Exception):
@@ -102,14 +103,13 @@ def partial_nabla(w: Cochain, conn_coeff: Connection, conn_b: Connection,
         - sum_i w(..., delta_{b_0} a_i, ...; b's)
         - sum_s w(a's; ..., nabla_{j(b_0)} b_s, ...).
     """
-    out = Cochain(w.pair, w.module, w.k, w.l + 1)
-    _nabla_into(out, w, conn_coeff, conn_b, st)
-    return out
+    return _summed(w.pair, w.module, w.k, w.l + 1, _nabla_into, w,
+                   conn_coeff, conn_b, st)
 
 
-def _nabla_into(total, w, conn_coeff: Connection, conn_b: Connection,
+def _nabla_into(acc, w, conn_coeff: Connection, conn_b: Connection,
                 st: SplittingTensors):
-    """total += partial_nabla(w) (see the kernel protocol in ce): each
+    """acc += partial_nabla(w) (see the kernel protocol in ce): each
     nonzero of w is scattered through the transpose of the three term
     families, their coefficients listed per b0 as signed plain parts.
     moves[gi] lists (a_new, a_old, index, sign) per form term: e^gi = s1
@@ -143,7 +143,6 @@ def _nabla_into(total, w, conn_coeff: Connection, conn_b: Connection,
               if (x := dl[a_new * m + a_old])] for row in moves],
             [[(old - new, -x.re, -x.im) for old in range(nb)
               if (x := n_b[new * nb + old])] for new in range(nb)]))
-    acc = {}, {}
     for pos, v in w.entries.items():
         vr, vi = (-v.re, -v.im) if k % 2 else (v.re, v.im)
         rest, e = divmod(pos, dim_e)
@@ -159,7 +158,6 @@ def _nabla_into(total, w, conn_coeff: Connection, conn_b: Connection,
                 terms += [(dst + shift * step * dim_e + e, xr, xi)
                           for shift, xr, xi in slots[bi // step % nb]]
         _scatter(acc, terms, vr, vi)
-    total.entries = _flush(total.entries, acc)
 
 
 # -- the tower -------------------------------------------------------------------
@@ -253,11 +251,8 @@ class BracketTower:
 
     def d(self, n):
         """d R_n, of bidegree (2, n)."""
-        def build():
-            out = Cochain(self.pair, self.pair.quotient_module(), 2, n)
-            _ce_into(out, self.r[n])
-            return out
-        return self.once(("d", n), build)
+        return self.once(("d", n), lambda: _summed(
+            self.pair, self.pair.quotient_module(), 2, n, _ce_into, self.r[n]))
 
     def composite(self, i, j, slot):
         """R_i o_slot R_j, of bidegree (2, i + j - 1)."""
@@ -267,11 +262,9 @@ class BracketTower:
     def coherence(self, n):
         """The degree-n shuffle coherence tensor, of bidegree (2, n) (see
         _coherence_into)."""
-        def build():
-            out = Cochain(self.pair, self.pair.quotient_module(), 2, n)
-            _coherence_into(out, self, n)
-            return out
-        return self.once(("coherence", n), build)
+        return self.once(("coherence", n), lambda: _summed(
+            self.pair, self.pair.quotient_module(), 2, n, _coherence_into,
+            self, n))
 
 
 def _slices(w: Cochain, dim_in=None):
@@ -402,13 +395,11 @@ class GradedElement:
 
     def add_term(self, key, val):
         pos = self._position(key)
-        self.entries = _flush(self.entries, ({pos: val.re}, {pos: val.im}))
+        old = self.entries.pop(pos, None)
+        self.entries.update(_sum({pos: val}, {pos: old} if old else {}))
 
     def __add__(self, other):
-        parts = other.entries.items()
-        return self._like(_flush(dict(self.entries), (
-            {pos: v.re for pos, v in parts},
-            {pos: v.im for pos, v in parts if v.im})))
+        return self._like(_sum(self.entries, other.entries))
 
     def __sub__(self, other):
         return self + -other
@@ -477,8 +468,9 @@ def _diff(table_of, el) -> GradedElement:
         by_degree.setdefault(k, {})[pos - starts[k] * dim_e] = val
     out = el._like({})
     for k, entries in by_degree.items():
-        shift = starts[k + 1] * dim_e
-        for pos, c in _flush({}, _ce_sum(table_of(k), entries)).items():
+        acc, shift = ({}, {}), starts[k + 1] * dim_e
+        _ce_sum(acc, table_of(k), entries)
+        for pos, c in _flush(acc).items():
             out.entries[pos + shift] = c
     return out
 
@@ -542,7 +534,7 @@ def _contract(slices, args, signed, mdim, algebra=None) -> GradedElement:
                 for t, cv in (found[0][1].items() if found else ()):
                     _scatter(acc, [(p + t, xr, xi) for p, xr, xi in terms],
                              vr * cv.re - vi * cv.im, vr * cv.im + vi * cv.re)
-    return _element(pair, mdim, cdim, _flush({}, acc))
+    return _element(pair, mdim, cdim, _flush(acc))
 
 
 def lambda_k(tower: BracketTower, args,
@@ -859,11 +851,8 @@ def _degree0_residuals(tower, n, module_side=False, algebra=None):
         pool = _basis_elements(pair, tower.side_module(side).dim, 0, algebra)
         return {(i,): res for i, x in enumerate(pool)
                 if not (res := _diff(table_of, _diff(table_of, x))).is_zero()}
-    if module_side:
-        tensor = Cochain(pair, tower.s[n].module, 2, n - 1)
-        _module_into(tensor, tower, n)
-    else:
-        tensor = tower.coherence(n)
+    tensor = _summed(pair, tower.s[n].module, 2, n - 1, _module_into, tower,
+                     n) if module_side else tower.coherence(n)
     dim_in = tower.module.dim if module_side else None
     mdim = dim_in or pair.dim_b
     k, slices = _slices(tensor, dim_in)
@@ -971,16 +960,14 @@ def _lambda_brackets(tower, max_n, algebra):
 def compose_cochains(outer: Cochain, inner: Cochain, slot: int) -> Cochain:
     """Feed inner's value into one quotient slot of outer, shuffle-wedging the
     exterior arguments (outer block first).  slot is 1-based."""
-    out = Cochain(outer.pair, outer.module, outer.k + inner.k,
-                  outer.l + inner.l - 1)
-    _compose_into(out, outer, inner, slot)
-    return out
+    return _summed(outer.pair, outer.module, outer.k + inner.k,
+                   outer.l + inner.l - 1, _compose_into, outer, inner, slot)
 
 
-def _compose_into(total, outer, inner, slot: int):
-    """total += compose_cochains(outer, inner, slot) (see ce._add_permuted
-    for the kernels' protocol): inner's value meets outer's slot-th B-index
-    (see _product_into)."""
+def _compose_into(acc, outer, inner, slot: int):
+    """acc += compose_cochains(outer, inner, slot) (see the kernel protocol
+    in ce): inner's value meets outer's slot-th B-index (see
+    _product_into)."""
     nb, dim_e = outer.pair.dim_b, outer.module.dim
     tail_radix, inner_radix = nb ** (outer.l - slot), inner.b_count()
 
@@ -988,25 +975,25 @@ def _compose_into(total, outer, inner, slot: int):
         head, tail = divmod(b1, tail_radix)
         head, mid = divmod(head, nb)
         return mid, (head * inner_radix * tail_radix + tail) * dim_e + e
-    _product_into(total, outer, outer_key, inner,
+    _product_into(acc, outer, outer_key, inner,
                   lambda i2, value: (value, i2 * tail_radix * dim_e),
                   nb ** (outer.l - 1) * inner_radix * dim_e)
 
 
-def _chain_into(total, outer, inner, dim_e: int):
-    """total += outer . inner for End(E)-valued cochains, values indexed
+def _chain_into(acc, outer, inner, dim_e: int):
+    """acc += outer . inner for End(E)-valued cochains, values indexed
     out * dim_e + in: inner's output feeds outer's input, arguments joined
     outer block first, forms shuffle-wedged (see _product_into)."""
     dd, inner_radix = dim_e * dim_e, inner.b_count()
     # outer meets on its input index, inner on its output index
     _product_into(
-        total, outer,
+        acc, outer,
         lambda b1, f1: (f1 % dim_e, b1 * inner_radix * dd + f1 - f1 % dim_e),
         inner, lambda i2, f2: (f2 // dim_e, i2 * dd + f2 % dim_e),
         outer.b_count() * inner_radix * dd)
 
 
-def _product_into(total, outer, outer_key, inner, inner_key, g_stride):
+def _product_into(acc, outer, outer_key, inner, inner_key, g_stride):
     """The kernel behind _compose_into and _chain_into: a nonzero of outer
     (inner) at exterior index g, b-index b and value v has (key, offset) =
     outer_key(b, v) (inner_key(b, v)), and each pair with one key adds sign
@@ -1021,82 +1008,80 @@ def _product_into(total, outer, outer_key, inner, inner_key, g_stride):
     for g2, key, offset2, br, bi in split(inner, inner_key):
         groups.setdefault(key, []).append((g2, offset2, br, bi))
     merge = _merge_table(outer.pair.dim_g, outer.k, inner.k)
-    acc = {}, {}
     for g1, key, offset, ar, ai in split(outer, outer_key):
         row = merge[g1]
         _scatter(acc, [(step[0] * g_stride + offset + offset2, step[1] * br,
                         step[1] * bi) for g2, offset2, br, bi in
                        groups.get(key, ()) if (step := row[g2])], ar, ai)
-    total.entries = _flush(total.entries, acc)
 
 
-def _torsion_into(total, tower: BracketTower):
+def _torsion_into(acc, tower: BracketTower):
     """Torsion antisymmetrization, bidegree (1, 2): swapping the two slots of
     the binary tensor costs the differential of the torsion."""
-    _add_permuted(total, tower.r[2], (0, 1), (1, 0), signs=(1, -1))
-    _ce_into(total, -tower.torsion())
+    _add_permuted(acc, tower.r[2], (0, 1), (1, 0), signs=(1, -1))
+    _ce_into(acc, -tower.torsion())
 
 
-def _ternary_into(total, tower: BracketTower):
+def _ternary_into(acc, tower: BracketTower):
     """Ternary symmetry defect, bidegree (1, 3): the swap of the first two
     slots against the torsion-fed binary tensor and the differential of the
     curvature."""
-    _add_permuted(total, tower.r[3], (0, 1, 2), (1, 0, 2), signs=(1, -1))
+    _add_permuted(acc, tower.r[3], (0, 1, 2), (1, 0, 2), signs=(1, -1))
     # minus R_2(beta(b0, b1), b2)
-    _compose_into(total, tower.r[2], -tower.torsion(), 1)
+    _compose_into(acc, tower.r[2], -tower.torsion(), 1)
     # plus (d omega)(b0, b1) applied to b2; omega(b1, b2)'s row-major entries
     # are the values at (b1, b2) in flat order
     b = tower.pair.quotient_module()
     omega_cochain = Cochain(tower.pair, end_module(b), 0, 2,
                             [x for row in tower.st.omega for om in row
                              for x in om.data])
-    _add_permuted(total, _unfold_end(ce_diff(omega_cochain)), (0, 1, 2))
+    _add_permuted(acc, _unfold_end(ce_diff(omega_cochain)), (0, 1, 2))
 
 
-def _coherence_into(total, tower: BracketTower, n: int):
+def _coherence_into(acc, tower: BracketTower, n: int):
     """Degree-n shuffle coherence, bidegree (2, n): the differential of R_n
     against shuffle sums of nested lower tensors."""
-    _add_permuted(total, tower.d(n), range(n))
+    _add_permuted(acc, tower.d(n), range(n))
     for i in range(2, n):
         j = n + 1 - i
         for k in range(j, n + 1):
             # composite argument order: sigma's two blocks, position k, then
             # the untouched tail; one pass scatters it through all shuffles
             tail = tuple(range(k - 1, n))
-            _add_permuted(total, tower.composite(i, j, k - j + 1),
+            _add_permuted(acc, tower.composite(i, j, k - j + 1),
                           *[sigma + tail for sigma in _shuffles(k - j, j - 1)])
 
 
-def _module_into(total, tower: BracketTower, n: int):
+def _module_into(acc, tower: BracketTower, n: int):
     """Degree-n module coherence, End(E)-valued of bidegree (2, n - 1): d S_n
     against shuffle sums of S_i o_slot R_j and, for the inner bracket that
     holds the module argument, S_i . S_j (see _chain_into).  At
     (J; b's; out * dim E + in) it is the module identity's residual on
     (b's, e_in) at (J, out)."""
     s = tower.s
-    _ce_into(total, s[n])
+    _ce_into(acc, s[n])
     for j in range(2, n):
         for k in range(j, n + 1):
-            part = Cochain(total.pair, total.module, 2, n - 1)
-            if k < n:
-                _compose_into(part, s[n + 1 - j], tower.r[j], k - j + 1)
-            else:
-                _chain_into(part, s[n + 1 - j], s[j], tower.module.dim)
+            # S_i o R_j, or S_i . S_j, flushed once to be permuted
+            into, args = (_compose_into, (tower.r[j], k - j + 1)) if k < n \
+                else (_chain_into, (s[j], tower.module.dim))
+            part = _summed(tower.pair, s[n].module, 2, n - 1, into,
+                           s[n + 1 - j], *args)
             tail = tuple(range(k - 1, n - 1))
-            _add_permuted(total, part,
+            _add_permuted(acc, part,
                           *[sigma + tail for sigma in _shuffles(k - j, j - 1)])
 
 
-def _mixed_into(total, tower: BracketTower, n: int):
+def _mixed_into(acc, tower: BracketTower, n: int):
     """Degree-n mixed differential, bidegree (2, n + 1): the anticommutator
     of the two derivatives on R_n."""
-    _add_permuted(total, tower.d(n + 1), range(n + 1))
-    _nabla_into(total, tower.d(n), tower.conn_b, tower.conn_b, tower.st)
-    _add_permuted(total, tower.composite(2, n, 2), range(n + 1))
+    _add_permuted(acc, tower.d(n + 1), range(n + 1))
+    _nabla_into(acc, tower.d(n), tower.conn_b, tower.conn_b, tower.st)
+    _add_permuted(acc, tower.composite(2, n, 2), range(n + 1))
     for j in range(1, n + 1):
         # composite canonical order: b_1..b_(j-1), b_0, b_j, b_(j+1)..b_n
         perm = list(range(1, j)) + [0, j] + list(range(j + 1, n + 1))
-        _add_permuted(total, tower.composite(n, 2, j), perm)
+        _add_permuted(acc, tower.composite(n, 2, j), perm)
 
 
 def tensor_residuals(tower: BracketTower):
@@ -1104,18 +1089,18 @@ def tensor_residuals(tower: BracketTower):
     (name, residual) pairs in report order; every residual vanishes on a tower
     built from a valid pair and extending connection.
 
-    Each residual is a Cochain accumulated by the kernels from the nonzeros
-    of its terms.  The tensors the identities share (each d R_n, each
-    composite R_i o_slot R_j, each shuffle coherence tensor, which the
-    Leibniz sweep reads too) are formed once per run, on the run's cached
-    view; a plain tower is read through a fresh one.
+    Each residual is a Cochain the kernels scatter every term of into one
+    accumulator, from the nonzeros of the terms, flushed once.  The tensors
+    the identities share (each d R_n, each composite R_i o_slot R_j, each
+    shuffle coherence tensor, which the Leibniz sweep reads too) are formed
+    once per run, on the run's cached view; a plain tower is read through a
+    fresh one.
     """
     tower = tower.cached_view()
 
     def residual(k, l, into, *args):
-        out = Cochain(tower.pair, tower.pair.quotient_module(), k, l)
-        into(out, tower, *args)
-        return out
+        return _summed(tower.pair, tower.pair.quotient_module(), k, l, into,
+                       tower, *args)
 
     out = [("torsion_antisymmetrization", residual(1, 2, _torsion_into))]
     coherence = {n: tower.coherence(n) for n in range(3, tower.depth + 1)}
@@ -1211,8 +1196,9 @@ def symmetry_report(tower: BracketTower):
         for pos in range(n - 1):
             perm = list(range(n))
             perm[pos], perm[pos + 1] = perm[pos + 1], perm[pos]
-            defect = Cochain(tensor.pair, tensor.module, tensor.k, n)
-            _add_permuted(defect, tensor, range(n), perm, signs=(1, -1))
+            defect = _summed(tensor.pair, tensor.module, tensor.k, n,
+                             partial(_add_permuted, signs=(1, -1)), tensor,
+                             range(n), perm)
             entry = defect.first_nonzero()
             if entry is not None:
                 verdict["fully_symmetric"] = False

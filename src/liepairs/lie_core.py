@@ -130,7 +130,7 @@ def validate_lie_algebra(g: LieAlgebra) -> Report:
                 acc = ({}, {})
                 _scatter(acc, nonzero[i][j], 1, 0)
                 _scatter(acc, nonzero[j][i], 1, 0)
-                res = _flush({}, acc)
+                res = _flush(acc)
                 if res:
                     t = min(res)
                     report.add("antisymmetry", (i, j, t), res[t])
@@ -145,7 +145,7 @@ def validate_lie_algebra(g: LieAlgebra) -> Report:
                 for ab, c in ((ij, k), (jk, i), (ki, j)):
                     for s, xr, xi in ab:
                         _scatter(acc, nonzero[s][c], xr, xi)
-                res = _flush({}, acc)
+                res = _flush(acc)
                 if res:
                     t = min(res)
                     report.add("jacobi", (i, j, k, t), res[t])
@@ -250,7 +250,7 @@ def check_module(g: LieAlgebra, module: GModule) -> Report:
                     _scatter(acc, rows[i][m], -xr, -xi)
                 for k, xr, xi in bracket:
                     _scatter(acc, rows[k][r], -xr, -xi)
-                res = _flush({}, acc)
+                res = _flush(acc)
                 if res:
                     col = min(res)
                     report.add("flatness", (i, j, r * d + col), res[col])

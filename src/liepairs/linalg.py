@@ -6,7 +6,7 @@ the only layer that eliminates, so the tower commands do not compile it.
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, as_scalar
+from .scalars import ONE, ZERO, GaussScalar, as_scalar
 
 
 class Matrix:
@@ -19,7 +19,8 @@ class Matrix:
             raise ValueError("entry count %d != %d x %d" % (len(data), rows, cols))
         self.rows = rows
         self.cols = cols
-        self.data = [as_scalar(x) for x in data]
+        self.data = [x if x.__class__ is GaussScalar else as_scalar(x)
+                     for x in data]
 
     @classmethod
     def _trusted(cls, rows, cols, data):

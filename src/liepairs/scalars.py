@@ -132,8 +132,10 @@ def _scalar(re, im) -> GaussScalar:
 
 
 # The accumulator: sums of products kept as plain (re, im) parts in a pair of
-# maps {position: part}, so that no GaussScalar is built per term.  The tower
-# kernels flush it into stored values, the validators into residuals.
+# maps {position: part}, so that no GaussScalar is built per term.  Whoever
+# owns an output scatters every term of it into one accumulator and flushes
+# it once: the tower kernels into their caller's, the validators into a
+# residual's.
 
 
 def _scatter(acc, terms, vr, vi):
@@ -149,25 +151,26 @@ def _scatter(acc, terms, vr, vi):
             im_acc[p] = get_im(p, 0) + im
 
 
-def _flush(entries, acc):
-    """entries + acc (see _scatter) as one map {flat position: value}, one
-    GaussScalar per position, with no position whose sum cancels.  entries
-    is updated in place; acc's real map is converted in place and, when
-    entries is empty, returned, so no second map is held beside it."""
+def _flush(acc):
+    """acc (see _scatter) as one map {flat position: value}, one GaussScalar
+    per position, with no position whose sum cancels.  acc's real map is
+    converted in place and returned, so no second map is held beside it."""
     re_acc, im_acc = acc
-    get, get_im = entries.get, im_acc.get
+    get_im = im_acc.get
     for pos, re in re_acc.items():
-        im, old = get_im(pos, 0), get(pos)
-        if old is not None:
-            re, im = old.re + re, old.im + im
+        im = get_im(pos, 0)
         re_acc[pos] = _scalar(re, im) if re or im else None  # cancelled
     for pos in [pos for pos, x in re_acc.items() if x is None]:
         del re_acc[pos]
-        entries.pop(pos, None)
-    if not entries:
-        return re_acc
-    entries.update(re_acc)
-    return entries
+    return re_acc
+
+
+def _sum(*maps):
+    """The sum of maps {position: GaussScalar}, through the accumulator."""
+    acc = {}, {}
+    for entries in maps:
+        _scatter(acc, [(p, v.re, v.im) for p, v in entries.items()], 1, 0)
+    return _flush(acc)
 
 
 def as_scalar(value) -> GaussScalar:

@@ -117,7 +117,8 @@ class MatchedPairData:
 
 def _sum_algebra(m: MatchedPairData) -> LieAlgebra:
     """The bracket on A + B (A first): [X, Y] = -delta_Y X + nabla_X Y for X
-    in A and Y in B, and the brackets of A and of B on their own blocks."""
+    in A and Y in B, and the brackets of A and of B on their own blocks.  A
+    zero coordinate is kept as it is, not negated."""
     na, nb = m.a.dim, m.b.dim
     n = na + nb
     c = [[None] * n for _ in range(n)]
@@ -129,9 +130,10 @@ def _sum_algebra(m: MatchedPairData) -> LieAlgebra:
             c[na + i][na + j] = [ZERO] * na + m.b.c[i][j]
     for i in range(na):
         for j in range(nb):
-            vec = [-x for x in m.delta[j].col(i)] + m.nabla[i].col(j)
+            vec = [-x if x else x for x in m.delta[j].col(i)] \
+                + m.nabla[i].col(j)
             c[i][na + j] = vec
-            c[na + j][i] = [-x for x in vec]
+            c[na + j][i] = [-x if x else x for x in vec]
     return LieAlgebra(n, c)
 
 

@@ -25,20 +25,30 @@ the wedge, the differential and the walk of decorated tuples on them, each
 form merged with merge_sign.  The validators the nonzero ones replaced are
 kept as well: antisymmetry and Jacobi on whole bracket vectors, flatness as
 dense GaussScalar matrix commutators, and gl_un_tn's structure constants
-and gamma read off dense matrix commutators and products.
+and gamma read off dense matrix commutators and products.  So are the
+cohomology representatives read off the dense diff_matrix by
+nullspace_basis, and the per-call flushing path of the tower kernels: the
+merging flush, and the tensor-level residuals and module coherence tensors
+with every kernel call flushing its partial sum into the residual's stored
+values.  The kernels' accumulator is reached from a test through
+scatter_into.
 """
 
 from bisect import bisect
 from itertools import product
 from operator import mul
 
-from liepairs.atiyah import BiForm, rref
-from liepairs.ce import Cochain, Connection, _ce_sum, atiyah_cocycle, ce_diff
-from liepairs.homotopy import GradedElement, lambda_k, mu_k
+from liepairs.atiyah import (BiForm, _diff_columns, _transposed, diff_matrix,
+                             nullspace_basis, pivot_columns, rref)
+from liepairs.ce import (Cochain, Connection, _add_permuted, _ce_into,
+                         _ce_sum, atiyah_cocycle, ce_diff)
+from liepairs.homotopy import (GradedElement, _chain_into, _compose_into,
+                               _nabla_into, _unfold_end, lambda_k, mu_k)
 from liepairs.lie_core import (GAlgebra, LieAlgebra, LiePair, Report,
-                               tensor_module)
+                               end_module, tensor_module)
 from liepairs.linalg import Matrix, basis_vec, vec_is_zero, zero_vec
 from liepairs.multilinear import (
+    _shuffles,
     enumerate_shuffles,
     exterior_basis,
     exterior_index,
@@ -403,6 +413,19 @@ def dense_diff_matrix(pair, module, k, l=0):
                     data[row * cols + col] = data[row * cols + col] + coeff
                 col += 1
     return mat
+
+
+def replaced_cohomology_representatives(pair, module, k, l=0):
+    """cohomology_representatives as it was: the kernel basis read off the
+    dense diff_matrix by nullspace_basis."""
+    images = _diff_columns(pair, module, k - 1, l) if k else []
+    kernel = nullspace_basis(diff_matrix(pair, module, k, l))
+    columns = images + [{i: x for i, x in enumerate(v) if x} for v in kernel]
+    reps = [Cochain(pair, module, k, l, kernel[c - len(images)])
+            for c in pivot_columns(_transposed(
+                columns, Cochain(pair, module, k, l).size), len(columns))
+            if c >= len(images)]
+    return len(reps), reps
 
 
 def augmented(m, vec):
@@ -1063,7 +1086,9 @@ def tuple_keyed_diff(tables, el, cdim=None):
     out = TupleKeyedElement(el.pair, el.mdim, cdim)
     for k, entries in by_degree.items():
         basis, dim_e = exterior_basis(n, k + 1), tables[k][-1]
-        for pos, c in _flush({}, _ce_sum(tables[k], entries)).items():
+        acc = {}, {}
+        _ce_sum(acc, tables[k], entries)
+        for pos, c in _flush(acc).items():
             gi, e = divmod(pos, dim_e)
             out.terms[(basis[gi], e) if cdim is None
                       else (basis[gi],) + divmod(e, cdim)] = c
@@ -1171,3 +1196,162 @@ def tuple_keyed_slices(slices, arity, pair, mdim):
         out[tuple(digits)] = [(exterior_basis(pair.dim_g, k)[gi], o, c)
                               for gi, o, c in hits]
     return out
+
+
+# -- the kernels' accumulator for tests, and the per-call flushing path -------
+
+
+def scatter_into(total, kernel, *args, **kwargs):
+    """total += kernel's image, through the kernel protocol: an accumulator
+    seeded from total's entries, kernel(acc, *args, **kwargs) scattered into
+    it, flushed back into total."""
+    acc = ({pos: v.re for pos, v in total.entries.items()},
+           {pos: v.im for pos, v in total.entries.items() if v.im})
+    kernel(acc, *args, **kwargs)
+    total.entries = _flush(acc)
+
+
+def flushing_flush(entries, acc):
+    """scalars._flush as it was, with its merging mode: entries + acc as one
+    map {flat position: value}, one GaussScalar per position, with no
+    position whose sum cancels.  entries is updated in place; acc's real map
+    is converted in place and, when entries is empty, returned."""
+    re_acc, im_acc = acc
+    get, get_im = entries.get, im_acc.get
+    for pos, re in re_acc.items():
+        im, old = get_im(pos, 0), get(pos)
+        if old is not None:
+            re, im = old.re + re, old.im + im
+        re_acc[pos] = GaussScalar(re, im) if re or im else None  # cancelled
+    for pos in [pos for pos, x in re_acc.items() if x is None]:
+        del re_acc[pos]
+        entries.pop(pos, None)
+    if not entries:
+        return re_acc
+    entries.update(re_acc)
+    return entries
+
+
+def per_call(kernel):
+    """kernel (see the kernel protocol in ce) as the kernels ran before:
+    into a total cochain, each call summing into an accumulator of its own
+    and flushing it into total's stored values before it returns."""
+    def into(total, *args, **kwargs):
+        acc = {}, {}
+        kernel(acc, *args, **kwargs)
+        total.entries = flushing_flush(total.entries, acc)
+    return into
+
+
+class FlushingPath:
+    """The tensor-level residuals and the module coherence tensors as they
+    were summed: every kernel call flushed its partial sum into the
+    residual's stored values (see per_call), and each term a residual
+    shares (d R_n, R_i o_slot R_j, the shuffle coherence tensors) was formed
+    on the same path, once per path."""
+
+    def __init__(self, tower):
+        self.tower = tower
+        self.memo = {}
+
+    def once(self, key, build):
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
+
+    def total(self, k, l, module=None):
+        tower = self.tower
+        return Cochain(tower.pair, module or tower.pair.quotient_module(), k, l)
+
+    def d(self, n):
+        def build():
+            total = self.total(2, n)
+            per_call(_ce_into)(total, self.tower.r[n])
+            return total
+        return self.once(("d", n), build)
+
+    def composite(self, i, j, slot):
+        def build():
+            outer, inner = self.tower.r[i], self.tower.r[j]
+            total = self.total(outer.k + inner.k, outer.l + inner.l - 1)
+            per_call(_compose_into)(total, outer, inner, slot)
+            return total
+        return self.once(("o", i, j, slot), build)
+
+    def torsion_antisymmetrization(self):
+        tower, total = self.tower, self.total(1, 2)
+        per_call(_add_permuted)(total, tower.r[2], (0, 1), (1, 0),
+                                signs=(1, -1))
+        per_call(_ce_into)(total, -tower.torsion())
+        return total
+
+    def ternary_symmetry_defect(self):
+        tower, total = self.tower, self.total(1, 3)
+        add_permuted = per_call(_add_permuted)
+        add_permuted(total, tower.r[3], (0, 1, 2), (1, 0, 2), signs=(1, -1))
+        per_call(_compose_into)(total, tower.r[2], -tower.torsion(), 1)
+        omega = Cochain(tower.pair, end_module(tower.pair.quotient_module()),
+                        0, 2, [x for row in tower.st.omega for om in row
+                               for x in om.data])
+        add_permuted(total, _unfold_end(ce_diff(omega)), (0, 1, 2))
+        return total
+
+    def coherence(self, n):
+        def build():
+            total = self.total(2, n)
+            add_permuted = per_call(_add_permuted)
+            add_permuted(total, self.d(n), range(n))
+            for i in range(2, n):
+                j = n + 1 - i
+                for k in range(j, n + 1):
+                    tail = tuple(range(k - 1, n))
+                    add_permuted(total, self.composite(i, j, k - j + 1), *[
+                        sigma + tail for sigma in _shuffles(k - j, j - 1)])
+            return total
+        return self.once(("coherence", n), build)
+
+    def mixed_differential(self, n):
+        tower, total = self.tower, self.total(2, n + 1)
+        add_permuted = per_call(_add_permuted)
+        add_permuted(total, self.d(n + 1), range(n + 1))
+        per_call(_nabla_into)(total, self.d(n), tower.conn_b, tower.conn_b,
+                              tower.st)
+        add_permuted(total, self.composite(2, n, 2), range(n + 1))
+        for j in range(1, n + 1):
+            perm = list(range(1, j)) + [0, j] + list(range(j + 1, n + 1))
+            add_permuted(total, self.composite(n, 2, j), perm)
+        return total
+
+    def module_coherence(self, n):
+        tower, s = self.tower, self.tower.s
+        total = self.total(2, n - 1, s[n].module)
+        per_call(_ce_into)(total, s[n])
+        for j in range(2, n):
+            for k in range(j, n + 1):
+                part = self.total(2, n - 1, s[n].module)
+                if k < n:
+                    per_call(_compose_into)(part, s[n + 1 - j], tower.r[j],
+                                            k - j + 1)
+                else:
+                    per_call(_chain_into)(part, s[n + 1 - j], s[j],
+                                          tower.module.dim)
+                tail = tuple(range(k - 1, n - 1))
+                per_call(_add_permuted)(total, part, *[
+                    sigma + tail for sigma in _shuffles(k - j, j - 1)])
+        return total
+
+    def tensor_residuals(self):
+        """homotopy.tensor_residuals on this path: (name, residual) pairs in
+        report order."""
+        depth = self.tower.depth
+        out = [("torsion_antisymmetrization",
+                self.torsion_antisymmetrization())]
+        coherence = {n: self.coherence(n) for n in range(3, depth + 1)}
+        if depth >= 3:
+            out.append(("ternary_symmetry_defect",
+                        self.ternary_symmetry_defect()))
+            out.append(("nested_binary_coherence", coherence[3]))
+        out += [("mixed_differential_n%d" % n, self.mixed_differential(n))
+                for n in range(2, depth)]
+        out += [("shuffle_coherence_n%d" % n, w) for n, w in coherence.items()]
+        return out

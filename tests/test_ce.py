@@ -38,8 +38,10 @@ from oracles import (
     augmented,
     dense_ce_diff,
     dense_diff_matrix,
+    replaced_cohomology_representatives,
     rref_rank,
     rref_solve,
+    scatter_into,
 )
 
 
@@ -211,7 +213,7 @@ def test_stored_zeros_are_ignored():
     u = rand_cochain(random.Random(5), pair, module, 1, 2)
     u.data[0] = ONE
     assert not (u - u).entries
-    _add_permuted(u, -u, (0, 1))
+    scatter_into(u, _add_permuted, -u, (0, 1))
     assert not u.entries and u == fresh and hash(u) == hash(fresh)
     # the symmetry scan passes over them: a stored zero at the first flat
     # position of every level leaves its verdicts and witnesses unchanged
@@ -289,6 +291,28 @@ def _dense_path_cases():
                               ("trivial", trivial_module(pair.dim_g, 1)),
                               ("random", random_module(pair, 2, 3))):
             yield "%s/%s" % (name, mname), pair, module
+
+
+def test_cohomology_representatives_match_the_dense_kernel_path():
+    # the kernel basis is eliminated from the sparse columns of the
+    # differential, not read off the dense diff_matrix by nullspace_basis:
+    # the same representatives, entry for entry, on every zoo pair but
+    # gl(3), with B, B* and the trivial module, in every degree k <= dim g
+    # on up to one B-slot: 162 cohomology groups, 152 representatives
+    found = 0
+    for name, pair, module in _dense_path_cases():
+        if name.endswith(("/End(B)", "/random")):
+            continue
+        for k in range(pair.dim_g + 1):
+            for l in range(2):
+                dim, reps = cohomology_representatives(pair, module, k, l)
+                expected = replaced_cohomology_representatives(pair, module,
+                                                               k, l)
+                assert (dim, [w.entries for w in reps]) == \
+                    (expected[0], [w.entries for w in expected[1]]), \
+                    (name, k, l)
+                found += dim
+    assert found == 152
 
 
 def _gaussian_cochain(rng, pair, module, k, l):

@@ -3,8 +3,10 @@ reads each parameter its functions take, reads each private helper it defines
 somewhere, defines no public name that only the unit tests read, the tower
 layers' kernels never read a cochain through its decoded view, the
 flat-position kernels wedge forms only through the one wedge table, the
-obstruction and tower commands load only the layers they run, and no module
-loads OpenSSL through hashlib.
+kernels scatter into their caller's accumulator and never flush, so that a
+clean tower's residuals store no partial sum, the obstruction and tower
+commands load only the layers they run, and no module loads OpenSSL
+through hashlib.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library alone.  ``__init__.py`` is exempt: its imports are the
@@ -22,8 +24,10 @@ from pathlib import Path
 import pytest
 
 import liepairs
+from liepairs import ce, homotopy, scalars
 from liepairs.fixture_io import dump_fixture
-from liepairs.zoo import dual_numbers_algebra, sl2_pair
+from liepairs.homotopy import build_tower, tensor_residuals
+from liepairs.zoo import dual_numbers_algebra, gl_un_tn, sl2_pair
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liepairs"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -312,6 +316,96 @@ def test_flat_kernels_wedge_through_the_one_table():
     assert set(FLAT_KERNELS) <= defined
     assert [hit for source in sources
             for hit in tuple_wedge_calls(source, FLAT_KERNELS)] == []
+
+
+def flushing_kernels(source):
+    """(kernel, what) for each kernel of source, nested functions included,
+    that flushes an accumulator ("_flush") or stores a cochain's entries
+    (".entries"): the _into kernels, _ce_sum and _add_permuted."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or not (node.name.endswith("_into")
+                        or node.name in ("_ce_sum", "_add_permuted")):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and "_flush" in (
+                    getattr(sub.func, "attr", None),
+                    getattr(sub.func, "id", None)):
+                found.add((node.name, "_flush"))
+            elif isinstance(sub, ast.Attribute) and sub.attr == "entries" \
+                    and isinstance(sub.ctx, ast.Store):
+                found.add((node.name, ".entries"))
+    return sorted(found)
+
+
+def test_the_check_sees_a_flushing_kernel():
+    source = ("def _ce_into(total, w):\n"
+              "    total.entries = _flush(total.entries, acc)\n\n"
+              "def _add_permuted(acc, w):\n    def inner():\n"
+              "        return scalars._flush(acc)\n    return inner\n\n"
+              "def _slot_into(acc, w):\n    out.entries, x = {}, 1\n\n"
+              "def _clean_into(acc, w):\n    _scatter(acc, w.entries, 1, 0)\n\n"
+              "def _summed(acc):\n    out = Cochain()\n"
+              "    out.entries = _flush(acc)\n")
+    assert flushing_kernels(source) == [
+        ("_add_permuted", "_flush"), ("_ce_into", ".entries"),
+        ("_ce_into", "_flush"), ("_slot_into", ".entries")]
+
+
+# The kernel protocol (see ce.py): every kernel scatters into its caller's
+# accumulator and never flushes; whoever owns an output flushes it once,
+# through ce._summed.
+SCATTERING_KERNELS = {
+    "ce.py": ("_add_permuted", "_ce_sum", "_ce_into"),
+    "homotopy.py": ("_nabla_into", "_compose_into", "_chain_into",
+                    "_product_into", "_torsion_into", "_ternary_into",
+                    "_coherence_into", "_module_into", "_mixed_into")}
+
+
+@pytest.mark.parametrize("name", sorted(SCATTERING_KERNELS))
+def test_kernels_scatter_into_their_callers_accumulator(name):
+    source = (PACKAGE / name).read_text()
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(SCATTERING_KERNELS[name]) <= defined
+    assert flushing_kernels(source) == []
+
+
+def test_residual_flushes_build_no_scalar_on_a_clean_tower(monkeypatch):
+    # on a clean tower every residual cancels.  Once the view holds the
+    # shared tensors (d R_n, the composites, the coherence tensors), no
+    # flush of tensor_residuals builds a GaussScalar: each residual's terms
+    # meet in one accumulator, flushed once, so no partial sum is stored on
+    # the way.  The one other flush, of the term d(omega) that ce_diff forms
+    # for the ternary symmetry defect, stores nothing either on u2t2.
+    fx = gl_un_tn(2)
+    view = build_tower(fx.pair, fx.conn_zero, depth=4).cached_view()
+    tensor_residuals(view)
+    flushing, built, flushes = [0], [0], []
+    scalar = scalars._scalar
+
+    def counting_scalar(re, im):
+        built[0] += bool(flushing[0])
+        return scalar(re, im)
+
+    def watched(flush):
+        def wrapper(*args):
+            before = built[0]
+            flushing[0] += 1
+            try:
+                return flush(*args)
+            finally:
+                flushing[0] -= 1
+                flushes.append(built[0] - before)
+        return wrapper
+
+    monkeypatch.setattr(scalars, "_scalar", counting_scalar)
+    for layer in (ce, homotopy):
+        monkeypatch.setattr(layer, "_flush", watched(layer._flush))
+    assert all(w.is_zero() for _, w in tensor_residuals(view))
+    # torsion, ternary and two mixed residuals, and d(omega)
+    assert flushes == [0] * 5
 
 
 def hashlib_imports(source):

@@ -13,8 +13,9 @@ from liepairs.atiyah import (
     solve,
 )
 from liepairs.lie_core import end_module
+import liepairs.linalg as linalg
 from liepairs.linalg import Matrix, vec_is_zero
-from liepairs.scalars import GaussScalar, I, ONE, ZERO
+from liepairs.scalars import GaussScalar, I, ONE, ZERO, as_scalar
 from liepairs.zoo import (
     affine_bialgebra,
     gl_un_tn,
@@ -293,3 +294,23 @@ def test_sparse_eliminator_matches_rref_on_random_sparse_systems():
         rows = [tuple(m.row(r)) for r in range(m.rows)]
         repeated += len(set(rows)) < len(rows)
     assert inconsistent >= 10 and repeated >= 10, (inconsistent, repeated)
+
+
+def test_constructor_keeps_scalars_and_coerces_the_rest(monkeypatch):
+    # an entry that is a GaussScalar already is taken as it is, without a
+    # call to as_scalar; ints and Fractions are coerced, and anything else
+    # is refused
+    coerced = []
+    monkeypatch.setattr(linalg, "as_scalar", lambda x: coerced.append(x)
+                        or as_scalar(x))
+    entries = [GaussScalar(2, -1), ZERO, GaussScalar(Fraction(1, 3))]
+    m = Matrix(1, 3, entries)
+    assert all(x is y for x, y in zip(m.data, entries))
+    assert m.data is not entries and coerced == []
+    m = Matrix(1, 3, [2, Fraction(-1, 2), Fraction(4, 2)])
+    assert m.data == [GaussScalar(2), GaussScalar(Fraction(-1, 2)),
+                      GaussScalar(2)]
+    assert all(x.__class__ is GaussScalar for x in m.data)
+    for bad in (1.5, "1", None, 1j):
+        with pytest.raises(TypeError):
+            Matrix(1, 2, [ONE, bad])

@@ -33,6 +33,7 @@ from liepairs.atiyah import diff_matrix
 from liepairs.ce import (
     Cochain,
     _ce_into,
+    _summed,
     atiyah_cocycle,
     ce_diff,
     end_connection,
@@ -96,6 +97,7 @@ from liepairs.zoo import (
 )
 
 from oracles import (
+    FlushingPath,
     algebra_from_table,
     dense_graded_diff,
     dense_mult,
@@ -118,6 +120,7 @@ from oracles import (
     replaced_nabla_into,
     replaced_slices,
     replaced_unfold_end,
+    scatter_into,
     tuple_keyed_contract,
     tuple_keyed_decorated,
     tuple_keyed_diff,
@@ -542,7 +545,7 @@ def test_permutation_kernels_match_dense_oracle(fixture):
                 assert w.permute_b_args(perm) == dense_permute_b_args(w, perm)
                 total = rand_cochain(rng, pair, w.module, w.k, l)
                 expected = total.copy()
-                _add_permuted(total, w, list(perm))
+                scatter_into(total, _add_permuted, w, list(perm))
                 dense_add_permuted(expected, w, perm)
                 assert total == expected, (w.k, l, perm)
 
@@ -558,7 +561,7 @@ def test_permute_b_args_rejects_non_permutations():
     total = Cochain(fx.pair, fx.module_b, 1, 2)
     for perms in (((0, 1), (1, 2)), ((1, 0), (0,)), ((0, 1), (0, 1, 2))):
         with pytest.raises(ValueError):
-            _add_permuted(total, w, *perms)
+            scatter_into(total, _add_permuted, w, *perms)
     assert total.entries == {}
 
 
@@ -942,10 +945,10 @@ def oracle_nested_binary_coherence(tower):
     """The arity-3 coherence sum check_proof_identities once wrote by hand."""
     total = ce_diff(tower.r[3])
     part_a = compose_cochains(tower.r[2], tower.r[2], 2)
-    _add_permuted(total, part_a, [0, 1, 2])
+    scatter_into(total, _add_permuted, part_a, [0, 1, 2])
     part_b = compose_cochains(tower.r[2], tower.r[2], 1)
-    _add_permuted(total, part_b, [0, 1, 2])
-    _add_permuted(total, part_a, [1, 0, 2])
+    scatter_into(total, _add_permuted, part_b, [0, 1, 2])
+    scatter_into(total, _add_permuted, part_a, [1, 0, 2])
     return total
 
 
@@ -1017,7 +1020,7 @@ def test_chain_kernel_matches_dense_oracle(name, tower):
         if outer.l + inner.l > (3 if both_levels else 2):
             continue
         total = Cochain(pair, end_e, outer.k + inner.k, outer.l + inner.l)
-        _chain_into(total, outer, inner, dim_e)
+        scatter_into(total, _chain_into, outer, inner, dim_e)
         assert total == dense_chain(outer, inner, dim_e), \
             (outer.k, outer.l, inner.k, inner.l)
 
@@ -1403,7 +1406,7 @@ def dense_coherence(tower, n):
             part = compose_cochains(tower.r[i], tower.r[j], k - j + 1)
             for sigma in enumerate_shuffles(k - j, j - 1):
                 perm = [sigma[m] for m in range(k - 1)] + list(range(k - 1, n))
-                _add_permuted(total, part, perm)
+                scatter_into(total, _add_permuted, part, perm)
     return total
 
 
@@ -1412,12 +1415,13 @@ def dense_mixed(tower, n):
     total = ce_diff(tower.r[n + 1]) \
         + partial_nabla(ce_diff(tower.r[n]), tower.conn_b, tower.conn_b,
                         tower.st)
-    _add_permuted(total, compose_cochains(tower.r[2], tower.r[n], 2),
-                  list(range(n + 1)))
+    scatter_into(total, _add_permuted,
+                 compose_cochains(tower.r[2], tower.r[n], 2),
+                 list(range(n + 1)))
     for j in range(1, n + 1):
         part = compose_cochains(tower.r[n], tower.r[2], j)
         perm = list(range(1, j)) + [0, j] + list(range(j + 1, n + 1))
-        _add_permuted(total, part, perm)
+        scatter_into(total, _add_permuted, part, perm)
     return total
 
 
@@ -2010,24 +2014,29 @@ def flat_kernel_mismatches(fixture, built=None):
         perms = list(permutations(range(w.l)))
         for perm in rng.sample(perms, min(len(perms), 6)):
             compare("permute %s %s" % (label, perm), shape,
-                    lambda t: _add_permuted(t, w, perm),
+                    lambda t: scatter_into(t, _add_permuted, w, perm),
                     lambda t: replaced_add_permuted(t, w, perm))
         chosen = [rng.choice(perms) for _ in range(3)]
         signs = [rng.choice([1, -1]) for _ in chosen]
         compare("permute %s %s %s" % (label, chosen, signs), shape,
-                lambda t: _add_permuted(t, w, *chosen, signs=signs),
+                lambda t: scatter_into(t, _add_permuted, w, *chosen,
+                                       signs=signs),
                 lambda t: [replaced_add_permuted(t, -w if sign < 0 else w,
                                                  perm)
                            for perm, sign in zip(chosen, signs)])
         compare("permute %s one by one" % label, shape,
-                lambda t: _add_permuted(t, w, *chosen, signs=signs),
-                lambda t: [_add_permuted(t, w, perm, signs=[sign])
+                lambda t: scatter_into(t, _add_permuted, w, *chosen,
+                                       signs=signs),
+                lambda t: [scatter_into(t, _add_permuted, w, perm,
+                                        signs=[sign])
                            for perm, sign in zip(chosen, signs)])
         compare("diff " + label, (w.module, w.k + 1, w.l),
-                lambda t: _ce_into(t, w), lambda t: replaced_ce_into(t, w))
+                lambda t: scatter_into(t, _ce_into, w),
+                lambda t: replaced_ce_into(t, w))
         if conn is not None and w.l < 3:
             compare("nabla " + label, (w.module, w.k, w.l + 1),
-                    lambda t: _nabla_into(t, w, conn, conn_b, st),
+                    lambda t: scatter_into(t, _nabla_into, w, conn, conn_b,
+                                           st),
                     lambda t: replaced_nabla_into(t, w, conn, conn_b, st))
         if w.first_nonzero() != replaced_first_nonzero(w):
             found.append("first_nonzero " + label)
@@ -2052,7 +2061,8 @@ def flat_kernel_mismatches(fixture, built=None):
                 compare("compose %s %s %d" % (o_label, i_label, slot),
                         (outer.module, outer.k + inner.k,
                          outer.l + inner.l - 1),
-                        lambda t: _compose_into(t, outer, inner, slot),
+                        lambda t: scatter_into(t, _compose_into, outer,
+                                               inner, slot),
                         lambda t: replaced_compose_into(t, outer, inner, slot))
     dim_e = tower.module.dim
     for (o_label, outer, _), (i_label, inner, _) in rng.sample(
@@ -2060,7 +2070,8 @@ def flat_kernel_mismatches(fixture, built=None):
         if outer.l + inner.l <= 4:
             compare("chain %s %s" % (o_label, i_label),
                     (outer.module, outer.k + inner.k, outer.l + inner.l),
-                    lambda t: _chain_into(t, outer, inner, dim_e),
+                    lambda t: scatter_into(t, _chain_into, outer, inner,
+                                           dim_e),
                     lambda t: replaced_chain_into(t, outer, inner, dim_e))
     return found + bracket_layer_mismatches(tower, pools, fixture[0])
 
@@ -2097,7 +2108,7 @@ def test_differential_matches_the_replaced_path(fixture):
                     for start in (Cochain(pair, base, k + 1, l), seeded,
                                   seeded - expected):
                         got, want = start.copy(), start.copy()
-                        _ce_into(got, v)
+                        scatter_into(got, _ce_into, v)
                         replaced_ce_into(want, v)
                         assert got == want, (k, l)
                         assert all(got.entries.values()), (k, l)
@@ -2347,3 +2358,106 @@ def test_a_cached_view_builds_each_diff_table_once(monkeypatch):
         lambda_k(tower, vs[:1])
         graded_diff(pair, pair.quotient_module(), vs[0])
     assert sum(built.values()) == 6
+
+
+# -- every residual against the per-call flushing path ------------------------
+
+
+def flushing_towers():
+    """(name, tower): every zoo fixture at depths 4 and 5, without a module
+    side, and with it clean and with one entry of R_3 or of S_3 changed in
+    place."""
+    out = []
+    for name, pair, conn_b, module, conn_e in FIXTURES:
+        rng = random.Random(name + "/flushing")
+        for depth in (4, 5):
+            label = "%s_depth%d" % (name, depth)
+            out.append((label + "_plain", build_tower(pair, conn_b, depth)))
+            for side in ("", "r", "s"):
+                tower = build_tower(pair, conn_b, depth, module, conn_e)
+                if side:
+                    data = getattr(tower, side)[3].data
+                    pos = rng.randrange(len(data))
+                    data[pos] = data[pos] + GaussScalar(1, rng.choice([0, 1]))
+                out.append((label + (side and "_%s3" % side.upper()), tower))
+    return out
+
+
+FLUSHING_TOWERS = flushing_towers()
+
+
+def check_outcomes(tower):
+    """Every verdict and witness of check_proof_identities at caps 0 to 2,
+    and the checked counts and violations of the sweeps at max_n = depth,
+    cap 1, the module sweep on a tower with a module side."""
+    sweeps = [verify_leibniz(tower, tower.depth, 1)]
+    if tower.module is not None:
+        sweeps.append(verify_module(tower, tower.depth, 1))
+    return [check_proof_identities(tower, cap) for cap in (0, 1, 2)] + [
+        (report.checked, report.violations) for report in sweeps]
+
+
+def on_the_flushing_path(monkeypatch):
+    """Route homotopy's tensor-level residuals, its shuffle coherence tensors
+    and its module coherence tensors through FlushingPath; returns the
+    number of times each route is taken."""
+    taken = Counter()
+
+    def seeded(route, build):
+        def into(acc, tower, n):
+            taken[route] += 1
+            w = build(FlushingPath(tower), n)
+            _add_permuted(acc, w, range(w.l))
+        return into
+
+    def residuals(tower):
+        taken["tensor_residuals"] += 1
+        return FlushingPath(tower).tensor_residuals()
+
+    monkeypatch.setattr(homotopy, "tensor_residuals", residuals)
+    monkeypatch.setattr(homotopy, "_coherence_into",
+                        seeded("coherence", FlushingPath.coherence))
+    monkeypatch.setattr(homotopy, "_module_into",
+                        seeded("module", FlushingPath.module_coherence))
+    return taken
+
+
+@pytest.mark.parametrize("name, tower", FLUSHING_TOWERS,
+                         ids=[name for name, _ in FLUSHING_TOWERS])
+def test_residuals_match_the_per_call_flushing_path(monkeypatch, name,
+                                                    tower):
+    # each residual is scattered into one accumulator and flushed once; the
+    # path it replaced flushed every kernel call's partial sum into the
+    # residual's stored values.  The stored entries, so their counts and
+    # first nonzeros, every verdict and witness and every sweep violation
+    # are the same.
+    path = FlushingPath(tower)
+    assert [(label, w.entries) for label, w in tensor_residuals(tower)] == \
+        [(label, w.entries) for label, w in path.tensor_residuals()]
+    if tower.module is not None:
+        for n in range(2, tower.depth + 1):
+            assert _summed(tower.pair, tower.s[n].module, 2, n - 1,
+                           homotopy._module_into, tower, n).entries == \
+                path.module_coherence(n).entries, n
+    expected = check_outcomes(tower)
+    taken = on_the_flushing_path(monkeypatch)
+    assert check_outcomes(tower) == expected
+    assert taken["tensor_residuals"] == 3 and taken["coherence"] >= 2
+    assert taken["module"] == (tower.depth - 1 if tower.module else 0)
+
+
+def test_the_flushing_path_comparison_includes_failures():
+    # the comparison above is made on failing residuals and sweeps too: of
+    # the 18 R_3 corruptions 15 fail a proof identity, and of the 36 R_3 and
+    # S_3 corruptions 27 show sweep violations; no clean tower fails
+    found = Counter()
+    for name, tower in FLUSHING_TOWERS:
+        sweeps = [verify_leibniz(tower, tower.depth, 0)]
+        if tower.module is not None:
+            sweeps.append(verify_module(tower, tower.depth, 0))
+        found[name.endswith(("_R3", "_S3")),
+              not all(ok for _, ok, _ in check_proof_identities(tower, 0)),
+              not all(report.ok for report in sweeps)] += 1
+    assert found == {(False, False, False): 36, (True, True, True): 13,
+                     (True, True, False): 2, (True, False, True): 14,
+                     (True, False, False): 7}

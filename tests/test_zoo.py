@@ -6,6 +6,7 @@ from liepairs.lie_core import (
 )
 from liepairs.scalars import GaussScalar, ZERO
 from liepairs.zoo import (
+    _sum_algebra,
     affine_bialgebra,
     check_matched_pair,
     dual_numbers_algebra,
@@ -101,3 +102,34 @@ def test_heisenberg_center_pair():
     pair = heisenberg_pair()
     assert pair.dim_g == 1
     assert validate_lie_algebra(pair.d).ok
+
+
+def test_sum_algebra_keeps_zero_coordinates_as_they_are(monkeypatch):
+    # the mixed blocks of a matched sum negate the nonzero coordinates only:
+    # a zero coordinate is the matched data's own scalar, and the nabla
+    # coordinates are taken as they are, so building gl_un_tn(3)'s sum
+    # negates one scalar per nonzero delta coordinate and per nonzero mixed
+    # coordinate of the swapped bracket
+    m = gl_un_tn(3).matched
+    na, nb = m.a.dim, m.b.dim
+    negations = [0]
+    negate = GaussScalar.__neg__
+
+    def counting(x):
+        negations[0] += 1
+        return negate(x)
+
+    monkeypatch.setattr(GaussScalar, "__neg__", counting)
+    c = _sum_algebra(m).c
+    monkeypatch.undo()
+    nonzero = 0
+    for i in range(na):
+        for j in range(nb):
+            source = m.delta[j].col(i) + m.nabla[i].col(j)
+            vec, swapped = c[i][na + j], c[na + j][i]
+            for p, x in enumerate(source):
+                assert vec[p] is x if p >= na or not x else vec[p] == -x
+                assert swapped[p] is vec[p] if not x else \
+                    swapped[p] == -vec[p]
+                nonzero += bool(x) + bool(x and p < na)
+    assert negations[0] == nonzero
