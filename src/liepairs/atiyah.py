@@ -36,7 +36,7 @@ from .lie_core import (
 )
 from .linalg import Matrix, basis_vec
 from .multilinear import exterior_index
-from .scalars import ONE, ZERO, GaussScalar, _flush, as_scalar
+from .scalars import ONE, ZERO, GaussScalar, _flush, _sum, as_scalar
 
 
 def compatibility_report(conn: Connection) -> Report:
@@ -144,18 +144,10 @@ class BiForm:
         return self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            acc = out.get(key)
-            acc = val if acc is None else acc + val
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return BiForm(out)
+        return BiForm(_sum((self.terms, 1), (other.terms, 1)))
 
     def __sub__(self, other):
-        return self + other.scale(GaussScalar(-1))
+        return BiForm(_sum((self.terms, 1), (other.terms, -1)))
 
     def scale(self, s):
         s = s if isinstance(s, GaussScalar) else GaussScalar(s)

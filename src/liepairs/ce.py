@@ -5,7 +5,8 @@ A Cochain of bidegree (k, l) is a coefficient tensor over (sorted exterior
 multi-index of g, length-l tuple of B indices, E index), kept as a map from
 flat position to value that holds its nonzeros.  The differential
 d(e^I (x) v) = sum_a e^a ^ e^I (x) a.v + d(e^I) (x) v, a acting on the value
-and on every B-slot, is one of the flat-position kernels below: each input
+and on every B-slot, is one of the flat-position kernels below, read off
+the table every derivation of cochains reads (see _ce_table): each input
 nonzero is scattered through moves listed per exterior index, so its cost
 follows the input's sparsity.  Whether a cochain is exact is decided in
 atiyah.
@@ -130,10 +131,11 @@ class Cochain:
 
     def __add__(self, other):
         self._match(other)
-        return self._like(_sum(self.entries, other.entries))
+        return self._like(_sum((self.entries, 1), (other.entries, 1)))
 
     def __sub__(self, other):
-        return self + -other
+        self._match(other)
+        return self._like(_sum((self.entries, 1), (other.entries, -1)))
 
     def __neg__(self):
         return self._like({pos: -v for pos, v in self.entries.items()})
@@ -202,7 +204,9 @@ class DenseView:
 # flat positions of the image's shape, and never flushes.  It reads
 # w.entries and finds its indices by divmod on flat positions and in tables,
 # never by decoding tuples: every wedge of basis forms is read off
-# _merge_table.  The owner of an output scatters every term of it into one
+# _merge_table.  Every derivation, d and homotopy's prepending derivative
+# alike, scatters through _ce_sum alone, from a table of _ce_table's shape.
+# The owner of an output scatters every term of it into one
 # accumulator and flushes it once, through _summed: one GaussScalar per
 # position, none per term or per kernel call, and no sum that cancels.
 
@@ -287,32 +291,41 @@ def _add_permuted(acc, w, *perms, signs=None):
                 im_acc[p] = get_im(p, 0) - vi if neg else get_im(p, 0) + vi
 
 
+def _acting(on_value, on_slots, weights, sign):
+    """The (value, slots) lists of one move of a derivation's table (see
+    _ce_table): sign times the matrix on_value acting on the value, and sign
+    times the dual of on_slots acting on each B-slot, of index weight w in
+    weights.  value[e] and slots[slot][new] list (shift, re, im) per nonzero
+    of column e of on_value and of row new of on_slots."""
+    dim_e, rho = on_value.rows, on_value.data
+    nb, rows = on_slots.rows, on_slots.data
+    value = [[(e_out - e, sign * x.re, sign * x.im) for e_out in range(dim_e)
+              if (x := rho[e_out * dim_e + e]).re or x.im]
+             for e in range(dim_e)]
+    slots = [[[((old - new) * w * dim_e, -sign * x.re, -sign * x.im)
+               for old in range(nb) if (x := rows[new * nb + old]).re or x.im]
+              for new in range(nb)] for w in weights]
+    return value, slots
+
+
 def _ce_table(pair: LiePair, module: GModule, k: int, l: int):
-    """The differential on (k, l)-cochains as flat moves per input exterior
-    index gi, for _ce_terms: (moves, brackets, the B-slots' index weights,
-    dim B, the size of one form's block, dim E).  An entry at offset at =
-    bi * dim E + e of gi's block sends each (shift, re, im) of a list to off
-    + at + shift.  moves[gi] holds (off, value, slots) per a with e^a ^ e^gi
-    = sign e^J, off J's block: value[e] lists sign * a on the value, and
-    slots[slot][new] -sign * a on that B-slot.  brackets[gi] holds (off, re,
-    im) per term of d e^gi: e^gi = sign e^s ^ e^rest, and d e^s = -sum_(x<y)
-    c^s_xy e^x ^ e^y is wedged onto e^rest.  Every wedge and strip is read
-    off _merge_table."""
+    """The differential on (k, l)-cochains in the table every derivation
+    reads (through _ce_terms): flat moves per input exterior index gi, as
+    (moves, forms, the B-slots' index weights, dim B, the size of one input
+    form's block, dim E).  An entry at offset at = bi * dim E + e of gi's
+    block sends each (shift, re, im) of a list to off + at + shift.
+    moves[gi] holds (off, value, slots) per operator acting on the value and
+    dually on the B-slots (see _acting): here per a with e^a ^ e^gi = sign
+    e^J, off J's block, a times sign.  forms[gi] holds (off, re, im) per
+    term of the derivation of Lambda g*, here of d e^gi: e^gi = sign e^s ^
+    e^rest, and d e^s = -sum_(x<y) c^s_xy e^x ^ e^y is wedged onto e^rest.
+    Every wedge and strip is read off _merge_table."""
     n, nb, dim_e = pair.dim_g, pair.dim_b, module.dim
     stride = nb ** l * dim_e
     weights = [nb ** (l - 1 - slot) for slot in range(l)]
     rho_b = pair.quotient_module().action
-    actions = []
-    for a in range(n):
-        rho, rows = module.action[a].data, rho_b[a].data
-        value = [[(e_out - e, x.re, x.im) for e_out in range(dim_e)
-                  if (x := rho[e_out * dim_e + e]).re or x.im]
-                 for e in range(dim_e)]
-        slots = [[[((old - new) * w * dim_e, -x.re, -x.im) for old in range(nb)
-                   if (x := rows[new * nb + old]).re or x.im]
-                  for new in range(nb)] for w in weights]
-        actions.append({1: (value, slots), -1: (
-            _negated(value), [_negated(rows) for rows in slots])})
+    actions = [{sign: _acting(module.action[a], rho_b[a], weights, sign)
+                for sign in (1, -1)} for a in range(n)]
     moves = [[] for _ in exterior_basis(n, k)]
     for a, row in enumerate(_merge_table(n, 1, k)):
         for gi, step in enumerate(row):
@@ -321,31 +334,27 @@ def _ce_table(pair: LiePair, module: GModule, k: int, l: int):
     c = pair.d.c
     d_forms = [[(xy, v) for xy, (x, y) in enumerate(exterior_basis(n, 2))
                 if (v := c[x][y][s]).re or v.im] for s in range(n)]
-    brackets = [[] for _ in exterior_basis(n, k)]
+    forms = [[] for _ in exterior_basis(n, k)]
     wedges = _merge_table(n, 2, k - 1)
     for s, row in enumerate(_merge_table(n, 1, k - 1)):
         for rest, strip in enumerate(row):
             if strip is not None:
                 gi, sign = strip
-                brackets[gi] += [(wedge[0] * stride, -sign * wedge[1] * v.re,
-                                  -sign * wedge[1] * v.im)
-                                 for xy, v in d_forms[s]
-                                 if (wedge := wedges[xy][rest]) is not None]
-    return moves, brackets, weights, nb, stride, dim_e
-
-
-def _negated(rows):
-    return [[(shift, -re, -im) for shift, re, im in row] for row in rows]
+                forms[gi] += [(wedge[0] * stride, -sign * wedge[1] * v.re,
+                               -sign * wedge[1] * v.im)
+                              for xy, v in d_forms[s]
+                              if (wedge := wedges[xy][rest]) is not None]
+    return moves, forms, weights, nb, stride, dim_e
 
 
 def _ce_terms(table, pos):
-    """The terms (position, re, im) of d applied to the basis cochain that is
-    1 at flat position pos, read off the table (see _ce_table).  A position
-    may be listed more than once; callers add."""
-    moves, brackets, weights, nb, stride, dim_e = table
+    """The terms (position, re, im) of the table's derivation (see
+    _ce_table) applied to the basis cochain that is 1 at flat position pos.
+    A position may be listed more than once; callers add."""
+    moves, forms, weights, nb, stride, dim_e = table
     gi, at = divmod(pos, stride)
     bi, e = divmod(at, dim_e)
-    terms = [(off + at, re, im) for off, re, im in brackets[gi]]
+    terms = [(off + at, re, im) for off, re, im in forms[gi]]
     for off, value, slots in moves[gi]:
         dst = off + at
         terms += [(dst + shift, re, im) for shift, re, im in value[e]]
@@ -356,8 +365,8 @@ def _ce_terms(table, pos):
 
 
 def _ce_sum(acc, table, entries):
-    """acc += d of entries {flat position: value} of a cochain the table
-    fits."""
+    """acc += the table's derivation of entries {flat position: value} of a
+    cochain the table fits."""
     for pos, v in entries.items():
         _scatter(acc, _ce_terms(table, pos), v.re, v.im)
 

@@ -20,6 +20,7 @@ from types import MappingProxyType
 from .ce import (
     Cochain,
     Connection,
+    _acting,
     _add_permuted,
     _ce_into,
     _ce_sum,
@@ -109,55 +110,39 @@ def partial_nabla(w: Cochain, conn_coeff: Connection, conn_b: Connection,
 
 def _nabla_into(acc, w, conn_coeff: Connection, conn_b: Connection,
                 st: SplittingTensors):
-    """acc += partial_nabla(w) (see the kernel protocol in ce): each
-    nonzero of w is scattered through the transpose of the three term
-    families, their coefficients listed per b0 as signed plain parts.
-    moves[gi] lists (a_new, a_old, index, sign) per form term: e^gi = s1
-    e^a_new ^ e^rest and e^a_old ^ e^rest = s2 e^index, read off
-    _merge_table, with sign -s1 * s2."""
+    """acc += partial_nabla(w) (see the kernel protocol in ce), read off a
+    table of ce._ce_table's shape by _ce_sum: b0 prepended as the leading
+    B-index moves every term by b0 blocks of w's form.  So per input form
+    gi and per b0, one (off, value, slots) move applies nabla_{j(b0)} to
+    the value and its dual on B to the slots (see _acting), and the form
+    terms apply delta_{b0} as a derivation of Lambda g*: e^gi = s1 e^a_new
+    ^ e^rest and e^a_old ^ e^rest = s2 e^J, read off _merge_table, give
+    -s1 * s2 * delta_{b0}[a_new, a_old] at J.  (-1)^k is in every
+    coefficient."""
     pair, k, l = w.pair, w.k, w.l
     m, nb, dim_e = pair.dim_g, pair.dim_b, w.module.dim
-    b_radix = nb ** l
-    out_radix = nb * b_radix
-    steps = [nb ** (l - 1 - slot) for slot in range(l)]
-    moves = [[] for _ in exterior_basis(m, k)]
+    stride = nb ** l * dim_e
+    weights = [nb ** (l - 1 - slot) for slot in range(l)]
+    sign = -1 if k % 2 else 1
+    strips = [[] for _ in exterior_basis(m, k)]
     for column in zip(*_merge_table(m, 1, k - 1)):
         for a_new, strip in enumerate(column):
             if strip is not None:
-                moves[strip[0]] += [(a_new, a_old, wedge[0],
-                                     -strip[1] * wedge[1])
-                                    for a_old, wedge in enumerate(column)
-                                    if wedge is not None]
-    families = []
+                strips[strip[0]] += [(a_new * m + a_old, wedge[0],
+                                      -sign * strip[1] * wedge[1])
+                                     for a_old, wedge in enumerate(column)
+                                     if wedge is not None]
+    moves = [[] for _ in strips]
+    forms = [[] for _ in strips]
     for b0 in range(nb):
-        n_coeff = conn_coeff.nabla[m + b0].data
-        n_b = conn_b.nabla[m + b0].data
+        acting = _acting(conn_coeff.nabla[m + b0], conn_b.nabla[m + b0],
+                         weights, sign)
         dl = st.delta[b0].data
-        # the nonzeros of the three operators b0 applies, by input index:
-        # the value, the form and each tensor slot
-        families.append((
-            [[(e_out, x.re, x.im) for e_out in range(dim_e)
-              if (x := n_coeff[e_out * dim_e + e])] for e in range(dim_e)],
-            [[(g_out, sign * x.re, sign * x.im)
-              for a_new, a_old, g_out, sign in row
-              if (x := dl[a_new * m + a_old])] for row in moves],
-            [[(old - new, -x.re, -x.im) for old in range(nb)
-              if (x := n_b[new * nb + old])] for new in range(nb)]))
-    for pos, v in w.entries.items():
-        vr, vi = (-v.re, -v.im) if k % 2 else (v.re, v.im)
-        rest, e = divmod(pos, dim_e)
-        gi, bi = divmod(rest, b_radix)
-        terms = []
-        for b0, (value, forms, slots) in enumerate(families):
-            col = b0 * b_radix + bi
-            dst = (gi * out_radix + col) * dim_e
-            terms += [(dst + e_out, xr, xi) for e_out, xr, xi in value[e]]
-            terms += [((g_out * out_radix + col) * dim_e + e, xr, xi)
-                      for g_out, xr, xi in forms[gi]]
-            for step in steps:
-                terms += [(dst + shift * step * dim_e + e, xr, xi)
-                          for shift, xr, xi in slots[bi // step % nb]]
-        _scatter(acc, terms, vr, vi)
+        for gi, row in enumerate(strips):
+            moves[gi].append(((gi * nb + b0) * stride,) + acting)
+            forms[gi] += [((g_out * nb + b0) * stride, s * x.re, s * x.im)
+                          for ij, g_out, s in row if (x := dl[ij])]
+    _ce_sum(acc, (moves, forms, weights, nb, stride, dim_e), w.entries)
 
 
 # -- the tower -------------------------------------------------------------------
@@ -396,13 +381,14 @@ class GradedElement:
     def add_term(self, key, val):
         pos = self._position(key)
         old = self.entries.pop(pos, None)
-        self.entries.update(_sum({pos: val}, {pos: old} if old else {}))
+        self.entries.update(_sum(({pos: val}, 1),
+                                 ({pos: old} if old else {}, 1)))
 
     def __add__(self, other):
-        return self._like(_sum(self.entries, other.entries))
+        return self._like(_sum((self.entries, 1), (other.entries, 1)))
 
     def __sub__(self, other):
-        return self + -other
+        return self._like(_sum((self.entries, 1), (other.entries, -1)))
 
     def __neg__(self):
         return self.scale(GaussScalar(-1))

@@ -165,11 +165,12 @@ def _flush(acc):
     return re_acc
 
 
-def _sum(*maps):
-    """The sum of maps {position: GaussScalar}, through the accumulator."""
+def _sum(*signed):
+    """The sum of sign * entries over (entries, sign) pairs, entries a map
+    {position: GaussScalar} and sign +-1, through the accumulator."""
     acc = {}, {}
-    for entries in maps:
-        _scatter(acc, [(p, v.re, v.im) for p, v in entries.items()], 1, 0)
+    for entries, sign in signed:
+        _scatter(acc, [(p, v.re, v.im) for p, v in entries.items()], sign, 0)
     return _flush(acc)
 
 

@@ -14,7 +14,9 @@ loop over every output and every input entry, its matrix read through the
 dense action matrices, and rank and solve by rref of the (augmented) matrix.
 The tower kernels the flat-position ones replaced are kept as they were:
 each decodes its operands through Cochain.iter_nonzero, wedges forms with
-merge_sign or insert_with_sign and builds a GaussScalar per term.  So is
+merge_sign or insert_with_sign and builds a GaussScalar per term; so is the
+dense loop of the prepending derivative, and the flat one that kept a table
+and a term loop of its own before it read the differential's.  So is
 the differential they replaced, which built each output form as a tuple,
 found it with bisect and exterior_index and summed its terms in a map of its
 own, for cochains and for graded elements; and so is the closed form of the
@@ -31,7 +33,8 @@ nullspace_basis, and the per-call flushing path of the tower kernels: the
 merging flush, and the tensor-level residuals and module coherence tensors
 with every kernel call flushing its partial sum into the residual's stored
 values.  The kernels' accumulator is reached from a test through
-scatter_into.
+scatter_into, and the zoo fixtures the kernel tests share are built by
+fixture_set.
 """
 
 from bisect import bisect
@@ -41,7 +44,8 @@ from operator import mul
 from liepairs.atiyah import (BiForm, _diff_columns, _transposed, diff_matrix,
                              nullspace_basis, pivot_columns, rref)
 from liepairs.ce import (Cochain, Connection, _add_permuted, _ce_into,
-                         _ce_sum, atiyah_cocycle, ce_diff)
+                         _ce_sum, _merge_table, atiyah_cocycle, ce_diff,
+                         extend_by_zero)
 from liepairs.homotopy import (GradedElement, _chain_into, _compose_into,
                                _nabla_into, _unfold_end, lambda_k, mu_k)
 from liepairs.lie_core import (GAlgebra, LieAlgebra, LiePair, Report,
@@ -57,8 +61,12 @@ from liepairs.multilinear import (
     tensor_index,
     tensor_tuples,
 )
-from liepairs.scalars import ONE, ZERO, GaussScalar, _flush, as_scalar
-from liepairs.zoo import UnitaryTriangularPair, matched_sum, pair_to_matched
+from liepairs.scalars import (ONE, ZERO, GaussScalar, _flush, _scatter,
+                              as_scalar)
+from liepairs.zoo import (UnitaryTriangularPair, affine_bialgebra, gl_un_tn,
+                          heisenberg_pair, matched_sum, pair_to_matched,
+                          random_extension, random_module, random_pair,
+                          sl2_pair)
 
 
 def insert_with_sign(index_tuple, s):
@@ -674,6 +682,51 @@ def dense_gl_un_tn(n):
 # -- the tower kernels the flat-position kernels replaced ---------------------
 
 
+def dense_partial_nabla(w, conn_coeff, conn_b, st):
+    """The dense loop partial_nabla replaced: one pass per output entry."""
+    pair = w.pair
+    m, nb, dim_e = pair.dim_g, pair.dim_b, w.module.dim
+    out = Cochain(pair, w.module, w.k, w.l + 1)
+    sign_k = -1 if w.k % 2 else 1
+    g_index = exterior_index(m, w.k)
+    b_radix = nb ** w.l
+    out_radix = nb ** (w.l + 1)
+    for gi, gt in enumerate(exterior_basis(m, w.k)):
+        for b0 in range(nb):
+            n_coeff = conn_coeff.nabla[m + b0]
+            n_b = conn_b.nabla[m + b0]
+            dl = st.delta[b0]
+            for bi, bt in enumerate(tensor_tuples(nb, w.l)):
+                src = (gi * b_radix + bi) * dim_e
+                acc = [ZERO] * dim_e
+                for e_out in range(dim_e):
+                    for e_in in range(dim_e):
+                        acc[e_out] = acc[e_out] + n_coeff.data[
+                            e_out * dim_e + e_in] * w.data[src + e_in]
+                for pos, a_old in enumerate(gt):
+                    rest = gt[:pos] + gt[pos + 1 :]
+                    for a_new in range(m):
+                        ins = insert_with_sign(rest, a_new)
+                        if ins is None:
+                            continue
+                        sgn, key = ins
+                        total = sgn * (-1 if pos % 2 else 1)
+                        src2 = (g_index[key] * b_radix + bi) * dim_e
+                        for e in range(dim_e):
+                            term = dl[a_new, a_old] * w.data[src2 + e]
+                            acc[e] = acc[e] - (term if total > 0 else -term)
+                for slot in range(w.l):
+                    for new in range(nb):
+                        bt2 = bt[:slot] + (new,) + bt[slot + 1 :]
+                        src2 = (gi * b_radix + tensor_index(bt2, nb)) * dim_e
+                        for e in range(dim_e):
+                            acc[e] = acc[e] - n_b[new, bt[slot]] * w.data[src2 + e]
+                dst = (gi * out_radix + tensor_index((b0,) + bt, nb)) * dim_e
+                for e in range(dim_e):
+                    out.data[dst + e] = acc[e] if sign_k > 0 else -acc[e]
+    return out
+
+
 def replaced_first_nonzero(w):
     """Cochain.first_nonzero as it was: the first item of iter_nonzero."""
     for gt, bt, e, c in w.iter_nonzero():
@@ -750,6 +803,59 @@ def replaced_nabla_into(total, w, conn_coeff, conn_b, st):
                     pos = (gi * out_radix + col
                            + (old - new) * steps[slot]) * dim_e + e
                     data[pos] = data.get(pos, ZERO) - x * v
+
+
+def own_table_nabla_into(acc, w, conn_coeff, conn_b, st):
+    """homotopy._nabla_into as it was before it read a table of
+    ce._ce_table's shape: acc += partial_nabla(w), each nonzero of w
+    scattered through the transpose of the three term families, their
+    coefficients listed per b0 as signed plain parts, by a term loop of its
+    own.  moves[gi] lists (a_new, a_old, index, sign) per form term: e^gi =
+    s1 e^a_new ^ e^rest and e^a_old ^ e^rest = s2 e^index, read off
+    _merge_table, with sign -s1 * s2."""
+    pair, k, l = w.pair, w.k, w.l
+    m, nb, dim_e = pair.dim_g, pair.dim_b, w.module.dim
+    b_radix = nb ** l
+    out_radix = nb * b_radix
+    steps = [nb ** (l - 1 - slot) for slot in range(l)]
+    moves = [[] for _ in exterior_basis(m, k)]
+    for column in zip(*_merge_table(m, 1, k - 1)):
+        for a_new, strip in enumerate(column):
+            if strip is not None:
+                moves[strip[0]] += [(a_new, a_old, wedge[0],
+                                     -strip[1] * wedge[1])
+                                    for a_old, wedge in enumerate(column)
+                                    if wedge is not None]
+    families = []
+    for b0 in range(nb):
+        n_coeff = conn_coeff.nabla[m + b0].data
+        n_b = conn_b.nabla[m + b0].data
+        dl = st.delta[b0].data
+        # the nonzeros of the three operators b0 applies, by input index:
+        # the value, the form and each tensor slot
+        families.append((
+            [[(e_out, x.re, x.im) for e_out in range(dim_e)
+              if (x := n_coeff[e_out * dim_e + e])] for e in range(dim_e)],
+            [[(g_out, sign * x.re, sign * x.im)
+              for a_new, a_old, g_out, sign in row
+              if (x := dl[a_new * m + a_old])] for row in moves],
+            [[(old - new, -x.re, -x.im) for old in range(nb)
+              if (x := n_b[new * nb + old])] for new in range(nb)]))
+    for pos, v in w.entries.items():
+        vr, vi = (-v.re, -v.im) if k % 2 else (v.re, v.im)
+        rest, e = divmod(pos, dim_e)
+        gi, bi = divmod(rest, b_radix)
+        terms = []
+        for b0, (value, forms, slots) in enumerate(families):
+            col = b0 * b_radix + bi
+            dst = (gi * out_radix + col) * dim_e
+            terms += [(dst + e_out, xr, xi) for e_out, xr, xi in value[e]]
+            terms += [((g_out * out_radix + col) * dim_e + e, xr, xi)
+                      for g_out, xr, xi in forms[gi]]
+            for step in steps:
+                terms += [(dst + shift * step * dim_e + e, xr, xi)
+                          for shift, xr, xi in slots[bi // step % nb]]
+        _scatter(acc, terms, vr, vi)
 
 
 def replaced_compose_into(total, outer, inner, slot):
@@ -996,6 +1102,15 @@ def merge_table_sign_flip(merge_table):
     return mutated
 
 
+def acting_sign_flip(acting):
+    """ce._acting with its sign negated: every move of an operator on the
+    value and on the B-slots of a derivation's table comes out negated,
+    while the derivation's terms on the form keep their sign."""
+    def mutated(on_value, on_slots, weights, sign):
+        return acting(on_value, on_slots, weights, -sign)
+    return mutated
+
+
 # -- the tuple-keyed bracket layer the flat-position one replaced -------------
 
 
@@ -1195,6 +1310,36 @@ def tuple_keyed_slices(slices, arity, pair, mdim):
             digits.insert(0, digit)
         out[tuple(digits)] = [(exterior_basis(pair.dim_g, k)[gi], o, c)
                               for gi, o, c in hits]
+    return out
+
+
+# -- the zoo fixtures the kernel tests share -----------------------------------
+
+
+def fixture_set():
+    """(name, pair, connection on B, module, connection on the module)."""
+    out = []
+    pair, modules = sl2_pair()
+    conn_b = extend_by_zero(pair, modules["B"])
+    out.append(("sl2", pair, conn_b, modules["B_dual"],
+                random_extension(pair, modules["B_dual"], 5)))
+    fx = gl_un_tn(2)
+    out.append(("u2t2_mult", fx.pair, fx.conn_mult, fx.module_b, fx.conn_mult))
+    out.append(("u2t2_zero", fx.pair, fx.conn_zero, fx.module_b, fx.conn_zero))
+    hpair = heisenberg_pair()
+    hb = hpair.quotient_module()
+    out.append(("heisenberg", hpair, extend_by_zero(hpair, hb), hb,
+                random_extension(hpair, hb, 3)))
+    bpair = matched_sum(affine_bialgebra())
+    bb = bpair.quotient_module()
+    out.append(("bialgebra", bpair, extend_by_zero(bpair, bb), bb,
+                extend_by_zero(bpair, bb)))
+    for seed in (1, 2, 6, 7):
+        rpair = random_pair(seed)
+        module = random_module(rpair, 2, seed + 1)
+        out.append(("random%d" % seed, rpair,
+                    random_extension(rpair, rpair.quotient_module(), seed),
+                    module, random_extension(rpair, module, seed + 2)))
     return out
 
 

@@ -472,6 +472,31 @@ def test_biform_product_matches_termwise_signs():
     assert nonzero > 100
 
 
+def test_biform_sums_and_differences_go_key_by_key(monkeypatch):
+    # x + y and x - y hold x's value plus or minus y's at each key, with no
+    # key whose sum cancels; a difference scatters y with the factor -1, so
+    # it neither scales y nor negates a scalar
+    rng = random.Random(78)
+    cancelled = 0
+    for _ in range(200):
+        x = random_fraction_biform(rng, 3, 3)
+        y = random_fraction_biform(rng, 3, 3) if rng.random() < 0.8 \
+            else BiForm({k: v for k, v in x.terms.items() if rng.random() < 0.7})
+        for sign, got in ((1, x + y), (-1, x - y)):
+            expected = {}
+            for key in set(x.terms) | set(y.terms):
+                total = x.terms.get(key, ZERO) + sign * y.terms.get(key, ZERO)
+                if total.is_zero():
+                    cancelled += 1
+                else:
+                    expected[key] = total
+            assert got.terms == expected
+    assert cancelled > 50
+    monkeypatch.setattr(BiForm, "scale", None)
+    monkeypatch.setattr(GaussScalar, "__neg__", None)
+    assert (x - x).is_zero() and (x - y) + y == x
+
+
 # -- the power-trace kernel against the full matrix powers it replaced ---------
 
 

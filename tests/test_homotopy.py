@@ -1,10 +1,13 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liepairs.ce import Cochain, atiyah_cocycle, ce_diff, extend_by_zero
+from liepairs.ce import (Cochain, atiyah_cocycle, ce_diff, end_connection,
+                         extend_by_zero)
+from liepairs.cli import main
 from liepairs.homotopy import (
     ArityBeyondTower,
     GradedElement,
@@ -41,6 +44,8 @@ from liepairs.zoo import (
 from oracles import (
     TupleKeyedElement,
     dense_mult,
+    dense_partial_nabla,
+    fixture_set,
     matched_zero_gamma_closed_form,
     oracle_leibniz_residual,
 )
@@ -95,13 +100,45 @@ def test_tower_sl2_goldens():
 
 
 def test_tower_recursion_wiring():
-    fx = gl_un_tn(2)
-    tower = build_tower(fx.pair, fx.conn_zero, depth=4)
-    for n in (2, 3):
-        rebuilt = partial_nabla(tower.r[n], tower.conn_b, tower.conn_b,
-                                tower.st)
-        assert rebuilt == tower.r[n + 1]
-    assert not tower.r[2].is_zero()
+    # R_(n+1) = partial_nabla(R_n) on B, and S_(n+1) = partial_nabla(S_n)
+    # through the connection End(E) inherits, on every zoo tower with its
+    # module side, each level also against the dense loop
+    names, grown = set(), set()
+    for name, pair, conn_b, module, conn_e in fixture_set():
+        names.add(name)
+        tower = build_tower(pair, conn_b, depth=4, module=module,
+                            conn_e=conn_e)
+        for side, levels, conn in (("R", tower.r, conn_b),
+                                   ("S", tower.s, end_connection(conn_e))):
+            for n in (2, 3):
+                step = (levels[n], conn, conn_b, tower.st)
+                assert partial_nabla(*step) == levels[n + 1], (name, side, n)
+                assert dense_partial_nabla(*step) == levels[n + 1], \
+                    (name, side, n)
+                if not levels[n + 1].is_zero():
+                    grown.add(name)
+    # every tower but the Heisenberg one grows a nonzero level past degree 2
+    assert grown == names - {"heisenberg"}
+
+
+def test_a_verify_run_subtracts_without_negating(monkeypatch, capsys,
+                                                tmp_path):
+    # the lemma checks of a verify run at cap 1 subtract elements over and
+    # over; a difference scatters its right operand with the factor -1, so
+    # no element is negated into a copy on the way
+    calls = Counter()
+    for name in ("__sub__", "__neg__"):
+        def wrapper(*args, name=name, method=getattr(GradedElement, name)):
+            calls[name] += 1
+            return method(*args)
+        monkeypatch.setattr(GradedElement, name, wrapper)
+    assert main(["zoo", "export", "u2t2"]) == 0
+    path = tmp_path / "u2t2.json"
+    path.write_text(capsys.readouterr().out)
+    assert main(["verify", "--input", str(path), "--connection", "matrix_mult",
+                 "--depth", "4", "--max-n", "3", "--degree-cap", "1",
+                 "--module", "B", "--json"]) == 0
+    assert calls["__sub__"] > 0 and calls["__neg__"] == 0
 
 
 def test_r2_matches_obstruction_cocycle():

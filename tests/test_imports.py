@@ -4,8 +4,9 @@ somewhere, defines no public name that only the unit tests read, the tower
 layers' kernels never read a cochain through its decoded view, the
 flat-position kernels wedge forms only through the one wedge table, the
 kernels scatter into their caller's accumulator and never flush, so that a
-clean tower's residuals store no partial sum, the obstruction and tower
-commands load only the layers they run, and no module loads OpenSSL
+clean tower's residuals store no partial sum, every derivation of cochains
+reaches that accumulator through the one term expander, the obstruction and
+tower commands load only the layers they run, and no module loads OpenSSL
 through hashlib.
 
 No linter ships with the project, so this walks the syntax tree with the
@@ -301,7 +302,7 @@ def test_the_check_sees_a_tuple_wedge():
 # the only code that turns index tuples into moves, so no kernel wedges,
 # strips or looks up a tuple itself.  The bracket layer (_contract, _wedge,
 # _decorated, _diff) is among them.
-FLAT_KERNELS = ("_ce_table", "_ce_terms", "_ce_sum", "_ce_into",
+FLAT_KERNELS = ("_acting", "_ce_table", "_ce_terms", "_ce_sum", "_ce_into",
                 "_nabla_into", "_product_into", "_add_permuted", "_scatter",
                 "_flush", "_contract", "_wedge", "_decorated", "_diff")
 TUPLE_WEDGES = ("merge_sign", "insert_with_sign", "bisect", "exterior_index")
@@ -316,6 +317,71 @@ def test_flat_kernels_wedge_through_the_one_table():
     assert set(FLAT_KERNELS) <= defined
     assert [hit for source in sources
             for hit in tuple_wedge_calls(source, FLAT_KERNELS)] == []
+
+
+def expander_bypasses(sources, derivations):
+    """(derivation, callee) for each call that a function named in
+    derivations makes, nested functions included, to _scatter or to a
+    function of sources (file name -> source) that reaches _scatter other
+    than through _ce_sum; and (derivation, "no _ce_sum") for one that never
+    calls _ce_sum."""
+    calls = {}
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls[node.name] = {
+                    callee for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    for callee in (getattr(call.func, "attr", None),
+                                   getattr(call.func, "id", None)) if callee}
+
+    def reaches(name, seen):
+        return name == "_scatter" or name != "_ce_sum" and name not in seen \
+            and any(reaches(callee, seen | {name})
+                    for callee in calls.get(name, ()))
+
+    found = set()
+    for name in derivations:
+        found.update((name, callee) for callee in calls[name]
+                     if reaches(callee, {name}))
+        if "_ce_sum" not in calls[name]:
+            found.add((name, "no _ce_sum"))
+    return sorted(found)
+
+
+def test_the_check_sees_a_bypassed_expander():
+    sources = {
+        "a.py": "def _ce_sum(acc, table, entries):\n"
+                "    _scatter(acc, table, 1, 0)\n\n"
+                "def _helper(acc):\n    scalars._scatter(acc, [], 1, 0)\n\n"
+                "def _indirect(acc):\n    return _helper(acc)\n\n"
+                "def _loop(acc):\n    return _loop(acc)\n",
+        "b.py": "def _good(acc, w):\n    _ce_sum(acc, _table(w), w.entries)\n"
+                "    _loop(acc)\n\n"
+                "def _direct(acc, w):\n    _ce_sum(acc, [], w.entries)\n"
+                "    _scatter(acc, [], 1, 0)\n\n"
+                "def _hidden(acc, w):\n    def inner():\n"
+                "        return _indirect(acc)\n"
+                "    _ce_sum(acc, [], w.entries)\n    return inner\n\n"
+                "def _alone(acc, w):\n    return _flush(acc)\n",
+    }
+    assert expander_bypasses(sources, ("_good", "_direct", "_hidden",
+                                       "_alone")) == [
+        ("_alone", "no _ce_sum"), ("_direct", "_scatter"),
+        ("_hidden", "_indirect")]
+
+
+# Every derivation of cochains is read off a table of ce._ce_table's shape
+# by one term expander: d (_ce_into), the prepending derivative
+# (_nabla_into), the unary bracket (homotopy._diff) and the columns of d_k
+# (atiyah._diff_columns) reach the accumulator through _ce_sum alone.
+DERIVATIONS = ("_ce_into", "_nabla_into", "_diff", "_diff_columns")
+
+
+def test_derivations_scatter_through_the_one_expander():
+    sources = {name: (PACKAGE / name).read_text()
+               for name in ("ce.py", "homotopy.py", "atiyah.py", "scalars.py")}
+    assert expander_bypasses(sources, DERIVATIONS) == []
 
 
 def flushing_kernels(source):

@@ -89,7 +89,6 @@ from liepairs.zoo import (
     heisenberg_pair,
     matched_sum,
     random_extension,
-    random_module,
     random_pair,
     sl2_pair,
     unit_algebra,
@@ -98,16 +97,19 @@ from liepairs.zoo import (
 
 from oracles import (
     FlushingPath,
+    acting_sign_flip,
     algebra_from_table,
     dense_graded_diff,
     dense_mult,
+    dense_partial_nabla,
     dense_product,
     digit_table_off_by_one,
-    insert_with_sign,
+    fixture_set,
     merge_table_sign_flip,
     oracle_basis,
     oracle_leibniz_residual,
     oracle_module_residual,
+    own_table_nabla_into,
     TupleKeyedElement,
     replaced_add_permuted,
     replaced_ce_image,
@@ -130,51 +132,6 @@ from oracles import (
 
 
 # -- dense oracles -----------------------------------------------------------------
-
-
-def dense_partial_nabla(w, conn_coeff, conn_b, st):
-    """The dense loop partial_nabla replaced: one pass per output entry."""
-    pair = w.pair
-    m, nb, dim_e = pair.dim_g, pair.dim_b, w.module.dim
-    out = Cochain(pair, w.module, w.k, w.l + 1)
-    sign_k = -1 if w.k % 2 else 1
-    g_index = exterior_index(m, w.k)
-    b_radix = nb ** w.l
-    out_radix = nb ** (w.l + 1)
-    for gi, gt in enumerate(exterior_basis(m, w.k)):
-        for b0 in range(nb):
-            n_coeff = conn_coeff.nabla[m + b0]
-            n_b = conn_b.nabla[m + b0]
-            dl = st.delta[b0]
-            for bi, bt in enumerate(tensor_tuples(nb, w.l)):
-                src = (gi * b_radix + bi) * dim_e
-                acc = [ZERO] * dim_e
-                for e_out in range(dim_e):
-                    for e_in in range(dim_e):
-                        acc[e_out] = acc[e_out] + n_coeff.data[
-                            e_out * dim_e + e_in] * w.data[src + e_in]
-                for pos, a_old in enumerate(gt):
-                    rest = gt[:pos] + gt[pos + 1 :]
-                    for a_new in range(m):
-                        ins = insert_with_sign(rest, a_new)
-                        if ins is None:
-                            continue
-                        sgn, key = ins
-                        total = sgn * (-1 if pos % 2 else 1)
-                        src2 = (g_index[key] * b_radix + bi) * dim_e
-                        for e in range(dim_e):
-                            term = dl[a_new, a_old] * w.data[src2 + e]
-                            acc[e] = acc[e] - (term if total > 0 else -term)
-                for slot in range(w.l):
-                    for new in range(nb):
-                        bt2 = bt[:slot] + (new,) + bt[slot + 1 :]
-                        src2 = (gi * b_radix + tensor_index(bt2, nb)) * dim_e
-                        for e in range(dim_e):
-                            acc[e] = acc[e] - n_b[new, bt[slot]] * w.data[src2 + e]
-                dst = (gi * out_radix + tensor_index((b0,) + bt, nb)) * dim_e
-                for e in range(dim_e):
-                    out.data[dst + e] = acc[e] if sign_k > 0 else -acc[e]
-    return out
 
 
 def dense_permute_b_args(w, perm):
@@ -470,33 +427,6 @@ def rand_cochain(rng, pair, module, k, l):
     return Cochain(pair, module, k, l,
                    [GaussScalar(rng.randint(-3, 3), rng.randint(-1, 1))
                     for _ in w.data])
-
-
-def fixture_set():
-    """(name, pair, connection on B, module, connection on the module)."""
-    out = []
-    pair, modules = sl2_pair()
-    conn_b = extend_by_zero(pair, modules["B"])
-    out.append(("sl2", pair, conn_b, modules["B_dual"],
-                random_extension(pair, modules["B_dual"], 5)))
-    fx = gl_un_tn(2)
-    out.append(("u2t2_mult", fx.pair, fx.conn_mult, fx.module_b, fx.conn_mult))
-    out.append(("u2t2_zero", fx.pair, fx.conn_zero, fx.module_b, fx.conn_zero))
-    hpair = heisenberg_pair()
-    hb = hpair.quotient_module()
-    out.append(("heisenberg", hpair, extend_by_zero(hpair, hb), hb,
-                random_extension(hpair, hb, 3)))
-    bpair = matched_sum(affine_bialgebra())
-    bb = bpair.quotient_module()
-    out.append(("bialgebra", bpair, extend_by_zero(bpair, bb), bb,
-                extend_by_zero(bpair, bb)))
-    for seed in (1, 2, 6, 7):
-        rpair = random_pair(seed)
-        module = random_module(rpair, 2, seed + 1)
-        out.append(("random%d" % seed, rpair,
-                    random_extension(rpair, rpair.quotient_module(), seed),
-                    module, random_extension(rpair, module, seed + 2)))
-    return out
 
 
 FIXTURES = fixture_set()
@@ -1989,8 +1919,9 @@ def flat_kernel_mismatches(fixture, built=None):
     replaced (tests/oracles.py) disagree, summed into an empty total and into
     a seeded nonzero one: _add_permuted on single permutations and on signed
     sets of them (which must also equal its single calls), _ce_into,
-    _nabla_into, _compose_into, _chain_into, _slices, _unfold_end,
-    first_nonzero and the bracket layer ("bracket" labels, see
+    _nabla_into (also against own_table_nabla_into, the kernel it was before
+    it read the differential's table), _compose_into, _chain_into, _slices,
+    _unfold_end, first_nonzero and the bracket layer ("bracket" labels, see
     bracket_layer_mismatches).  built is flat_kernel_cases(fixture), built
     here when not given."""
     tower, cases, pools = built or flat_kernel_cases(fixture)
@@ -2038,6 +1969,11 @@ def flat_kernel_mismatches(fixture, built=None):
                     lambda t: scatter_into(t, _nabla_into, w, conn, conn_b,
                                            st),
                     lambda t: replaced_nabla_into(t, w, conn, conn_b, st))
+            compare("nabla %s own table" % label, (w.module, w.k, w.l + 1),
+                    lambda t: scatter_into(t, _nabla_into, w, conn, conn_b,
+                                           st),
+                    lambda t: scatter_into(t, own_table_nabla_into, w, conn,
+                                           conn_b, st))
         if w.first_nonzero() != replaced_first_nonzero(w):
             found.append("first_nonzero " + label)
         end_e_valued = label.startswith(("S", "E")) \
@@ -2122,20 +2058,26 @@ def test_flat_kernels_match_the_kernels_they_replaced(fixture):
 
 # (table, mutation, the kernels that read the table): ce._merge_table is
 # also read under its name in homotopy, by _nabla_into, the products and
-# the bracket layer
+# the bracket layer, and ce._acting builds the moves on the value and the
+# B-slots of both derivations, d and _nabla_into.  No mutation of _acting
+# can show under both on every fixture: d has no such move on heisenberg
+# (B and the modules there are trivial), and _nabla_into none on sl2,
+# u2t2_zero and bialgebra (no connection along B on B or on End(E))
 TABLE_MUTATIONS = [("_digit_tables", digit_table_off_by_one, ("permute",)),
                    ("_merge_table", merge_table_sign_flip,
-                    ("diff", "nabla", "compose", "chain", "bracket"))]
+                    ("diff", "nabla", "compose", "chain", "bracket")),
+                   ("_acting", acting_sign_flip, ("diff", "nabla"))]
 
 
 @pytest.mark.parametrize("name, mutate, kernels", TABLE_MUTATIONS,
                          ids=[m[0] for m in TABLE_MUTATIONS])
 def test_the_differential_test_catches_table_mutations(monkeypatch, name,
                                                        mutate, kernels):
-    # a digit-table off-by-one and a merge-table sign flip, each caught on
-    # every zoo fixture by the kernels that read the table, and each of
-    # those kernels caught on some fixture.  The inputs are built first: the
-    # towers' own differential check would refuse a flipped wedge.
+    # a digit-table off-by-one, a merge-table sign flip and a sign flip of
+    # the derivations' operator moves, each caught on every zoo fixture by
+    # the kernels that read the table, and each of those kernels caught on
+    # some fixture.  The inputs are built first: the towers' own
+    # differential check would refuse a flipped wedge.
     built = [flat_kernel_cases(fixture) for fixture in FIXTURES]
     mutated = mutate(getattr(ce, name))
     for layer in (ce, homotopy):
