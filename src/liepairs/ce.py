@@ -364,16 +364,16 @@ def _ce_terms(table, pos):
     return terms
 
 
-def _ce_sum(acc, table, entries):
-    """acc += the table's derivation of entries {flat position: value} of a
-    cochain the table fits."""
+def _ce_sum(acc, table, entries, sign=1):
+    """acc += sign times the table's derivation of entries {flat position:
+    value} of a cochain the table fits."""
     for pos, v in entries.items():
-        _scatter(acc, _ce_terms(table, pos), v.re, v.im)
+        _scatter(acc, _ce_terms(table, pos), sign * v.re, sign * v.im)
 
 
-def _ce_into(acc, w):
-    """acc += d(w)."""
-    _ce_sum(acc, _ce_table(w.pair, w.module, w.k, w.l), w.entries)
+def _ce_into(acc, w, sign=1):
+    """acc += sign * d(w)."""
+    _ce_sum(acc, _ce_table(w.pair, w.module, w.k, w.l), w.entries, sign)
 
 
 def ce_diff(w: Cochain) -> Cochain:

@@ -12,7 +12,9 @@ Exit codes (README.md states every refusal in full):
      which every command but `zoo` runs: an invalid pair, module, declared B
      other than L/A, or algebra, named by --algebra or not;
   4  an internal invariant failure: an output the library guarantees closed
-     failed its cocycle check, a bug in liepairs, not bad input.
+     failed its cocycle check, a bug in liepairs, not bad input;
+141  stdout's reader went away (a closed pipe): the exit status of a tool
+     killed by SIGPIPE, with nothing more written and no traceback.
 Output is deterministic; --json disables the timing line so identical inputs
 give byte-identical reports.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from math import comb
@@ -54,7 +57,10 @@ from .scalars import format_scalar
 # so that a job compiles only what it runs: validate none of them; tower,
 # verify and symmetry ``ce`` and ``homotopy`` but not the obstruction layer
 # ``atiyah``; atiyah, chern and todd ``ce`` and ``atiyah``; only zoo ``zoo``.
-# The saving is compile time, about 1% of a job once bytecode is cached.
+# Besides its own work a job pays fixed costs: interpreter start-up, the
+# compile of what it imports when no bytecode is cached, and argparse building
+# every subcommand's parser; run() skips the interpreter's teardown.  README,
+# "Where a CLI job's time goes", measures each.
 # The digest takes the built-in SHA-256: importing hashlib loads libcrypto.
 
 EXIT_OK = 0
@@ -62,6 +68,7 @@ EXIT_CHECK_FAILURE = 1
 EXIT_PARSE_ERROR = 2
 EXIT_VALIDATION_ERROR = 3
 EXIT_INTERNAL_ERROR = 4
+EXIT_BROKEN_PIPE = 128 + 13  # 13 is SIGPIPE
 
 # The exact Todd class grows steeply with its depth min(dim g, dim B): at depth
 # 9 (gl(3) with a 1-dim module) the powers of alpha alone take seconds and the
@@ -571,5 +578,26 @@ def main(argv=None):
     return EXIT_VALIDATION_ERROR if args.command == "validate" \
         else EXIT_CHECK_FAILURE
 
+
+def run(argv=None):
+    """The process entry point: main(argv), then flush stdout and stderr
+    and end the process with os._exit, skipping the interpreter's teardown
+    (module clean-up and a final collection), which no output needs.  The
+    library starts no thread and registers no atexit callback for it to
+    drop.  argparse's SystemExit and any uncaught exception take Python's
+    normal exit.  main(argv) is the in-process API and never exits."""
+    try:
+        code = main(argv)
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the job started with it shut
+                stream.flush()
+    except BrokenPipeError:
+        # what stdout still buffers can never reach its reader; with fd 1 on
+        # devnull, as Python's signal docs advise, no write to it raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        code = EXIT_BROKEN_PIPE
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -950,9 +950,9 @@ def compose_cochains(outer: Cochain, inner: Cochain, slot: int) -> Cochain:
                    outer.l + inner.l - 1, _compose_into, outer, inner, slot)
 
 
-def _compose_into(acc, outer, inner, slot: int):
-    """acc += compose_cochains(outer, inner, slot) (see the kernel protocol
-    in ce): inner's value meets outer's slot-th B-index (see
+def _compose_into(acc, outer, inner, slot: int, sign=1):
+    """acc += sign * compose_cochains(outer, inner, slot) (see the kernel
+    protocol in ce): inner's value meets outer's slot-th B-index (see
     _product_into)."""
     nb, dim_e = outer.pair.dim_b, outer.module.dim
     tail_radix, inner_radix = nb ** (outer.l - slot), inner.b_count()
@@ -963,7 +963,7 @@ def _compose_into(acc, outer, inner, slot: int):
         return mid, (head * inner_radix * tail_radix + tail) * dim_e + e
     _product_into(acc, outer, outer_key, inner,
                   lambda i2, value: (value, i2 * tail_radix * dim_e),
-                  nb ** (outer.l - 1) * inner_radix * dim_e)
+                  nb ** (outer.l - 1) * inner_radix * dim_e, sign)
 
 
 def _chain_into(acc, outer, inner, dim_e: int):
@@ -979,11 +979,13 @@ def _chain_into(acc, outer, inner, dim_e: int):
         outer.b_count() * inner_radix * dd)
 
 
-def _product_into(acc, outer, outer_key, inner, inner_key, g_stride):
+def _product_into(acc, outer, outer_key, inner, inner_key, g_stride,
+                  sign=1):
     """The kernel behind _compose_into and _chain_into: a nonzero of outer
     (inner) at exterior index g, b-index b and value v has (key, offset) =
     outer_key(b, v) (inner_key(b, v)), and each pair with one key adds sign
-    * c1 * c2 at g * g_stride + both offsets (g, sign: see _merge_table)."""
+    * merge sign * c1 * c2 at g * g_stride + both offsets (g, merge sign:
+    see _merge_table)."""
     def split(w, key_of):
         for pos, c in w.entries.items():
             rest, v = divmod(pos, w.module.dim)
@@ -998,14 +1000,15 @@ def _product_into(acc, outer, outer_key, inner, inner_key, g_stride):
         row = merge[g1]
         _scatter(acc, [(step[0] * g_stride + offset + offset2, step[1] * br,
                         step[1] * bi) for g2, offset2, br, bi in
-                       groups.get(key, ()) if (step := row[g2])], ar, ai)
+                       groups.get(key, ()) if (step := row[g2])],
+                 sign * ar, sign * ai)
 
 
 def _torsion_into(acc, tower: BracketTower):
     """Torsion antisymmetrization, bidegree (1, 2): swapping the two slots of
     the binary tensor costs the differential of the torsion."""
     _add_permuted(acc, tower.r[2], (0, 1), (1, 0), signs=(1, -1))
-    _ce_into(acc, -tower.torsion())
+    _ce_into(acc, tower.torsion(), -1)
 
 
 def _ternary_into(acc, tower: BracketTower):
@@ -1014,7 +1017,7 @@ def _ternary_into(acc, tower: BracketTower):
     curvature."""
     _add_permuted(acc, tower.r[3], (0, 1, 2), (1, 0, 2), signs=(1, -1))
     # minus R_2(beta(b0, b1), b2)
-    _compose_into(acc, tower.r[2], -tower.torsion(), 1)
+    _compose_into(acc, tower.r[2], tower.torsion(), 1, -1)
     # plus (d omega)(b0, b1) applied to b2; omega(b1, b2)'s row-major entries
     # are the values at (b1, b2) in flat order
     b = tower.pair.quotient_module()

@@ -4,9 +4,12 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,7 @@ import liepairs.cli as cli
 import liepairs.fixture_io as fixture_io
 import liepairs.lie_core as lie_core
 from liepairs.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CHECK_FAILURE,
     EXIT_INTERNAL_ERROR,
     EXIT_OK,
@@ -1382,3 +1386,111 @@ def test_validate_and_zoo_export_byte_identical_to_goldens(monkeypatch,
     assert sorted(gates) == sorted(GATE_GOLDENS)
     for gate, got in gates.items():
         assert list(got) == GATE_GOLDENS[gate], gate
+
+
+# -- the process path: python -m liepairs.cli ---------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _child(args, shell=(), **kwargs):
+    """Run the interpreter on args, after the shell command words shell if
+    any, with this tree's src on PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # stdout buffered, so that a missing flush loses output
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([*shell, sys.executable, *args], env=env, **kwargs)
+
+
+FAILING_SWEEP = """
+import liepairs.homotopy as homotopy
+from liepairs.scalars import ONE
+
+
+def failing_sweep(tower, max_n, degree_cap, algebra=None):
+    report = homotopy.VerifyReport("leibniz")
+    report.checked = 1
+    report.add_violation(2, ["fake"], (((0,), 0), ONE))
+    return report
+"""
+
+# what python -m liepairs.cli runs, with a failing sweep: valid inputs
+# cannot make a check fail
+FAILING_CHILD = FAILING_SWEEP + """
+import runpy
+
+homotopy.verify_leibniz = failing_sweep
+runpy.run_module("liepairs.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("raw, argv, code", [
+    (_sl2_bytes(), ["validate", "--json"], EXIT_OK),
+    (_sl2_bytes(), ["verify", "--max-n", "2", "--degree-cap", "1", "--json"],
+     EXIT_CHECK_FAILURE),
+    (b"{ not json", ["validate"], EXIT_PARSE_ERROR),
+    (_sl2_bytes(), ["verify", "--max-n", "0"], EXIT_PARSE_ERROR),
+    (_sl2_bytes(_break_dual_numbers), ["atiyah", "--json"],
+     EXIT_VALIDATION_ERROR),
+    (None, ["zoo", "export", "gl3"], EXIT_OK),
+], ids=["ok", "check_failure", "parse_error", "argparse_error",
+        "validation_error", "payload_above_a_pipe_buffer"])
+def test_a_cli_process_prints_what_main_prints(capsys, monkeypatch, tmp_path,
+                                               raw, argv, code):
+    # the same bytes and exit code through run() and os._exit as main gives
+    # in-process; argparse's SystemExit keeps Python's own exit
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to it
+    if raw is not None:
+        path = tmp_path / "in.json"
+        path.write_bytes(raw)
+        argv = argv + ["--input", str(path)]
+    if code == EXIT_CHECK_FAILURE:
+        namespace = {}
+        exec(FAILING_SWEEP, namespace)
+        monkeypatch.setattr(namespace["homotopy"], "verify_leibniz",
+                            namespace["failing_sweep"])
+        child = _child(["-c", FAILING_CHILD, *argv], capture_output=True)
+    else:
+        child = _child(["-m", "liepairs.cli", *argv], capture_output=True)
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    assert (child.returncode, child.stdout.decode(), child.stderr.decode()) \
+        == (code, out, err)
+    if argv[:2] == ["zoo", "export"]:
+        # more than a 64 KiB pipe buffer holds, read while it is written
+        assert len(child.stdout) > 65536
+
+
+def test_a_closed_pipe_ends_the_job_with_141_and_no_traceback():
+    # the read end is closed before the child starts, so its first write to
+    # the pipe fails however the two processes are scheduled
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = _child(["-m", "liepairs.cli", "zoo", "export", "gl3"],
+                       stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (EXIT_BROKEN_PIPE, b"")
+    assert EXIT_BROKEN_PIPE == 141
+
+
+def test_validate_with_stdout_shut_exits_0(tmp_path):
+    path = tmp_path / "sl2.json"
+    path.write_bytes(_sl2_bytes())
+    # started with fd 1 shut, the job's sys.stdout is None
+    child = _child(["-m", "liepairs.cli", "validate", "--input", str(path)],
+                   shell=("sh", "-c", 'exec "$@" >&-', "sh"),
+                   stderr=subprocess.PIPE)
+    assert (child.returncode, child.stderr) == (EXIT_OK, b"")
+
+
+def test_the_installed_script_is_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"liepairs": "liepairs.cli:run"}

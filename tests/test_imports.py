@@ -6,8 +6,8 @@ flat-position kernels wedge forms only through the one wedge table, the
 kernels scatter into their caller's accumulator and never flush, so that a
 clean tower's residuals store no partial sum, every derivation of cochains
 reaches that accumulator through the one term expander, the obstruction and
-tower commands load only the layers they run, and no module loads OpenSSL
-through hashlib.
+tower commands load only the layers they run and leave no thread or atexit
+callback behind, and no module loads OpenSSL through hashlib.
 
 No linter ships with the project, so this walks the syntax tree with the
 standard library alone.  ``__init__.py`` is exempt: its imports are the
@@ -514,17 +514,20 @@ def test_no_module_imports_hashlib_but_as_a_fallback(path):
 
 
 DIET_SCRIPT = """
-import contextlib, io, json, sys
+import atexit, contextlib, io, json, sys, threading
+callbacks = atexit._ncallbacks()
 from liepairs.cli import main
-codes = []
+codes, left = [], []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
+    left.append([threading.active_count(), atexit._ncallbacks() - callbacks])
 loaded = sorted(name for name in sys.modules if name.startswith("liepairs"))
 print(json.dumps({"codes": codes, "loaded": loaded, "defined": sorted(
     attr for name in loaded for attr, value in vars(sys.modules[name]).items()
     if getattr(value, "__module__", None) == name), "openssl": sorted(
-    name for name in ("_hashlib", "ssl") if name in sys.modules)}))
+    name for name in ("_hashlib", "ssl") if name in sys.modules),
+    "left": left}))
 """
 
 # The obstruction layer's elimination, cohomology queries and classes, and
@@ -559,6 +562,9 @@ def test_obstruction_commands_load_no_tower_or_zoo_layer(tmp_path):
                               capture_output=True, text=True, check=True)
         report = json.loads(done.stdout)
         assert report["codes"] == [0] * len(argvs)
+        # cli.run ends the process with os._exit, which would drop a thread
+        # still running or an atexit callback: no command leaves either
+        assert report["left"] == [[1, 0]] * len(argvs), argvs
         # no command loads OpenSSL: the input digest is the interpreter's
         assert report["openssl"] == [], argvs
         return report

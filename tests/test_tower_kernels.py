@@ -1632,9 +1632,9 @@ def test_verify_forms_each_term_and_checks_each_lemma_once(monkeypatch, capsys,
             return fn(*args)
         monkeypatch.setattr(homotopy, name, wrapper)
 
-    counting("_ce_into", lambda total, w: (entries(w),))
-    counting("_compose_into", lambda total, outer, inner, slot:
-             (entries(outer), entries(inner), slot))
+    counting("_ce_into", lambda total, w, sign=1: (entries(w), sign))
+    counting("_compose_into", lambda total, outer, inner, slot, sign=1:
+             (entries(outer), entries(inner), slot, sign))
     counting("_coherence_into", lambda total, terms, n: (n,))
     counting("_derivation_failure", lambda terms, side, *rest: (side,))
     counting("_linearity_failure", lambda terms, bracket, *rest: (bracket[0],))
