@@ -21,7 +21,6 @@ from .ce import (
     _ce_sum,
     _ce_table,
     atiyah_cocycle,
-    curvature,
     extend_by_zero,
     is_cocycle,
 )
@@ -30,6 +29,8 @@ from .lie_core import (
     LiePair,
     NotACocycle,
     Report,
+    _flatness_residual,
+    _rows,
     direct_sum_module,
     dual_module,
     exterior_power_module,
@@ -40,14 +41,16 @@ from .scalars import ONE, ZERO, GaussScalar, _flush, _sum, as_scalar
 
 
 def compatibility_report(conn: Connection) -> Report:
-    """Mixed-curvature check R(a, x) = 0 on all basis pairs a in g, x in d."""
+    """Mixed-curvature check R(a, x) = 0 on all basis pairs a in g, x in d,
+    each nonzero residual named by its least position."""
     report = Report("compatibility")
+    rows = [_rows(mat) for mat in conn.nabla]
     for a in range(conn.pair.dim_g):
         for x in range(conn.pair.dim_d):
-            r = curvature(conn, a, x)
-            if not r.is_zero():
-                pos = next(i for i, v in enumerate(r.data) if not v.is_zero())
-                report.add("mixed_curvature", (a, x, pos), r.data[pos])
+            res = _flatness_residual(rows, conn.pair.d.c[a][x], a, x)
+            if res:
+                pos = min(res)
+                report.add("mixed_curvature", (a, x, pos), res[pos])
     return report
 
 
@@ -71,17 +74,15 @@ class AtiyahClassReport:
 
 
 def connection_minus_section(conn: Connection, phi: Cochain) -> Connection:
-    """nabla' = nabla - phi for a section phi of B* (x) End(E)."""
-    module = conn.module
-    nabla = list(conn.nabla)
-    for b in range(conn.pair.dim_b):
-        delta = Matrix.zeros(module.dim, module.dim)
-        for row in range(module.dim):
-            for col in range(module.dim):
-                delta.data[row * module.dim + col] = \
-                    phi.get((), (b,), row * module.dim + col)
-        nabla[conn.pair.dim_g + b] = nabla[conn.pair.dim_g + b] - delta
-    return Connection(conn.pair, module, nabla)
+    """nabla' = nabla - phi for a section phi of B* (x) End(E): phi's entry
+    at b * dim(E)^2 + e is entry e of the matrix taken off nabla_(j(b))."""
+    m, dim = conn.pair.dim_g, conn.module.dim
+    delta = [Matrix.zeros(dim, dim) for _ in range(conn.pair.dim_b)]
+    for pos, x in phi.entries.items():
+        b, e = divmod(pos, dim * dim)
+        delta[b].data[e] = x
+    return Connection(conn.pair, conn.module, conn.nabla[:m] + [
+        mat - d for mat, d in zip(conn.nabla[m:], delta)])
 
 
 def atiyah_class(pair: LiePair, module: GModule,
@@ -302,10 +303,11 @@ def _diagonal_cochain(pair: LiePair, bi_form: BiForm, k: int) -> Cochain:
     """Package the (k, k)-component of a BiForm as a Lambda^k B*-valued cochain."""
     b_dual = dual_module(pair.quotient_module())
     module = exterior_power_module(b_dual, k)
-    out = Cochain(pair, module, k, 0)
+    g_index = exterior_index(pair.dim_g, k)
     b_index = exterior_index(pair.dim_b, k)
-    for (gt, bt), val in bi_form.component(k, k).terms.items():
-        out.set(gt, (), b_index[bt], val)
+    out = Cochain(pair, module, k, 0)
+    out.entries = {g_index[gt] * module.dim + b_index[bt]: val
+                   for (gt, bt), val in bi_form.component(k, k).terms.items()}
     return out
 
 

@@ -9,7 +9,8 @@ and on every B-slot, is one of the flat-position kernels below, read off
 the table every derivation of cochains reads (see _ce_table): each input
 nonzero is scattered through moves listed per exterior index, so its cost
 follows the input's sparsity.  Whether a cochain is exact is decided in
-atiyah.
+atiyah.  A connection's curvature, and the obstruction cocycle as its
+(g, B) blocks, are read off lie_core's flatness kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from itertools import accumulate
 from math import comb
 from operator import mul
 
-from .lie_core import GModule, LiePair, NotACocycle, end_module
+from .lie_core import (GModule, LiePair, NotACocycle, _flatness_residual,
+                        _rows, end_module)
 from .linalg import Matrix
 from .multilinear import (exterior_basis, exterior_index, merge_sign,
                           tensor_index, tensor_tuples)
@@ -420,11 +422,14 @@ def extend_by_zero(pair: LiePair, module: GModule) -> Connection:
 
 
 def curvature(conn: Connection, i: int, j: int) -> Matrix:
-    """R(x_i, x_j) = [nabla_i, nabla_j] - nabla_([x_i, x_j])."""
-    out = conn.nabla[i].commutator(conn.nabla[j])
-    for s, c in enumerate(conn.pair.d.c[i][j]):
-        if not c.is_zero():
-            out = out - conn.nabla[s].scale(c)
+    """R(x_i, x_j) = [nabla_i, nabla_j] - nabla_([x_i, x_j]), read off the
+    flatness residual of the matrices it involves."""
+    bracket = conn.pair.d.c[i][j]
+    rows = {a: _rows(conn.nabla[a])
+            for a in {i, j}.union(k for k, x in enumerate(bracket) if x)}
+    out = Matrix.zeros(conn.module.dim, conn.module.dim)
+    for pos, x in _flatness_residual(rows, bracket, i, j).items():
+        out.data[pos] = x
     return out
 
 
@@ -435,16 +440,15 @@ def atiyah_cocycle(conn: Connection) -> Cochain:
     signal a bug in this library rather than bad input.
     """
     pair, module = conn.pair, conn.module
-    endo = end_module(module)
-    out = Cochain(pair, endo, 1, 1)
-    for a in range(pair.dim_g):
-        for b in range(pair.dim_b):
-            r = curvature(conn, a, pair.dim_g + b)
-            for row in range(module.dim):
-                for col in range(module.dim):
-                    x = r[row, col]
-                    if not x.is_zero():
-                        out.set((a,), (b,), row * module.dim + col, x)
+    m, nb, size = pair.dim_g, pair.dim_b, module.dim ** 2
+    rows = [_rows(mat) for mat in conn.nabla]
+    out = Cochain(pair, end_module(module), 1, 1)
+    for a in range(m):
+        for b in range(nb):
+            at = (a * nb + b) * size
+            for pos, x in _flatness_residual(rows, pair.d.c[a][m + b], a,
+                                             m + b).items():
+                out.entries[at + pos] = x
     if not is_cocycle(out):
         raise NotACocycle("curvature cochain is not closed")
     return out

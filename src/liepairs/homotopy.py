@@ -773,16 +773,20 @@ def _derivation_failure(tower, side, forms, algebra):
     pair, cap = tower.pair, len(forms[-1])
     table_of = _side_tables(tower, side, algebra)
     d_form = _side_tables(tower, "1", None)
-    d_omegas = {w: _diff(d_form, GradedElement.basis(pair, 1, w, 0)).terms
-                for w in forms if w}
+    d_omegas = {}  # per omega, the terms (form, -c) of d omega, negated
+    for w in filter(None, forms):
+        dw = _diff(d_form, GradedElement.basis(pair, 1, w, 0))
+        d_omegas[w] = [(form, -c) for (form, _), c in dw.terms.items()]
     for x in _basis_elements(pair, tower.side_module(side).dim, cap,
                              algebra):
         dx = _diff(table_of, x)
         for w, dw in d_omegas.items():
             res = _diff(table_of, _wedge(w, x))
-            res = res - _wedge(w, dx, -1 if len(w) % 2 else 1)
-            for (form, _), c in dw.items():
-                res = res - _wedge(form, x).scale(c)
+            # d(omega.x) - (-1)^|omega| omega.d(x) - d(omega).x
+            res = res._like(_sum(
+                (res.entries, 1),
+                (_wedge(w, dx).entries, 1 if len(w) % 2 else -1),
+                *((_wedge(form, x).entries, c) for form, c in dw)))
             if not res.is_zero():
                 return 1, [w, x.first_term()[0]], res
     return None

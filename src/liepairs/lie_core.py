@@ -223,38 +223,51 @@ class GModule:
         return len(self.action)
 
 
+def _rows(mat: Matrix):
+    """The nonzero entries (column, re, im) of each row of mat."""
+    d = mat.cols
+    return [_nonzeros(mat.data[r * d:(r + 1) * d]) for r in range(mat.rows)]
+
+
+def _flatness_residual(rows, bracket, i, j):
+    """[rho_i, rho_j] - sum_k c^k rho_k as {row * dim + col: value}, for
+    rows[a] = _rows(rho_a) (a = i, j and each k with c^k != 0) and c the
+    coordinates bracket of [x_i, x_j], each row summed as plain parts: the
+    one residual behind flatness, curvature, the obstruction cocycle and
+    compatibility, which are its blocks."""
+    d = len(rows[i])
+    bracket = _nonzeros(bracket)
+    out = {}
+    for r in range(d):
+        acc = ({}, {})
+        for m, xr, xi in rows[i][r]:
+            _scatter(acc, rows[j][m], xr, xi)
+        for m, xr, xi in rows[j][r]:
+            _scatter(acc, rows[i][m], -xr, -xi)
+        for k, xr, xi in bracket:
+            _scatter(acc, rows[k][r], -xr, -xi)
+        for col, x in _flush(acc).items():
+            out[r * d + col] = x
+    return out
+
+
 def check_module(g: LieAlgebra, module: GModule) -> Report:
     """Flatness check: commutators of action matrices realize the bracket.
 
-    Row r of [rho_i, rho_j] - sum_k c_ij^k rho_k is summed as plain parts
-    (scalars._scatter) from the nonzero entries of the rows it reads; the
-    first row whose sum does not cancel, and its least column, name the
-    violation.
+    The least position of a residual (_flatness_residual) that does not
+    cancel names the violation.
     """
     report = Report("module_flatness")
     if module.dim_g != g.dim:
         report.add("arity", (), "expected %d matrices, got %d" % (g.dim, module.dim_g))
         return report
-    d = module.dim
-    # rows[a][r]: the nonzero entries (column, re, im) of row r of rho_a
-    rows = [[_nonzeros(mat.data[r * d:(r + 1) * d]) for r in range(d)]
-            for mat in module.action]
+    rows = [_rows(mat) for mat in module.action]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            bracket = _nonzeros(g.c[i][j])
-            for r in range(d):
-                acc = ({}, {})
-                for m, xr, xi in rows[i][r]:
-                    _scatter(acc, rows[j][m], xr, xi)
-                for m, xr, xi in rows[j][r]:
-                    _scatter(acc, rows[i][m], -xr, -xi)
-                for k, xr, xi in bracket:
-                    _scatter(acc, rows[k][r], -xr, -xi)
-                res = _flush(acc)
-                if res:
-                    col = min(res)
-                    report.add("flatness", (i, j, r * d + col), res[col])
-                    break
+            res = _flatness_residual(rows, g.c[i][j], i, j)
+            if res:
+                pos = min(res)
+                report.add("flatness", (i, j, pos), res[pos])
     return report
 
 

@@ -1,7 +1,8 @@
-"""Exact dense matrices and vectors over the Gaussian rationals.
-
-The eliminator behind rank, solve, rref and the kernel basis is in atiyah,
-the only layer that eliminates, so the tower commands do not compile it.
+"""Exact dense matrices and vectors over the Gaussian rationals: the
+container for module actions, connections and elimination input.  Products
+are formed on nonzeros by lie_core's flatness kernel, and the eliminator
+behind rank, solve, rref and the kernel basis is in atiyah, the only layer
+that eliminates, so the tower commands do not compile it.
 """
 
 from __future__ import annotations
@@ -93,61 +94,12 @@ class Matrix:
     def __neg__(self):
         return Matrix._trusted(self.rows, self.cols, [-a for a in self.data])
 
-    def scale(self, s):
-        s = as_scalar(s)
-        return Matrix._trusted(self.rows, self.cols, [s * a for a in self.data])
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch for product")
-        out = Matrix.zeros(self.rows, other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.data[base + k]
-                if a.is_zero():
-                    continue
-                obase = k * other.cols
-                tbase = i * other.cols
-                for j in range(other.cols):
-                    b = other.data[obase + j]
-                    if not b.is_zero():
-                        out.data[tbase + j] = out.data[tbase + j] + a * b
-        return out
-
-    def apply(self, vec):
-        """Matrix-vector product on a plain list of scalars."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [ZERO] * self.rows
-        for i in range(self.rows):
-            acc = ZERO
-            base = i * self.cols
-            for j, v in enumerate(vec):
-                if not v.is_zero():
-                    a = self.data[base + j]
-                    if not a.is_zero():
-                        acc = acc + a * v
-            out[i] = acc
-        return out
-
     def transpose(self):
         out = Matrix.zeros(self.cols, self.rows)
         for i in range(self.rows):
             for j in range(self.cols):
                 out.data[j * self.rows + i] = self.data[i * self.cols + j]
         return out
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        acc = ZERO
-        for i in range(self.rows):
-            acc = acc + self.data[i * self.cols + i]
-        return acc
-
-    def commutator(self, other):
-        return self @ other - other @ self
 
 
 def _shape_check(a, b):

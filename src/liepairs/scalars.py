@@ -165,12 +165,14 @@ def _flush(acc):
     return re_acc
 
 
-def _sum(*signed):
-    """The sum of sign * entries over (entries, sign) pairs, entries a map
-    {position: GaussScalar} and sign +-1, through the accumulator."""
+def _sum(*scaled):
+    """The sum of factor * entries over (entries, factor) pairs, entries a
+    map {position: GaussScalar} and factor an int or a GaussScalar, through
+    the accumulator: no scaled copy of entries is built."""
     acc = {}, {}
-    for entries, sign in signed:
-        _scatter(acc, [(p, v.re, v.im) for p, v in entries.items()], sign, 0)
+    for entries, f in scaled:
+        fr, fi = (f, 0) if f.__class__ is int else (f.re, f.im)
+        _scatter(acc, [(p, v.re, v.im) for p, v in entries.items()], fr, fi)
     return _flush(acc)
 
 

@@ -534,10 +534,10 @@ def dense_check_g_algebra(g, algebra):
         rho = algebra.module.action[a]
         for i in range(d):
             for j in range(d):
-                lhs = rho.apply(mult[i][j])
+                lhs = apply(rho, mult[i][j])
                 rhs = vec_add(
-                    product(rho.apply(basis_vec(d, i)), basis_vec(d, j)),
-                    product(basis_vec(d, i), rho.apply(basis_vec(d, j))),
+                    product(apply(rho, basis_vec(d, i)), basis_vec(d, j)),
+                    product(basis_vec(d, i), apply(rho, basis_vec(d, j))),
                 )
                 res = vec_sub(lhs, rhs)
                 if not vec_is_zero(res):
@@ -573,6 +573,61 @@ def dense_validate(d):
     return report
 
 
+# -- dense matrix arithmetic, the reference the nonzero kernels replaced -------
+
+
+def mat_mul(a, b):
+    """The dense product a b, row by row, skipping zero factors."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch for product")
+    out = Matrix.zeros(a.rows, b.cols)
+    for i in range(a.rows):
+        for k in range(a.cols):
+            x = a.data[i * a.cols + k]
+            if x.is_zero():
+                continue
+            for j in range(b.cols):
+                y = b.data[k * b.cols + j]
+                if not y.is_zero():
+                    out.data[i * b.cols + j] = out.data[i * b.cols + j] + x * y
+    return out
+
+
+def commutator(a, b):
+    """The dense commutator a b - b a."""
+    return mat_mul(a, b) - mat_mul(b, a)
+
+
+def scale(m, s):
+    """s times each entry of m."""
+    s = as_scalar(s)
+    return Matrix(m.rows, m.cols, [s * x for x in m.data])
+
+
+def apply(m, vec):
+    """The matrix-vector product on a plain list of scalars."""
+    if len(vec) != m.cols:
+        raise ValueError("vector length mismatch")
+    return [sum((m[i, j] * v for j, v in enumerate(vec)), ZERO)
+            for i in range(m.rows)]
+
+
+def trace(m):
+    if m.rows != m.cols:
+        raise ValueError("trace of non-square matrix")
+    return sum((m[i, i] for i in range(m.rows)), ZERO)
+
+
+def dense_curvature(mats, bracket, i, j):
+    """The dense commutator path the flatness kernel replaced:
+    [m_i, m_j] - sum_k c^k m_k for the coordinates c of [x_i, x_j]."""
+    out = commutator(mats[i], mats[j])
+    for k, x in enumerate(bracket):
+        if not x.is_zero():
+            out = out - scale(mats[k], x)
+    return out
+
+
 def dense_check_module(g, module):
     """The flatness check check_module replaced: for each pair i < j the
     dense matrix [rho_i, rho_j] - sum_k c_ij^k rho_k, its first nonzero entry
@@ -584,15 +639,38 @@ def dense_check_module(g, module):
         return report
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = module.action[i].commutator(module.action[j])
-            rhs = Matrix.zeros(module.dim, module.dim)
-            for k, x in enumerate(g.c[i][j]):
-                if not x.is_zero():
-                    rhs = rhs + module.action[k].scale(x)
-            diff = lhs - rhs
+            diff = dense_curvature(module.action, g.c[i][j], i, j)
             if not diff.is_zero():
                 where = _first_nonzero(diff.data)
                 report.add("flatness", (i, j, where[0]), where[1])
+    return report
+
+
+def dense_atiyah_cocycle(conn):
+    """The obstruction cochain as atiyah_cocycle formed it: each dense
+    curvature R(a, j(b)) scanned entry by entry into Cochain.set."""
+    pair, module = conn.pair, conn.module
+    out = Cochain(pair, end_module(module), 1, 1)
+    for a in range(pair.dim_g):
+        for b in range(pair.dim_b):
+            r = dense_curvature(conn.nabla, pair.d.c[a][pair.dim_g + b], a,
+                                pair.dim_g + b)
+            for pos, x in enumerate(r.data):
+                if not x.is_zero():
+                    out.set((a,), (b,), pos, x)
+    return out
+
+
+def dense_compatibility_report(conn):
+    """The mixed-curvature check compatibility_report replaced: each dense
+    R(a, x), a in g and x in d, named by its first nonzero entry."""
+    report = Report("compatibility")
+    for a in range(conn.pair.dim_g):
+        for x in range(conn.pair.dim_d):
+            r = dense_curvature(conn.nabla, conn.pair.d.c[a][x], a, x)
+            if not r.is_zero():
+                where = _first_nonzero(r.data)
+                report.add("mixed_curvature", (a, x, where[0]), where[1])
     return report
 
 
@@ -665,14 +743,14 @@ def dense_gl_un_tn(n):
     nb = len(tb)
     basis = u_basis(n) + tb
     c = [[u_coords(n, u) + t_coords(n, t)
-          for u, t in (split_anti_hermitian(x.commutator(y)) for y in basis)]
+          for u, t in (split_anti_hermitian(commutator(x, y)) for y in basis)]
          for x in basis]
     matched = pair_to_matched(LiePair(LieAlgebra(len(basis), c), n * n))
     pair = matched_sum(matched)
     module_b = pair.quotient_module()
     gamma = []
     for y in range(nb):
-        cols = [t_coords(n, tb[y] @ tb[z]) for z in range(nb)]
+        cols = [t_coords(n, mat_mul(tb[y], tb[z])) for z in range(nb)]
         gamma.append(Matrix.from_rows(
             [[cols[z][k] for z in range(nb)] for k in range(nb)]))
     conn = Connection(pair, module_b, list(module_b.action) + gamma)
@@ -1062,7 +1140,7 @@ def matched_zero_gamma_closed_form(tower, n):
         for bt in tensor_tuples(nb, n):
             vec = [ONE if s == a else ZERO for s in range(m)]
             for i in range(n - 1):
-                vec = tower.st.delta[bt[i]].apply(vec)
+                vec = apply(tower.st.delta[bt[i]], vec)
             value = zero_vec(nb)
             for s, c in enumerate(vec):
                 if not c.is_zero():

@@ -31,6 +31,7 @@ from liepairs.ce import (
 )
 from liepairs.lie_core import (
     GModule,
+    check_module,
     direct_sum_module,
     dual_module,
     end_module,
@@ -53,6 +54,11 @@ from liepairs.zoo import (
     sl2_pair_swapped,
 )
 from oracles import (
+    commutator,
+    dense_atiyah_cocycle,
+    dense_check_module,
+    dense_compatibility_report,
+    dense_curvature,
     oracle_biform_matrix,
     oracle_biform_product,
     oracle_power_traces,
@@ -200,7 +206,7 @@ def test_end_connection_matches_commutator():
             for s in range(dim):
                 unit = Matrix.zeros(dim, dim)
                 unit.data[r * dim + s] = ONE
-                expected = conn.nabla[x] @ unit - unit @ conn.nabla[x]
+                expected = commutator(conn.nabla[x], unit)
                 got = econn.nabla[x].col(r * dim + s)
                 for k in range(dim):
                     for l in range(dim):
@@ -519,6 +525,58 @@ def _zoo_connections():
     for seed in range(8):
         rpair = random_pair(seed)
         yield random_extension(rpair, rpair.quotient_module(), seed + 60)
+
+
+def _corrupted(mats, rng):
+    """A copy of a family of matrices with one seeded entry changed."""
+    out = [Matrix(m.rows, m.cols, list(m.data)) for m in mats]
+    mat = rng.choice(out)
+    pos = rng.randrange(len(mat.data))
+    mat.data[pos] = mat.data[pos] + rng.choice(
+        [GaussScalar(1), GaussScalar(-2), GaussScalar(Fraction(1, 3)),
+         GaussScalar(1, -2)])
+    return out
+
+
+def test_the_flatness_kernel_matches_the_dense_commutators():
+    # flatness, curvature, the obstruction cocycle and compatibility are
+    # blocks of one curvature residual; each agrees with the dense
+    # commutator path it replaced, witness for witness
+    rng = random.Random(32)
+    conns = list(_zoo_connections())
+    for seed in range(6):
+        rpair = random_pair(seed)
+        module = random_module(rpair, 2, seed + 1)
+        conns += [extend_by_zero(rpair, module),
+                  random_extension(rpair, module, seed + 7)]
+    conns += [repaired for conn in list(conns)
+              if (repaired := atiyah_class(conn.pair, conn.module,
+                                           conn).repaired) is not None]
+    seen = {"cocycle": 0, "compatible": 0, "incompatible": 0,
+            "flat": 0, "not flat": 0}
+    for conn in conns:
+        pair = conn.pair
+        for i in range(pair.dim_d):
+            for j in range(pair.dim_d):
+                assert curvature(conn, i, j) == dense_curvature(
+                    conn.nabla, pair.d.c[i][j], i, j)
+        cocycle = atiyah_cocycle(conn)
+        assert cocycle.entries == dense_atiyah_cocycle(conn).entries
+        seen["cocycle"] += bool(cocycle.entries)
+        report = compatibility_report(conn)
+        assert report.entries == dense_compatibility_report(conn).entries
+        seen["compatible" if report.ok else "incompatible"] += 1
+        # the action on g, and the whole connection as a family over d,
+        # as they are and with one entry corrupted
+        gsub, dim = pair.g_algebra(), conn.module.dim
+        for g, mats in ((gsub, conn.module.action), (pair.d, conn.nabla)):
+            for family in (mats, _corrupted(mats, rng)):
+                module = GModule(dim, family)
+                flat = check_module(g, module)
+                assert flat.entries == dense_check_module(g, module).entries
+                seen["flat" if flat.ok else "not flat"] += 1
+    assert len(conns) >= 40
+    assert min(seen.values()) >= 10, seen
 
 
 def test_power_traces_match_full_powers_on_zoo_connections():

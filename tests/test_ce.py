@@ -35,6 +35,7 @@ from liepairs.zoo import (
     sl2_pair_swapped,
 )
 from oracles import (
+    apply,
     augmented,
     dense_ce_diff,
     dense_diff_matrix,
@@ -266,7 +267,7 @@ def test_sparse_differential_matches_dense_oracle():
                     w = rand_cochain(rng, pair, module, k, l)
                     expected = dense_ce_diff(w).data
                     assert ce_diff(w).data == expected
-                    assert mat.apply(w.data) == expected
+                    assert apply(mat, w.data) == expected
 
 
 # The dense path below runs on the 389 differentials of at most this many

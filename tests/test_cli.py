@@ -1203,6 +1203,11 @@ def test_verify_with_an_algebra_byte_identical_to_golden(capsys, tmp_path,
 # -- fuzz: type-breaking mutations of exported fixtures ------------------------
 
 FUZZ_FIXTURES = ("sl2", "heisenberg", "affine_bialgebra", "u2t2")
+# every command that reads a fixture, each at its cheapest valid flags
+FUZZ_COMMANDS = (["validate"], ["atiyah"], ["chern"], ["todd"],
+                 ["tower", "--depth", "2"], ["symmetry", "--depth", "2"],
+                 ["verify", "--depth", "2", "--max-n", "1",
+                  "--degree-cap", "0"])
 
 # Mutations no slot of the given kind accepts: a value to put in its place, or
 # "drop"/"append" of a list's last element ("dim": an index equal to the
@@ -1297,10 +1302,10 @@ def test_fuzzed_fixtures_exit_2_or_3_with_one_stderr_line(fuzz_exports,
         [slot for slot in _slots(doc) if slot[2] == kind]))
     _mutate(container, key, data.draw(st.sampled_from(_MUTATIONS[kind])))
     path.write_text(json.dumps(doc).replace('"BIG"', "9" * 5001))
-    for command in ("validate", "atiyah"):
+    for command in FUZZ_COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--input", str(path)])
+            code = main(command + ["--input", str(path)])
         assert code in (EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR), command
         assert err.getvalue().count("\n") == 1, (command, err.getvalue())
 
@@ -1439,7 +1444,6 @@ def test_a_cli_process_prints_what_main_prints(capsys, monkeypatch, tmp_path,
                                                raw, argv, code):
     # the same bytes and exit code through run() and os._exit as main gives
     # in-process; argparse's SystemExit keeps Python's own exit
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to it
     if raw is not None:
         path = tmp_path / "in.json"
         path.write_bytes(raw)
@@ -1463,6 +1467,23 @@ def test_a_cli_process_prints_what_main_prints(capsys, monkeypatch, tmp_path,
     if argv[:2] == ["zoo", "export"]:
         # more than a 64 KiB pipe buffer holds, read while it is written
         assert len(child.stdout) > 65536
+
+
+def test_an_argparse_refusal_reads_the_same_at_any_terminal_width(
+        capsys, monkeypatch):
+    # usage is wrapped at one fixed width, so a refusal's stderr does not
+    # depend on $COLUMNS, from the top-level parser or a subcommand's
+    for argv in (["verify", "--input", "x.json", "--max-n", "0"],
+                 ["verify", "--input", "x.json", "--max-n", "x"]):
+        errs = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_PARSE_ERROR
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].count("\n") > 2  # long enough to wrap at 40
 
 
 def test_a_closed_pipe_ends_the_job_with_141_and_no_traceback():

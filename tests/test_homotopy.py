@@ -141,6 +141,22 @@ def test_a_verify_run_subtracts_without_negating(monkeypatch, capsys,
     assert calls["__sub__"] > 0 and calls["__neg__"] == 0
 
 
+def test_a_verify_run_scales_no_element(monkeypatch, capsys, tmp_path):
+    # the derivation lemma subtracts d(omega).x term by term; each term is
+    # scattered with its coefficient as the factor, so no element is
+    # scaled into a copy on the way
+    calls = []
+    scale = GradedElement.scale
+    monkeypatch.setattr(GradedElement, "scale",
+                        lambda self, s: calls.append(s) or scale(self, s))
+    assert main(["zoo", "export", "u2t2"]) == 0
+    path = tmp_path / "u2t2.json"
+    path.write_text(capsys.readouterr().out)
+    assert main(["verify", "--input", str(path), "--connection", "matrix_mult",
+                 "--max-n", "3", "--degree-cap", "1", "--json"]) == 0
+    assert calls == []
+
+
 def test_r2_matches_obstruction_cocycle():
     fx = gl_un_tn(2)
     tower = build_tower(fx.pair, fx.conn_zero, depth=2)

@@ -5,7 +5,9 @@ layers' kernels never read a cochain through its decoded view, the
 flat-position kernels wedge forms only through the one wedge table, the
 kernels scatter into their caller's accumulator and never flush, so that a
 clean tower's residuals store no partial sum, every derivation of cochains
-reaches that accumulator through the one term expander, the obstruction and
+reaches that accumulator through the one term expander, module flatness,
+curvature, the obstruction cocycle and compatibility are read off the one
+flatness kernel and no module forms a dense matrix product, the obstruction and
 tower commands load only the layers they run and leave no thread or atexit
 callback behind, and no module loads OpenSSL through hashlib.
 
@@ -319,12 +321,9 @@ def test_flat_kernels_wedge_through_the_one_table():
             for hit in tuple_wedge_calls(source, FLAT_KERNELS)] == []
 
 
-def expander_bypasses(sources, derivations):
-    """(derivation, callee) for each call that a function named in
-    derivations makes, nested functions included, to _scatter or to a
-    function of sources (file name -> source) that reaches _scatter other
-    than through _ce_sum; and (derivation, "no _ce_sum") for one that never
-    calls _ce_sum."""
+def function_calls(sources):
+    """{function: the names it calls, nested functions included} for the
+    module-level functions of sources (file name -> source)."""
     calls = {}
     for source in sources.values():
         for node in ast.parse(source).body:
@@ -334,6 +333,16 @@ def expander_bypasses(sources, derivations):
                     if isinstance(call, ast.Call)
                     for callee in (getattr(call.func, "attr", None),
                                    getattr(call.func, "id", None)) if callee}
+    return calls
+
+
+def expander_bypasses(sources, derivations):
+    """(derivation, callee) for each call that a function named in
+    derivations makes, nested functions included, to _scatter or to a
+    function of sources (file name -> source) that reaches _scatter other
+    than through _ce_sum; and (derivation, "no _ce_sum") for one that never
+    calls _ce_sum."""
+    calls = function_calls(sources)
 
     def reaches(name, seen):
         return name == "_scatter" or name != "_ce_sum" and name not in seen \
@@ -382,6 +391,73 @@ def test_derivations_scatter_through_the_one_expander():
     sources = {name: (PACKAGE / name).read_text()
                for name in ("ce.py", "homotopy.py", "atiyah.py", "scalars.py")}
     assert expander_bypasses(sources, DERIVATIONS) == []
+
+
+def dense_products(source):
+    """(line, what) for each @ operator ("@") and each call of commutator
+    ("commutator") in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(getattr(node, "op", None), ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call) and "commutator" in (
+                getattr(node.func, "attr", None),
+                getattr(node.func, "id", None)):
+            found.append((node.lineno, "commutator"))
+    return sorted(found)
+
+
+def test_the_check_sees_a_dense_product():
+    source = ("def f(a, b):\n    c = a @ b\n    c @= a\n"
+              "    return a.commutator(b), commutator(a, b)\n\n"
+              "def g(a, commutator):\n    return a * a, '@', commutator\n")
+    assert dense_products(source) == [
+        (2, "@"), (3, "@"), (4, "commutator"), (4, "commutator")]
+
+
+def kernel_skippers(sources, functions, kernel):
+    """The names in functions that sources (file name -> source) do not
+    define at module level, or whose body, nested functions included, never
+    calls kernel."""
+    calls = function_calls(sources)
+    return sorted(name for name in functions
+                  if kernel not in calls.get(name, ()))
+
+
+def test_the_check_sees_a_block_that_skips_the_kernel():
+    sources = {
+        "a.py": "def _kernel(rows):\n    return rows\n\n"
+                "def direct(rows):\n    return _kernel(rows)\n\n"
+                "def qualified(rows):\n    return a._kernel(rows)\n\n"
+                "def nested(rows):\n    def inner():\n"
+                "        return _kernel(rows)\n    return inner\n",
+        "b.py": "def dense(m):\n    return m.commutator(m)\n\n"
+                "def named(m):\n    return _kernel, m\n",
+    }
+    assert kernel_skippers(sources, ("direct", "qualified", "nested", "dense",
+                                     "named", "missing"), "_kernel") == [
+        "dense", "missing", "named"]
+
+
+# Module flatness, curvature, the obstruction cocycle and compatibility are
+# blocks of one curvature, R(x_i, x_j) = [rho_i, rho_j] - rho_([x_i, x_j]):
+# each is read off the one flatness kernel, lie_core._flatness_residual, and
+# no module forms a dense matrix product or commutator.
+CURVATURE_BLOCKS = ("check_module", "curvature", "atiyah_cocycle",
+                    "compatibility_report")
+
+
+def test_curvature_blocks_read_the_one_flatness_kernel():
+    sources = {name: (PACKAGE / name).read_text()
+               for name in ("lie_core.py", "ce.py", "atiyah.py")}
+    assert kernel_skippers(sources, CURVATURE_BLOCKS,
+                           "_flatness_residual") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_forms_a_dense_matrix_product(path):
+    assert dense_products(path.read_text()) == []
 
 
 def flushing_kernels(source):
